@@ -8,19 +8,22 @@ except ImportError:
     cythonize = None
 
 PYX = os.path.join("src", "maxcore", "engine", "_search.pyx")
+CPP = os.path.join("src", "maxcore", "engine", "_search.cpp")
+
+
+def search_extension(source):
+    return Extension(
+        "maxcore.engine._search",
+        [source],
+        language="c++",
+        extra_compile_args=["-O2", "-std=c++17"],
+    )
+
 
 ext_modules = []
 if cythonize is not None and os.path.exists(PYX):
-    extensions = [
-        Extension(
-            "maxcore.engine._search",
-            [PYX],
-            language="c++",
-            extra_compile_args=["-O2", "-std=c++17"],
-        )
-    ]
     ext_modules = cythonize(
-        extensions,
+        [search_extension(PYX)],
         compiler_directives={
             "boundscheck": False,
             "wraparound": False,
@@ -28,5 +31,8 @@ if cythonize is not None and os.path.exists(PYX):
             "language_level": "3",
         },
     )
+elif os.path.exists(CPP):
+    # without Cython, compile the C++ that Cython generated from PYX
+    ext_modules = [search_extension(CPP)]
 
 setup(ext_modules=ext_modules)

@@ -13,7 +13,6 @@ from .engine import (
     Engine,
     Propagator,
     ORIGIN_USER,
-    ORIGIN_OBJECTIVE,
 )
 
 
@@ -107,8 +106,8 @@ class CpModel:
     def post_at_most_one(self, lits, origin=ORIGIN_USER):
         return post_at_most_one(self.eng, lits, origin)
 
-    def post_pb_upper_bound(self, terms, strict_bound, decompose=False):
-        return post_pb_upper_bound(self.eng, terms, strict_bound, decompose)
+    def post_pb_upper_bound(self, terms, strict_bound):
+        return post_pb_upper_bound(self.eng, terms, strict_bound)
 
     def post_cumulative(self, tasks, capacity):
         """tasks: list of (IntVar start, duration, demand)."""
@@ -180,23 +179,20 @@ def decode_int(x, model):
 
 
 def post_at_most_one(eng, lits, origin=ORIGIN_USER):
-    """Pairwise decomposition; a list of length <= 1 posts nothing."""
+    """One binary clause per pair; a list of length <= 1 posts nothing."""
     refs = []
     for a, b in combinations(lits, 2):
         refs.append(eng.add_clause((-a, -b), origin))
     return refs
 
 
-def post_pb_upper_bound(eng, terms, strict_bound, decompose=False,
-                        origin=ORIGIN_OBJECTIVE):
+def post_pb_upper_bound(eng, terms, strict_bound):
     """Enforce sum(w * [lit true]) < strict_bound over arbitrary literals."""
     if strict_bound < 0:
         raise ValueError("strict bound must be nonnegative")
     for w, _ in terms:
         if w <= 0:
             raise ValueError("weights must be positive")
-    if decompose:
-        return PbDecomposition(eng, terms, strict_bound, origin)
     prop = PbUpperBound(terms, strict_bound)
     eng.attach_propagator(prop)
     return prop
@@ -233,59 +229,6 @@ class PbUpperBound(Propagator):
             if view.lit_value(lit) == 0 and total + w >= limit:
                 if not view.enqueue(-lit, true_lits):
                     return
-
-
-class PbDecomposition:
-    """Sequential weighted counter clauses for sum(w * lit) < bound.
-
-    Differential-testing alternative to the native propagator; tighten()
-    forbids the higher counter outputs with unit clauses.
-    """
-
-    def __init__(self, eng, terms, strict_bound, origin=ORIGIN_OBJECTIVE):
-        self.eng = eng
-        self.terms = list(terms)
-        self.bound = strict_bound
-        self.origin = origin
-        # bound 0 behaves like bound 1: every literal is forced false
-        self.k = max(strict_bound, 1) - 1
-        self.reg = {}
-        n = len(self.terms)
-        k = self.k
-        if k == 0 or n == 0:
-            for w, lit in self.terms:
-                eng.add_clause((-lit,), origin)
-            return
-        s = [[eng.new_bool_var() for _ in range(k)] for _ in range(n)]
-        self.reg = s
-        w1, l1 = self.terms[0]
-        for j in range(1, min(w1, k) + 1):
-            eng.add_clause((-l1, s[0][j - 1]), origin)
-        if w1 > k:
-            eng.add_clause((-l1,), origin)
-        for i in range(1, n):
-            wi, li = self.terms[i]
-            for j in range(1, k + 1):
-                eng.add_clause((-s[i - 1][j - 1], s[i][j - 1]), origin)
-            for j in range(1, min(wi, k) + 1):
-                eng.add_clause((-li, s[i][j - 1]), origin)
-            for j in range(1, k - wi + 1):
-                eng.add_clause((-li, -s[i - 1][j - 1], s[i][j + wi - 1]), origin)
-            if wi > k:
-                eng.add_clause((-li,), origin)
-            elif k + 1 - wi >= 1:
-                eng.add_clause((-li, -s[i - 1][k - wi]), origin)
-
-    def tighten(self, new_bound):
-        if new_bound > self.bound:
-            raise ValueError("bound may only tighten")
-        old_k, self.bound = self.k, new_bound
-        self.k = max(new_bound, 1) - 1
-        if not self.reg:
-            return
-        last = self.reg[-1]
-        for j in range(self.k + 1, old_k + 1):
-            self.eng.add_clause((-last[j - 1],), self.origin)
 
 
 class HalfReifiedLinear(Propagator):

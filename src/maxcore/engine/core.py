@@ -93,6 +93,7 @@ class Engine:
         self._next_ref = 0
         self._root = {}              # var -> bool, fixed by unit chains
         self._root_conflict = False
+        self._empty_origins = set()  # origins of empty clauses, never stored
         self.propagators = []
         self._in_search = False
         self.retract_misses = 0
@@ -129,7 +130,8 @@ class Engine:
 
     def add_clause(self, lits, origin=ORIGIN_USER):
         """Store a clause and return its ref; None when nothing was stored
-        (tautology, or the empty clause which just flags a root conflict)."""
+        (tautology, or the empty clause, which flags a root conflict that
+        only a retraction of its origin can lift)."""
         if self._in_search:
             raise MidSearchMutationError("clause added during search")
         if not origin or not isinstance(origin, str):
@@ -145,6 +147,7 @@ class Engine:
                 seen.add(l)
                 norm.append(l)
         if not norm:
+            self._empty_origins.add(origin)
             self._root_conflict = True
             return None
         rec = ClauseRec(self._next_ref, tuple(norm), origin)
@@ -214,7 +217,9 @@ class Engine:
 
     def _recompute_root(self):
         self._root = {}
-        self._root_conflict = False
+        self._root_conflict = bool(self._empty_origins)
+        if self._root_conflict:
+            return
         for rec in self.clauses:
             self._absorb(rec)
             if self._root_conflict:
@@ -235,6 +240,8 @@ class Engine:
                 keep.append(rec)
         self.retract_misses += len(refs)
         self.clauses = keep
+        if origins:
+            self._empty_origins -= set(origins)
         self._recompute_root()
         return removed
 

@@ -142,12 +142,6 @@ def evaluate_cost(inst, model):
 
 
 @dataclass
-class Wpm1State:
-    z_min: int = 0
-    rounds: list = field(default_factory=list)   # (core clause ids, w_min)
-
-
-@dataclass
 class OptimizeResult:
     status: str                     # 'optimal' | 'unsatisfiable' | 'unknown'
     z_opt: int = None
@@ -157,7 +151,6 @@ class OptimizeResult:
     incumbents: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    wpm1: Wpm1State = None
 
 
 class _Budget:
@@ -192,7 +185,7 @@ def _restrict(model, n):
 
 
 def _finish(status, eng, t0, *, z_opt=None, model=None, z_lower=0, cores=(),
-            incumbents=(), meta=None, wpm1=None, core_events=0, audit_inst=None):
+            incumbents=(), meta=None, core_events=0, audit_inst=None):
     meta = dict(meta or {})
     if audit_inst is not None and model is not None:
         meta["audit"] = evaluate_cost(audit_inst, model)
@@ -203,7 +196,7 @@ def _finish(status, eng, t0, *, z_opt=None, model=None, z_lower=0, cores=(),
     return OptimizeResult(status=status, z_opt=z_opt, model=model,
                           z_lower=z_lower, cores=list(cores),
                           incumbents=list(incumbents), stats=stats,
-                          meta=meta, wpm1=wpm1)
+                          meta=meta)
 
 
 def _base_engine(inst, kernel, config):
@@ -214,103 +207,41 @@ def _base_engine(inst, kernel, config):
 
 
 # ---------------------------------------------------------------------------
-# branch and bound
-
-def _bnb_loop(eng, terms, budget, t0, decode_n, audit_inst, pb_decompose,
-              on_incumbent=None):
-    incumbents = []
-    best = None
-    bound = None
-    while True:
-        if budget.exhausted():
-            return _finish("unknown", eng, t0, z_opt=incumbents[-1] if incumbents else None,
-                           model=best, incumbents=incumbents, audit_inst=audit_inst)
-        cb, tb = budget.args()
-        out = eng.solve((), conflict_budget=cb, time_budget_s=tb)
-        budget.charge(out.conflicts)
-        if out.status == "unknown":
-            return _finish("unknown", eng, t0, z_opt=incumbents[-1] if incumbents else None,
-                           model=best, incumbents=incumbents, audit_inst=audit_inst)
-        if out.status == "unsat":
-            break
-        z = sum(w for w, lit in terms if _lit_true(out.model, lit))
-        incumbents.append(z)
-        best = _restrict(out.model, decode_n)
-        if on_incumbent:
-            on_incumbent(z)
-        # next model must satisfy sum(w*v) < z; z = 0 makes that the empty clause
-        if z <= 0:
-            eng.add_clause((), ORIGIN_OBJECTIVE)
-        elif bound is None:
-            bound = post_pb_upper_bound(eng, terms, z, decompose=pb_decompose)
-        else:
-            bound.tighten(z)
-    if best is None:
-        return _finish("unsatisfiable", eng, t0, audit_inst=audit_inst)
-    return _finish("optimal", eng, t0, z_opt=incumbents[-1], model=best,
-                   z_lower=incumbents[-1], incumbents=incumbents,
-                   audit_inst=audit_inst)
-
-
-def solve_bnb(inst, *, kernel="auto", config=None, conflict_budget=None,
-              time_budget_s=None, pb_decompose=False, on_incumbent=None):
-    """Algorithm: violators on every soft clause, then tighten an objective
-    bound below each incumbent until unsatisfiable."""
-    inst.check()
-    t0 = time.perf_counter()
-    budget = _Budget(conflict_budget, time_budget_s)
-    eng = _base_engine(inst, kernel, config)
-    terms = []
-    for wc in inst.clauses:
-        if wc.is_hard():
-            eng.add_clause(wc.lits, ORIGIN_USER)
-        else:
-            v = eng.new_bool_var()
-            eng.add_clause((v,) + tuple(wc.lits), ORIGIN_USER)
-            terms.append((wc.weight, v))
-    return _bnb_loop(eng, terms, budget, t0, inst.var_count, inst,
-                     pb_decompose, on_incumbent)
-
-
-# ---------------------------------------------------------------------------
 # WPM1
 
 def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
-    state = Wpm1State()
+    z_min = 0
     cores = []
     rounds = []
     amap = {rec.assumption: rec for rec in records}
     while True:
         if budget.exhausted():
-            return _finish("unknown", eng, t0, z_lower=state.z_min, cores=cores,
-                           meta={"rounds": rounds}, wpm1=state,
-                           core_events=len(rounds))
+            return _finish("unknown", eng, t0, z_lower=z_min, cores=cores,
+                           meta={"rounds": rounds}, core_events=len(rounds))
         cb, tb = budget.args()
         assumptions = [rec.assumption for rec in records]
         out = eng.solve(assumptions, conflict_budget=cb, time_budget_s=tb)
         budget.charge(out.conflicts)
         if out.status == "unknown":
-            return _finish("unknown", eng, t0, z_lower=state.z_min, cores=cores,
-                           meta={"rounds": rounds}, wpm1=state,
-                           core_events=len(rounds))
+            return _finish("unknown", eng, t0, z_lower=z_min, cores=cores,
+                           meta={"rounds": rounds}, core_events=len(rounds))
         if out.status == "sat":
             model = _restrict(out.model, decode_n)
-            return _finish("optimal", eng, t0, z_opt=state.z_min, model=model,
-                           z_lower=state.z_min, cores=cores,
-                           meta={"rounds": rounds}, wpm1=state,
-                           core_events=len(rounds), audit_inst=audit_inst)
+            return _finish("optimal", eng, t0, z_opt=z_min, model=model,
+                           z_lower=z_min, cores=cores,
+                           meta={"rounds": rounds}, core_events=len(rounds),
+                           audit_inst=audit_inst)
         core_recs = [amap[l] for l in out.core]
         if not core_recs:
             # hard clauses alone are unsatisfiable (the w_min = infinity case)
             return _finish("unsatisfiable", eng, t0, cores=cores,
-                           meta={"rounds": rounds}, wpm1=state,
-                           core_events=len(rounds))
+                           meta={"rounds": rounds}, core_events=len(rounds))
         w_min = min(rec.weight for rec in core_recs)
-        state.z_min += w_min
+        z_min += w_min
         ids = tuple(sorted({rec.origin_id for rec in core_recs}))
-        state.rounds.append((ids, w_min))
         rounds.append({"core": ids, "w_min": w_min})
         cores.append(ids)
+        eng.retract(refs=[rec.ref for rec in core_recs])
         fresh = []
         for rec in core_recs:
             if rec.weight > w_min:
@@ -323,7 +254,6 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
                 records.append(dup)
                 amap[a2] = dup
             v = eng.new_bool_var()
-            eng.retract(refs=(rec.ref,))
             rec.violators.append(v)
             rec.weight = w_min
             rec.ref = eng.add_clause(
@@ -356,10 +286,31 @@ def solve_wpm1(inst, *, kernel="auto", config=None, conflict_budget=None,
 
 
 # ---------------------------------------------------------------------------
-# MSU3
+# MSU3 and branch and bound
 
-def _msu3_loop(eng, temps, terms, budget, t0, decode_n, audit_inst,
-               pb_decompose, on_incumbent=None):
+def _violator_softs(eng, inst):
+    """Post hard clauses as they are and each soft clause with a fresh
+    violator v as (v or clause); returns [(clause id, weight, v)]."""
+    softs = []
+    for j, wc in enumerate(inst.clauses, 1):
+        if wc.is_hard():
+            eng.add_clause(wc.lits, ORIGIN_USER)
+            continue
+        v = eng.new_bool_var()
+        eng.add_clause((v,) + tuple(wc.lits), ORIGIN_USER)
+        softs.append((j, wc.weight, v))
+    return softs
+
+
+def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
+               on_incumbent=None):
+    """Tighten one bound sum(w * violator) < z below each model's cost z.
+
+    softs is [(clause id, weight, violator literal)].  With temporaries,
+    every violator starts assumed false and cores spend those assumptions;
+    without, this is linear SAT-UNSAT search, that is, branch and bound.
+    """
+    terms = [(w, v) for _, w, v in softs]
     incumbents = []
     best = None
     bound = None
@@ -367,7 +318,8 @@ def _msu3_loop(eng, temps, terms, budget, t0, decode_n, audit_inst,
     cores = []
     events = []
     core_events = 0
-    live = list(temps)          # (soft id, violator literal), id order
+    # temporaries: (soft id, violator literal), id order
+    live = [(sid, v) for sid, _, v in softs] if temporaries else []
     while True:
         if budget.exhausted():
             return _finish("unknown", eng, t0, z_opt=incumbents[-1] if incumbents else None,
@@ -390,10 +342,11 @@ def _msu3_loop(eng, temps, terms, budget, t0, decode_n, audit_inst,
             events.append({"kind": "incumbent", "z": z})
             if on_incumbent:
                 on_incumbent(z)
+            # next model must satisfy sum(w*v) < z; z = 0 makes that the empty clause
             if z <= 0:
                 eng.add_clause((), ORIGIN_OBJECTIVE)
             elif bound is None:
-                bound = post_pb_upper_bound(eng, terms, z, decompose=pb_decompose)
+                bound = post_pb_upper_bound(eng, terms, z)
             else:
                 bound.tighten(z)
             bounded = True
@@ -420,26 +373,31 @@ def _msu3_loop(eng, temps, terms, budget, t0, decode_n, audit_inst,
                    audit_inst=audit_inst)
 
 
+def solve_bnb(inst, *, kernel="auto", config=None, conflict_budget=None,
+              time_budget_s=None, on_incumbent=None):
+    """Algorithm: violators on every soft clause, then tighten an objective
+    bound below each incumbent until unsatisfiable (MSU3 with no
+    temporaries)."""
+    inst.check()
+    t0 = time.perf_counter()
+    budget = _Budget(conflict_budget, time_budget_s)
+    eng = _base_engine(inst, kernel, config)
+    softs = _violator_softs(eng, inst)
+    return _msu3_loop(eng, softs, False, budget, t0, inst.var_count, inst,
+                      on_incumbent)
+
+
 def solve_msu3(inst, *, kernel="auto", config=None, conflict_budget=None,
-               time_budget_s=None, pb_decompose=False, on_incumbent=None):
+               time_budget_s=None, on_incumbent=None):
     """Algorithm: violators everywhere plus temporary singletons keeping them
     false; cores spend temporaries, models tighten the objective bound."""
     inst.check()
     t0 = time.perf_counter()
     budget = _Budget(conflict_budget, time_budget_s)
     eng = _base_engine(inst, kernel, config)
-    terms = []
-    temps = []
-    for j, wc in enumerate(inst.clauses, 1):
-        if wc.is_hard():
-            eng.add_clause(wc.lits, ORIGIN_USER)
-            continue
-        v = eng.new_bool_var()
-        eng.add_clause((v,) + tuple(wc.lits), ORIGIN_USER)
-        terms.append((wc.weight, v))
-        temps.append((j, v))
-    return _msu3_loop(eng, temps, terms, budget, t0, inst.var_count, inst,
-                      pb_decompose, on_incumbent)
+    softs = _violator_softs(eng, inst)
+    return _msu3_loop(eng, softs, True, budget, t0, inst.var_count, inst,
+                      on_incumbent)
 
 
 def solve(inst, algorithm="wpm1", **kw):
@@ -480,19 +438,15 @@ class IndicatorProblem:
         self.indicators = list(indicators)
 
     def solve(self, algorithm="wpm1", *, conflict_budget=None,
-              time_budget_s=None, pb_decompose=False, on_incumbent=None):
+              time_budget_s=None, on_incumbent=None):
         t0 = time.perf_counter()
         budget = _Budget(conflict_budget, time_budget_s)
         eng = self.eng
-        if algorithm == "bnb":
-            terms = [(w, -lit) for lit, w in self.indicators]
-            return _bnb_loop(eng, terms, budget, t0, None, None,
-                             pb_decompose, on_incumbent)
-        if algorithm == "msu3":
-            terms = [(w, -lit) for lit, w in self.indicators]
-            temps = [(j, -lit) for j, (lit, _) in enumerate(self.indicators, 1)]
-            return _msu3_loop(eng, temps, terms, budget, t0, None, None,
-                              pb_decompose, on_incumbent)
+        if algorithm in ("bnb", "msu3"):
+            softs = [(j, w, -lit)
+                     for j, (lit, w) in enumerate(self.indicators, 1)]
+            return _msu3_loop(eng, softs, algorithm == "msu3", budget, t0,
+                              None, None, on_incumbent)
         if algorithm == "wpm1":
             records = []
             for j, (lit, w) in enumerate(self.indicators, 1):

@@ -255,11 +255,10 @@ def test_at_most_one_singleton_is_noop(kernel):
 # --- pseudo-Boolean upper bound ---------------------------------------------
 
 
-@pytest.mark.parametrize("decompose", [False, True])
-def test_pb_unit_weights_bound_one(decompose, kernel):
+def test_pb_unit_weights_bound_one(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(5)]
-    mdl.post_pb_upper_bound([(1, v) for v in vs], 1, decompose=decompose)
+    mdl.post_pb_upper_bound([(1, v) for v in vs], 1)
     out = mdl.eng.solve()
     assert out.status == "sat"
     assert all(out.model[v] is False for v in vs)
@@ -267,31 +266,28 @@ def test_pb_unit_weights_bound_one(decompose, kernel):
         assert mdl.eng.solve(assumptions=[v]).status == "unsat"
 
 
-@pytest.mark.parametrize("decompose", [False, True])
-def test_pb_weighted_pair(decompose, kernel):
+def test_pb_weighted_pair(kernel):
     mdl = CpModel(kernel=kernel)
     a, b = mdl.new_bool_var(), mdl.new_bool_var()
-    mdl.post_pb_upper_bound([(3, a), (2, b)], 4, decompose=decompose)
+    mdl.post_pb_upper_bound([(3, a), (2, b)], 4)
     out = mdl.eng.solve(assumptions=[a])
     assert out.status == "sat"
     assert out.model[b] is False
     assert mdl.eng.solve(assumptions=[a, b]).status == "unsat"
 
 
-@pytest.mark.parametrize("decompose", [False, True])
-def test_pb_slack_leaves_literals_free(decompose, kernel):
+def test_pb_slack_leaves_literals_free(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(3)]
-    mdl.post_pb_upper_bound([(2, v) for v in vs], 5, decompose=decompose)
+    mdl.post_pb_upper_bound([(2, v) for v in vs], 5)
     assert mdl.eng.solve(assumptions=vs[:2]).status == "sat"
     assert mdl.eng.solve(assumptions=vs).status == "unsat"
 
 
-@pytest.mark.parametrize("decompose", [False, True])
-def test_pb_bound_zero_forces_all_false(decompose, kernel):
+def test_pb_bound_zero_forces_all_false(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(3)]
-    mdl.post_pb_upper_bound([(1, v) for v in vs], 0, decompose=decompose)
+    mdl.post_pb_upper_bound([(1, v) for v in vs], 0)
     out = mdl.eng.solve()
     assert out.status == "sat"
     assert all(out.model[v] is False for v in vs)
@@ -299,15 +295,10 @@ def test_pb_bound_zero_forces_all_false(decompose, kernel):
 
 def test_pb_bound_zero_with_root_true_literal_conflicts(kernel):
     mdl = CpModel(kernel=kernel)
-    v = mdl.new_bool_var()
-    mdl.eng.add_clause((v,))
-    mdl.post_pb_upper_bound([(1, v)], 0, decompose=True)
-    assert mdl.eng.root_conflict
-    mdl2 = CpModel(kernel=kernel)
-    w = mdl2.new_bool_var()
-    mdl2.eng.add_clause((w,))
-    mdl2.post_pb_upper_bound([(1, w)], 0, decompose=False)
-    assert mdl2.eng.solve().status == "unsat"
+    w = mdl.new_bool_var()
+    mdl.eng.add_clause((w,))
+    mdl.post_pb_upper_bound([(1, w)], 0)
+    assert mdl.eng.solve().status == "unsat"
 
 
 def test_pb_rejects_bad_arguments(kernel):
@@ -319,40 +310,87 @@ def test_pb_rejects_bad_arguments(kernel):
         mdl.post_pb_upper_bound([(0, v)], 2)
 
 
-@pytest.mark.parametrize("decompose", [False, True])
-def test_pb_tighten(decompose, kernel):
+def test_pb_tighten(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(3)]
-    pb = mdl.post_pb_upper_bound([(1, v) for v in vs], 3, decompose=decompose)
+    pb = mdl.post_pb_upper_bound([(1, v) for v in vs], 3)
     assert mdl.eng.solve(assumptions=vs[:2]).status == "sat"
     pb.tighten(1)
     assert mdl.eng.solve(assumptions=vs[:1]).status == "unsat"
     assert mdl.eng.solve().status == "sat"
 
 
-def test_pb_native_equals_decomposition(kernel):
+class _RecordingView:
+    """Propagator view over a fixed partial assignment (var -> bool) that
+    records the inferences instead of applying them."""
+
+    def __init__(self, values):
+        self.values = values
+        self.enqueued = []
+        self.failed = None
+
+    def lit_value(self, lit):
+        v = self.values.get(abs(lit))
+        if v is None:
+            return 0
+        return 1 if v == (lit > 0) else -1
+
+    def enqueue(self, lit, reason):
+        self.enqueued.append((lit, tuple(reason)))
+        return True
+
+    def fail(self, reason):
+        self.failed = tuple(reason)
+
+
+def test_pb_native_matches_arithmetic(kernel):
+    """Every full and partial assignment of small random constraints over
+    literals of either sign, along a random tighten sequence: satisfiable
+    exactly when the weight already true stays below the bound (bound 0
+    acts like bound 1), every model obeys the bound, and one propagate call
+    forces exactly the literals arithmetic forces, each explained by true
+    literals that imply it."""
     rng = random.Random(77)
     for _ in range(40):
         n = rng.randint(1, 4)
         weights = [rng.randint(1, 4) for _ in range(n)]
-        bound = rng.randint(0, sum(weights) + 1)
-        results = []
-        for decompose in (False, True):
-            mdl = CpModel(kernel=kernel)
-            vs = [mdl.new_bool_var() for _ in range(n)]
-            post_pb_upper_bound(mdl.eng, list(zip(weights, vs)), bound,
-                                decompose=decompose)
-            statuses = []
-            for bits in itertools.product([False, True], repeat=n):
-                assume = [v if b else -v for v, b in zip(vs, bits)]
-                statuses.append(mdl.eng.solve(assumptions=assume).status)
-            results.append(statuses)
-        assert results[0] == results[1]
-        # and both agree with plain arithmetic (bound 0 acts like bound 1)
-        for bits, status in zip(itertools.product([False, True], repeat=n),
-                                results[0]):
-            total = sum(w for w, b in zip(weights, bits) if b)
-            assert (status == "sat") == (total < max(bound, 1))
+        bounds = sorted((rng.randint(0, sum(weights) + 1) for _ in range(3)),
+                        reverse=True)
+        mdl = CpModel(kernel=kernel)
+        lits = [rng.choice((1, -1)) * mdl.new_bool_var() for _ in range(n)]
+        weight_of = dict(zip(lits, weights))
+        pb = post_pb_upper_bound(mdl.eng, list(zip(weights, lits)), bounds[0])
+        for bound in bounds:
+            pb.tighten(bound)
+            limit = max(bound, 1)
+            for vals in itertools.product((None, False, True), repeat=n):
+                assume = [l if b else -l for l, b in zip(lits, vals)
+                          if b is not None]
+                out = mdl.eng.solve(assumptions=assume)
+                forced = sum(w for w, b in zip(weights, vals) if b)
+                assert (out.status == "sat") == (forced < limit), \
+                    (weights, bound, vals)
+                if out.status == "sat":
+                    total = sum(w for w, l in zip(weights, lits)
+                                if out.model[abs(l)] == (l > 0))
+                    assert total < limit
+                view = _RecordingView({abs(l): l > 0 for l in assume})
+                pb.propagate(view)
+                if forced >= limit:
+                    assert view.failed is not None and not view.enqueued
+                    assert all(view.lit_value(l) > 0 for l in view.failed)
+                    assert sum(weight_of[l] for l in view.failed) >= limit
+                    continue
+                assert view.failed is None
+                assert [lit for lit, _ in view.enqueued] == [
+                    -l for w, l, b in zip(weights, lits, vals)
+                    if b is None and forced + w >= limit]
+                for lit, reason in view.enqueued:
+                    assert all(view.lit_value(l) > 0 for l in reason)
+                    assert (sum(weight_of[l] for l in reason)
+                            + weight_of[-lit] >= limit)
+        with pytest.raises(ValueError):
+            pb.tighten(bounds[-1] + 1)
 
 
 # --- cumulative --------------------------------------------------------------

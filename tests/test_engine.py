@@ -72,6 +72,28 @@ def test_empty_clause_is_root_conflict(kernel):
     assert eng.root_conflict
 
 
+def test_empty_clause_survives_retract_by_ref(kernel):
+    eng = Engine(kernel=kernel)
+    x = eng.new_bool_var()
+    ref = eng.add_clause((x,))
+    assert eng.add_clause(()) is None
+    assert eng.retract(refs=[ref]) == 1
+    assert eng.root_conflict
+    assert eng.solve().status == "unsat"
+
+
+def test_empty_clause_lifted_only_by_its_origin(kernel):
+    eng = Engine(kernel=kernel)
+    x = eng.new_bool_var()
+    eng.add_clause((), origin="temp")
+    eng.add_clause((-x,), origin="keep")
+    assert eng.retract(origins={"keep"}) == 1
+    assert eng.solve().status == "unsat"
+    assert eng.retract(origins={"temp"}) == 0
+    assert not eng.root_conflict
+    assert eng.solve(assumptions=[x]).status == "sat"
+
+
 def test_tautology_is_dropped(kernel):
     eng = Engine(kernel=kernel)
     x = eng.new_bool_var()

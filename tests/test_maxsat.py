@@ -112,6 +112,17 @@ def test_bnb_incumbents_descend(sample5):
     assert all(a > b for a, b in zip(res.incumbents, res.incumbents[1:]))
 
 
+def test_bnb_trace_sample5(sample5):
+    # bnb is the msu3 loop started with no temporaries
+    res = solve_bnb(sample5)
+    assert res.status == "optimal" and res.z_opt == 1
+    events = res.meta["events"]
+    assert [e["z"] for e in events if e["kind"] == "incumbent"] == [3, 2, 1]
+    assert events[-1] == {"kind": "core", "temporaries": (), "bounded": True}
+    assert [e["kind"] for e in events].count("core") == 1
+    assert res.cores == [] and res.stats["cores"] == 0
+
+
 def test_wpm1_core_trace_sample5(sample5):
     res = solve_wpm1(sample5)
     assert res.status == "optimal"
@@ -138,6 +149,19 @@ def test_wpm1_bound_converges_from_below(sample7):
         running += rnd["w_min"]
         assert running <= opt
     assert running == opt == res.z_opt
+
+
+def test_wpm1_retracts_once_per_core_round(sample7, monkeypatch):
+    calls = []
+    retract = Engine.retract
+
+    def counted(eng, refs=None, origins=None):
+        calls.append(len(refs))
+        return retract(eng, refs, origins)
+
+    monkeypatch.setattr(Engine, "retract", counted)
+    res = solve_wpm1(sample7)
+    assert calls == [len(core) for core in res.cores] == [3, 6]
 
 
 def test_msu3_trace_sample5(sample5):
@@ -277,6 +301,16 @@ def test_indicator_core_ids_are_positions():
     res = prob.solve(algorithm="wpm1")
     assert res.z_opt == 1
     assert [set(c) for c in res.cores] == [{1, 2}]
+
+
+def test_indicator_bnb_trace():
+    eng = build_indicator_engine([(-1, -2)], 2)
+    res = wrap_indicators(eng, [(1, 2), (2, 3)]).solve(algorithm="bnb")
+    assert res.z_opt == 2 and res.incumbents[-1] == 2
+    events = res.meta["events"]
+    assert [e["z"] for e in events if e["kind"] == "incumbent"] == \
+        res.incumbents
+    assert events[-1] == {"kind": "core", "temporaries": (), "bounded": True}
 
 
 def test_duplicate_indicator_rejected():
