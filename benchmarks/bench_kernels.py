@@ -90,7 +90,7 @@ def main(argv=None):
     kernels = available_kernels()
     if "compiled" not in kernels:
         print("compiled kernel is not available; build it first with"
-              " pip install -e . --no-build-isolation", file=sys.stderr)
+              " python3 setup.py build_ext --inplace", file=sys.stderr)
         return 1
 
     workloads = list(wcnf_workloads(args.seed, args.wcnf_count,

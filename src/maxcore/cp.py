@@ -34,8 +34,8 @@ class IntVar:
 class CpModel:
     """Owns an engine plus the integer variables living on it."""
 
-    def __init__(self, engine=None, kernel="auto", **config):
-        self.eng = engine if engine is not None else Engine(kernel=kernel, **config)
+    def __init__(self, engine=None, kernel="auto"):
+        self.eng = engine if engine is not None else Engine(kernel=kernel)
         self.true_lit = self.eng.new_bool_var()
         self.eng.add_clause((self.true_lit,), ORIGIN_USER)
         self.ints = []

@@ -1,8 +1,10 @@
 """Assumption-based CDCL engine with pluggable propagators.
 
-Two interchangeable search kernels exist: a Cython one (maxcore.engine._search)
-and a pure-Python twin (_search_py).  The compiled kernel is preferred when it
-imported cleanly; set MAXCORE_PURE=1 to force the Python one.
+Two interchangeable search kernels run the identical search: a hand-written
+C++ extension (maxcore.engine._search, built from _search.cpp by setup.py)
+and the pure-Python kernel (_search_py), which is its specification.  The
+compiled kernel is preferred when it imported cleanly; set MAXCORE_PURE=1 to
+force the Python one.
 """
 
 from .core import (

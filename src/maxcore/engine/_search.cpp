@@ -1,23633 +1,813 @@
-/* Generated by Cython 3.2.8 */
+// Compiled CDCL search kernel: the CPython extension maxcore.engine._search.
+//
+// SearchCore runs the search of _search_py.py step for step on C++ vectors, so
+// both kernels return identical statuses, models, cores, counters, learnt
+// clauses and explanations on identical input (tests/test_kernels.py checks
+// it).  Any behavioural change there must be made here too.  Activities are
+// doubles updated in the same order as Python floats there, so this file must
+// not be built with fast-math.
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O2",
-            "-std=c++17"
-        ],
-        "language": "c++",
-        "name": "maxcore.engine._search",
-        "sources": [
-            "src/maxcore/engine/_search.pyx"
-        ]
-    },
-    "module_name": "maxcore.engine._search"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
+#include <Python.h>
 
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CppInitCode */
-#ifndef __cplusplus
-  #error "Cython files generated with the C++ option must be compiled with a C++ compiler."
-#endif
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #else
-    #define CYTHON_INLINE inline
-  #endif
-#endif
-template<typename T>
-void __Pyx_call_destructor(T& x) {
-    x.~T();
-}
-template<typename T>
-class __Pyx_FakeReference {
-  public:
-    __Pyx_FakeReference() : ptr(NULL) { }
-    __Pyx_FakeReference(const T& ref) : ptr(const_cast<T*>(&ref)) { }
-    T *operator->() { return ptr; }
-    T *operator&() { return ptr; }
-    operator T&() { return *ptr; }
-    template<typename U> bool operator ==(const U& other) const { return *ptr == other; }
-    template<typename U> bool operator !=(const U& other) const { return *ptr != other; }
-    template<typename U> bool operator==(const __Pyx_FakeReference<U>& other) const { return *ptr == *other.ptr; }
-    template<typename U> bool operator!=(const __Pyx_FakeReference<U>& other) const { return *ptr != *other.ptr; }
-  private:
-    T *ptr;
-};
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-    #define __PYX_EXTERN_C extern "C++"
-#endif
-
-#define __PYX_HAVE__maxcore__engine___search
-#define __PYX_HAVE_API__maxcore__engine___search
-/* Early includes */
-#include "ios"
-#include "new"
-#include "stdexcept"
-#include "typeinfo"
+#include <algorithm>
+#include <chrono>
+#include <cstring>
+#include <new>
 #include <vector>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
 
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/maxcore/engine/_search.pyx",
-  "<stringsource>",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_7maxcore_6engine_7_search_SearchCore;
-struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts;
-
-/* "maxcore/engine/_search.pyx":40
- * 
- * 
- * cdef class SearchCore:             # <<<<<<<<<<<<<<
- *     """Single-shot CDCL search over int literals (DIMACS signs)."""
- * 
-*/
-struct __pyx_obj_7maxcore_6engine_7_search_SearchCore {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *__pyx_vtab;
-  int nvars;
-  PyObject *propagators;
-  PyObject *cfg;
-  std::vector<int>  values;
-  std::vector<int>  levels;
-  std::vector<int>  reasons;
-  std::vector<char>  phase;
-  std::vector<double>  activity;
-  std::vector<char>  seen;
-  std::vector<int>  trail;
-  std::vector<int>  trail_lim;
-  int qhead;
-  std::vector<int>  db;
-  std::vector<int>  c_off;
-  std::vector<int>  c_len;
-  std::vector<char>  c_kind;
-  std::vector<double>  c_act;
-  std::vector<char>  c_dead;
-  std::vector<std::vector<int> >  watches;
-  int n_problem;
-  int learnt_cap;
-  int n_learnt;
-  double var_inc;
-  double cla_inc;
-  std::vector<int>  heap;
-  std::vector<int>  heap_pos;
-  long conflicts;
-  long decisions;
-  long propagations;
-  long restarts;
-  int _prop_enqueued;
-  int _prop_conflict;
-  int _in_search;
-  double _decay;
-  double _clause_decay;
-  double _restart_base;
-  double _restart_mult;
-  int _restarts_on;
-  int _minimize_on;
-  int _validate_on;
-  std::vector<int>  _learnt_buf;
-  std::vector<int>  _clear_buf;
-  std::vector<char>  _marked;
-};
-
-
-/* "maxcore/engine/_search.pyx":574
- *     # learnt database reduction
- * 
- *     cdef void _reduce_learnts(self) except *:             # <<<<<<<<<<<<<<
- *         cdef vector[char] locked
- *         cdef size_t j
-*/
-struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts {
-  PyObject_HEAD
-  struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self;
-};
-
-
-
-/* "maxcore/engine/_search.pyx":40
- * 
- * 
- * cdef class SearchCore:             # <<<<<<<<<<<<<<
- *     """Single-shot CDCL search over int literals (DIMACS signs)."""
- * 
-*/
-
-struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore {
-  int (*_add_clause_py)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, PyObject *, int);
-  int (*_add_clause_vec)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, std::vector<int>  &, int);
-  int (*_lit_value_c)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  void (*_assign)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int, int);
-  void (*_new_level)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-  void (*_backjump)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  int (*_heap_before)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int, int);
-  void (*_heap_insert)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  void (*_heap_up)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  void (*_heap_down)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  int (*_heap_pop)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-  void (*_bump_var)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  void (*_bump_clause)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  int (*_bcp)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-  int (*_propagate_all)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-  int (*_analyze)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  void (*_minimize)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-  PyObject *(*_analyze_final_clause)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  PyObject *(*_analyze_final_lit)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  void (*_reduce_learnts)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-  void (*_rebuild_watches)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-  PyObject *(*_establish_assumptions)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, PyObject *);
-  void (*_check_learnt)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-  PyObject *(*_finish)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, PyObject *);
-};
-static struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *__pyx_vtabptr_7maxcore_6engine_7_search_SearchCore;
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int);
-static CYTHON_INLINE void __pyx_f_7maxcore_6engine_7_search_10SearchCore__new_level(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *);
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_before(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int, int);
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceAdd(op1, op2) : PyNumber_Add(op1, op2))
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* PyObjectFastCallMethod.proto */
-#if CYTHON_VECTORCALL && PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyObject_FastCallMethod(name, args, nargsf) PyObject_VectorcallMethod(name, args, nargsf, NULL)
-#else
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf);
-#endif
-
-/* DictGetItem.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject *__Pyx_PyDict_GetItem(PyObject *d, PyObject* key);
-#define __Pyx_PyObject_Dict_GetItem(obj, name)\
-    (likely(PyDict_CheckExact(obj)) ?\
-     __Pyx_PyDict_GetItem(obj, name) : PyObject_GetItem(obj, name))
-#else
-#define __Pyx_PyDict_GetItem(d, key) PyObject_GetItem(d, key)
-#define __Pyx_PyObject_Dict_GetItem(obj, name)  PyObject_GetItem(obj, name)
-#endif
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* PyObjectVectorCallKwBuilder.proto (used by PyObjectVectorCallMethodKwBuilder) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* PyObjectVectorCallMethodKwBuilder.proto */
-#if CYTHON_VECTORCALL && PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_VectorcallMethod_CallFromBuilder PyObject_VectorcallMethod
-#else
-static PyObject *__Pyx_Object_VectorcallMethod_CallFromBuilder(PyObject *name, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#endif
-
-/* RaiseClosureNameError.proto */
-static void __Pyx_RaiseClosureNameError(const char *varname);
-
-/* PyAssertionError_Check.proto */
-#define __Pyx_PyExc_AssertionError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_AssertionError)
-
-/* RaiseUnexpectedTypeError.proto */
-static int __Pyx_RaiseUnexpectedTypeError(const char *expected, PyObject *obj);
-
-/* RejectKeywords.export */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds);
-
-/* GetAttr3.proto */
-static CYTHON_INLINE PyObject *__Pyx_GetAttr3(PyObject *, PyObject *, PyObject *);
-
-/* ArgTypeTestFunc.export */
-static int __Pyx__ArgTypeTest(PyObject *obj, PyTypeObject *type, const char *name, int exact);
-
-/* ArgTypeTest.proto */
-#define __Pyx_ArgTypeTest(obj, type, none_allowed, name, exact)\
-    ((likely(__Pyx_IS_TYPE(obj, type) | (none_allowed && (obj == Py_None)))) ? 1 :\
-        __Pyx__ArgTypeTest(obj, type, name, exact))
-
-/* MoveIfSupported.proto */
-#if CYTHON_USE_CPP_STD_MOVE
-  #include <utility>
-  #define __PYX_STD_MOVE_IF_SUPPORTED(x) std::move(x)
-#else
-  #define __PYX_STD_MOVE_IF_SUPPORTED(x) x
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* DefaultPlacementNew.proto */
-#include <new>
-template<typename T>
-void __Pyx_default_placement_construct(T* x) {
-    new (static_cast<void*>(x)) T();
-}
-
-/* CheckTypeForFreelists.proto */
-#if CYTHON_USE_FREELISTS
-#if CYTHON_USE_TYPE_SPECS
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t) == (expected_tp)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  Py_TPFLAGS_IS_ABSTRACT
-#else
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t)->tp_basicsize == (expected_size)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  (Py_TPFLAGS_IS_ABSTRACT | Py_TPFLAGS_HEAPTYPE)
-#endif
-#define __PYX_CHECK_TYPE_FOR_FREELISTS(t, expected_tp, expected_size)\
-    (__PYX_CHECK_FINAL_TYPE_FOR_FREELISTS((t), (expected_tp), (expected_size)) &\
-     (int) (!__Pyx_PyType_HasFeature((t), __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS)))
-#endif
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* SetVTable.proto */
-static int __Pyx_SetVtable(PyTypeObject* typeptr , void* vtable);
-
-/* GetVTable.proto (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type);
-
-/* MergeVTables.proto */
-static int __Pyx_MergeVtables(PyTypeObject *type);
-
-/* DelItemOnTypeDict.proto (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k);
-#define __Pyx_DelItemOnTypeDict(tp, k) __Pyx__DelItemOnTypeDict((PyTypeObject*)tp, k)
-
-/* SetupReduce.proto */
-static int __Pyx_setup_reduce(PyObject* type_obj);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* ImportFrom.proto */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* LengthHint.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_PyObject_LengthHint(o, defaultval)  (defaultval)
-#else
-#define __Pyx_PyObject_LengthHint(o, defaultval)  PyObject_LengthHint(o, defaultval)
-#endif
-
-/* CheckUnpickleChecksum.proto */
-static CYTHON_INLINE int __Pyx_CheckUnpickleChecksum(long checksum, long checksum1, long checksum2, long checksum3, const char *members);
-
-/* CppExceptionConversion.proto */
-#ifndef __Pyx_CppExn2PyErr
-#include <new>
-#include <typeinfo>
-#include <stdexcept>
-#include <ios>
-static void __Pyx_CppExn2PyErr() {
-  try {
-    if (PyErr_Occurred())
-      ; // let the latest Python exn pass through and ignore the current one
-    else
-      throw;
-  } catch (const std::bad_alloc& exn) {
-    PyErr_SetString(PyExc_MemoryError, exn.what());
-  } catch (const std::bad_cast& exn) {
-    PyErr_SetString(PyExc_TypeError, exn.what());
-  } catch (const std::bad_typeid& exn) {
-    PyErr_SetString(PyExc_TypeError, exn.what());
-  } catch (const std::domain_error& exn) {
-    PyErr_SetString(PyExc_ValueError, exn.what());
-  } catch (const std::invalid_argument& exn) {
-    PyErr_SetString(PyExc_ValueError, exn.what());
-  } catch (const std::ios_base::failure& exn) {
-    PyErr_SetString(PyExc_IOError, exn.what());
-  } catch (const std::out_of_range& exn) {
-    PyErr_SetString(PyExc_IndexError, exn.what());
-  } catch (const std::overflow_error& exn) {
-    PyErr_SetString(PyExc_OverflowError, exn.what());
-  } catch (const std::range_error& exn) {
-    PyErr_SetString(PyExc_ArithmeticError, exn.what());
-  } catch (const std::underflow_error& exn) {
-    PyErr_SetString(PyExc_ArithmeticError, exn.what());
-  } catch (const std::exception& exn) {
-    PyErr_SetString(PyExc_RuntimeError, exn.what());
-  }
-  catch (...)
-  {
-    PyErr_SetString(PyExc_RuntimeError, "Unknown exception");
-  }
-}
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_char(char value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE char __Pyx_PyLong_As_char(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *);
-
-/* PyObjectCall2Args.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectCallMethod1.proto */
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg);
-
-/* UpdateUnpickledDict.proto */
-static int __Pyx_UpdateUnpickledDict(PyObject *obj, PyObject *state, Py_ssize_t index);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__add_clause_py(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_lits, int __pyx_v_kind); /* proto*/
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__add_clause_vec(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, std::vector<int>  &__pyx_v_lits, int __pyx_v_kind); /* proto*/
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_lit); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__assign(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_lit, int __pyx_v_reason); /* proto*/
-static CYTHON_INLINE void __pyx_f_7maxcore_6engine_7_search_10SearchCore__new_level(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__backjump(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_level); /* proto*/
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_before(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_u, int __pyx_v_v); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_insert(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_v); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_up(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_i); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_down(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_i); /* proto*/
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_pop(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__bump_var(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_v); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__bump_clause(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_ci); /* proto*/
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__bcp(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto*/
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__propagate_all(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto*/
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_confl); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__minimize(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze_final_clause(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_confl); /* proto*/
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze_final_lit(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_failed); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__reduce_learnts(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__rebuild_watches(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__establish_assumptions(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_assumptions); /* proto*/
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__check_learnt(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_ci); /* proto*/
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__finish(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_result); /* proto*/
-
-/* Module declarations from "libcpp.vector" */
-
-/* Module declarations from "maxcore.engine._search" */
-static int __pyx_v_7maxcore_6engine_7_search_C_KIND_PROBLEM;
-static int __pyx_v_7maxcore_6engine_7_search_C_KIND_LEARNT;
-static int __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL;
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search__windex(int); /*proto*/
-static PyObject *__pyx_f_7maxcore_6engine_7_search___pyx_unpickle_SearchCore__set_state(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, PyObject *); /*proto*/
-static PyObject *__pyx_convert_vector_to_py_int(std::vector<int>  const &); /*proto*/
-static PyObject *__pyx_convert_vector_to_py_char(std::vector<char>  const &); /*proto*/
-static PyObject *__pyx_convert_vector_to_py_double(std::vector<double>  const &); /*proto*/
-static PyObject *__pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___(std::vector<std::vector<int> >  const &); /*proto*/
-static std::vector<int>  __pyx_convert_vector_from_py_int(PyObject *); /*proto*/
-static std::vector<char>  __pyx_convert_vector_from_py_char(PyObject *); /*proto*/
-static std::vector<double>  __pyx_convert_vector_from_py_double(PyObject *); /*proto*/
-static std::vector<std::vector<int> >  __pyx_convert_vector_from_py_std_3a__3a_vector_3c_int_3e___(PyObject *); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "maxcore.engine._search"
-extern int __pyx_module_is_main_maxcore__engine___search;
-int __pyx_module_is_main_maxcore__engine___search = 0;
-
-/* Implementation of "maxcore.engine._search" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_clause_decay__clear_buf__decay[] = "_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches";
-static const char __pyx_k_Compiled_CDCL_search_kernel_Lite[] = "Compiled CDCL search kernel.\n\nLiteral translation of _search_py.py onto C++ vectors; any behavioural\nchange there must be mirrored here.  Both kernels must produce identical\nmodels, cores, learnt clauses, and counter values on identical input.\n";
-/* #### Code section: decls ### */
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore___init__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_nvars, PyObject *__pyx_v_clauses, PyObject *__pyx_v_propagators, PyObject *__pyx_v_config); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_2clause_lits(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_ci); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_4lit_value(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_lit); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_6enqueue(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_lit, PyObject *__pyx_v_reason_lits); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_8fail(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_reason_lits); /* proto */
-static PyObject *__pyx_lambda_funcdef_lambda(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l); /* proto */
-static PyObject *__pyx_lambda_funcdef_lambda1(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l); /* proto */
-static PyObject *__pyx_lambda_funcdef_lambda2(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l); /* proto */
-static PyObject *__pyx_lambda_funcdef_lambda3(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l); /* proto */
-static PyObject *__pyx_lambda_funcdef_lambda4(PyObject *__pyx_self, PyObject *__pyx_v_ix); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_10solve(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_assumptions, PyObject *__pyx_v_conflict_budget, PyObject *__pyx_v_time_budget_s); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto */
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg_4__del__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_9conflicts___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto */
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9conflicts_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_9decisions___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto */
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9decisions_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_12propagations___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto */
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_12propagations_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_8restarts___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto */
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_8restarts_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_12__reduce_cython__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_14__setstate_cython__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_pf_7maxcore_6engine_7_search___pyx_unpickle_SearchCore(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v___pyx_type, long __pyx_v___pyx_checksum, PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_tp_new_7maxcore_6engine_7_search_SearchCore(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_7maxcore_6engine_7_search_SearchCore;
-  PyObject *__pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts;
-  PyTypeObject *__pyx_ptype_7maxcore_6engine_7_search_SearchCore;
-  PyTypeObject *__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[13];
-  PyObject *__pyx_string_tab[137];
-  PyObject *__pyx_number_tab[9];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *__pyx_freelist_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts[8];
-int __pyx_freecount_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts;
-#endif
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
 namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
 
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
+enum : char { KIND_PROBLEM, KIND_LEARNT, KIND_EXPL };
 
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_Note_that_Cython_is_deliberately __pyx_string_tab[1]
-#define __pyx_kp_u__2 __pyx_string_tab[2]
-#define __pyx_kp_u_add_note __pyx_string_tab[3]
-#define __pyx_kp_u_disable __pyx_string_tab[4]
-#define __pyx_kp_u_enable __pyx_string_tab[5]
-#define __pyx_kp_u_explanation_antecedent_d_is_not __pyx_string_tab[6]
-#define __pyx_kp_u_gc __pyx_string_tab[7]
-#define __pyx_kp_u_isenabled __pyx_string_tab[8]
-#define __pyx_kp_u_learnt_clause_head_not_asserted __pyx_string_tab[9]
-#define __pyx_kp_u_learnt_clause_tail_not_false_aft __pyx_string_tab[10]
-#define __pyx_kp_u_maxcore_engine_errors __pyx_string_tab[11]
-#define __pyx_kp_u_nogood_antecedent_d_is_not_true __pyx_string_tab[12]
-#define __pyx_kp_u_src_maxcore_engine__search_pyx __pyx_string_tab[13]
-#define __pyx_kp_u_stringsource __pyx_string_tab[14]
-#define __pyx_n_u_DEFAULT_CONFIG __pyx_string_tab[15]
-#define __pyx_n_u_EngineIntegrityError __pyx_string_tab[16]
-#define __pyx_n_u_KIND_EXPL __pyx_string_tab[17]
-#define __pyx_n_u_KIND_LEARNT __pyx_string_tab[18]
-#define __pyx_n_u_KIND_PROBLEM __pyx_string_tab[19]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[20]
-#define __pyx_n_u_SearchCore __pyx_string_tab[21]
-#define __pyx_n_u_SearchCore___reduce_cython __pyx_string_tab[22]
-#define __pyx_n_u_SearchCore___setstate_cython __pyx_string_tab[23]
-#define __pyx_n_u_SearchCore__analyze_final_clause __pyx_string_tab[24]
-#define __pyx_n_u_SearchCore__analyze_final_lit_lo __pyx_string_tab[25]
-#define __pyx_n_u_SearchCore__reduce_learnts_local __pyx_string_tab[26]
-#define __pyx_n_u_SearchCore_clause_lits __pyx_string_tab[27]
-#define __pyx_n_u_SearchCore_enqueue __pyx_string_tab[28]
-#define __pyx_n_u_SearchCore_fail __pyx_string_tab[29]
-#define __pyx_n_u_SearchCore_lit_value __pyx_string_tab[30]
-#define __pyx_n_u_SearchCore_solve __pyx_string_tab[31]
-#define __pyx_n_u_annotate __pyx_string_tab[32]
-#define __pyx_n_u_asms __pyx_string_tab[33]
-#define __pyx_n_u_assumptions __pyx_string_tab[34]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[35]
-#define __pyx_n_u_bj __pyx_string_tab[36]
-#define __pyx_n_u_cb __pyx_string_tab[37]
-#define __pyx_n_u_ci __pyx_string_tab[38]
-#define __pyx_n_u_clause_decay __pyx_string_tab[39]
-#define __pyx_n_u_clause_lits __pyx_string_tab[40]
-#define __pyx_n_u_clauses __pyx_string_tab[41]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[42]
-#define __pyx_n_u_config __pyx_string_tab[43]
-#define __pyx_n_u_confl __pyx_string_tab[44]
-#define __pyx_n_u_conflict_budget __pyx_string_tab[45]
-#define __pyx_n_u_conflicts __pyx_string_tab[46]
-#define __pyx_n_u_conflicts_since_restart __pyx_string_tab[47]
-#define __pyx_n_u_core __pyx_string_tab[48]
-#define __pyx_n_u_deadline __pyx_string_tab[49]
-#define __pyx_n_u_decay __pyx_string_tab[50]
-#define __pyx_n_u_decisions __pyx_string_tab[51]
-#define __pyx_n_u_dict __pyx_string_tab[52]
-#define __pyx_n_u_dict_2 __pyx_string_tab[53]
-#define __pyx_n_u_enqueue __pyx_string_tab[54]
-#define __pyx_n_u_errors __pyx_string_tab[55]
-#define __pyx_n_u_expl __pyx_string_tab[56]
-#define __pyx_n_u_explanations __pyx_string_tab[57]
-#define __pyx_n_u_fail __pyx_string_tab[58]
-#define __pyx_n_u_func __pyx_string_tab[59]
-#define __pyx_n_u_getstate __pyx_string_tab[60]
-#define __pyx_n_u_has_cb __pyx_string_tab[61]
-#define __pyx_n_u_has_deadline __pyx_string_tab[62]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[63]
-#define __pyx_n_u_items __pyx_string_tab[64]
-#define __pyx_n_u_ix __pyx_string_tab[65]
-#define __pyx_n_u_k __pyx_string_tab[66]
-#define __pyx_n_u_key __pyx_string_tab[67]
-#define __pyx_n_u_l __pyx_string_tab[68]
-#define __pyx_n_u_lambda __pyx_string_tab[69]
-#define __pyx_n_u_learnt_cap_min __pyx_string_tab[70]
-#define __pyx_n_u_learnts __pyx_string_tab[71]
-#define __pyx_n_u_lit __pyx_string_tab[72]
-#define __pyx_n_u_lit_value __pyx_string_tab[73]
-#define __pyx_n_u_main __pyx_string_tab[74]
-#define __pyx_n_u_maxcore_engine__search __pyx_string_tab[75]
-#define __pyx_n_u_minimize __pyx_string_tab[76]
-#define __pyx_n_u_model __pyx_string_tab[77]
-#define __pyx_n_u_module __pyx_string_tab[78]
-#define __pyx_n_u_monotonic __pyx_string_tab[79]
-#define __pyx_n_u_name __pyx_string_tab[80]
-#define __pyx_n_u_new __pyx_string_tab[81]
-#define __pyx_n_u_nvars __pyx_string_tab[82]
-#define __pyx_n_u_off __pyx_string_tab[83]
-#define __pyx_n_u_pop __pyx_string_tab[84]
-#define __pyx_n_u_propagate __pyx_string_tab[85]
-#define __pyx_n_u_propagations __pyx_string_tab[86]
-#define __pyx_n_u_propagators __pyx_string_tab[87]
-#define __pyx_n_u_pyx_checksum __pyx_string_tab[88]
-#define __pyx_n_u_pyx_result __pyx_string_tab[89]
-#define __pyx_n_u_pyx_state __pyx_string_tab[90]
-#define __pyx_n_u_pyx_type __pyx_string_tab[91]
-#define __pyx_n_u_pyx_unpickle_SearchCore __pyx_string_tab[92]
-#define __pyx_n_u_pyx_vtable __pyx_string_tab[93]
-#define __pyx_n_u_qualname __pyx_string_tab[94]
-#define __pyx_n_u_r __pyx_string_tab[95]
-#define __pyx_n_u_reason_lits __pyx_string_tab[96]
-#define __pyx_n_u_reduce __pyx_string_tab[97]
-#define __pyx_n_u_reduce_cython __pyx_string_tab[98]
-#define __pyx_n_u_reduce_ex __pyx_string_tab[99]
-#define __pyx_n_u_restart_base __pyx_string_tab[100]
-#define __pyx_n_u_restart_limit __pyx_string_tab[101]
-#define __pyx_n_u_restart_mult __pyx_string_tab[102]
-#define __pyx_n_u_restarts __pyx_string_tab[103]
-#define __pyx_n_u_result __pyx_string_tab[104]
-#define __pyx_n_u_sat __pyx_string_tab[105]
-#define __pyx_n_u_self __pyx_string_tab[106]
-#define __pyx_n_u_set_name __pyx_string_tab[107]
-#define __pyx_n_u_setdefault __pyx_string_tab[108]
-#define __pyx_n_u_setstate __pyx_string_tab[109]
-#define __pyx_n_u_setstate_cython __pyx_string_tab[110]
-#define __pyx_n_u_solve __pyx_string_tab[111]
-#define __pyx_n_u_sort __pyx_string_tab[112]
-#define __pyx_n_u_state __pyx_string_tab[113]
-#define __pyx_n_u_status __pyx_string_tab[114]
-#define __pyx_n_u_test __pyx_string_tab[115]
-#define __pyx_n_u_time __pyx_string_tab[116]
-#define __pyx_n_u_time_budget_s __pyx_string_tab[117]
-#define __pyx_n_u_unknown __pyx_string_tab[118]
-#define __pyx_n_u_unsat __pyx_string_tab[119]
-#define __pyx_n_u_update __pyx_string_tab[120]
-#define __pyx_n_u_use_setstate __pyx_string_tab[121]
-#define __pyx_n_u_v __pyx_string_tab[122]
-#define __pyx_n_u_validate __pyx_string_tab[123]
-#define __pyx_n_u_values __pyx_string_tab[124]
-#define __pyx_n_u_var __pyx_string_tab[125]
-#define __pyx_kp_b_iso88591_11EQ_k_M_C_1_wa_q_7_q_D_A_Qa_1 __pyx_string_tab[126]
-#define __pyx_kp_b_iso88591_4vQe1 __pyx_string_tab[127]
-#define __pyx_kp_b_iso88591_A_E_t_Cq_Ba_D_Qa_2S_1_q_E_q_T_q __pyx_string_tab[128]
-#define __pyx_kp_b_iso88591_A_q_E_t_Cq_7r_q_d_q __pyx_string_tab[129]
-#define __pyx_kp_b_iso88591_A_t __pyx_string_tab[130]
-#define __pyx_kp_b_iso88591_A_t6_q_Cq_4uE_t2T_q __pyx_string_tab[131]
-#define __pyx_kp_b_iso88591_T_it_PTTbbffppt_u_D_D_H_H_Y_Y_n __pyx_string_tab[132]
-#define __pyx_kp_b_iso88591_U_BgQc __pyx_string_tab[133]
-#define __pyx_kp_b_iso88591_k_b_Q __pyx_string_tab[134]
-#define __pyx_kp_b_iso88591_q __pyx_string_tab[135]
-#define __pyx_kp_b_iso88591_q_0_kQR_XQa_7_A_1 __pyx_string_tab[136]
-#define __pyx_float_1_5 __pyx_number_tab[0]
-#define __pyx_float_0_95 __pyx_number_tab[1]
-#define __pyx_float_0_999 __pyx_number_tab[2]
-#define __pyx_int_0 __pyx_number_tab[3]
-#define __pyx_int_1 __pyx_number_tab[4]
-#define __pyx_int_2 __pyx_number_tab[5]
-#define __pyx_int_100 __pyx_number_tab[6]
-#define __pyx_int_4000 __pyx_number_tab[7]
-#define __pyx_int_4422148 __pyx_number_tab[8]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_7maxcore_6engine_7_search_SearchCore);
-  Py_CLEAR(clear_module_state->__pyx_type_7maxcore_6engine_7_search_SearchCore);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts);
-  Py_CLEAR(clear_module_state->__pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts);
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<13; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<137; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<9; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
+const double VAR_DECAY = 0.95;
+const double CLAUSE_DECAY = 0.999;
+const double RESTART_BASE = 100;
+const double RESTART_MULT = 1.5;
+const int LEARNT_CAP_MIN = 4000;
 
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
+PyObject *integrity_error;  // maxcore.engine.errors.EngineIntegrityError
+PyObject *str_propagate;
 
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7maxcore_6engine_7_search_SearchCore);
-  Py_VISIT(traverse_module_state->__pyx_type_7maxcore_6engine_7_search_SearchCore);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts);
-  Py_VISIT(traverse_module_state->__pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<13; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<137; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<9; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
+inline int var_of(int lit) { return lit > 0 ? lit : -lit; }
 
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
+// watch-list slot of a literal
+inline int windex(int lit) { return lit > 0 ? 2 * lit : -2 * lit + 1; }
 
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "vector.to_py":79
- *     const Py_ssize_t PY_SSIZE_T_MAX
- * 
- * @cname("__pyx_convert_vector_to_py_int")             # <<<<<<<<<<<<<<
- * cdef object __pyx_convert_vector_to_py_int(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
-*/
-
-static PyObject *__pyx_convert_vector_to_py_int(std::vector<int>  const &__pyx_v_v) {
-  Py_ssize_t __pyx_v_v_size_signed;
-  PyObject *__pyx_v_o = NULL;
-  Py_ssize_t __pyx_v_i;
-  PyObject *__pyx_v_item = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  Py_ssize_t __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_to_py_int", 0);
-
-  /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_int")
- * cdef object __pyx_convert_vector_to_py_int(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  __pyx_t_1 = (__pyx_v_v.size() > ((size_t)PY_SSIZE_T_MAX));
-  if (unlikely(__pyx_t_1)) {
-
-    /* "vector.to_py":82
- * cdef object __pyx_convert_vector_to_py_int(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
-*/
-    PyErr_NoMemory(); __PYX_ERR(1, 82, __pyx_L1_error)
-
-    /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_int")
- * cdef object __pyx_convert_vector_to_py_int(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  }
-
-  /* "vector.to_py":83
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()             # <<<<<<<<<<<<<<
- * 
- *     o = PyList_New(v_size_signed)
-*/
-  __pyx_v_v_size_signed = ((Py_ssize_t)__pyx_v_v.size());
-
-  /* "vector.to_py":85
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
- *     o = PyList_New(v_size_signed)             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t i
-*/
-  __pyx_t_2 = PyList_New(__pyx_v_v_size_signed); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 85, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_o = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "vector.to_py":90
- *     cdef object item
- * 
- *     for i in range(v_size_signed):             # <<<<<<<<<<<<<<
- *         item = v[i]
- *         Py_INCREF(item)
-*/
-  __pyx_t_3 = __pyx_v_v_size_signed;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "vector.to_py":91
- * 
- *     for i in range(v_size_signed):
- *         item = v[i]             # <<<<<<<<<<<<<<
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)
-*/
-    __pyx_t_2 = __Pyx_PyLong_From_int((__pyx_v_v[__pyx_v_i])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 91, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "vector.to_py":92
- *     for i in range(v_size_signed):
- *         item = v[i]
- *         Py_INCREF(item)             # <<<<<<<<<<<<<<
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
-*/
-    Py_INCREF(__pyx_v_item);
-
-    /* "vector.to_py":93
- *         item = v[i]
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)             # <<<<<<<<<<<<<<
- * 
- *     return o
-*/
-    __pyx_t_6 = __Pyx_PyList_SET_ITEM(__pyx_v_o, __pyx_v_i, __pyx_v_item); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(1, 93, __pyx_L1_error)
-  }
-
-  /* "vector.to_py":95
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
- *     return o             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_o);
-  __pyx_r = __pyx_v_o;
-  goto __pyx_L0;
-
-  /* "vector.to_py":79
- *     const Py_ssize_t PY_SSIZE_T_MAX
- * 
- * @cname("__pyx_convert_vector_to_py_int")             # <<<<<<<<<<<<<<
- * cdef object __pyx_convert_vector_to_py_int(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("vector.to_py.__pyx_convert_vector_to_py_int", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_o);
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+// the clock of Python's time.monotonic()
+double monotonic() {
+    using namespace std::chrono;
+    return duration<double>(steady_clock::now().time_since_epoch()).count();
 }
 
-static PyObject *__pyx_convert_vector_to_py_char(std::vector<char>  const &__pyx_v_v) {
-  Py_ssize_t __pyx_v_v_size_signed;
-  PyObject *__pyx_v_o = NULL;
-  Py_ssize_t __pyx_v_i;
-  PyObject *__pyx_v_item = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  Py_ssize_t __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_to_py_char", 0);
-
-  /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_char")
- * cdef object __pyx_convert_vector_to_py_char(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  __pyx_t_1 = (__pyx_v_v.size() > ((size_t)PY_SSIZE_T_MAX));
-  if (unlikely(__pyx_t_1)) {
-
-    /* "vector.to_py":82
- * cdef object __pyx_convert_vector_to_py_char(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
-*/
-    PyErr_NoMemory(); __PYX_ERR(1, 82, __pyx_L1_error)
-
-    /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_char")
- * cdef object __pyx_convert_vector_to_py_char(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  }
-
-  /* "vector.to_py":83
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()             # <<<<<<<<<<<<<<
- * 
- *     o = PyList_New(v_size_signed)
-*/
-  __pyx_v_v_size_signed = ((Py_ssize_t)__pyx_v_v.size());
-
-  /* "vector.to_py":85
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
- *     o = PyList_New(v_size_signed)             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t i
-*/
-  __pyx_t_2 = PyList_New(__pyx_v_v_size_signed); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 85, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_o = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "vector.to_py":90
- *     cdef object item
- * 
- *     for i in range(v_size_signed):             # <<<<<<<<<<<<<<
- *         item = v[i]
- *         Py_INCREF(item)
-*/
-  __pyx_t_3 = __pyx_v_v_size_signed;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "vector.to_py":91
- * 
- *     for i in range(v_size_signed):
- *         item = v[i]             # <<<<<<<<<<<<<<
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)
-*/
-    __pyx_t_2 = __Pyx_PyLong_From_char((__pyx_v_v[__pyx_v_i])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 91, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "vector.to_py":92
- *     for i in range(v_size_signed):
- *         item = v[i]
- *         Py_INCREF(item)             # <<<<<<<<<<<<<<
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
-*/
-    Py_INCREF(__pyx_v_item);
-
-    /* "vector.to_py":93
- *         item = v[i]
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)             # <<<<<<<<<<<<<<
- * 
- *     return o
-*/
-    __pyx_t_6 = __Pyx_PyList_SET_ITEM(__pyx_v_o, __pyx_v_i, __pyx_v_item); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(1, 93, __pyx_L1_error)
-  }
-
-  /* "vector.to_py":95
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
- *     return o             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_o);
-  __pyx_r = __pyx_v_o;
-  goto __pyx_L0;
-
-  /* "vector.to_py":79
- *     const Py_ssize_t PY_SSIZE_T_MAX
- * 
- * @cname("__pyx_convert_vector_to_py_char")             # <<<<<<<<<<<<<<
- * cdef object __pyx_convert_vector_to_py_char(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("vector.to_py.__pyx_convert_vector_to_py_char", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_o);
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+// cores are sorted by variable, then sign
+void sort_core(std::vector<int> &core) {
+    std::sort(core.begin(), core.end(), [](int a, int b) {
+        return var_of(a) != var_of(b) ? var_of(a) < var_of(b) : a < b;
+    });
 }
 
-static PyObject *__pyx_convert_vector_to_py_double(std::vector<double>  const &__pyx_v_v) {
-  Py_ssize_t __pyx_v_v_size_signed;
-  PyObject *__pyx_v_o = NULL;
-  Py_ssize_t __pyx_v_i;
-  PyObject *__pyx_v_item = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  Py_ssize_t __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_to_py_double", 0);
-
-  /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_double")
- * cdef object __pyx_convert_vector_to_py_double(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  __pyx_t_1 = (__pyx_v_v.size() > ((size_t)PY_SSIZE_T_MAX));
-  if (unlikely(__pyx_t_1)) {
-
-    /* "vector.to_py":82
- * cdef object __pyx_convert_vector_to_py_double(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
-*/
-    PyErr_NoMemory(); __PYX_ERR(1, 82, __pyx_L1_error)
-
-    /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_double")
- * cdef object __pyx_convert_vector_to_py_double(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  }
-
-  /* "vector.to_py":83
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()             # <<<<<<<<<<<<<<
- * 
- *     o = PyList_New(v_size_signed)
-*/
-  __pyx_v_v_size_signed = ((Py_ssize_t)__pyx_v_v.size());
-
-  /* "vector.to_py":85
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
- *     o = PyList_New(v_size_signed)             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t i
-*/
-  __pyx_t_2 = PyList_New(__pyx_v_v_size_signed); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 85, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_o = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "vector.to_py":90
- *     cdef object item
- * 
- *     for i in range(v_size_signed):             # <<<<<<<<<<<<<<
- *         item = v[i]
- *         Py_INCREF(item)
-*/
-  __pyx_t_3 = __pyx_v_v_size_signed;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "vector.to_py":91
- * 
- *     for i in range(v_size_signed):
- *         item = v[i]             # <<<<<<<<<<<<<<
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)
-*/
-    __pyx_t_2 = PyFloat_FromDouble((__pyx_v_v[__pyx_v_i])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 91, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "vector.to_py":92
- *     for i in range(v_size_signed):
- *         item = v[i]
- *         Py_INCREF(item)             # <<<<<<<<<<<<<<
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
-*/
-    Py_INCREF(__pyx_v_item);
-
-    /* "vector.to_py":93
- *         item = v[i]
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)             # <<<<<<<<<<<<<<
- * 
- *     return o
-*/
-    __pyx_t_6 = __Pyx_PyList_SET_ITEM(__pyx_v_o, __pyx_v_i, __pyx_v_item); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(1, 93, __pyx_L1_error)
-  }
-
-  /* "vector.to_py":95
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
- *     return o             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_o);
-  __pyx_r = __pyx_v_o;
-  goto __pyx_L0;
-
-  /* "vector.to_py":79
- *     const Py_ssize_t PY_SSIZE_T_MAX
- * 
- * @cname("__pyx_convert_vector_to_py_double")             # <<<<<<<<<<<<<<
- * cdef object __pyx_convert_vector_to_py_double(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("vector.to_py.__pyx_convert_vector_to_py_double", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_o);
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___(std::vector<std::vector<int> >  const &__pyx_v_v) {
-  Py_ssize_t __pyx_v_v_size_signed;
-  PyObject *__pyx_v_o = NULL;
-  Py_ssize_t __pyx_v_i;
-  PyObject *__pyx_v_item = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  Py_ssize_t __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___", 0);
-
-  /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___")
- * cdef object __pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  __pyx_t_1 = (__pyx_v_v.size() > ((size_t)PY_SSIZE_T_MAX));
-  if (unlikely(__pyx_t_1)) {
-
-    /* "vector.to_py":82
- * cdef object __pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
-*/
-    PyErr_NoMemory(); __PYX_ERR(1, 82, __pyx_L1_error)
-
-    /* "vector.to_py":81
- * @cname("__pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___")
- * cdef object __pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()
-*/
-  }
-
-  /* "vector.to_py":83
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
- *         raise MemoryError()
- *     v_size_signed = <Py_ssize_t> v.size()             # <<<<<<<<<<<<<<
- * 
- *     o = PyList_New(v_size_signed)
-*/
-  __pyx_v_v_size_signed = ((Py_ssize_t)__pyx_v_v.size());
-
-  /* "vector.to_py":85
- *     v_size_signed = <Py_ssize_t> v.size()
- * 
- *     o = PyList_New(v_size_signed)             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t i
-*/
-  __pyx_t_2 = PyList_New(__pyx_v_v_size_signed); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 85, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_o = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "vector.to_py":90
- *     cdef object item
- * 
- *     for i in range(v_size_signed):             # <<<<<<<<<<<<<<
- *         item = v[i]
- *         Py_INCREF(item)
-*/
-  __pyx_t_3 = __pyx_v_v_size_signed;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "vector.to_py":91
- * 
- *     for i in range(v_size_signed):
- *         item = v[i]             # <<<<<<<<<<<<<<
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)
-*/
-    __pyx_t_2 = __pyx_convert_vector_to_py_int((__pyx_v_v[__pyx_v_i])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 91, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "vector.to_py":92
- *     for i in range(v_size_signed):
- *         item = v[i]
- *         Py_INCREF(item)             # <<<<<<<<<<<<<<
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
-*/
-    Py_INCREF(__pyx_v_item);
-
-    /* "vector.to_py":93
- *         item = v[i]
- *         Py_INCREF(item)
- *         __Pyx_PyList_SET_ITEM(o, i, item)             # <<<<<<<<<<<<<<
- * 
- *     return o
-*/
-    __pyx_t_6 = __Pyx_PyList_SET_ITEM(__pyx_v_o, __pyx_v_i, __pyx_v_item); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(1, 93, __pyx_L1_error)
-  }
-
-  /* "vector.to_py":95
- *         __Pyx_PyList_SET_ITEM(o, i, item)
- * 
- *     return o             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_o);
-  __pyx_r = __pyx_v_o;
-  goto __pyx_L0;
-
-  /* "vector.to_py":79
- *     const Py_ssize_t PY_SSIZE_T_MAX
- * 
- * @cname("__pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___")             # <<<<<<<<<<<<<<
- * cdef object __pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___(const vector[X]& v):
- *     if v.size() > <size_t> PY_SSIZE_T_MAX:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("vector.to_py.__pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_o);
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "vector.from_py":51
- *     cdef Py_ssize_t __Pyx_PyObject_LengthHint(object o, Py_ssize_t defaultval) except -1
- * 
- * @cname("__pyx_convert_vector_from_py_int")             # <<<<<<<<<<<<<<
- * cdef vector[X] __pyx_convert_vector_from_py_int(object o) except *:
- * 
-*/
-
-static std::vector<int>  __pyx_convert_vector_from_py_int(PyObject *__pyx_v_o) {
-  std::vector<int>  __pyx_v_v;
-  Py_ssize_t __pyx_v_s;
-  PyObject *__pyx_v_item = NULL;
-  std::vector<int>  __pyx_r;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *(*__pyx_t_4)(PyObject *);
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_from_py_int", 0);
-
-  /* "vector.from_py":55
- * 
- *     cdef vector[X] v
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)             # <<<<<<<<<<<<<<
- * 
- *     if s > 0:
-*/
-  __pyx_t_1 = __Pyx_PyObject_LengthHint(__pyx_v_o, 0); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1L))) __PYX_ERR(1, 55, __pyx_L1_error)
-  __pyx_v_s = __pyx_t_1;
-
-  /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  __pyx_t_2 = (__pyx_v_s > 0);
-  if (__pyx_t_2) {
-
-    /* "vector.from_py":58
- * 
- *     if s > 0:
- *         v.reserve(<size_t> s)             # <<<<<<<<<<<<<<
- * 
- *     for item in o:
-*/
-    try {
-      __pyx_v_v.reserve(((size_t)__pyx_v_s));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 58, __pyx_L1_error)
+bool read_lit(PyObject *obj, int nvars, int &lit) {
+    long v = PyLong_AsLong(obj);
+    if (v == -1 && PyErr_Occurred())
+        return false;
+    if (v < -nvars || v > nvars) {
+        PyErr_Format(PyExc_IndexError, "literal %ld out of range", v);
+        return false;
     }
+    lit = (int)v;
+    return true;
+}
 
-    /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  }
+// appends the literals of an iterable to out
+bool read_lits(PyObject *iterable, int nvars, std::vector<int> &out) {
+    PyObject *seq = PySequence_Fast(iterable, "literals must be iterable");
+    if (!seq)
+        return false;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    size_t base = out.size();
+    out.resize(base + n);
+    bool ok = true;
+    for (Py_ssize_t i = 0; ok && i < n; i++)
+        ok = read_lit(PySequence_Fast_GET_ITEM(seq, i), nvars, out[base + i]);
+    Py_DECREF(seq);
+    return ok;
+}
 
-  /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  if (likely(PyList_CheckExact(__pyx_v_o)) || PyTuple_CheckExact(__pyx_v_o)) {
-    __pyx_t_3 = __pyx_v_o; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_1 = 0;
-    __pyx_t_4 = NULL;
-  } else {
-    __pyx_t_1 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_v_o); if (unlikely(!__pyx_t_3)) __PYX_ERR(1, 60, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_4)) __PYX_ERR(1, 60, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_4)) {
-      if (likely(PyList_CheckExact(__pyx_t_3))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
+PyObject *int_list(const int *p, Py_ssize_t n) {
+    PyObject *out = PyList_New(n);
+    for (Py_ssize_t i = 0; out && i < n; i++) {
+        PyObject *v = PyLong_FromLong(p[i]);
+        if (!v) {
+            Py_CLEAR(out);
+            break;
         }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_1;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_1));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_1);
-        #endif
-        ++__pyx_t_1;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(1, 60, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_4(__pyx_t_3);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(1, 60, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "vector.from_py":61
- * 
- *     for item in o:
- *         v.push_back(<X>item)             # <<<<<<<<<<<<<<
- * 
- *     return v
-*/
-    __pyx_t_6 = __Pyx_PyLong_As_int(__pyx_v_item); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 61, __pyx_L1_error)
-    try {
-      __pyx_v_v.push_back(((int)__pyx_t_6));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 61, __pyx_L1_error)
-    }
-
-    /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "vector.from_py":63
- *         v.push_back(<X>item)
- * 
- *     return v             # <<<<<<<<<<<<<<
- * 
-*/
-  __pyx_r = __pyx_v_v;
-  goto __pyx_L0;
-
-  /* "vector.from_py":51
- *     cdef Py_ssize_t __Pyx_PyObject_LengthHint(object o, Py_ssize_t defaultval) except -1
- * 
- * @cname("__pyx_convert_vector_from_py_int")             # <<<<<<<<<<<<<<
- * cdef vector[X] __pyx_convert_vector_from_py_int(object o) except *:
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("vector.from_py.__pyx_convert_vector_from_py_int", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static std::vector<char>  __pyx_convert_vector_from_py_char(PyObject *__pyx_v_o) {
-  std::vector<char>  __pyx_v_v;
-  Py_ssize_t __pyx_v_s;
-  PyObject *__pyx_v_item = NULL;
-  std::vector<char>  __pyx_r;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *(*__pyx_t_4)(PyObject *);
-  PyObject *__pyx_t_5 = NULL;
-  char __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_from_py_char", 0);
-
-  /* "vector.from_py":55
- * 
- *     cdef vector[X] v
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)             # <<<<<<<<<<<<<<
- * 
- *     if s > 0:
-*/
-  __pyx_t_1 = __Pyx_PyObject_LengthHint(__pyx_v_o, 0); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1L))) __PYX_ERR(1, 55, __pyx_L1_error)
-  __pyx_v_s = __pyx_t_1;
-
-  /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  __pyx_t_2 = (__pyx_v_s > 0);
-  if (__pyx_t_2) {
-
-    /* "vector.from_py":58
- * 
- *     if s > 0:
- *         v.reserve(<size_t> s)             # <<<<<<<<<<<<<<
- * 
- *     for item in o:
-*/
-    try {
-      __pyx_v_v.reserve(((size_t)__pyx_v_s));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 58, __pyx_L1_error)
-    }
-
-    /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  }
-
-  /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  if (likely(PyList_CheckExact(__pyx_v_o)) || PyTuple_CheckExact(__pyx_v_o)) {
-    __pyx_t_3 = __pyx_v_o; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_1 = 0;
-    __pyx_t_4 = NULL;
-  } else {
-    __pyx_t_1 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_v_o); if (unlikely(!__pyx_t_3)) __PYX_ERR(1, 60, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_4)) __PYX_ERR(1, 60, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_4)) {
-      if (likely(PyList_CheckExact(__pyx_t_3))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_1;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_1));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_1);
-        #endif
-        ++__pyx_t_1;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(1, 60, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_4(__pyx_t_3);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(1, 60, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "vector.from_py":61
- * 
- *     for item in o:
- *         v.push_back(<X>item)             # <<<<<<<<<<<<<<
- * 
- *     return v
-*/
-    __pyx_t_6 = __Pyx_PyLong_As_char(__pyx_v_item); if (unlikely((__pyx_t_6 == (char)-1) && PyErr_Occurred())) __PYX_ERR(1, 61, __pyx_L1_error)
-    try {
-      __pyx_v_v.push_back(((char)__pyx_t_6));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 61, __pyx_L1_error)
-    }
-
-    /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "vector.from_py":63
- *         v.push_back(<X>item)
- * 
- *     return v             # <<<<<<<<<<<<<<
- * 
-*/
-  __pyx_r = __pyx_v_v;
-  goto __pyx_L0;
-
-  /* "vector.from_py":51
- *     cdef Py_ssize_t __Pyx_PyObject_LengthHint(object o, Py_ssize_t defaultval) except -1
- * 
- * @cname("__pyx_convert_vector_from_py_char")             # <<<<<<<<<<<<<<
- * cdef vector[X] __pyx_convert_vector_from_py_char(object o) except *:
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("vector.from_py.__pyx_convert_vector_from_py_char", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static std::vector<double>  __pyx_convert_vector_from_py_double(PyObject *__pyx_v_o) {
-  std::vector<double>  __pyx_v_v;
-  Py_ssize_t __pyx_v_s;
-  PyObject *__pyx_v_item = NULL;
-  std::vector<double>  __pyx_r;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *(*__pyx_t_4)(PyObject *);
-  PyObject *__pyx_t_5 = NULL;
-  double __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_from_py_double", 0);
-
-  /* "vector.from_py":55
- * 
- *     cdef vector[X] v
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)             # <<<<<<<<<<<<<<
- * 
- *     if s > 0:
-*/
-  __pyx_t_1 = __Pyx_PyObject_LengthHint(__pyx_v_o, 0); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1L))) __PYX_ERR(1, 55, __pyx_L1_error)
-  __pyx_v_s = __pyx_t_1;
-
-  /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  __pyx_t_2 = (__pyx_v_s > 0);
-  if (__pyx_t_2) {
-
-    /* "vector.from_py":58
- * 
- *     if s > 0:
- *         v.reserve(<size_t> s)             # <<<<<<<<<<<<<<
- * 
- *     for item in o:
-*/
-    try {
-      __pyx_v_v.reserve(((size_t)__pyx_v_s));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 58, __pyx_L1_error)
-    }
-
-    /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  }
-
-  /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  if (likely(PyList_CheckExact(__pyx_v_o)) || PyTuple_CheckExact(__pyx_v_o)) {
-    __pyx_t_3 = __pyx_v_o; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_1 = 0;
-    __pyx_t_4 = NULL;
-  } else {
-    __pyx_t_1 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_v_o); if (unlikely(!__pyx_t_3)) __PYX_ERR(1, 60, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_4)) __PYX_ERR(1, 60, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_4)) {
-      if (likely(PyList_CheckExact(__pyx_t_3))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_1;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_1));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_1);
-        #endif
-        ++__pyx_t_1;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(1, 60, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_4(__pyx_t_3);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(1, 60, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "vector.from_py":61
- * 
- *     for item in o:
- *         v.push_back(<X>item)             # <<<<<<<<<<<<<<
- * 
- *     return v
-*/
-    __pyx_t_6 = __Pyx_PyFloat_AsDouble(__pyx_v_item); if (unlikely((__pyx_t_6 == (double)-1) && PyErr_Occurred())) __PYX_ERR(1, 61, __pyx_L1_error)
-    try {
-      __pyx_v_v.push_back(((double)__pyx_t_6));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 61, __pyx_L1_error)
-    }
-
-    /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "vector.from_py":63
- *         v.push_back(<X>item)
- * 
- *     return v             # <<<<<<<<<<<<<<
- * 
-*/
-  __pyx_r = __pyx_v_v;
-  goto __pyx_L0;
-
-  /* "vector.from_py":51
- *     cdef Py_ssize_t __Pyx_PyObject_LengthHint(object o, Py_ssize_t defaultval) except -1
- * 
- * @cname("__pyx_convert_vector_from_py_double")             # <<<<<<<<<<<<<<
- * cdef vector[X] __pyx_convert_vector_from_py_double(object o) except *:
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("vector.from_py.__pyx_convert_vector_from_py_double", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static std::vector<std::vector<int> >  __pyx_convert_vector_from_py_std_3a__3a_vector_3c_int_3e___(PyObject *__pyx_v_o) {
-  std::vector<std::vector<int> >  __pyx_v_v;
-  Py_ssize_t __pyx_v_s;
-  PyObject *__pyx_v_item = NULL;
-  std::vector<std::vector<int> >  __pyx_r;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *(*__pyx_t_4)(PyObject *);
-  PyObject *__pyx_t_5 = NULL;
-  std::vector<int>  __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_convert_vector_from_py_std_3a__3a_vector_3c_int_3e___", 0);
-
-  /* "vector.from_py":55
- * 
- *     cdef vector[X] v
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)             # <<<<<<<<<<<<<<
- * 
- *     if s > 0:
-*/
-  __pyx_t_1 = __Pyx_PyObject_LengthHint(__pyx_v_o, 0); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1L))) __PYX_ERR(1, 55, __pyx_L1_error)
-  __pyx_v_s = __pyx_t_1;
-
-  /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  __pyx_t_2 = (__pyx_v_s > 0);
-  if (__pyx_t_2) {
-
-    /* "vector.from_py":58
- * 
- *     if s > 0:
- *         v.reserve(<size_t> s)             # <<<<<<<<<<<<<<
- * 
- *     for item in o:
-*/
-    try {
-      __pyx_v_v.reserve(((size_t)__pyx_v_s));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 58, __pyx_L1_error)
-    }
-
-    /* "vector.from_py":57
- *     cdef Py_ssize_t s = __Pyx_PyObject_LengthHint(o, 0)
- * 
- *     if s > 0:             # <<<<<<<<<<<<<<
- *         v.reserve(<size_t> s)
- * 
-*/
-  }
-
-  /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  if (likely(PyList_CheckExact(__pyx_v_o)) || PyTuple_CheckExact(__pyx_v_o)) {
-    __pyx_t_3 = __pyx_v_o; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_1 = 0;
-    __pyx_t_4 = NULL;
-  } else {
-    __pyx_t_1 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_v_o); if (unlikely(!__pyx_t_3)) __PYX_ERR(1, 60, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_4)) __PYX_ERR(1, 60, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_4)) {
-      if (likely(PyList_CheckExact(__pyx_t_3))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_1;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(1, 60, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_1));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_1);
-        #endif
-        ++__pyx_t_1;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(1, 60, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_4(__pyx_t_3);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(1, 60, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_item, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "vector.from_py":61
- * 
- *     for item in o:
- *         v.push_back(<X>item)             # <<<<<<<<<<<<<<
- * 
- *     return v
-*/
-    __pyx_t_6 = __pyx_convert_vector_from_py_int(__pyx_v_item); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 61, __pyx_L1_error)
-    try {
-      __pyx_v_v.push_back(((std::vector<int> )__pyx_t_6));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(1, 61, __pyx_L1_error)
-    }
-
-    /* "vector.from_py":60
- *         v.reserve(<size_t> s)
- * 
- *     for item in o:             # <<<<<<<<<<<<<<
- *         v.push_back(<X>item)
- * 
-*/
-  }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "vector.from_py":63
- *         v.push_back(<X>item)
- * 
- *     return v             # <<<<<<<<<<<<<<
- * 
-*/
-  __pyx_r = __pyx_v_v;
-  goto __pyx_L0;
-
-  /* "vector.from_py":51
- *     cdef Py_ssize_t __Pyx_PyObject_LengthHint(object o, Py_ssize_t defaultval) except -1
- * 
- * @cname("__pyx_convert_vector_from_py_std_3a__3a_vector_3c_int_3e___")             # <<<<<<<<<<<<<<
- * cdef vector[X] __pyx_convert_vector_from_py_std_3a__3a_vector_3c_int_3e___(object o) except *:
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("vector.from_py.__pyx_convert_vector_from_py_std_3a__3a_vector_3c_int_3e___", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_item);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":35
- * 
- * 
- * cdef inline int _windex(int lit) nogil:             # <<<<<<<<<<<<<<
- *     # watch-list slot of a literal
- *     return 2 * lit if lit > 0 else -2 * lit + 1
-*/
-
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search__windex(int __pyx_v_lit) {
-  int __pyx_r;
-  long __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "maxcore/engine/_search.pyx":37
- * cdef inline int _windex(int lit) nogil:
- *     # watch-list slot of a literal
- *     return 2 * lit if lit > 0 else -2 * lit + 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = (2 * __pyx_v_lit);
-  } else {
-    __pyx_t_1 = ((-2L * __pyx_v_lit) + 1);
-  }
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":35
- * 
- * 
- * cdef inline int _windex(int lit) nogil:             # <<<<<<<<<<<<<<
- *     # watch-list slot of a literal
- *     return 2 * lit if lit > 0 else -2 * lit + 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":95
- *     cdef vector[char] _marked        # scratch for _minimize
- * 
- *     def __init__(self, nvars, clauses, propagators, config):             # <<<<<<<<<<<<<<
- *         cdef int n1 = nvars + 1
- *         cdef int v
-*/
-
-/* Python wrapper */
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_1__init__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_1__init__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  PyObject *__pyx_v_nvars = 0;
-  PyObject *__pyx_v_clauses = 0;
-  PyObject *__pyx_v_propagators = 0;
-  PyObject *__pyx_v_config = 0;
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__init__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_nvars,&__pyx_mstate_global->__pyx_n_u_clauses,&__pyx_mstate_global->__pyx_n_u_propagators,&__pyx_mstate_global->__pyx_n_u_config,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 95, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_VARARGS(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 95, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 95, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 95, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 95, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__init__", 0) < (0)) __PYX_ERR(0, 95, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__init__", 1, 4, 4, i); __PYX_ERR(0, 95, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 4)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 95, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 95, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 95, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_VARARGS(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 95, __pyx_L3_error)
-    }
-    __pyx_v_nvars = values[0];
-    __pyx_v_clauses = values[1];
-    __pyx_v_propagators = values[2];
-    __pyx_v_config = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__init__", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 95, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore___init__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), __pyx_v_nvars, __pyx_v_clauses, __pyx_v_propagators, __pyx_v_config);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore___init__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_nvars, PyObject *__pyx_v_clauses, PyObject *__pyx_v_propagators, PyObject *__pyx_v_config) {
-  int __pyx_v_n1;
-  int __pyx_v_v;
-  PyObject *__pyx_v_lits = NULL;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  double __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  PyObject *(*__pyx_t_10)(PyObject *);
-  long __pyx_t_11;
-  int __pyx_t_12;
-  long __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__init__", 0);
-
-  /* "maxcore/engine/_search.pyx":96
- * 
- *     def __init__(self, nvars, clauses, propagators, config):
- *         cdef int n1 = nvars + 1             # <<<<<<<<<<<<<<
- *         cdef int v
- *         self.nvars = nvars
-*/
-  __pyx_t_1 = __Pyx_PyLong_AddObjC(__pyx_v_nvars, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 96, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 96, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_n1 = __pyx_t_2;
-
-  /* "maxcore/engine/_search.pyx":98
- *         cdef int n1 = nvars + 1
- *         cdef int v
- *         self.nvars = nvars             # <<<<<<<<<<<<<<
- *         self.propagators = list(propagators)
- *         self.cfg = dict(DEFAULT_CONFIG)
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_nvars); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 98, __pyx_L1_error)
-  __pyx_v_self->nvars = __pyx_t_2;
-
-  /* "maxcore/engine/_search.pyx":99
- *         cdef int v
- *         self.nvars = nvars
- *         self.propagators = list(propagators)             # <<<<<<<<<<<<<<
- *         self.cfg = dict(DEFAULT_CONFIG)
- *         self.cfg.update(config or {})
-*/
-  __pyx_t_1 = PySequence_List(__pyx_v_propagators); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 99, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF(__pyx_v_self->propagators);
-  __Pyx_DECREF(__pyx_v_self->propagators);
-  __pyx_v_self->propagators = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":100
- *         self.nvars = nvars
- *         self.propagators = list(propagators)
- *         self.cfg = dict(DEFAULT_CONFIG)             # <<<<<<<<<<<<<<
- *         self.cfg.update(config or {})
- *         self._decay = self.cfg["decay"]
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_DEFAULT_CONFIG); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 100, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_4};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(&PyDict_Type), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 100, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF(__pyx_v_self->cfg);
-  __Pyx_DECREF(__pyx_v_self->cfg);
-  __pyx_v_self->cfg = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":101
- *         self.propagators = list(propagators)
- *         self.cfg = dict(DEFAULT_CONFIG)
- *         self.cfg.update(config or {})             # <<<<<<<<<<<<<<
- *         self._decay = self.cfg["decay"]
- *         self._clause_decay = self.cfg["clause_decay"]
-*/
-  __pyx_t_4 = __pyx_v_self->cfg;
-  __Pyx_INCREF(__pyx_t_4);
-  __pyx_t_6 = __Pyx_PyObject_IsTrue(__pyx_v_config); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 101, __pyx_L1_error)
-  if (!__pyx_t_6) {
-  } else {
-    __Pyx_INCREF(__pyx_v_config);
-    __pyx_t_3 = __pyx_v_config;
-    goto __pyx_L3_bool_binop_done;
-  }
-  __pyx_t_7 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 101, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __Pyx_INCREF(__pyx_t_7);
-  __pyx_t_3 = __pyx_t_7;
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_L3_bool_binop_done:;
-  __pyx_t_5 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_3};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_update, __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 101, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":102
- *         self.cfg = dict(DEFAULT_CONFIG)
- *         self.cfg.update(config or {})
- *         self._decay = self.cfg["decay"]             # <<<<<<<<<<<<<<
- *         self._clause_decay = self.cfg["clause_decay"]
- *         self._restart_base = self.cfg["restart_base"]
-*/
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 102, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_decay); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 102, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_1); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 102, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->_decay = __pyx_t_8;
-
-  /* "maxcore/engine/_search.pyx":103
- *         self.cfg.update(config or {})
- *         self._decay = self.cfg["decay"]
- *         self._clause_decay = self.cfg["clause_decay"]             # <<<<<<<<<<<<<<
- *         self._restart_base = self.cfg["restart_base"]
- *         self._restart_mult = self.cfg["restart_mult"]
-*/
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 103, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_clause_decay); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 103, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_1); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 103, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->_clause_decay = __pyx_t_8;
-
-  /* "maxcore/engine/_search.pyx":104
- *         self._decay = self.cfg["decay"]
- *         self._clause_decay = self.cfg["clause_decay"]
- *         self._restart_base = self.cfg["restart_base"]             # <<<<<<<<<<<<<<
- *         self._restart_mult = self.cfg["restart_mult"]
- *         self._restarts_on = self.cfg["restarts"]
-*/
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 104, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_restart_base); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 104, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_1); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 104, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->_restart_base = __pyx_t_8;
-
-  /* "maxcore/engine/_search.pyx":105
- *         self._clause_decay = self.cfg["clause_decay"]
- *         self._restart_base = self.cfg["restart_base"]
- *         self._restart_mult = self.cfg["restart_mult"]             # <<<<<<<<<<<<<<
- *         self._restarts_on = self.cfg["restarts"]
- *         self._minimize_on = self.cfg["minimize"]
-*/
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 105, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_restart_mult); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 105, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_1); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 105, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->_restart_mult = __pyx_t_8;
-
-  /* "maxcore/engine/_search.pyx":106
- *         self._restart_base = self.cfg["restart_base"]
- *         self._restart_mult = self.cfg["restart_mult"]
- *         self._restarts_on = self.cfg["restarts"]             # <<<<<<<<<<<<<<
- *         self._minimize_on = self.cfg["minimize"]
- *         self._validate_on = self.cfg["validate"]
-*/
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 106, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_restarts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 106, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_6 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 106, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->_restarts_on = __pyx_t_6;
-
-  /* "maxcore/engine/_search.pyx":107
- *         self._restart_mult = self.cfg["restart_mult"]
- *         self._restarts_on = self.cfg["restarts"]
- *         self._minimize_on = self.cfg["minimize"]             # <<<<<<<<<<<<<<
- *         self._validate_on = self.cfg["validate"]
- * 
-*/
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 107, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_minimize); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 107, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_6 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 107, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->_minimize_on = __pyx_t_6;
-
-  /* "maxcore/engine/_search.pyx":108
- *         self._restarts_on = self.cfg["restarts"]
- *         self._minimize_on = self.cfg["minimize"]
- *         self._validate_on = self.cfg["validate"]             # <<<<<<<<<<<<<<
- * 
- *         self.values.assign(n1, 0)
-*/
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 108, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_validate); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 108, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_6 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 108, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->_validate_on = __pyx_t_6;
-
-  /* "maxcore/engine/_search.pyx":110
- *         self._validate_on = self.cfg["validate"]
- * 
- *         self.values.assign(n1, 0)             # <<<<<<<<<<<<<<
- *         self.levels.assign(n1, 0)
- *         self.reasons.assign(n1, -1)
-*/
-  __pyx_v_self->values.assign(__pyx_v_n1, 0); 
-
-  /* "maxcore/engine/_search.pyx":111
- * 
- *         self.values.assign(n1, 0)
- *         self.levels.assign(n1, 0)             # <<<<<<<<<<<<<<
- *         self.reasons.assign(n1, -1)
- *         self.phase.assign(n1, 0)
-*/
-  __pyx_v_self->levels.assign(__pyx_v_n1, 0); 
-
-  /* "maxcore/engine/_search.pyx":112
- *         self.values.assign(n1, 0)
- *         self.levels.assign(n1, 0)
- *         self.reasons.assign(n1, -1)             # <<<<<<<<<<<<<<
- *         self.phase.assign(n1, 0)
- *         self.activity.assign(n1, 0.0)
-*/
-  __pyx_v_self->reasons.assign(__pyx_v_n1, -1); 
-
-  /* "maxcore/engine/_search.pyx":113
- *         self.levels.assign(n1, 0)
- *         self.reasons.assign(n1, -1)
- *         self.phase.assign(n1, 0)             # <<<<<<<<<<<<<<
- *         self.activity.assign(n1, 0.0)
- *         self.seen.assign(n1, 0)
-*/
-  __pyx_v_self->phase.assign(__pyx_v_n1, 0); 
-
-  /* "maxcore/engine/_search.pyx":114
- *         self.reasons.assign(n1, -1)
- *         self.phase.assign(n1, 0)
- *         self.activity.assign(n1, 0.0)             # <<<<<<<<<<<<<<
- *         self.seen.assign(n1, 0)
- *         self.qhead = 0
-*/
-  __pyx_v_self->activity.assign(__pyx_v_n1, 0.0); 
-
-  /* "maxcore/engine/_search.pyx":115
- *         self.phase.assign(n1, 0)
- *         self.activity.assign(n1, 0.0)
- *         self.seen.assign(n1, 0)             # <<<<<<<<<<<<<<
- *         self.qhead = 0
- *         self.watches.resize(2 * n1)
-*/
-  __pyx_v_self->seen.assign(__pyx_v_n1, 0); 
-
-  /* "maxcore/engine/_search.pyx":116
- *         self.activity.assign(n1, 0.0)
- *         self.seen.assign(n1, 0)
- *         self.qhead = 0             # <<<<<<<<<<<<<<
- *         self.watches.resize(2 * n1)
- *         self._marked.assign(n1, 0)
-*/
-  __pyx_v_self->qhead = 0;
-
-  /* "maxcore/engine/_search.pyx":117
- *         self.seen.assign(n1, 0)
- *         self.qhead = 0
- *         self.watches.resize(2 * n1)             # <<<<<<<<<<<<<<
- *         self._marked.assign(n1, 0)
- * 
-*/
-  try {
-    __pyx_v_self->watches.resize((2 * __pyx_v_n1));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 117, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":118
- *         self.qhead = 0
- *         self.watches.resize(2 * n1)
- *         self._marked.assign(n1, 0)             # <<<<<<<<<<<<<<
- * 
- *         for lits in clauses:
-*/
-  __pyx_v_self->_marked.assign(__pyx_v_n1, 0); 
-
-  /* "maxcore/engine/_search.pyx":120
- *         self._marked.assign(n1, 0)
- * 
- *         for lits in clauses:             # <<<<<<<<<<<<<<
- *             self._add_clause_py(lits, C_KIND_PROBLEM)
- *         self.n_problem = <int>self.c_off.size()
-*/
-  if (likely(PyList_CheckExact(__pyx_v_clauses)) || PyTuple_CheckExact(__pyx_v_clauses)) {
-    __pyx_t_1 = __pyx_v_clauses; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_9 = 0;
-    __pyx_t_10 = NULL;
-  } else {
-    __pyx_t_9 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_v_clauses); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 120, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 120, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_10)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 120, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_9, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_9;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 120, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_3 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_9));
-        #else
-        __pyx_t_3 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_9);
-        #endif
-        ++__pyx_t_9;
-      }
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 120, __pyx_L1_error)
-    } else {
-      __pyx_t_3 = __pyx_t_10(__pyx_t_1);
-      if (unlikely(!__pyx_t_3)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 120, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_XDECREF_SET(__pyx_v_lits, __pyx_t_3);
-    __pyx_t_3 = 0;
-
-    /* "maxcore/engine/_search.pyx":121
- * 
- *         for lits in clauses:
- *             self._add_clause_py(lits, C_KIND_PROBLEM)             # <<<<<<<<<<<<<<
- *         self.n_problem = <int>self.c_off.size()
- *         self.learnt_cap = max(<int>self.cfg["learnt_cap_min"], 2 * self.n_problem)
-*/
-    __pyx_t_2 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_add_clause_py(__pyx_v_self, __pyx_v_lits, __pyx_v_7maxcore_6engine_7_search_C_KIND_PROBLEM); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 121, __pyx_L1_error)
-
-    /* "maxcore/engine/_search.pyx":120
- *         self._marked.assign(n1, 0)
- * 
- *         for lits in clauses:             # <<<<<<<<<<<<<<
- *             self._add_clause_py(lits, C_KIND_PROBLEM)
- *         self.n_problem = <int>self.c_off.size()
-*/
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":122
- *         for lits in clauses:
- *             self._add_clause_py(lits, C_KIND_PROBLEM)
- *         self.n_problem = <int>self.c_off.size()             # <<<<<<<<<<<<<<
- *         self.learnt_cap = max(<int>self.cfg["learnt_cap_min"], 2 * self.n_problem)
- *         self.n_learnt = 0
-*/
-  __pyx_v_self->n_problem = ((int)__pyx_v_self->c_off.size());
-
-  /* "maxcore/engine/_search.pyx":123
- *             self._add_clause_py(lits, C_KIND_PROBLEM)
- *         self.n_problem = <int>self.c_off.size()
- *         self.learnt_cap = max(<int>self.cfg["learnt_cap_min"], 2 * self.n_problem)             # <<<<<<<<<<<<<<
- *         self.n_learnt = 0
- * 
-*/
-  __pyx_t_11 = (2 * __pyx_v_self->n_problem);
-  if (unlikely(__pyx_v_self->cfg == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 123, __pyx_L1_error)
-  }
-  __pyx_t_1 = __Pyx_PyDict_GetItem(__pyx_v_self->cfg, __pyx_mstate_global->__pyx_n_u_learnt_cap_min); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 123, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 123, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_12 = ((int)__pyx_t_2);
-  __pyx_t_6 = (__pyx_t_11 > __pyx_t_12);
-  if (__pyx_t_6) {
-    __pyx_t_13 = __pyx_t_11;
-  } else {
-    __pyx_t_13 = __pyx_t_12;
-  }
-  __pyx_v_self->learnt_cap = __pyx_t_13;
-
-  /* "maxcore/engine/_search.pyx":124
- *         self.n_problem = <int>self.c_off.size()
- *         self.learnt_cap = max(<int>self.cfg["learnt_cap_min"], 2 * self.n_problem)
- *         self.n_learnt = 0             # <<<<<<<<<<<<<<
- * 
- *         self.var_inc = 1.0
-*/
-  __pyx_v_self->n_learnt = 0;
-
-  /* "maxcore/engine/_search.pyx":126
- *         self.n_learnt = 0
- * 
- *         self.var_inc = 1.0             # <<<<<<<<<<<<<<
- *         self.cla_inc = 1.0
- *         self.heap_pos.assign(n1, -1)
-*/
-  __pyx_v_self->var_inc = 1.0;
-
-  /* "maxcore/engine/_search.pyx":127
- * 
- *         self.var_inc = 1.0
- *         self.cla_inc = 1.0             # <<<<<<<<<<<<<<
- *         self.heap_pos.assign(n1, -1)
- *         for v in range(1, n1):
-*/
-  __pyx_v_self->cla_inc = 1.0;
-
-  /* "maxcore/engine/_search.pyx":128
- *         self.var_inc = 1.0
- *         self.cla_inc = 1.0
- *         self.heap_pos.assign(n1, -1)             # <<<<<<<<<<<<<<
- *         for v in range(1, n1):
- *             self._heap_insert(v)
-*/
-  __pyx_v_self->heap_pos.assign(__pyx_v_n1, -1); 
-
-  /* "maxcore/engine/_search.pyx":129
- *         self.cla_inc = 1.0
- *         self.heap_pos.assign(n1, -1)
- *         for v in range(1, n1):             # <<<<<<<<<<<<<<
- *             self._heap_insert(v)
- * 
-*/
-  __pyx_t_12 = __pyx_v_n1;
-  __pyx_t_2 = __pyx_t_12;
-  for (__pyx_t_14 = 1; __pyx_t_14 < __pyx_t_2; __pyx_t_14+=1) {
-    __pyx_v_v = __pyx_t_14;
-
-    /* "maxcore/engine/_search.pyx":130
- *         self.heap_pos.assign(n1, -1)
- *         for v in range(1, n1):
- *             self._heap_insert(v)             # <<<<<<<<<<<<<<
- * 
- *         self.conflicts = 0
-*/
-    ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_heap_insert(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 130, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":132
- *             self._heap_insert(v)
- * 
- *         self.conflicts = 0             # <<<<<<<<<<<<<<
- *         self.decisions = 0
- *         self.propagations = 0
-*/
-  __pyx_v_self->conflicts = 0;
-
-  /* "maxcore/engine/_search.pyx":133
- * 
- *         self.conflicts = 0
- *         self.decisions = 0             # <<<<<<<<<<<<<<
- *         self.propagations = 0
- *         self.restarts = 0
-*/
-  __pyx_v_self->decisions = 0;
-
-  /* "maxcore/engine/_search.pyx":134
- *         self.conflicts = 0
- *         self.decisions = 0
- *         self.propagations = 0             # <<<<<<<<<<<<<<
- *         self.restarts = 0
- * 
-*/
-  __pyx_v_self->propagations = 0;
-
-  /* "maxcore/engine/_search.pyx":135
- *         self.decisions = 0
- *         self.propagations = 0
- *         self.restarts = 0             # <<<<<<<<<<<<<<
- * 
- *         self._prop_enqueued = False
-*/
-  __pyx_v_self->restarts = 0;
-
-  /* "maxcore/engine/_search.pyx":137
- *         self.restarts = 0
- * 
- *         self._prop_enqueued = False             # <<<<<<<<<<<<<<
- *         self._prop_conflict = -1
- *         self._in_search = False
-*/
-  __pyx_v_self->_prop_enqueued = 0;
-
-  /* "maxcore/engine/_search.pyx":138
- * 
- *         self._prop_enqueued = False
- *         self._prop_conflict = -1             # <<<<<<<<<<<<<<
- *         self._in_search = False
- * 
-*/
-  __pyx_v_self->_prop_conflict = -1;
-
-  /* "maxcore/engine/_search.pyx":139
- *         self._prop_enqueued = False
- *         self._prop_conflict = -1
- *         self._in_search = False             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __pyx_v_self->_in_search = 0;
-
-  /* "maxcore/engine/_search.pyx":95
- *     cdef vector[char] _marked        # scratch for _minimize
- * 
- *     def __init__(self, nvars, clauses, propagators, config):             # <<<<<<<<<<<<<<
- *         cdef int n1 = nvars + 1
- *         cdef int v
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_lits);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":144
- *     # clause arena
- * 
- *     cdef int _add_clause_py(self, object lits, int kind) except -1:             # <<<<<<<<<<<<<<
- *         cdef int ci = <int>self.c_off.size()
- *         cdef int l
-*/
-
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__add_clause_py(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_lits, int __pyx_v_kind) {
-  int __pyx_v_ci;
-  int __pyx_v_l;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_add_clause_py", 0);
-
-  /* "maxcore/engine/_search.pyx":145
- * 
- *     cdef int _add_clause_py(self, object lits, int kind) except -1:
- *         cdef int ci = <int>self.c_off.size()             # <<<<<<<<<<<<<<
- *         cdef int l
- *         self.c_off.push_back(<int>self.db.size())
-*/
-  __pyx_v_ci = ((int)__pyx_v_self->c_off.size());
-
-  /* "maxcore/engine/_search.pyx":147
- *         cdef int ci = <int>self.c_off.size()
- *         cdef int l
- *         self.c_off.push_back(<int>self.db.size())             # <<<<<<<<<<<<<<
- *         self.c_len.push_back(<int>len(lits))
- *         self.c_kind.push_back(<char>kind)
-*/
-  try {
-    __pyx_v_self->c_off.push_back(((int)__pyx_v_self->db.size()));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 147, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":148
- *         cdef int l
- *         self.c_off.push_back(<int>self.db.size())
- *         self.c_len.push_back(<int>len(lits))             # <<<<<<<<<<<<<<
- *         self.c_kind.push_back(<char>kind)
- *         self.c_act.push_back(0.0)
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_lits); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 148, __pyx_L1_error)
-  try {
-    __pyx_v_self->c_len.push_back(((int)__pyx_t_1));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 148, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":149
- *         self.c_off.push_back(<int>self.db.size())
- *         self.c_len.push_back(<int>len(lits))
- *         self.c_kind.push_back(<char>kind)             # <<<<<<<<<<<<<<
- *         self.c_act.push_back(0.0)
- *         self.c_dead.push_back(0)
-*/
-  try {
-    __pyx_v_self->c_kind.push_back(((char)__pyx_v_kind));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 149, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":150
- *         self.c_len.push_back(<int>len(lits))
- *         self.c_kind.push_back(<char>kind)
- *         self.c_act.push_back(0.0)             # <<<<<<<<<<<<<<
- *         self.c_dead.push_back(0)
- *         for l in lits:
-*/
-  try {
-    __pyx_v_self->c_act.push_back(0.0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 150, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":151
- *         self.c_kind.push_back(<char>kind)
- *         self.c_act.push_back(0.0)
- *         self.c_dead.push_back(0)             # <<<<<<<<<<<<<<
- *         for l in lits:
- *             self.db.push_back(l)
-*/
-  try {
-    __pyx_v_self->c_dead.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 151, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":152
- *         self.c_act.push_back(0.0)
- *         self.c_dead.push_back(0)
- *         for l in lits:             # <<<<<<<<<<<<<<
- *             self.db.push_back(l)
- *         if kind != C_KIND_EXPL and len(lits) >= 2:
-*/
-  if (likely(PyList_CheckExact(__pyx_v_lits)) || PyTuple_CheckExact(__pyx_v_lits)) {
-    __pyx_t_2 = __pyx_v_lits; __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_1 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_1 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_lits); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 152, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 152, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_2))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 152, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_1;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 152, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_1));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_1);
-        #endif
-        ++__pyx_t_1;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 152, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_2);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 152, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 152, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_v_l = __pyx_t_5;
-
-    /* "maxcore/engine/_search.pyx":153
- *         self.c_dead.push_back(0)
- *         for l in lits:
- *             self.db.push_back(l)             # <<<<<<<<<<<<<<
- *         if kind != C_KIND_EXPL and len(lits) >= 2:
- *             self.watches[_windex(lits[0])].push_back(ci)
-*/
-    try {
-      __pyx_v_self->db.push_back(__pyx_v_l);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 153, __pyx_L1_error)
-    }
-
-    /* "maxcore/engine/_search.pyx":152
- *         self.c_act.push_back(0.0)
- *         self.c_dead.push_back(0)
- *         for l in lits:             # <<<<<<<<<<<<<<
- *             self.db.push_back(l)
- *         if kind != C_KIND_EXPL and len(lits) >= 2:
-*/
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":154
- *         for l in lits:
- *             self.db.push_back(l)
- *         if kind != C_KIND_EXPL and len(lits) >= 2:             # <<<<<<<<<<<<<<
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)
-*/
-  __pyx_t_7 = (__pyx_v_kind != __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL);
-  if (__pyx_t_7) {
-  } else {
-    __pyx_t_6 = __pyx_t_7;
-    goto __pyx_L7_bool_binop_done;
-  }
-  __pyx_t_1 = PyObject_Length(__pyx_v_lits); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 154, __pyx_L1_error)
-  __pyx_t_7 = (__pyx_t_1 >= 2);
-  __pyx_t_6 = __pyx_t_7;
-  __pyx_L7_bool_binop_done:;
-  if (__pyx_t_6) {
-
-    /* "maxcore/engine/_search.pyx":155
- *             self.db.push_back(l)
- *         if kind != C_KIND_EXPL and len(lits) >= 2:
- *             self.watches[_windex(lits[0])].push_back(ci)             # <<<<<<<<<<<<<<
- *             self.watches[_windex(lits[1])].push_back(ci)
- *         return ci
-*/
-    __pyx_t_2 = __Pyx_GetItemInt(__pyx_v_lits, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 155, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_2); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 155, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_8 = __pyx_f_7maxcore_6engine_7_search__windex(__pyx_t_5); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 155, __pyx_L1_error)
-    try {
-      (__pyx_v_self->watches[__pyx_t_8]).push_back(__pyx_v_ci);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 155, __pyx_L1_error)
-    }
-
-    /* "maxcore/engine/_search.pyx":156
- *         if kind != C_KIND_EXPL and len(lits) >= 2:
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)             # <<<<<<<<<<<<<<
- *         return ci
- * 
-*/
-    __pyx_t_2 = __Pyx_GetItemInt(__pyx_v_lits, 1, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 156, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_t_2); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 156, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_5 = __pyx_f_7maxcore_6engine_7_search__windex(__pyx_t_8); if (unlikely(__pyx_t_5 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 156, __pyx_L1_error)
-    try {
-      (__pyx_v_self->watches[__pyx_t_5]).push_back(__pyx_v_ci);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 156, __pyx_L1_error)
-    }
-
-    /* "maxcore/engine/_search.pyx":154
- *         for l in lits:
- *             self.db.push_back(l)
- *         if kind != C_KIND_EXPL and len(lits) >= 2:             # <<<<<<<<<<<<<<
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":157
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)
- *         return ci             # <<<<<<<<<<<<<<
- * 
- *     cdef int _add_clause_vec(self, vector[int]& lits, int kind) except -1:
-*/
-  __pyx_r = __pyx_v_ci;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":144
- *     # clause arena
- * 
- *     cdef int _add_clause_py(self, object lits, int kind) except -1:             # <<<<<<<<<<<<<<
- *         cdef int ci = <int>self.c_off.size()
- *         cdef int l
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._add_clause_py", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":159
- *         return ci
- * 
- *     cdef int _add_clause_vec(self, vector[int]& lits, int kind) except -1:             # <<<<<<<<<<<<<<
- *         cdef int ci = <int>self.c_off.size()
- *         cdef size_t k
-*/
-
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__add_clause_vec(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, std::vector<int>  &__pyx_v_lits, int __pyx_v_kind) {
-  int __pyx_v_ci;
-  size_t __pyx_v_k;
-  int __pyx_r;
-  std::vector<int> ::size_type __pyx_t_1;
-  std::vector<int> ::size_type __pyx_t_2;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":160
- * 
- *     cdef int _add_clause_vec(self, vector[int]& lits, int kind) except -1:
- *         cdef int ci = <int>self.c_off.size()             # <<<<<<<<<<<<<<
- *         cdef size_t k
- *         self.c_off.push_back(<int>self.db.size())
-*/
-  __pyx_v_ci = ((int)__pyx_v_self->c_off.size());
-
-  /* "maxcore/engine/_search.pyx":162
- *         cdef int ci = <int>self.c_off.size()
- *         cdef size_t k
- *         self.c_off.push_back(<int>self.db.size())             # <<<<<<<<<<<<<<
- *         self.c_len.push_back(<int>lits.size())
- *         self.c_kind.push_back(<char>kind)
-*/
-  try {
-    __pyx_v_self->c_off.push_back(((int)__pyx_v_self->db.size()));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 162, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":163
- *         cdef size_t k
- *         self.c_off.push_back(<int>self.db.size())
- *         self.c_len.push_back(<int>lits.size())             # <<<<<<<<<<<<<<
- *         self.c_kind.push_back(<char>kind)
- *         self.c_act.push_back(0.0)
-*/
-  try {
-    __pyx_v_self->c_len.push_back(((int)__pyx_v_lits.size()));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 163, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":164
- *         self.c_off.push_back(<int>self.db.size())
- *         self.c_len.push_back(<int>lits.size())
- *         self.c_kind.push_back(<char>kind)             # <<<<<<<<<<<<<<
- *         self.c_act.push_back(0.0)
- *         self.c_dead.push_back(0)
-*/
-  try {
-    __pyx_v_self->c_kind.push_back(((char)__pyx_v_kind));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 164, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":165
- *         self.c_len.push_back(<int>lits.size())
- *         self.c_kind.push_back(<char>kind)
- *         self.c_act.push_back(0.0)             # <<<<<<<<<<<<<<
- *         self.c_dead.push_back(0)
- *         for k in range(lits.size()):
-*/
-  try {
-    __pyx_v_self->c_act.push_back(0.0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 165, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":166
- *         self.c_kind.push_back(<char>kind)
- *         self.c_act.push_back(0.0)
- *         self.c_dead.push_back(0)             # <<<<<<<<<<<<<<
- *         for k in range(lits.size()):
- *             self.db.push_back(lits[k])
-*/
-  try {
-    __pyx_v_self->c_dead.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 166, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":167
- *         self.c_act.push_back(0.0)
- *         self.c_dead.push_back(0)
- *         for k in range(lits.size()):             # <<<<<<<<<<<<<<
- *             self.db.push_back(lits[k])
- *         if kind != C_KIND_EXPL and lits.size() >= 2:
-*/
-  __pyx_t_1 = __pyx_v_lits.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_k = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":168
- *         self.c_dead.push_back(0)
- *         for k in range(lits.size()):
- *             self.db.push_back(lits[k])             # <<<<<<<<<<<<<<
- *         if kind != C_KIND_EXPL and lits.size() >= 2:
- *             self.watches[_windex(lits[0])].push_back(ci)
-*/
-    try {
-      __pyx_v_self->db.push_back((__pyx_v_lits[__pyx_v_k]));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 168, __pyx_L1_error)
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":169
- *         for k in range(lits.size()):
- *             self.db.push_back(lits[k])
- *         if kind != C_KIND_EXPL and lits.size() >= 2:             # <<<<<<<<<<<<<<
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)
-*/
-  __pyx_t_5 = (__pyx_v_kind != __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL);
-  if (__pyx_t_5) {
-  } else {
-    __pyx_t_4 = __pyx_t_5;
-    goto __pyx_L6_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_lits.size() >= 2);
-  __pyx_t_4 = __pyx_t_5;
-  __pyx_L6_bool_binop_done:;
-  if (__pyx_t_4) {
-
-    /* "maxcore/engine/_search.pyx":170
- *             self.db.push_back(lits[k])
- *         if kind != C_KIND_EXPL and lits.size() >= 2:
- *             self.watches[_windex(lits[0])].push_back(ci)             # <<<<<<<<<<<<<<
- *             self.watches[_windex(lits[1])].push_back(ci)
- *         return ci
-*/
-    __pyx_t_6 = __pyx_f_7maxcore_6engine_7_search__windex((__pyx_v_lits[0])); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 170, __pyx_L1_error)
-    try {
-      (__pyx_v_self->watches[__pyx_t_6]).push_back(__pyx_v_ci);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 170, __pyx_L1_error)
-    }
-
-    /* "maxcore/engine/_search.pyx":171
- *         if kind != C_KIND_EXPL and lits.size() >= 2:
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)             # <<<<<<<<<<<<<<
- *         return ci
- * 
-*/
-    __pyx_t_6 = __pyx_f_7maxcore_6engine_7_search__windex((__pyx_v_lits[1])); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 171, __pyx_L1_error)
-    try {
-      (__pyx_v_self->watches[__pyx_t_6]).push_back(__pyx_v_ci);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 171, __pyx_L1_error)
-    }
-
-    /* "maxcore/engine/_search.pyx":169
- *         for k in range(lits.size()):
- *             self.db.push_back(lits[k])
- *         if kind != C_KIND_EXPL and lits.size() >= 2:             # <<<<<<<<<<<<<<
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":172
- *             self.watches[_windex(lits[0])].push_back(ci)
- *             self.watches[_windex(lits[1])].push_back(ci)
- *         return ci             # <<<<<<<<<<<<<<
- * 
- *     def clause_lits(self, ci):
-*/
-  __pyx_r = __pyx_v_ci;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":159
- *         return ci
- * 
- *     cdef int _add_clause_vec(self, vector[int]& lits, int kind) except -1:             # <<<<<<<<<<<<<<
- *         cdef int ci = <int>self.c_off.size()
- *         cdef size_t k
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._add_clause_vec", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":174
- *         return ci
- * 
- *     def clause_lits(self, ci):             # <<<<<<<<<<<<<<
- *         cdef int off = self.c_off[ci]
- *         cdef int k
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_3clause_lits(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_3clause_lits = {"clause_lits", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_3clause_lits, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_3clause_lits(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_ci = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("clause_lits (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_ci,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 174, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 174, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "clause_lits", 0) < (0)) __PYX_ERR(0, 174, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("clause_lits", 1, 1, 1, i); __PYX_ERR(0, 174, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 174, __pyx_L3_error)
-    }
-    __pyx_v_ci = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("clause_lits", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 174, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.clause_lits", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_2clause_lits(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), __pyx_v_ci);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_2clause_lits(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_ci) {
-  int __pyx_v_off;
-  int __pyx_7genexpr__pyx_v_k;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  std::vector<int> ::size_type __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("clause_lits", 0);
-
-  /* "maxcore/engine/_search.pyx":175
- * 
- *     def clause_lits(self, ci):
- *         cdef int off = self.c_off[ci]             # <<<<<<<<<<<<<<
- *         cdef int k
- *         return [self.db[k] for k in range(off, off + self.c_len[ci])]
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_size_t(__pyx_v_ci); if (unlikely((__pyx_t_1 == (size_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 175, __pyx_L1_error)
-  __pyx_v_off = (__pyx_v_self->c_off[__pyx_t_1]);
-
-  /* "maxcore/engine/_search.pyx":177
- *         cdef int off = self.c_off[ci]
- *         cdef int k
- *         return [self.db[k] for k in range(off, off + self.c_len[ci])]             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __Pyx_XDECREF(__pyx_r);
-  { /* enter inner scope */
-    __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 177, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = __Pyx_PyLong_As_size_t(__pyx_v_ci); if (unlikely((__pyx_t_1 == (size_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 177, __pyx_L1_error)
-    __pyx_t_3 = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_t_1]));
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = __pyx_v_off; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_7genexpr__pyx_v_k = __pyx_t_5;
-      __pyx_t_6 = __Pyx_PyLong_From_int((__pyx_v_self->db[__pyx_7genexpr__pyx_v_k])); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 177, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_2, (PyObject*)__pyx_t_6))) __PYX_ERR(0, 177, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":174
- *         return ci
- * 
- *     def clause_lits(self, ci):             # <<<<<<<<<<<<<<
- *         cdef int off = self.c_off[ci]
- *         cdef int k
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.clause_lits", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":182
- *     # assignment primitives
- * 
- *     cdef inline int _lit_value_c(self, int lit) nogil:             # <<<<<<<<<<<<<<
- *         return self.values[lit] if lit > 0 else -self.values[-lit]
- * 
-*/
-
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_lit) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "maxcore/engine/_search.pyx":183
- * 
- *     cdef inline int _lit_value_c(self, int lit) nogil:
- *         return self.values[lit] if lit > 0 else -self.values[-lit]             # <<<<<<<<<<<<<<
- * 
- *     def lit_value(self, lit):
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = (__pyx_v_self->values[__pyx_v_lit]);
-  } else {
-    __pyx_t_1 = (-(__pyx_v_self->values[(-__pyx_v_lit)]));
-  }
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":182
- *     # assignment primitives
- * 
- *     cdef inline int _lit_value_c(self, int lit) nogil:             # <<<<<<<<<<<<<<
- *         return self.values[lit] if lit > 0 else -self.values[-lit]
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":185
- *         return self.values[lit] if lit > 0 else -self.values[-lit]
- * 
- *     def lit_value(self, lit):             # <<<<<<<<<<<<<<
- *         return self._lit_value_c(lit)
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_5lit_value(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_5lit_value = {"lit_value", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_5lit_value, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_5lit_value(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_lit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("lit_value (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_lit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 185, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 185, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "lit_value", 0) < (0)) __PYX_ERR(0, 185, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("lit_value", 1, 1, 1, i); __PYX_ERR(0, 185, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 185, __pyx_L3_error)
-    }
-    __pyx_v_lit = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("lit_value", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 185, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.lit_value", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_4lit_value(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), __pyx_v_lit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_4lit_value(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_lit) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lit_value", 0);
-
-  /* "maxcore/engine/_search.pyx":186
- * 
- *     def lit_value(self, lit):
- *         return self._lit_value_c(lit)             # <<<<<<<<<<<<<<
- * 
- *     cdef void _assign(self, int lit, int reason):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_As_int(__pyx_v_lit); if (unlikely((__pyx_t_1 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 186, __pyx_L1_error)
-  __pyx_t_2 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_t_1); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 186, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 186, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":185
- *         return self.values[lit] if lit > 0 else -self.values[-lit]
- * 
- *     def lit_value(self, lit):             # <<<<<<<<<<<<<<
- *         return self._lit_value_c(lit)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.lit_value", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":188
- *         return self._lit_value_c(lit)
- * 
- *     cdef void _assign(self, int lit, int reason):             # <<<<<<<<<<<<<<
- *         cdef int var = lit if lit > 0 else -lit
- *         # hoisted into a typed local: a conditional assigned straight into a
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__assign(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_lit, int __pyx_v_reason) {
-  int __pyx_v_var;
-  int __pyx_v_val;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":189
- * 
- *     cdef void _assign(self, int lit, int reason):
- *         cdef int var = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *         # hoisted into a typed local: a conditional assigned straight into a
- *         # vector element binds a dangling reference in the generated C++
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_lit;
-  } else {
-    __pyx_t_1 = (-__pyx_v_lit);
-  }
-  __pyx_v_var = __pyx_t_1;
-
-  /* "maxcore/engine/_search.pyx":192
- *         # hoisted into a typed local: a conditional assigned straight into a
- *         # vector element binds a dangling reference in the generated C++
- *         cdef int val = 1 if lit > 0 else -1             # <<<<<<<<<<<<<<
- *         self.values[var] = val
- *         self.levels[var] = <int>self.trail_lim.size()
-*/
-  __pyx_t_2 = (__pyx_v_lit > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = 1;
-  } else {
-    __pyx_t_1 = -1;
-  }
-  __pyx_v_val = __pyx_t_1;
-
-  /* "maxcore/engine/_search.pyx":193
- *         # vector element binds a dangling reference in the generated C++
- *         cdef int val = 1 if lit > 0 else -1
- *         self.values[var] = val             # <<<<<<<<<<<<<<
- *         self.levels[var] = <int>self.trail_lim.size()
- *         self.reasons[var] = reason
-*/
-  (__pyx_v_self->values[__pyx_v_var]) = __pyx_v_val;
-
-  /* "maxcore/engine/_search.pyx":194
- *         cdef int val = 1 if lit > 0 else -1
- *         self.values[var] = val
- *         self.levels[var] = <int>self.trail_lim.size()             # <<<<<<<<<<<<<<
- *         self.reasons[var] = reason
- *         self.trail.push_back(lit)
-*/
-  (__pyx_v_self->levels[__pyx_v_var]) = ((int)__pyx_v_self->trail_lim.size());
-
-  /* "maxcore/engine/_search.pyx":195
- *         self.values[var] = val
- *         self.levels[var] = <int>self.trail_lim.size()
- *         self.reasons[var] = reason             # <<<<<<<<<<<<<<
- *         self.trail.push_back(lit)
- *         if reason >= 0:
-*/
-  (__pyx_v_self->reasons[__pyx_v_var]) = __pyx_v_reason;
-
-  /* "maxcore/engine/_search.pyx":196
- *         self.levels[var] = <int>self.trail_lim.size()
- *         self.reasons[var] = reason
- *         self.trail.push_back(lit)             # <<<<<<<<<<<<<<
- *         if reason >= 0:
- *             self.propagations += 1
-*/
-  try {
-    __pyx_v_self->trail.push_back(__pyx_v_lit);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 196, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":197
- *         self.reasons[var] = reason
- *         self.trail.push_back(lit)
- *         if reason >= 0:             # <<<<<<<<<<<<<<
- *             self.propagations += 1
- * 
-*/
-  __pyx_t_2 = (__pyx_v_reason >= 0);
-  if (__pyx_t_2) {
-
-    /* "maxcore/engine/_search.pyx":198
- *         self.trail.push_back(lit)
- *         if reason >= 0:
- *             self.propagations += 1             # <<<<<<<<<<<<<<
- * 
- *     cdef inline void _new_level(self):
-*/
-    __pyx_v_self->propagations = (__pyx_v_self->propagations + 1);
-
-    /* "maxcore/engine/_search.pyx":197
- *         self.reasons[var] = reason
- *         self.trail.push_back(lit)
- *         if reason >= 0:             # <<<<<<<<<<<<<<
- *             self.propagations += 1
- * 
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":188
- *         return self._lit_value_c(lit)
- * 
- *     cdef void _assign(self, int lit, int reason):             # <<<<<<<<<<<<<<
- *         cdef int var = lit if lit > 0 else -lit
- *         # hoisted into a typed local: a conditional assigned straight into a
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._assign", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":200
- *             self.propagations += 1
- * 
- *     cdef inline void _new_level(self):             # <<<<<<<<<<<<<<
- *         self.trail_lim.push_back(<int>self.trail.size())
- * 
-*/
-
-static CYTHON_INLINE void __pyx_f_7maxcore_6engine_7_search_10SearchCore__new_level(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":201
- * 
- *     cdef inline void _new_level(self):
- *         self.trail_lim.push_back(<int>self.trail.size())             # <<<<<<<<<<<<<<
- * 
- *     cdef void _backjump(self, int level):
-*/
-  try {
-    __pyx_v_self->trail_lim.push_back(((int)__pyx_v_self->trail.size()));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 201, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":200
- *             self.propagations += 1
- * 
- *     cdef inline void _new_level(self):             # <<<<<<<<<<<<<<
- *         self.trail_lim.push_back(<int>self.trail.size())
- * 
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._new_level", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":203
- *         self.trail_lim.push_back(<int>self.trail.size())
- * 
- *     cdef void _backjump(self, int level):             # <<<<<<<<<<<<<<
- *         cdef int bound, k, lit, var
- *         cdef char ph
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__backjump(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_level) {
-  int __pyx_v_bound;
-  int __pyx_v_k;
-  int __pyx_v_lit;
-  int __pyx_v_var;
-  char __pyx_v_ph;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  char __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":206
- *         cdef int bound, k, lit, var
- *         cdef char ph
- *         if <int>self.trail_lim.size() <= level:             # <<<<<<<<<<<<<<
- *             return
- *         bound = self.trail_lim[level]
-*/
-  __pyx_t_1 = (((int)__pyx_v_self->trail_lim.size()) <= __pyx_v_level);
-  if (__pyx_t_1) {
-
-    /* "maxcore/engine/_search.pyx":207
- *         cdef char ph
- *         if <int>self.trail_lim.size() <= level:
- *             return             # <<<<<<<<<<<<<<
- *         bound = self.trail_lim[level]
- *         for k in range(<int>self.trail.size() - 1, bound - 1, -1):
-*/
-    goto __pyx_L0;
-
-    /* "maxcore/engine/_search.pyx":206
- *         cdef int bound, k, lit, var
- *         cdef char ph
- *         if <int>self.trail_lim.size() <= level:             # <<<<<<<<<<<<<<
- *             return
- *         bound = self.trail_lim[level]
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":208
- *         if <int>self.trail_lim.size() <= level:
- *             return
- *         bound = self.trail_lim[level]             # <<<<<<<<<<<<<<
- *         for k in range(<int>self.trail.size() - 1, bound - 1, -1):
- *             lit = self.trail[k]
-*/
-  __pyx_v_bound = (__pyx_v_self->trail_lim[__pyx_v_level]);
-
-  /* "maxcore/engine/_search.pyx":209
- *             return
- *         bound = self.trail_lim[level]
- *         for k in range(<int>self.trail.size() - 1, bound - 1, -1):             # <<<<<<<<<<<<<<
- *             lit = self.trail[k]
- *             var = lit if lit > 0 else -lit
-*/
-  __pyx_t_2 = (__pyx_v_bound - 1);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = (((int)__pyx_v_self->trail.size()) - 1); __pyx_t_4 > __pyx_t_3; __pyx_t_4-=1) {
-    __pyx_v_k = __pyx_t_4;
-
-    /* "maxcore/engine/_search.pyx":210
- *         bound = self.trail_lim[level]
- *         for k in range(<int>self.trail.size() - 1, bound - 1, -1):
- *             lit = self.trail[k]             # <<<<<<<<<<<<<<
- *             var = lit if lit > 0 else -lit
- *             ph = 1 if lit > 0 else 0
-*/
-    __pyx_v_lit = (__pyx_v_self->trail[__pyx_v_k]);
-
-    /* "maxcore/engine/_search.pyx":211
- *         for k in range(<int>self.trail.size() - 1, bound - 1, -1):
- *             lit = self.trail[k]
- *             var = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *             ph = 1 if lit > 0 else 0
- *             self.phase[var] = ph
-*/
-    __pyx_t_1 = (__pyx_v_lit > 0);
-    if (__pyx_t_1) {
-      __pyx_t_5 = __pyx_v_lit;
-    } else {
-      __pyx_t_5 = (-__pyx_v_lit);
-    }
-    __pyx_v_var = __pyx_t_5;
-
-    /* "maxcore/engine/_search.pyx":212
- *             lit = self.trail[k]
- *             var = lit if lit > 0 else -lit
- *             ph = 1 if lit > 0 else 0             # <<<<<<<<<<<<<<
- *             self.phase[var] = ph
- *             self.values[var] = 0
-*/
-    __pyx_t_1 = (__pyx_v_lit > 0);
-    if (__pyx_t_1) {
-      __pyx_t_6 = 1;
-    } else {
-      __pyx_t_6 = 0;
-    }
-    __pyx_v_ph = __pyx_t_6;
-
-    /* "maxcore/engine/_search.pyx":213
- *             var = lit if lit > 0 else -lit
- *             ph = 1 if lit > 0 else 0
- *             self.phase[var] = ph             # <<<<<<<<<<<<<<
- *             self.values[var] = 0
- *             self.reasons[var] = -1
-*/
-    (__pyx_v_self->phase[__pyx_v_var]) = __pyx_v_ph;
-
-    /* "maxcore/engine/_search.pyx":214
- *             ph = 1 if lit > 0 else 0
- *             self.phase[var] = ph
- *             self.values[var] = 0             # <<<<<<<<<<<<<<
- *             self.reasons[var] = -1
- *             if self.heap_pos[var] < 0:
-*/
-    (__pyx_v_self->values[__pyx_v_var]) = 0;
-
-    /* "maxcore/engine/_search.pyx":215
- *             self.phase[var] = ph
- *             self.values[var] = 0
- *             self.reasons[var] = -1             # <<<<<<<<<<<<<<
- *             if self.heap_pos[var] < 0:
- *                 self._heap_insert(var)
-*/
-    (__pyx_v_self->reasons[__pyx_v_var]) = -1;
-
-    /* "maxcore/engine/_search.pyx":216
- *             self.values[var] = 0
- *             self.reasons[var] = -1
- *             if self.heap_pos[var] < 0:             # <<<<<<<<<<<<<<
- *                 self._heap_insert(var)
- *         self.trail.resize(bound)
-*/
-    __pyx_t_1 = ((__pyx_v_self->heap_pos[__pyx_v_var]) < 0);
-    if (__pyx_t_1) {
-
-      /* "maxcore/engine/_search.pyx":217
- *             self.reasons[var] = -1
- *             if self.heap_pos[var] < 0:
- *                 self._heap_insert(var)             # <<<<<<<<<<<<<<
- *         self.trail.resize(bound)
- *         self.trail_lim.resize(level)
-*/
-      ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_heap_insert(__pyx_v_self, __pyx_v_var); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 217, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":216
- *             self.values[var] = 0
- *             self.reasons[var] = -1
- *             if self.heap_pos[var] < 0:             # <<<<<<<<<<<<<<
- *                 self._heap_insert(var)
- *         self.trail.resize(bound)
-*/
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":218
- *             if self.heap_pos[var] < 0:
- *                 self._heap_insert(var)
- *         self.trail.resize(bound)             # <<<<<<<<<<<<<<
- *         self.trail_lim.resize(level)
- *         self.qhead = <int>self.trail.size()
-*/
-  try {
-    __pyx_v_self->trail.resize(__pyx_v_bound);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 218, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":219
- *                 self._heap_insert(var)
- *         self.trail.resize(bound)
- *         self.trail_lim.resize(level)             # <<<<<<<<<<<<<<
- *         self.qhead = <int>self.trail.size()
- * 
-*/
-  try {
-    __pyx_v_self->trail_lim.resize(__pyx_v_level);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 219, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":220
- *         self.trail.resize(bound)
- *         self.trail_lim.resize(level)
- *         self.qhead = <int>self.trail.size()             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __pyx_v_self->qhead = ((int)__pyx_v_self->trail.size());
-
-  /* "maxcore/engine/_search.pyx":203
- *         self.trail_lim.push_back(<int>self.trail.size())
- * 
- *     cdef void _backjump(self, int level):             # <<<<<<<<<<<<<<
- *         cdef int bound, k, lit, var
- *         cdef char ph
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._backjump", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":225
- *     # activity heap (max activity first, lowest var id on ties)
- * 
- *     cdef inline bint _heap_before(self, int u, int v) nogil:             # <<<<<<<<<<<<<<
- *         cdef double au = self.activity[u]
- *         cdef double av = self.activity[v]
-*/
-
-static CYTHON_INLINE int __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_before(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_u, int __pyx_v_v) {
-  double __pyx_v_au;
-  double __pyx_v_av;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "maxcore/engine/_search.pyx":226
- * 
- *     cdef inline bint _heap_before(self, int u, int v) nogil:
- *         cdef double au = self.activity[u]             # <<<<<<<<<<<<<<
- *         cdef double av = self.activity[v]
- *         if au != av:
-*/
-  __pyx_v_au = (__pyx_v_self->activity[__pyx_v_u]);
-
-  /* "maxcore/engine/_search.pyx":227
- *     cdef inline bint _heap_before(self, int u, int v) nogil:
- *         cdef double au = self.activity[u]
- *         cdef double av = self.activity[v]             # <<<<<<<<<<<<<<
- *         if au != av:
- *             return au > av
-*/
-  __pyx_v_av = (__pyx_v_self->activity[__pyx_v_v]);
-
-  /* "maxcore/engine/_search.pyx":228
- *         cdef double au = self.activity[u]
- *         cdef double av = self.activity[v]
- *         if au != av:             # <<<<<<<<<<<<<<
- *             return au > av
- *         return u < v
-*/
-  __pyx_t_1 = (__pyx_v_au != __pyx_v_av);
-  if (__pyx_t_1) {
-
-    /* "maxcore/engine/_search.pyx":229
- *         cdef double av = self.activity[v]
- *         if au != av:
- *             return au > av             # <<<<<<<<<<<<<<
- *         return u < v
- * 
-*/
-    __pyx_r = (__pyx_v_au > __pyx_v_av);
-    goto __pyx_L0;
-
-    /* "maxcore/engine/_search.pyx":228
- *         cdef double au = self.activity[u]
- *         cdef double av = self.activity[v]
- *         if au != av:             # <<<<<<<<<<<<<<
- *             return au > av
- *         return u < v
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":230
- *         if au != av:
- *             return au > av
- *         return u < v             # <<<<<<<<<<<<<<
- * 
- *     cdef void _heap_insert(self, int v):
-*/
-  __pyx_r = (__pyx_v_u < __pyx_v_v);
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":225
- *     # activity heap (max activity first, lowest var id on ties)
- * 
- *     cdef inline bint _heap_before(self, int u, int v) nogil:             # <<<<<<<<<<<<<<
- *         cdef double au = self.activity[u]
- *         cdef double av = self.activity[v]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":232
- *         return u < v
- * 
- *     cdef void _heap_insert(self, int v):             # <<<<<<<<<<<<<<
- *         self.heap.push_back(v)
- *         self._heap_up(<int>self.heap.size() - 1)
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_insert(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":233
- * 
- *     cdef void _heap_insert(self, int v):
- *         self.heap.push_back(v)             # <<<<<<<<<<<<<<
- *         self._heap_up(<int>self.heap.size() - 1)
- * 
-*/
-  try {
-    __pyx_v_self->heap.push_back(__pyx_v_v);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 233, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":234
- *     cdef void _heap_insert(self, int v):
- *         self.heap.push_back(v)
- *         self._heap_up(<int>self.heap.size() - 1)             # <<<<<<<<<<<<<<
- * 
- *     cdef void _heap_up(self, int i):
-*/
-  ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_heap_up(__pyx_v_self, (((int)__pyx_v_self->heap.size()) - 1)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 234, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":232
- *         return u < v
- * 
- *     cdef void _heap_insert(self, int v):             # <<<<<<<<<<<<<<
- *         self.heap.push_back(v)
- *         self._heap_up(<int>self.heap.size() - 1)
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._heap_insert", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":236
- *         self._heap_up(<int>self.heap.size() - 1)
- * 
- *     cdef void _heap_up(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap[i]
- *         cdef int p
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_up(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_i) {
-  int __pyx_v_v;
-  int __pyx_v_p;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":237
- * 
- *     cdef void _heap_up(self, int i):
- *         cdef int v = self.heap[i]             # <<<<<<<<<<<<<<
- *         cdef int p
- *         while i > 0:
-*/
-  __pyx_v_v = (__pyx_v_self->heap[__pyx_v_i]);
-
-  /* "maxcore/engine/_search.pyx":239
- *         cdef int v = self.heap[i]
- *         cdef int p
- *         while i > 0:             # <<<<<<<<<<<<<<
- *             p = (i - 1) >> 1
- *             if self._heap_before(v, self.heap[p]):
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_i > 0);
-    if (!__pyx_t_1) break;
-
-    /* "maxcore/engine/_search.pyx":240
- *         cdef int p
- *         while i > 0:
- *             p = (i - 1) >> 1             # <<<<<<<<<<<<<<
- *             if self._heap_before(v, self.heap[p]):
- *                 self.heap[i] = self.heap[p]
-*/
-    __pyx_v_p = ((__pyx_v_i - 1) >> 1);
-
-    /* "maxcore/engine/_search.pyx":241
- *         while i > 0:
- *             p = (i - 1) >> 1
- *             if self._heap_before(v, self.heap[p]):             # <<<<<<<<<<<<<<
- *                 self.heap[i] = self.heap[p]
- *                 self.heap_pos[self.heap[p]] = i
-*/
-    __pyx_t_1 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_before(__pyx_v_self, __pyx_v_v, (__pyx_v_self->heap[__pyx_v_p])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 241, __pyx_L1_error)
-    if (__pyx_t_1) {
-
-      /* "maxcore/engine/_search.pyx":242
- *             p = (i - 1) >> 1
- *             if self._heap_before(v, self.heap[p]):
- *                 self.heap[i] = self.heap[p]             # <<<<<<<<<<<<<<
- *                 self.heap_pos[self.heap[p]] = i
- *                 i = p
-*/
-      (__pyx_v_self->heap[__pyx_v_i]) = (__pyx_v_self->heap[__pyx_v_p]);
-
-      /* "maxcore/engine/_search.pyx":243
- *             if self._heap_before(v, self.heap[p]):
- *                 self.heap[i] = self.heap[p]
- *                 self.heap_pos[self.heap[p]] = i             # <<<<<<<<<<<<<<
- *                 i = p
- *             else:
-*/
-      (__pyx_v_self->heap_pos[(__pyx_v_self->heap[__pyx_v_p])]) = __pyx_v_i;
-
-      /* "maxcore/engine/_search.pyx":244
- *                 self.heap[i] = self.heap[p]
- *                 self.heap_pos[self.heap[p]] = i
- *                 i = p             # <<<<<<<<<<<<<<
- *             else:
- *                 break
-*/
-      __pyx_v_i = __pyx_v_p;
-
-      /* "maxcore/engine/_search.pyx":241
- *         while i > 0:
- *             p = (i - 1) >> 1
- *             if self._heap_before(v, self.heap[p]):             # <<<<<<<<<<<<<<
- *                 self.heap[i] = self.heap[p]
- *                 self.heap_pos[self.heap[p]] = i
-*/
-      goto __pyx_L5;
-    }
-
-    /* "maxcore/engine/_search.pyx":246
- *                 i = p
- *             else:
- *                 break             # <<<<<<<<<<<<<<
- *         self.heap[i] = v
- *         self.heap_pos[v] = i
-*/
-    /*else*/ {
-      goto __pyx_L4_break;
-    }
-    __pyx_L5:;
-  }
-  __pyx_L4_break:;
-
-  /* "maxcore/engine/_search.pyx":247
- *             else:
- *                 break
- *         self.heap[i] = v             # <<<<<<<<<<<<<<
- *         self.heap_pos[v] = i
- * 
-*/
-  (__pyx_v_self->heap[__pyx_v_i]) = __pyx_v_v;
-
-  /* "maxcore/engine/_search.pyx":248
- *                 break
- *         self.heap[i] = v
- *         self.heap_pos[v] = i             # <<<<<<<<<<<<<<
- * 
- *     cdef void _heap_down(self, int i):
-*/
-  (__pyx_v_self->heap_pos[__pyx_v_v]) = __pyx_v_i;
-
-  /* "maxcore/engine/_search.pyx":236
- *         self._heap_up(<int>self.heap.size() - 1)
- * 
- *     cdef void _heap_up(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap[i]
- *         cdef int p
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._heap_up", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":250
- *         self.heap_pos[v] = i
- * 
- *     cdef void _heap_down(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap[i]
- *         cdef int n = <int>self.heap.size()
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_down(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_i) {
-  int __pyx_v_v;
-  int __pyx_v_n;
-  int __pyx_v_left;
-  int __pyx_v_right;
-  int __pyx_v_c;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":251
- * 
- *     cdef void _heap_down(self, int i):
- *         cdef int v = self.heap[i]             # <<<<<<<<<<<<<<
- *         cdef int n = <int>self.heap.size()
- *         cdef int left, right, c
-*/
-  __pyx_v_v = (__pyx_v_self->heap[__pyx_v_i]);
-
-  /* "maxcore/engine/_search.pyx":252
- *     cdef void _heap_down(self, int i):
- *         cdef int v = self.heap[i]
- *         cdef int n = <int>self.heap.size()             # <<<<<<<<<<<<<<
- *         cdef int left, right, c
- *         while True:
-*/
-  __pyx_v_n = ((int)__pyx_v_self->heap.size());
-
-  /* "maxcore/engine/_search.pyx":254
- *         cdef int n = <int>self.heap.size()
- *         cdef int left, right, c
- *         while True:             # <<<<<<<<<<<<<<
- *             left = 2 * i + 1
- *             if left >= n:
-*/
-  while (1) {
-
-    /* "maxcore/engine/_search.pyx":255
- *         cdef int left, right, c
- *         while True:
- *             left = 2 * i + 1             # <<<<<<<<<<<<<<
- *             if left >= n:
- *                 break
-*/
-    __pyx_v_left = ((2 * __pyx_v_i) + 1);
-
-    /* "maxcore/engine/_search.pyx":256
- *         while True:
- *             left = 2 * i + 1
- *             if left >= n:             # <<<<<<<<<<<<<<
- *                 break
- *             right = left + 1
-*/
-    __pyx_t_1 = (__pyx_v_left >= __pyx_v_n);
-    if (__pyx_t_1) {
-
-      /* "maxcore/engine/_search.pyx":257
- *             left = 2 * i + 1
- *             if left >= n:
- *                 break             # <<<<<<<<<<<<<<
- *             right = left + 1
- *             c = right if right < n and self._heap_before(self.heap[right], self.heap[left]) else left
-*/
-      goto __pyx_L4_break;
-
-      /* "maxcore/engine/_search.pyx":256
- *         while True:
- *             left = 2 * i + 1
- *             if left >= n:             # <<<<<<<<<<<<<<
- *                 break
- *             right = left + 1
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":258
- *             if left >= n:
- *                 break
- *             right = left + 1             # <<<<<<<<<<<<<<
- *             c = right if right < n and self._heap_before(self.heap[right], self.heap[left]) else left
- *             if self._heap_before(self.heap[c], v):
-*/
-    __pyx_v_right = (__pyx_v_left + 1);
-
-    /* "maxcore/engine/_search.pyx":259
- *                 break
- *             right = left + 1
- *             c = right if right < n and self._heap_before(self.heap[right], self.heap[left]) else left             # <<<<<<<<<<<<<<
- *             if self._heap_before(self.heap[c], v):
- *                 self.heap[i] = self.heap[c]
-*/
-    __pyx_t_3 = (__pyx_v_right < __pyx_v_n);
-    if (__pyx_t_3) {
-    } else {
-      __pyx_t_1 = __pyx_t_3;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_3 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_before(__pyx_v_self, (__pyx_v_self->heap[__pyx_v_right]), (__pyx_v_self->heap[__pyx_v_left])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 259, __pyx_L1_error)
-    __pyx_t_1 = __pyx_t_3;
-    __pyx_L6_bool_binop_done:;
-    if (__pyx_t_1) {
-      __pyx_t_2 = __pyx_v_right;
-    } else {
-      __pyx_t_2 = __pyx_v_left;
-    }
-    __pyx_v_c = __pyx_t_2;
-
-    /* "maxcore/engine/_search.pyx":260
- *             right = left + 1
- *             c = right if right < n and self._heap_before(self.heap[right], self.heap[left]) else left
- *             if self._heap_before(self.heap[c], v):             # <<<<<<<<<<<<<<
- *                 self.heap[i] = self.heap[c]
- *                 self.heap_pos[self.heap[c]] = i
-*/
-    __pyx_t_1 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_before(__pyx_v_self, (__pyx_v_self->heap[__pyx_v_c]), __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 260, __pyx_L1_error)
-    if (__pyx_t_1) {
-
-      /* "maxcore/engine/_search.pyx":261
- *             c = right if right < n and self._heap_before(self.heap[right], self.heap[left]) else left
- *             if self._heap_before(self.heap[c], v):
- *                 self.heap[i] = self.heap[c]             # <<<<<<<<<<<<<<
- *                 self.heap_pos[self.heap[c]] = i
- *                 i = c
-*/
-      (__pyx_v_self->heap[__pyx_v_i]) = (__pyx_v_self->heap[__pyx_v_c]);
-
-      /* "maxcore/engine/_search.pyx":262
- *             if self._heap_before(self.heap[c], v):
- *                 self.heap[i] = self.heap[c]
- *                 self.heap_pos[self.heap[c]] = i             # <<<<<<<<<<<<<<
- *                 i = c
- *             else:
-*/
-      (__pyx_v_self->heap_pos[(__pyx_v_self->heap[__pyx_v_c])]) = __pyx_v_i;
-
-      /* "maxcore/engine/_search.pyx":263
- *                 self.heap[i] = self.heap[c]
- *                 self.heap_pos[self.heap[c]] = i
- *                 i = c             # <<<<<<<<<<<<<<
- *             else:
- *                 break
-*/
-      __pyx_v_i = __pyx_v_c;
-
-      /* "maxcore/engine/_search.pyx":260
- *             right = left + 1
- *             c = right if right < n and self._heap_before(self.heap[right], self.heap[left]) else left
- *             if self._heap_before(self.heap[c], v):             # <<<<<<<<<<<<<<
- *                 self.heap[i] = self.heap[c]
- *                 self.heap_pos[self.heap[c]] = i
-*/
-      goto __pyx_L8;
-    }
-
-    /* "maxcore/engine/_search.pyx":265
- *                 i = c
- *             else:
- *                 break             # <<<<<<<<<<<<<<
- *         self.heap[i] = v
- *         self.heap_pos[v] = i
-*/
-    /*else*/ {
-      goto __pyx_L4_break;
-    }
-    __pyx_L8:;
-  }
-  __pyx_L4_break:;
-
-  /* "maxcore/engine/_search.pyx":266
- *             else:
- *                 break
- *         self.heap[i] = v             # <<<<<<<<<<<<<<
- *         self.heap_pos[v] = i
- * 
-*/
-  (__pyx_v_self->heap[__pyx_v_i]) = __pyx_v_v;
-
-  /* "maxcore/engine/_search.pyx":267
- *                 break
- *         self.heap[i] = v
- *         self.heap_pos[v] = i             # <<<<<<<<<<<<<<
- * 
- *     cdef int _heap_pop(self):
-*/
-  (__pyx_v_self->heap_pos[__pyx_v_v]) = __pyx_v_i;
-
-  /* "maxcore/engine/_search.pyx":250
- *         self.heap_pos[v] = i
- * 
- *     cdef void _heap_down(self, int i):             # <<<<<<<<<<<<<<
- *         cdef int v = self.heap[i]
- *         cdef int n = <int>self.heap.size()
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._heap_down", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":269
- *         self.heap_pos[v] = i
- * 
- *     cdef int _heap_pop(self):             # <<<<<<<<<<<<<<
- *         cdef int top = self.heap[0]
- *         cdef int last
-*/
-
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_pop(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  int __pyx_v_top;
-  int __pyx_v_last;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":270
- * 
- *     cdef int _heap_pop(self):
- *         cdef int top = self.heap[0]             # <<<<<<<<<<<<<<
- *         cdef int last
- *         self.heap_pos[top] = -1
-*/
-  __pyx_v_top = (__pyx_v_self->heap[0]);
-
-  /* "maxcore/engine/_search.pyx":272
- *         cdef int top = self.heap[0]
- *         cdef int last
- *         self.heap_pos[top] = -1             # <<<<<<<<<<<<<<
- *         last = self.heap.back()
- *         self.heap.pop_back()
-*/
-  (__pyx_v_self->heap_pos[__pyx_v_top]) = -1;
-
-  /* "maxcore/engine/_search.pyx":273
- *         cdef int last
- *         self.heap_pos[top] = -1
- *         last = self.heap.back()             # <<<<<<<<<<<<<<
- *         self.heap.pop_back()
- *         if self.heap.size() > 0:
-*/
-  __pyx_v_last = __pyx_v_self->heap.back();
-
-  /* "maxcore/engine/_search.pyx":274
- *         self.heap_pos[top] = -1
- *         last = self.heap.back()
- *         self.heap.pop_back()             # <<<<<<<<<<<<<<
- *         if self.heap.size() > 0:
- *             self.heap[0] = last
-*/
-  __pyx_v_self->heap.pop_back();
-
-  /* "maxcore/engine/_search.pyx":275
- *         last = self.heap.back()
- *         self.heap.pop_back()
- *         if self.heap.size() > 0:             # <<<<<<<<<<<<<<
- *             self.heap[0] = last
- *             self.heap_pos[last] = 0
-*/
-  __pyx_t_1 = (__pyx_v_self->heap.size() > 0);
-  if (__pyx_t_1) {
-
-    /* "maxcore/engine/_search.pyx":276
- *         self.heap.pop_back()
- *         if self.heap.size() > 0:
- *             self.heap[0] = last             # <<<<<<<<<<<<<<
- *             self.heap_pos[last] = 0
- *             self._heap_down(0)
-*/
-    (__pyx_v_self->heap[0]) = __pyx_v_last;
-
-    /* "maxcore/engine/_search.pyx":277
- *         if self.heap.size() > 0:
- *             self.heap[0] = last
- *             self.heap_pos[last] = 0             # <<<<<<<<<<<<<<
- *             self._heap_down(0)
- *         return top
-*/
-    (__pyx_v_self->heap_pos[__pyx_v_last]) = 0;
-
-    /* "maxcore/engine/_search.pyx":278
- *             self.heap[0] = last
- *             self.heap_pos[last] = 0
- *             self._heap_down(0)             # <<<<<<<<<<<<<<
- *         return top
- * 
-*/
-    ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_heap_down(__pyx_v_self, 0); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 278, __pyx_L1_error)
-
-    /* "maxcore/engine/_search.pyx":275
- *         last = self.heap.back()
- *         self.heap.pop_back()
- *         if self.heap.size() > 0:             # <<<<<<<<<<<<<<
- *             self.heap[0] = last
- *             self.heap_pos[last] = 0
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":279
- *             self.heap_pos[last] = 0
- *             self._heap_down(0)
- *         return top             # <<<<<<<<<<<<<<
- * 
- *     cdef void _bump_var(self, int v):
-*/
-  __pyx_r = __pyx_v_top;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":269
- *         self.heap_pos[v] = i
- * 
- *     cdef int _heap_pop(self):             # <<<<<<<<<<<<<<
- *         cdef int top = self.heap[0]
- *         cdef int last
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._heap_pop", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":281
- *         return top
- * 
- *     cdef void _bump_var(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int u
- *         self.activity[v] += self.var_inc
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__bump_var(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_v_u;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  long __pyx_t_3;
-  long __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":283
- *     cdef void _bump_var(self, int v):
- *         cdef int u
- *         self.activity[v] += self.var_inc             # <<<<<<<<<<<<<<
- *         if self.activity[v] > 1e100:
- *             for u in range(1, self.nvars + 1):
-*/
-  __pyx_t_1 = __pyx_v_v;
-  (__pyx_v_self->activity[__pyx_t_1]) = ((__pyx_v_self->activity[__pyx_t_1]) + __pyx_v_self->var_inc);
-
-  /* "maxcore/engine/_search.pyx":284
- *         cdef int u
- *         self.activity[v] += self.var_inc
- *         if self.activity[v] > 1e100:             # <<<<<<<<<<<<<<
- *             for u in range(1, self.nvars + 1):
- *                 self.activity[u] *= 1e-100
-*/
-  __pyx_t_2 = ((__pyx_v_self->activity[__pyx_v_v]) > 1e100);
-  if (__pyx_t_2) {
-
-    /* "maxcore/engine/_search.pyx":285
- *         self.activity[v] += self.var_inc
- *         if self.activity[v] > 1e100:
- *             for u in range(1, self.nvars + 1):             # <<<<<<<<<<<<<<
- *                 self.activity[u] *= 1e-100
- *             self.var_inc *= 1e-100
-*/
-    __pyx_t_3 = (__pyx_v_self->nvars + 1);
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_1 = 1; __pyx_t_1 < __pyx_t_4; __pyx_t_1+=1) {
-      __pyx_v_u = __pyx_t_1;
-
-      /* "maxcore/engine/_search.pyx":286
- *         if self.activity[v] > 1e100:
- *             for u in range(1, self.nvars + 1):
- *                 self.activity[u] *= 1e-100             # <<<<<<<<<<<<<<
- *             self.var_inc *= 1e-100
- *         if self.heap_pos[v] >= 0:
-*/
-      __pyx_t_5 = __pyx_v_u;
-      (__pyx_v_self->activity[__pyx_t_5]) = ((__pyx_v_self->activity[__pyx_t_5]) * 1e-100);
-    }
-
-    /* "maxcore/engine/_search.pyx":287
- *             for u in range(1, self.nvars + 1):
- *                 self.activity[u] *= 1e-100
- *             self.var_inc *= 1e-100             # <<<<<<<<<<<<<<
- *         if self.heap_pos[v] >= 0:
- *             self._heap_up(self.heap_pos[v])
-*/
-    __pyx_v_self->var_inc = (__pyx_v_self->var_inc * 1e-100);
-
-    /* "maxcore/engine/_search.pyx":284
- *         cdef int u
- *         self.activity[v] += self.var_inc
- *         if self.activity[v] > 1e100:             # <<<<<<<<<<<<<<
- *             for u in range(1, self.nvars + 1):
- *                 self.activity[u] *= 1e-100
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":288
- *                 self.activity[u] *= 1e-100
- *             self.var_inc *= 1e-100
- *         if self.heap_pos[v] >= 0:             # <<<<<<<<<<<<<<
- *             self._heap_up(self.heap_pos[v])
- * 
-*/
-  __pyx_t_2 = ((__pyx_v_self->heap_pos[__pyx_v_v]) >= 0);
-  if (__pyx_t_2) {
-
-    /* "maxcore/engine/_search.pyx":289
- *             self.var_inc *= 1e-100
- *         if self.heap_pos[v] >= 0:
- *             self._heap_up(self.heap_pos[v])             # <<<<<<<<<<<<<<
- * 
- *     cdef void _bump_clause(self, int ci):
-*/
-    ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_heap_up(__pyx_v_self, (__pyx_v_self->heap_pos[__pyx_v_v])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 289, __pyx_L1_error)
-
-    /* "maxcore/engine/_search.pyx":288
- *                 self.activity[u] *= 1e-100
- *             self.var_inc *= 1e-100
- *         if self.heap_pos[v] >= 0:             # <<<<<<<<<<<<<<
- *             self._heap_up(self.heap_pos[v])
- * 
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":281
- *         return top
- * 
- *     cdef void _bump_var(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int u
- *         self.activity[v] += self.var_inc
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._bump_var", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":291
- *             self._heap_up(self.heap_pos[v])
- * 
- *     cdef void _bump_clause(self, int ci):             # <<<<<<<<<<<<<<
- *         cdef size_t k
- *         self.c_act[ci] += self.cla_inc
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__bump_clause(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_ci) {
-  size_t __pyx_v_k;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  std::vector<double> ::size_type __pyx_t_3;
-  std::vector<double> ::size_type __pyx_t_4;
-  size_t __pyx_t_5;
-  size_t __pyx_t_6;
-
-  /* "maxcore/engine/_search.pyx":293
- *     cdef void _bump_clause(self, int ci):
- *         cdef size_t k
- *         self.c_act[ci] += self.cla_inc             # <<<<<<<<<<<<<<
- *         if self.c_act[ci] > 1e20:
- *             for k in range(self.c_act.size()):
-*/
-  __pyx_t_1 = __pyx_v_ci;
-  (__pyx_v_self->c_act[__pyx_t_1]) = ((__pyx_v_self->c_act[__pyx_t_1]) + __pyx_v_self->cla_inc);
-
-  /* "maxcore/engine/_search.pyx":294
- *         cdef size_t k
- *         self.c_act[ci] += self.cla_inc
- *         if self.c_act[ci] > 1e20:             # <<<<<<<<<<<<<<
- *             for k in range(self.c_act.size()):
- *                 self.c_act[k] *= 1e-20
-*/
-  __pyx_t_2 = ((__pyx_v_self->c_act[__pyx_v_ci]) > 1e20);
-  if (__pyx_t_2) {
-
-    /* "maxcore/engine/_search.pyx":295
- *         self.c_act[ci] += self.cla_inc
- *         if self.c_act[ci] > 1e20:
- *             for k in range(self.c_act.size()):             # <<<<<<<<<<<<<<
- *                 self.c_act[k] *= 1e-20
- *             self.cla_inc *= 1e-20
-*/
-    __pyx_t_3 = __pyx_v_self->c_act.size();
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_k = __pyx_t_5;
-
-      /* "maxcore/engine/_search.pyx":296
- *         if self.c_act[ci] > 1e20:
- *             for k in range(self.c_act.size()):
- *                 self.c_act[k] *= 1e-20             # <<<<<<<<<<<<<<
- *             self.cla_inc *= 1e-20
- * 
-*/
-      __pyx_t_6 = __pyx_v_k;
-      (__pyx_v_self->c_act[__pyx_t_6]) = ((__pyx_v_self->c_act[__pyx_t_6]) * 1e-20);
-    }
-
-    /* "maxcore/engine/_search.pyx":297
- *             for k in range(self.c_act.size()):
- *                 self.c_act[k] *= 1e-20
- *             self.cla_inc *= 1e-20             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-    __pyx_v_self->cla_inc = (__pyx_v_self->cla_inc * 1e-20);
-
-    /* "maxcore/engine/_search.pyx":294
- *         cdef size_t k
- *         self.c_act[ci] += self.cla_inc
- *         if self.c_act[ci] > 1e20:             # <<<<<<<<<<<<<<
- *             for k in range(self.c_act.size()):
- *                 self.c_act[k] *= 1e-20
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":291
- *             self._heap_up(self.heap_pos[v])
- * 
- *     cdef void _bump_clause(self, int ci):             # <<<<<<<<<<<<<<
- *         cdef size_t k
- *         self.c_act[ci] += self.cla_inc
-*/
-
-  /* function exit code */
-}
-
-/* "maxcore/engine/_search.pyx":302
- *     # propagation
- * 
- *     cdef int _bcp(self) except -2:             # <<<<<<<<<<<<<<
- *         cdef int lit, false_lit, ci, off, first, fv, k, end, widx
- *         cdef bint found
-*/
-
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__bcp(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  int __pyx_v_lit;
-  int __pyx_v_false_lit;
-  int __pyx_v_ci;
-  int __pyx_v_off;
-  int __pyx_v_first;
-  int __pyx_v_fv;
-  int __pyx_v_k;
-  int __pyx_v_end;
-  int __pyx_v_found;
-  int __pyx_v_i;
-  std::vector<int>  *__pyx_v_wl;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":307
- *         cdef int i
- *         cdef vector[int]* wl
- *         while self.qhead < <int>self.trail.size():             # <<<<<<<<<<<<<<
- *             lit = self.trail[self.qhead]
- *             self.qhead += 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_self->qhead < ((int)__pyx_v_self->trail.size()));
-    if (!__pyx_t_1) break;
-
-    /* "maxcore/engine/_search.pyx":308
- *         cdef vector[int]* wl
- *         while self.qhead < <int>self.trail.size():
- *             lit = self.trail[self.qhead]             # <<<<<<<<<<<<<<
- *             self.qhead += 1
- *             false_lit = -lit
-*/
-    __pyx_v_lit = (__pyx_v_self->trail[__pyx_v_self->qhead]);
-
-    /* "maxcore/engine/_search.pyx":309
- *         while self.qhead < <int>self.trail.size():
- *             lit = self.trail[self.qhead]
- *             self.qhead += 1             # <<<<<<<<<<<<<<
- *             false_lit = -lit
- *             wl = &self.watches[_windex(false_lit)]
-*/
-    __pyx_v_self->qhead = (__pyx_v_self->qhead + 1);
-
-    /* "maxcore/engine/_search.pyx":310
- *             lit = self.trail[self.qhead]
- *             self.qhead += 1
- *             false_lit = -lit             # <<<<<<<<<<<<<<
- *             wl = &self.watches[_windex(false_lit)]
- *             i = <int>wl[0].size() - 1
-*/
-    __pyx_v_false_lit = (-__pyx_v_lit);
-
-    /* "maxcore/engine/_search.pyx":311
- *             self.qhead += 1
- *             false_lit = -lit
- *             wl = &self.watches[_windex(false_lit)]             # <<<<<<<<<<<<<<
- *             i = <int>wl[0].size() - 1
- *             while i >= 0:
-*/
-    __pyx_t_2 = __pyx_f_7maxcore_6engine_7_search__windex(__pyx_v_false_lit); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 311, __pyx_L1_error)
-    __pyx_v_wl = (&(__pyx_v_self->watches[__pyx_t_2]));
-
-    /* "maxcore/engine/_search.pyx":312
- *             false_lit = -lit
- *             wl = &self.watches[_windex(false_lit)]
- *             i = <int>wl[0].size() - 1             # <<<<<<<<<<<<<<
- *             while i >= 0:
- *                 ci = wl[0][i]
-*/
-    __pyx_v_i = (((int)(__pyx_v_wl[0]).size()) - 1);
-
-    /* "maxcore/engine/_search.pyx":313
- *             wl = &self.watches[_windex(false_lit)]
- *             i = <int>wl[0].size() - 1
- *             while i >= 0:             # <<<<<<<<<<<<<<
- *                 ci = wl[0][i]
- *                 off = self.c_off[ci]
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_i >= 0);
-      if (!__pyx_t_1) break;
-
-      /* "maxcore/engine/_search.pyx":314
- *             i = <int>wl[0].size() - 1
- *             while i >= 0:
- *                 ci = wl[0][i]             # <<<<<<<<<<<<<<
- *                 off = self.c_off[ci]
- *                 if self.db[off] == false_lit:
-*/
-      __pyx_v_ci = ((__pyx_v_wl[0])[__pyx_v_i]);
-
-      /* "maxcore/engine/_search.pyx":315
- *             while i >= 0:
- *                 ci = wl[0][i]
- *                 off = self.c_off[ci]             # <<<<<<<<<<<<<<
- *                 if self.db[off] == false_lit:
- *                     self.db[off] = self.db[off + 1]
-*/
-      __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_ci]);
-
-      /* "maxcore/engine/_search.pyx":316
- *                 ci = wl[0][i]
- *                 off = self.c_off[ci]
- *                 if self.db[off] == false_lit:             # <<<<<<<<<<<<<<
- *                     self.db[off] = self.db[off + 1]
- *                     self.db[off + 1] = false_lit
-*/
-      __pyx_t_1 = ((__pyx_v_self->db[__pyx_v_off]) == __pyx_v_false_lit);
-      if (__pyx_t_1) {
-
-        /* "maxcore/engine/_search.pyx":317
- *                 off = self.c_off[ci]
- *                 if self.db[off] == false_lit:
- *                     self.db[off] = self.db[off + 1]             # <<<<<<<<<<<<<<
- *                     self.db[off + 1] = false_lit
- *                 first = self.db[off]
-*/
-        (__pyx_v_self->db[__pyx_v_off]) = (__pyx_v_self->db[(__pyx_v_off + 1)]);
-
-        /* "maxcore/engine/_search.pyx":318
- *                 if self.db[off] == false_lit:
- *                     self.db[off] = self.db[off + 1]
- *                     self.db[off + 1] = false_lit             # <<<<<<<<<<<<<<
- *                 first = self.db[off]
- *                 fv = self._lit_value_c(first)
-*/
-        (__pyx_v_self->db[(__pyx_v_off + 1)]) = __pyx_v_false_lit;
-
-        /* "maxcore/engine/_search.pyx":316
- *                 ci = wl[0][i]
- *                 off = self.c_off[ci]
- *                 if self.db[off] == false_lit:             # <<<<<<<<<<<<<<
- *                     self.db[off] = self.db[off + 1]
- *                     self.db[off + 1] = false_lit
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":319
- *                     self.db[off] = self.db[off + 1]
- *                     self.db[off + 1] = false_lit
- *                 first = self.db[off]             # <<<<<<<<<<<<<<
- *                 fv = self._lit_value_c(first)
- *                 if fv == 1:
-*/
-      __pyx_v_first = (__pyx_v_self->db[__pyx_v_off]);
-
-      /* "maxcore/engine/_search.pyx":320
- *                     self.db[off + 1] = false_lit
- *                 first = self.db[off]
- *                 fv = self._lit_value_c(first)             # <<<<<<<<<<<<<<
- *                 if fv == 1:
- *                     i -= 1
-*/
-      __pyx_t_2 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_v_first); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 320, __pyx_L1_error)
-      __pyx_v_fv = __pyx_t_2;
-
-      /* "maxcore/engine/_search.pyx":321
- *                 first = self.db[off]
- *                 fv = self._lit_value_c(first)
- *                 if fv == 1:             # <<<<<<<<<<<<<<
- *                     i -= 1
- *                     continue
-*/
-      __pyx_t_1 = (__pyx_v_fv == 1);
-      if (__pyx_t_1) {
-
-        /* "maxcore/engine/_search.pyx":322
- *                 fv = self._lit_value_c(first)
- *                 if fv == 1:
- *                     i -= 1             # <<<<<<<<<<<<<<
- *                     continue
- *                 found = False
-*/
-        __pyx_v_i = (__pyx_v_i - 1);
-
-        /* "maxcore/engine/_search.pyx":323
- *                 if fv == 1:
- *                     i -= 1
- *                     continue             # <<<<<<<<<<<<<<
- *                 found = False
- *                 end = off + self.c_len[ci]
-*/
-        goto __pyx_L5_continue;
-
-        /* "maxcore/engine/_search.pyx":321
- *                 first = self.db[off]
- *                 fv = self._lit_value_c(first)
- *                 if fv == 1:             # <<<<<<<<<<<<<<
- *                     i -= 1
- *                     continue
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":324
- *                     i -= 1
- *                     continue
- *                 found = False             # <<<<<<<<<<<<<<
- *                 end = off + self.c_len[ci]
- *                 for k in range(off + 2, end):
-*/
-      __pyx_v_found = 0;
-
-      /* "maxcore/engine/_search.pyx":325
- *                     continue
- *                 found = False
- *                 end = off + self.c_len[ci]             # <<<<<<<<<<<<<<
- *                 for k in range(off + 2, end):
- *                     if self._lit_value_c(self.db[k]) != -1:
-*/
-      __pyx_v_end = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_v_ci]));
-
-      /* "maxcore/engine/_search.pyx":326
- *                 found = False
- *                 end = off + self.c_len[ci]
- *                 for k in range(off + 2, end):             # <<<<<<<<<<<<<<
- *                     if self._lit_value_c(self.db[k]) != -1:
- *                         self.db[off + 1] = self.db[k]
-*/
-      __pyx_t_2 = __pyx_v_end;
-      __pyx_t_3 = __pyx_t_2;
-      for (__pyx_t_4 = (__pyx_v_off + 2); __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-        __pyx_v_k = __pyx_t_4;
-
-        /* "maxcore/engine/_search.pyx":327
- *                 end = off + self.c_len[ci]
- *                 for k in range(off + 2, end):
- *                     if self._lit_value_c(self.db[k]) != -1:             # <<<<<<<<<<<<<<
- *                         self.db[off + 1] = self.db[k]
- *                         self.db[k] = false_lit
-*/
-        __pyx_t_5 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, (__pyx_v_self->db[__pyx_v_k])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L1_error)
-        __pyx_t_1 = (__pyx_t_5 != -1L);
-        if (__pyx_t_1) {
-
-          /* "maxcore/engine/_search.pyx":328
- *                 for k in range(off + 2, end):
- *                     if self._lit_value_c(self.db[k]) != -1:
- *                         self.db[off + 1] = self.db[k]             # <<<<<<<<<<<<<<
- *                         self.db[k] = false_lit
- *                         self.watches[_windex(self.db[off + 1])].push_back(ci)
-*/
-          (__pyx_v_self->db[(__pyx_v_off + 1)]) = (__pyx_v_self->db[__pyx_v_k]);
-
-          /* "maxcore/engine/_search.pyx":329
- *                     if self._lit_value_c(self.db[k]) != -1:
- *                         self.db[off + 1] = self.db[k]
- *                         self.db[k] = false_lit             # <<<<<<<<<<<<<<
- *                         self.watches[_windex(self.db[off + 1])].push_back(ci)
- *                         wl[0][i] = wl[0].back()
-*/
-          (__pyx_v_self->db[__pyx_v_k]) = __pyx_v_false_lit;
-
-          /* "maxcore/engine/_search.pyx":330
- *                         self.db[off + 1] = self.db[k]
- *                         self.db[k] = false_lit
- *                         self.watches[_windex(self.db[off + 1])].push_back(ci)             # <<<<<<<<<<<<<<
- *                         wl[0][i] = wl[0].back()
- *                         wl[0].pop_back()
-*/
-          __pyx_t_5 = __pyx_f_7maxcore_6engine_7_search__windex((__pyx_v_self->db[(__pyx_v_off + 1)])); if (unlikely(__pyx_t_5 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 330, __pyx_L1_error)
-          try {
-            (__pyx_v_self->watches[__pyx_t_5]).push_back(__pyx_v_ci);
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 330, __pyx_L1_error)
-          }
-
-          /* "maxcore/engine/_search.pyx":331
- *                         self.db[k] = false_lit
- *                         self.watches[_windex(self.db[off + 1])].push_back(ci)
- *                         wl[0][i] = wl[0].back()             # <<<<<<<<<<<<<<
- *                         wl[0].pop_back()
- *                         found = True
-*/
-          ((__pyx_v_wl[0])[__pyx_v_i]) = (__pyx_v_wl[0]).back();
-
-          /* "maxcore/engine/_search.pyx":332
- *                         self.watches[_windex(self.db[off + 1])].push_back(ci)
- *                         wl[0][i] = wl[0].back()
- *                         wl[0].pop_back()             # <<<<<<<<<<<<<<
- *                         found = True
- *                         break
-*/
-          (__pyx_v_wl[0]).pop_back();
-
-          /* "maxcore/engine/_search.pyx":333
- *                         wl[0][i] = wl[0].back()
- *                         wl[0].pop_back()
- *                         found = True             # <<<<<<<<<<<<<<
- *                         break
- *                 if found:
-*/
-          __pyx_v_found = 1;
-
-          /* "maxcore/engine/_search.pyx":334
- *                         wl[0].pop_back()
- *                         found = True
- *                         break             # <<<<<<<<<<<<<<
- *                 if found:
- *                     i -= 1
-*/
-          goto __pyx_L10_break;
-
-          /* "maxcore/engine/_search.pyx":327
- *                 end = off + self.c_len[ci]
- *                 for k in range(off + 2, end):
- *                     if self._lit_value_c(self.db[k]) != -1:             # <<<<<<<<<<<<<<
- *                         self.db[off + 1] = self.db[k]
- *                         self.db[k] = false_lit
-*/
-        }
-      }
-      __pyx_L10_break:;
-
-      /* "maxcore/engine/_search.pyx":335
- *                         found = True
- *                         break
- *                 if found:             # <<<<<<<<<<<<<<
- *                     i -= 1
- *                     continue
-*/
-      if (__pyx_v_found) {
-
-        /* "maxcore/engine/_search.pyx":336
- *                         break
- *                 if found:
- *                     i -= 1             # <<<<<<<<<<<<<<
- *                     continue
- *                 if fv == -1:
-*/
-        __pyx_v_i = (__pyx_v_i - 1);
-
-        /* "maxcore/engine/_search.pyx":337
- *                 if found:
- *                     i -= 1
- *                     continue             # <<<<<<<<<<<<<<
- *                 if fv == -1:
- *                     return ci
-*/
-        goto __pyx_L5_continue;
-
-        /* "maxcore/engine/_search.pyx":335
- *                         found = True
- *                         break
- *                 if found:             # <<<<<<<<<<<<<<
- *                     i -= 1
- *                     continue
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":338
- *                     i -= 1
- *                     continue
- *                 if fv == -1:             # <<<<<<<<<<<<<<
- *                     return ci
- *                 self._assign(first, ci)
-*/
-      __pyx_t_1 = (__pyx_v_fv == -1L);
-      if (__pyx_t_1) {
-
-        /* "maxcore/engine/_search.pyx":339
- *                     continue
- *                 if fv == -1:
- *                     return ci             # <<<<<<<<<<<<<<
- *                 self._assign(first, ci)
- *                 i -= 1
-*/
-        __pyx_r = __pyx_v_ci;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":338
- *                     i -= 1
- *                     continue
- *                 if fv == -1:             # <<<<<<<<<<<<<<
- *                     return ci
- *                 self._assign(first, ci)
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":340
- *                 if fv == -1:
- *                     return ci
- *                 self._assign(first, ci)             # <<<<<<<<<<<<<<
- *                 i -= 1
- *         return -1
-*/
-      ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_assign(__pyx_v_self, __pyx_v_first, __pyx_v_ci); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 340, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":341
- *                     return ci
- *                 self._assign(first, ci)
- *                 i -= 1             # <<<<<<<<<<<<<<
- *         return -1
- * 
-*/
-      __pyx_v_i = (__pyx_v_i - 1);
-      __pyx_L5_continue:;
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":342
- *                 self._assign(first, ci)
- *                 i -= 1
- *         return -1             # <<<<<<<<<<<<<<
- * 
- *     cdef int _propagate_all(self) except -2:
-*/
-  __pyx_r = -1;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":302
- *     # propagation
- * 
- *     cdef int _bcp(self) except -2:             # <<<<<<<<<<<<<<
- *         cdef int lit, false_lit, ci, off, first, fv, k, end, widx
- *         cdef bint found
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._bcp", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":344
- *         return -1
- * 
- *     cdef int _propagate_all(self) except -2:             # <<<<<<<<<<<<<<
- *         cdef int confl
- *         cdef bint progress
-*/
-
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__propagate_all(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  int __pyx_v_confl;
-  int __pyx_v_progress;
-  PyObject *__pyx_v_p = NULL;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  Py_ssize_t __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_propagate_all", 0);
-
-  /* "maxcore/engine/_search.pyx":347
- *         cdef int confl
- *         cdef bint progress
- *         while True:             # <<<<<<<<<<<<<<
- *             confl = self._bcp()
- *             if confl >= 0:
-*/
-  while (1) {
-
-    /* "maxcore/engine/_search.pyx":348
- *         cdef bint progress
- *         while True:
- *             confl = self._bcp()             # <<<<<<<<<<<<<<
- *             if confl >= 0:
- *                 return confl
-*/
-    __pyx_t_1 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_bcp(__pyx_v_self); if (unlikely(__pyx_t_1 == ((int)-2))) __PYX_ERR(0, 348, __pyx_L1_error)
-    __pyx_v_confl = __pyx_t_1;
-
-    /* "maxcore/engine/_search.pyx":349
- *         while True:
- *             confl = self._bcp()
- *             if confl >= 0:             # <<<<<<<<<<<<<<
- *                 return confl
- *             progress = False
-*/
-    __pyx_t_2 = (__pyx_v_confl >= 0);
-    if (__pyx_t_2) {
-
-      /* "maxcore/engine/_search.pyx":350
- *             confl = self._bcp()
- *             if confl >= 0:
- *                 return confl             # <<<<<<<<<<<<<<
- *             progress = False
- *             for p in self.propagators:
-*/
-      __pyx_r = __pyx_v_confl;
-      goto __pyx_L0;
-
-      /* "maxcore/engine/_search.pyx":349
- *         while True:
- *             confl = self._bcp()
- *             if confl >= 0:             # <<<<<<<<<<<<<<
- *                 return confl
- *             progress = False
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":351
- *             if confl >= 0:
- *                 return confl
- *             progress = False             # <<<<<<<<<<<<<<
- *             for p in self.propagators:
- *                 self._prop_enqueued = False
-*/
-    __pyx_v_progress = 0;
-
-    /* "maxcore/engine/_search.pyx":352
- *                 return confl
- *             progress = False
- *             for p in self.propagators:             # <<<<<<<<<<<<<<
- *                 self._prop_enqueued = False
- *                 self._prop_conflict = -1
-*/
-    if (unlikely(__pyx_v_self->propagators == Py_None)) {
-      PyErr_SetString(PyExc_TypeError, "'NoneType' object is not iterable");
-      __PYX_ERR(0, 352, __pyx_L1_error)
-    }
-    __pyx_t_3 = __pyx_v_self->propagators; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_4 = 0;
-    for (;;) {
-      {
-        Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 352, __pyx_L1_error)
-        #endif
-        if (__pyx_t_4 >= __pyx_temp) break;
-      }
-      __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_4, __Pyx_ReferenceSharing_OwnStrongReference);
-      ++__pyx_t_4;
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 352, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_XDECREF_SET(__pyx_v_p, __pyx_t_5);
-      __pyx_t_5 = 0;
-
-      /* "maxcore/engine/_search.pyx":353
- *             progress = False
- *             for p in self.propagators:
- *                 self._prop_enqueued = False             # <<<<<<<<<<<<<<
- *                 self._prop_conflict = -1
- *                 p.propagate(self)
-*/
-      __pyx_v_self->_prop_enqueued = 0;
-
-      /* "maxcore/engine/_search.pyx":354
- *             for p in self.propagators:
- *                 self._prop_enqueued = False
- *                 self._prop_conflict = -1             # <<<<<<<<<<<<<<
- *                 p.propagate(self)
- *                 if self._prop_conflict >= 0:
-*/
-      __pyx_v_self->_prop_conflict = -1;
-
-      /* "maxcore/engine/_search.pyx":355
- *                 self._prop_enqueued = False
- *                 self._prop_conflict = -1
- *                 p.propagate(self)             # <<<<<<<<<<<<<<
- *                 if self._prop_conflict >= 0:
- *                     return self._prop_conflict
-*/
-      __pyx_t_6 = __pyx_v_p;
-      __Pyx_INCREF(__pyx_t_6);
-      __pyx_t_7 = 0;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_6, ((PyObject *)__pyx_v_self)};
-        __pyx_t_5 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_propagate, __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 355, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-      }
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-
-      /* "maxcore/engine/_search.pyx":356
- *                 self._prop_conflict = -1
- *                 p.propagate(self)
- *                 if self._prop_conflict >= 0:             # <<<<<<<<<<<<<<
- *                     return self._prop_conflict
- *                 if self._prop_enqueued:
-*/
-      __pyx_t_2 = (__pyx_v_self->_prop_conflict >= 0);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":357
- *                 p.propagate(self)
- *                 if self._prop_conflict >= 0:
- *                     return self._prop_conflict             # <<<<<<<<<<<<<<
- *                 if self._prop_enqueued:
- *                     progress = True
-*/
-        __pyx_r = __pyx_v_self->_prop_conflict;
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":356
- *                 self._prop_conflict = -1
- *                 p.propagate(self)
- *                 if self._prop_conflict >= 0:             # <<<<<<<<<<<<<<
- *                     return self._prop_conflict
- *                 if self._prop_enqueued:
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":358
- *                 if self._prop_conflict >= 0:
- *                     return self._prop_conflict
- *                 if self._prop_enqueued:             # <<<<<<<<<<<<<<
- *                     progress = True
- *                     break
-*/
-      if (__pyx_v_self->_prop_enqueued) {
-
-        /* "maxcore/engine/_search.pyx":359
- *                     return self._prop_conflict
- *                 if self._prop_enqueued:
- *                     progress = True             # <<<<<<<<<<<<<<
- *                     break
- *             if not progress:
-*/
-        __pyx_v_progress = 1;
-
-        /* "maxcore/engine/_search.pyx":360
- *                 if self._prop_enqueued:
- *                     progress = True
- *                     break             # <<<<<<<<<<<<<<
- *             if not progress:
- *                 return -1
-*/
-        goto __pyx_L7_break;
-
-        /* "maxcore/engine/_search.pyx":358
- *                 if self._prop_conflict >= 0:
- *                     return self._prop_conflict
- *                 if self._prop_enqueued:             # <<<<<<<<<<<<<<
- *                     progress = True
- *                     break
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":352
- *                 return confl
- *             progress = False
- *             for p in self.propagators:             # <<<<<<<<<<<<<<
- *                 self._prop_enqueued = False
- *                 self._prop_conflict = -1
-*/
-    }
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    goto __pyx_L10_for_end;
-    __pyx_L7_break:;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    goto __pyx_L10_for_end;
-    __pyx_L10_for_end:;
-
-    /* "maxcore/engine/_search.pyx":361
- *                     progress = True
- *                     break
- *             if not progress:             # <<<<<<<<<<<<<<
- *                 return -1
- * 
-*/
-    __pyx_t_2 = (!__pyx_v_progress);
-    if (__pyx_t_2) {
-
-      /* "maxcore/engine/_search.pyx":362
- *                     break
- *             if not progress:
- *                 return -1             # <<<<<<<<<<<<<<
- * 
- *     # propagator-facing interface -------------------------------------
-*/
-      __pyx_r = -1;
-      goto __pyx_L0;
-
-      /* "maxcore/engine/_search.pyx":361
- *                     progress = True
- *                     break
- *             if not progress:             # <<<<<<<<<<<<<<
- *                 return -1
- * 
-*/
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":344
- *         return -1
- * 
- *     cdef int _propagate_all(self) except -2:             # <<<<<<<<<<<<<<
- *         cdef int confl
- *         cdef bint progress
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._propagate_all", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_p);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":366
- *     # propagator-facing interface -------------------------------------
- * 
- *     def enqueue(self, lit, reason_lits):             # <<<<<<<<<<<<<<
- *         cdef int v, ci
- *         for r in reason_lits:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_7enqueue(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_7enqueue = {"enqueue", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_7enqueue, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_7enqueue(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_lit = 0;
-  PyObject *__pyx_v_reason_lits = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("enqueue (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_lit,&__pyx_mstate_global->__pyx_n_u_reason_lits,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 366, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 366, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 366, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "enqueue", 0) < (0)) __PYX_ERR(0, 366, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("enqueue", 1, 2, 2, i); __PYX_ERR(0, 366, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 366, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 366, __pyx_L3_error)
-    }
-    __pyx_v_lit = values[0];
-    __pyx_v_reason_lits = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("enqueue", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 366, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.enqueue", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_6enqueue(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), __pyx_v_lit, __pyx_v_reason_lits);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_6enqueue(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_lit, PyObject *__pyx_v_reason_lits) {
-  int __pyx_v_v;
-  int __pyx_v_ci;
-  PyObject *__pyx_v_r = NULL;
-  PyObject *__pyx_v_expl = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("enqueue", 0);
-
-  /* "maxcore/engine/_search.pyx":368
- *     def enqueue(self, lit, reason_lits):
- *         cdef int v, ci
- *         for r in reason_lits:             # <<<<<<<<<<<<<<
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(
-*/
-  if (likely(PyList_CheckExact(__pyx_v_reason_lits)) || PyTuple_CheckExact(__pyx_v_reason_lits)) {
-    __pyx_t_1 = __pyx_v_reason_lits; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_v_reason_lits); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 368, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 368, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 368, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 368, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 368, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 368, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XDECREF_SET(__pyx_v_r, __pyx_t_4);
-    __pyx_t_4 = 0;
-
-    /* "maxcore/engine/_search.pyx":369
- *         cdef int v, ci
- *         for r in reason_lits:
- *             if self._lit_value_c(r) != 1:             # <<<<<<<<<<<<<<
- *                 raise EngineIntegrityError(
- *                     "explanation antecedent %d is not true" % r)
-*/
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_v_r); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 369, __pyx_L1_error)
-    __pyx_t_6 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_t_5); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 369, __pyx_L1_error)
-    __pyx_t_7 = (__pyx_t_6 != 1);
-    if (unlikely(__pyx_t_7)) {
-
-      /* "maxcore/engine/_search.pyx":370
- *         for r in reason_lits:
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(             # <<<<<<<<<<<<<<
- *                     "explanation antecedent %d is not true" % r)
- *         v = self._lit_value_c(lit)
-*/
-      __pyx_t_8 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_EngineIntegrityError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 370, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-
-      /* "maxcore/engine/_search.pyx":371
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(
- *                     "explanation antecedent %d is not true" % r)             # <<<<<<<<<<<<<<
- *         v = self._lit_value_c(lit)
- *         if v == 1:
-*/
-      __pyx_t_10 = __Pyx_PyUnicode_FormatSafe(__pyx_mstate_global->__pyx_kp_u_explanation_antecedent_d_is_not, __pyx_v_r); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 371, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __pyx_t_11 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_9))) {
-        __pyx_t_8 = PyMethod_GET_SELF(__pyx_t_9);
-        assert(__pyx_t_8);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-        __Pyx_INCREF(__pyx_t_8);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-        __pyx_t_11 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_t_10};
-        __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 370, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-      }
-      __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __PYX_ERR(0, 370, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":369
- *         cdef int v, ci
- *         for r in reason_lits:
- *             if self._lit_value_c(r) != 1:             # <<<<<<<<<<<<<<
- *                 raise EngineIntegrityError(
- *                     "explanation antecedent %d is not true" % r)
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":368
- *     def enqueue(self, lit, reason_lits):
- *         cdef int v, ci
- *         for r in reason_lits:             # <<<<<<<<<<<<<<
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(
-*/
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":372
- *                 raise EngineIntegrityError(
- *                     "explanation antecedent %d is not true" % r)
- *         v = self._lit_value_c(lit)             # <<<<<<<<<<<<<<
- *         if v == 1:
- *             return True
-*/
-  __pyx_t_6 = __Pyx_PyLong_As_int(__pyx_v_lit); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 372, __pyx_L1_error)
-  __pyx_t_5 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_t_6); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 372, __pyx_L1_error)
-  __pyx_v_v = __pyx_t_5;
-
-  /* "maxcore/engine/_search.pyx":373
- *                     "explanation antecedent %d is not true" % r)
- *         v = self._lit_value_c(lit)
- *         if v == 1:             # <<<<<<<<<<<<<<
- *             return True
- *         expl = [lit]
-*/
-  __pyx_t_7 = (__pyx_v_v == 1);
-  if (__pyx_t_7) {
-
-    /* "maxcore/engine/_search.pyx":374
- *         v = self._lit_value_c(lit)
- *         if v == 1:
- *             return True             # <<<<<<<<<<<<<<
- *         expl = [lit]
- *         for r in reason_lits:
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(Py_True);
-    __pyx_r = Py_True;
-    goto __pyx_L0;
-
-    /* "maxcore/engine/_search.pyx":373
- *                     "explanation antecedent %d is not true" % r)
- *         v = self._lit_value_c(lit)
- *         if v == 1:             # <<<<<<<<<<<<<<
- *             return True
- *         expl = [lit]
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":375
- *         if v == 1:
- *             return True
- *         expl = [lit]             # <<<<<<<<<<<<<<
- *         for r in reason_lits:
- *             expl.append(-r)
-*/
-  __pyx_t_1 = PyList_New(1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 375, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(__pyx_v_lit);
-  __Pyx_GIVEREF(__pyx_v_lit);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_1, 0, __pyx_v_lit) != (0)) __PYX_ERR(0, 375, __pyx_L1_error);
-  __pyx_v_expl = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":376
- *             return True
- *         expl = [lit]
- *         for r in reason_lits:             # <<<<<<<<<<<<<<
- *             expl.append(-r)
- *         ci = self._add_clause_py(expl, C_KIND_EXPL)
-*/
-  if (likely(PyList_CheckExact(__pyx_v_reason_lits)) || PyTuple_CheckExact(__pyx_v_reason_lits)) {
-    __pyx_t_1 = __pyx_v_reason_lits; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_v_reason_lits); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 376, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 376, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 376, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 376, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 376, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 376, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XDECREF_SET(__pyx_v_r, __pyx_t_4);
-    __pyx_t_4 = 0;
-
-    /* "maxcore/engine/_search.pyx":377
- *         expl = [lit]
- *         for r in reason_lits:
- *             expl.append(-r)             # <<<<<<<<<<<<<<
- *         ci = self._add_clause_py(expl, C_KIND_EXPL)
- *         if v == -1:
-*/
-    __pyx_t_4 = PyNumber_Negative(__pyx_v_r); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 377, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_expl, __pyx_t_4); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 377, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-    /* "maxcore/engine/_search.pyx":376
- *             return True
- *         expl = [lit]
- *         for r in reason_lits:             # <<<<<<<<<<<<<<
- *             expl.append(-r)
- *         ci = self._add_clause_py(expl, C_KIND_EXPL)
-*/
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":378
- *         for r in reason_lits:
- *             expl.append(-r)
- *         ci = self._add_clause_py(expl, C_KIND_EXPL)             # <<<<<<<<<<<<<<
- *         if v == -1:
- *             self._prop_conflict = ci
-*/
-  __pyx_t_5 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_add_clause_py(__pyx_v_self, __pyx_v_expl, __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 378, __pyx_L1_error)
-  __pyx_v_ci = __pyx_t_5;
-
-  /* "maxcore/engine/_search.pyx":379
- *             expl.append(-r)
- *         ci = self._add_clause_py(expl, C_KIND_EXPL)
- *         if v == -1:             # <<<<<<<<<<<<<<
- *             self._prop_conflict = ci
- *             return False
-*/
-  __pyx_t_7 = (__pyx_v_v == -1L);
-  if (__pyx_t_7) {
-
-    /* "maxcore/engine/_search.pyx":380
- *         ci = self._add_clause_py(expl, C_KIND_EXPL)
- *         if v == -1:
- *             self._prop_conflict = ci             # <<<<<<<<<<<<<<
- *             return False
- *         self._assign(lit, ci)
-*/
-    __pyx_v_self->_prop_conflict = __pyx_v_ci;
-
-    /* "maxcore/engine/_search.pyx":381
- *         if v == -1:
- *             self._prop_conflict = ci
- *             return False             # <<<<<<<<<<<<<<
- *         self._assign(lit, ci)
- *         self._prop_enqueued = True
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(Py_False);
-    __pyx_r = Py_False;
-    goto __pyx_L0;
-
-    /* "maxcore/engine/_search.pyx":379
- *             expl.append(-r)
- *         ci = self._add_clause_py(expl, C_KIND_EXPL)
- *         if v == -1:             # <<<<<<<<<<<<<<
- *             self._prop_conflict = ci
- *             return False
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":382
- *             self._prop_conflict = ci
- *             return False
- *         self._assign(lit, ci)             # <<<<<<<<<<<<<<
- *         self._prop_enqueued = True
- *         return True
-*/
-  __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_v_lit); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 382, __pyx_L1_error)
-  ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_assign(__pyx_v_self, __pyx_t_5, __pyx_v_ci); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 382, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":383
- *             return False
- *         self._assign(lit, ci)
- *         self._prop_enqueued = True             # <<<<<<<<<<<<<<
- *         return True
- * 
-*/
-  __pyx_v_self->_prop_enqueued = 1;
-
-  /* "maxcore/engine/_search.pyx":384
- *         self._assign(lit, ci)
- *         self._prop_enqueued = True
- *         return True             # <<<<<<<<<<<<<<
- * 
- *     def fail(self, reason_lits):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(Py_True);
-  __pyx_r = Py_True;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":366
- *     # propagator-facing interface -------------------------------------
- * 
- *     def enqueue(self, lit, reason_lits):             # <<<<<<<<<<<<<<
- *         cdef int v, ci
- *         for r in reason_lits:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.enqueue", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_r);
-  __Pyx_XDECREF(__pyx_v_expl);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":386
- *         return True
- * 
- *     def fail(self, reason_lits):             # <<<<<<<<<<<<<<
- *         expl = []
- *         for r in reason_lits:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9fail(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_9fail = {"fail", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9fail, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9fail(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_reason_lits = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("fail (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_reason_lits,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 386, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 386, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "fail", 0) < (0)) __PYX_ERR(0, 386, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("fail", 1, 1, 1, i); __PYX_ERR(0, 386, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 386, __pyx_L3_error)
-    }
-    __pyx_v_reason_lits = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("fail", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 386, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.fail", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_8fail(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), __pyx_v_reason_lits);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_8fail(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_reason_lits) {
-  PyObject *__pyx_v_expl = NULL;
-  PyObject *__pyx_v_r = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  size_t __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("fail", 0);
-
-  /* "maxcore/engine/_search.pyx":387
- * 
- *     def fail(self, reason_lits):
- *         expl = []             # <<<<<<<<<<<<<<
- *         for r in reason_lits:
- *             if self._lit_value_c(r) != 1:
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 387, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_expl = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":388
- *     def fail(self, reason_lits):
- *         expl = []
- *         for r in reason_lits:             # <<<<<<<<<<<<<<
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(
-*/
-  if (likely(PyList_CheckExact(__pyx_v_reason_lits)) || PyTuple_CheckExact(__pyx_v_reason_lits)) {
-    __pyx_t_1 = __pyx_v_reason_lits; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_v_reason_lits); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 388, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 388, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 388, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 388, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 388, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 388, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XDECREF_SET(__pyx_v_r, __pyx_t_4);
-    __pyx_t_4 = 0;
-
-    /* "maxcore/engine/_search.pyx":389
- *         expl = []
- *         for r in reason_lits:
- *             if self._lit_value_c(r) != 1:             # <<<<<<<<<<<<<<
- *                 raise EngineIntegrityError(
- *                     "nogood antecedent %d is not true" % r)
-*/
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_v_r); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 389, __pyx_L1_error)
-    __pyx_t_6 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_t_5); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 389, __pyx_L1_error)
-    __pyx_t_7 = (__pyx_t_6 != 1);
-    if (unlikely(__pyx_t_7)) {
-
-      /* "maxcore/engine/_search.pyx":390
- *         for r in reason_lits:
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(             # <<<<<<<<<<<<<<
- *                     "nogood antecedent %d is not true" % r)
- *             expl.append(-r)
-*/
-      __pyx_t_8 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_EngineIntegrityError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 390, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-
-      /* "maxcore/engine/_search.pyx":391
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(
- *                     "nogood antecedent %d is not true" % r)             # <<<<<<<<<<<<<<
- *             expl.append(-r)
- *         self._prop_conflict = self._add_clause_py(expl, C_KIND_EXPL)
-*/
-      __pyx_t_10 = __Pyx_PyUnicode_FormatSafe(__pyx_mstate_global->__pyx_kp_u_nogood_antecedent_d_is_not_true, __pyx_v_r); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 391, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __pyx_t_11 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_9))) {
-        __pyx_t_8 = PyMethod_GET_SELF(__pyx_t_9);
-        assert(__pyx_t_8);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-        __Pyx_INCREF(__pyx_t_8);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-        __pyx_t_11 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_t_10};
-        __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_11, (2-__pyx_t_11) | (__pyx_t_11*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 390, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-      }
-      __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __PYX_ERR(0, 390, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":389
- *         expl = []
- *         for r in reason_lits:
- *             if self._lit_value_c(r) != 1:             # <<<<<<<<<<<<<<
- *                 raise EngineIntegrityError(
- *                     "nogood antecedent %d is not true" % r)
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":392
- *                 raise EngineIntegrityError(
- *                     "nogood antecedent %d is not true" % r)
- *             expl.append(-r)             # <<<<<<<<<<<<<<
- *         self._prop_conflict = self._add_clause_py(expl, C_KIND_EXPL)
- *         return False
-*/
-    __pyx_t_4 = PyNumber_Negative(__pyx_v_r); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 392, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_12 = __Pyx_PyList_Append(__pyx_v_expl, __pyx_t_4); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 392, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-    /* "maxcore/engine/_search.pyx":388
- *     def fail(self, reason_lits):
- *         expl = []
- *         for r in reason_lits:             # <<<<<<<<<<<<<<
- *             if self._lit_value_c(r) != 1:
- *                 raise EngineIntegrityError(
-*/
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":393
- *                     "nogood antecedent %d is not true" % r)
- *             expl.append(-r)
- *         self._prop_conflict = self._add_clause_py(expl, C_KIND_EXPL)             # <<<<<<<<<<<<<<
- *         return False
- * 
-*/
-  __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_add_clause_py(__pyx_v_self, __pyx_v_expl, __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 393, __pyx_L1_error)
-  __pyx_v_self->_prop_conflict = __pyx_t_6;
-
-  /* "maxcore/engine/_search.pyx":394
- *             expl.append(-r)
- *         self._prop_conflict = self._add_clause_py(expl, C_KIND_EXPL)
- *         return False             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(Py_False);
-  __pyx_r = Py_False;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":386
- *         return True
- * 
- *     def fail(self, reason_lits):             # <<<<<<<<<<<<<<
- *         expl = []
- *         for r in reason_lits:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.fail", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_expl);
-  __Pyx_XDECREF(__pyx_v_r);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":399
- *     # conflict analysis
- * 
- *     cdef int _analyze(self, int confl) except -1:             # <<<<<<<<<<<<<<
- *         # fills _learnt_buf, returns the backjump level
- *         cdef int clevel = <int>self.trail_lim.size()
-*/
-
-static int __pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_confl) {
-  int __pyx_v_clevel;
-  int __pyx_v_counter;
-  int __pyx_v_p;
-  int __pyx_v_idx;
-  int __pyx_v_off;
-  int __pyx_v_start;
-  int __pyx_v_k;
-  int __pyx_v_q;
-  int __pyx_v_v;
-  int __pyx_v_lit;
-  int __pyx_v_var;
-  int __pyx_v_pv;
-  int __pyx_v_best;
-  int __pyx_v_lv;
-  int __pyx_v_bv;
-  int __pyx_v_b;
-  int __pyx_v_tmp;
-  size_t __pyx_v_j;
-  int __pyx_v_bj;
-  int __pyx_r;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  std::vector<int> ::size_type __pyx_t_8;
-  std::vector<int> ::size_type __pyx_t_9;
-  size_t __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":401
- *     cdef int _analyze(self, int confl) except -1:
- *         # fills _learnt_buf, returns the backjump level
- *         cdef int clevel = <int>self.trail_lim.size()             # <<<<<<<<<<<<<<
- *         cdef int counter = 0
- *         cdef int p = 0
-*/
-  __pyx_v_clevel = ((int)__pyx_v_self->trail_lim.size());
-
-  /* "maxcore/engine/_search.pyx":402
- *         # fills _learnt_buf, returns the backjump level
- *         cdef int clevel = <int>self.trail_lim.size()
- *         cdef int counter = 0             # <<<<<<<<<<<<<<
- *         cdef int p = 0
- *         cdef int idx = <int>self.trail.size() - 1
-*/
-  __pyx_v_counter = 0;
-
-  /* "maxcore/engine/_search.pyx":403
- *         cdef int clevel = <int>self.trail_lim.size()
- *         cdef int counter = 0
- *         cdef int p = 0             # <<<<<<<<<<<<<<
- *         cdef int idx = <int>self.trail.size() - 1
- *         cdef int off, start, k, q, v, lit, var, pv
-*/
-  __pyx_v_p = 0;
-
-  /* "maxcore/engine/_search.pyx":404
- *         cdef int counter = 0
- *         cdef int p = 0
- *         cdef int idx = <int>self.trail.size() - 1             # <<<<<<<<<<<<<<
- *         cdef int off, start, k, q, v, lit, var, pv
- *         cdef int best, lv, bv, b, tmp
-*/
-  __pyx_v_idx = (((int)__pyx_v_self->trail.size()) - 1);
-
-  /* "maxcore/engine/_search.pyx":408
- *         cdef int best, lv, bv, b, tmp
- *         cdef size_t j
- *         self._learnt_buf.clear()             # <<<<<<<<<<<<<<
- *         self._learnt_buf.push_back(0)
- *         self._clear_buf.clear()
-*/
-  __pyx_v_self->_learnt_buf.clear();
-
-  /* "maxcore/engine/_search.pyx":409
- *         cdef size_t j
- *         self._learnt_buf.clear()
- *         self._learnt_buf.push_back(0)             # <<<<<<<<<<<<<<
- *         self._clear_buf.clear()
- *         while True:
-*/
-  try {
-    __pyx_v_self->_learnt_buf.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 409, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":410
- *         self._learnt_buf.clear()
- *         self._learnt_buf.push_back(0)
- *         self._clear_buf.clear()             # <<<<<<<<<<<<<<
- *         while True:
- *             if self.c_kind[confl] == C_KIND_LEARNT:
-*/
-  __pyx_v_self->_clear_buf.clear();
-
-  /* "maxcore/engine/_search.pyx":411
- *         self._learnt_buf.push_back(0)
- *         self._clear_buf.clear()
- *         while True:             # <<<<<<<<<<<<<<
- *             if self.c_kind[confl] == C_KIND_LEARNT:
- *                 self._bump_clause(confl)
-*/
-  while (1) {
-
-    /* "maxcore/engine/_search.pyx":412
- *         self._clear_buf.clear()
- *         while True:
- *             if self.c_kind[confl] == C_KIND_LEARNT:             # <<<<<<<<<<<<<<
- *                 self._bump_clause(confl)
- *             off = self.c_off[confl]
-*/
-    __pyx_t_1 = ((__pyx_v_self->c_kind[__pyx_v_confl]) == __pyx_v_7maxcore_6engine_7_search_C_KIND_LEARNT);
-    if (__pyx_t_1) {
-
-      /* "maxcore/engine/_search.pyx":413
- *         while True:
- *             if self.c_kind[confl] == C_KIND_LEARNT:
- *                 self._bump_clause(confl)             # <<<<<<<<<<<<<<
- *             off = self.c_off[confl]
- *             start = off + 1 if p != 0 else off
-*/
-      ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_bump_clause(__pyx_v_self, __pyx_v_confl); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 413, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":412
- *         self._clear_buf.clear()
- *         while True:
- *             if self.c_kind[confl] == C_KIND_LEARNT:             # <<<<<<<<<<<<<<
- *                 self._bump_clause(confl)
- *             off = self.c_off[confl]
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":414
- *             if self.c_kind[confl] == C_KIND_LEARNT:
- *                 self._bump_clause(confl)
- *             off = self.c_off[confl]             # <<<<<<<<<<<<<<
- *             start = off + 1 if p != 0 else off
- *             for k in range(start, off + self.c_len[confl]):
-*/
-    __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_confl]);
-
-    /* "maxcore/engine/_search.pyx":415
- *                 self._bump_clause(confl)
- *             off = self.c_off[confl]
- *             start = off + 1 if p != 0 else off             # <<<<<<<<<<<<<<
- *             for k in range(start, off + self.c_len[confl]):
- *                 q = self.db[k]
-*/
-    __pyx_t_1 = (__pyx_v_p != 0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = (__pyx_v_off + 1);
-    } else {
-      __pyx_t_2 = __pyx_v_off;
-    }
-    __pyx_v_start = __pyx_t_2;
-
-    /* "maxcore/engine/_search.pyx":416
- *             off = self.c_off[confl]
- *             start = off + 1 if p != 0 else off
- *             for k in range(start, off + self.c_len[confl]):             # <<<<<<<<<<<<<<
- *                 q = self.db[k]
- *                 v = q if q > 0 else -q
-*/
-    __pyx_t_3 = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_v_confl]));
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = __pyx_v_start; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_k = __pyx_t_5;
-
-      /* "maxcore/engine/_search.pyx":417
- *             start = off + 1 if p != 0 else off
- *             for k in range(start, off + self.c_len[confl]):
- *                 q = self.db[k]             # <<<<<<<<<<<<<<
- *                 v = q if q > 0 else -q
- *                 if not self.seen[v] and self.levels[v] > 0:
-*/
-      __pyx_v_q = (__pyx_v_self->db[__pyx_v_k]);
-
-      /* "maxcore/engine/_search.pyx":418
- *             for k in range(start, off + self.c_len[confl]):
- *                 q = self.db[k]
- *                 v = q if q > 0 else -q             # <<<<<<<<<<<<<<
- *                 if not self.seen[v] and self.levels[v] > 0:
- *                     self.seen[v] = 1
-*/
-      __pyx_t_1 = (__pyx_v_q > 0);
-      if (__pyx_t_1) {
-        __pyx_t_6 = __pyx_v_q;
-      } else {
-        __pyx_t_6 = (-__pyx_v_q);
-      }
-      __pyx_v_v = __pyx_t_6;
-
-      /* "maxcore/engine/_search.pyx":419
- *                 q = self.db[k]
- *                 v = q if q > 0 else -q
- *                 if not self.seen[v] and self.levels[v] > 0:             # <<<<<<<<<<<<<<
- *                     self.seen[v] = 1
- *                     self._clear_buf.push_back(v)
-*/
-      __pyx_t_7 = (!((__pyx_v_self->seen[__pyx_v_v]) != 0));
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_1 = __pyx_t_7;
-        goto __pyx_L9_bool_binop_done;
-      }
-      __pyx_t_7 = ((__pyx_v_self->levels[__pyx_v_v]) > 0);
-      __pyx_t_1 = __pyx_t_7;
-      __pyx_L9_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "maxcore/engine/_search.pyx":420
- *                 v = q if q > 0 else -q
- *                 if not self.seen[v] and self.levels[v] > 0:
- *                     self.seen[v] = 1             # <<<<<<<<<<<<<<
- *                     self._clear_buf.push_back(v)
- *                     self._bump_var(v)
-*/
-        (__pyx_v_self->seen[__pyx_v_v]) = 1;
-
-        /* "maxcore/engine/_search.pyx":421
- *                 if not self.seen[v] and self.levels[v] > 0:
- *                     self.seen[v] = 1
- *                     self._clear_buf.push_back(v)             # <<<<<<<<<<<<<<
- *                     self._bump_var(v)
- *                     if self.levels[v] >= clevel:
-*/
-        try {
-          __pyx_v_self->_clear_buf.push_back(__pyx_v_v);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 421, __pyx_L1_error)
-        }
-
-        /* "maxcore/engine/_search.pyx":422
- *                     self.seen[v] = 1
- *                     self._clear_buf.push_back(v)
- *                     self._bump_var(v)             # <<<<<<<<<<<<<<
- *                     if self.levels[v] >= clevel:
- *                         counter += 1
-*/
-        ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_bump_var(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 422, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":423
- *                     self._clear_buf.push_back(v)
- *                     self._bump_var(v)
- *                     if self.levels[v] >= clevel:             # <<<<<<<<<<<<<<
- *                         counter += 1
- *                     else:
-*/
-        __pyx_t_1 = ((__pyx_v_self->levels[__pyx_v_v]) >= __pyx_v_clevel);
-        if (__pyx_t_1) {
-
-          /* "maxcore/engine/_search.pyx":424
- *                     self._bump_var(v)
- *                     if self.levels[v] >= clevel:
- *                         counter += 1             # <<<<<<<<<<<<<<
- *                     else:
- *                         self._learnt_buf.push_back(q)
-*/
-          __pyx_v_counter = (__pyx_v_counter + 1);
-
-          /* "maxcore/engine/_search.pyx":423
- *                     self._clear_buf.push_back(v)
- *                     self._bump_var(v)
- *                     if self.levels[v] >= clevel:             # <<<<<<<<<<<<<<
- *                         counter += 1
- *                     else:
-*/
-          goto __pyx_L11;
-        }
-
-        /* "maxcore/engine/_search.pyx":426
- *                         counter += 1
- *                     else:
- *                         self._learnt_buf.push_back(q)             # <<<<<<<<<<<<<<
- *             while True:
- *                 lit = self.trail[idx]
-*/
-        /*else*/ {
-          try {
-            __pyx_v_self->_learnt_buf.push_back(__pyx_v_q);
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 426, __pyx_L1_error)
-          }
-        }
-        __pyx_L11:;
-
-        /* "maxcore/engine/_search.pyx":419
- *                 q = self.db[k]
- *                 v = q if q > 0 else -q
- *                 if not self.seen[v] and self.levels[v] > 0:             # <<<<<<<<<<<<<<
- *                     self.seen[v] = 1
- *                     self._clear_buf.push_back(v)
-*/
-      }
-    }
-
-    /* "maxcore/engine/_search.pyx":427
- *                     else:
- *                         self._learnt_buf.push_back(q)
- *             while True:             # <<<<<<<<<<<<<<
- *                 lit = self.trail[idx]
- *                 var = lit if lit > 0 else -lit
-*/
-    while (1) {
-
-      /* "maxcore/engine/_search.pyx":428
- *                         self._learnt_buf.push_back(q)
- *             while True:
- *                 lit = self.trail[idx]             # <<<<<<<<<<<<<<
- *                 var = lit if lit > 0 else -lit
- *                 if self.seen[var]:
-*/
-      __pyx_v_lit = (__pyx_v_self->trail[__pyx_v_idx]);
-
-      /* "maxcore/engine/_search.pyx":429
- *             while True:
- *                 lit = self.trail[idx]
- *                 var = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *                 if self.seen[var]:
- *                     break
-*/
-      __pyx_t_1 = (__pyx_v_lit > 0);
-      if (__pyx_t_1) {
-        __pyx_t_3 = __pyx_v_lit;
-      } else {
-        __pyx_t_3 = (-__pyx_v_lit);
-      }
-      __pyx_v_var = __pyx_t_3;
-
-      /* "maxcore/engine/_search.pyx":430
- *                 lit = self.trail[idx]
- *                 var = lit if lit > 0 else -lit
- *                 if self.seen[var]:             # <<<<<<<<<<<<<<
- *                     break
- *                 idx -= 1
-*/
-      __pyx_t_1 = ((__pyx_v_self->seen[__pyx_v_var]) != 0);
-      if (__pyx_t_1) {
-
-        /* "maxcore/engine/_search.pyx":431
- *                 var = lit if lit > 0 else -lit
- *                 if self.seen[var]:
- *                     break             # <<<<<<<<<<<<<<
- *                 idx -= 1
- *             p = self.trail[idx]
-*/
-        goto __pyx_L13_break;
-
-        /* "maxcore/engine/_search.pyx":430
- *                 lit = self.trail[idx]
- *                 var = lit if lit > 0 else -lit
- *                 if self.seen[var]:             # <<<<<<<<<<<<<<
- *                     break
- *                 idx -= 1
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":432
- *                 if self.seen[var]:
- *                     break
- *                 idx -= 1             # <<<<<<<<<<<<<<
- *             p = self.trail[idx]
- *             idx -= 1
-*/
-      __pyx_v_idx = (__pyx_v_idx - 1);
-    }
-    __pyx_L13_break:;
-
-    /* "maxcore/engine/_search.pyx":433
- *                     break
- *                 idx -= 1
- *             p = self.trail[idx]             # <<<<<<<<<<<<<<
- *             idx -= 1
- *             pv = p if p > 0 else -p
-*/
-    __pyx_v_p = (__pyx_v_self->trail[__pyx_v_idx]);
-
-    /* "maxcore/engine/_search.pyx":434
- *                 idx -= 1
- *             p = self.trail[idx]
- *             idx -= 1             # <<<<<<<<<<<<<<
- *             pv = p if p > 0 else -p
- *             confl = self.reasons[pv]
-*/
-    __pyx_v_idx = (__pyx_v_idx - 1);
-
-    /* "maxcore/engine/_search.pyx":435
- *             p = self.trail[idx]
- *             idx -= 1
- *             pv = p if p > 0 else -p             # <<<<<<<<<<<<<<
- *             confl = self.reasons[pv]
- *             self.seen[pv] = 0
-*/
-    __pyx_t_1 = (__pyx_v_p > 0);
-    if (__pyx_t_1) {
-      __pyx_t_3 = __pyx_v_p;
-    } else {
-      __pyx_t_3 = (-__pyx_v_p);
-    }
-    __pyx_v_pv = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":436
- *             idx -= 1
- *             pv = p if p > 0 else -p
- *             confl = self.reasons[pv]             # <<<<<<<<<<<<<<
- *             self.seen[pv] = 0
- *             counter -= 1
-*/
-    __pyx_v_confl = (__pyx_v_self->reasons[__pyx_v_pv]);
-
-    /* "maxcore/engine/_search.pyx":437
- *             pv = p if p > 0 else -p
- *             confl = self.reasons[pv]
- *             self.seen[pv] = 0             # <<<<<<<<<<<<<<
- *             counter -= 1
- *             if counter == 0:
-*/
-    (__pyx_v_self->seen[__pyx_v_pv]) = 0;
-
-    /* "maxcore/engine/_search.pyx":438
- *             confl = self.reasons[pv]
- *             self.seen[pv] = 0
- *             counter -= 1             # <<<<<<<<<<<<<<
- *             if counter == 0:
- *                 break
-*/
-    __pyx_v_counter = (__pyx_v_counter - 1);
-
-    /* "maxcore/engine/_search.pyx":439
- *             self.seen[pv] = 0
- *             counter -= 1
- *             if counter == 0:             # <<<<<<<<<<<<<<
- *                 break
- *         self._learnt_buf[0] = -p
-*/
-    __pyx_t_1 = (__pyx_v_counter == 0);
-    if (__pyx_t_1) {
-
-      /* "maxcore/engine/_search.pyx":440
- *             counter -= 1
- *             if counter == 0:
- *                 break             # <<<<<<<<<<<<<<
- *         self._learnt_buf[0] = -p
- *         if self._minimize_on and self._learnt_buf.size() > 1:
-*/
-      goto __pyx_L4_break;
-
-      /* "maxcore/engine/_search.pyx":439
- *             self.seen[pv] = 0
- *             counter -= 1
- *             if counter == 0:             # <<<<<<<<<<<<<<
- *                 break
- *         self._learnt_buf[0] = -p
-*/
-    }
-  }
-  __pyx_L4_break:;
-
-  /* "maxcore/engine/_search.pyx":441
- *             if counter == 0:
- *                 break
- *         self._learnt_buf[0] = -p             # <<<<<<<<<<<<<<
- *         if self._minimize_on and self._learnt_buf.size() > 1:
- *             self._minimize()
-*/
-  (__pyx_v_self->_learnt_buf[0]) = (-__pyx_v_p);
-
-  /* "maxcore/engine/_search.pyx":442
- *                 break
- *         self._learnt_buf[0] = -p
- *         if self._minimize_on and self._learnt_buf.size() > 1:             # <<<<<<<<<<<<<<
- *             self._minimize()
- *         for j in range(self._clear_buf.size()):
-*/
-  if (__pyx_v_self->_minimize_on) {
-  } else {
-    __pyx_t_1 = __pyx_v_self->_minimize_on;
-    goto __pyx_L17_bool_binop_done;
-  }
-  __pyx_t_7 = (__pyx_v_self->_learnt_buf.size() > 1);
-  __pyx_t_1 = __pyx_t_7;
-  __pyx_L17_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "maxcore/engine/_search.pyx":443
- *         self._learnt_buf[0] = -p
- *         if self._minimize_on and self._learnt_buf.size() > 1:
- *             self._minimize()             # <<<<<<<<<<<<<<
- *         for j in range(self._clear_buf.size()):
- *             self.seen[self._clear_buf[j]] = 0
-*/
-    ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_minimize(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 443, __pyx_L1_error)
-
-    /* "maxcore/engine/_search.pyx":442
- *                 break
- *         self._learnt_buf[0] = -p
- *         if self._minimize_on and self._learnt_buf.size() > 1:             # <<<<<<<<<<<<<<
- *             self._minimize()
- *         for j in range(self._clear_buf.size()):
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":444
- *         if self._minimize_on and self._learnt_buf.size() > 1:
- *             self._minimize()
- *         for j in range(self._clear_buf.size()):             # <<<<<<<<<<<<<<
- *             self.seen[self._clear_buf[j]] = 0
- *         cdef int bj = 0
-*/
-  __pyx_t_8 = __pyx_v_self->_clear_buf.size();
-  __pyx_t_9 = __pyx_t_8;
-  for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-    __pyx_v_j = __pyx_t_10;
-
-    /* "maxcore/engine/_search.pyx":445
- *             self._minimize()
- *         for j in range(self._clear_buf.size()):
- *             self.seen[self._clear_buf[j]] = 0             # <<<<<<<<<<<<<<
- *         cdef int bj = 0
- *         if self._learnt_buf.size() > 1:
-*/
-    (__pyx_v_self->seen[(__pyx_v_self->_clear_buf[__pyx_v_j])]) = 0;
-  }
-
-  /* "maxcore/engine/_search.pyx":446
- *         for j in range(self._clear_buf.size()):
- *             self.seen[self._clear_buf[j]] = 0
- *         cdef int bj = 0             # <<<<<<<<<<<<<<
- *         if self._learnt_buf.size() > 1:
- *             best = 1
-*/
-  __pyx_v_bj = 0;
-
-  /* "maxcore/engine/_search.pyx":447
- *             self.seen[self._clear_buf[j]] = 0
- *         cdef int bj = 0
- *         if self._learnt_buf.size() > 1:             # <<<<<<<<<<<<<<
- *             best = 1
- *             for k in range(2, <int>self._learnt_buf.size()):
-*/
-  __pyx_t_1 = (__pyx_v_self->_learnt_buf.size() > 1);
-  if (__pyx_t_1) {
-
-    /* "maxcore/engine/_search.pyx":448
- *         cdef int bj = 0
- *         if self._learnt_buf.size() > 1:
- *             best = 1             # <<<<<<<<<<<<<<
- *             for k in range(2, <int>self._learnt_buf.size()):
- *                 lv = self._learnt_buf[k] if self._learnt_buf[k] > 0 else -self._learnt_buf[k]
-*/
-    __pyx_v_best = 1;
-
-    /* "maxcore/engine/_search.pyx":449
- *         if self._learnt_buf.size() > 1:
- *             best = 1
- *             for k in range(2, <int>self._learnt_buf.size()):             # <<<<<<<<<<<<<<
- *                 lv = self._learnt_buf[k] if self._learnt_buf[k] > 0 else -self._learnt_buf[k]
- *                 bv = self._learnt_buf[best] if self._learnt_buf[best] > 0 else -self._learnt_buf[best]
-*/
-    __pyx_t_3 = ((int)__pyx_v_self->_learnt_buf.size());
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 2; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_k = __pyx_t_5;
-
-      /* "maxcore/engine/_search.pyx":450
- *             best = 1
- *             for k in range(2, <int>self._learnt_buf.size()):
- *                 lv = self._learnt_buf[k] if self._learnt_buf[k] > 0 else -self._learnt_buf[k]             # <<<<<<<<<<<<<<
- *                 bv = self._learnt_buf[best] if self._learnt_buf[best] > 0 else -self._learnt_buf[best]
- *                 if self.levels[lv] > self.levels[bv]:
-*/
-      __pyx_t_1 = ((__pyx_v_self->_learnt_buf[__pyx_v_k]) > 0);
-      if (__pyx_t_1) {
-        __pyx_t_6 = (__pyx_v_self->_learnt_buf[__pyx_v_k]);
-      } else {
-        __pyx_t_6 = (-(__pyx_v_self->_learnt_buf[__pyx_v_k]));
-      }
-      __pyx_v_lv = __pyx_t_6;
-
-      /* "maxcore/engine/_search.pyx":451
- *             for k in range(2, <int>self._learnt_buf.size()):
- *                 lv = self._learnt_buf[k] if self._learnt_buf[k] > 0 else -self._learnt_buf[k]
- *                 bv = self._learnt_buf[best] if self._learnt_buf[best] > 0 else -self._learnt_buf[best]             # <<<<<<<<<<<<<<
- *                 if self.levels[lv] > self.levels[bv]:
- *                     best = k
-*/
-      __pyx_t_1 = ((__pyx_v_self->_learnt_buf[__pyx_v_best]) > 0);
-      if (__pyx_t_1) {
-        __pyx_t_6 = (__pyx_v_self->_learnt_buf[__pyx_v_best]);
-      } else {
-        __pyx_t_6 = (-(__pyx_v_self->_learnt_buf[__pyx_v_best]));
-      }
-      __pyx_v_bv = __pyx_t_6;
-
-      /* "maxcore/engine/_search.pyx":452
- *                 lv = self._learnt_buf[k] if self._learnt_buf[k] > 0 else -self._learnt_buf[k]
- *                 bv = self._learnt_buf[best] if self._learnt_buf[best] > 0 else -self._learnt_buf[best]
- *                 if self.levels[lv] > self.levels[bv]:             # <<<<<<<<<<<<<<
- *                     best = k
- *             tmp = self._learnt_buf[1]
-*/
-      __pyx_t_1 = ((__pyx_v_self->levels[__pyx_v_lv]) > (__pyx_v_self->levels[__pyx_v_bv]));
-      if (__pyx_t_1) {
-
-        /* "maxcore/engine/_search.pyx":453
- *                 bv = self._learnt_buf[best] if self._learnt_buf[best] > 0 else -self._learnt_buf[best]
- *                 if self.levels[lv] > self.levels[bv]:
- *                     best = k             # <<<<<<<<<<<<<<
- *             tmp = self._learnt_buf[1]
- *             self._learnt_buf[1] = self._learnt_buf[best]
-*/
-        __pyx_v_best = __pyx_v_k;
-
-        /* "maxcore/engine/_search.pyx":452
- *                 lv = self._learnt_buf[k] if self._learnt_buf[k] > 0 else -self._learnt_buf[k]
- *                 bv = self._learnt_buf[best] if self._learnt_buf[best] > 0 else -self._learnt_buf[best]
- *                 if self.levels[lv] > self.levels[bv]:             # <<<<<<<<<<<<<<
- *                     best = k
- *             tmp = self._learnt_buf[1]
-*/
-      }
-    }
-
-    /* "maxcore/engine/_search.pyx":454
- *                 if self.levels[lv] > self.levels[bv]:
- *                     best = k
- *             tmp = self._learnt_buf[1]             # <<<<<<<<<<<<<<
- *             self._learnt_buf[1] = self._learnt_buf[best]
- *             self._learnt_buf[best] = tmp
-*/
-    __pyx_v_tmp = (__pyx_v_self->_learnt_buf[1]);
-
-    /* "maxcore/engine/_search.pyx":455
- *                     best = k
- *             tmp = self._learnt_buf[1]
- *             self._learnt_buf[1] = self._learnt_buf[best]             # <<<<<<<<<<<<<<
- *             self._learnt_buf[best] = tmp
- *             b = self._learnt_buf[1] if self._learnt_buf[1] > 0 else -self._learnt_buf[1]
-*/
-    (__pyx_v_self->_learnt_buf[1]) = (__pyx_v_self->_learnt_buf[__pyx_v_best]);
-
-    /* "maxcore/engine/_search.pyx":456
- *             tmp = self._learnt_buf[1]
- *             self._learnt_buf[1] = self._learnt_buf[best]
- *             self._learnt_buf[best] = tmp             # <<<<<<<<<<<<<<
- *             b = self._learnt_buf[1] if self._learnt_buf[1] > 0 else -self._learnt_buf[1]
- *             bj = self.levels[b]
-*/
-    (__pyx_v_self->_learnt_buf[__pyx_v_best]) = __pyx_v_tmp;
-
-    /* "maxcore/engine/_search.pyx":457
- *             self._learnt_buf[1] = self._learnt_buf[best]
- *             self._learnt_buf[best] = tmp
- *             b = self._learnt_buf[1] if self._learnt_buf[1] > 0 else -self._learnt_buf[1]             # <<<<<<<<<<<<<<
- *             bj = self.levels[b]
- *         return bj
-*/
-    __pyx_t_1 = ((__pyx_v_self->_learnt_buf[1]) > 0);
-    if (__pyx_t_1) {
-      __pyx_t_3 = (__pyx_v_self->_learnt_buf[1]);
-    } else {
-      __pyx_t_3 = (-(__pyx_v_self->_learnt_buf[1]));
-    }
-    __pyx_v_b = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":458
- *             self._learnt_buf[best] = tmp
- *             b = self._learnt_buf[1] if self._learnt_buf[1] > 0 else -self._learnt_buf[1]
- *             bj = self.levels[b]             # <<<<<<<<<<<<<<
- *         return bj
- * 
-*/
-    __pyx_v_bj = (__pyx_v_self->levels[__pyx_v_b]);
-
-    /* "maxcore/engine/_search.pyx":447
- *             self.seen[self._clear_buf[j]] = 0
- *         cdef int bj = 0
- *         if self._learnt_buf.size() > 1:             # <<<<<<<<<<<<<<
- *             best = 1
- *             for k in range(2, <int>self._learnt_buf.size()):
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":459
- *             b = self._learnt_buf[1] if self._learnt_buf[1] > 0 else -self._learnt_buf[1]
- *             bj = self.levels[b]
- *         return bj             # <<<<<<<<<<<<<<
- * 
- *     cdef void _minimize(self):
-*/
-  __pyx_r = __pyx_v_bj;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":399
- *     # conflict analysis
- * 
- *     cdef int _analyze(self, int confl) except -1:             # <<<<<<<<<<<<<<
- *         # fills _learnt_buf, returns the backjump level
- *         cdef int clevel = <int>self.trail_lim.size()
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":461
- *         return bj
- * 
- *     cdef void _minimize(self):             # <<<<<<<<<<<<<<
- *         # self-subsumption: drop tail literals whose reasons are covered
- *         cdef vector[int] kept
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__minimize(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  std::vector<int>  __pyx_v_kept;
-  size_t __pyx_v_j;
-  int __pyx_v_q;
-  int __pyx_v_v;
-  int __pyx_v_r;
-  int __pyx_v_off;
-  int __pyx_v_k;
-  int __pyx_v_w;
-  int __pyx_v_wv;
-  int __pyx_v_redundant;
-  std::vector<int> ::size_type __pyx_t_1;
-  std::vector<int> ::size_type __pyx_t_2;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":467
- *         cdef int q, v, r, off, k, w, wv
- *         cdef bint redundant
- *         for j in range(1, self._learnt_buf.size()):             # <<<<<<<<<<<<<<
- *             q = self._learnt_buf[j]
- *             self._marked[q if q > 0 else -q] = 1
-*/
-  __pyx_t_1 = __pyx_v_self->_learnt_buf.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 1; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":468
- *         cdef bint redundant
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]             # <<<<<<<<<<<<<<
- *             self._marked[q if q > 0 else -q] = 1
- *         kept.push_back(self._learnt_buf[0])
-*/
-    __pyx_v_q = (__pyx_v_self->_learnt_buf[__pyx_v_j]);
-
-    /* "maxcore/engine/_search.pyx":469
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]
- *             self._marked[q if q > 0 else -q] = 1             # <<<<<<<<<<<<<<
- *         kept.push_back(self._learnt_buf[0])
- *         for j in range(1, self._learnt_buf.size()):
-*/
-    __pyx_t_5 = (__pyx_v_q > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_q;
-    } else {
-      __pyx_t_4 = (-__pyx_v_q);
-    }
-    (__pyx_v_self->_marked[__pyx_t_4]) = 1;
-  }
-
-  /* "maxcore/engine/_search.pyx":470
- *             q = self._learnt_buf[j]
- *             self._marked[q if q > 0 else -q] = 1
- *         kept.push_back(self._learnt_buf[0])             # <<<<<<<<<<<<<<
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]
-*/
-  try {
-    __pyx_v_kept.push_back((__pyx_v_self->_learnt_buf[0]));
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 470, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":471
- *             self._marked[q if q > 0 else -q] = 1
- *         kept.push_back(self._learnt_buf[0])
- *         for j in range(1, self._learnt_buf.size()):             # <<<<<<<<<<<<<<
- *             q = self._learnt_buf[j]
- *             v = q if q > 0 else -q
-*/
-  __pyx_t_1 = __pyx_v_self->_learnt_buf.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 1; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":472
- *         kept.push_back(self._learnt_buf[0])
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]             # <<<<<<<<<<<<<<
- *             v = q if q > 0 else -q
- *             r = self.reasons[v]
-*/
-    __pyx_v_q = (__pyx_v_self->_learnt_buf[__pyx_v_j]);
-
-    /* "maxcore/engine/_search.pyx":473
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]
- *             v = q if q > 0 else -q             # <<<<<<<<<<<<<<
- *             r = self.reasons[v]
- *             if r < 0:
-*/
-    __pyx_t_5 = (__pyx_v_q > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_q;
-    } else {
-      __pyx_t_4 = (-__pyx_v_q);
-    }
-    __pyx_v_v = __pyx_t_4;
-
-    /* "maxcore/engine/_search.pyx":474
- *             q = self._learnt_buf[j]
- *             v = q if q > 0 else -q
- *             r = self.reasons[v]             # <<<<<<<<<<<<<<
- *             if r < 0:
- *                 kept.push_back(q)
-*/
-    __pyx_v_r = (__pyx_v_self->reasons[__pyx_v_v]);
-
-    /* "maxcore/engine/_search.pyx":475
- *             v = q if q > 0 else -q
- *             r = self.reasons[v]
- *             if r < 0:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *                 continue
-*/
-    __pyx_t_5 = (__pyx_v_r < 0);
-    if (__pyx_t_5) {
-
-      /* "maxcore/engine/_search.pyx":476
- *             r = self.reasons[v]
- *             if r < 0:
- *                 kept.push_back(q)             # <<<<<<<<<<<<<<
- *                 continue
- *             off = self.c_off[r]
-*/
-      try {
-        __pyx_v_kept.push_back(__pyx_v_q);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 476, __pyx_L1_error)
-      }
-
-      /* "maxcore/engine/_search.pyx":477
- *             if r < 0:
- *                 kept.push_back(q)
- *                 continue             # <<<<<<<<<<<<<<
- *             off = self.c_off[r]
- *             redundant = True
-*/
-      goto __pyx_L5_continue;
-
-      /* "maxcore/engine/_search.pyx":475
- *             v = q if q > 0 else -q
- *             r = self.reasons[v]
- *             if r < 0:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *                 continue
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":478
- *                 kept.push_back(q)
- *                 continue
- *             off = self.c_off[r]             # <<<<<<<<<<<<<<
- *             redundant = True
- *             for k in range(off, off + self.c_len[r]):
-*/
-    __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_r]);
-
-    /* "maxcore/engine/_search.pyx":479
- *                 continue
- *             off = self.c_off[r]
- *             redundant = True             # <<<<<<<<<<<<<<
- *             for k in range(off, off + self.c_len[r]):
- *                 w = self.db[k]
-*/
-    __pyx_v_redundant = 1;
-
-    /* "maxcore/engine/_search.pyx":480
- *             off = self.c_off[r]
- *             redundant = True
- *             for k in range(off, off + self.c_len[r]):             # <<<<<<<<<<<<<<
- *                 w = self.db[k]
- *                 wv = w if w > 0 else -w
-*/
-    __pyx_t_4 = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_v_r]));
-    __pyx_t_6 = __pyx_t_4;
-    for (__pyx_t_7 = __pyx_v_off; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-      __pyx_v_k = __pyx_t_7;
-
-      /* "maxcore/engine/_search.pyx":481
- *             redundant = True
- *             for k in range(off, off + self.c_len[r]):
- *                 w = self.db[k]             # <<<<<<<<<<<<<<
- *                 wv = w if w > 0 else -w
- *                 if wv == v:
-*/
-      __pyx_v_w = (__pyx_v_self->db[__pyx_v_k]);
-
-      /* "maxcore/engine/_search.pyx":482
- *             for k in range(off, off + self.c_len[r]):
- *                 w = self.db[k]
- *                 wv = w if w > 0 else -w             # <<<<<<<<<<<<<<
- *                 if wv == v:
- *                     continue
-*/
-      __pyx_t_5 = (__pyx_v_w > 0);
-      if (__pyx_t_5) {
-        __pyx_t_8 = __pyx_v_w;
-      } else {
-        __pyx_t_8 = (-__pyx_v_w);
-      }
-      __pyx_v_wv = __pyx_t_8;
-
-      /* "maxcore/engine/_search.pyx":483
- *                 w = self.db[k]
- *                 wv = w if w > 0 else -w
- *                 if wv == v:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if self.levels[wv] > 0 and not self._marked[wv]:
-*/
-      __pyx_t_5 = (__pyx_v_wv == __pyx_v_v);
-      if (__pyx_t_5) {
-
-        /* "maxcore/engine/_search.pyx":484
- *                 wv = w if w > 0 else -w
- *                 if wv == v:
- *                     continue             # <<<<<<<<<<<<<<
- *                 if self.levels[wv] > 0 and not self._marked[wv]:
- *                     redundant = False
-*/
-        goto __pyx_L8_continue;
-
-        /* "maxcore/engine/_search.pyx":483
- *                 w = self.db[k]
- *                 wv = w if w > 0 else -w
- *                 if wv == v:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if self.levels[wv] > 0 and not self._marked[wv]:
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":485
- *                 if wv == v:
- *                     continue
- *                 if self.levels[wv] > 0 and not self._marked[wv]:             # <<<<<<<<<<<<<<
- *                     redundant = False
- *                     break
-*/
-      __pyx_t_9 = ((__pyx_v_self->levels[__pyx_v_wv]) > 0);
-      if (__pyx_t_9) {
-      } else {
-        __pyx_t_5 = __pyx_t_9;
-        goto __pyx_L12_bool_binop_done;
-      }
-      __pyx_t_9 = (!((__pyx_v_self->_marked[__pyx_v_wv]) != 0));
-      __pyx_t_5 = __pyx_t_9;
-      __pyx_L12_bool_binop_done:;
-      if (__pyx_t_5) {
-
-        /* "maxcore/engine/_search.pyx":486
- *                     continue
- *                 if self.levels[wv] > 0 and not self._marked[wv]:
- *                     redundant = False             # <<<<<<<<<<<<<<
- *                     break
- *             if not redundant:
-*/
-        __pyx_v_redundant = 0;
-
-        /* "maxcore/engine/_search.pyx":487
- *                 if self.levels[wv] > 0 and not self._marked[wv]:
- *                     redundant = False
- *                     break             # <<<<<<<<<<<<<<
- *             if not redundant:
- *                 kept.push_back(q)
-*/
-        goto __pyx_L9_break;
-
-        /* "maxcore/engine/_search.pyx":485
- *                 if wv == v:
- *                     continue
- *                 if self.levels[wv] > 0 and not self._marked[wv]:             # <<<<<<<<<<<<<<
- *                     redundant = False
- *                     break
-*/
-      }
-      __pyx_L8_continue:;
-    }
-    __pyx_L9_break:;
-
-    /* "maxcore/engine/_search.pyx":488
- *                     redundant = False
- *                     break
- *             if not redundant:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *         for j in range(1, self._learnt_buf.size()):
-*/
-    __pyx_t_5 = (!__pyx_v_redundant);
-    if (__pyx_t_5) {
-
-      /* "maxcore/engine/_search.pyx":489
- *                     break
- *             if not redundant:
- *                 kept.push_back(q)             # <<<<<<<<<<<<<<
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]
-*/
-      try {
-        __pyx_v_kept.push_back(__pyx_v_q);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 489, __pyx_L1_error)
-      }
-
-      /* "maxcore/engine/_search.pyx":488
- *                     redundant = False
- *                     break
- *             if not redundant:             # <<<<<<<<<<<<<<
- *                 kept.push_back(q)
- *         for j in range(1, self._learnt_buf.size()):
-*/
-    }
-    __pyx_L5_continue:;
-  }
-
-  /* "maxcore/engine/_search.pyx":490
- *             if not redundant:
- *                 kept.push_back(q)
- *         for j in range(1, self._learnt_buf.size()):             # <<<<<<<<<<<<<<
- *             q = self._learnt_buf[j]
- *             self._marked[q if q > 0 else -q] = 0
-*/
-  __pyx_t_1 = __pyx_v_self->_learnt_buf.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 1; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":491
- *                 kept.push_back(q)
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]             # <<<<<<<<<<<<<<
- *             self._marked[q if q > 0 else -q] = 0
- *         self._learnt_buf.swap(kept)
-*/
-    __pyx_v_q = (__pyx_v_self->_learnt_buf[__pyx_v_j]);
-
-    /* "maxcore/engine/_search.pyx":492
- *         for j in range(1, self._learnt_buf.size()):
- *             q = self._learnt_buf[j]
- *             self._marked[q if q > 0 else -q] = 0             # <<<<<<<<<<<<<<
- *         self._learnt_buf.swap(kept)
- * 
-*/
-    __pyx_t_5 = (__pyx_v_q > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_q;
-    } else {
-      __pyx_t_4 = (-__pyx_v_q);
-    }
-    (__pyx_v_self->_marked[__pyx_t_4]) = 0;
-  }
-
-  /* "maxcore/engine/_search.pyx":493
- *             q = self._learnt_buf[j]
- *             self._marked[q if q > 0 else -q] = 0
- *         self._learnt_buf.swap(kept)             # <<<<<<<<<<<<<<
- * 
- *     cdef list _analyze_final_clause(self, int confl):
-*/
-  __pyx_v_self->_learnt_buf.swap(__pyx_v_kept);
-
-  /* "maxcore/engine/_search.pyx":461
- *         return bj
- * 
- *     cdef void _minimize(self):             # <<<<<<<<<<<<<<
- *         # self-subsumption: drop tail literals whose reasons are covered
- *         cdef vector[int] kept
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._minimize", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":527
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *         return core
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_21_analyze_final_clause_lambda(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_21_analyze_final_clause_lambda = {"lambda", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_21_analyze_final_clause_lambda, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_21_analyze_final_clause_lambda(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_l = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("lambda (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_l,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 527, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 527, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "lambda", 0) < (0)) __PYX_ERR(0, 527, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("lambda", 1, 1, 1, i); __PYX_ERR(0, 527, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 527, __pyx_L3_error)
-    }
-    __pyx_v_l = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("lambda", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 527, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_clause.lambda", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_lambda_funcdef_lambda(__pyx_self, __pyx_v_l);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_lambda_funcdef_lambda(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lambda", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = PyObject_RichCompare(__pyx_v_l, __pyx_mstate_global->__pyx_int_0, Py_GT); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 527, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 527, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (__pyx_t_3) {
-    __Pyx_INCREF(__pyx_v_l);
-    __pyx_t_1 = __pyx_v_l;
-  } else {
-    __pyx_t_2 = PyNumber_Negative(__pyx_v_l); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 527, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_t_2 = 0;
-  }
-  __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 527, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 527, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_l);
-  __Pyx_GIVEREF(__pyx_v_l);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_v_l) != (0)) __PYX_ERR(0, 527, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_clause.lambda", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":495
- *         self._learnt_buf.swap(kept)
- * 
- *     cdef list _analyze_final_clause(self, int confl):             # <<<<<<<<<<<<<<
- *         # conflict whose literals all sit at the assumption level or below
- *         cdef list core = []
-*/
-
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze_final_clause(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_confl) {
-  PyObject *__pyx_v_core = 0;
-  std::vector<int>  __pyx_v_stack;
-  std::vector<int>  __pyx_v_touched;
-  int __pyx_v_off;
-  int __pyx_v_k;
-  int __pyx_v_q;
-  int __pyx_v_v;
-  int __pyx_v_r;
-  int __pyx_v_u;
-  size_t __pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  std::vector<int> ::size_type __pyx_t_9;
-  std::vector<int> ::size_type __pyx_t_10;
-  size_t __pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_analyze_final_clause", 0);
-
-  /* "maxcore/engine/_search.pyx":497
- *     cdef list _analyze_final_clause(self, int confl):
- *         # conflict whose literals all sit at the assumption level or below
- *         cdef list core = []             # <<<<<<<<<<<<<<
- *         cdef vector[int] stack
- *         cdef vector[int] touched
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 497, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_core = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":502
- *         cdef int off, k, q, v, r, u
- *         cdef size_t j
- *         off = self.c_off[confl]             # <<<<<<<<<<<<<<
- *         for k in range(off, off + self.c_len[confl]):
- *             q = self.db[k]
-*/
-  __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_confl]);
-
-  /* "maxcore/engine/_search.pyx":503
- *         cdef size_t j
- *         off = self.c_off[confl]
- *         for k in range(off, off + self.c_len[confl]):             # <<<<<<<<<<<<<<
- *             q = self.db[k]
- *             v = q if q > 0 else -q
-*/
-  __pyx_t_2 = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_v_confl]));
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = __pyx_v_off; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_k = __pyx_t_4;
-
-    /* "maxcore/engine/_search.pyx":504
- *         off = self.c_off[confl]
- *         for k in range(off, off + self.c_len[confl]):
- *             q = self.db[k]             # <<<<<<<<<<<<<<
- *             v = q if q > 0 else -q
- *             if self.levels[v] > 0 and not self.seen[v]:
-*/
-    __pyx_v_q = (__pyx_v_self->db[__pyx_v_k]);
-
-    /* "maxcore/engine/_search.pyx":505
- *         for k in range(off, off + self.c_len[confl]):
- *             q = self.db[k]
- *             v = q if q > 0 else -q             # <<<<<<<<<<<<<<
- *             if self.levels[v] > 0 and not self.seen[v]:
- *                 self.seen[v] = 1
-*/
-    __pyx_t_6 = (__pyx_v_q > 0);
-    if (__pyx_t_6) {
-      __pyx_t_5 = __pyx_v_q;
-    } else {
-      __pyx_t_5 = (-__pyx_v_q);
-    }
-    __pyx_v_v = __pyx_t_5;
-
-    /* "maxcore/engine/_search.pyx":506
- *             q = self.db[k]
- *             v = q if q > 0 else -q
- *             if self.levels[v] > 0 and not self.seen[v]:             # <<<<<<<<<<<<<<
- *                 self.seen[v] = 1
- *                 stack.push_back(v)
-*/
-    __pyx_t_7 = ((__pyx_v_self->levels[__pyx_v_v]) > 0);
-    if (__pyx_t_7) {
-    } else {
-      __pyx_t_6 = __pyx_t_7;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_7 = (!((__pyx_v_self->seen[__pyx_v_v]) != 0));
-    __pyx_t_6 = __pyx_t_7;
-    __pyx_L6_bool_binop_done:;
-    if (__pyx_t_6) {
-
-      /* "maxcore/engine/_search.pyx":507
- *             v = q if q > 0 else -q
- *             if self.levels[v] > 0 and not self.seen[v]:
- *                 self.seen[v] = 1             # <<<<<<<<<<<<<<
- *                 stack.push_back(v)
- *                 touched.push_back(v)
-*/
-      (__pyx_v_self->seen[__pyx_v_v]) = 1;
-
-      /* "maxcore/engine/_search.pyx":508
- *             if self.levels[v] > 0 and not self.seen[v]:
- *                 self.seen[v] = 1
- *                 stack.push_back(v)             # <<<<<<<<<<<<<<
- *                 touched.push_back(v)
- *         while stack.size() > 0:
-*/
-      try {
-        __pyx_v_stack.push_back(__pyx_v_v);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 508, __pyx_L1_error)
-      }
-
-      /* "maxcore/engine/_search.pyx":509
- *                 self.seen[v] = 1
- *                 stack.push_back(v)
- *                 touched.push_back(v)             # <<<<<<<<<<<<<<
- *         while stack.size() > 0:
- *             v = stack.back()
-*/
-      try {
-        __pyx_v_touched.push_back(__pyx_v_v);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 509, __pyx_L1_error)
-      }
-
-      /* "maxcore/engine/_search.pyx":506
- *             q = self.db[k]
- *             v = q if q > 0 else -q
- *             if self.levels[v] > 0 and not self.seen[v]:             # <<<<<<<<<<<<<<
- *                 self.seen[v] = 1
- *                 stack.push_back(v)
-*/
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":510
- *                 stack.push_back(v)
- *                 touched.push_back(v)
- *         while stack.size() > 0:             # <<<<<<<<<<<<<<
- *             v = stack.back()
- *             stack.pop_back()
-*/
-  while (1) {
-    __pyx_t_6 = (__pyx_v_stack.size() > 0);
-    if (!__pyx_t_6) break;
-
-    /* "maxcore/engine/_search.pyx":511
- *                 touched.push_back(v)
- *         while stack.size() > 0:
- *             v = stack.back()             # <<<<<<<<<<<<<<
- *             stack.pop_back()
- *             r = self.reasons[v]
-*/
-    __pyx_v_v = __pyx_v_stack.back();
-
-    /* "maxcore/engine/_search.pyx":512
- *         while stack.size() > 0:
- *             v = stack.back()
- *             stack.pop_back()             # <<<<<<<<<<<<<<
- *             r = self.reasons[v]
- *             if r < 0:
-*/
-    __pyx_v_stack.pop_back();
-
-    /* "maxcore/engine/_search.pyx":513
- *             v = stack.back()
- *             stack.pop_back()
- *             r = self.reasons[v]             # <<<<<<<<<<<<<<
- *             if r < 0:
- *                 core.append(self.values[v] * v)
-*/
-    __pyx_v_r = (__pyx_v_self->reasons[__pyx_v_v]);
-
-    /* "maxcore/engine/_search.pyx":514
- *             stack.pop_back()
- *             r = self.reasons[v]
- *             if r < 0:             # <<<<<<<<<<<<<<
- *                 core.append(self.values[v] * v)
- *                 continue
-*/
-    __pyx_t_6 = (__pyx_v_r < 0);
-    if (__pyx_t_6) {
-
-      /* "maxcore/engine/_search.pyx":515
- *             r = self.reasons[v]
- *             if r < 0:
- *                 core.append(self.values[v] * v)             # <<<<<<<<<<<<<<
- *                 continue
- *             off = self.c_off[r]
-*/
-      __pyx_t_1 = __Pyx_PyLong_From_int(((__pyx_v_self->values[__pyx_v_v]) * __pyx_v_v)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 515, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_8 = __Pyx_PyList_Append(__pyx_v_core, __pyx_t_1); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 515, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-      /* "maxcore/engine/_search.pyx":516
- *             if r < 0:
- *                 core.append(self.values[v] * v)
- *                 continue             # <<<<<<<<<<<<<<
- *             off = self.c_off[r]
- *             for k in range(off, off + self.c_len[r]):
-*/
-      goto __pyx_L8_continue;
-
-      /* "maxcore/engine/_search.pyx":514
- *             stack.pop_back()
- *             r = self.reasons[v]
- *             if r < 0:             # <<<<<<<<<<<<<<
- *                 core.append(self.values[v] * v)
- *                 continue
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":517
- *                 core.append(self.values[v] * v)
- *                 continue
- *             off = self.c_off[r]             # <<<<<<<<<<<<<<
- *             for k in range(off, off + self.c_len[r]):
- *                 q = self.db[k]
-*/
-    __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_r]);
-
-    /* "maxcore/engine/_search.pyx":518
- *                 continue
- *             off = self.c_off[r]
- *             for k in range(off, off + self.c_len[r]):             # <<<<<<<<<<<<<<
- *                 q = self.db[k]
- *                 u = q if q > 0 else -q
-*/
-    __pyx_t_2 = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_v_r]));
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = __pyx_v_off; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_k = __pyx_t_4;
-
-      /* "maxcore/engine/_search.pyx":519
- *             off = self.c_off[r]
- *             for k in range(off, off + self.c_len[r]):
- *                 q = self.db[k]             # <<<<<<<<<<<<<<
- *                 u = q if q > 0 else -q
- *                 if u != v and self.levels[u] > 0 and not self.seen[u]:
-*/
-      __pyx_v_q = (__pyx_v_self->db[__pyx_v_k]);
-
-      /* "maxcore/engine/_search.pyx":520
- *             for k in range(off, off + self.c_len[r]):
- *                 q = self.db[k]
- *                 u = q if q > 0 else -q             # <<<<<<<<<<<<<<
- *                 if u != v and self.levels[u] > 0 and not self.seen[u]:
- *                     self.seen[u] = 1
-*/
-      __pyx_t_6 = (__pyx_v_q > 0);
-      if (__pyx_t_6) {
-        __pyx_t_5 = __pyx_v_q;
-      } else {
-        __pyx_t_5 = (-__pyx_v_q);
-      }
-      __pyx_v_u = __pyx_t_5;
-
-      /* "maxcore/engine/_search.pyx":521
- *                 q = self.db[k]
- *                 u = q if q > 0 else -q
- *                 if u != v and self.levels[u] > 0 and not self.seen[u]:             # <<<<<<<<<<<<<<
- *                     self.seen[u] = 1
- *                     stack.push_back(u)
-*/
-      __pyx_t_7 = (__pyx_v_u != __pyx_v_v);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L14_bool_binop_done;
-      }
-      __pyx_t_7 = ((__pyx_v_self->levels[__pyx_v_u]) > 0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L14_bool_binop_done;
-      }
-      __pyx_t_7 = (!((__pyx_v_self->seen[__pyx_v_u]) != 0));
-      __pyx_t_6 = __pyx_t_7;
-      __pyx_L14_bool_binop_done:;
-      if (__pyx_t_6) {
-
-        /* "maxcore/engine/_search.pyx":522
- *                 u = q if q > 0 else -q
- *                 if u != v and self.levels[u] > 0 and not self.seen[u]:
- *                     self.seen[u] = 1             # <<<<<<<<<<<<<<
- *                     stack.push_back(u)
- *                     touched.push_back(u)
-*/
-        (__pyx_v_self->seen[__pyx_v_u]) = 1;
-
-        /* "maxcore/engine/_search.pyx":523
- *                 if u != v and self.levels[u] > 0 and not self.seen[u]:
- *                     self.seen[u] = 1
- *                     stack.push_back(u)             # <<<<<<<<<<<<<<
- *                     touched.push_back(u)
- *         for j in range(touched.size()):
-*/
-        try {
-          __pyx_v_stack.push_back(__pyx_v_u);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 523, __pyx_L1_error)
-        }
-
-        /* "maxcore/engine/_search.pyx":524
- *                     self.seen[u] = 1
- *                     stack.push_back(u)
- *                     touched.push_back(u)             # <<<<<<<<<<<<<<
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0
-*/
-        try {
-          __pyx_v_touched.push_back(__pyx_v_u);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 524, __pyx_L1_error)
-        }
-
-        /* "maxcore/engine/_search.pyx":521
- *                 q = self.db[k]
- *                 u = q if q > 0 else -q
- *                 if u != v and self.levels[u] > 0 and not self.seen[u]:             # <<<<<<<<<<<<<<
- *                     self.seen[u] = 1
- *                     stack.push_back(u)
-*/
-      }
-    }
-    __pyx_L8_continue:;
-  }
-
-  /* "maxcore/engine/_search.pyx":525
- *                     stack.push_back(u)
- *                     touched.push_back(u)
- *         for j in range(touched.size()):             # <<<<<<<<<<<<<<
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))
-*/
-  __pyx_t_9 = __pyx_v_touched.size();
-  __pyx_t_10 = __pyx_t_9;
-  for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-    __pyx_v_j = __pyx_t_11;
-
-    /* "maxcore/engine/_search.pyx":526
- *                     touched.push_back(u)
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0             # <<<<<<<<<<<<<<
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))
- *         return core
-*/
-    (__pyx_v_self->seen[(__pyx_v_touched[__pyx_v_j])]) = 0;
-  }
-
-  /* "maxcore/engine/_search.pyx":527
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *         return core
- * 
-*/
-  __pyx_t_12 = __pyx_v_core;
-  __Pyx_INCREF(__pyx_t_12);
-  __pyx_t_13 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_21_analyze_final_clause_lambda, 0, __pyx_mstate_global->__pyx_n_u_SearchCore__analyze_final_clause, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 527, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __pyx_t_11 = 0;
-  {
-    PyObject *__pyx_callargs[2 + ((CYTHON_VECTORCALL) ? 1 : 0)] = {__pyx_t_12, NULL};
-    __pyx_t_14 = __Pyx_MakeVectorcallBuilderKwds(1); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 527, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_14);
-    if (__Pyx_VectorcallBuilder_AddArg(__pyx_mstate_global->__pyx_n_u_key, __pyx_t_13, __pyx_t_14, __pyx_callargs+1, 0) < (0)) __PYX_ERR(0, 527, __pyx_L1_error)
-    __pyx_t_1 = __Pyx_Object_VectorcallMethod_CallFromBuilder((PyObject*)__pyx_mstate_global->__pyx_n_u_sort, __pyx_callargs+__pyx_t_11, (1-__pyx_t_11) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET), __pyx_t_14);
-    __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 527, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":528
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))
- *         return core             # <<<<<<<<<<<<<<
- * 
- *     cdef list _analyze_final_lit(self, int failed):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_core);
-  __pyx_r = __pyx_v_core;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":495
- *         self._learnt_buf.swap(kept)
- * 
- *     cdef list _analyze_final_clause(self, int confl):             # <<<<<<<<<<<<<<
- *         # conflict whose literals all sit at the assumption level or below
- *         cdef list core = []
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_clause", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_core);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":540
- *         v = -failed if failed < 0 else failed
- *         if self.levels[v] == 0:
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *             return core
- *         if self.reasons[v] < 0:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_lambda1(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_lambda1 = {"lambda1", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_lambda1, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_lambda1(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_l = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("lambda1 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_l,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 540, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 540, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "lambda1", 0) < (0)) __PYX_ERR(0, 540, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("lambda1", 1, 1, 1, i); __PYX_ERR(0, 540, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 540, __pyx_L3_error)
-    }
-    __pyx_v_l = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("lambda1", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 540, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_lit.lambda1", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_lambda_funcdef_lambda1(__pyx_self, __pyx_v_l);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_lambda_funcdef_lambda1(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lambda1", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = PyObject_RichCompare(__pyx_v_l, __pyx_mstate_global->__pyx_int_0, Py_GT); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 540, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 540, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (__pyx_t_3) {
-    __Pyx_INCREF(__pyx_v_l);
-    __pyx_t_1 = __pyx_v_l;
-  } else {
-    __pyx_t_2 = PyNumber_Negative(__pyx_v_l); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 540, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_t_2 = 0;
-  }
-  __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 540, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 540, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_l);
-  __Pyx_GIVEREF(__pyx_v_l);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_v_l) != (0)) __PYX_ERR(0, 540, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_lit.lambda1", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":544
- *         if self.reasons[v] < 0:
- *             core.append(self.values[v] * v)
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *             return core
- *         stack.push_back(v)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_1lambda2(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_1lambda2 = {"lambda2", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_1lambda2, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_1lambda2(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_l = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("lambda2 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_l,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 544, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 544, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "lambda2", 0) < (0)) __PYX_ERR(0, 544, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("lambda2", 1, 1, 1, i); __PYX_ERR(0, 544, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 544, __pyx_L3_error)
-    }
-    __pyx_v_l = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("lambda2", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 544, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_lit.lambda2", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_lambda_funcdef_lambda2(__pyx_self, __pyx_v_l);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_lambda_funcdef_lambda2(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lambda2", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = PyObject_RichCompare(__pyx_v_l, __pyx_mstate_global->__pyx_int_0, Py_GT); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 544, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 544, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (__pyx_t_3) {
-    __Pyx_INCREF(__pyx_v_l);
-    __pyx_t_1 = __pyx_v_l;
-  } else {
-    __pyx_t_2 = PyNumber_Negative(__pyx_v_l); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 544, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_t_2 = 0;
-  }
-  __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 544, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 544, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_l);
-  __Pyx_GIVEREF(__pyx_v_l);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_v_l) != (0)) __PYX_ERR(0, 544, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_lit.lambda2", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":568
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *         return core
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_2lambda3(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_2lambda3 = {"lambda3", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_2lambda3, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_2lambda3(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_l = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("lambda3 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_l,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 568, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 568, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "lambda3", 0) < (0)) __PYX_ERR(0, 568, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("lambda3", 1, 1, 1, i); __PYX_ERR(0, 568, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 568, __pyx_L3_error)
-    }
-    __pyx_v_l = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("lambda3", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 568, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_lit.lambda3", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_lambda_funcdef_lambda3(__pyx_self, __pyx_v_l);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_lambda_funcdef_lambda3(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_l) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lambda3", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_2 = PyObject_RichCompare(__pyx_v_l, __pyx_mstate_global->__pyx_int_0, Py_GT); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 568, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 568, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (__pyx_t_3) {
-    __Pyx_INCREF(__pyx_v_l);
-    __pyx_t_1 = __pyx_v_l;
-  } else {
-    __pyx_t_2 = PyNumber_Negative(__pyx_v_l); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 568, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_t_2 = 0;
-  }
-  __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 568, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 568, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_l);
-  __Pyx_GIVEREF(__pyx_v_l);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_v_l) != (0)) __PYX_ERR(0, 568, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_lit.lambda3", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":530
- *         return core
- * 
- *     cdef list _analyze_final_lit(self, int failed):             # <<<<<<<<<<<<<<
- *         # `failed` is an assumption found false at enqueue time
- *         cdef list core = [failed]
-*/
-
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze_final_lit(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_failed) {
-  PyObject *__pyx_v_core = 0;
-  std::vector<int>  __pyx_v_stack;
-  std::vector<int>  __pyx_v_touched;
-  int __pyx_v_v;
-  int __pyx_v_u;
-  int __pyx_v_r;
-  int __pyx_v_off;
-  int __pyx_v_k;
-  int __pyx_v_q;
-  int __pyx_v_w;
-  size_t __pyx_v_j;
-  int __pyx_v_first;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  std::vector<int> ::size_type __pyx_t_13;
-  std::vector<int> ::size_type __pyx_t_14;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_analyze_final_lit", 0);
-
-  /* "maxcore/engine/_search.pyx":532
- *     cdef list _analyze_final_lit(self, int failed):
- *         # `failed` is an assumption found false at enqueue time
- *         cdef list core = [failed]             # <<<<<<<<<<<<<<
- *         cdef vector[int] stack
- *         cdef vector[int] touched
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_failed); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 532, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = PyList_New(1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 532, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_2, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 532, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_v_core = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":538
- *         cdef size_t j
- *         cdef bint first
- *         v = -failed if failed < 0 else failed             # <<<<<<<<<<<<<<
- *         if self.levels[v] == 0:
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
-*/
-  __pyx_t_4 = (__pyx_v_failed < 0);
-  if (__pyx_t_4) {
-    __pyx_t_3 = (-__pyx_v_failed);
-  } else {
-    __pyx_t_3 = __pyx_v_failed;
-  }
-  __pyx_v_v = __pyx_t_3;
-
-  /* "maxcore/engine/_search.pyx":539
- *         cdef bint first
- *         v = -failed if failed < 0 else failed
- *         if self.levels[v] == 0:             # <<<<<<<<<<<<<<
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core
-*/
-  __pyx_t_4 = ((__pyx_v_self->levels[__pyx_v_v]) == 0);
-  if (__pyx_t_4) {
-
-    /* "maxcore/engine/_search.pyx":540
- *         v = -failed if failed < 0 else failed
- *         if self.levels[v] == 0:
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *             return core
- *         if self.reasons[v] < 0:
-*/
-    __pyx_t_1 = __pyx_v_core;
-    __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_5 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_lambda1, 0, __pyx_mstate_global->__pyx_n_u_SearchCore__analyze_final_lit_lo, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 540, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = 0;
-    {
-      PyObject *__pyx_callargs[2 + ((CYTHON_VECTORCALL) ? 1 : 0)] = {__pyx_t_1, NULL};
-      __pyx_t_7 = __Pyx_MakeVectorcallBuilderKwds(1); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 540, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      if (__Pyx_VectorcallBuilder_AddArg(__pyx_mstate_global->__pyx_n_u_key, __pyx_t_5, __pyx_t_7, __pyx_callargs+1, 0) < (0)) __PYX_ERR(0, 540, __pyx_L1_error)
-      __pyx_t_2 = __Pyx_Object_VectorcallMethod_CallFromBuilder((PyObject*)__pyx_mstate_global->__pyx_n_u_sort, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET), __pyx_t_7);
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 540, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "maxcore/engine/_search.pyx":541
- *         if self.levels[v] == 0:
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core             # <<<<<<<<<<<<<<
- *         if self.reasons[v] < 0:
- *             core.append(self.values[v] * v)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_core);
-    __pyx_r = __pyx_v_core;
-    goto __pyx_L0;
-
-    /* "maxcore/engine/_search.pyx":539
- *         cdef bint first
- *         v = -failed if failed < 0 else failed
- *         if self.levels[v] == 0:             # <<<<<<<<<<<<<<
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":542
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core
- *         if self.reasons[v] < 0:             # <<<<<<<<<<<<<<
- *             core.append(self.values[v] * v)
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
-*/
-  __pyx_t_4 = ((__pyx_v_self->reasons[__pyx_v_v]) < 0);
-  if (__pyx_t_4) {
-
-    /* "maxcore/engine/_search.pyx":543
- *             return core
- *         if self.reasons[v] < 0:
- *             core.append(self.values[v] * v)             # <<<<<<<<<<<<<<
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core
-*/
-    __pyx_t_2 = __Pyx_PyLong_From_int(((__pyx_v_self->values[__pyx_v_v]) * __pyx_v_v)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 543, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_8 = __Pyx_PyList_Append(__pyx_v_core, __pyx_t_2); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 543, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "maxcore/engine/_search.pyx":544
- *         if self.reasons[v] < 0:
- *             core.append(self.values[v] * v)
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *             return core
- *         stack.push_back(v)
-*/
-    __pyx_t_7 = __pyx_v_core;
-    __Pyx_INCREF(__pyx_t_7);
-    __pyx_t_5 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_1lambda2, 0, __pyx_mstate_global->__pyx_n_u_SearchCore__analyze_final_lit_lo, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 544, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = 0;
-    {
-      PyObject *__pyx_callargs[2 + ((CYTHON_VECTORCALL) ? 1 : 0)] = {__pyx_t_7, NULL};
-      __pyx_t_1 = __Pyx_MakeVectorcallBuilderKwds(1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 544, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      if (__Pyx_VectorcallBuilder_AddArg(__pyx_mstate_global->__pyx_n_u_key, __pyx_t_5, __pyx_t_1, __pyx_callargs+1, 0) < (0)) __PYX_ERR(0, 544, __pyx_L1_error)
-      __pyx_t_2 = __Pyx_Object_VectorcallMethod_CallFromBuilder((PyObject*)__pyx_mstate_global->__pyx_n_u_sort, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET), __pyx_t_1);
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 544, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "maxcore/engine/_search.pyx":545
- *             core.append(self.values[v] * v)
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core             # <<<<<<<<<<<<<<
- *         stack.push_back(v)
- *         self.seen[v] = 1
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_core);
-    __pyx_r = __pyx_v_core;
-    goto __pyx_L0;
-
-    /* "maxcore/engine/_search.pyx":542
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core
- *         if self.reasons[v] < 0:             # <<<<<<<<<<<<<<
- *             core.append(self.values[v] * v)
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":546
- *             core.sort(key=lambda l: (l if l > 0 else -l, l))
- *             return core
- *         stack.push_back(v)             # <<<<<<<<<<<<<<
- *         self.seen[v] = 1
- *         touched.push_back(v)
-*/
-  try {
-    __pyx_v_stack.push_back(__pyx_v_v);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 546, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":547
- *             return core
- *         stack.push_back(v)
- *         self.seen[v] = 1             # <<<<<<<<<<<<<<
- *         touched.push_back(v)
- *         first = True
-*/
-  (__pyx_v_self->seen[__pyx_v_v]) = 1;
-
-  /* "maxcore/engine/_search.pyx":548
- *         stack.push_back(v)
- *         self.seen[v] = 1
- *         touched.push_back(v)             # <<<<<<<<<<<<<<
- *         first = True
- *         while stack.size() > 0:
-*/
-  try {
-    __pyx_v_touched.push_back(__pyx_v_v);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 548, __pyx_L1_error)
-  }
-
-  /* "maxcore/engine/_search.pyx":549
- *         self.seen[v] = 1
- *         touched.push_back(v)
- *         first = True             # <<<<<<<<<<<<<<
- *         while stack.size() > 0:
- *             u = stack.back()
-*/
-  __pyx_v_first = 1;
-
-  /* "maxcore/engine/_search.pyx":550
- *         touched.push_back(v)
- *         first = True
- *         while stack.size() > 0:             # <<<<<<<<<<<<<<
- *             u = stack.back()
- *             stack.pop_back()
-*/
-  while (1) {
-    __pyx_t_4 = (__pyx_v_stack.size() > 0);
-    if (!__pyx_t_4) break;
-
-    /* "maxcore/engine/_search.pyx":551
- *         first = True
- *         while stack.size() > 0:
- *             u = stack.back()             # <<<<<<<<<<<<<<
- *             stack.pop_back()
- *             r = self.reasons[u]
-*/
-    __pyx_v_u = __pyx_v_stack.back();
-
-    /* "maxcore/engine/_search.pyx":552
- *         while stack.size() > 0:
- *             u = stack.back()
- *             stack.pop_back()             # <<<<<<<<<<<<<<
- *             r = self.reasons[u]
- *             if r < 0 and not first:
-*/
-    __pyx_v_stack.pop_back();
-
-    /* "maxcore/engine/_search.pyx":553
- *             u = stack.back()
- *             stack.pop_back()
- *             r = self.reasons[u]             # <<<<<<<<<<<<<<
- *             if r < 0 and not first:
- *                 core.append(self.values[u] * u)
-*/
-    __pyx_v_r = (__pyx_v_self->reasons[__pyx_v_u]);
-
-    /* "maxcore/engine/_search.pyx":554
- *             stack.pop_back()
- *             r = self.reasons[u]
- *             if r < 0 and not first:             # <<<<<<<<<<<<<<
- *                 core.append(self.values[u] * u)
- *             elif r >= 0:
-*/
-    __pyx_t_9 = (__pyx_v_r < 0);
-    if (__pyx_t_9) {
-    } else {
-      __pyx_t_4 = __pyx_t_9;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_9 = (!__pyx_v_first);
-    __pyx_t_4 = __pyx_t_9;
-    __pyx_L8_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "maxcore/engine/_search.pyx":555
- *             r = self.reasons[u]
- *             if r < 0 and not first:
- *                 core.append(self.values[u] * u)             # <<<<<<<<<<<<<<
- *             elif r >= 0:
- *                 off = self.c_off[r]
-*/
-      __pyx_t_2 = __Pyx_PyLong_From_int(((__pyx_v_self->values[__pyx_v_u]) * __pyx_v_u)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 555, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_8 = __Pyx_PyList_Append(__pyx_v_core, __pyx_t_2); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 555, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-      /* "maxcore/engine/_search.pyx":554
- *             stack.pop_back()
- *             r = self.reasons[u]
- *             if r < 0 and not first:             # <<<<<<<<<<<<<<
- *                 core.append(self.values[u] * u)
- *             elif r >= 0:
-*/
-      goto __pyx_L7;
-    }
-
-    /* "maxcore/engine/_search.pyx":556
- *             if r < 0 and not first:
- *                 core.append(self.values[u] * u)
- *             elif r >= 0:             # <<<<<<<<<<<<<<
- *                 off = self.c_off[r]
- *                 for k in range(off, off + self.c_len[r]):
-*/
-    __pyx_t_4 = (__pyx_v_r >= 0);
-    if (__pyx_t_4) {
-
-      /* "maxcore/engine/_search.pyx":557
- *                 core.append(self.values[u] * u)
- *             elif r >= 0:
- *                 off = self.c_off[r]             # <<<<<<<<<<<<<<
- *                 for k in range(off, off + self.c_len[r]):
- *                     q = self.db[k]
-*/
-      __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_r]);
-
-      /* "maxcore/engine/_search.pyx":558
- *             elif r >= 0:
- *                 off = self.c_off[r]
- *                 for k in range(off, off + self.c_len[r]):             # <<<<<<<<<<<<<<
- *                     q = self.db[k]
- *                     w = q if q > 0 else -q
-*/
-      __pyx_t_3 = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_v_r]));
-      __pyx_t_10 = __pyx_t_3;
-      for (__pyx_t_11 = __pyx_v_off; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_k = __pyx_t_11;
-
-        /* "maxcore/engine/_search.pyx":559
- *                 off = self.c_off[r]
- *                 for k in range(off, off + self.c_len[r]):
- *                     q = self.db[k]             # <<<<<<<<<<<<<<
- *                     w = q if q > 0 else -q
- *                     if w != u and self.levels[w] > 0 and not self.seen[w]:
-*/
-        __pyx_v_q = (__pyx_v_self->db[__pyx_v_k]);
-
-        /* "maxcore/engine/_search.pyx":560
- *                 for k in range(off, off + self.c_len[r]):
- *                     q = self.db[k]
- *                     w = q if q > 0 else -q             # <<<<<<<<<<<<<<
- *                     if w != u and self.levels[w] > 0 and not self.seen[w]:
- *                         self.seen[w] = 1
-*/
-        __pyx_t_4 = (__pyx_v_q > 0);
-        if (__pyx_t_4) {
-          __pyx_t_12 = __pyx_v_q;
-        } else {
-          __pyx_t_12 = (-__pyx_v_q);
-        }
-        __pyx_v_w = __pyx_t_12;
-
-        /* "maxcore/engine/_search.pyx":561
- *                     q = self.db[k]
- *                     w = q if q > 0 else -q
- *                     if w != u and self.levels[w] > 0 and not self.seen[w]:             # <<<<<<<<<<<<<<
- *                         self.seen[w] = 1
- *                         stack.push_back(w)
-*/
-        __pyx_t_9 = (__pyx_v_w != __pyx_v_u);
-        if (__pyx_t_9) {
-        } else {
-          __pyx_t_4 = __pyx_t_9;
-          goto __pyx_L13_bool_binop_done;
-        }
-        __pyx_t_9 = ((__pyx_v_self->levels[__pyx_v_w]) > 0);
-        if (__pyx_t_9) {
-        } else {
-          __pyx_t_4 = __pyx_t_9;
-          goto __pyx_L13_bool_binop_done;
-        }
-        __pyx_t_9 = (!((__pyx_v_self->seen[__pyx_v_w]) != 0));
-        __pyx_t_4 = __pyx_t_9;
-        __pyx_L13_bool_binop_done:;
-        if (__pyx_t_4) {
-
-          /* "maxcore/engine/_search.pyx":562
- *                     w = q if q > 0 else -q
- *                     if w != u and self.levels[w] > 0 and not self.seen[w]:
- *                         self.seen[w] = 1             # <<<<<<<<<<<<<<
- *                         stack.push_back(w)
- *                         touched.push_back(w)
-*/
-          (__pyx_v_self->seen[__pyx_v_w]) = 1;
-
-          /* "maxcore/engine/_search.pyx":563
- *                     if w != u and self.levels[w] > 0 and not self.seen[w]:
- *                         self.seen[w] = 1
- *                         stack.push_back(w)             # <<<<<<<<<<<<<<
- *                         touched.push_back(w)
- *             first = False
-*/
-          try {
-            __pyx_v_stack.push_back(__pyx_v_w);
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 563, __pyx_L1_error)
-          }
-
-          /* "maxcore/engine/_search.pyx":564
- *                         self.seen[w] = 1
- *                         stack.push_back(w)
- *                         touched.push_back(w)             # <<<<<<<<<<<<<<
- *             first = False
- *         for j in range(touched.size()):
-*/
-          try {
-            __pyx_v_touched.push_back(__pyx_v_w);
-          } catch(...) {
-            __Pyx_CppExn2PyErr();
-            __PYX_ERR(0, 564, __pyx_L1_error)
-          }
-
-          /* "maxcore/engine/_search.pyx":561
- *                     q = self.db[k]
- *                     w = q if q > 0 else -q
- *                     if w != u and self.levels[w] > 0 and not self.seen[w]:             # <<<<<<<<<<<<<<
- *                         self.seen[w] = 1
- *                         stack.push_back(w)
-*/
-        }
-      }
-
-      /* "maxcore/engine/_search.pyx":556
- *             if r < 0 and not first:
- *                 core.append(self.values[u] * u)
- *             elif r >= 0:             # <<<<<<<<<<<<<<
- *                 off = self.c_off[r]
- *                 for k in range(off, off + self.c_len[r]):
-*/
-    }
-    __pyx_L7:;
-
-    /* "maxcore/engine/_search.pyx":565
- *                         stack.push_back(w)
- *                         touched.push_back(w)
- *             first = False             # <<<<<<<<<<<<<<
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0
-*/
-    __pyx_v_first = 0;
-  }
-
-  /* "maxcore/engine/_search.pyx":566
- *                         touched.push_back(w)
- *             first = False
- *         for j in range(touched.size()):             # <<<<<<<<<<<<<<
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))
-*/
-  __pyx_t_13 = __pyx_v_touched.size();
-  __pyx_t_14 = __pyx_t_13;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_14; __pyx_t_6+=1) {
-    __pyx_v_j = __pyx_t_6;
-
-    /* "maxcore/engine/_search.pyx":567
- *             first = False
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0             # <<<<<<<<<<<<<<
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))
- *         return core
-*/
-    (__pyx_v_self->seen[(__pyx_v_touched[__pyx_v_j])]) = 0;
-  }
-
-  /* "maxcore/engine/_search.pyx":568
- *         for j in range(touched.size()):
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))             # <<<<<<<<<<<<<<
- *         return core
- * 
-*/
-  __pyx_t_1 = __pyx_v_core;
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_5 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_18_analyze_final_lit_2lambda3, 0, __pyx_mstate_global->__pyx_n_u_SearchCore__analyze_final_lit_lo, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 568, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = 0;
-  {
-    PyObject *__pyx_callargs[2 + ((CYTHON_VECTORCALL) ? 1 : 0)] = {__pyx_t_1, NULL};
-    __pyx_t_7 = __Pyx_MakeVectorcallBuilderKwds(1); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 568, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    if (__Pyx_VectorcallBuilder_AddArg(__pyx_mstate_global->__pyx_n_u_key, __pyx_t_5, __pyx_t_7, __pyx_callargs+1, 0) < (0)) __PYX_ERR(0, 568, __pyx_L1_error)
-    __pyx_t_2 = __Pyx_Object_VectorcallMethod_CallFromBuilder((PyObject*)__pyx_mstate_global->__pyx_n_u_sort, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET), __pyx_t_7);
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 568, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":569
- *             self.seen[touched[j]] = 0
- *         core.sort(key=lambda l: (l if l > 0 else -l, l))
- *         return core             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_core);
-  __pyx_r = __pyx_v_core;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":530
- *         return core
- * 
- *     cdef list _analyze_final_lit(self, int failed):             # <<<<<<<<<<<<<<
- *         # `failed` is an assumption found false at enqueue time
- *         cdef list core = [failed]
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._analyze_final_lit", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_core);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":589
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:
- *                 cands.append(ci)
- *         cands.sort(key=lambda ix: (self.c_act[ix], ix))             # <<<<<<<<<<<<<<
- *         half = <int>len(cands) // 2
- *         for k in range(half):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_15_reduce_learnts_lambda4(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_15_reduce_learnts_lambda4 = {"lambda4", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_15_reduce_learnts_lambda4, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_15_reduce_learnts_lambda4(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_ix = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("lambda4 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_ix,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 589, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 589, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "lambda4", 0) < (0)) __PYX_ERR(0, 589, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("lambda4", 1, 1, 1, i); __PYX_ERR(0, 589, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 589, __pyx_L3_error)
-    }
-    __pyx_v_ix = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("lambda4", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 589, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._reduce_learnts.lambda4", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_lambda_funcdef_lambda4(__pyx_self, __pyx_v_ix);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_lambda_funcdef_lambda4(PyObject *__pyx_self, PyObject *__pyx_v_ix) {
-  struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *__pyx_cur_scope;
-  struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *__pyx_outer_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  std::vector<double> ::size_type __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lambda4", 0);
-  __pyx_outer_scope = (struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *) __Pyx_CyFunction_GetClosure(__pyx_self);
-  __pyx_cur_scope = __pyx_outer_scope;
-  __Pyx_XDECREF(__pyx_r);
-  if (unlikely(!__pyx_cur_scope->__pyx_v_self)) { __Pyx_RaiseClosureNameError("self"); __PYX_ERR(0, 589, __pyx_L1_error) }
-  __pyx_t_1 = __Pyx_PyLong_As_size_t(__pyx_v_ix); if (unlikely((__pyx_t_1 == (size_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 589, __pyx_L1_error)
-  __pyx_t_2 = PyFloat_FromDouble((__pyx_cur_scope->__pyx_v_self->c_act[__pyx_t_1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 589, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 589, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 589, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_ix);
-  __Pyx_GIVEREF(__pyx_v_ix);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_v_ix) != (0)) __PYX_ERR(0, 589, __pyx_L1_error);
-  __pyx_t_2 = 0;
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._reduce_learnts.lambda4", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":574
- *     # learnt database reduction
- * 
- *     cdef void _reduce_learnts(self) except *:             # <<<<<<<<<<<<<<
- *         cdef vector[char] locked
- *         cdef size_t j
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__reduce_learnts(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *__pyx_cur_scope;
-  std::vector<char>  __pyx_v_locked;
-  size_t __pyx_v_j;
-  int __pyx_v_lit;
-  int __pyx_v_v;
-  int __pyx_v_r;
-  int __pyx_v_ci;
-  int __pyx_v_half;
-  int __pyx_v_k;
-  PyObject *__pyx_v_cands = NULL;
-  __Pyx_RefNannyDeclarations
-  std::vector<int> ::size_type __pyx_t_1;
-  std::vector<int> ::size_type __pyx_t_2;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  Py_ssize_t __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_reduce_learnts", 0);
-  __pyx_cur_scope = (struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *)__pyx_tp_new_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 574, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_v_self = __pyx_v_self;
-  __Pyx_INCREF((PyObject *)__pyx_cur_scope->__pyx_v_self);
-  __Pyx_GIVEREF((PyObject *)__pyx_cur_scope->__pyx_v_self);
-
-  /* "maxcore/engine/_search.pyx":578
- *         cdef size_t j
- *         cdef int lit, v, r, ci, half, k
- *         locked.assign(self.c_off.size(), 0)             # <<<<<<<<<<<<<<
- *         for j in range(self.trail.size()):
- *             lit = self.trail[j]
-*/
-  __pyx_v_locked.assign(__pyx_cur_scope->__pyx_v_self->c_off.size(), 0); 
-
-  /* "maxcore/engine/_search.pyx":579
- *         cdef int lit, v, r, ci, half, k
- *         locked.assign(self.c_off.size(), 0)
- *         for j in range(self.trail.size()):             # <<<<<<<<<<<<<<
- *             lit = self.trail[j]
- *             v = lit if lit > 0 else -lit
-*/
-  __pyx_t_1 = __pyx_cur_scope->__pyx_v_self->trail.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":580
- *         locked.assign(self.c_off.size(), 0)
- *         for j in range(self.trail.size()):
- *             lit = self.trail[j]             # <<<<<<<<<<<<<<
- *             v = lit if lit > 0 else -lit
- *             r = self.reasons[v]
-*/
-    __pyx_v_lit = (__pyx_cur_scope->__pyx_v_self->trail[__pyx_v_j]);
-
-    /* "maxcore/engine/_search.pyx":581
- *         for j in range(self.trail.size()):
- *             lit = self.trail[j]
- *             v = lit if lit > 0 else -lit             # <<<<<<<<<<<<<<
- *             r = self.reasons[v]
- *             if r >= 0:
-*/
-    __pyx_t_5 = (__pyx_v_lit > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_lit;
-    } else {
-      __pyx_t_4 = (-__pyx_v_lit);
-    }
-    __pyx_v_v = __pyx_t_4;
-
-    /* "maxcore/engine/_search.pyx":582
- *             lit = self.trail[j]
- *             v = lit if lit > 0 else -lit
- *             r = self.reasons[v]             # <<<<<<<<<<<<<<
- *             if r >= 0:
- *                 locked[r] = 1
-*/
-    __pyx_v_r = (__pyx_cur_scope->__pyx_v_self->reasons[__pyx_v_v]);
-
-    /* "maxcore/engine/_search.pyx":583
- *             v = lit if lit > 0 else -lit
- *             r = self.reasons[v]
- *             if r >= 0:             # <<<<<<<<<<<<<<
- *                 locked[r] = 1
- *         cands = []
-*/
-    __pyx_t_5 = (__pyx_v_r >= 0);
-    if (__pyx_t_5) {
-
-      /* "maxcore/engine/_search.pyx":584
- *             r = self.reasons[v]
- *             if r >= 0:
- *                 locked[r] = 1             # <<<<<<<<<<<<<<
- *         cands = []
- *         for ci in range(self.n_problem, <int>self.c_off.size()):
-*/
-      (__pyx_v_locked[__pyx_v_r]) = 1;
-
-      /* "maxcore/engine/_search.pyx":583
- *             v = lit if lit > 0 else -lit
- *             r = self.reasons[v]
- *             if r >= 0:             # <<<<<<<<<<<<<<
- *                 locked[r] = 1
- *         cands = []
-*/
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":585
- *             if r >= 0:
- *                 locked[r] = 1
- *         cands = []             # <<<<<<<<<<<<<<
- *         for ci in range(self.n_problem, <int>self.c_off.size()):
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:
-*/
-  __pyx_t_6 = PyList_New(0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 585, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_v_cands = ((PyObject*)__pyx_t_6);
-  __pyx_t_6 = 0;
-
-  /* "maxcore/engine/_search.pyx":586
- *                 locked[r] = 1
- *         cands = []
- *         for ci in range(self.n_problem, <int>self.c_off.size()):             # <<<<<<<<<<<<<<
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:
- *                 cands.append(ci)
-*/
-  __pyx_t_4 = ((int)__pyx_cur_scope->__pyx_v_self->c_off.size());
-  __pyx_t_7 = __pyx_t_4;
-  for (__pyx_t_8 = __pyx_cur_scope->__pyx_v_self->n_problem; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_ci = __pyx_t_8;
-
-    /* "maxcore/engine/_search.pyx":587
- *         cands = []
- *         for ci in range(self.n_problem, <int>self.c_off.size()):
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:             # <<<<<<<<<<<<<<
- *                 cands.append(ci)
- *         cands.sort(key=lambda ix: (self.c_act[ix], ix))
-*/
-    __pyx_t_9 = ((__pyx_cur_scope->__pyx_v_self->c_kind[__pyx_v_ci]) == __pyx_v_7maxcore_6engine_7_search_C_KIND_LEARNT);
-    if (__pyx_t_9) {
-    } else {
-      __pyx_t_5 = __pyx_t_9;
-      goto __pyx_L9_bool_binop_done;
-    }
-    __pyx_t_9 = (!((__pyx_cur_scope->__pyx_v_self->c_dead[__pyx_v_ci]) != 0));
-    if (__pyx_t_9) {
-    } else {
-      __pyx_t_5 = __pyx_t_9;
-      goto __pyx_L9_bool_binop_done;
-    }
-    __pyx_t_9 = (!((__pyx_v_locked[__pyx_v_ci]) != 0));
-    __pyx_t_5 = __pyx_t_9;
-    __pyx_L9_bool_binop_done:;
-    if (__pyx_t_5) {
-
-      /* "maxcore/engine/_search.pyx":588
- *         for ci in range(self.n_problem, <int>self.c_off.size()):
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:
- *                 cands.append(ci)             # <<<<<<<<<<<<<<
- *         cands.sort(key=lambda ix: (self.c_act[ix], ix))
- *         half = <int>len(cands) // 2
-*/
-      __pyx_t_6 = __Pyx_PyLong_From_int(__pyx_v_ci); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 588, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_10 = __Pyx_PyList_Append(__pyx_v_cands, __pyx_t_6); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 588, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-      /* "maxcore/engine/_search.pyx":587
- *         cands = []
- *         for ci in range(self.n_problem, <int>self.c_off.size()):
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:             # <<<<<<<<<<<<<<
- *                 cands.append(ci)
- *         cands.sort(key=lambda ix: (self.c_act[ix], ix))
-*/
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":589
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:
- *                 cands.append(ci)
- *         cands.sort(key=lambda ix: (self.c_act[ix], ix))             # <<<<<<<<<<<<<<
- *         half = <int>len(cands) // 2
- *         for k in range(half):
-*/
-  __pyx_t_11 = __pyx_v_cands;
-  __Pyx_INCREF(__pyx_t_11);
-  __pyx_t_12 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_15_reduce_learnts_lambda4, 0, __pyx_mstate_global->__pyx_n_u_SearchCore__reduce_learnts_local, ((PyObject*)__pyx_cur_scope), __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 589, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_3 = 0;
-  {
-    PyObject *__pyx_callargs[2 + ((CYTHON_VECTORCALL) ? 1 : 0)] = {__pyx_t_11, NULL};
-    __pyx_t_13 = __Pyx_MakeVectorcallBuilderKwds(1); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 589, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    if (__Pyx_VectorcallBuilder_AddArg(__pyx_mstate_global->__pyx_n_u_key, __pyx_t_12, __pyx_t_13, __pyx_callargs+1, 0) < (0)) __PYX_ERR(0, 589, __pyx_L1_error)
-    __pyx_t_6 = __Pyx_Object_VectorcallMethod_CallFromBuilder((PyObject*)__pyx_mstate_global->__pyx_n_u_sort, __pyx_callargs+__pyx_t_3, (1-__pyx_t_3) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET), __pyx_t_13);
-    __Pyx_XDECREF(__pyx_t_11); __pyx_t_11 = 0;
-    __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 589, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-  }
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-  /* "maxcore/engine/_search.pyx":590
- *                 cands.append(ci)
- *         cands.sort(key=lambda ix: (self.c_act[ix], ix))
- *         half = <int>len(cands) // 2             # <<<<<<<<<<<<<<
- *         for k in range(half):
- *             ci = cands[k]
-*/
-  __pyx_t_14 = __Pyx_PyList_GET_SIZE(__pyx_v_cands); if (unlikely(__pyx_t_14 == ((Py_ssize_t)-1))) __PYX_ERR(0, 590, __pyx_L1_error)
-  __pyx_v_half = (((int)__pyx_t_14) / 2);
-
-  /* "maxcore/engine/_search.pyx":591
- *         cands.sort(key=lambda ix: (self.c_act[ix], ix))
- *         half = <int>len(cands) // 2
- *         for k in range(half):             # <<<<<<<<<<<<<<
- *             ci = cands[k]
- *             self.c_dead[ci] = 1
-*/
-  __pyx_t_4 = __pyx_v_half;
-  __pyx_t_7 = __pyx_t_4;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_k = __pyx_t_8;
-
-    /* "maxcore/engine/_search.pyx":592
- *         half = <int>len(cands) // 2
- *         for k in range(half):
- *             ci = cands[k]             # <<<<<<<<<<<<<<
- *             self.c_dead[ci] = 1
- *             self.n_learnt -= 1
-*/
-    __pyx_t_15 = __Pyx_PyLong_As_int(__Pyx_PyList_GET_ITEM(__pyx_v_cands, __pyx_v_k)); if (unlikely((__pyx_t_15 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 592, __pyx_L1_error)
-    __pyx_v_ci = __pyx_t_15;
-
-    /* "maxcore/engine/_search.pyx":593
- *         for k in range(half):
- *             ci = cands[k]
- *             self.c_dead[ci] = 1             # <<<<<<<<<<<<<<
- *             self.n_learnt -= 1
- *         self._rebuild_watches()
-*/
-    (__pyx_cur_scope->__pyx_v_self->c_dead[__pyx_v_ci]) = 1;
-
-    /* "maxcore/engine/_search.pyx":594
- *             ci = cands[k]
- *             self.c_dead[ci] = 1
- *             self.n_learnt -= 1             # <<<<<<<<<<<<<<
- *         self._rebuild_watches()
- * 
-*/
-    __pyx_cur_scope->__pyx_v_self->n_learnt = (__pyx_cur_scope->__pyx_v_self->n_learnt - 1);
-  }
-
-  /* "maxcore/engine/_search.pyx":595
- *             self.c_dead[ci] = 1
- *             self.n_learnt -= 1
- *         self._rebuild_watches()             # <<<<<<<<<<<<<<
- * 
- *     cdef void _rebuild_watches(self):
-*/
-  ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_cur_scope->__pyx_v_self->__pyx_vtab)->_rebuild_watches(__pyx_cur_scope->__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 595, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":574
- *     # learnt database reduction
- * 
- *     cdef void _reduce_learnts(self) except *:             # <<<<<<<<<<<<<<
- *         cdef vector[char] locked
- *         cdef size_t j
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._reduce_learnts", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_cands);
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "maxcore/engine/_search.pyx":597
- *         self._rebuild_watches()
- * 
- *     cdef void _rebuild_watches(self):             # <<<<<<<<<<<<<<
- *         cdef size_t j
- *         cdef int ci, off
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__rebuild_watches(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  size_t __pyx_v_j;
-  int __pyx_v_ci;
-  int __pyx_v_off;
-  std::vector<std::vector<int> > ::size_type __pyx_t_1;
-  std::vector<std::vector<int> > ::size_type __pyx_t_2;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "maxcore/engine/_search.pyx":600
- *         cdef size_t j
- *         cdef int ci, off
- *         for j in range(self.watches.size()):             # <<<<<<<<<<<<<<
- *             self.watches[j].clear()
- *         for ci in range(<int>self.c_off.size()):
-*/
-  __pyx_t_1 = __pyx_v_self->watches.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":601
- *         cdef int ci, off
- *         for j in range(self.watches.size()):
- *             self.watches[j].clear()             # <<<<<<<<<<<<<<
- *         for ci in range(<int>self.c_off.size()):
- *             if self.c_dead[ci] or self.c_kind[ci] == C_KIND_EXPL:
-*/
-    (__pyx_v_self->watches[__pyx_v_j]).clear();
-  }
-
-  /* "maxcore/engine/_search.pyx":602
- *         for j in range(self.watches.size()):
- *             self.watches[j].clear()
- *         for ci in range(<int>self.c_off.size()):             # <<<<<<<<<<<<<<
- *             if self.c_dead[ci] or self.c_kind[ci] == C_KIND_EXPL:
- *                 continue
-*/
-  __pyx_t_4 = ((int)__pyx_v_self->c_off.size());
-  __pyx_t_5 = __pyx_t_4;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-    __pyx_v_ci = __pyx_t_6;
-
-    /* "maxcore/engine/_search.pyx":603
- *             self.watches[j].clear()
- *         for ci in range(<int>self.c_off.size()):
- *             if self.c_dead[ci] or self.c_kind[ci] == C_KIND_EXPL:             # <<<<<<<<<<<<<<
- *                 continue
- *             if self.c_len[ci] >= 2:
-*/
-    __pyx_t_8 = ((__pyx_v_self->c_dead[__pyx_v_ci]) != 0);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_8 = ((__pyx_v_self->c_kind[__pyx_v_ci]) == __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL);
-    __pyx_t_7 = __pyx_t_8;
-    __pyx_L8_bool_binop_done:;
-    if (__pyx_t_7) {
-
-      /* "maxcore/engine/_search.pyx":604
- *         for ci in range(<int>self.c_off.size()):
- *             if self.c_dead[ci] or self.c_kind[ci] == C_KIND_EXPL:
- *                 continue             # <<<<<<<<<<<<<<
- *             if self.c_len[ci] >= 2:
- *                 off = self.c_off[ci]
-*/
-      goto __pyx_L5_continue;
-
-      /* "maxcore/engine/_search.pyx":603
- *             self.watches[j].clear()
- *         for ci in range(<int>self.c_off.size()):
- *             if self.c_dead[ci] or self.c_kind[ci] == C_KIND_EXPL:             # <<<<<<<<<<<<<<
- *                 continue
- *             if self.c_len[ci] >= 2:
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":605
- *             if self.c_dead[ci] or self.c_kind[ci] == C_KIND_EXPL:
- *                 continue
- *             if self.c_len[ci] >= 2:             # <<<<<<<<<<<<<<
- *                 off = self.c_off[ci]
- *                 self.watches[_windex(self.db[off])].push_back(ci)
-*/
-    __pyx_t_7 = ((__pyx_v_self->c_len[__pyx_v_ci]) >= 2);
-    if (__pyx_t_7) {
-
-      /* "maxcore/engine/_search.pyx":606
- *                 continue
- *             if self.c_len[ci] >= 2:
- *                 off = self.c_off[ci]             # <<<<<<<<<<<<<<
- *                 self.watches[_windex(self.db[off])].push_back(ci)
- *                 self.watches[_windex(self.db[off + 1])].push_back(ci)
-*/
-      __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_ci]);
-
-      /* "maxcore/engine/_search.pyx":607
- *             if self.c_len[ci] >= 2:
- *                 off = self.c_off[ci]
- *                 self.watches[_windex(self.db[off])].push_back(ci)             # <<<<<<<<<<<<<<
- *                 self.watches[_windex(self.db[off + 1])].push_back(ci)
- * 
-*/
-      __pyx_t_9 = __pyx_f_7maxcore_6engine_7_search__windex((__pyx_v_self->db[__pyx_v_off])); if (unlikely(__pyx_t_9 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 607, __pyx_L1_error)
-      try {
-        (__pyx_v_self->watches[__pyx_t_9]).push_back(__pyx_v_ci);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 607, __pyx_L1_error)
-      }
-
-      /* "maxcore/engine/_search.pyx":608
- *                 off = self.c_off[ci]
- *                 self.watches[_windex(self.db[off])].push_back(ci)
- *                 self.watches[_windex(self.db[off + 1])].push_back(ci)             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------
-*/
-      __pyx_t_9 = __pyx_f_7maxcore_6engine_7_search__windex((__pyx_v_self->db[(__pyx_v_off + 1)])); if (unlikely(__pyx_t_9 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 608, __pyx_L1_error)
-      try {
-        (__pyx_v_self->watches[__pyx_t_9]).push_back(__pyx_v_ci);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 608, __pyx_L1_error)
-      }
-
-      /* "maxcore/engine/_search.pyx":605
- *             if self.c_dead[ci] or self.c_kind[ci] == C_KIND_EXPL:
- *                 continue
- *             if self.c_len[ci] >= 2:             # <<<<<<<<<<<<<<
- *                 off = self.c_off[ci]
- *                 self.watches[_windex(self.db[off])].push_back(ci)
-*/
-    }
-    __pyx_L5_continue:;
-  }
-
-  /* "maxcore/engine/_search.pyx":597
- *         self._rebuild_watches()
- * 
- *     cdef void _rebuild_watches(self):             # <<<<<<<<<<<<<<
- *         cdef size_t j
- *         cdef int ci, off
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._rebuild_watches", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "maxcore/engine/_search.pyx":613
- *     # top level
- * 
- *     cdef object _establish_assumptions(self, list assumptions):             # <<<<<<<<<<<<<<
- *         # all assumption literals enter one decision level before propagation
- *         cdef int a, v
-*/
-
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__establish_assumptions(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_assumptions) {
-  int __pyx_v_a;
-  int __pyx_v_v;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_establish_assumptions", 0);
-
-  /* "maxcore/engine/_search.pyx":616
- *         # all assumption literals enter one decision level before propagation
- *         cdef int a, v
- *         self._new_level()             # <<<<<<<<<<<<<<
- *         for a in assumptions:
- *             v = self._lit_value_c(a)
-*/
-  __pyx_f_7maxcore_6engine_7_search_10SearchCore__new_level(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 616, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":617
- *         cdef int a, v
- *         self._new_level()
- *         for a in assumptions:             # <<<<<<<<<<<<<<
- *             v = self._lit_value_c(a)
- *             if v == 1:
-*/
-  if (unlikely(__pyx_v_assumptions == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not iterable");
-    __PYX_ERR(0, 617, __pyx_L1_error)
-  }
-  __pyx_t_1 = __pyx_v_assumptions; __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = 0;
-  for (;;) {
-    {
-      Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-      #if !CYTHON_ASSUME_SAFE_SIZE
-      if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 617, __pyx_L1_error)
-      #endif
-      if (__pyx_t_2 >= __pyx_temp) break;
-    }
-    __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-    ++__pyx_t_2;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 617, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 617, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_v_a = __pyx_t_4;
-
-    /* "maxcore/engine/_search.pyx":618
- *         self._new_level()
- *         for a in assumptions:
- *             v = self._lit_value_c(a)             # <<<<<<<<<<<<<<
- *             if v == 1:
- *                 continue
-*/
-    __pyx_t_4 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_v_a); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 618, __pyx_L1_error)
-    __pyx_v_v = __pyx_t_4;
-
-    /* "maxcore/engine/_search.pyx":619
- *         for a in assumptions:
- *             v = self._lit_value_c(a)
- *             if v == 1:             # <<<<<<<<<<<<<<
- *                 continue
- *             if v == -1:
-*/
-    __pyx_t_5 = (__pyx_v_v == 1);
-    if (__pyx_t_5) {
-
-      /* "maxcore/engine/_search.pyx":620
- *             v = self._lit_value_c(a)
- *             if v == 1:
- *                 continue             # <<<<<<<<<<<<<<
- *             if v == -1:
- *                 return self._analyze_final_lit(a)
-*/
-      goto __pyx_L3_continue;
-
-      /* "maxcore/engine/_search.pyx":619
- *         for a in assumptions:
- *             v = self._lit_value_c(a)
- *             if v == 1:             # <<<<<<<<<<<<<<
- *                 continue
- *             if v == -1:
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":621
- *             if v == 1:
- *                 continue
- *             if v == -1:             # <<<<<<<<<<<<<<
- *                 return self._analyze_final_lit(a)
- *             self._assign(a, -1)
-*/
-    __pyx_t_5 = (__pyx_v_v == -1L);
-    if (__pyx_t_5) {
-
-      /* "maxcore/engine/_search.pyx":622
- *                 continue
- *             if v == -1:
- *                 return self._analyze_final_lit(a)             # <<<<<<<<<<<<<<
- *             self._assign(a, -1)
- *         return None
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_3 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_analyze_final_lit(__pyx_v_self, __pyx_v_a); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 622, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_r = __pyx_t_3;
-      __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      goto __pyx_L0;
-
-      /* "maxcore/engine/_search.pyx":621
- *             if v == 1:
- *                 continue
- *             if v == -1:             # <<<<<<<<<<<<<<
- *                 return self._analyze_final_lit(a)
- *             self._assign(a, -1)
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":623
- *             if v == -1:
- *                 return self._analyze_final_lit(a)
- *             self._assign(a, -1)             # <<<<<<<<<<<<<<
- *         return None
- * 
-*/
-    ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_assign(__pyx_v_self, __pyx_v_a, -1); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 623, __pyx_L1_error)
-
-    /* "maxcore/engine/_search.pyx":617
- *         cdef int a, v
- *         self._new_level()
- *         for a in assumptions:             # <<<<<<<<<<<<<<
- *             v = self._lit_value_c(a)
- *             if v == 1:
-*/
-    __pyx_L3_continue:;
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":624
- *                 return self._analyze_final_lit(a)
- *             self._assign(a, -1)
- *         return None             # <<<<<<<<<<<<<<
- * 
- *     def solve(self, assumptions, conflict_budget=None, time_budget_s=None):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":613
- *     # top level
- * 
- *     cdef object _establish_assumptions(self, list assumptions):             # <<<<<<<<<<<<<<
- *         # all assumption literals enter one decision level before propagation
- *         cdef int a, v
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._establish_assumptions", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":626
- *         return None
- * 
- *     def solve(self, assumptions, conflict_budget=None, time_budget_s=None):             # <<<<<<<<<<<<<<
- *         cdef dict result = {
- *             "status": "unknown", "model": None, "core": None,
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_11solve(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_11solve = {"solve", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_11solve, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_11solve(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_assumptions = 0;
-  PyObject *__pyx_v_conflict_budget = 0;
-  PyObject *__pyx_v_time_budget_s = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("solve (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_assumptions,&__pyx_mstate_global->__pyx_n_u_conflict_budget,&__pyx_mstate_global->__pyx_n_u_time_budget_s,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 626, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 626, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 626, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 626, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "solve", 0) < (0)) __PYX_ERR(0, 626, __pyx_L3_error)
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_None));
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("solve", 0, 1, 3, i); __PYX_ERR(0, 626, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 626, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 626, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 626, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_None));
-    }
-    __pyx_v_assumptions = values[0];
-    __pyx_v_conflict_budget = values[1];
-    __pyx_v_time_budget_s = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("solve", 0, 1, 3, __pyx_nargs); __PYX_ERR(0, 626, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.solve", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_10solve(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), __pyx_v_assumptions, __pyx_v_conflict_budget, __pyx_v_time_budget_s);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_10solve(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_assumptions, PyObject *__pyx_v_conflict_budget, PyObject *__pyx_v_time_budget_s) {
-  PyObject *__pyx_v_result = 0;
-  int __pyx_v_has_deadline;
-  double __pyx_v_deadline;
-  int __pyx_v_has_cb;
-  long __pyx_v_cb;
-  double __pyx_v_restart_limit;
-  long __pyx_v_conflicts_since_restart;
-  int __pyx_v_ci;
-  int __pyx_v_lit;
-  int __pyx_v_v;
-  int __pyx_v_confl;
-  int __pyx_v_bj;
-  int __pyx_v_var;
-  PyObject *__pyx_v_asms = 0;
-  PyObject *__pyx_v_core = NULL;
-  int __pyx_8genexpr1__pyx_v_v;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  double __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  long __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  long __pyx_t_14;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("solve", 0);
-
-  /* "maxcore/engine/_search.pyx":628
- *     def solve(self, assumptions, conflict_budget=None, time_budget_s=None):
- *         cdef dict result = {
- *             "status": "unknown", "model": None, "core": None,             # <<<<<<<<<<<<<<
- *             "conflicts": 0, "decisions": 0, "propagations": 0, "restarts": 0,
- *         }
-*/
-  __pyx_t_1 = __Pyx_PyDict_NewPresized(7); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 628, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_status, __pyx_mstate_global->__pyx_n_u_unknown) < (0)) __PYX_ERR(0, 628, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_model, Py_None) < (0)) __PYX_ERR(0, 628, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_core, Py_None) < (0)) __PYX_ERR(0, 628, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_conflicts, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 628, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_decisions, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 628, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_propagations, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 628, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_restarts, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 628, __pyx_L1_error)
-  __pyx_v_result = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":631
- *             "conflicts": 0, "decisions": 0, "propagations": 0, "restarts": 0,
- *         }
- *         cdef bint has_deadline = time_budget_s is not None             # <<<<<<<<<<<<<<
- *         cdef double deadline = 0.0
- *         cdef bint has_cb = conflict_budget is not None
-*/
-  __pyx_t_2 = (__pyx_v_time_budget_s != Py_None);
-  __pyx_v_has_deadline = __pyx_t_2;
-
-  /* "maxcore/engine/_search.pyx":632
- *         }
- *         cdef bint has_deadline = time_budget_s is not None
- *         cdef double deadline = 0.0             # <<<<<<<<<<<<<<
- *         cdef bint has_cb = conflict_budget is not None
- *         cdef long cb = 0
-*/
-  __pyx_v_deadline = 0.0;
-
-  /* "maxcore/engine/_search.pyx":633
- *         cdef bint has_deadline = time_budget_s is not None
- *         cdef double deadline = 0.0
- *         cdef bint has_cb = conflict_budget is not None             # <<<<<<<<<<<<<<
- *         cdef long cb = 0
- *         cdef double restart_limit = self._restart_base
-*/
-  __pyx_t_2 = (__pyx_v_conflict_budget != Py_None);
-  __pyx_v_has_cb = __pyx_t_2;
-
-  /* "maxcore/engine/_search.pyx":634
- *         cdef double deadline = 0.0
- *         cdef bint has_cb = conflict_budget is not None
- *         cdef long cb = 0             # <<<<<<<<<<<<<<
- *         cdef double restart_limit = self._restart_base
- *         cdef long conflicts_since_restart = 0
-*/
-  __pyx_v_cb = 0;
-
-  /* "maxcore/engine/_search.pyx":635
- *         cdef bint has_cb = conflict_budget is not None
- *         cdef long cb = 0
- *         cdef double restart_limit = self._restart_base             # <<<<<<<<<<<<<<
- *         cdef long conflicts_since_restart = 0
- *         cdef int ci, lit, v, confl, bj, var
-*/
-  __pyx_t_3 = __pyx_v_self->_restart_base;
-  __pyx_v_restart_limit = __pyx_t_3;
-
-  /* "maxcore/engine/_search.pyx":636
- *         cdef long cb = 0
- *         cdef double restart_limit = self._restart_base
- *         cdef long conflicts_since_restart = 0             # <<<<<<<<<<<<<<
- *         cdef int ci, lit, v, confl, bj, var
- *         cdef list asms = list(assumptions)
-*/
-  __pyx_v_conflicts_since_restart = 0;
-
-  /* "maxcore/engine/_search.pyx":638
- *         cdef long conflicts_since_restart = 0
- *         cdef int ci, lit, v, confl, bj, var
- *         cdef list asms = list(assumptions)             # <<<<<<<<<<<<<<
- *         if has_deadline:
- *             deadline = time.monotonic() + time_budget_s
-*/
-  __pyx_t_1 = PySequence_List(__pyx_v_assumptions); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 638, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_asms = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":639
- *         cdef int ci, lit, v, confl, bj, var
- *         cdef list asms = list(assumptions)
- *         if has_deadline:             # <<<<<<<<<<<<<<
- *             deadline = time.monotonic() + time_budget_s
- *         if has_cb:
-*/
-  if (__pyx_v_has_deadline) {
-
-    /* "maxcore/engine/_search.pyx":640
- *         cdef list asms = list(assumptions)
- *         if has_deadline:
- *             deadline = time.monotonic() + time_budget_s             # <<<<<<<<<<<<<<
- *         if has_cb:
- *             cb = conflict_budget
-*/
-    __pyx_t_4 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_time); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 640, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyObject_GetAttrStr(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_monotonic); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 640, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_7 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_6))) {
-      __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_6);
-      assert(__pyx_t_4);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_6);
-      __Pyx_INCREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_6, __pyx__function);
-      __pyx_t_7 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, NULL};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_6, __pyx_callargs+__pyx_t_7, (1-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 640, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __pyx_t_6 = PyNumber_Add(__pyx_t_1, __pyx_v_time_budget_s); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 640, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_3 = __Pyx_PyFloat_AsDouble(__pyx_t_6); if (unlikely((__pyx_t_3 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 640, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_v_deadline = __pyx_t_3;
-
-    /* "maxcore/engine/_search.pyx":639
- *         cdef int ci, lit, v, confl, bj, var
- *         cdef list asms = list(assumptions)
- *         if has_deadline:             # <<<<<<<<<<<<<<
- *             deadline = time.monotonic() + time_budget_s
- *         if has_cb:
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":641
- *         if has_deadline:
- *             deadline = time.monotonic() + time_budget_s
- *         if has_cb:             # <<<<<<<<<<<<<<
- *             cb = conflict_budget
- *         self._in_search = True
-*/
-  if (__pyx_v_has_cb) {
-
-    /* "maxcore/engine/_search.pyx":642
- *             deadline = time.monotonic() + time_budget_s
- *         if has_cb:
- *             cb = conflict_budget             # <<<<<<<<<<<<<<
- *         self._in_search = True
- * 
-*/
-    __pyx_t_8 = __Pyx_PyLong_As_long(__pyx_v_conflict_budget); if (unlikely((__pyx_t_8 == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 642, __pyx_L1_error)
-    __pyx_v_cb = __pyx_t_8;
-
-    /* "maxcore/engine/_search.pyx":641
- *         if has_deadline:
- *             deadline = time.monotonic() + time_budget_s
- *         if has_cb:             # <<<<<<<<<<<<<<
- *             cb = conflict_budget
- *         self._in_search = True
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":643
- *         if has_cb:
- *             cb = conflict_budget
- *         self._in_search = True             # <<<<<<<<<<<<<<
- * 
- *         for ci in range(self.n_problem):
-*/
-  __pyx_v_self->_in_search = 1;
-
-  /* "maxcore/engine/_search.pyx":645
- *         self._in_search = True
- * 
- *         for ci in range(self.n_problem):             # <<<<<<<<<<<<<<
- *             if self.c_len[ci] == 1:
- *                 lit = self.db[self.c_off[ci]]
-*/
-  __pyx_t_9 = __pyx_v_self->n_problem;
-  __pyx_t_10 = __pyx_t_9;
-  for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-    __pyx_v_ci = __pyx_t_11;
-
-    /* "maxcore/engine/_search.pyx":646
- * 
- *         for ci in range(self.n_problem):
- *             if self.c_len[ci] == 1:             # <<<<<<<<<<<<<<
- *                 lit = self.db[self.c_off[ci]]
- *                 v = self._lit_value_c(lit)
-*/
-    __pyx_t_2 = ((__pyx_v_self->c_len[__pyx_v_ci]) == 1);
-    if (__pyx_t_2) {
-
-      /* "maxcore/engine/_search.pyx":647
- *         for ci in range(self.n_problem):
- *             if self.c_len[ci] == 1:
- *                 lit = self.db[self.c_off[ci]]             # <<<<<<<<<<<<<<
- *                 v = self._lit_value_c(lit)
- *                 if v == -1:
-*/
-      __pyx_v_lit = (__pyx_v_self->db[(__pyx_v_self->c_off[__pyx_v_ci])]);
-
-      /* "maxcore/engine/_search.pyx":648
- *             if self.c_len[ci] == 1:
- *                 lit = self.db[self.c_off[ci]]
- *                 v = self._lit_value_c(lit)             # <<<<<<<<<<<<<<
- *                 if v == -1:
- *                     result["status"] = "unsat"
-*/
-      __pyx_t_12 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_v_lit); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 648, __pyx_L1_error)
-      __pyx_v_v = __pyx_t_12;
-
-      /* "maxcore/engine/_search.pyx":649
- *                 lit = self.db[self.c_off[ci]]
- *                 v = self._lit_value_c(lit)
- *                 if v == -1:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = []
-*/
-      __pyx_t_2 = (__pyx_v_v == -1L);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":650
- *                 v = self._lit_value_c(lit)
- *                 if v == -1:
- *                     result["status"] = "unsat"             # <<<<<<<<<<<<<<
- *                     result["core"] = []
- *                     return self._finish(result)
-*/
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_status, __pyx_mstate_global->__pyx_n_u_unsat) < 0))) __PYX_ERR(0, 650, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":651
- *                 if v == -1:
- *                     result["status"] = "unsat"
- *                     result["core"] = []             # <<<<<<<<<<<<<<
- *                     return self._finish(result)
- *                 if v == 0:
-*/
-        __pyx_t_6 = PyList_New(0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 651, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_core, __pyx_t_6) < 0))) __PYX_ERR(0, 651, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-        /* "maxcore/engine/_search.pyx":652
- *                     result["status"] = "unsat"
- *                     result["core"] = []
- *                     return self._finish(result)             # <<<<<<<<<<<<<<
- *                 if v == 0:
- *                     self._assign(lit, ci)
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_finish(__pyx_v_self, __pyx_v_result); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 652, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_r = __pyx_t_6;
-        __pyx_t_6 = 0;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":649
- *                 lit = self.db[self.c_off[ci]]
- *                 v = self._lit_value_c(lit)
- *                 if v == -1:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = []
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":653
- *                     result["core"] = []
- *                     return self._finish(result)
- *                 if v == 0:             # <<<<<<<<<<<<<<
- *                     self._assign(lit, ci)
- * 
-*/
-      __pyx_t_2 = (__pyx_v_v == 0);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":654
- *                     return self._finish(result)
- *                 if v == 0:
- *                     self._assign(lit, ci)             # <<<<<<<<<<<<<<
- * 
- *         while True:
-*/
-        ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_assign(__pyx_v_self, __pyx_v_lit, __pyx_v_ci); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 654, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":653
- *                     result["core"] = []
- *                     return self._finish(result)
- *                 if v == 0:             # <<<<<<<<<<<<<<
- *                     self._assign(lit, ci)
- * 
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":646
- * 
- *         for ci in range(self.n_problem):
- *             if self.c_len[ci] == 1:             # <<<<<<<<<<<<<<
- *                 lit = self.db[self.c_off[ci]]
- *                 v = self._lit_value_c(lit)
-*/
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":656
- *                     self._assign(lit, ci)
- * 
- *         while True:             # <<<<<<<<<<<<<<
- *             if self.trail_lim.size() == 0:
- *                 core = self._establish_assumptions(asms)
-*/
-  while (1) {
-
-    /* "maxcore/engine/_search.pyx":657
- * 
- *         while True:
- *             if self.trail_lim.size() == 0:             # <<<<<<<<<<<<<<
- *                 core = self._establish_assumptions(asms)
- *                 if core is not None:
-*/
-    __pyx_t_2 = (__pyx_v_self->trail_lim.size() == 0);
-    if (__pyx_t_2) {
-
-      /* "maxcore/engine/_search.pyx":658
- *         while True:
- *             if self.trail_lim.size() == 0:
- *                 core = self._establish_assumptions(asms)             # <<<<<<<<<<<<<<
- *                 if core is not None:
- *                     result["status"] = "unsat"
-*/
-      __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_establish_assumptions(__pyx_v_self, __pyx_v_asms); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 658, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_XDECREF_SET(__pyx_v_core, __pyx_t_6);
-      __pyx_t_6 = 0;
-
-      /* "maxcore/engine/_search.pyx":659
- *             if self.trail_lim.size() == 0:
- *                 core = self._establish_assumptions(asms)
- *                 if core is not None:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = core
-*/
-      __pyx_t_2 = (__pyx_v_core != Py_None);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":660
- *                 core = self._establish_assumptions(asms)
- *                 if core is not None:
- *                     result["status"] = "unsat"             # <<<<<<<<<<<<<<
- *                     result["core"] = core
- *                     return self._finish(result)
-*/
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_status, __pyx_mstate_global->__pyx_n_u_unsat) < 0))) __PYX_ERR(0, 660, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":661
- *                 if core is not None:
- *                     result["status"] = "unsat"
- *                     result["core"] = core             # <<<<<<<<<<<<<<
- *                     return self._finish(result)
- *             confl = self._propagate_all()
-*/
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_core, __pyx_v_core) < 0))) __PYX_ERR(0, 661, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":662
- *                     result["status"] = "unsat"
- *                     result["core"] = core
- *                     return self._finish(result)             # <<<<<<<<<<<<<<
- *             confl = self._propagate_all()
- *             if confl >= 0:
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_finish(__pyx_v_self, __pyx_v_result); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 662, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_r = __pyx_t_6;
-        __pyx_t_6 = 0;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":659
- *             if self.trail_lim.size() == 0:
- *                 core = self._establish_assumptions(asms)
- *                 if core is not None:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = core
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":657
- * 
- *         while True:
- *             if self.trail_lim.size() == 0:             # <<<<<<<<<<<<<<
- *                 core = self._establish_assumptions(asms)
- *                 if core is not None:
-*/
-    }
-
-    /* "maxcore/engine/_search.pyx":663
- *                     result["core"] = core
- *                     return self._finish(result)
- *             confl = self._propagate_all()             # <<<<<<<<<<<<<<
- *             if confl >= 0:
- *                 self.conflicts += 1
-*/
-    __pyx_t_9 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_propagate_all(__pyx_v_self); if (unlikely(__pyx_t_9 == ((int)-2))) __PYX_ERR(0, 663, __pyx_L1_error)
-    __pyx_v_confl = __pyx_t_9;
-
-    /* "maxcore/engine/_search.pyx":664
- *                     return self._finish(result)
- *             confl = self._propagate_all()
- *             if confl >= 0:             # <<<<<<<<<<<<<<
- *                 self.conflicts += 1
- *                 conflicts_since_restart += 1
-*/
-    __pyx_t_2 = (__pyx_v_confl >= 0);
-    if (__pyx_t_2) {
-
-      /* "maxcore/engine/_search.pyx":665
- *             confl = self._propagate_all()
- *             if confl >= 0:
- *                 self.conflicts += 1             # <<<<<<<<<<<<<<
- *                 conflicts_since_restart += 1
- *                 if self.trail_lim.size() == 0:
-*/
-      __pyx_v_self->conflicts = (__pyx_v_self->conflicts + 1);
-
-      /* "maxcore/engine/_search.pyx":666
- *             if confl >= 0:
- *                 self.conflicts += 1
- *                 conflicts_since_restart += 1             # <<<<<<<<<<<<<<
- *                 if self.trail_lim.size() == 0:
- *                     result["status"] = "unsat"
-*/
-      __pyx_v_conflicts_since_restart = (__pyx_v_conflicts_since_restart + 1);
-
-      /* "maxcore/engine/_search.pyx":667
- *                 self.conflicts += 1
- *                 conflicts_since_restart += 1
- *                 if self.trail_lim.size() == 0:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = []
-*/
-      __pyx_t_2 = (__pyx_v_self->trail_lim.size() == 0);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":668
- *                 conflicts_since_restart += 1
- *                 if self.trail_lim.size() == 0:
- *                     result["status"] = "unsat"             # <<<<<<<<<<<<<<
- *                     result["core"] = []
- *                     return self._finish(result)
-*/
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_status, __pyx_mstate_global->__pyx_n_u_unsat) < 0))) __PYX_ERR(0, 668, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":669
- *                 if self.trail_lim.size() == 0:
- *                     result["status"] = "unsat"
- *                     result["core"] = []             # <<<<<<<<<<<<<<
- *                     return self._finish(result)
- *                 if self.trail_lim.size() == 1:
-*/
-        __pyx_t_6 = PyList_New(0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 669, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_core, __pyx_t_6) < 0))) __PYX_ERR(0, 669, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-        /* "maxcore/engine/_search.pyx":670
- *                     result["status"] = "unsat"
- *                     result["core"] = []
- *                     return self._finish(result)             # <<<<<<<<<<<<<<
- *                 if self.trail_lim.size() == 1:
- *                     result["status"] = "unsat"
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_finish(__pyx_v_self, __pyx_v_result); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 670, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_r = __pyx_t_6;
-        __pyx_t_6 = 0;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":667
- *                 self.conflicts += 1
- *                 conflicts_since_restart += 1
- *                 if self.trail_lim.size() == 0:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = []
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":671
- *                     result["core"] = []
- *                     return self._finish(result)
- *                 if self.trail_lim.size() == 1:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = self._analyze_final_clause(confl)
-*/
-      __pyx_t_2 = (__pyx_v_self->trail_lim.size() == 1);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":672
- *                     return self._finish(result)
- *                 if self.trail_lim.size() == 1:
- *                     result["status"] = "unsat"             # <<<<<<<<<<<<<<
- *                     result["core"] = self._analyze_final_clause(confl)
- *                     return self._finish(result)
-*/
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_status, __pyx_mstate_global->__pyx_n_u_unsat) < 0))) __PYX_ERR(0, 672, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":673
- *                 if self.trail_lim.size() == 1:
- *                     result["status"] = "unsat"
- *                     result["core"] = self._analyze_final_clause(confl)             # <<<<<<<<<<<<<<
- *                     return self._finish(result)
- *                 bj = self._analyze(confl)
-*/
-        __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_analyze_final_clause(__pyx_v_self, __pyx_v_confl); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 673, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_core, __pyx_t_6) < 0))) __PYX_ERR(0, 673, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-        /* "maxcore/engine/_search.pyx":674
- *                     result["status"] = "unsat"
- *                     result["core"] = self._analyze_final_clause(confl)
- *                     return self._finish(result)             # <<<<<<<<<<<<<<
- *                 bj = self._analyze(confl)
- *                 self._backjump(bj)
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_finish(__pyx_v_self, __pyx_v_result); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 674, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_r = __pyx_t_6;
-        __pyx_t_6 = 0;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":671
- *                     result["core"] = []
- *                     return self._finish(result)
- *                 if self.trail_lim.size() == 1:             # <<<<<<<<<<<<<<
- *                     result["status"] = "unsat"
- *                     result["core"] = self._analyze_final_clause(confl)
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":675
- *                     result["core"] = self._analyze_final_clause(confl)
- *                     return self._finish(result)
- *                 bj = self._analyze(confl)             # <<<<<<<<<<<<<<
- *                 self._backjump(bj)
- *                 ci = self._add_clause_vec(self._learnt_buf, C_KIND_LEARNT)
-*/
-      __pyx_t_9 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_analyze(__pyx_v_self, __pyx_v_confl); if (unlikely(__pyx_t_9 == ((int)-1))) __PYX_ERR(0, 675, __pyx_L1_error)
-      __pyx_v_bj = __pyx_t_9;
-
-      /* "maxcore/engine/_search.pyx":676
- *                     return self._finish(result)
- *                 bj = self._analyze(confl)
- *                 self._backjump(bj)             # <<<<<<<<<<<<<<
- *                 ci = self._add_clause_vec(self._learnt_buf, C_KIND_LEARNT)
- *                 self.n_learnt += 1
-*/
-      ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_backjump(__pyx_v_self, __pyx_v_bj); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 676, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":677
- *                 bj = self._analyze(confl)
- *                 self._backjump(bj)
- *                 ci = self._add_clause_vec(self._learnt_buf, C_KIND_LEARNT)             # <<<<<<<<<<<<<<
- *                 self.n_learnt += 1
- *                 if self._learnt_buf.size() > 1:
-*/
-      __pyx_t_9 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_add_clause_vec(__pyx_v_self, __pyx_v_self->_learnt_buf, __pyx_v_7maxcore_6engine_7_search_C_KIND_LEARNT); if (unlikely(__pyx_t_9 == ((int)-1))) __PYX_ERR(0, 677, __pyx_L1_error)
-      __pyx_v_ci = __pyx_t_9;
-
-      /* "maxcore/engine/_search.pyx":678
- *                 self._backjump(bj)
- *                 ci = self._add_clause_vec(self._learnt_buf, C_KIND_LEARNT)
- *                 self.n_learnt += 1             # <<<<<<<<<<<<<<
- *                 if self._learnt_buf.size() > 1:
- *                     self.c_act[ci] = self.cla_inc
-*/
-      __pyx_v_self->n_learnt = (__pyx_v_self->n_learnt + 1);
-
-      /* "maxcore/engine/_search.pyx":679
- *                 ci = self._add_clause_vec(self._learnt_buf, C_KIND_LEARNT)
- *                 self.n_learnt += 1
- *                 if self._learnt_buf.size() > 1:             # <<<<<<<<<<<<<<
- *                     self.c_act[ci] = self.cla_inc
- *                 self._assign(self._learnt_buf[0], ci)
-*/
-      __pyx_t_2 = (__pyx_v_self->_learnt_buf.size() > 1);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":680
- *                 self.n_learnt += 1
- *                 if self._learnt_buf.size() > 1:
- *                     self.c_act[ci] = self.cla_inc             # <<<<<<<<<<<<<<
- *                 self._assign(self._learnt_buf[0], ci)
- *                 if self._validate_on:
-*/
-        __pyx_t_3 = __pyx_v_self->cla_inc;
-        (__pyx_v_self->c_act[__pyx_v_ci]) = __pyx_t_3;
-
-        /* "maxcore/engine/_search.pyx":679
- *                 ci = self._add_clause_vec(self._learnt_buf, C_KIND_LEARNT)
- *                 self.n_learnt += 1
- *                 if self._learnt_buf.size() > 1:             # <<<<<<<<<<<<<<
- *                     self.c_act[ci] = self.cla_inc
- *                 self._assign(self._learnt_buf[0], ci)
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":681
- *                 if self._learnt_buf.size() > 1:
- *                     self.c_act[ci] = self.cla_inc
- *                 self._assign(self._learnt_buf[0], ci)             # <<<<<<<<<<<<<<
- *                 if self._validate_on:
- *                     self._check_learnt(ci)
-*/
-      ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_assign(__pyx_v_self, (__pyx_v_self->_learnt_buf[0]), __pyx_v_ci); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 681, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":682
- *                     self.c_act[ci] = self.cla_inc
- *                 self._assign(self._learnt_buf[0], ci)
- *                 if self._validate_on:             # <<<<<<<<<<<<<<
- *                     self._check_learnt(ci)
- *                 self.var_inc /= self._decay
-*/
-      if (__pyx_v_self->_validate_on) {
-
-        /* "maxcore/engine/_search.pyx":683
- *                 self._assign(self._learnt_buf[0], ci)
- *                 if self._validate_on:
- *                     self._check_learnt(ci)             # <<<<<<<<<<<<<<
- *                 self.var_inc /= self._decay
- *                 self.cla_inc /= self._clause_decay
-*/
-        ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_check_learnt(__pyx_v_self, __pyx_v_ci); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 683, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":682
- *                     self.c_act[ci] = self.cla_inc
- *                 self._assign(self._learnt_buf[0], ci)
- *                 if self._validate_on:             # <<<<<<<<<<<<<<
- *                     self._check_learnt(ci)
- *                 self.var_inc /= self._decay
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":684
- *                 if self._validate_on:
- *                     self._check_learnt(ci)
- *                 self.var_inc /= self._decay             # <<<<<<<<<<<<<<
- *                 self.cla_inc /= self._clause_decay
- *                 if self.n_learnt >= self.learnt_cap:
-*/
-      __pyx_v_self->var_inc = (__pyx_v_self->var_inc / __pyx_v_self->_decay);
-
-      /* "maxcore/engine/_search.pyx":685
- *                     self._check_learnt(ci)
- *                 self.var_inc /= self._decay
- *                 self.cla_inc /= self._clause_decay             # <<<<<<<<<<<<<<
- *                 if self.n_learnt >= self.learnt_cap:
- *                     self._reduce_learnts()
-*/
-      __pyx_v_self->cla_inc = (__pyx_v_self->cla_inc / __pyx_v_self->_clause_decay);
-
-      /* "maxcore/engine/_search.pyx":686
- *                 self.var_inc /= self._decay
- *                 self.cla_inc /= self._clause_decay
- *                 if self.n_learnt >= self.learnt_cap:             # <<<<<<<<<<<<<<
- *                     self._reduce_learnts()
- *                 if has_cb and self.conflicts >= cb:
-*/
-      __pyx_t_2 = (__pyx_v_self->n_learnt >= __pyx_v_self->learnt_cap);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":687
- *                 self.cla_inc /= self._clause_decay
- *                 if self.n_learnt >= self.learnt_cap:
- *                     self._reduce_learnts()             # <<<<<<<<<<<<<<
- *                 if has_cb and self.conflicts >= cb:
- *                     return self._finish(result)
-*/
-        ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_reduce_learnts(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 687, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":686
- *                 self.var_inc /= self._decay
- *                 self.cla_inc /= self._clause_decay
- *                 if self.n_learnt >= self.learnt_cap:             # <<<<<<<<<<<<<<
- *                     self._reduce_learnts()
- *                 if has_cb and self.conflicts >= cb:
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":688
- *                 if self.n_learnt >= self.learnt_cap:
- *                     self._reduce_learnts()
- *                 if has_cb and self.conflicts >= cb:             # <<<<<<<<<<<<<<
- *                     return self._finish(result)
- *                 if has_deadline and self.conflicts % 128 == 0:
-*/
-      if (__pyx_v_has_cb) {
-      } else {
-        __pyx_t_2 = __pyx_v_has_cb;
-        goto __pyx_L21_bool_binop_done;
-      }
-      __pyx_t_13 = (__pyx_v_self->conflicts >= __pyx_v_cb);
-      __pyx_t_2 = __pyx_t_13;
-      __pyx_L21_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":689
- *                     self._reduce_learnts()
- *                 if has_cb and self.conflicts >= cb:
- *                     return self._finish(result)             # <<<<<<<<<<<<<<
- *                 if has_deadline and self.conflicts % 128 == 0:
- *                     if time.monotonic() > deadline:
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_6 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_finish(__pyx_v_self, __pyx_v_result); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 689, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_r = __pyx_t_6;
-        __pyx_t_6 = 0;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":688
- *                 if self.n_learnt >= self.learnt_cap:
- *                     self._reduce_learnts()
- *                 if has_cb and self.conflicts >= cb:             # <<<<<<<<<<<<<<
- *                     return self._finish(result)
- *                 if has_deadline and self.conflicts % 128 == 0:
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":690
- *                 if has_cb and self.conflicts >= cb:
- *                     return self._finish(result)
- *                 if has_deadline and self.conflicts % 128 == 0:             # <<<<<<<<<<<<<<
- *                     if time.monotonic() > deadline:
- *                         return self._finish(result)
-*/
-      if (__pyx_v_has_deadline) {
-      } else {
-        __pyx_t_2 = __pyx_v_has_deadline;
-        goto __pyx_L24_bool_binop_done;
-      }
-      __pyx_t_13 = ((__pyx_v_self->conflicts % 0x80) == 0);
-      __pyx_t_2 = __pyx_t_13;
-      __pyx_L24_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":691
- *                     return self._finish(result)
- *                 if has_deadline and self.conflicts % 128 == 0:
- *                     if time.monotonic() > deadline:             # <<<<<<<<<<<<<<
- *                         return self._finish(result)
- *             else:
-*/
-        __pyx_t_1 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_time); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 691, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_monotonic); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 691, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_t_7 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_5))) {
-          __pyx_t_1 = PyMethod_GET_SELF(__pyx_t_5);
-          assert(__pyx_t_1);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-          __Pyx_INCREF(__pyx_t_1);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-          __pyx_t_7 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_1, NULL};
-          __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_7, (1-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-          __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-          if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 691, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_6);
-        }
-        __pyx_t_5 = PyFloat_FromDouble(__pyx_v_deadline); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 691, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __pyx_t_1 = PyObject_RichCompare(__pyx_t_6, __pyx_t_5, Py_GT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 691, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 691, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-        if (__pyx_t_2) {
-
-          /* "maxcore/engine/_search.pyx":692
- *                 if has_deadline and self.conflicts % 128 == 0:
- *                     if time.monotonic() > deadline:
- *                         return self._finish(result)             # <<<<<<<<<<<<<<
- *             else:
- *                 if (self._restarts_on
-*/
-          __Pyx_XDECREF(__pyx_r);
-          __pyx_t_1 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_finish(__pyx_v_self, __pyx_v_result); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 692, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_1);
-          __pyx_r = __pyx_t_1;
-          __pyx_t_1 = 0;
-          goto __pyx_L0;
-
-          /* "maxcore/engine/_search.pyx":691
- *                     return self._finish(result)
- *                 if has_deadline and self.conflicts % 128 == 0:
- *                     if time.monotonic() > deadline:             # <<<<<<<<<<<<<<
- *                         return self._finish(result)
- *             else:
-*/
-        }
-
-        /* "maxcore/engine/_search.pyx":690
- *                 if has_cb and self.conflicts >= cb:
- *                     return self._finish(result)
- *                 if has_deadline and self.conflicts % 128 == 0:             # <<<<<<<<<<<<<<
- *                     if time.monotonic() > deadline:
- *                         return self._finish(result)
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":664
- *                     return self._finish(result)
- *             confl = self._propagate_all()
- *             if confl >= 0:             # <<<<<<<<<<<<<<
- *                 self.conflicts += 1
- *                 conflicts_since_restart += 1
-*/
-      goto __pyx_L14;
-    }
-
-    /* "maxcore/engine/_search.pyx":694
- *                         return self._finish(result)
- *             else:
- *                 if (self._restarts_on             # <<<<<<<<<<<<<<
- *                         and conflicts_since_restart >= restart_limit
- *                         and self.trail_lim.size() > 1):
-*/
-    /*else*/ {
-
-      /* "maxcore/engine/_search.pyx":695
- *             else:
- *                 if (self._restarts_on
- *                         and conflicts_since_restart >= restart_limit             # <<<<<<<<<<<<<<
- *                         and self.trail_lim.size() > 1):
- *                     conflicts_since_restart = 0
-*/
-      if (__pyx_v_self->_restarts_on) {
-      } else {
-        __pyx_t_2 = __pyx_v_self->_restarts_on;
-        goto __pyx_L28_bool_binop_done;
-      }
-
-      /* "maxcore/engine/_search.pyx":696
- *                 if (self._restarts_on
- *                         and conflicts_since_restart >= restart_limit
- *                         and self.trail_lim.size() > 1):             # <<<<<<<<<<<<<<
- *                     conflicts_since_restart = 0
- *                     restart_limit *= self._restart_mult
-*/
-      __pyx_t_13 = (__pyx_v_conflicts_since_restart >= __pyx_v_restart_limit);
-      if (__pyx_t_13) {
-      } else {
-        __pyx_t_2 = __pyx_t_13;
-        goto __pyx_L28_bool_binop_done;
-      }
-      __pyx_t_13 = (__pyx_v_self->trail_lim.size() > 1);
-      __pyx_t_2 = __pyx_t_13;
-      __pyx_L28_bool_binop_done:;
-
-      /* "maxcore/engine/_search.pyx":694
- *                         return self._finish(result)
- *             else:
- *                 if (self._restarts_on             # <<<<<<<<<<<<<<
- *                         and conflicts_since_restart >= restart_limit
- *                         and self.trail_lim.size() > 1):
-*/
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":697
- *                         and conflicts_since_restart >= restart_limit
- *                         and self.trail_lim.size() > 1):
- *                     conflicts_since_restart = 0             # <<<<<<<<<<<<<<
- *                     restart_limit *= self._restart_mult
- *                     self.restarts += 1
-*/
-        __pyx_v_conflicts_since_restart = 0;
-
-        /* "maxcore/engine/_search.pyx":698
- *                         and self.trail_lim.size() > 1):
- *                     conflicts_since_restart = 0
- *                     restart_limit *= self._restart_mult             # <<<<<<<<<<<<<<
- *                     self.restarts += 1
- *                     self._backjump(0)
-*/
-        __pyx_v_restart_limit = (__pyx_v_restart_limit * __pyx_v_self->_restart_mult);
-
-        /* "maxcore/engine/_search.pyx":699
- *                     conflicts_since_restart = 0
- *                     restart_limit *= self._restart_mult
- *                     self.restarts += 1             # <<<<<<<<<<<<<<
- *                     self._backjump(0)
- *                     continue
-*/
-        __pyx_v_self->restarts = (__pyx_v_self->restarts + 1);
-
-        /* "maxcore/engine/_search.pyx":700
- *                     restart_limit *= self._restart_mult
- *                     self.restarts += 1
- *                     self._backjump(0)             # <<<<<<<<<<<<<<
- *                     continue
- *                 if <int>self.trail.size() == self.nvars:
-*/
-        ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_backjump(__pyx_v_self, 0); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 700, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":701
- *                     self.restarts += 1
- *                     self._backjump(0)
- *                     continue             # <<<<<<<<<<<<<<
- *                 if <int>self.trail.size() == self.nvars:
- *                     result["status"] = "sat"
-*/
-        goto __pyx_L10_continue;
-
-        /* "maxcore/engine/_search.pyx":694
- *                         return self._finish(result)
- *             else:
- *                 if (self._restarts_on             # <<<<<<<<<<<<<<
- *                         and conflicts_since_restart >= restart_limit
- *                         and self.trail_lim.size() > 1):
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":702
- *                     self._backjump(0)
- *                     continue
- *                 if <int>self.trail.size() == self.nvars:             # <<<<<<<<<<<<<<
- *                     result["status"] = "sat"
- *                     result["model"] = [self.values[v] for v in range(self.nvars + 1)]
-*/
-      __pyx_t_2 = (((int)__pyx_v_self->trail.size()) == __pyx_v_self->nvars);
-      if (__pyx_t_2) {
-
-        /* "maxcore/engine/_search.pyx":703
- *                     continue
- *                 if <int>self.trail.size() == self.nvars:
- *                     result["status"] = "sat"             # <<<<<<<<<<<<<<
- *                     result["model"] = [self.values[v] for v in range(self.nvars + 1)]
- *                     return self._finish(result)
-*/
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_status, __pyx_mstate_global->__pyx_n_u_sat) < 0))) __PYX_ERR(0, 703, __pyx_L1_error)
-
-        /* "maxcore/engine/_search.pyx":704
- *                 if <int>self.trail.size() == self.nvars:
- *                     result["status"] = "sat"
- *                     result["model"] = [self.values[v] for v in range(self.nvars + 1)]             # <<<<<<<<<<<<<<
- *                     return self._finish(result)
- *                 var = 0
-*/
-        { /* enter inner scope */
-          __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 704, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_1);
-          __pyx_t_8 = (__pyx_v_self->nvars + 1);
-          __pyx_t_14 = __pyx_t_8;
-          for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_14; __pyx_t_9+=1) {
-            __pyx_8genexpr1__pyx_v_v = __pyx_t_9;
-            __pyx_t_5 = __Pyx_PyLong_From_int((__pyx_v_self->values[__pyx_8genexpr1__pyx_v_v])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 704, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_5);
-            if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_5))) __PYX_ERR(0, 704, __pyx_L1_error)
-            __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-          }
-        } /* exit inner scope */
-        if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_model, __pyx_t_1) < 0))) __PYX_ERR(0, 704, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-        /* "maxcore/engine/_search.pyx":705
- *                     result["status"] = "sat"
- *                     result["model"] = [self.values[v] for v in range(self.nvars + 1)]
- *                     return self._finish(result)             # <<<<<<<<<<<<<<
- *                 var = 0
- *                 while self.heap.size() > 0:
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_1 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_finish(__pyx_v_self, __pyx_v_result); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 705, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_r = __pyx_t_1;
-        __pyx_t_1 = 0;
-        goto __pyx_L0;
-
-        /* "maxcore/engine/_search.pyx":702
- *                     self._backjump(0)
- *                     continue
- *                 if <int>self.trail.size() == self.nvars:             # <<<<<<<<<<<<<<
- *                     result["status"] = "sat"
- *                     result["model"] = [self.values[v] for v in range(self.nvars + 1)]
-*/
-      }
-
-      /* "maxcore/engine/_search.pyx":706
- *                     result["model"] = [self.values[v] for v in range(self.nvars + 1)]
- *                     return self._finish(result)
- *                 var = 0             # <<<<<<<<<<<<<<
- *                 while self.heap.size() > 0:
- *                     var = self._heap_pop()
-*/
-      __pyx_v_var = 0;
-
-      /* "maxcore/engine/_search.pyx":707
- *                     return self._finish(result)
- *                 var = 0
- *                 while self.heap.size() > 0:             # <<<<<<<<<<<<<<
- *                     var = self._heap_pop()
- *                     if self.values[var] == 0:
-*/
-      while (1) {
-        __pyx_t_2 = (__pyx_v_self->heap.size() > 0);
-        if (!__pyx_t_2) break;
-
-        /* "maxcore/engine/_search.pyx":708
- *                 var = 0
- *                 while self.heap.size() > 0:
- *                     var = self._heap_pop()             # <<<<<<<<<<<<<<
- *                     if self.values[var] == 0:
- *                         break
-*/
-        __pyx_t_9 = ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_heap_pop(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 708, __pyx_L1_error)
-        __pyx_v_var = __pyx_t_9;
-
-        /* "maxcore/engine/_search.pyx":709
- *                 while self.heap.size() > 0:
- *                     var = self._heap_pop()
- *                     if self.values[var] == 0:             # <<<<<<<<<<<<<<
- *                         break
- *                     var = 0
-*/
-        __pyx_t_2 = ((__pyx_v_self->values[__pyx_v_var]) == 0);
-        if (__pyx_t_2) {
-
-          /* "maxcore/engine/_search.pyx":710
- *                     var = self._heap_pop()
- *                     if self.values[var] == 0:
- *                         break             # <<<<<<<<<<<<<<
- *                     var = 0
- *                 self.decisions += 1
-*/
-          goto __pyx_L35_break;
-
-          /* "maxcore/engine/_search.pyx":709
- *                 while self.heap.size() > 0:
- *                     var = self._heap_pop()
- *                     if self.values[var] == 0:             # <<<<<<<<<<<<<<
- *                         break
- *                     var = 0
-*/
-        }
-
-        /* "maxcore/engine/_search.pyx":711
- *                     if self.values[var] == 0:
- *                         break
- *                     var = 0             # <<<<<<<<<<<<<<
- *                 self.decisions += 1
- *                 self._new_level()
-*/
-        __pyx_v_var = 0;
-      }
-      __pyx_L35_break:;
-
-      /* "maxcore/engine/_search.pyx":712
- *                         break
- *                     var = 0
- *                 self.decisions += 1             # <<<<<<<<<<<<<<
- *                 self._new_level()
- *                 self._assign(var if self.phase[var] else -var, -1)
-*/
-      __pyx_v_self->decisions = (__pyx_v_self->decisions + 1);
-
-      /* "maxcore/engine/_search.pyx":713
- *                     var = 0
- *                 self.decisions += 1
- *                 self._new_level()             # <<<<<<<<<<<<<<
- *                 self._assign(var if self.phase[var] else -var, -1)
- * 
-*/
-      __pyx_f_7maxcore_6engine_7_search_10SearchCore__new_level(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 713, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":714
- *                 self.decisions += 1
- *                 self._new_level()
- *                 self._assign(var if self.phase[var] else -var, -1)             # <<<<<<<<<<<<<<
- * 
- *     cdef void _check_learnt(self, int ci) except *:
-*/
-      __pyx_t_2 = ((__pyx_v_self->phase[__pyx_v_var]) != 0);
-      if (__pyx_t_2) {
-        __pyx_t_9 = __pyx_v_var;
-      } else {
-        __pyx_t_9 = (-__pyx_v_var);
-      }
-      ((struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self->__pyx_vtab)->_assign(__pyx_v_self, __pyx_t_9, -1); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 714, __pyx_L1_error)
-    }
-    __pyx_L14:;
-    __pyx_L10_continue:;
-  }
-
-  /* "maxcore/engine/_search.pyx":626
- *         return None
- * 
- *     def solve(self, assumptions, conflict_budget=None, time_budget_s=None):             # <<<<<<<<<<<<<<
- *         cdef dict result = {
- *             "status": "unknown", "model": None, "core": None,
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.solve", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_result);
-  __Pyx_XDECREF(__pyx_v_asms);
-  __Pyx_XDECREF(__pyx_v_core);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":716
- *                 self._assign(var if self.phase[var] else -var, -1)
- * 
- *     cdef void _check_learnt(self, int ci) except *:             # <<<<<<<<<<<<<<
- *         cdef int off = self.c_off[ci]
- *         cdef int head = self.db[off]
-*/
-
-static void __pyx_f_7maxcore_6engine_7_search_10SearchCore__check_learnt(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, int __pyx_v_ci) {
-  int __pyx_v_off;
-  int __pyx_v_head;
-  int __pyx_v_k;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_check_learnt", 0);
-
-  /* "maxcore/engine/_search.pyx":717
- * 
- *     cdef void _check_learnt(self, int ci) except *:
- *         cdef int off = self.c_off[ci]             # <<<<<<<<<<<<<<
- *         cdef int head = self.db[off]
- *         cdef int k
-*/
-  __pyx_v_off = (__pyx_v_self->c_off[__pyx_v_ci]);
-
-  /* "maxcore/engine/_search.pyx":718
- *     cdef void _check_learnt(self, int ci) except *:
- *         cdef int off = self.c_off[ci]
- *         cdef int head = self.db[off]             # <<<<<<<<<<<<<<
- *         cdef int k
- *         if self._lit_value_c(head) != 1:
-*/
-  __pyx_v_head = (__pyx_v_self->db[__pyx_v_off]);
-
-  /* "maxcore/engine/_search.pyx":720
- *         cdef int head = self.db[off]
- *         cdef int k
- *         if self._lit_value_c(head) != 1:             # <<<<<<<<<<<<<<
- *             raise AssertionError("learnt clause head not asserted after backjump")
- *         for k in range(off + 1, off + self.c_len[ci]):
-*/
-  __pyx_t_1 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, __pyx_v_head); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 720, __pyx_L1_error)
-  __pyx_t_2 = (__pyx_t_1 != 1);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "maxcore/engine/_search.pyx":721
- *         cdef int k
- *         if self._lit_value_c(head) != 1:
- *             raise AssertionError("learnt clause head not asserted after backjump")             # <<<<<<<<<<<<<<
- *         for k in range(off + 1, off + self.c_len[ci]):
- *             if self._lit_value_c(self.db[k]) != -1:
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_learnt_clause_head_not_asserted};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_AssertionError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 721, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 721, __pyx_L1_error)
-
-    /* "maxcore/engine/_search.pyx":720
- *         cdef int head = self.db[off]
- *         cdef int k
- *         if self._lit_value_c(head) != 1:             # <<<<<<<<<<<<<<
- *             raise AssertionError("learnt clause head not asserted after backjump")
- *         for k in range(off + 1, off + self.c_len[ci]):
-*/
-  }
-
-  /* "maxcore/engine/_search.pyx":722
- *         if self._lit_value_c(head) != 1:
- *             raise AssertionError("learnt clause head not asserted after backjump")
- *         for k in range(off + 1, off + self.c_len[ci]):             # <<<<<<<<<<<<<<
- *             if self._lit_value_c(self.db[k]) != -1:
- *                 raise AssertionError("learnt clause tail not false after backjump")
-*/
-  __pyx_t_1 = (__pyx_v_off + (__pyx_v_self->c_len[__pyx_v_ci]));
-  __pyx_t_6 = __pyx_t_1;
-  for (__pyx_t_7 = (__pyx_v_off + 1); __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-    __pyx_v_k = __pyx_t_7;
-
-    /* "maxcore/engine/_search.pyx":723
- *             raise AssertionError("learnt clause head not asserted after backjump")
- *         for k in range(off + 1, off + self.c_len[ci]):
- *             if self._lit_value_c(self.db[k]) != -1:             # <<<<<<<<<<<<<<
- *                 raise AssertionError("learnt clause tail not false after backjump")
- * 
-*/
-    __pyx_t_8 = __pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c(__pyx_v_self, (__pyx_v_self->db[__pyx_v_k])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 723, __pyx_L1_error)
-    __pyx_t_2 = (__pyx_t_8 != -1L);
-    if (unlikely(__pyx_t_2)) {
-
-      /* "maxcore/engine/_search.pyx":724
- *         for k in range(off + 1, off + self.c_len[ci]):
- *             if self._lit_value_c(self.db[k]) != -1:
- *                 raise AssertionError("learnt clause tail not false after backjump")             # <<<<<<<<<<<<<<
- * 
- *     cdef dict _finish(self, dict result):
-*/
-      __pyx_t_4 = NULL;
-      __pyx_t_5 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_learnt_clause_tail_not_false_aft};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_AssertionError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 724, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 724, __pyx_L1_error)
-
-      /* "maxcore/engine/_search.pyx":723
- *             raise AssertionError("learnt clause head not asserted after backjump")
- *         for k in range(off + 1, off + self.c_len[ci]):
- *             if self._lit_value_c(self.db[k]) != -1:             # <<<<<<<<<<<<<<
- *                 raise AssertionError("learnt clause tail not false after backjump")
- * 
-*/
-    }
-  }
-
-  /* "maxcore/engine/_search.pyx":716
- *                 self._assign(var if self.phase[var] else -var, -1)
- * 
- *     cdef void _check_learnt(self, int ci) except *:             # <<<<<<<<<<<<<<
- *         cdef int off = self.c_off[ci]
- *         cdef int head = self.db[off]
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._check_learnt", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "maxcore/engine/_search.pyx":726
- *                 raise AssertionError("learnt clause tail not false after backjump")
- * 
- *     cdef dict _finish(self, dict result):             # <<<<<<<<<<<<<<
- *         cdef int ci
- *         result["conflicts"] = self.conflicts
-*/
-
-static PyObject *__pyx_f_7maxcore_6engine_7_search_10SearchCore__finish(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_result) {
-  int __pyx_8genexpr2__pyx_v_ci;
-  int __pyx_8genexpr3__pyx_v_ci;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_finish", 0);
-
-  /* "maxcore/engine/_search.pyx":728
- *     cdef dict _finish(self, dict result):
- *         cdef int ci
- *         result["conflicts"] = self.conflicts             # <<<<<<<<<<<<<<
- *         result["decisions"] = self.decisions
- *         result["propagations"] = self.propagations
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->conflicts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 728, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (unlikely(__pyx_v_result == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 728, __pyx_L1_error)
-  }
-  if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_conflicts, __pyx_t_1) < 0))) __PYX_ERR(0, 728, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":729
- *         cdef int ci
- *         result["conflicts"] = self.conflicts
- *         result["decisions"] = self.decisions             # <<<<<<<<<<<<<<
- *         result["propagations"] = self.propagations
- *         result["restarts"] = self.restarts
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->decisions); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 729, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (unlikely(__pyx_v_result == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 729, __pyx_L1_error)
-  }
-  if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_decisions, __pyx_t_1) < 0))) __PYX_ERR(0, 729, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":730
- *         result["conflicts"] = self.conflicts
- *         result["decisions"] = self.decisions
- *         result["propagations"] = self.propagations             # <<<<<<<<<<<<<<
- *         result["restarts"] = self.restarts
- *         result["learnts"] = [
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->propagations); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 730, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (unlikely(__pyx_v_result == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 730, __pyx_L1_error)
-  }
-  if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_propagations, __pyx_t_1) < 0))) __PYX_ERR(0, 730, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":731
- *         result["decisions"] = self.decisions
- *         result["propagations"] = self.propagations
- *         result["restarts"] = self.restarts             # <<<<<<<<<<<<<<
- *         result["learnts"] = [
- *             tuple(self.clause_lits(ci))
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->restarts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 731, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (unlikely(__pyx_v_result == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 731, __pyx_L1_error)
-  }
-  if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_restarts, __pyx_t_1) < 0))) __PYX_ERR(0, 731, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":732
- *         result["propagations"] = self.propagations
- *         result["restarts"] = self.restarts
- *         result["learnts"] = [             # <<<<<<<<<<<<<<
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
-*/
-  { /* enter inner scope */
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 732, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-
-    /* "maxcore/engine/_search.pyx":734
- *         result["learnts"] = [
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())             # <<<<<<<<<<<<<<
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci]
- *         ]
-*/
-    __pyx_t_2 = ((int)__pyx_v_self->c_off.size());
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = __pyx_v_self->n_problem; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_8genexpr2__pyx_v_ci = __pyx_t_4;
-
-      /* "maxcore/engine/_search.pyx":735
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci]             # <<<<<<<<<<<<<<
- *         ]
- *         result["explanations"] = [
-*/
-      __pyx_t_6 = ((__pyx_v_self->c_kind[__pyx_8genexpr2__pyx_v_ci]) == __pyx_v_7maxcore_6engine_7_search_C_KIND_LEARNT);
-      if (__pyx_t_6) {
-      } else {
-        __pyx_t_5 = __pyx_t_6;
-        goto __pyx_L6_bool_binop_done;
-      }
-      __pyx_t_6 = (!((__pyx_v_self->c_dead[__pyx_8genexpr2__pyx_v_ci]) != 0));
-      __pyx_t_5 = __pyx_t_6;
-      __pyx_L6_bool_binop_done:;
-      if (__pyx_t_5) {
-
-        /* "maxcore/engine/_search.pyx":733
- *         result["restarts"] = self.restarts
- *         result["learnts"] = [
- *             tuple(self.clause_lits(ci))             # <<<<<<<<<<<<<<
- *             for ci in range(self.n_problem, <int>self.c_off.size())
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci]
-*/
-        __pyx_t_8 = ((PyObject *)__pyx_v_self);
-        __Pyx_INCREF(__pyx_t_8);
-        __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_8genexpr2__pyx_v_ci); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 733, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_10 = 0;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_t_9};
-          __pyx_t_7 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_clause_lits, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 733, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_7);
-        }
-        __pyx_t_9 = __Pyx_PySequence_Tuple(__pyx_t_7); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 733, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_9))) __PYX_ERR(0, 732, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-        /* "maxcore/engine/_search.pyx":735
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci]             # <<<<<<<<<<<<<<
- *         ]
- *         result["explanations"] = [
-*/
-      }
-    }
-  } /* exit inner scope */
-
-  /* "maxcore/engine/_search.pyx":732
- *         result["propagations"] = self.propagations
- *         result["restarts"] = self.restarts
- *         result["learnts"] = [             # <<<<<<<<<<<<<<
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
-*/
-  if (unlikely(__pyx_v_result == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 732, __pyx_L1_error)
-  }
-  if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_learnts, __pyx_t_1) < 0))) __PYX_ERR(0, 732, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":737
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci]
- *         ]
- *         result["explanations"] = [             # <<<<<<<<<<<<<<
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
-*/
-  { /* enter inner scope */
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 737, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-
-    /* "maxcore/engine/_search.pyx":739
- *         result["explanations"] = [
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())             # <<<<<<<<<<<<<<
- *             if self.c_kind[ci] == C_KIND_EXPL
- *         ]
-*/
-    __pyx_t_2 = ((int)__pyx_v_self->c_off.size());
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = __pyx_v_self->n_problem; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_8genexpr3__pyx_v_ci = __pyx_t_4;
-
-      /* "maxcore/engine/_search.pyx":740
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
- *             if self.c_kind[ci] == C_KIND_EXPL             # <<<<<<<<<<<<<<
- *         ]
- *         self._in_search = False
-*/
-      __pyx_t_5 = ((__pyx_v_self->c_kind[__pyx_8genexpr3__pyx_v_ci]) == __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL);
-      if (__pyx_t_5) {
-
-        /* "maxcore/engine/_search.pyx":738
- *         ]
- *         result["explanations"] = [
- *             tuple(self.clause_lits(ci))             # <<<<<<<<<<<<<<
- *             for ci in range(self.n_problem, <int>self.c_off.size())
- *             if self.c_kind[ci] == C_KIND_EXPL
-*/
-        __pyx_t_7 = ((PyObject *)__pyx_v_self);
-        __Pyx_INCREF(__pyx_t_7);
-        __pyx_t_8 = __Pyx_PyLong_From_int(__pyx_8genexpr3__pyx_v_ci); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 738, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __pyx_t_10 = 0;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_t_8};
-          __pyx_t_9 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_clause_lits, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-          __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 738, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_9);
-        }
-        __pyx_t_8 = __Pyx_PySequence_Tuple(__pyx_t_9); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 738, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_8))) __PYX_ERR(0, 737, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-
-        /* "maxcore/engine/_search.pyx":740
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
- *             if self.c_kind[ci] == C_KIND_EXPL             # <<<<<<<<<<<<<<
- *         ]
- *         self._in_search = False
-*/
-      }
-    }
-  } /* exit inner scope */
-
-  /* "maxcore/engine/_search.pyx":737
- *             if self.c_kind[ci] == C_KIND_LEARNT and not self.c_dead[ci]
- *         ]
- *         result["explanations"] = [             # <<<<<<<<<<<<<<
- *             tuple(self.clause_lits(ci))
- *             for ci in range(self.n_problem, <int>self.c_off.size())
-*/
-  if (unlikely(__pyx_v_result == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-    __PYX_ERR(0, 737, __pyx_L1_error)
-  }
-  if (unlikely((PyDict_SetItem(__pyx_v_result, __pyx_mstate_global->__pyx_n_u_explanations, __pyx_t_1) < 0))) __PYX_ERR(0, 737, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "maxcore/engine/_search.pyx":742
- *             if self.c_kind[ci] == C_KIND_EXPL
- *         ]
- *         self._in_search = False             # <<<<<<<<<<<<<<
- *         return result
-*/
-  __pyx_v_self->_in_search = 0;
-
-  /* "maxcore/engine/_search.pyx":743
- *         ]
- *         self._in_search = False
- *         return result             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_result);
-  __pyx_r = __pyx_v_result;
-  goto __pyx_L0;
-
-  /* "maxcore/engine/_search.pyx":726
- *                 raise AssertionError("learnt clause tail not false after backjump")
- * 
- *     cdef dict _finish(self, dict result):             # <<<<<<<<<<<<<<
- *         cdef int ci
- *         result["conflicts"] = self.conflicts
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore._finish", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":45
- *     cdef int nvars
- *     cdef list propagators
- *     cdef public dict cfg             # <<<<<<<<<<<<<<
- * 
- *     cdef vector[int] values          # per var: 0 unset, 1 true, -1 false
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg___get__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_self->cfg);
-  __pyx_r = __pyx_v_self->cfg;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg_2__set__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__set__", 0);
-  __pyx_t_1 = __pyx_v_value;
-  __Pyx_INCREF(__pyx_t_1);
-  if (!(likely(PyDict_CheckExact(__pyx_t_1))||((__pyx_t_1) == Py_None) || __Pyx_RaiseUnexpectedTypeError("dict", __pyx_t_1))) __PYX_ERR(0, 45, __pyx_L1_error)
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF(__pyx_v_self->cfg);
-  __Pyx_DECREF(__pyx_v_self->cfg);
-  __pyx_v_self->cfg = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.cfg.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_5__del__(PyObject *__pyx_v_self); /*proto*/
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_5__del__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__del__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg_4__del__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_3cfg_4__del__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__del__", 0);
-  __Pyx_INCREF(Py_None);
-  __Pyx_GIVEREF(Py_None);
-  __Pyx_GOTREF(__pyx_v_self->cfg);
-  __Pyx_DECREF(__pyx_v_self->cfg);
-  __pyx_v_self->cfg = ((PyObject*)Py_None);
-
-  /* function exit code */
-  __pyx_r = 0;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":74
- *     cdef vector[int] heap_pos
- * 
- *     cdef public long conflicts             # <<<<<<<<<<<<<<
- *     cdef public long decisions
- *     cdef public long propagations
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9conflicts_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9conflicts_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9conflicts___get__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_9conflicts___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->conflicts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 74, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.conflicts.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9conflicts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9conflicts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9conflicts_2__set__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9conflicts_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  long __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_long(__pyx_v_value); if (unlikely((__pyx_t_1 == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 74, __pyx_L1_error)
-  __pyx_v_self->conflicts = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.conflicts.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":75
- * 
- *     cdef public long conflicts
- *     cdef public long decisions             # <<<<<<<<<<<<<<
- *     cdef public long propagations
- *     cdef public long restarts
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9decisions_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9decisions_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9decisions___get__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_9decisions___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->decisions); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 75, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.decisions.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9decisions_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9decisions_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9decisions_2__set__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_9decisions_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  long __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_long(__pyx_v_value); if (unlikely((__pyx_t_1 == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 75, __pyx_L1_error)
-  __pyx_v_self->decisions = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.decisions.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":76
- *     cdef public long conflicts
- *     cdef public long decisions
- *     cdef public long propagations             # <<<<<<<<<<<<<<
- *     cdef public long restarts
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_12propagations_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_12propagations_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_12propagations___get__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_12propagations___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->propagations); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 76, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.propagations.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_12propagations_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_12propagations_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_12propagations_2__set__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_12propagations_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  long __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_long(__pyx_v_value); if (unlikely((__pyx_t_1 == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 76, __pyx_L1_error)
-  __pyx_v_self->propagations = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.propagations.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "maxcore/engine/_search.pyx":77
- *     cdef public long decisions
- *     cdef public long propagations
- *     cdef public long restarts             # <<<<<<<<<<<<<<
- * 
- *     cdef bint _prop_enqueued
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_8restarts_1__get__(PyObject *__pyx_v_self); /*proto*/
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_8restarts_1__get__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__get__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_8restarts___get__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_8restarts___get__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__get__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_v_self->restarts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 77, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.restarts.__get__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_8restarts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value); /*proto*/
-static int __pyx_pw_7maxcore_6engine_7_search_10SearchCore_8restarts_3__set__(PyObject *__pyx_v_self, PyObject *__pyx_v_value) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__set__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_8restarts_2__set__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), ((PyObject *)__pyx_v_value));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7maxcore_6engine_7_search_10SearchCore_8restarts_2__set__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v_value) {
-  int __pyx_r;
-  long __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __pyx_t_1 = __Pyx_PyLong_As_long(__pyx_v_value); if (unlikely((__pyx_t_1 == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 77, __pyx_L1_error)
-  __pyx_v_self->restarts = __pyx_t_1;
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.restarts.__set__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     cdef tuple state
- *     cdef object _dict
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_13__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_13__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_13__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_13__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_12__reduce_cython__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_12__reduce_cython__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self) {
-  PyObject *__pyx_v_state = 0;
-  PyObject *__pyx_v__dict = 0;
-  int __pyx_v_use_setstate;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  PyObject *__pyx_t_27 = NULL;
-  PyObject *__pyx_t_28 = NULL;
-  PyObject *__pyx_t_29 = NULL;
-  PyObject *__pyx_t_30 = NULL;
-  PyObject *__pyx_t_31 = NULL;
-  PyObject *__pyx_t_32 = NULL;
-  PyObject *__pyx_t_33 = NULL;
-  PyObject *__pyx_t_34 = NULL;
-  PyObject *__pyx_t_35 = NULL;
-  PyObject *__pyx_t_36 = NULL;
-  PyObject *__pyx_t_37 = NULL;
-  PyObject *__pyx_t_38 = NULL;
-  PyObject *__pyx_t_39 = NULL;
-  PyObject *__pyx_t_40 = NULL;
-  PyObject *__pyx_t_41 = NULL;
-  PyObject *__pyx_t_42 = NULL;
-  int __pyx_t_43;
-  int __pyx_t_44;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":5
- *     cdef object _dict
- *     cdef bint use_setstate
- *     state = (self._clause_decay, self._clear_buf, self._decay, self._in_search, self._learnt_buf, self._marked, self._minimize_on, self._prop_conflict, self._prop_enqueued, self._restart_base, self._restart_mult, self._restarts_on, self._validate_on, self.activity, self.c_act, self.c_dead, self.c_kind, self.c_len, self.c_off, self.cfg, self.cla_inc, self.conflicts, self.db, self.decisions, self.heap, self.heap_pos, self.learnt_cap, self.levels, self.n_learnt, self.n_problem, self.nvars, self.phase, self.propagations, self.propagators, self.qhead, self.reasons, self.restarts, self.seen, self.trail, self.trail_lim, self.values, self.var_inc, self.watches)             # <<<<<<<<<<<<<<
- *     _dict = getattr(self, '__dict__', None)
- *     if _dict is not None and _dict:
-*/
-  __pyx_t_1 = PyFloat_FromDouble(__pyx_v_self->_clause_decay); if (unlikely(!__pyx_t_1)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __pyx_convert_vector_to_py_int(__pyx_v_self->_clear_buf); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = PyFloat_FromDouble(__pyx_v_self->_decay); if (unlikely(!__pyx_t_3)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyBool_FromLong(__pyx_v_self->_in_search); if (unlikely(!__pyx_t_4)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = __pyx_convert_vector_to_py_int(__pyx_v_self->_learnt_buf); if (unlikely(!__pyx_t_5)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = __pyx_convert_vector_to_py_char(__pyx_v_self->_marked); if (unlikely(!__pyx_t_6)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = __Pyx_PyBool_FromLong(__pyx_v_self->_minimize_on); if (unlikely(!__pyx_t_7)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = __Pyx_PyLong_From_int(__pyx_v_self->_prop_conflict); if (unlikely(!__pyx_t_8)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = __Pyx_PyBool_FromLong(__pyx_v_self->_prop_enqueued); if (unlikely(!__pyx_t_9)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_10 = PyFloat_FromDouble(__pyx_v_self->_restart_base); if (unlikely(!__pyx_t_10)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_11 = PyFloat_FromDouble(__pyx_v_self->_restart_mult); if (unlikely(!__pyx_t_11)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_t_12 = __Pyx_PyBool_FromLong(__pyx_v_self->_restarts_on); if (unlikely(!__pyx_t_12)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_13 = __Pyx_PyBool_FromLong(__pyx_v_self->_validate_on); if (unlikely(!__pyx_t_13)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __pyx_t_14 = __pyx_convert_vector_to_py_double(__pyx_v_self->activity); if (unlikely(!__pyx_t_14)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_14);
-  __pyx_t_15 = __pyx_convert_vector_to_py_double(__pyx_v_self->c_act); if (unlikely(!__pyx_t_15)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_15);
-  __pyx_t_16 = __pyx_convert_vector_to_py_char(__pyx_v_self->c_dead); if (unlikely(!__pyx_t_16)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_16);
-  __pyx_t_17 = __pyx_convert_vector_to_py_char(__pyx_v_self->c_kind); if (unlikely(!__pyx_t_17)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_17);
-  __pyx_t_18 = __pyx_convert_vector_to_py_int(__pyx_v_self->c_len); if (unlikely(!__pyx_t_18)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_18);
-  __pyx_t_19 = __pyx_convert_vector_to_py_int(__pyx_v_self->c_off); if (unlikely(!__pyx_t_19)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_19);
-  __pyx_t_20 = PyFloat_FromDouble(__pyx_v_self->cla_inc); if (unlikely(!__pyx_t_20)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_20);
-  __pyx_t_21 = __Pyx_PyLong_From_long(__pyx_v_self->conflicts); if (unlikely(!__pyx_t_21)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_21);
-  __pyx_t_22 = __pyx_convert_vector_to_py_int(__pyx_v_self->db); if (unlikely(!__pyx_t_22)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_22);
-  __pyx_t_23 = __Pyx_PyLong_From_long(__pyx_v_self->decisions); if (unlikely(!__pyx_t_23)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_23);
-  __pyx_t_24 = __pyx_convert_vector_to_py_int(__pyx_v_self->heap); if (unlikely(!__pyx_t_24)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_24);
-  __pyx_t_25 = __pyx_convert_vector_to_py_int(__pyx_v_self->heap_pos); if (unlikely(!__pyx_t_25)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_25);
-  __pyx_t_26 = __Pyx_PyLong_From_int(__pyx_v_self->learnt_cap); if (unlikely(!__pyx_t_26)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_26);
-  __pyx_t_27 = __pyx_convert_vector_to_py_int(__pyx_v_self->levels); if (unlikely(!__pyx_t_27)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_27);
-  __pyx_t_28 = __Pyx_PyLong_From_int(__pyx_v_self->n_learnt); if (unlikely(!__pyx_t_28)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_28);
-  __pyx_t_29 = __Pyx_PyLong_From_int(__pyx_v_self->n_problem); if (unlikely(!__pyx_t_29)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_29);
-  __pyx_t_30 = __Pyx_PyLong_From_int(__pyx_v_self->nvars); if (unlikely(!__pyx_t_30)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_30);
-  __pyx_t_31 = __pyx_convert_vector_to_py_char(__pyx_v_self->phase); if (unlikely(!__pyx_t_31)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_31);
-  __pyx_t_32 = __Pyx_PyLong_From_long(__pyx_v_self->propagations); if (unlikely(!__pyx_t_32)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_32);
-  __pyx_t_33 = __Pyx_PyLong_From_int(__pyx_v_self->qhead); if (unlikely(!__pyx_t_33)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_33);
-  __pyx_t_34 = __pyx_convert_vector_to_py_int(__pyx_v_self->reasons); if (unlikely(!__pyx_t_34)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_34);
-  __pyx_t_35 = __Pyx_PyLong_From_long(__pyx_v_self->restarts); if (unlikely(!__pyx_t_35)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_35);
-  __pyx_t_36 = __pyx_convert_vector_to_py_char(__pyx_v_self->seen); if (unlikely(!__pyx_t_36)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_36);
-  __pyx_t_37 = __pyx_convert_vector_to_py_int(__pyx_v_self->trail); if (unlikely(!__pyx_t_37)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_37);
-  __pyx_t_38 = __pyx_convert_vector_to_py_int(__pyx_v_self->trail_lim); if (unlikely(!__pyx_t_38)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_38);
-  __pyx_t_39 = __pyx_convert_vector_to_py_int(__pyx_v_self->values); if (unlikely(!__pyx_t_39)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_39);
-  __pyx_t_40 = PyFloat_FromDouble(__pyx_v_self->var_inc); if (unlikely(!__pyx_t_40)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_40);
-  __pyx_t_41 = __pyx_convert_vector_to_py_std_3a__3a_vector_3c_int_3e___(__pyx_v_self->watches); if (unlikely(!__pyx_t_41)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_41);
-  __pyx_t_42 = PyTuple_New(43); if (unlikely(!__pyx_t_42)) __PYX_ERR(1, 5, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_42);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 0, __pyx_t_1) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 1, __pyx_t_2) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 2, __pyx_t_3) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 3, __pyx_t_4) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_5);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 4, __pyx_t_5) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_6);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 5, __pyx_t_6) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 6, __pyx_t_7) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_8);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 7, __pyx_t_8) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 8, __pyx_t_9) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_10);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 9, __pyx_t_10) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_11);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 10, __pyx_t_11) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_12);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 11, __pyx_t_12) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_13);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 12, __pyx_t_13) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_14);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 13, __pyx_t_14) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_15);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 14, __pyx_t_15) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_16);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 15, __pyx_t_16) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_17);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 16, __pyx_t_17) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_18);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 17, __pyx_t_18) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_19);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 18, __pyx_t_19) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_self->cfg);
-  __Pyx_GIVEREF(__pyx_v_self->cfg);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 19, __pyx_v_self->cfg) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_20);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 20, __pyx_t_20) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_21);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 21, __pyx_t_21) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_22);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 22, __pyx_t_22) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_23);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 23, __pyx_t_23) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_24);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 24, __pyx_t_24) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_25);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 25, __pyx_t_25) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_26);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 26, __pyx_t_26) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_27);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 27, __pyx_t_27) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_28);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 28, __pyx_t_28) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_29);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 29, __pyx_t_29) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_30);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 30, __pyx_t_30) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_31);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 31, __pyx_t_31) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_32);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 32, __pyx_t_32) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_self->propagators);
-  __Pyx_GIVEREF(__pyx_v_self->propagators);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 33, __pyx_v_self->propagators) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_33);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 34, __pyx_t_33) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_34);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 35, __pyx_t_34) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_35);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 36, __pyx_t_35) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_36);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 37, __pyx_t_36) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_37);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 38, __pyx_t_37) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_38);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 39, __pyx_t_38) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_39);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 40, __pyx_t_39) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_40);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 41, __pyx_t_40) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_41);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 42, __pyx_t_41) != (0)) __PYX_ERR(1, 5, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_2 = 0;
-  __pyx_t_3 = 0;
-  __pyx_t_4 = 0;
-  __pyx_t_5 = 0;
-  __pyx_t_6 = 0;
-  __pyx_t_7 = 0;
-  __pyx_t_8 = 0;
-  __pyx_t_9 = 0;
-  __pyx_t_10 = 0;
-  __pyx_t_11 = 0;
-  __pyx_t_12 = 0;
-  __pyx_t_13 = 0;
-  __pyx_t_14 = 0;
-  __pyx_t_15 = 0;
-  __pyx_t_16 = 0;
-  __pyx_t_17 = 0;
-  __pyx_t_18 = 0;
-  __pyx_t_19 = 0;
-  __pyx_t_20 = 0;
-  __pyx_t_21 = 0;
-  __pyx_t_22 = 0;
-  __pyx_t_23 = 0;
-  __pyx_t_24 = 0;
-  __pyx_t_25 = 0;
-  __pyx_t_26 = 0;
-  __pyx_t_27 = 0;
-  __pyx_t_28 = 0;
-  __pyx_t_29 = 0;
-  __pyx_t_30 = 0;
-  __pyx_t_31 = 0;
-  __pyx_t_32 = 0;
-  __pyx_t_33 = 0;
-  __pyx_t_34 = 0;
-  __pyx_t_35 = 0;
-  __pyx_t_36 = 0;
-  __pyx_t_37 = 0;
-  __pyx_t_38 = 0;
-  __pyx_t_39 = 0;
-  __pyx_t_40 = 0;
-  __pyx_t_41 = 0;
-  __pyx_v_state = ((PyObject*)__pyx_t_42);
-  __pyx_t_42 = 0;
-
-  /* "(tree fragment)":6
- *     cdef bint use_setstate
- *     state = (self._clause_decay, self._clear_buf, self._decay, self._in_search, self._learnt_buf, self._marked, self._minimize_on, self._prop_conflict, self._prop_enqueued, self._restart_base, self._restart_mult, self._restarts_on, self._validate_on, self.activity, self.c_act, self.c_dead, self.c_kind, self.c_len, self.c_off, self.cfg, self.cla_inc, self.conflicts, self.db, self.decisions, self.heap, self.heap_pos, self.learnt_cap, self.levels, self.n_learnt, self.n_problem, self.nvars, self.phase, self.propagations, self.propagators, self.qhead, self.reasons, self.restarts, self.seen, self.trail, self.trail_lim, self.values, self.var_inc, self.watches)
- *     _dict = getattr(self, '__dict__', None)             # <<<<<<<<<<<<<<
- *     if _dict is not None and _dict:
- *         state += (_dict,)
-*/
-  __pyx_t_42 = __Pyx_GetAttr3(((PyObject *)__pyx_v_self), __pyx_mstate_global->__pyx_n_u_dict, Py_None); if (unlikely(!__pyx_t_42)) __PYX_ERR(1, 6, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_42);
-  __pyx_v__dict = __pyx_t_42;
-  __pyx_t_42 = 0;
-
-  /* "(tree fragment)":7
- *     state = (self._clause_decay, self._clear_buf, self._decay, self._in_search, self._learnt_buf, self._marked, self._minimize_on, self._prop_conflict, self._prop_enqueued, self._restart_base, self._restart_mult, self._restarts_on, self._validate_on, self.activity, self.c_act, self.c_dead, self.c_kind, self.c_len, self.c_off, self.cfg, self.cla_inc, self.conflicts, self.db, self.decisions, self.heap, self.heap_pos, self.learnt_cap, self.levels, self.n_learnt, self.n_problem, self.nvars, self.phase, self.propagations, self.propagators, self.qhead, self.reasons, self.restarts, self.seen, self.trail, self.trail_lim, self.values, self.var_inc, self.watches)
- *     _dict = getattr(self, '__dict__', None)
- *     if _dict is not None and _dict:             # <<<<<<<<<<<<<<
- *         state += (_dict,)
- *         use_setstate = True
-*/
-  __pyx_t_44 = (__pyx_v__dict != Py_None);
-  if (__pyx_t_44) {
-  } else {
-    __pyx_t_43 = __pyx_t_44;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_44 = __Pyx_PyObject_IsTrue(__pyx_v__dict); if (unlikely((__pyx_t_44 < 0))) __PYX_ERR(1, 7, __pyx_L1_error)
-  __pyx_t_43 = __pyx_t_44;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_43) {
-
-    /* "(tree fragment)":8
- *     _dict = getattr(self, '__dict__', None)
- *     if _dict is not None and _dict:
- *         state += (_dict,)             # <<<<<<<<<<<<<<
- *         use_setstate = True
- *     else:
-*/
-    __pyx_t_42 = PyTuple_New(1); if (unlikely(!__pyx_t_42)) __PYX_ERR(1, 8, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_42);
-    __Pyx_INCREF(__pyx_v__dict);
-    __Pyx_GIVEREF(__pyx_v__dict);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 0, __pyx_v__dict) != (0)) __PYX_ERR(1, 8, __pyx_L1_error);
-    __pyx_t_41 = PyNumber_InPlaceAdd(__pyx_v_state, __pyx_t_42); if (unlikely(!__pyx_t_41)) __PYX_ERR(1, 8, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_41);
-    __Pyx_DECREF(__pyx_t_42); __pyx_t_42 = 0;
-    __Pyx_DECREF_SET(__pyx_v_state, ((PyObject*)__pyx_t_41));
-    __pyx_t_41 = 0;
-
-    /* "(tree fragment)":9
- *     if _dict is not None and _dict:
- *         state += (_dict,)
- *         use_setstate = True             # <<<<<<<<<<<<<<
- *     else:
- *         use_setstate = self.cfg is not None or self.propagators is not None
-*/
-    __pyx_v_use_setstate = 1;
-
-    /* "(tree fragment)":7
- *     state = (self._clause_decay, self._clear_buf, self._decay, self._in_search, self._learnt_buf, self._marked, self._minimize_on, self._prop_conflict, self._prop_enqueued, self._restart_base, self._restart_mult, self._restarts_on, self._validate_on, self.activity, self.c_act, self.c_dead, self.c_kind, self.c_len, self.c_off, self.cfg, self.cla_inc, self.conflicts, self.db, self.decisions, self.heap, self.heap_pos, self.learnt_cap, self.levels, self.n_learnt, self.n_problem, self.nvars, self.phase, self.propagations, self.propagators, self.qhead, self.reasons, self.restarts, self.seen, self.trail, self.trail_lim, self.values, self.var_inc, self.watches)
- *     _dict = getattr(self, '__dict__', None)
- *     if _dict is not None and _dict:             # <<<<<<<<<<<<<<
- *         state += (_dict,)
- *         use_setstate = True
-*/
-    goto __pyx_L3;
-  }
-
-  /* "(tree fragment)":11
- *         use_setstate = True
- *     else:
- *         use_setstate = self.cfg is not None or self.propagators is not None             # <<<<<<<<<<<<<<
- *     if use_setstate:
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, None), state
-*/
-  /*else*/ {
-    __pyx_t_44 = (__pyx_v_self->cfg != ((PyObject*)Py_None));
-    if (!__pyx_t_44) {
-    } else {
-      __pyx_t_43 = __pyx_t_44;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_44 = (__pyx_v_self->propagators != ((PyObject*)Py_None));
-    __pyx_t_43 = __pyx_t_44;
-    __pyx_L6_bool_binop_done:;
-    __pyx_v_use_setstate = __pyx_t_43;
-  }
-  __pyx_L3:;
-
-  /* "(tree fragment)":12
- *     else:
- *         use_setstate = self.cfg is not None or self.propagators is not None
- *     if use_setstate:             # <<<<<<<<<<<<<<
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, None), state
- *     else:
-*/
-  if (__pyx_v_use_setstate) {
-
-    /* "(tree fragment)":13
- *         use_setstate = self.cfg is not None or self.propagators is not None
- *     if use_setstate:
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, None), state             # <<<<<<<<<<<<<<
- *     else:
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, state)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_GetModuleGlobalName(__pyx_t_41, __pyx_mstate_global->__pyx_n_u_pyx_unpickle_SearchCore); if (unlikely(!__pyx_t_41)) __PYX_ERR(1, 13, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_41);
-    __pyx_t_42 = PyTuple_New(3); if (unlikely(!__pyx_t_42)) __PYX_ERR(1, 13, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_42);
-    __Pyx_INCREF(((PyObject *)Py_TYPE(((PyObject *)__pyx_v_self))));
-    __Pyx_GIVEREF(((PyObject *)Py_TYPE(((PyObject *)__pyx_v_self))));
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 0, ((PyObject *)Py_TYPE(((PyObject *)__pyx_v_self)))) != (0)) __PYX_ERR(1, 13, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4422148);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4422148);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 1, __pyx_mstate_global->__pyx_int_4422148) != (0)) __PYX_ERR(1, 13, __pyx_L1_error);
-    __Pyx_INCREF(Py_None);
-    __Pyx_GIVEREF(Py_None);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 2, Py_None) != (0)) __PYX_ERR(1, 13, __pyx_L1_error);
-    __pyx_t_40 = PyTuple_New(3); if (unlikely(!__pyx_t_40)) __PYX_ERR(1, 13, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_40);
-    __Pyx_GIVEREF(__pyx_t_41);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_40, 0, __pyx_t_41) != (0)) __PYX_ERR(1, 13, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_42);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_40, 1, __pyx_t_42) != (0)) __PYX_ERR(1, 13, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_v_state);
-    __Pyx_GIVEREF(__pyx_v_state);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_40, 2, __pyx_v_state) != (0)) __PYX_ERR(1, 13, __pyx_L1_error);
-    __pyx_t_41 = 0;
-    __pyx_t_42 = 0;
-    __pyx_r = __pyx_t_40;
-    __pyx_t_40 = 0;
-    goto __pyx_L0;
-
-    /* "(tree fragment)":12
- *     else:
- *         use_setstate = self.cfg is not None or self.propagators is not None
- *     if use_setstate:             # <<<<<<<<<<<<<<
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, None), state
- *     else:
-*/
-  }
-
-  /* "(tree fragment)":15
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, None), state
- *     else:
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, state)             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     __pyx_unpickle_SearchCore__set_state(self, __pyx_state)
-*/
-  /*else*/ {
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_GetModuleGlobalName(__pyx_t_40, __pyx_mstate_global->__pyx_n_u_pyx_unpickle_SearchCore); if (unlikely(!__pyx_t_40)) __PYX_ERR(1, 15, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_40);
-    __pyx_t_42 = PyTuple_New(3); if (unlikely(!__pyx_t_42)) __PYX_ERR(1, 15, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_42);
-    __Pyx_INCREF(((PyObject *)Py_TYPE(((PyObject *)__pyx_v_self))));
-    __Pyx_GIVEREF(((PyObject *)Py_TYPE(((PyObject *)__pyx_v_self))));
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 0, ((PyObject *)Py_TYPE(((PyObject *)__pyx_v_self)))) != (0)) __PYX_ERR(1, 15, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_4422148);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_4422148);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 1, __pyx_mstate_global->__pyx_int_4422148) != (0)) __PYX_ERR(1, 15, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_v_state);
-    __Pyx_GIVEREF(__pyx_v_state);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_42, 2, __pyx_v_state) != (0)) __PYX_ERR(1, 15, __pyx_L1_error);
-    __pyx_t_41 = PyTuple_New(2); if (unlikely(!__pyx_t_41)) __PYX_ERR(1, 15, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_41);
-    __Pyx_GIVEREF(__pyx_t_40);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_41, 0, __pyx_t_40) != (0)) __PYX_ERR(1, 15, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_42);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_41, 1, __pyx_t_42) != (0)) __PYX_ERR(1, 15, __pyx_L1_error);
-    __pyx_t_40 = 0;
-    __pyx_t_42 = 0;
-    __pyx_r = __pyx_t_41;
-    __pyx_t_41 = 0;
-    goto __pyx_L0;
-  }
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     cdef tuple state
- *     cdef object _dict
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_XDECREF(__pyx_t_16);
-  __Pyx_XDECREF(__pyx_t_17);
-  __Pyx_XDECREF(__pyx_t_18);
-  __Pyx_XDECREF(__pyx_t_19);
-  __Pyx_XDECREF(__pyx_t_20);
-  __Pyx_XDECREF(__pyx_t_21);
-  __Pyx_XDECREF(__pyx_t_22);
-  __Pyx_XDECREF(__pyx_t_23);
-  __Pyx_XDECREF(__pyx_t_24);
-  __Pyx_XDECREF(__pyx_t_25);
-  __Pyx_XDECREF(__pyx_t_26);
-  __Pyx_XDECREF(__pyx_t_27);
-  __Pyx_XDECREF(__pyx_t_28);
-  __Pyx_XDECREF(__pyx_t_29);
-  __Pyx_XDECREF(__pyx_t_30);
-  __Pyx_XDECREF(__pyx_t_31);
-  __Pyx_XDECREF(__pyx_t_32);
-  __Pyx_XDECREF(__pyx_t_33);
-  __Pyx_XDECREF(__pyx_t_34);
-  __Pyx_XDECREF(__pyx_t_35);
-  __Pyx_XDECREF(__pyx_t_36);
-  __Pyx_XDECREF(__pyx_t_37);
-  __Pyx_XDECREF(__pyx_t_38);
-  __Pyx_XDECREF(__pyx_t_39);
-  __Pyx_XDECREF(__pyx_t_40);
-  __Pyx_XDECREF(__pyx_t_41);
-  __Pyx_XDECREF(__pyx_t_42);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_state);
-  __Pyx_XDECREF(__pyx_v__dict);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":16
- *     else:
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, state)
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     __pyx_unpickle_SearchCore__set_state(self, __pyx_state)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_15__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_10SearchCore_15__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_15__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_10SearchCore_15__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(1, 16, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 16, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(1, 16, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(1, 16, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 16, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(1, 16, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search_10SearchCore_14__setstate_cython__(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search_10SearchCore_14__setstate_cython__(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v_self, PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":17
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, state)
- * def __setstate_cython__(self, __pyx_state):
- *     __pyx_unpickle_SearchCore__set_state(self, __pyx_state)             # <<<<<<<<<<<<<<
-*/
-  __pyx_t_1 = __pyx_v___pyx_state;
-  __Pyx_INCREF(__pyx_t_1);
-  if (!(likely(PyTuple_CheckExact(__pyx_t_1))||((__pyx_t_1) == Py_None) || __Pyx_RaiseUnexpectedTypeError("tuple", __pyx_t_1))) __PYX_ERR(1, 17, __pyx_L1_error)
-  if (unlikely(__pyx_t_1 == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "cannot pass None into a C function argument that is declared 'not None'");
-    __PYX_ERR(1, 17, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_f_7maxcore_6engine_7_search___pyx_unpickle_SearchCore__set_state(__pyx_v_self, ((PyObject*)__pyx_t_1)); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 17, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":16
- *     else:
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, state)
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     __pyx_unpickle_SearchCore__set_state(self, __pyx_state)
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("maxcore.engine._search.SearchCore.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":4
- *     int __Pyx_CheckUnpickleChecksum(long, long, long, long, const char*) except -1
- *     int __Pyx_UpdateUnpickledDict(object, object, Py_ssize_t) except -1
- * def __pyx_unpickle_SearchCore(__pyx_type, long __pyx_checksum, tuple __pyx_state):             # <<<<<<<<<<<<<<
- *     cdef object __pyx_result
- *     __Pyx_CheckUnpickleChecksum(__pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, b'_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches')
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_1__pyx_unpickle_SearchCore(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7maxcore_6engine_7_search_1__pyx_unpickle_SearchCore = {"__pyx_unpickle_SearchCore", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_1__pyx_unpickle_SearchCore, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7maxcore_6engine_7_search_1__pyx_unpickle_SearchCore(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v___pyx_type = 0;
-  long __pyx_v___pyx_checksum;
-  PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__pyx_unpickle_SearchCore (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_type,&__pyx_mstate_global->__pyx_n_u_pyx_checksum,&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(1, 4, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(1, 4, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(1, 4, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 4, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__pyx_unpickle_SearchCore", 0) < (0)) __PYX_ERR(1, 4, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__pyx_unpickle_SearchCore", 1, 3, 3, i); __PYX_ERR(1, 4, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 4, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(1, 4, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(1, 4, __pyx_L3_error)
-    }
-    __pyx_v___pyx_type = values[0];
-    __pyx_v___pyx_checksum = __Pyx_PyLong_As_long(values[1]); if (unlikely((__pyx_v___pyx_checksum == (long)-1) && PyErr_Occurred())) __PYX_ERR(1, 4, __pyx_L3_error)
-    __pyx_v___pyx_state = ((PyObject*)values[2]);
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__pyx_unpickle_SearchCore", 1, 3, 3, __pyx_nargs); __PYX_ERR(1, 4, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("maxcore.engine._search.__pyx_unpickle_SearchCore", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v___pyx_state), (&PyTuple_Type), 1, "__pyx_state", 1))) __PYX_ERR(1, 4, __pyx_L1_error)
-  __pyx_r = __pyx_pf_7maxcore_6engine_7_search___pyx_unpickle_SearchCore(__pyx_self, __pyx_v___pyx_type, __pyx_v___pyx_checksum, __pyx_v___pyx_state);
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_r = NULL;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  goto __pyx_L7_cleaned_up;
-  __pyx_L0:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __pyx_L7_cleaned_up:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7maxcore_6engine_7_search___pyx_unpickle_SearchCore(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v___pyx_type, long __pyx_v___pyx_checksum, PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_v___pyx_result = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_unpickle_SearchCore", 0);
-
-  /* "(tree fragment)":6
- * def __pyx_unpickle_SearchCore(__pyx_type, long __pyx_checksum, tuple __pyx_state):
- *     cdef object __pyx_result
- *     __Pyx_CheckUnpickleChecksum(__pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, b'_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches')             # <<<<<<<<<<<<<<
- *     __pyx_result = SearchCore.__new__(__pyx_type)
- *     if __pyx_state is not None:
-*/
-  __pyx_t_1 = __Pyx_CheckUnpickleChecksum(__pyx_v___pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, __pyx_k_clause_decay__clear_buf__decay); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 6, __pyx_L1_error)
-
-  /* "(tree fragment)":7
- *     cdef object __pyx_result
- *     __Pyx_CheckUnpickleChecksum(__pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, b'_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches')
- *     __pyx_result = SearchCore.__new__(__pyx_type)             # <<<<<<<<<<<<<<
- *     if __pyx_state is not None:
- *         __pyx_unpickle_SearchCore__set_state(<SearchCore> __pyx_result, __pyx_state)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_v___pyx_type};
-    __pyx_t_2 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_new, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 7, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  __pyx_v___pyx_result = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "(tree fragment)":8
- *     __Pyx_CheckUnpickleChecksum(__pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, b'_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches')
- *     __pyx_result = SearchCore.__new__(__pyx_type)
- *     if __pyx_state is not None:             # <<<<<<<<<<<<<<
- *         __pyx_unpickle_SearchCore__set_state(<SearchCore> __pyx_result, __pyx_state)
- *     return __pyx_result
-*/
-  __pyx_t_5 = (__pyx_v___pyx_state != ((PyObject*)Py_None));
-  if (__pyx_t_5) {
-
-    /* "(tree fragment)":9
- *     __pyx_result = SearchCore.__new__(__pyx_type)
- *     if __pyx_state is not None:
- *         __pyx_unpickle_SearchCore__set_state(<SearchCore> __pyx_result, __pyx_state)             # <<<<<<<<<<<<<<
- *     return __pyx_result
- * cdef __pyx_unpickle_SearchCore__set_state(SearchCore __pyx_result, __pyx_state: tuple):
-*/
-    if (unlikely(__pyx_v___pyx_state == Py_None)) {
-      PyErr_SetString(PyExc_TypeError, "cannot pass None into a C function argument that is declared 'not None'");
-      __PYX_ERR(1, 9, __pyx_L1_error)
-    }
-    __pyx_t_2 = __pyx_f_7maxcore_6engine_7_search___pyx_unpickle_SearchCore__set_state(((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)__pyx_v___pyx_result), __pyx_v___pyx_state); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 9, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "(tree fragment)":8
- *     __Pyx_CheckUnpickleChecksum(__pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, b'_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches')
- *     __pyx_result = SearchCore.__new__(__pyx_type)
- *     if __pyx_state is not None:             # <<<<<<<<<<<<<<
- *         __pyx_unpickle_SearchCore__set_state(<SearchCore> __pyx_result, __pyx_state)
- *     return __pyx_result
-*/
-  }
-
-  /* "(tree fragment)":10
- *     if __pyx_state is not None:
- *         __pyx_unpickle_SearchCore__set_state(<SearchCore> __pyx_result, __pyx_state)
- *     return __pyx_result             # <<<<<<<<<<<<<<
- * cdef __pyx_unpickle_SearchCore__set_state(SearchCore __pyx_result, __pyx_state: tuple):
- *     __pyx_result._clause_decay = __pyx_state[0]; __pyx_result._clear_buf = __pyx_state[1]; __pyx_result._decay = __pyx_state[2]; __pyx_result._in_search = __pyx_state[3]; __pyx_result._learnt_buf = __pyx_state[4]; __pyx_result._marked = __pyx_state[5]; __pyx_result._minimize_on = __pyx_state[6]; __pyx_result._prop_conflict = __pyx_state[7]; __pyx_result._prop_enqueued = __pyx_state[8]; __pyx_result._restart_base = __pyx_state[9]; __pyx_result._restart_mult = __pyx_state[10]; __pyx_result._restarts_on = __pyx_state[11]; __pyx_result._validate_on = __pyx_state[12]; __pyx_result.activity = __pyx_state[13]; __pyx_result.c_act = __pyx_state[14]; __pyx_result.c_dead = __pyx_state[15]; __pyx_result.c_kind = __pyx_state[16]; __pyx_result.c_len = __pyx_state[17]; __pyx_result.c_off = __pyx_state[18]; __pyx_result.cfg = __pyx_state[19]; __pyx_result.cla_inc = __pyx_state[20]; __pyx_result.conflicts = __pyx_state[21]; __pyx_result.db = __pyx_state[22]; __pyx_result.decisions = __pyx_state[23]; __pyx_result.heap = __pyx_state[24]; __pyx_result.heap_pos = __pyx_state[25]; __pyx_result.learnt_cap = __pyx_state[26]; __pyx_result.levels = __pyx_state[27]; __pyx_result.n_learnt = __pyx_state[28]; __pyx_result.n_problem = __pyx_state[29]; __pyx_result.nvars = __pyx_state[30]; __pyx_result.phase = __pyx_state[31]; __pyx_result.propagations = __pyx_state[32]; __pyx_result.propagators = __pyx_state[33]; __pyx_result.qhead = __pyx_state[34]; __pyx_result.reasons = __pyx_state[35]; __pyx_result.restarts = __pyx_state[36]; __pyx_result.seen = __pyx_state[37]; __pyx_result.trail = __pyx_state[38]; __pyx_result.trail_lim = __pyx_state[39]; __pyx_result.values = __pyx_state[40]; __pyx_result.var_inc = __pyx_state[41]; __pyx_result.watches = __pyx_state[42]
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v___pyx_result);
-  __pyx_r = __pyx_v___pyx_result;
-  goto __pyx_L0;
-
-  /* "(tree fragment)":4
- *     int __Pyx_CheckUnpickleChecksum(long, long, long, long, const char*) except -1
- *     int __Pyx_UpdateUnpickledDict(object, object, Py_ssize_t) except -1
- * def __pyx_unpickle_SearchCore(__pyx_type, long __pyx_checksum, tuple __pyx_state):             # <<<<<<<<<<<<<<
- *     cdef object __pyx_result
- *     __Pyx_CheckUnpickleChecksum(__pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, b'_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches')
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("maxcore.engine._search.__pyx_unpickle_SearchCore", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v___pyx_result);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":11
- *         __pyx_unpickle_SearchCore__set_state(<SearchCore> __pyx_result, __pyx_state)
- *     return __pyx_result
- * cdef __pyx_unpickle_SearchCore__set_state(SearchCore __pyx_result, __pyx_state: tuple):             # <<<<<<<<<<<<<<
- *     __pyx_result._clause_decay = __pyx_state[0]; __pyx_result._clear_buf = __pyx_state[1]; __pyx_result._decay = __pyx_state[2]; __pyx_result._in_search = __pyx_state[3]; __pyx_result._learnt_buf = __pyx_state[4]; __pyx_result._marked = __pyx_state[5]; __pyx_result._minimize_on = __pyx_state[6]; __pyx_result._prop_conflict = __pyx_state[7]; __pyx_result._prop_enqueued = __pyx_state[8]; __pyx_result._restart_base = __pyx_state[9]; __pyx_result._restart_mult = __pyx_state[10]; __pyx_result._restarts_on = __pyx_state[11]; __pyx_result._validate_on = __pyx_state[12]; __pyx_result.activity = __pyx_state[13]; __pyx_result.c_act = __pyx_state[14]; __pyx_result.c_dead = __pyx_state[15]; __pyx_result.c_kind = __pyx_state[16]; __pyx_result.c_len = __pyx_state[17]; __pyx_result.c_off = __pyx_state[18]; __pyx_result.cfg = __pyx_state[19]; __pyx_result.cla_inc = __pyx_state[20]; __pyx_result.conflicts = __pyx_state[21]; __pyx_result.db = __pyx_state[22]; __pyx_result.decisions = __pyx_state[23]; __pyx_result.heap = __pyx_state[24]; __pyx_result.heap_pos = __pyx_state[25]; __pyx_result.learnt_cap = __pyx_state[26]; __pyx_result.levels = __pyx_state[27]; __pyx_result.n_learnt = __pyx_state[28]; __pyx_result.n_problem = __pyx_state[29]; __pyx_result.nvars = __pyx_state[30]; __pyx_result.phase = __pyx_state[31]; __pyx_result.propagations = __pyx_state[32]; __pyx_result.propagators = __pyx_state[33]; __pyx_result.qhead = __pyx_state[34]; __pyx_result.reasons = __pyx_state[35]; __pyx_result.restarts = __pyx_state[36]; __pyx_result.seen = __pyx_state[37]; __pyx_result.trail = __pyx_state[38]; __pyx_result.trail_lim = __pyx_state[39]; __pyx_result.values = __pyx_state[40]; __pyx_result.var_inc = __pyx_state[41]; __pyx_result.watches = __pyx_state[42]
- *     __Pyx_UpdateUnpickledDict(__pyx_result, __pyx_state, 43)
-*/
-
-static PyObject *__pyx_f_7maxcore_6engine_7_search___pyx_unpickle_SearchCore__set_state(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *__pyx_v___pyx_result, PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  std::vector<int>  __pyx_t_2;
-  int __pyx_t_3;
-  std::vector<char>  __pyx_t_4;
-  int __pyx_t_5;
-  std::vector<double>  __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  long __pyx_t_8;
-  std::vector<std::vector<int> >  __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__pyx_unpickle_SearchCore__set_state", 0);
-
-  /* "(tree fragment)":12
- *     return __pyx_result
- * cdef __pyx_unpickle_SearchCore__set_state(SearchCore __pyx_result, __pyx_state: tuple):
- *     __pyx_result._clause_decay = __pyx_state[0]; __pyx_result._clear_buf = __pyx_state[1]; __pyx_result._decay = __pyx_state[2]; __pyx_result._in_search = __pyx_state[3]; __pyx_result._learnt_buf = __pyx_state[4]; __pyx_result._marked = __pyx_state[5]; __pyx_result._minimize_on = __pyx_state[6]; __pyx_result._prop_conflict = __pyx_state[7]; __pyx_result._prop_enqueued = __pyx_state[8]; __pyx_result._restart_base = __pyx_state[9]; __pyx_result._restart_mult = __pyx_state[10]; __pyx_result._restarts_on = __pyx_state[11]; __pyx_result._validate_on = __pyx_state[12]; __pyx_result.activity = __pyx_state[13]; __pyx_result.c_act = __pyx_state[14]; __pyx_result.c_dead = __pyx_state[15]; __pyx_result.c_kind = __pyx_state[16]; __pyx_result.c_len = __pyx_state[17]; __pyx_result.c_off = __pyx_state[18]; __pyx_result.cfg = __pyx_state[19]; __pyx_result.cla_inc = __pyx_state[20]; __pyx_result.conflicts = __pyx_state[21]; __pyx_result.db = __pyx_state[22]; __pyx_result.decisions = __pyx_state[23]; __pyx_result.heap = __pyx_state[24]; __pyx_result.heap_pos = __pyx_state[25]; __pyx_result.learnt_cap = __pyx_state[26]; __pyx_result.levels = __pyx_state[27]; __pyx_result.n_learnt = __pyx_state[28]; __pyx_result.n_problem = __pyx_state[29]; __pyx_result.nvars = __pyx_state[30]; __pyx_result.phase = __pyx_state[31]; __pyx_result.propagations = __pyx_state[32]; __pyx_result.propagators = __pyx_state[33]; __pyx_result.qhead = __pyx_state[34]; __pyx_result.reasons = __pyx_state[35]; __pyx_result.restarts = __pyx_state[36]; __pyx_result.seen = __pyx_state[37]; __pyx_result.trail = __pyx_state[38]; __pyx_result.trail_lim = __pyx_state[39]; __pyx_result.values = __pyx_state[40]; __pyx_result.var_inc = __pyx_state[41]; __pyx_result.watches = __pyx_state[42]             # <<<<<<<<<<<<<<
- *     __Pyx_UpdateUnpickledDict(__pyx_result, __pyx_state, 43)
-*/
-  __pyx_t_1 = __Pyx_PyFloat_AsDouble(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 0)); if (unlikely((__pyx_t_1 == (double)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_clause_decay = __pyx_t_1;
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 1)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_clear_buf = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_1 = __Pyx_PyFloat_AsDouble(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 2)); if (unlikely((__pyx_t_1 == (double)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_decay = __pyx_t_1;
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 3)); if (unlikely((__pyx_t_3 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_in_search = __pyx_t_3;
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 4)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_learnt_buf = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_4 = __pyx_convert_vector_from_py_char(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 5)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_marked = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_4);
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 6)); if (unlikely((__pyx_t_3 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_minimize_on = __pyx_t_3;
-  __pyx_t_5 = __Pyx_PyLong_As_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 7)); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_prop_conflict = __pyx_t_5;
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 8)); if (unlikely((__pyx_t_3 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_prop_enqueued = __pyx_t_3;
-  __pyx_t_1 = __Pyx_PyFloat_AsDouble(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 9)); if (unlikely((__pyx_t_1 == (double)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_restart_base = __pyx_t_1;
-  __pyx_t_1 = __Pyx_PyFloat_AsDouble(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 10)); if (unlikely((__pyx_t_1 == (double)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_restart_mult = __pyx_t_1;
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 11)); if (unlikely((__pyx_t_3 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_restarts_on = __pyx_t_3;
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 12)); if (unlikely((__pyx_t_3 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->_validate_on = __pyx_t_3;
-  __pyx_t_6 = __pyx_convert_vector_from_py_double(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 13)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->activity = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_6);
-  __pyx_t_6 = __pyx_convert_vector_from_py_double(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 14)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->c_act = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_6);
-  __pyx_t_4 = __pyx_convert_vector_from_py_char(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 15)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->c_dead = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_4);
-  __pyx_t_4 = __pyx_convert_vector_from_py_char(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 16)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->c_kind = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_4);
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 17)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->c_len = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 18)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->c_off = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_7 = __Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 19);
-  __Pyx_INCREF(__pyx_t_7);
-  if (!(likely(PyDict_CheckExact(__pyx_t_7))||((__pyx_t_7) == Py_None) || __Pyx_RaiseUnexpectedTypeError("dict", __pyx_t_7))) __PYX_ERR(1, 12, __pyx_L1_error)
-  __Pyx_GIVEREF(__pyx_t_7);
-  __Pyx_GOTREF(__pyx_v___pyx_result->cfg);
-  __Pyx_DECREF(__pyx_v___pyx_result->cfg);
-  __pyx_v___pyx_result->cfg = ((PyObject*)__pyx_t_7);
-  __pyx_t_7 = 0;
-  __pyx_t_1 = __Pyx_PyFloat_AsDouble(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 20)); if (unlikely((__pyx_t_1 == (double)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->cla_inc = __pyx_t_1;
-  __pyx_t_8 = __Pyx_PyLong_As_long(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 21)); if (unlikely((__pyx_t_8 == (long)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->conflicts = __pyx_t_8;
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 22)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->db = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_8 = __Pyx_PyLong_As_long(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 23)); if (unlikely((__pyx_t_8 == (long)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->decisions = __pyx_t_8;
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 24)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->heap = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 25)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->heap_pos = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_5 = __Pyx_PyLong_As_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 26)); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->learnt_cap = __pyx_t_5;
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 27)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->levels = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_5 = __Pyx_PyLong_As_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 28)); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->n_learnt = __pyx_t_5;
-  __pyx_t_5 = __Pyx_PyLong_As_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 29)); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->n_problem = __pyx_t_5;
-  __pyx_t_5 = __Pyx_PyLong_As_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 30)); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->nvars = __pyx_t_5;
-  __pyx_t_4 = __pyx_convert_vector_from_py_char(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 31)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->phase = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_4);
-  __pyx_t_8 = __Pyx_PyLong_As_long(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 32)); if (unlikely((__pyx_t_8 == (long)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->propagations = __pyx_t_8;
-  __pyx_t_7 = __Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 33);
-  __Pyx_INCREF(__pyx_t_7);
-  if (!(likely(PyList_CheckExact(__pyx_t_7))||((__pyx_t_7) == Py_None) || __Pyx_RaiseUnexpectedTypeError("list", __pyx_t_7))) __PYX_ERR(1, 12, __pyx_L1_error)
-  __Pyx_GIVEREF(__pyx_t_7);
-  __Pyx_GOTREF(__pyx_v___pyx_result->propagators);
-  __Pyx_DECREF(__pyx_v___pyx_result->propagators);
-  __pyx_v___pyx_result->propagators = ((PyObject*)__pyx_t_7);
-  __pyx_t_7 = 0;
-  __pyx_t_5 = __Pyx_PyLong_As_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 34)); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->qhead = __pyx_t_5;
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 35)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->reasons = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_8 = __Pyx_PyLong_As_long(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 36)); if (unlikely((__pyx_t_8 == (long)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->restarts = __pyx_t_8;
-  __pyx_t_4 = __pyx_convert_vector_from_py_char(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 37)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->seen = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_4);
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 38)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->trail = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 39)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->trail_lim = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_2 = __pyx_convert_vector_from_py_int(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 40)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->values = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_2);
-  __pyx_t_1 = __Pyx_PyFloat_AsDouble(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 41)); if (unlikely((__pyx_t_1 == (double)-1) && PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->var_inc = __pyx_t_1;
-  __pyx_t_9 = __pyx_convert_vector_from_py_std_3a__3a_vector_3c_int_3e___(__Pyx_PyTuple_GET_ITEM(__pyx_v___pyx_state, 42)); if (unlikely(PyErr_Occurred())) __PYX_ERR(1, 12, __pyx_L1_error)
-  __pyx_v___pyx_result->watches = __PYX_STD_MOVE_IF_SUPPORTED(__pyx_t_9);
-
-  /* "(tree fragment)":13
- * cdef __pyx_unpickle_SearchCore__set_state(SearchCore __pyx_result, __pyx_state: tuple):
- *     __pyx_result._clause_decay = __pyx_state[0]; __pyx_result._clear_buf = __pyx_state[1]; __pyx_result._decay = __pyx_state[2]; __pyx_result._in_search = __pyx_state[3]; __pyx_result._learnt_buf = __pyx_state[4]; __pyx_result._marked = __pyx_state[5]; __pyx_result._minimize_on = __pyx_state[6]; __pyx_result._prop_conflict = __pyx_state[7]; __pyx_result._prop_enqueued = __pyx_state[8]; __pyx_result._restart_base = __pyx_state[9]; __pyx_result._restart_mult = __pyx_state[10]; __pyx_result._restarts_on = __pyx_state[11]; __pyx_result._validate_on = __pyx_state[12]; __pyx_result.activity = __pyx_state[13]; __pyx_result.c_act = __pyx_state[14]; __pyx_result.c_dead = __pyx_state[15]; __pyx_result.c_kind = __pyx_state[16]; __pyx_result.c_len = __pyx_state[17]; __pyx_result.c_off = __pyx_state[18]; __pyx_result.cfg = __pyx_state[19]; __pyx_result.cla_inc = __pyx_state[20]; __pyx_result.conflicts = __pyx_state[21]; __pyx_result.db = __pyx_state[22]; __pyx_result.decisions = __pyx_state[23]; __pyx_result.heap = __pyx_state[24]; __pyx_result.heap_pos = __pyx_state[25]; __pyx_result.learnt_cap = __pyx_state[26]; __pyx_result.levels = __pyx_state[27]; __pyx_result.n_learnt = __pyx_state[28]; __pyx_result.n_problem = __pyx_state[29]; __pyx_result.nvars = __pyx_state[30]; __pyx_result.phase = __pyx_state[31]; __pyx_result.propagations = __pyx_state[32]; __pyx_result.propagators = __pyx_state[33]; __pyx_result.qhead = __pyx_state[34]; __pyx_result.reasons = __pyx_state[35]; __pyx_result.restarts = __pyx_state[36]; __pyx_result.seen = __pyx_state[37]; __pyx_result.trail = __pyx_state[38]; __pyx_result.trail_lim = __pyx_state[39]; __pyx_result.values = __pyx_state[40]; __pyx_result.var_inc = __pyx_state[41]; __pyx_result.watches = __pyx_state[42]
- *     __Pyx_UpdateUnpickledDict(__pyx_result, __pyx_state, 43)             # <<<<<<<<<<<<<<
-*/
-  __pyx_t_5 = __Pyx_UpdateUnpickledDict(((PyObject *)__pyx_v___pyx_result), __pyx_v___pyx_state, 43); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(1, 13, __pyx_L1_error)
-
-  /* "(tree fragment)":11
- *         __pyx_unpickle_SearchCore__set_state(<SearchCore> __pyx_result, __pyx_state)
- *     return __pyx_result
- * cdef __pyx_unpickle_SearchCore__set_state(SearchCore __pyx_result, __pyx_state: tuple):             # <<<<<<<<<<<<<<
- *     __pyx_result._clause_decay = __pyx_state[0]; __pyx_result._clear_buf = __pyx_state[1]; __pyx_result._decay = __pyx_state[2]; __pyx_result._in_search = __pyx_state[3]; __pyx_result._learnt_buf = __pyx_state[4]; __pyx_result._marked = __pyx_state[5]; __pyx_result._minimize_on = __pyx_state[6]; __pyx_result._prop_conflict = __pyx_state[7]; __pyx_result._prop_enqueued = __pyx_state[8]; __pyx_result._restart_base = __pyx_state[9]; __pyx_result._restart_mult = __pyx_state[10]; __pyx_result._restarts_on = __pyx_state[11]; __pyx_result._validate_on = __pyx_state[12]; __pyx_result.activity = __pyx_state[13]; __pyx_result.c_act = __pyx_state[14]; __pyx_result.c_dead = __pyx_state[15]; __pyx_result.c_kind = __pyx_state[16]; __pyx_result.c_len = __pyx_state[17]; __pyx_result.c_off = __pyx_state[18]; __pyx_result.cfg = __pyx_state[19]; __pyx_result.cla_inc = __pyx_state[20]; __pyx_result.conflicts = __pyx_state[21]; __pyx_result.db = __pyx_state[22]; __pyx_result.decisions = __pyx_state[23]; __pyx_result.heap = __pyx_state[24]; __pyx_result.heap_pos = __pyx_state[25]; __pyx_result.learnt_cap = __pyx_state[26]; __pyx_result.levels = __pyx_state[27]; __pyx_result.n_learnt = __pyx_state[28]; __pyx_result.n_problem = __pyx_state[29]; __pyx_result.nvars = __pyx_state[30]; __pyx_result.phase = __pyx_state[31]; __pyx_result.propagations = __pyx_state[32]; __pyx_result.propagators = __pyx_state[33]; __pyx_result.qhead = __pyx_state[34]; __pyx_result.reasons = __pyx_state[35]; __pyx_result.restarts = __pyx_state[36]; __pyx_result.seen = __pyx_state[37]; __pyx_result.trail = __pyx_state[38]; __pyx_result.trail_lim = __pyx_state[39]; __pyx_result.values = __pyx_state[40]; __pyx_result.var_inc = __pyx_state[41]; __pyx_result.watches = __pyx_state[42]
- *     __Pyx_UpdateUnpickledDict(__pyx_result, __pyx_state, 43)
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("maxcore.engine._search.__pyx_unpickle_SearchCore__set_state", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-static struct __pyx_vtabstruct_7maxcore_6engine_7_search_SearchCore __pyx_vtable_7maxcore_6engine_7_search_SearchCore;
-
-static PyObject *__pyx_tp_new_7maxcore_6engine_7_search_SearchCore(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)o);
-  p->__pyx_vtab = __pyx_vtabptr_7maxcore_6engine_7_search_SearchCore;
-  __Pyx_default_placement_construct(&(p->values));
-  __Pyx_default_placement_construct(&(p->levels));
-  __Pyx_default_placement_construct(&(p->reasons));
-  __Pyx_default_placement_construct(&(p->phase));
-  __Pyx_default_placement_construct(&(p->activity));
-  __Pyx_default_placement_construct(&(p->seen));
-  __Pyx_default_placement_construct(&(p->trail));
-  __Pyx_default_placement_construct(&(p->trail_lim));
-  __Pyx_default_placement_construct(&(p->db));
-  __Pyx_default_placement_construct(&(p->c_off));
-  __Pyx_default_placement_construct(&(p->c_len));
-  __Pyx_default_placement_construct(&(p->c_kind));
-  __Pyx_default_placement_construct(&(p->c_act));
-  __Pyx_default_placement_construct(&(p->c_dead));
-  __Pyx_default_placement_construct(&(p->watches));
-  __Pyx_default_placement_construct(&(p->heap));
-  __Pyx_default_placement_construct(&(p->heap_pos));
-  __Pyx_default_placement_construct(&(p->_learnt_buf));
-  __Pyx_default_placement_construct(&(p->_clear_buf));
-  __Pyx_default_placement_construct(&(p->_marked));
-  p->propagators = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  p->cfg = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  return o;
-}
-
-static void __pyx_tp_dealloc_7maxcore_6engine_7_search_SearchCore(PyObject *o) {
-  struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *p = (struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_7maxcore_6engine_7_search_SearchCore) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  __Pyx_call_destructor(p->values);
-  __Pyx_call_destructor(p->levels);
-  __Pyx_call_destructor(p->reasons);
-  __Pyx_call_destructor(p->phase);
-  __Pyx_call_destructor(p->activity);
-  __Pyx_call_destructor(p->seen);
-  __Pyx_call_destructor(p->trail);
-  __Pyx_call_destructor(p->trail_lim);
-  __Pyx_call_destructor(p->db);
-  __Pyx_call_destructor(p->c_off);
-  __Pyx_call_destructor(p->c_len);
-  __Pyx_call_destructor(p->c_kind);
-  __Pyx_call_destructor(p->c_act);
-  __Pyx_call_destructor(p->c_dead);
-  __Pyx_call_destructor(p->watches);
-  __Pyx_call_destructor(p->heap);
-  __Pyx_call_destructor(p->heap_pos);
-  __Pyx_call_destructor(p->_learnt_buf);
-  __Pyx_call_destructor(p->_clear_buf);
-  __Pyx_call_destructor(p->_marked);
-  Py_CLEAR(p->propagators);
-  Py_CLEAR(p->cfg);
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static int __pyx_tp_traverse_7maxcore_6engine_7_search_SearchCore(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *p = (struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->propagators) {
-    e = (*v)(p->propagators, a); if (e) return e;
-  }
-  if (p->cfg) {
-    e = (*v)(p->cfg, a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_7maxcore_6engine_7_search_SearchCore(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *p = (struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)o;
-  tmp = ((PyObject*)p->propagators);
-  p->propagators = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->cfg);
-  p->cfg = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-
-static PyObject *__pyx_getprop_7maxcore_6engine_7_search_10SearchCore_cfg(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_1__get__(o);
-}
-
-static int __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_cfg(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_3__set__(o, v);
-  }
-  else {
-    return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_3cfg_5__del__(o);
-  }
-}
-
-static PyObject *__pyx_getprop_7maxcore_6engine_7_search_10SearchCore_conflicts(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9conflicts_1__get__(o);
-}
-
-static int __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_conflicts(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9conflicts_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_7maxcore_6engine_7_search_10SearchCore_decisions(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9decisions_1__get__(o);
-}
-
-static int __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_decisions(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_9decisions_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_7maxcore_6engine_7_search_10SearchCore_propagations(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_12propagations_1__get__(o);
-}
-
-static int __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_propagations(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_12propagations_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyObject *__pyx_getprop_7maxcore_6engine_7_search_10SearchCore_restarts(PyObject *o, CYTHON_UNUSED void *x) {
-  return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_8restarts_1__get__(o);
-}
-
-static int __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_restarts(PyObject *o, PyObject *v, CYTHON_UNUSED void *x) {
-  if (v) {
-    return __pyx_pw_7maxcore_6engine_7_search_10SearchCore_8restarts_3__set__(o, v);
-  }
-  else {
-    PyErr_SetString(PyExc_NotImplementedError, "__del__");
-    return -1;
-  }
-}
-
-static PyMethodDef __pyx_methods_7maxcore_6engine_7_search_SearchCore[] = {
-  {"clause_lits", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_3clause_lits, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"lit_value", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_5lit_value, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"enqueue", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_7enqueue, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"fail", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_9fail, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"solve", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_11solve, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_13__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_15__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-
-static struct PyGetSetDef __pyx_getsets_7maxcore_6engine_7_search_SearchCore[] = {
-  {"cfg", __pyx_getprop_7maxcore_6engine_7_search_10SearchCore_cfg, __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_cfg, 0, 0},
-  {"conflicts", __pyx_getprop_7maxcore_6engine_7_search_10SearchCore_conflicts, __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_conflicts, 0, 0},
-  {"decisions", __pyx_getprop_7maxcore_6engine_7_search_10SearchCore_decisions, __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_decisions, 0, 0},
-  {"propagations", __pyx_getprop_7maxcore_6engine_7_search_10SearchCore_propagations, __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_propagations, 0, 0},
-  {"restarts", __pyx_getprop_7maxcore_6engine_7_search_10SearchCore_restarts, __pyx_setprop_7maxcore_6engine_7_search_10SearchCore_restarts, 0, 0},
-  {0, 0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_7maxcore_6engine_7_search_SearchCore_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_7maxcore_6engine_7_search_SearchCore},
-  {Py_tp_doc, (void *)PyDoc_STR("Single-shot CDCL search over int literals (DIMACS signs).")},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_7maxcore_6engine_7_search_SearchCore},
-  {Py_tp_clear, (void *)__pyx_tp_clear_7maxcore_6engine_7_search_SearchCore},
-  {Py_tp_methods, (void *)__pyx_methods_7maxcore_6engine_7_search_SearchCore},
-  {Py_tp_getset, (void *)__pyx_getsets_7maxcore_6engine_7_search_SearchCore},
-  {Py_tp_init, (void *)__pyx_pw_7maxcore_6engine_7_search_10SearchCore_1__init__},
-  {Py_tp_new, (void *)__pyx_tp_new_7maxcore_6engine_7_search_SearchCore},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_7maxcore_6engine_7_search_SearchCore_spec = {
-  "maxcore.engine._search.SearchCore",
-  sizeof(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_7maxcore_6engine_7_search_SearchCore_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_7maxcore_6engine_7_search_SearchCore = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "maxcore.engine._search.""SearchCore", /*tp_name*/
-  sizeof(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_7maxcore_6engine_7_search_SearchCore, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  PyDoc_STR("Single-shot CDCL search over int literals (DIMACS signs)."), /*tp_doc*/
-  __pyx_tp_traverse_7maxcore_6engine_7_search_SearchCore, /*tp_traverse*/
-  __pyx_tp_clear_7maxcore_6engine_7_search_SearchCore, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_7maxcore_6engine_7_search_SearchCore, /*tp_methods*/
-  0, /*tp_members*/
-  __pyx_getsets_7maxcore_6engine_7_search_SearchCore, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  __pyx_pw_7maxcore_6engine_7_search_10SearchCore_1__init__, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_7maxcore_6engine_7_search_SearchCore, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts, sizeof(struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts[--__pyx_mstate_global->__pyx_freecount_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts(PyObject *o) {
-  struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *p = (struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_v_self);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts, sizeof(struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts))))
-  {
-    __pyx_mstate_global->__pyx_freelist_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts[__pyx_mstate_global->__pyx_freecount_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts++] = ((struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *p = (struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_v_self) {
-    e = (*v)(((PyObject *)p->__pyx_v_self), a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *p = (struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts *)o;
-  tmp = ((PyObject*)p->__pyx_v_self);
-  p->__pyx_v_self = ((struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts},
-  {Py_tp_clear, (void *)__pyx_tp_clear_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts},
-  {Py_tp_new, (void *)__pyx_tp_new_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts_spec = {
-  "maxcore.engine._search.__pyx_scope_struct___reduce_learnts",
-  sizeof(struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "maxcore.engine._search.""__pyx_scope_struct___reduce_learnts", /*tp_name*/
-  sizeof(struct __pyx_obj_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts, /*tp_traverse*/
-  __pyx_tp_clear_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __pyx_vtabptr_7maxcore_6engine_7_search_SearchCore = &__pyx_vtable_7maxcore_6engine_7_search_SearchCore;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._add_clause_py = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, PyObject *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__add_clause_py;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._add_clause_vec = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, std::vector<int>  &, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__add_clause_vec;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._lit_value_c = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__lit_value_c;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._assign = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__assign;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._new_level = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__new_level;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._backjump = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__backjump;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._heap_before = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_before;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._heap_insert = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_insert;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._heap_up = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_up;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._heap_down = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_down;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._heap_pop = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__heap_pop;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._bump_var = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__bump_var;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._bump_clause = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__bump_clause;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._bcp = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__bcp;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._propagate_all = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__propagate_all;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._analyze = (int (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._minimize = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__minimize;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._analyze_final_clause = (PyObject *(*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze_final_clause;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._analyze_final_lit = (PyObject *(*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__analyze_final_lit;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._reduce_learnts = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__reduce_learnts;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._rebuild_watches = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__rebuild_watches;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._establish_assumptions = (PyObject *(*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, PyObject *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__establish_assumptions;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._check_learnt = (void (*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, int))__pyx_f_7maxcore_6engine_7_search_10SearchCore__check_learnt;
-  __pyx_vtable_7maxcore_6engine_7_search_SearchCore._finish = (PyObject *(*)(struct __pyx_obj_7maxcore_6engine_7_search_SearchCore *, PyObject *))__pyx_f_7maxcore_6engine_7_search_10SearchCore__finish;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_7maxcore_6engine_7_search_SearchCore_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore)) __PYX_ERR(0, 40, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_7maxcore_6engine_7_search_SearchCore_spec, __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore = &__pyx_type_7maxcore_6engine_7_search_SearchCore;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore->tp_dictoffset && __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_vtabptr_7maxcore_6engine_7_search_SearchCore) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_SearchCore, (PyObject *) __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search_SearchCore) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts)) __PYX_ERR(0, 574, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts_spec, __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts) < (0)) __PYX_ERR(0, 574, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts = &__pyx_type_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts) < (0)) __PYX_ERR(0, 574, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts->tp_dictoffset && __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_7maxcore_6engine_7_search___pyx_scope_struct___reduce_learnts->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__search(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__search},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_search",
-      __pyx_k_Compiled_CDCL_search_kernel_Lite, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__search(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__search(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__search(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_search' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_search" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__search", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_maxcore__engine___search) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "maxcore.engine._search")) {
-      if (unlikely((PyDict_SetItemString(modules, "maxcore.engine._search", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "maxcore/engine/_search.pyx":9
- * """
- * 
- * import time             # <<<<<<<<<<<<<<
- * 
- * from libcpp.vector cimport vector
-*/
-  __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_time, 0, 0, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 9, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_time, __pyx_t_2) < (0)) __PYX_ERR(0, 9, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":13
- * from libcpp.vector cimport vector
- * 
- * from .errors import EngineIntegrityError             # <<<<<<<<<<<<<<
- * 
- * KIND_PROBLEM = 0
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_EngineIntegrityError};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_errors, __pyx_imported_names, 1, __pyx_mstate_global->__pyx_kp_u_maxcore_engine_errors, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 13, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_EngineIntegrityError};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 13, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 13, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":15
- * from .errors import EngineIntegrityError
- * 
- * KIND_PROBLEM = 0             # <<<<<<<<<<<<<<
- * KIND_LEARNT = 1
- * KIND_EXPL = 2
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_KIND_PROBLEM, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 15, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":16
- * 
- * KIND_PROBLEM = 0
- * KIND_LEARNT = 1             # <<<<<<<<<<<<<<
- * KIND_EXPL = 2
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_KIND_LEARNT, __pyx_mstate_global->__pyx_int_1) < (0)) __PYX_ERR(0, 16, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":17
- * KIND_PROBLEM = 0
- * KIND_LEARNT = 1
- * KIND_EXPL = 2             # <<<<<<<<<<<<<<
- * 
- * cdef int C_KIND_PROBLEM = 0
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_KIND_EXPL, __pyx_mstate_global->__pyx_int_2) < (0)) __PYX_ERR(0, 17, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":19
- * KIND_EXPL = 2
- * 
- * cdef int C_KIND_PROBLEM = 0             # <<<<<<<<<<<<<<
- * cdef int C_KIND_LEARNT = 1
- * cdef int C_KIND_EXPL = 2
-*/
-  __pyx_v_7maxcore_6engine_7_search_C_KIND_PROBLEM = 0;
-
-  /* "maxcore/engine/_search.pyx":20
- * 
- * cdef int C_KIND_PROBLEM = 0
- * cdef int C_KIND_LEARNT = 1             # <<<<<<<<<<<<<<
- * cdef int C_KIND_EXPL = 2
- * 
-*/
-  __pyx_v_7maxcore_6engine_7_search_C_KIND_LEARNT = 1;
-
-  /* "maxcore/engine/_search.pyx":21
- * cdef int C_KIND_PROBLEM = 0
- * cdef int C_KIND_LEARNT = 1
- * cdef int C_KIND_EXPL = 2             # <<<<<<<<<<<<<<
- * 
- * DEFAULT_CONFIG = {
-*/
-  __pyx_v_7maxcore_6engine_7_search_C_KIND_EXPL = 2;
-
-  /* "maxcore/engine/_search.pyx":24
- * 
- * DEFAULT_CONFIG = {
- *     "decay": 0.95,             # <<<<<<<<<<<<<<
- *     "clause_decay": 0.999,
- *     "restart_base": 100,
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(8); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 24, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_decay, __pyx_mstate_global->__pyx_float_0_95) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_clause_decay, __pyx_mstate_global->__pyx_float_0_999) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_restart_base, __pyx_mstate_global->__pyx_int_100) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_restart_mult, __pyx_mstate_global->__pyx_float_1_5) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":28
- *     "restart_base": 100,
- *     "restart_mult": 1.5,
- *     "restarts": True,             # <<<<<<<<<<<<<<
- *     "learnt_cap_min": 4000,
- *     "minimize": False,
-*/
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_restarts, Py_True) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_learnt_cap_min, __pyx_mstate_global->__pyx_int_4000) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":30
- *     "restarts": True,
- *     "learnt_cap_min": 4000,
- *     "minimize": False,             # <<<<<<<<<<<<<<
- *     "validate": False,
- * }
-*/
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_minimize, Py_False) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-
-  /* "maxcore/engine/_search.pyx":31
- *     "learnt_cap_min": 4000,
- *     "minimize": False,
- *     "validate": False,             # <<<<<<<<<<<<<<
- * }
- * 
-*/
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_validate, Py_False) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_DEFAULT_CONFIG, __pyx_t_2) < (0)) __PYX_ERR(0, 23, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":174
- *         return ci
- * 
- *     def clause_lits(self, ci):             # <<<<<<<<<<<<<<
- *         cdef int off = self.c_off[ci]
- *         cdef int k
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_3clause_lits, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_SearchCore_clause_lits, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 174, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_mstate_global->__pyx_n_u_clause_lits, __pyx_t_2) < (0)) __PYX_ERR(0, 174, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":185
- *         return self.values[lit] if lit > 0 else -self.values[-lit]
- * 
- *     def lit_value(self, lit):             # <<<<<<<<<<<<<<
- *         return self._lit_value_c(lit)
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_5lit_value, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_SearchCore_lit_value, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 185, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_mstate_global->__pyx_n_u_lit_value, __pyx_t_2) < (0)) __PYX_ERR(0, 185, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":366
- *     # propagator-facing interface -------------------------------------
- * 
- *     def enqueue(self, lit, reason_lits):             # <<<<<<<<<<<<<<
- *         cdef int v, ci
- *         for r in reason_lits:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_7enqueue, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_SearchCore_enqueue, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 366, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_mstate_global->__pyx_n_u_enqueue, __pyx_t_2) < (0)) __PYX_ERR(0, 366, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":386
- *         return True
- * 
- *     def fail(self, reason_lits):             # <<<<<<<<<<<<<<
- *         expl = []
- *         for r in reason_lits:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_9fail, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_SearchCore_fail, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 386, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_mstate_global->__pyx_n_u_fail, __pyx_t_2) < (0)) __PYX_ERR(0, 386, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":626
- *         return None
- * 
- *     def solve(self, assumptions, conflict_budget=None, time_budget_s=None):             # <<<<<<<<<<<<<<
- *         cdef dict result = {
- *             "status": "unknown", "model": None, "core": None,
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_11solve, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_SearchCore_solve, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[9])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 626, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_mstate_global->__pyx_n_u_solve, __pyx_t_2) < (0)) __PYX_ERR(0, 626, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     cdef tuple state
- *     cdef object _dict
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_13__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_SearchCore___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[10])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":16
- *     else:
- *         return __pyx_unpickle_SearchCore, (type(self), 0x0437a04, state)
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     __pyx_unpickle_SearchCore__set_state(self, __pyx_state)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_10SearchCore_15__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_SearchCore___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[11])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 16, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_7maxcore_6engine_7_search_SearchCore, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 16, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":4
- *     int __Pyx_CheckUnpickleChecksum(long, long, long, long, const char*) except -1
- *     int __Pyx_UpdateUnpickledDict(object, object, Py_ssize_t) except -1
- * def __pyx_unpickle_SearchCore(__pyx_type, long __pyx_checksum, tuple __pyx_state):             # <<<<<<<<<<<<<<
- *     cdef object __pyx_result
- *     __Pyx_CheckUnpickleChecksum(__pyx_checksum, 0x0437a04, 0x27903d0, 0x709a677, b'_clause_decay, _clear_buf, _decay, _in_search, _learnt_buf, _marked, _minimize_on, _prop_conflict, _prop_enqueued, _restart_base, _restart_mult, _restarts_on, _validate_on, activity, c_act, c_dead, c_kind, c_len, c_off, cfg, cla_inc, conflicts, db, decisions, heap, heap_pos, learnt_cap, levels, n_learnt, n_problem, nvars, phase, propagations, propagators, qhead, reasons, restarts, seen, trail, trail_lim, values, var_inc, watches')
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7maxcore_6engine_7_search_1__pyx_unpickle_SearchCore, 0, __pyx_mstate_global->__pyx_n_u_pyx_unpickle_SearchCore, NULL, __pyx_mstate_global->__pyx_n_u_maxcore_engine__search, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[12])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 4, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_pyx_unpickle_SearchCore, __pyx_t_2) < (0)) __PYX_ERR(1, 4, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "maxcore/engine/_search.pyx":1
- * # cython: boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled CDCL search kernel.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init maxcore.engine._search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init maxcore.engine._search");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "maxcore/engine/_search.pyx":626
- *         return None
- * 
- *     def solve(self, assumptions, conflict_budget=None, time_budget_s=None):             # <<<<<<<<<<<<<<
- *         cdef dict result = {
- *             "status": "unknown", "model": None, "core": None,
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(2, Py_None, Py_None); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 626, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{179},{1},{8},{7},{6},{37},{2},{9},{46},{43},{21},{32},{30},{14},{14},{20},{9},{11},{12},{20},{10},{28},{30},{50},{47},{44},{22},{18},{15},{20},{16},{12},{4},{11},{18},{2},{2},{2},{12},{11},{7},{18},{6},{5},{15},{9},{23},{4},{8},{5},{9},{8},{5},{7},{6},{4},{12},{4},{8},{12},{6},{12},{13},{5},{2},{1},{3},{1},{8},{14},{7},{3},{9},{8},{22},{8},{5},{10},{9},{8},{7},{5},{3},{3},{9},{12},{11},{14},{12},{11},{10},{25},{14},{12},{1},{11},{10},{17},{13},{12},{13},{12},{8},{6},{3},{4},{12},{10},{12},{19},{5},{4},{5},{6},{8},{4},{13},{7},{5},{6},{12},{1},{8},{6},{3},{872},{12},{148},{76},{13},{48},{646},{16},{16},{11},{55}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (2188 bytes) */
-const char* const cstring = "BZh91AY&SY( ^\251\000\001\226\177\377\377\377\377\375\377\377\377\337\377\377\377\373\277\377\377\377\300@@@@@@@@@@@@\000@\000`\007~\367\275\333\203\257w\034A\023Y*\021\336\203\\\006\210J4\321\222\r\352\006\210i\342Od\324\332e\023\031\010\3235\037\251\220\20043&Da\241\2416@\231\r4m&\203D\002\t\211\221\200\202=\032\215\032\247\224\306\215FM=M\250\000\007\250\000\0004\001\241\352h\000\036\240\365\010J2M\376\251\352P\321\246M\r\003F\232i\243 \000\000\000\000\000\r\000\001\240\r\000\003@4\320\022\020\206\222x\243\323\320\204\3651\222=!\243\021\240\320\r444h4\001\246\236\240\000\320\032\001\246\231\006\232\225\003\364\220\000\006\324\000\000\000\006\232\000\000\014\200\032h2\000\003M\032\000\323OSB\014\000\023\000\00410L\000\001\030\0012`\2310\000##\023\021\200\206\000\000\376@\020\006\024\002 xP\002P\220P\242'w\340\372\020\320}\206\241\304j5ED\t \023\327\263H\374\371\334\376\227\307\370^\221\021\021?\337?\241\361n\375\337\216vAUUUn\300N\311\354\310\324\332\336\345\215\327\037\321\365\003\262|h\210\210\210\210\315\026\337\347\007\037;=\221\321$0\000\000\000\030\221\033\352\355\355\3153\325is\234\3479\317i\237O+\322\313t\317p\226q6}\361\277\034QE\024QE\024|\027\336DI \002A \022H%*\373\340yB\366\265jzukZ\326\265\261\026\025\227\235\303f\314\\\305\267 \000\000\000\304H\216_AYg\356\010\241L\2743:\342X\311u\031@B\273R\344\261\226\t\022\214\242\221\006b\020\0100\213\221|:lC\020| \020\244D\002^\027\304\302\303\316\0102\032\262P\274\342DD\201E\000\221*\010\036\2160\311\017Vqx\025%\260\274\013\234!\211\276\377R@I\004$+9\220\270\241\362u\307\016\313\326\371\265x\323\3663Na\375(\353\356\255\252\207\034\377\264\230\2328\256+\003s,\260\2349\032a\007\255\274\322Ma\255\013\244\256\305K\242\256fwvfIf\370EF\366\244k\252\323u\254\370\263f\315\356\373\203\036\177D{\361\265r\216\235\177\251YZQ\312dY\214\027\031\325J\0074T\363\311e\266V\200\260\2254#qAa\264\245:\275HA\250\211u\r\327\016\341T\202\343Cj B&]\264\341\224\345:\013u(\0101!\025\314\300\037\325\366i\235\327\3636\322\324/\002y%p\270X""v\326@\263\242t\276J\261\243\020\002\207\006\320\3333$\304X7'b\375\203\227B,H\252\207-\206\001\206\360\345\036\253e\354\253\240\034IU^\256\326q\243bkx~\356\177 \240\275lj.7w\325s1sU\350\331\35002\023\367\351U\n\275t\025\376f\r\332\237\017cg2m\212\257\356\016\2500\311\323\252b\270n\004\367\nJ\200n_n\307\273\324z\254\267f1\254\272I\341?\rv\332$,6n_+CF7\007P(c\027\212k\216\252Y\003W\272u\236s\252\026\3455n\236\003x\334^\375\006\3308\264\302p\267\006\301\344:f!9\334\300\2419n\214h\215\374o\330B\254\366g\243hF\332\301\266L=\362\3140\013\004=`\256\0010\n\020R\035h\270\354\021\004\371\352\200\\b\345\352\272\200\367\254R\213\230\226\007GX\357\260\002&\307\275\350&\037\361\033\202Bt\242g\207?%\004\276\355D\261@\006\\S\204\210Q\347 =\021\020\016\300@\334$r\343s\342P\327\201K\310\214@\3433H`N\027\021LR\r\241p\270\302\007`\367\323\255h\266\363\276|b\210m\021\001\361t\025\213\301\001\241\3305WS\376Q6!\354!\221\220l\014\n K<\313\265l'\320\261\2009[]\374\203\235\374\211\315\250\215\347<B\020a e\3062\331\276}\007S\371\014s\253E\000_\033#a\235\022\301J\205a\201)\r\006Aw\014Ev)\265\236\275\273\n=H\031\310i\220\tBx\n\272#_d\305\254D:\352U%97/L^\025\2018j\205\335\001\016\010/\230\027\003O\262\372m}\007\263\240u\310yW\264\304\276\005\361\234O\207\000qLP lL\302\246\\\027G\035\261\240$+\216\340\035\341R\214!+_\014\263\312\341ou\374jn\027l\251\220@\014\r\375z\002\247ZI\267\3226\026\003\353D\212\324z\263\220)\360`@\221H3 \316\034PdgRE\236D\026<Ed!O\241Q\260Qh\r&\014\017\344\021(4\313\006\022F\213\2207jn\243\r\302\320\034\324\272\023\305\005\226\212(jt\250Ek?P\242\023E\372D\360\233\231\025p\305e,\342\256F\022\241\017\024,\201\340\215\025T\222ddd\"\022\030A\\!@\2479\3572\341\237\303\244K\306\324(\275E&6k\374\003\230\361\257\316\025z\241 \225\n\030[~T`\372\254\250\234\002/\271\002\334\236\n\261\261\241\222\300j\214+5\257\014\024\205\035\272\\6\324u]\273`\212R\177hG$\206\031A\004#1\007\232\2206\342+\017\214\023A\200f\014\232\220\347\301o\030\251*\t\305\031G;B\317lHg\241\261\323\n\367\264R\t""\3317\217\200\364\034b\337\010\016 \034p\2149#sq\347\232\364\352I\nP/v\327\355\235\255$\324\330]M\356\260D\204\"\315\241\025\007\301\3477\237A\233\350\032\037!\230\240'\303w\036\t&\020A\241\302iU\02121(^\n\036\333\022\350Z\305\227},l\244\332\220\2202\006\253^\221\241 e8\260[b\276\371\033\022\330\364nZt\n\021D\020\027\016\350\205\033y\322\325\227Z\360\333\305\006\010\317\355\370#\264\030ek(\260\241\306\316\240\227\220\204\304\226\300%\203\262\265\256]\220\271\314\005\340pP^\370\365\004\215R-}\303\023\331\355\220H\254p\026\025i\362b\000\226\021u\216\301\014\3043\343\306.V\034\202\363\274\3701\374\023\216\211\016\220\305H9\302\030\024\266Or\007t\017!\321^\314F\340Q\032E\"\2323<\032\363\366\312\026\275V\301\002\241\266\236\216\300Y\202\302X\022\003\300\231Y\353\217\261\215\340\351v\024]\315\300l\270\301< \330\220IqL\275{\241\0353\236\266\214\252\274\3508\006\377.\3778\306\226s\342\336!@\001\322>\334\014O\"\017\346\035\001\227\002Y<*\316\370V\"\021\251\241D\241\200\316\332vO\251\000\231\234\036\003Q\362L\026E\233\250;\305\020\245)n\031\r\324\"r\022\022`\372\254E\3551\337G(!\251]\036\371\253\251I\374D\302\333\005\020\224F\014\212\030\207L\342\303k\364\217\017Y\237'\243\004~\177h4\037@\2519\224\261\031F\013\260\262V\332\tb7\2126\324\344\215\216\362'\244!\014\251\252\214t\264\032\300\216\321Y\tfq\330\014\n\027\310\306R\2524\030&\214cEEy\031]\225d\017 \032\240\274\276v\362G\320\201\301K\256\365Wo\314H2\312\325R\007\327\010$p\314u\301\257\343\030j\247\326\016M\027p\317\021nK\374\300a\323\212\340<\371N<\336{\3473\036\333\2228\345\311d`\t\023[e\241#\375\305Y\225\346\016;\364\377\307\331\360=M(=\231\362\366\260\016\\\234\371,\227\254)\363x<\236\245B\252)\243\265\275\304/\277\360\354\355\342\3231\362t\013\3472\033z\023q\356\275P\251\007\205%\255\305\004O\355J\266U\344\275;\217\217\336\3036\265G\370\342k\317\220\354\245\205\201/\223\211\004C\276\270\232\240\315%\245\372V\020R\323\"\031E=;\317\246\314\030Y\246X\254\0061L\031\345f\3455,B+\203\3140\2209wM\302\353\245\214C\013CI\365""\372|\315\236j\256{>_.\243\223\021\020\3653\rg\230\264\303\265L\3234TC5Izj\232\210}h\213Q\246\233D\304F\177\376.\344\212p\241 P@\275R";
-    PyObject *data = __Pyx_DecompressString(cstring, 2188, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2039 bytes) */
-const char* const cstring = "x\332\205\225\315w\323V\026\300q\"\333r\010\r\236\230\220\014\234\"\003\201\351\300\2041\023J\017\005Z'q \344\2038qHi\017\350<K\317\266\022Y\262\365\021\342\020\332,\263\324R\313\267\324RK/\263d\251\245\226\371\023\372'\364^\311\016\t\323\322\205\365\273z\276\367\276\373\365\364\246Vt\213\nV\203X\302l\307j\350\232\240\230\202LU\245J\rbQ\265#\230\226\241H\0265PI\023VK\253\377\231\376nZ \232,\030t\213J\226)\230vUR\211iRS\320kB\325VTK\321\004\253\323\242\346\224\260P\023:\272-h\224\312\202\245\013-\320;m`5\250&\230\324BA\270M4M\267\210\245\350\232\010\346\212V\277-\310\212\001\233(;\024\255\347\211j\322\251\037\210,\213\240He\305$U\225R-z\356\266T\242E\306\020\235E%*S\315\022&e\314\010\264\005\313\260i]R\314X]V)1\340\177\010\3046\251\320\240D\216\2640,\003\\\013\244\206IW\211\264\275e7[g\265-\242\250\221v\r\003\372L\265Iv%\335\240ST\253+\032\3000t\303\324\364\272\256\313\177\035\230iH\367z\206\367b\303{\242\t{J\215\251Vg\36716A\253\233\272mH\364\351\\i\276\270\261T\021g_\256\314/<+E\332\013\340\270n(V\247\204\333-.\254\314\211\245\237V\227\"a\251T\\[\251D\342\352\332\313\231\245\322\262(\256vv\3417\007\235\025W\350\256\265Fk\353\321n\263\020\300'iJ\024\r*\333\022\025\245h8D\361\314\177\3207\023\332\365\347\377B/\324\316\036\025k\n\010b\\\270\251\307\252.A\311\236\202@\232U\231<\375k\013U\261\276\254\336\213,\356\214\371E\335xwti\236Z\245Z\333\246\366\351tk\320\327S\257\240/\356\020\365\214\212\251\253;T\024{\223\212\222\3314ah\240\3618z v4I\321\247\240\223\272\r\347\200\232\325-\251*)\275\020d*\221\316\251pb\021\000\232\242\002co\020\211\342$I\272VS\352\370T\243\007v\252j\313uj\365_\315\023A4\025\r*aP\350\206a\341\014\3110\316\3502\332\016\036\212\211\261\211\242\214nb\364\262\217\307\023\017\317\251\003db!D\261fk\022h\213\365~\237\305\0061E\251\212\317\376\016\242\002+\375\\\025\2136Mew{\233v\324~\033\342\376\210\022i\211ME\353u\013R?)\256(6\td.~vnz\343\0176JS\331\243M\035\276J\240\244\313\266\212&:\324_\327\024\210O#M\212Qj\364\035<v\210a\352\265ZKo\265\014\275E\352""\020v_\300\304\3722\344,\212p\262D\251A\245m\350^\374\006%\264U+\226{)\243\210\337\262X\262\265\226\"mC\004\237F\"\376c\307\302\257\n\306\321\266\211\032\307d\030\224\230p.\260\321''I\374\2773u\262@w\305~\023\305*\201\357POV\241\002V\377\245\t\001\366d3\016\327$\226I\325Zt\036{\325\000I\2465\022\345rrJ\305?9\261\3218\233\272\021/\343\303\206PQ\202\247\322\244\370\353\315\235h\332\332\266\246\277\323l\230r\313n\311`\200c\334\367\271\003\335Tp1\352\252\t\215\010\270BP(\035\225C>\023\016\2179\333l\302\273\345\363\335D8<\341\216\272\313\336hp\367qw\266\273\377\261p\314\347\331\327\336;\237\204\3745\267\035\362W\202+w\274\207~>\344/;\360z\223\315y\211\220\277\353\025\217\371\t7\347\226]P<\177X\010\207/;\226\373\210\255{\003^\276\267\222u\262!?|\270\342\346\217\001\363\316\244\323v9\267\030\016\217\034Z\316\267n\326\275\351J,\033^\034sd\367\006x\222\331-/\341\301B\316\231s/\2602#\341\305Q\347\276Sq\263a\356\237n\336}\314\332\261\360\210\225\303\334\025w\332\335em\010'\322Zw\023an\334\345Y\202]b\344\030\023\305}\036\271\033\354\006\204\005Z\020ap\345\276\237\367\013h\361\300M\273\355/\373\035\306@F\340O\360\264\023m\000\241\255\260|x\361\216\027\371\230v\366`3\311\033\365\212\177\033\341\227t+\3017?t\333G\2113&\227 \361\t\226g\005\334\365\205K Z\\\013&\276\361\262\336MO\353\026\361\217e\254 z\337g\017\274A\357\276W\306*\244@}\207U\342b>w\213n\205]\365\312\236\014}\214\224\333\250\364\025#\020\002(,1\216\025O\tq\260\243Q\253s\343\301\370\277\342\014\036B\303dv\307[\367\023\237\345\366\004\354\346\274\363\376}\277\322\035\205\270r\247\207a\374\232k\261\357\274\002\214L\324\331D8~5\270:\355\317\372m\220\33496\344Mz\246\177\335\007\273)\217\204\271\311(p\010\360\002\213\222\031\212\212\220\273\024w\215s\347\331$3\275\033^\305\377|.\276\207\214,\234V\377\177\276\334\235\354\332G\305\243\312\307\313\301\352Z\260\266~&\3461\207\304\2037\351\332l\226\031^\344\352\246\273\205)c\364\017aS,h!\034\237\210\234\237\364>\347,\272\355~]7!\357\224G\274\275n\266{\353(\001]\230f;Pi\352\027""\016\2128\366%8\004\321 >\201\301\034\205\255\300t,\030\3737\024&\367\270;\323%xD\346\234\013\375\223t\377p\335\201\311\033u\n!?r\330\006\271\357\344\242\223\206\003\224\200\303\300_8\2548\327\300\337\030x\213l*\221Bp\361:\004\030\333\016\037>w\212\316\006\304\315\017\007\303_\243spwP\214\020\376M`\017}\243{v\307\310\207\314\356\371Y\377\026|6>\371\212\355\263\370\202e\373\226e\031\034w\214\234sf\301z\020jn\263\022\214\354\244gE\0032\206\223~\220\370\235?\227\374\352\260\022d\363,\307\336\3707}\245k\035=\tV+A\245\032TkA\255\025\264\254\337\317\235\263\023s\003\200\271\201\347\210\347\003\257\021\257\007\336 \336\014h\010m\300@\030\0033\203\200\231\301y\304\374\340+\304\253\301\237\021?\017*\010e\260\211h\016\356#\366\007\177\344\000?r\213\210E\356%\342%\267\211\330\344~A\374\302\311\010\231k \032\\\033\321\346l\204\315}@|\340\212I@1\271\200XH.#\226\223\353\210\365\344&b3I\020$I\0214\331F\264\2236\302N\356!\366\222\277\"~M\276H\001^\244V\020+\251\r\304F\3525\342uJF\310\251\006\242\221\262\021v\252\203\350\244f\322\230{z\0361\237.#\312\351\r\304F\232 H\232\"h\272\211h\246\333\210v\272\203\350\244? >\244\227x\300\022\277\212X\345\337\"\336\362UD\225\337Bl\361\032B\343w\021\273\374>b\237\177\226\001<\313,\"\0263k\210\265\314+\304\253\314[\304\333L\025Q\315h\010-c \214\314{\304\373\314o\210\3372\013CX\301\241e\304\362\320\312P\310\r\037>s\n\316\274{\027.\003.}\260s\270\351\224\360\332\t\371\1778\361\235t\034\315\335\003\226f\2667\013#\366\344(}\324F]\230\362\221`\344\2167\355\265\375\264\377\376\350\366\307\354\361\331\225\274{\207mx\327\275\031\257\356\227}\251\233\205\213\361\022\253\302W\3536\314\371\r\277|\220\0109\370\370yc^\373 q\314\301\205\030\010\377\365\317w\277?\332\016\312k!7\n\327\313O\321E\005\373\355\303\0072\037]\215\336\233\356\324G0\205[\360\017S\375.-";
-    PyObject *data = __Pyx_DecompressString(cstring, 2039, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3542 bytes) */
-const char* const bytes = ".Note that Cython is deliberately stricter than PEP-484 and rejects subclasses of builtin types. If you need to pass subclasses then set the 'annotation_typing' directive to False.?add_notedisableenableexplanation antecedent %d is not truegcisenabledlearnt clause head not asserted after backjumplearnt clause tail not false after backjumpmaxcore.engine.errorsnogood antecedent %d is not truesrc/maxcore/engine/_search.pyx<stringsource>DEFAULT_CONFIGEngineIntegrityErrorKIND_EXPLKIND_LEARNTKIND_PROBLEM__Pyx_PyDict_NextRefSearchCoreSearchCore.__reduce_cython__SearchCore.__setstate_cython__SearchCore._analyze_final_clause.<locals>.<lambda>SearchCore._analyze_final_lit.<locals>.<lambda>SearchCore._reduce_learnts.<locals>.<lambda>SearchCore.clause_litsSearchCore.enqueueSearchCore.failSearchCore.lit_valueSearchCore.solve__annotate__asmsassumptionsasyncio.coroutinesbjcbciclause_decayclause_litsclausescline_in_tracebackconfigconflconflict_budgetconflictsconflicts_since_restartcoredeadlinedecaydecisions__dict___dictenqueueerrorsexplexplanationsfail__func____getstate__has_cbhas_deadline_is_coroutineitemsixkkeyl<lambda>learnt_cap_minlearntslitlit_value__main__maxcore.engine._searchminimizemodel__module__monotonic__name____new__nvarsoffpoppropagatepropagationspropagators__pyx_checksum__pyx_result__pyx_state__pyx_type__pyx_unpickle_SearchCore__pyx_vtable____qualname__rreason_lits__reduce____reduce_cython____reduce_ex__restart_baserestart_limitrestart_multrestartsresultsatself__set_name__setdefault__setstate____setstate_cython__solvesortstatestatus__test__timetime_budget_sunknownunsatupdateuse_setstatevvalidatevaluesvar\320\0041\3201E\300Q\330\010\t\330\014\026\220k\240\031\250&\260\010\270\001\330\014\031\230\023\230M\250\023\320,<\270C\270|\3101\340\010!\240\036\250w\260a\330\010\037\230q\330\010\033\320\033+\2507\260!\330\010\027\220q\330\010$\240D\250\001\330\010,\250A\340\010\031\230\024\230Q\230a\330\010\013\2101\330\014\027\220t\230:\240S\250\002\250!\330\010\013\2101\330\014""\021\220\021\330\010\014\210N\230!\340\010\014\210F\220%\220q\230\004\230A\330\014\017\210t\2206\230\021\230$\230c\240\021\330\020\026\220d\230#\230Q\230d\240&\250\001\250\021\330\020\024\220D\230\r\240Q\240a\330\020\023\2202\220T\230\021\330\024\032\230!\230<\240q\330\024\032\230!\230:\240Q\330\024\033\2304\230x\240q\250\001\330\020\023\2202\220S\230\001\330\024\030\230\010\240\001\240\025\240a\340\010\t\330\014\017\210t\220:\230U\240#\240S\250\001\330\020\027\220t\320\0332\260!\2601\330\020\023\2205\230\007\230q\330\024\032\230!\230<\240q\330\024\032\230!\230:\240Q\330\024\033\2304\230x\240q\250\001\330\014\024\220D\230\017\240q\330\014\017\210v\220S\230\001\330\020\024\220N\240!\330\020+\2501\330\020\023\2204\220z\240\025\240c\250\023\250A\330\024\032\230!\230<\240q\330\024\032\230!\230:\240Q\330\024\033\2304\230x\240q\250\001\330\020\023\2204\220z\240\025\240c\250\023\250A\330\024\032\230!\230<\240q\330\024\032\230!\230:\240T\320)?\270q\300\001\330\024\033\2304\230x\240q\250\001\330\020\025\220T\230\031\240!\2401\330\020\024\220J\230a\230q\330\020\025\220T\320\031)\250\021\250$\250n\270A\330\020\024\220M\240\021\330\020\023\2204\220|\2405\250\003\2502\250Q\330\024\030\230\006\230a\230v\240T\250\021\330\020\024\220H\230A\230T\240\034\250Q\250d\260!\330\020\023\2204\220q\330\024\030\230\016\240a\240q\330\020\024\220L\240\004\240A\330\020\024\220L\240\004\240A\330\020\023\2204\220z\240\023\240D\250\001\330\024\030\320\030(\250\001\330\020\023\2207\230$\230d\240+\250S\260\001\330\024\033\2304\230x\240q\250\001\330\020\023\220=\240\004\240D\250\013\2602\260T\270\023\270A\330\024\027\220t\230:\240S\250\002\250!\330\030\037\230t\2408\2501\250A\340\020\024\220D\230\001\330\030\034\320\0344\260C\260q\330\030\034\230D\240\n\250%\250s\260\"\260A\330\024.\250a\330\024%\240T\250\021\330\024\030\230\r\240Q\330\024\030\230\n\240!\2401\330\024\025\330\020\023\2205\230\004\230F\240%\240s\250#\250T\260\021\330\024\032\230!\230<\240q\330\024\032\230!\230;\240a\240t\2507\260!\2603""\260d\270%\270u\300A\300T\310\027\320PR\320RS\330\024\033\2304\230x\240q\250\001\330\020\026\220a\330\020\026\220d\230%\230u\240C\240r\250\021\330\024\032\230$\230j\250\001\330\024\027\220t\2307\240!\2405\250\003\2501\330\030\031\330\024\032\230!\330\020\024\220N\240!\330\020\024\220K\230q\330\020\024\220H\230A\230W\240D\250\006\250a\250z\270\021\270&\300\001\220|\2404\240v\250Q\250e\2601\200A\340\010\014\210E\220\021\330\014\017\210t\220=\240\001\240\023\240C\240q\330\020\026\320\026*\250!\330\024<\270B\270a\330\010\014\210D\220\r\230Q\230a\330\010\013\2102\210S\220\001\330\014\023\2201\330\010\017\210q\220\001\330\010\014\210E\220\021\330\014\020\220\007\220q\230\001\230\021\330\010\r\210T\220\037\240\001\240\026\240q\330\010\013\2102\210T\220\021\330\014\020\320\020\"\240!\330\014\023\2201\330\010\014\210H\220A\220U\230!\330\010\014\320\014\036\230a\330\010\017\210q\200A\330\010\017\210q\330\010\014\210E\220\021\330\014\017\210t\220=\240\001\240\023\240C\240q\330\020\026\320\026*\250!\330\0247\260r\270\021\330\014\020\220\007\220q\230\001\230\021\330\010\014\320\014\036\230d\240/\260\021\260&\270\001\330\010\017\210q\200A\330\010\017\210t\220=\240\001\240\021\200A\330\010\027\220t\2306\240\021\240!\340\010\017\210q\220\004\220C\220q\230\003\2304\230u\240E\250\021\250%\250t\2602\260T\270\026\270q\300\001\200\001\360\010\000\005\016\210T\320\021!\240\024\240]\260$\260i\270t\300=\320PT\320Tb\320bf\320fp\320pt\360\000\000u\001D\002\360\000\000D\002H\002\360\000\000H\002Y\002\360\000\000Y\002]\002\360\000\000]\002n\002\360\000\000n\002r\002\360\000\000r\002B\003\360\000\000B\003F\003\360\000\000F\003V\003\360\000\000V\003Z\003\360\000\000Z\003i\003\360\000\000i\003m\003\360\000\000m\003|\003\360\000\000|\003@\004\360\000\000@\004K\004\360\000\000K\004O\004\360\000\000O\004W\004\360\000\000W\004[\004\360\000\000[\004d\004\360\000\000d\004h\004\360\000\000h\004q\004\360\000\000q\004u\004\360\000\000u\004}\004\360\000\000}\004A\005\360\000\000A\005I\005\360\000\000I\005M""\005\360\000\000M\005S\005\360\000\000S\005W\005\360\000\000W\005a\005\360\000\000a\005e\005\360\000\000e\005q\005\360\000\000q\005u\005\360\000\000u\005z\005\360\000\000z\005~\005\360\000\000~\005J\006\360\000\000J\006N\006\360\000\000N\006U\006\360\000\000U\006Y\006\360\000\000Y\006d\006\360\000\000d\006h\006\360\000\000h\006u\006\360\000\000u\006y\006\360\000\000y\006B\007\360\000\000B\007F\007\360\000\000F\007Q\007\360\000\000Q\007U\007\360\000\000U\007a\007\360\000\000a\007e\007\360\000\000e\007m\007\360\000\000m\007q\007\360\000\000q\007y\007\360\000\000y\007}\007\360\000\000}\007L\010\360\000\000L\010P\010\360\000\000P\010^\010\360\000\000^\010b\010\360\000\000b\010j\010\360\000\000j\010n\010\360\000\000n\010x\010\360\000\000x\010|\010\360\000\000|\010G\t\360\000\000G\tK\t\360\000\000K\tR\t\360\000\000R\tV\t\360\000\000V\t^\t\360\000\000^\tb\t\360\000\000b\tn\t\360\000\000n\tr\t\360\000\000r\t{\t\360\000\000{\t\177\t\360\000\000\177\tI\n\360\000\000I\nM\n\360\000\000M\nN\n\330\004\014\210G\2201\220F\230,\240a\330\004\007\200v\210W\220E\230\024\230Q\330\010\022\220!\330\010\027\220q\340\010\027\220t\2305\240\007\240u\250C\250t\260=\300\007\300q\330\004\007\200q\330\010\017\320\017+\2504\250q\260\007\260{\300'\310\021\340\010\017\320\017+\2504\250q\260\007\260{\300!\230+\240U\250\"\250B\250g\260Q\260c\270\021\220k\240\025\240b\250\002\250'\260\021\260#\260Q\200\001\330\004(\250\001\250\026\250q\200\001\340\004\037\230q\320 0\260\013\270;\300k\320QR\330\004\023\220:\230X\240Q\240a\330\004\007\200|\2207\230!\330\010,\250A\250]\270.\310\001\330\004\013\2101";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 126; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 15) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 126; i < 137; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 137; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 126;
-      for (Py_ssize_t i=0; i<11; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab;
-    double const c_constants[] = {1.5,0.95,0.999};
-    for (int i = 0; i < 3; i++) {
-      numbertab[i] = PyFloat_FromDouble(c_constants[i]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 3;
-    int8_t const cint_constants_1[] = {0,1,2,100};
-    int16_t const cint_constants_2[] = {4000};
-    int32_t const cint_constants_4[] = {4422148L};
-    for (int i = 0; i < 6; i++) {
-      numbertab[i] = PyLong_FromLong((i < 4 ? cint_constants_1[i - 0] : (i < 5 ? cint_constants_2[i - 4] : cint_constants_4[i - 5])));
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<9; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 527};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_l};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_lambda, __pyx_mstate->__pyx_kp_b_iso88591_k_b_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 540};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_l};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_lambda, __pyx_mstate->__pyx_kp_b_iso88591_U_BgQc, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 544};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_l};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_lambda, __pyx_mstate->__pyx_kp_b_iso88591_U_BgQc, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 568};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_l};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_lambda, __pyx_mstate->__pyx_kp_b_iso88591_k_b_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 589};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_ix};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_lambda, __pyx_mstate->__pyx_kp_b_iso88591_4vQe1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 174};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_ci, __pyx_mstate->__pyx_n_u_off, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_k};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_clause_lits, __pyx_mstate->__pyx_kp_b_iso88591_A_t6_q_Cq_4uE_t2T_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 185};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_lit};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_lit_value, __pyx_mstate->__pyx_kp_b_iso88591_A_t, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 7, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 366};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_lit, __pyx_mstate->__pyx_n_u_reason_lits, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_ci, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_expl};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_enqueue, __pyx_mstate->__pyx_kp_b_iso88591_A_E_t_Cq_Ba_D_Qa_2S_1_q_E_q_T_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 4, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 386};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_reason_lits, __pyx_mstate->__pyx_n_u_expl, __pyx_mstate->__pyx_n_u_r};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_fail, __pyx_mstate->__pyx_kp_b_iso88591_A_q_E_t_Cq_7r_q_d_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 20, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 626};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_assumptions, __pyx_mstate->__pyx_n_u_conflict_budget, __pyx_mstate->__pyx_n_u_time_budget_s, __pyx_mstate->__pyx_n_u_result, __pyx_mstate->__pyx_n_u_has_deadline, __pyx_mstate->__pyx_n_u_deadline, __pyx_mstate->__pyx_n_u_has_cb, __pyx_mstate->__pyx_n_u_cb, __pyx_mstate->__pyx_n_u_restart_limit, __pyx_mstate->__pyx_n_u_conflicts_since_restart, __pyx_mstate->__pyx_n_u_ci, __pyx_mstate->__pyx_n_u_lit, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_confl, __pyx_mstate->__pyx_n_u_bj, __pyx_mstate->__pyx_n_u_var, __pyx_mstate->__pyx_n_u_asms, __pyx_mstate->__pyx_n_u_core, __pyx_mstate->__pyx_n_u_v};
-    __pyx_mstate_global->__pyx_codeobj_tab[9] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_maxcore_engine__search_pyx, __pyx_mstate->__pyx_n_u_solve, __pyx_mstate->__pyx_kp_b_iso88591_11EQ_k_M_C_1_wa_q_7_q_D_A_Qa_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[9])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 4, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_state, __pyx_mstate->__pyx_n_u_dict_2, __pyx_mstate->__pyx_n_u_use_setstate};
-    __pyx_mstate_global->__pyx_codeobj_tab[10] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_T_it_PTTbbffppt_u_D_D_H_H_Y_Y_n, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[10])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 16};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[11] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[11])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 4, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 4};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_pyx_type, __pyx_mstate->__pyx_n_u_pyx_checksum, __pyx_mstate->__pyx_n_u_pyx_state, __pyx_mstate->__pyx_n_u_pyx_result};
-    __pyx_mstate_global->__pyx_codeobj_tab[12] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_pyx_unpickle_SearchCore, __pyx_mstate->__pyx_kp_b_iso88591_q_0_kQR_XQa_7_A_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[12])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
+        PyList_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
+struct Kernel {
+    int nvars = 0;
+    bool validate = false;  // check every learnt clause after backjump
+    PyObject *view = nullptr;   // the SearchCore owning this kernel, borrowed
+    PyObject *props = nullptr;  // list of propagators
+
+    std::vector<int> values;  // per var: 0 unset, 1 true, -1 false
+    std::vector<int> levels;
+    std::vector<int> reasons;  // clause index, -1 for decisions/assumptions
+    std::vector<char> phase;
+    std::vector<double> activity;
+    std::vector<char> seen;
+    std::vector<int> trail;
+    std::vector<int> trail_lim;
+    size_t qhead = 0;
+
+    std::vector<int> db;  // flat literal arena; slots off, off+1 are watched
+    std::vector<int> c_off;
+    std::vector<int> c_len;
+    std::vector<char> c_kind;
+    std::vector<double> c_act;
+    std::vector<char> c_dead;
+    std::vector<std::vector<int>> watches;
+
+    int n_problem = 0;
+    int learnt_cap = 0;
+    int n_learnt = 0;
+
+    double var_inc = 1.0;
+    double cla_inc = 1.0;
+    std::vector<int> heap;
+    std::vector<int> heap_pos;
+
+    long long conflicts = 0;
+    long long decisions = 0;
+    long long propagations = 0;
+    long long restarts = 0;
+
+    bool prop_enqueued = false;
+    int prop_conflict = -1;
+
+    std::vector<int> learnt, to_clear, expl;  // scratch
+
+    bool init(int n, PyObject *clauses) {
+        nvars = n;
+        int n1 = n + 1;
+        values.assign(n1, 0);
+        levels.assign(n1, 0);
+        reasons.assign(n1, -1);
+        phase.assign(n1, 0);
+        activity.assign(n1, 0.0);
+        seen.assign(n1, 0);
+        watches.resize(2 * n1);
+        PyObject *seq = PySequence_Fast(clauses, "clauses must be a sequence");
+        if (!seq)
+            return false;
+        std::vector<int> lits;
+        for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+            lits.clear();
+            if (!read_lits(PySequence_Fast_GET_ITEM(seq, i), nvars, lits)) {
+                Py_DECREF(seq);
+                return false;
             }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
+            add_clause(lits, KIND_PROBLEM);
         }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
+        Py_DECREF(seq);
+        n_problem = (int)c_off.size();
+        learnt_cap = std::max(LEARNT_CAP_MIN, 2 * n_problem);
+        heap_pos.assign(n1, -1);
+        for (int v = 1; v < n1; v++)
+            heap_insert(v);
+        return true;
     }
-#endif
-}
 
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceAdd : PyNumber_Add)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_add(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a + b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla + llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_AddObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) + (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_AddObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_AddObjC(op1, op2, inplace);
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* PyObjectFastCallMethod */
-#if !CYTHON_VECTORCALL || PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf) {
-    PyObject *result;
-    PyObject *attr = PyObject_GetAttr(args[0], name);
-    if (unlikely(!attr))
-        return NULL;
-    result = __Pyx_PyObject_FastCall(attr, args+1, nargsf - 1);
-    Py_DECREF(attr);
-    return result;
-}
-#endif
-
-/* DictGetItem */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject *__Pyx_PyDict_GetItem(PyObject *d, PyObject* key) {
-    PyObject *value;
-    if (unlikely(__Pyx_PyDict_GetItemRef(d, key, &value) == 0)) { // no value, no error
-        if (unlikely(PyTuple_Check(key))) {
-            PyObject* args = PyTuple_Pack(1, key);
-            if (likely(args)) {
-                PyErr_SetObject(PyExc_KeyError, args);
-                Py_DECREF(args);
-            }
-        } else {
-            PyErr_SetObject(PyExc_KeyError, key);
-        }
-    }
-    return value;
-}
-#endif
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
+    // ------------------------------------------------------------------
+    // clause arena
 
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
+    int add_clause(const std::vector<int> &lits, char kind) {
+        int ci = (int)c_off.size();
+        c_off.push_back((int)db.size());
+        c_len.push_back((int)lits.size());
+        c_kind.push_back(kind);
+        c_act.push_back(0.0);
+        c_dead.push_back(0);
+        db.insert(db.end(), lits.begin(), lits.end());
+        if (kind != KIND_EXPL && lits.size() >= 2) {
+            watches[windex(lits[0])].push_back(ci);
+            watches[windex(lits[1])].push_back(ci);
         }
+        return ci;
     }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
 
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* PyObjectVectorCallKwBuilder (used by PyObjectVectorCallMethodKwBuilder) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* PyObjectVectorCallMethodKwBuilder */
-#if !CYTHON_VECTORCALL || PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_Object_VectorcallMethod_CallFromBuilder(PyObject *name, PyObject *const *args, size_t nargsf, PyObject *kwnames) {
-    PyObject *result;
-    PyObject *obj = PyObject_GetAttr(args[0], name);
-    if (unlikely(!obj))
-        return NULL;
-    result = __Pyx_Object_Vectorcall_CallFromBuilder(obj, args+1, nargsf-1, kwnames);
-    Py_DECREF(obj);
-    return result;
-}
-#endif
-
-/* RaiseClosureNameError */
-static void __Pyx_RaiseClosureNameError(const char *varname) {
-    PyErr_Format(PyExc_NameError, "free variable '%s' referenced before assignment in enclosing scope", varname);
-}
-
-/* RaiseUnexpectedTypeError */
-static int
-__Pyx_RaiseUnexpectedTypeError(const char *expected, PyObject *obj)
-{
-    __Pyx_TypeName obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError, "Expected %s, got " __Pyx_FMT_TYPENAME,
-                 expected, obj_type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return 0;
-}
-
-/* RejectKeywords */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds) {
-    PyObject *key = NULL;
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds))) {
-        key = __Pyx_PySequence_ITEM(kwds, 0);
-    } else {
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *pos = NULL;
-#else
-        Py_ssize_t pos = 0;
-#endif
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-        if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return;
-#endif
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_XDECREF(pos);
-#endif
-    }
-    if (likely(key)) {
-        PyErr_Format(PyExc_TypeError,
-            "%s() got an unexpected keyword argument '%U'",
-            function_name, key);
-        Py_DECREF(key);
-    }
-}
-
-/* GetAttr3 */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static PyObject *__Pyx_GetAttr3Default(PyObject *d) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (unlikely(!__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        return NULL;
-    __Pyx_PyErr_Clear();
-    Py_INCREF(d);
-    return d;
-}
-#endif
-static CYTHON_INLINE PyObject *__Pyx_GetAttr3(PyObject *o, PyObject *n, PyObject *d) {
-    PyObject *r;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    int res = PyObject_GetOptionalAttr(o, n, &r);
-    return (res != 0) ? r : __Pyx_NewRef(d);
-#else
-  #if CYTHON_USE_TYPE_SLOTS
-    if (likely(PyUnicode_Check(n))) {
-        r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-        if (unlikely(!r) && likely(!PyErr_Occurred())) {
-            r = __Pyx_NewRef(d);
-        }
-        return r;
-    }
-  #endif
-    r = PyObject_GetAttr(o, n);
-    return (likely(r)) ? r : __Pyx_GetAttr3Default(d);
-#endif
-}
-
-/* ArgTypeTestFunc (used by ArgTypeTest) */
-static int __Pyx__ArgTypeTest(PyObject *obj, PyTypeObject *type, const char *name, int exact)
-{
-    __Pyx_TypeName type_name;
-    __Pyx_TypeName obj_type_name;
-    PyObject *extra_info = __pyx_mstate_global->__pyx_empty_unicode;
-    int from_annotation_subclass = 0;
-    if (unlikely(!type)) {
-        PyErr_SetString(PyExc_SystemError, "Missing type object");
-        return 0;
-    }
-    else if (!exact) {
-        if (likely(__Pyx_TypeCheck(obj, type))) return 1;
-    } else if (exact == 2) {
-        if (__Pyx_TypeCheck(obj, type)) {
-            from_annotation_subclass = 1;
-            extra_info = __pyx_mstate_global->__pyx_kp_u_Note_that_Cython_is_deliberately;
-        }
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(type);
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "Argument '%.200s' has incorrect type (expected " __Pyx_FMT_TYPENAME
-        ", got " __Pyx_FMT_TYPENAME ")"
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-        "%s%U"
-#endif
-        , name, type_name, obj_type_name
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-        , (from_annotation_subclass ? ". " : ""), extra_info
-#endif
-        );
-#if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    if (exact == 2 && from_annotation_subclass) {
-        PyObject *res;
-        PyObject *vargs[2];
-        vargs[0] = PyErr_GetRaisedException();
-        vargs[1] = extra_info;
-        res = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_kp_u_add_note, vargs, 2, NULL);
-        Py_XDECREF(res);
-        PyErr_SetRaisedException(vargs[0]);
-    }
-#endif
-    __Pyx_DECREF_TypeName(type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return 0;
-}
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* SetVTable */
-static int __Pyx_SetVtable(PyTypeObject *type, void *vtable) {
-    PyObject *ob = PyCapsule_New(vtable, 0, 0);
-    if (unlikely(!ob))
-        goto bad;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(PyObject_SetAttr((PyObject *) type, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#else
-    if (unlikely(PyDict_SetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#endif
-        goto bad;
-    Py_DECREF(ob);
-    return 0;
-bad:
-    Py_XDECREF(ob);
-    return -1;
-}
-
-/* GetVTable (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type) {
-    void* ptr;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *ob = PyObject_GetAttr((PyObject *)type, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#else
-    PyObject *ob = PyObject_GetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#endif
-    if (!ob)
-        goto bad;
-    ptr = PyCapsule_GetPointer(ob, 0);
-    if (!ptr && !PyErr_Occurred())
-        PyErr_SetString(PyExc_RuntimeError, "invalid vtable found for imported type");
-    Py_DECREF(ob);
-    return ptr;
-bad:
-    Py_XDECREF(ob);
-    return NULL;
-}
-
-/* MergeVTables */
-static int __Pyx_MergeVtables(PyTypeObject *type) {
-    int i=0;
-    Py_ssize_t size;
-    void** base_vtables;
-    __Pyx_TypeName tp_base_name = NULL;
-    __Pyx_TypeName base_name = NULL;
-    void* unknown = (void*)-1;
-    PyObject* bases = __Pyx_PyType_GetSlot(type, tp_bases, PyObject*);
-    int base_depth = 0;
-    {
-        PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        while (base) {
-            base_depth += 1;
-            base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-        }
-    }
-    base_vtables = (void**) PyMem_Malloc(sizeof(void*) * (size_t)(base_depth + 1));
-    base_vtables[0] = unknown;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    size = PyTuple_Size(bases);
-    if (size < 0) goto other_failure;
-#else
-    size = PyTuple_GET_SIZE(bases);
-#endif
-    for (i = 1; i < size; i++) {
-        PyObject *basei;
-        void* base_vtable;
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#else
-        basei = PyTuple_GET_ITEM(bases, i);
-#endif
-        base_vtable = __Pyx_GetVtable((PyTypeObject*)basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-        if (base_vtable != NULL) {
-            int j;
-            PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-            for (j = 0; j < base_depth; j++) {
-                if (base_vtables[j] == unknown) {
-                    base_vtables[j] = __Pyx_GetVtable(base);
-                    base_vtables[j + 1] = unknown;
-                }
-                if (base_vtables[j] == base_vtable) {
-                    break;
-                } else if (base_vtables[j] == NULL) {
-                    goto bad;
-                }
-                base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-            }
-        }
-    }
-    PyErr_Clear();
-    PyMem_Free(base_vtables);
-    return 0;
-bad:
-    {
-        PyTypeObject* basei = NULL;
-        PyTypeObject* tp_base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        tp_base_name = __Pyx_PyType_GetFullyQualifiedName(tp_base);
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = (PyTypeObject*)PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = (PyTypeObject*)PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#else
-        basei = (PyTypeObject*)PyTuple_GET_ITEM(bases, i);
-#endif
-        base_name = __Pyx_PyType_GetFullyQualifiedName(basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-    }
-    PyErr_Format(PyExc_TypeError,
-        "multiple bases have vtable conflict: '" __Pyx_FMT_TYPENAME "' and '" __Pyx_FMT_TYPENAME "'", tp_base_name, base_name);
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-really_bad: // bad has failed!
-#endif
-    __Pyx_DECREF_TypeName(tp_base_name);
-    __Pyx_DECREF_TypeName(base_name);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-other_failure:
-#endif
-    PyMem_Free(base_vtables);
-    return -1;
-}
-
-/* DelItemOnTypeDict (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_DelItem(tp_dict, k);
-    if (likely(!result)) PyType_Modified(tp);
-    return result;
-}
-
-/* SetupReduce */
-static int __Pyx_setup_reduce_is_named(PyObject* meth, PyObject* name) {
-  int ret;
-  PyObject *name_attr;
-  name_attr = __Pyx_PyObject_GetAttrStrNoError(meth, __pyx_mstate_global->__pyx_n_u_name);
-  if (likely(name_attr)) {
-      ret = PyObject_RichCompareBool(name_attr, name, Py_EQ);
-  } else {
-      ret = -1;
-  }
-  if (unlikely(ret < 0)) {
-      PyErr_Clear();
-      ret = 0;
-  }
-  Py_XDECREF(name_attr);
-  return ret;
-}
-static int __Pyx_setup_reduce(PyObject* type_obj) {
-    int ret = 0;
-    PyObject *object_reduce = NULL;
-    PyObject *object_getstate = NULL;
-    PyObject *object_reduce_ex = NULL;
-    PyObject *reduce = NULL;
-    PyObject *reduce_ex = NULL;
-    PyObject *reduce_cython = NULL;
-    PyObject *setstate = NULL;
-    PyObject *setstate_cython = NULL;
-    PyObject *getstate = NULL;
-#if CYTHON_USE_PYTYPE_LOOKUP
-    getstate = _PyType_Lookup((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-    getstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-    if (!getstate && PyErr_Occurred()) {
-        goto __PYX_BAD;
-    }
-#endif
-    if (getstate) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_getstate = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-        object_getstate = __Pyx_PyObject_GetAttrStrNoError((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-        if (!object_getstate && PyErr_Occurred()) {
-            goto __PYX_BAD;
-        }
-#endif
-        if (object_getstate != getstate) {
-            goto __PYX_GOOD;
-        }
-    }
-#if CYTHON_USE_PYTYPE_LOOKUP
-    object_reduce_ex = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#else
-    object_reduce_ex = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#endif
-    reduce_ex = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (unlikely(!reduce_ex)) goto __PYX_BAD;
-    if (reduce_ex == object_reduce_ex) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_reduce = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#else
-        object_reduce = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#endif
-        reduce = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce); if (unlikely(!reduce)) goto __PYX_BAD;
-        if (reduce == object_reduce || __Pyx_setup_reduce_is_named(reduce, __pyx_mstate_global->__pyx_n_u_reduce_cython)) {
-            reduce_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython);
-            if (likely(reduce_cython)) {
-                ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce, reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-            } else if (reduce == object_reduce || PyErr_Occurred()) {
-                goto __PYX_BAD;
-            }
-            setstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate);
-            if (!setstate) PyErr_Clear();
-            if (!setstate || __Pyx_setup_reduce_is_named(setstate, __pyx_mstate_global->__pyx_n_u_setstate_cython)) {
-                setstate_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython);
-                if (likely(setstate_cython)) {
-                    ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate, setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                    ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                } else if (!setstate || PyErr_Occurred()) {
-                    goto __PYX_BAD;
-                }
-            }
-            PyType_Modified((PyTypeObject*)type_obj);
-        }
-    }
-    goto __PYX_GOOD;
-__PYX_BAD:
-    if (!PyErr_Occurred()) {
-        __Pyx_TypeName type_obj_name =
-            __Pyx_PyType_GetFullyQualifiedName((PyTypeObject*)type_obj);
-        PyErr_Format(PyExc_RuntimeError,
-            "Unable to initialize pickling for " __Pyx_FMT_TYPENAME, type_obj_name);
-        __Pyx_DECREF_TypeName(type_obj_name);
-    }
-    ret = -1;
-__PYX_GOOD:
-#if !CYTHON_USE_PYTYPE_LOOKUP
-    Py_XDECREF(object_reduce);
-    Py_XDECREF(object_reduce_ex);
-    Py_XDECREF(object_getstate);
-    Py_XDECREF(getstate);
-#endif
-    Py_XDECREF(reduce);
-    Py_XDECREF(reduce_ex);
-    Py_XDECREF(reduce_cython);
-    Py_XDECREF(setstate);
-    Py_XDECREF(setstate_cython);
-    return ret;
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
+    // ------------------------------------------------------------------
+    // assignment primitives
 
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
+    int lit_value(int lit) const { return lit > 0 ? values[lit] : -values[-lit]; }
 
-/* ImportFrom */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name) {
-    PyObject* value = __Pyx_PyObject_GetAttrStr(module, name);
-    if (unlikely(!value) && PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        const char* module_name_str = 0;
-        PyObject* module_name = 0;
-        PyObject* module_dot = 0;
-        PyObject* full_name = 0;
-        PyErr_Clear();
-        module_name_str = PyModule_GetName(module);
-        if (unlikely(!module_name_str)) { goto modbad; }
-        module_name = PyUnicode_FromString(module_name_str);
-        if (unlikely(!module_name)) { goto modbad; }
-        module_dot = PyUnicode_Concat(module_name, __pyx_mstate_global->__pyx_kp_u_);
-        if (unlikely(!module_dot)) { goto modbad; }
-        full_name = PyUnicode_Concat(module_dot, name);
-        if (unlikely(!full_name)) { goto modbad; }
-        #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM  < 0x07030400) ||\
-                CYTHON_COMPILING_IN_GRAAL
-        {
-            PyObject *modules = PyImport_GetModuleDict();
-            if (unlikely(!modules))
-                goto modbad;
-            value = PyObject_GetItem(modules, full_name);
-        }
-        #else
-        value = PyImport_GetModule(full_name);
-        #endif
-      modbad:
-        Py_XDECREF(full_name);
-        Py_XDECREF(module_dot);
-        Py_XDECREF(module_name);
+    void assign(int lit, int reason) {
+        int var = var_of(lit);
+        values[var] = lit > 0 ? 1 : -1;
+        levels[var] = (int)trail_lim.size();
+        reasons[var] = reason;
+        trail.push_back(lit);
+        if (reason >= 0)
+            propagations++;
     }
-    if (unlikely(!value)) {
-        PyErr_Format(PyExc_ImportError, "cannot import name %S", name);
-    }
-    return value;
-}
 
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
+    void new_level() { trail_lim.push_back((int)trail.size()); }
 
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
+    void backjump(int level) {
+        if ((int)trail_lim.size() <= level)
             return;
+        int bound = trail_lim[level];
+        for (int k = (int)trail.size() - 1; k >= bound; k--) {
+            int lit = trail[k];
+            int var = var_of(lit);
+            phase[var] = lit > 0;
+            values[var] = 0;
+            reasons[var] = -1;
+            if (heap_pos[var] < 0)
+                heap_insert(var);
         }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
+        trail.resize(bound);
+        trail_lim.resize(level);
+        qhead = trail.size();
     }
 
-/* CheckUnpickleChecksum */
-static void __Pyx_RaiseUnpickleChecksumError(long checksum, long checksum1, long checksum2, long checksum3, const char *members) {
-    PyObject *pickle_module = PyImport_ImportModule("pickle");
-    if (unlikely(!pickle_module)) return;
-    PyObject *pickle_error = PyObject_GetAttrString(pickle_module, "PickleError");
-    Py_DECREF(pickle_module);
-    if (unlikely(!pickle_error)) return;
-    if (checksum2 == checksum1) {
-        PyErr_Format(pickle_error, "Incompatible checksums (0x%x vs (0x%x) = (%s))",
-            checksum, checksum1, members);
-    } else if (checksum3 == checksum2) {
-        PyErr_Format(pickle_error, "Incompatible checksums (0x%x vs (0x%x, 0x%x) = (%s))",
-            checksum, checksum1, checksum2, members);
-    } else {
-        PyErr_Format(pickle_error, "Incompatible checksums (0x%x vs (0x%x, 0x%x, 0x%x) = (%s))",
-            checksum, checksum1, checksum2, checksum3, members);
-    }
-    Py_DECREF(pickle_error);
-}
-static int __Pyx_CheckUnpickleChecksum(long checksum, long checksum1, long checksum2, long checksum3, const char *members) {
-    int found = 0;
-    found |= checksum1 == checksum;
-    found |= checksum2 == checksum;
-    found |= checksum3 == checksum;
-    if (likely(found))
-        return 0;
-    __Pyx_RaiseUnpickleChecksumError(checksum, checksum1, checksum2, checksum3, members);
-    return -1;
-}
+    // ------------------------------------------------------------------
+    // activity heap (max activity first, lowest var id on ties)
 
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
+    bool heap_before(int u, int v) const {
+        if (activity[u] != activity[v])
+            return activity[u] > activity[v];
+        return u < v;
     }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
 
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
+    void heap_insert(int v) {
+        heap.push_back(v);
+        heap_up((int)heap.size() - 1);
     }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
 
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_char(char value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const char neg_one = (char) -1, const_zero = (char) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(char) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(char) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(char) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(char) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(char) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(char),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(char));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE char __Pyx_PyLong_As_char(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const char neg_one = (char) -1, const_zero = (char) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        char val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (char) -1;
-        val = __Pyx_PyLong_As_char(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(char, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(char) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) >= 2 * PyLong_SHIFT)) {
-                            return (char) (((((char)digits[1]) << PyLong_SHIFT) | (char)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(char) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) >= 3 * PyLong_SHIFT)) {
-                            return (char) (((((((char)digits[2]) << PyLong_SHIFT) | (char)digits[1]) << PyLong_SHIFT) | (char)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(char) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) >= 4 * PyLong_SHIFT)) {
-                            return (char) (((((((((char)digits[3]) << PyLong_SHIFT) | (char)digits[2]) << PyLong_SHIFT) | (char)digits[1]) << PyLong_SHIFT) | (char)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (char) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(char) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(char, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(char) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(char, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(char, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(char) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) - 1 > 2 * PyLong_SHIFT)) {
-                            return (char) (((char)-1)*(((((char)digits[1]) << PyLong_SHIFT) | (char)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(char) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) - 1 > 2 * PyLong_SHIFT)) {
-                            return (char) ((((((char)digits[1]) << PyLong_SHIFT) | (char)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(char) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) - 1 > 3 * PyLong_SHIFT)) {
-                            return (char) (((char)-1)*(((((((char)digits[2]) << PyLong_SHIFT) | (char)digits[1]) << PyLong_SHIFT) | (char)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(char) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) - 1 > 3 * PyLong_SHIFT)) {
-                            return (char) ((((((((char)digits[2]) << PyLong_SHIFT) | (char)digits[1]) << PyLong_SHIFT) | (char)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(char) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) - 1 > 4 * PyLong_SHIFT)) {
-                            return (char) (((char)-1)*(((((((((char)digits[3]) << PyLong_SHIFT) | (char)digits[2]) << PyLong_SHIFT) | (char)digits[1]) << PyLong_SHIFT) | (char)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(char) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(char, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(char) - 1 > 4 * PyLong_SHIFT)) {
-                            return (char) ((((((((((char)digits[3]) << PyLong_SHIFT) | (char)digits[2]) << PyLong_SHIFT) | (char)digits[1]) << PyLong_SHIFT) | (char)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(char) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(char, long, PyLong_AsLong(x))
-        } else if ((sizeof(char) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(char, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        char val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (char) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (char) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (char) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (char) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(char) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((char) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(char) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((char) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((char) 1) << (sizeof(char) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (char) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to char");
-    return (char) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to char");
-    return (char) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const size_t neg_one = (size_t) -1, const_zero = (size_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        size_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (size_t) -1;
-        val = __Pyx_PyLong_As_size_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 2 * PyLong_SHIFT)) {
-                            return (size_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 3 * PyLong_SHIFT)) {
-                            return (size_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 4 * PyLong_SHIFT)) {
-                            return (size_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (size_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(size_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(size_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) ((((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(size_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        size_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (size_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (size_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (size_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (size_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(size_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((size_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(size_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((size_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((size_t) 1) << (sizeof(size_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (size_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to size_t");
-    return (size_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to size_t");
-    return (size_t) -1;
-}
-
-/* PyObjectCall2Args */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectCallMethod1 */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static PyObject* __Pyx__PyObject_CallMethod1(PyObject* method, PyObject* arg) {
-    PyObject *result = __Pyx_PyObject_CallOneArg(method, arg);
-    Py_DECREF(method);
-    return result;
-}
-#endif
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[2] = {obj, arg};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_Call2Args;
-    return PyObject_VectorcallMethod(method_name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_Call2Args(method, obj, arg);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) return NULL;
-    return __Pyx__PyObject_CallMethod1(method, arg);
-#endif
-}
-
-/* UpdateUnpickledDict */
-static int __Pyx__UpdateUnpickledDict(PyObject *obj, PyObject *state, Py_ssize_t index) {
-    PyObject *state_dict = __Pyx_PySequence_ITEM(state, index);
-    if (unlikely(!state_dict)) {
-        return -1;
-    }
-    int non_empty = PyObject_IsTrue(state_dict);
-    if (non_empty == 0) {
-        Py_DECREF(state_dict);
-        return 0;
-    } else if (unlikely(non_empty == -1)) {
-        return -1;
-    }
-    PyObject *dict;
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = PyObject_GetAttrString(obj, "__dict__");
-    #else
-    dict = PyObject_GenericGetDict(obj, NULL);
-    #endif
-    if (unlikely(!dict)) {
-        Py_DECREF(state_dict);
-        return -1;
-    }
-    int result;
-    if (likely(PyDict_CheckExact(dict))) {
-        result = PyDict_Update(dict, state_dict);
-    } else {
-        PyObject *obj_result = __Pyx_PyObject_CallMethod1(dict, __pyx_mstate_global->__pyx_n_u_update, state_dict);
-        if (likely(obj_result)) {
-            Py_DECREF(obj_result);
-            result = 0;
-        } else {
-            result = -1;
-        }
-    }
-    Py_DECREF(state_dict);
-    Py_DECREF(dict);
-    return result;
-}
-static int __Pyx_UpdateUnpickledDict(PyObject *obj, PyObject *state, Py_ssize_t index) {
-    Py_ssize_t state_size = __Pyx_PyTuple_GET_SIZE(state);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(state_size == -1)) return -1;
-    #endif
-    if (state_size <= index) {
-        return 0;
-    }
-    return __Pyx__UpdateUnpickledDict(obj, state, index);
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__2);
-    }
-    goto done;
-}
-#endif
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
+    void heap_up(int i) {
+        int v = heap[i];
+        while (i > 0) {
+            int p = (i - 1) >> 1;
+            if (!heap_before(v, heap[p]))
                 break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
+            heap[i] = heap[p];
+            heap_pos[heap[p]] = i;
+            i = p;
         }
-        __Pyx_cached_runtime_version = version;
+        heap[i] = v;
+        heap_pos[v] = i;
     }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
 
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
+    void heap_down(int i) {
+        int v = heap[i];
+        int n = (int)heap.size();
+        for (;;) {
+            int left = 2 * i + 1;
+            if (left >= n)
+                break;
+            int right = left + 1;
+            int c = right < n && heap_before(heap[right], heap[left]) ? right : left;
+            if (!heap_before(heap[c], v))
+                break;
+            heap[i] = heap[c];
+            heap_pos[heap[c]] = i;
+            i = c;
         }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
+        heap[i] = v;
+        heap_pos[v] = i;
+    }
+
+    int heap_pop() {
+        int top = heap[0];
+        heap_pos[top] = -1;
+        int last = heap.back();
+        heap.pop_back();
+        if (!heap.empty()) {
+            heap[0] = last;
+            heap_pos[last] = 0;
+            heap_down(0);
         }
-        return result;
+        return top;
     }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
+    void bump_var(int v) {
+        activity[v] += var_inc;
+        if (activity[v] > 1e100) {
+            for (int u = 1; u <= nvars; u++)
+                activity[u] *= 1e-100;
+            var_inc *= 1e-100;
+        }
+        if (heap_pos[v] >= 0)
+            heap_up(heap_pos[v]);
     }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
 
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
+    void bump_clause(int ci) {
+        c_act[ci] += cla_inc;
+        if (c_act[ci] > 1e20) {
+            for (double &a : c_act)
+                a *= 1e-20;
+            cla_inc *= 1e-20;
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // propagation
+
+    int bcp() {
+        while (qhead < trail.size()) {
+            int false_lit = -trail[qhead++];
+            std::vector<int> &wl = watches[windex(false_lit)];
+            for (int i = (int)wl.size() - 1; i >= 0; i--) {
+                int ci = wl[i];
+                int off = c_off[ci];
+                if (db[off] == false_lit) {
+                    db[off] = db[off + 1];
+                    db[off + 1] = false_lit;
+                }
+                int first = db[off];
+                int fv = lit_value(first);
+                if (fv == 1)
+                    continue;
+                bool found = false;
+                for (int k = off + 2; k < off + c_len[ci]; k++) {
+                    if (lit_value(db[k]) != -1) {
+                        db[off + 1] = db[k];
+                        db[k] = false_lit;
+                        watches[windex(db[off + 1])].push_back(ci);
+                        wl[i] = wl.back();
+                        wl.pop_back();
+                        found = true;
+                        break;
+                    }
+                }
+                if (found)
+                    continue;
+                if (fv == -1)
+                    return ci;
+                assign(first, ci);
+            }
+        }
         return -1;
     }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
 
+    // the conflict clause, -1 at a fixpoint, -2 when a propagator raised
+    int propagate_all() {
+        for (;;) {
+            int confl = bcp();
+            if (confl >= 0)
+                return confl;
+            bool progress = false;
+            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(props); i++) {
+                prop_enqueued = false;
+                prop_conflict = -1;
+                PyObject *r = PyObject_CallMethodOneArg(
+                    PyList_GET_ITEM(props, i), str_propagate, view);
+                if (!r)
+                    return -2;
+                Py_DECREF(r);
+                if (prop_conflict >= 0)
+                    return prop_conflict;
+                if (prop_enqueued) {
+                    progress = true;
+                    break;
+                }
+            }
+            if (!progress)
+                return -1;
+        }
+    }
 
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
+    // propagator-facing interface: expl holds the reason literals from
+    // index `from` on; false with an error set if one of them is not true
+    bool negate_reasons(size_t from, const char *what) {
+        for (size_t k = from; k < expl.size(); k++) {
+            if (lit_value(expl[k]) != 1) {
+                PyErr_Format(integrity_error, "%s antecedent %d is not true",
+                             what, expl[k]);
+                return false;
             }
         }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
+        for (size_t k = from; k < expl.size(); k++)
+            expl[k] = -expl[k];
+        return true;
     }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
+
+    // ------------------------------------------------------------------
+    // conflict analysis
+
+    // fills learnt; the backjump level, or -1 with an error set
+    int analyze(int confl) {
+        learnt.assign(1, 0);
+        to_clear.clear();
+        int clevel = (int)trail_lim.size();
+        int counter = 0;
+        int p = 0;
+        int idx = (int)trail.size() - 1;
+        for (;;) {
+            if (c_kind[confl] == KIND_LEARNT)
+                bump_clause(confl);
+            int off = c_off[confl];
+            for (int k = p != 0 ? off + 1 : off; k < off + c_len[confl]; k++) {
+                int q = db[k];
+                int v = var_of(q);
+                if (!seen[v] && levels[v] > 0) {
+                    seen[v] = 1;
+                    to_clear.push_back(v);
+                    bump_var(v);
+                    if (levels[v] >= clevel)
+                        counter++;
+                    else
+                        learnt.push_back(q);
+                }
+            }
+            if (counter == 0) {
+                // only a propagator can raise such a conflict: one it missed
+                // at an earlier fixpoint
+                PyErr_SetString(integrity_error,
+                                "conflict has no literal at the conflict level");
+                return -1;
+            }
+            while (!seen[var_of(trail[idx])])
+                idx--;
+            p = trail[idx--];
+            confl = reasons[var_of(p)];
+            seen[var_of(p)] = 0;
+            if (--counter == 0)
+                break;
         }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
+        learnt[0] = -p;
+        for (int v : to_clear)
+            seen[v] = 0;
+        int bj = 0;
+        if (learnt.size() > 1) {
+            size_t best = 1;
+            for (size_t k = 2; k < learnt.size(); k++)
+                if (levels[var_of(learnt[k])] > levels[var_of(learnt[best])])
+                    best = k;
+            std::swap(learnt[1], learnt[best]);
+            bj = levels[var_of(learnt[1])];
+        }
+        return bj;
     }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
+
+    // adds to core, sorted, every assumption at level > 0 that the literals
+    // on stack rest on through their reasons
+    void final_core(std::vector<int> stack, std::vector<int> &core) {
+        std::vector<int> touched;
+        while (!stack.empty()) {
+            int u = var_of(stack.back());
+            stack.pop_back();
+            if (levels[u] == 0 || seen[u])
+                continue;
+            seen[u] = 1;
+            touched.push_back(u);
+            int r = reasons[u];
+            if (r < 0)
+                core.push_back(values[u] * u);
+            else
+                stack.insert(stack.end(), db.data() + c_off[r],
+                             db.data() + c_off[r] + c_len[r]);
         }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
+        for (int u : touched)
+            seen[u] = 0;
+        sort_core(core);
+    }
+
+    // ------------------------------------------------------------------
+    // learnt database reduction
+
+    void reduce_learnts() {
+        std::vector<char> locked(c_off.size(), 0);
+        for (int lit : trail) {
+            int r = reasons[var_of(lit)];
+            if (r >= 0)
+                locked[r] = 1;
+        }
+        std::vector<int> cands;
+        for (int ci = n_problem; ci < (int)c_off.size(); ci++)
+            if (c_kind[ci] == KIND_LEARNT && !c_dead[ci] && !locked[ci])
+                cands.push_back(ci);
+        std::sort(cands.begin(), cands.end(), [this](int a, int b) {
+            return c_act[a] != c_act[b] ? c_act[a] < c_act[b] : a < b;
+        });
+        for (size_t k = 0; k < cands.size() / 2; k++) {
+            c_dead[cands[k]] = 1;
+            n_learnt--;
+        }
+        rebuild_watches();
+    }
+
+    void rebuild_watches() {
+        for (std::vector<int> &wl : watches)
+            wl.clear();
+        for (int ci = 0; ci < (int)c_off.size(); ci++) {
+            if (c_dead[ci] || c_kind[ci] == KIND_EXPL || c_len[ci] < 2)
+                continue;
+            watches[windex(db[c_off[ci]])].push_back(ci);
+            watches[windex(db[c_off[ci] + 1])].push_back(ci);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // top level
+
+    // all assumption literals enter one decision level before propagation;
+    // true when one is already false, with its core filled in
+    bool establish_assumptions(const std::vector<int> &assumptions,
+                               std::vector<int> &core) {
+        new_level();
+        for (int a : assumptions) {
+            int v = lit_value(a);
+            if (v == 1)
+                continue;
+            if (v == -1) {
+                core.push_back(a);
+                final_core({a}, core);
+                return true;
+            }
+            assign(a, -1);
+        }
+        return false;
+    }
+
+    PyObject *solve(const std::vector<int> &assumptions, bool has_budget,
+                    double budget, bool has_deadline, double deadline) {
+        double restart_limit = RESTART_BASE;
+        long long conflicts_since_restart = 0;
+        std::vector<int> core;
+
+        for (int ci = 0; ci < n_problem; ci++) {
+            if (c_len[ci] != 1)
+                continue;
+            int lit = db[c_off[ci]];
+            int v = lit_value(lit);
+            if (v == -1)
+                return finish("unsat", &core);
+            if (v == 0)
+                assign(lit, ci);
+        }
+
+        for (;;) {
+            if (trail_lim.empty() && establish_assumptions(assumptions, core))
+                return finish("unsat", &core);
+            int confl = propagate_all();
+            if (confl == -2)
+                return nullptr;
+            if (confl >= 0) {
+                conflicts++;
+                conflicts_since_restart++;
+                if (trail_lim.empty())
+                    return finish("unsat", &core);
+                if (trail_lim.size() == 1) {
+                    // every literal sits at the assumption level or below
+                    const int *lits = db.data() + c_off[confl];
+                    final_core(std::vector<int>(lits, lits + c_len[confl]), core);
+                    return finish("unsat", &core);
+                }
+                int bj = analyze(confl);
+                if (bj < 0)
+                    return nullptr;
+                backjump(bj);
+                int ci = add_clause(learnt, KIND_LEARNT);
+                n_learnt++;
+                if (learnt.size() > 1)
+                    c_act[ci] = cla_inc;
+                assign(learnt[0], ci);
+                if (validate && !check_learnt(ci))
+                    return nullptr;
+                var_inc /= VAR_DECAY;
+                cla_inc /= CLAUSE_DECAY;
+                if (n_learnt >= learnt_cap)
+                    reduce_learnts();
+                if (has_budget && conflicts >= budget)
+                    return finish("unknown", nullptr);
+                if (has_deadline && conflicts % 128 == 0 && monotonic() > deadline)
+                    return finish("unknown", nullptr);
+            } else {
+                if (conflicts_since_restart >= restart_limit && trail_lim.size() > 1) {
+                    conflicts_since_restart = 0;
+                    restart_limit *= RESTART_MULT;
+                    restarts++;
+                    backjump(0);
+                    continue;
+                }
+                if ((int)trail.size() == nvars)
+                    return finish("sat", nullptr);
+                int var = 0;
+                while (!heap.empty()) {
+                    var = heap_pop();
+                    if (values[var] == 0)
+                        break;
+                    var = 0;
+                }
+                decisions++;
+                new_level();
+                assign(phase[var] ? var : -var, -1);
+            }
+        }
+    }
+
+    bool check_learnt(int ci) {
+        int off = c_off[ci];
+        const char *msg = nullptr;
+        if (lit_value(db[off]) != 1)
+            msg = "learnt clause head not asserted after backjump";
+        for (int k = off + 1; !msg && k < off + c_len[ci]; k++)
+            if (lit_value(db[k]) != -1)
+                msg = "learnt clause tail not false after backjump";
+        if (msg)
+            PyErr_SetString(PyExc_AssertionError, msg);
+        return !msg;
+    }
+
+    // the result dict; a sat status carries the model, an unsat one the core
+    PyObject *finish(const char *status, const std::vector<int> *core) {
+        bool sat = std::strcmp(status, "sat") == 0;
+        const char *keys[] = {"status", "model", "core", "conflicts", "decisions",
+                              "propagations", "restarts", "learnts", "explanations"};
+        PyObject *vals[] = {
+            PyUnicode_FromString(status),
+            sat ? int_list(values.data(), values.size()) : Py_NewRef(Py_None),
+            core ? int_list(core->data(), core->size()) : Py_NewRef(Py_None),
+            PyLong_FromLongLong(conflicts),
+            PyLong_FromLongLong(decisions),
+            PyLong_FromLongLong(propagations),
+            PyLong_FromLongLong(restarts),
+            clauses_of(KIND_LEARNT),
+            clauses_of(KIND_EXPL),
+        };
+        PyObject *result = PyDict_New();
+        for (size_t i = 0; i < sizeof(vals) / sizeof(vals[0]); i++) {
+            if (!vals[i] || (result && PyDict_SetItemString(result, keys[i], vals[i]) < 0))
+                Py_CLEAR(result);
+            Py_XDECREF(vals[i]);
+        }
         return result;
     }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
+
+    // the live clauses of one kind past the problem clauses, as tuples
+    PyObject *clauses_of(char kind) const {
+        PyObject *out = PyList_New(0);
+        for (int ci = n_problem; out && ci < (int)c_off.size(); ci++) {
+            if (c_kind[ci] != kind || c_dead[ci])
+                continue;
+            PyObject *lits = int_list(db.data() + c_off[ci], c_len[ci]);
+            PyObject *clause = lits ? PyList_AsTuple(lits) : nullptr;
+            Py_XDECREF(lits);
+            if (!clause || PyList_Append(out, clause) < 0)
+                Py_CLEAR(out);
+            Py_XDECREF(clause);
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
+        return out;
     }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
+};
+
+// ----------------------------------------------------------------------
+// the Python type
+
+struct SearchCore {
+    PyObject_HEAD
+    Kernel k;
+};
+
+PyObject *core_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static const char *kwlist[] = {"nvars", "clauses", "propagators", "validate", nullptr};
+    int nvars, validate = 0;
+    PyObject *clauses, *propagators;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO|p", (char **)kwlist, &nvars,
+                                     &clauses, &propagators, &validate))
+        return nullptr;
+    if (nvars < 0)
+        return PyErr_Format(PyExc_ValueError, "negative variable count %d", nvars);
+    SearchCore *self = (SearchCore *)type->tp_alloc(type, 0);
+    if (!self)
+        return nullptr;
+    Kernel &k = *new (&self->k) Kernel();
+    k.view = (PyObject *)self;
+    k.validate = validate;
+    k.props = PySequence_List(propagators);
+    if (!k.props || !k.init(nvars, clauses)) {
+        Py_DECREF(self);
+        return nullptr;
     }
-    *old_data = new_data;
+    return (PyObject *)self;
+}
+
+int core_traverse(SearchCore *self, visitproc visit, void *arg) {
+    Py_VISIT(Py_TYPE(self));
+    Py_VISIT(self->k.props);
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+
+int core_clear(SearchCore *self) {
+    Py_CLEAR(self->k.props);
     return 0;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+void core_dealloc(SearchCore *self) {
+    PyTypeObject *type = Py_TYPE(self);
+    PyObject_GC_UnTrack(self);
+    core_clear(self);
+    self->k.~Kernel();
+    type->tp_free(self);
+    Py_DECREF(type);
+}
 
+PyObject *core_lit_value(SearchCore *self, PyObject *arg) {
+    int lit;
+    if (!read_lit(arg, self->k.nvars, lit))
+        return nullptr;
+    return PyLong_FromLong(self->k.lit_value(lit));
+}
 
+PyObject *core_enqueue(SearchCore *self, PyObject *const *args, Py_ssize_t nargs) {
+    Kernel &k = self->k;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "enqueue() takes 2 arguments");
+    k.expl.assign(1, 0);
+    if (!read_lit(args[0], k.nvars, k.expl[0]) || !read_lits(args[1], k.nvars, k.expl) ||
+        !k.negate_reasons(1, "explanation"))
+        return nullptr;
+    int lit = k.expl[0];
+    int v = k.lit_value(lit);
+    if (v == 1)
+        Py_RETURN_TRUE;
+    int ci = k.add_clause(k.expl, KIND_EXPL);
+    if (v == -1) {
+        k.prop_conflict = ci;
+        Py_RETURN_FALSE;
+    }
+    k.assign(lit, ci);
+    k.prop_enqueued = true;
+    Py_RETURN_TRUE;
+}
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+PyObject *core_fail(SearchCore *self, PyObject *reason_lits) {
+    Kernel &k = self->k;
+    k.expl.clear();
+    if (!read_lits(reason_lits, k.nvars, k.expl) || !k.negate_reasons(0, "nogood"))
+        return nullptr;
+    k.prop_conflict = k.add_clause(k.expl, KIND_EXPL);
+    Py_RETURN_FALSE;
+}
+
+PyObject *core_solve(SearchCore *self, PyObject *args, PyObject *kwds) {
+    static const char *kwlist[] = {"assumptions", "conflict_budget", "time_budget_s", nullptr};
+    PyObject *assumptions, *conflict_budget = Py_None, *time_budget_s = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|OO", (char **)kwlist, &assumptions,
+                                     &conflict_budget, &time_budget_s))
+        return nullptr;
+    std::vector<int> lits;
+    if (!read_lits(assumptions, self->k.nvars, lits))
+        return nullptr;
+    // a budget may be any real number, as for the pure kernel
+    double budget = 0.0, deadline = 0.0;
+    if (conflict_budget != Py_None) {
+        budget = PyFloat_AsDouble(conflict_budget);
+        if (budget == -1.0 && PyErr_Occurred())
+            return nullptr;
+    }
+    if (time_budget_s != Py_None) {
+        double seconds = PyFloat_AsDouble(time_budget_s);
+        if (seconds == -1.0 && PyErr_Occurred())
+            return nullptr;
+        deadline = monotonic() + seconds;
+    }
+    return self->k.solve(lits, conflict_budget != Py_None, budget,
+                         time_budget_s != Py_None, deadline);
+}
+
+PyMethodDef core_methods[] = {
+    {"lit_value", (PyCFunction)core_lit_value, METH_O,
+     "lit_value(lit) -> 1 true, 0 unset, -1 false"},
+    {"enqueue", (PyCFunction)(void (*)(void))core_enqueue, METH_FASTCALL,
+     "enqueue(lit, reason_lits): set lit, explained by the true reason_lits;"
+     " False when lit is already false"},
+    {"fail", (PyCFunction)core_fail, METH_O,
+     "fail(reason_lits): report a conflict among the true reason_lits"},
+    {"solve", (PyCFunction)(void (*)(void))core_solve, METH_VARARGS | METH_KEYWORDS,
+     "solve(assumptions, conflict_budget=None, time_budget_s=None) -> result dict"},
+    {nullptr, nullptr, 0, nullptr},
+};
+
+PyType_Slot core_slots[] = {
+    {Py_tp_doc, (void *)"SearchCore(nvars, clauses, propagators, validate=False)\n\n"
+                        "Single-shot CDCL search over int literals (DIMACS signs)."},
+    {Py_tp_new, (void *)core_new},
+    {Py_tp_dealloc, (void *)core_dealloc},
+    {Py_tp_traverse, (void *)core_traverse},
+    {Py_tp_clear, (void *)core_clear},
+    {Py_tp_methods, core_methods},
+    {0, nullptr},
+};
+
+PyType_Spec core_spec = {"maxcore.engine._search.SearchCore", sizeof(SearchCore), 0,
+                         Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, core_slots};
+
+PyModuleDef module_def = {PyModuleDef_HEAD_INIT, "_search",
+                          "Compiled CDCL search kernel; see _search_py.py.", -1};
+
+}  // namespace
+
+PyMODINIT_FUNC PyInit__search(void) {
+    PyObject *errors = PyImport_ImportModule("maxcore.engine.errors");
+    if (!errors)
+        return nullptr;
+    integrity_error = PyObject_GetAttrString(errors, "EngineIntegrityError");
+    Py_DECREF(errors);
+    str_propagate = PyUnicode_InternFromString("propagate");
+    if (!integrity_error || !str_propagate)
+        return nullptr;
+    PyObject *module = PyModule_Create(&module_def);
+    PyObject *type = module ? PyType_FromSpec(&core_spec) : nullptr;
+    if (!type || PyModule_AddObject(module, "SearchCore", type) < 0) {
+        Py_XDECREF(type);
+        Py_XDECREF(module);
+        return nullptr;
+    }
+    return module;
+}

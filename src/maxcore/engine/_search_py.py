@@ -1,9 +1,10 @@
-"""Pure-Python CDCL search kernel.
+"""Pure-Python CDCL search kernel, the specification of the search.
 
 One SearchCore instance runs one solve() over a fixed clause set.  The engine
 wrapper rebuilds a core per call, so the kernel keeps no cross-solve state.
-The compiled kernel in _search.pyx is a literal translation of this module;
-any behavioural change here must be mirrored there.
+The hand-written C++ kernel in _search.cpp runs the same search step for
+step: any behavioural change here must be made there too, and
+tests/test_kernels.py checks that both return identical results.
 """
 
 import time
@@ -14,16 +15,11 @@ KIND_PROBLEM = 0
 KIND_LEARNT = 1
 KIND_EXPL = 2
 
-DEFAULT_CONFIG = {
-    "decay": 0.95,
-    "clause_decay": 0.999,
-    "restart_base": 100,
-    "restart_mult": 1.5,
-    "restarts": True,
-    "learnt_cap_min": 4000,
-    "minimize": False,
-    "validate": False,
-}
+VAR_DECAY = 0.95
+CLAUSE_DECAY = 0.999
+RESTART_BASE = 100
+RESTART_MULT = 1.5
+LEARNT_CAP_MIN = 4000
 
 
 def _windex(lit):
@@ -34,11 +30,10 @@ def _windex(lit):
 class SearchCore:
     """Single-shot CDCL search over int literals (DIMACS signs)."""
 
-    def __init__(self, nvars, clauses, propagators, config):
+    def __init__(self, nvars, clauses, propagators, validate=False):
         self.nvars = nvars
         self.propagators = list(propagators)
-        self.cfg = dict(DEFAULT_CONFIG)
-        self.cfg.update(config or {})
+        self.validate = validate   # check every learnt clause after backjump
 
         n1 = nvars + 1
         self.values = [0] * n1          # per var: 0 unset, 1 true, -1 false
@@ -62,7 +57,7 @@ class SearchCore:
         for lits in clauses:
             self._add_clause(lits, KIND_PROBLEM)
         self.n_problem = len(self.c_off)
-        self.learnt_cap = max(self.cfg["learnt_cap_min"], 2 * self.n_problem)
+        self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
         self.n_learnt = 0
 
         self.var_inc = 1.0
@@ -79,7 +74,6 @@ class SearchCore:
 
         self._prop_enqueued = False
         self._prop_conflict = -1
-        self._in_search = False
 
     # ------------------------------------------------------------------
     # clause arena
@@ -234,23 +228,18 @@ class SearchCore:
                 if fv == 1:
                     i -= 1
                     continue
-                found = False
-                end = off + self.c_len[ci]
-                for k in range(off + 2, end):
+                for k in range(off + 2, off + self.c_len[ci]):
                     if self.lit_value(db[k]) != -1:
                         db[off + 1] = db[k]
                         db[k] = false_lit
                         self.watches[_windex(db[off + 1])].append(ci)
                         wl[i] = wl[-1]
                         wl.pop()
-                        found = True
                         break
-                if found:
-                    i -= 1
-                    continue
-                if fv == -1:
-                    return ci
-                self._assign(first, ci)
+                else:
+                    if fv == -1:
+                        return ci
+                    self._assign(first, ci)
                 i -= 1
         return -1
 
@@ -329,6 +318,11 @@ class SearchCore:
                         counter += 1
                     else:
                         learnt.append(q)
+            if counter == 0:
+                # only a propagator can raise such a conflict: one it missed
+                # at an earlier fixpoint
+                raise EngineIntegrityError(
+                    "conflict has no literal at the conflict level")
             while True:
                 lit = self.trail[idx]
                 var = lit if lit > 0 else -lit
@@ -344,8 +338,6 @@ class SearchCore:
             if counter == 0:
                 break
         learnt[0] = -p
-        if self.cfg["minimize"] and len(learnt) > 1:
-            learnt = self._minimize(learnt)
         for v in to_clear:
             self.seen[v] = 0
         bj = 0
@@ -361,95 +353,24 @@ class SearchCore:
             bj = self.levels[b]
         return learnt, bj
 
-    def _minimize(self, learnt):
-        # self-subsumption: drop tail literals whose reasons are covered
-        marked = set()
-        for q in learnt[1:]:
-            marked.add(q if q > 0 else -q)
-        kept = [learnt[0]]
-        for q in learnt[1:]:
-            v = q if q > 0 else -q
-            r = self.reasons[v]
-            if r < 0:
-                kept.append(q)
-                continue
-            off = self.c_off[r]
-            redundant = True
-            for k in range(off, off + self.c_len[r]):
-                w = self.db[k]
-                wv = w if w > 0 else -w
-                if wv == v:
-                    continue
-                if self.levels[wv] > 0 and wv not in marked:
-                    redundant = False
-                    break
-            if not redundant:
-                kept.append(q)
-        return kept
-
-    def _analyze_final_clause(self, confl):
-        # conflict whose literals all sit at the assumption level or below
-        core = []
+    def _final_core(self, lits, core):
+        # adds to core, sorted, every assumption at level > 0 that the
+        # literals rest on through their reasons
         seen = self.seen
-        stack = []
-        off = self.c_off[confl]
-        for k in range(off, off + self.c_len[confl]):
-            q = self.db[k]
-            v = q if q > 0 else -q
-            if self.levels[v] > 0 and not seen[v]:
-                seen[v] = 1
-                stack.append(v)
-        touched = list(stack)
+        stack = list(lits)
+        touched = []
         while stack:
-            v = stack.pop()
-            r = self.reasons[v]
-            if r < 0:
-                core.append(self.values[v] * v)
+            q = stack.pop()
+            u = q if q > 0 else -q
+            if self.levels[u] == 0 or seen[u]:
                 continue
-            off = self.c_off[r]
-            for k in range(off, off + self.c_len[r]):
-                q = self.db[k]
-                u = q if q > 0 else -q
-                if u != v and self.levels[u] > 0 and not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
-                    touched.append(u)
-        for v in touched:
-            seen[v] = 0
-        core.sort(key=lambda l: (l if l > 0 else -l, l))
-        return core
-
-    def _analyze_final_lit(self, failed):
-        # `failed` is an assumption found false at enqueue time
-        core = [failed]
-        v = -failed if failed < 0 else failed
-        if self.levels[v] == 0:
-            core.sort(key=lambda l: (l if l > 0 else -l, l))
-            return core
-        if self.reasons[v] < 0:
-            core.append(self.values[v] * v)
-            core.sort(key=lambda l: (l if l > 0 else -l, l))
-            return core
-        seen = self.seen
-        stack = [v]
-        seen[v] = 1
-        touched = [v]
-        first = True
-        while stack:
-            u = stack.pop()
+            seen[u] = 1
+            touched.append(u)
             r = self.reasons[u]
-            if r < 0 and not first:
+            if r < 0:
                 core.append(self.values[u] * u)
-            elif r >= 0:
-                off = self.c_off[r]
-                for k in range(off, off + self.c_len[r]):
-                    q = self.db[k]
-                    w = q if q > 0 else -q
-                    if w != u and self.levels[w] > 0 and not seen[w]:
-                        seen[w] = 1
-                        stack.append(w)
-                        touched.append(w)
-            first = False
+            else:
+                stack.extend(self.clause_lits(r))
         for u in touched:
             seen[u] = 0
         core.sort(key=lambda l: (l if l > 0 else -l, l))
@@ -497,7 +418,7 @@ class SearchCore:
             if v == 1:
                 continue
             if v == -1:
-                return self._analyze_final_lit(a)
+                return self._final_core([a], [a])
             self._assign(a, -1)
         return None
 
@@ -509,9 +430,8 @@ class SearchCore:
         deadline = None
         if time_budget_s is not None:
             deadline = time.monotonic() + time_budget_s
-        restart_limit = float(self.cfg["restart_base"])
+        restart_limit = float(RESTART_BASE)
         conflicts_since_restart = 0
-        self._in_search = True
 
         for ci in range(self.n_problem):
             if self.c_len[ci] == 1:
@@ -541,23 +461,21 @@ class SearchCore:
                     return self._finish(result)
                 if len(self.trail_lim) == 1:
                     result["status"] = "unsat"
-                    result["core"] = self._analyze_final_clause(confl)
+                    # every literal sits at the assumption level or below
+                    result["core"] = self._final_core(
+                        self.clause_lits(confl), [])
                     return self._finish(result)
                 learnt, bj = self._analyze(confl)
                 self._backjump(bj)
-                if len(learnt) == 1:
-                    ci = self._add_clause(learnt, KIND_LEARNT)
-                    self.n_learnt += 1
-                    self._assign(learnt[0], ci)
-                else:
-                    ci = self._add_clause(learnt, KIND_LEARNT)
-                    self.n_learnt += 1
+                ci = self._add_clause(learnt, KIND_LEARNT)
+                self.n_learnt += 1
+                if len(learnt) > 1:
                     self.c_act[ci] = self.cla_inc
-                    self._assign(learnt[0], ci)
-                if self.cfg["validate"]:
+                self._assign(learnt[0], ci)
+                if self.validate:
                     self._check_learnt(ci)
-                self.var_inc /= self.cfg["decay"]
-                self.cla_inc /= self.cfg["clause_decay"]
+                self.var_inc /= VAR_DECAY
+                self.cla_inc /= CLAUSE_DECAY
                 if self.n_learnt >= self.learnt_cap:
                     self._reduce_learnts()
                 if conflict_budget is not None and self.conflicts >= conflict_budget:
@@ -566,11 +484,10 @@ class SearchCore:
                     if time.monotonic() > deadline:
                         return self._finish(result)
             else:
-                if (self.cfg["restarts"]
-                        and conflicts_since_restart >= restart_limit
+                if (conflicts_since_restart >= restart_limit
                         and len(self.trail_lim) > 1):
                     conflicts_since_restart = 0
-                    restart_limit *= self.cfg["restart_mult"]
+                    restart_limit *= RESTART_MULT
                     self.restarts += 1
                     self._backjump(0)
                     continue
@@ -612,5 +529,4 @@ class SearchCore:
             for ci in range(self.n_problem, len(self.c_off))
             if self.c_kind[ci] == KIND_EXPL
         ]
-        self._in_search = False
         return result

@@ -85,9 +85,10 @@ class SolveOutcome:
 
 
 class Engine:
-    def __init__(self, kernel="auto", **config):
+    def __init__(self, kernel="auto", validate=False):
+        """validate=True makes the kernel check every learnt clause it adds."""
         self._kernel_name = kernel
-        self._config = config
+        self._validate = validate
         self.nvars = 0
         self.clauses = []
         self._next_ref = 0
@@ -226,9 +227,14 @@ class Engine:
                 return
 
     def retract(self, refs=None, origins=None):
-        """Drop clauses by ref or origin tag; learnt state never survives anyway."""
+        """Drop clauses by ref or origin tag; learnt state never survives anyway.
+
+        origins is a collection of tags; a bare string is rejected, because
+        it would match substrings and lift empty clauses by character."""
         if self._in_search:
             raise MidSearchMutationError("clause retracted during search")
+        if isinstance(origins, str):
+            raise TypeError("origins must be a collection of tags, not a str")
         refs = set(refs or ())
         keep = []
         removed = 0
@@ -259,9 +265,8 @@ class Engine:
             self.nvars,
             [rec.lits for rec in self.clauses],
             self.propagators,
-            self._config,
+            self._validate,
         )
-        self.last_kernel = core   # kept for inspection (tests, debugging)
         self._in_search = True
         try:
             res = core.solve(list(assumptions), conflict_budget, time_budget_s)

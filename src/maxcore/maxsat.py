@@ -199,8 +199,8 @@ def _finish(status, eng, t0, *, z_opt=None, model=None, z_lower=0, cores=(),
                           meta=meta)
 
 
-def _base_engine(inst, kernel, config):
-    eng = Engine(kernel=kernel, **(config or {}))
+def _base_engine(inst, kernel):
+    eng = Engine(kernel=kernel)
     for _ in range(inst.var_count):
         eng.new_bool_var()
     return eng
@@ -264,14 +264,14 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
             eng.add_clause((-va, -vb), ORIGIN_RELAXATION)
 
 
-def solve_wpm1(inst, *, kernel="auto", config=None, conflict_budget=None,
+def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
                time_budget_s=None):
     """Algorithm: solve with all softs enforced; each unsatisfiable core pays
     w_min into z_min and is relaxed with fresh violators under an atmost1."""
     inst.check()
     t0 = time.perf_counter()
     budget = _Budget(conflict_budget, time_budget_s)
-    eng = _base_engine(inst, kernel, config)
+    eng = _base_engine(inst, kernel)
     records = []
     for j, wc in enumerate(inst.clauses, 1):
         if wc.is_hard():
@@ -373,7 +373,7 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
                    audit_inst=audit_inst)
 
 
-def solve_bnb(inst, *, kernel="auto", config=None, conflict_budget=None,
+def solve_bnb(inst, *, kernel="auto", conflict_budget=None,
               time_budget_s=None, on_incumbent=None):
     """Algorithm: violators on every soft clause, then tighten an objective
     bound below each incumbent until unsatisfiable (MSU3 with no
@@ -381,20 +381,20 @@ def solve_bnb(inst, *, kernel="auto", config=None, conflict_budget=None,
     inst.check()
     t0 = time.perf_counter()
     budget = _Budget(conflict_budget, time_budget_s)
-    eng = _base_engine(inst, kernel, config)
+    eng = _base_engine(inst, kernel)
     softs = _violator_softs(eng, inst)
     return _msu3_loop(eng, softs, False, budget, t0, inst.var_count, inst,
                       on_incumbent)
 
 
-def solve_msu3(inst, *, kernel="auto", config=None, conflict_budget=None,
+def solve_msu3(inst, *, kernel="auto", conflict_budget=None,
                time_budget_s=None, on_incumbent=None):
     """Algorithm: violators everywhere plus temporary singletons keeping them
     false; cores spend temporaries, models tighten the objective bound."""
     inst.check()
     t0 = time.perf_counter()
     budget = _Budget(conflict_budget, time_budget_s)
-    eng = _base_engine(inst, kernel, config)
+    eng = _base_engine(inst, kernel)
     softs = _violator_softs(eng, inst)
     return _msu3_loop(eng, softs, True, budget, t0, inst.var_count, inst,
                       on_incumbent)

@@ -298,11 +298,10 @@ def audit_schedule(p, starts):
                if starts[b] - starts[a] < lag)
 
 
-def solve_schedule(p, algorithm="wpm1", kernel="auto", config=None,
-                   conflict_budget=None, time_budget_s=None,
-                   on_incumbent=None):
+def solve_schedule(p, algorithm="wpm1", kernel="auto", conflict_budget=None,
+                   time_budget_s=None, on_incumbent=None):
     """Optimize the soft-precedence problem with one of the maxsat drivers."""
-    eng = Engine(kernel=kernel, **(config or {}))
+    eng = Engine(kernel=kernel)
     starts, indicators = build_model(p, eng)
     if eng.root_conflict:
         return ScheduleResult("infeasible")

@@ -191,6 +191,22 @@ def test_retract_by_origin(kernel):
     assert eng.solve(assumptions=[y]).status == "unsat"
 
 
+def test_retract_rejects_bare_string_origin(kernel):
+    eng = Engine(kernel=kernel)
+    x, y = eng.new_bool_var(), eng.new_bool_var()
+    eng.add_clause((-x,), origin="relaxation")
+    eng.add_clause((), origin="temp")
+    eng.add_clause((-y,), origin="relaxation-encoding")
+    for tag in ("relaxation-encoding", "temp"):
+        with pytest.raises(TypeError):
+            eng.retract(origins=tag)
+    assert len(eng.clauses) == 2
+    assert eng.retract(origins=["relaxation-encoding"]) == 1
+    assert eng.retract(origins=("temp",)) == 0
+    assert eng.solve(assumptions=[y]).status == "sat"
+    assert eng.solve(assumptions=[x]).status == "unsat"
+
+
 class _BadPropagator(Propagator):
     """Posts an inference whose stated antecedent is not true."""
 
@@ -208,6 +224,26 @@ def test_untrue_antecedent_raises_integrity_fault(kernel):
     eng = Engine(kernel=kernel)
     x, y = eng.new_bool_var(), eng.new_bool_var()
     eng.attach_propagator(_BadPropagator(x, y))
+    with pytest.raises(EngineIntegrityError):
+        eng.solve()
+
+
+class _LateNogood(Propagator):
+    """Once y is set, fails citing only -x, which was true a level earlier."""
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+
+    def propagate(self, view):
+        if view.lit_value(self.y) != 0 and view.lit_value(self.x) == -1:
+            view.fail([-self.x])
+
+
+def test_conflict_below_conflict_level_raises_integrity_fault(kernel):
+    eng = Engine(kernel=kernel)
+    x, y = eng.new_bool_var(), eng.new_bool_var()
+    eng.attach_propagator(_LateNogood(x, y))
     with pytest.raises(EngineIntegrityError):
         eng.solve()
 
@@ -238,12 +274,13 @@ def random_cnf(rng, max_vars=12):
 
 
 def test_random_soundness(kernel):
-    """Models satisfy clauses; cores are unsatisfiable subsets; learnts are implied."""
+    """Models satisfy clauses; cores are unsatisfiable subsets; learnts are
+    implied, and validate checks each one right after its backjump."""
     rng = random.Random(11)
     for _ in range(60):
         n, clauses = random_cnf(rng, max_vars=9)
         assume = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))]
-        eng = Engine(kernel=kernel)
+        eng = Engine(kernel=kernel, validate=True)
         for _ in range(n):
             eng.new_bool_var()
         for c in clauses:
@@ -282,24 +319,6 @@ def test_deterministic_reruns(kernel):
     assert runs[0] == runs[1]
 
 
-def test_restarts_toggle_preserves_outcome(kernel):
-    rng = random.Random(6)
-    for _ in range(20):
-        n, clauses = random_cnf(rng)
-        outs = []
-        for restarts in (True, False):
-            eng = Engine(kernel=kernel, restarts=restarts)
-            for _ in range(n):
-                eng.new_bool_var()
-            for c in clauses:
-                eng.add_clause(c)
-            outs.append(eng.solve())
-        assert outs[0].status == outs[1].status
-        for out in outs:
-            if out.status == "sat":
-                assert satisfies(out.model, clauses)
-
-
 def test_conflict_budget_yields_unknown(kernel):
     rng = random.Random(7)
     # A contradiction needing more than zero conflicts to refute.
@@ -317,3 +336,6 @@ def test_conflict_budget_yields_unknown(kernel):
     for c in ((x, y), (x, -y), (-x, y), (-x, -y)):
         eng2.add_clause(c)
     assert eng2.solve(conflict_budget=0).status == "unknown"
+    # a real-valued budget is not truncated: 1.5 allows a second conflict
+    out = eng2.solve(conflict_budget=1.5)
+    assert (out.status, out.conflicts) == ("unsat", 2)
