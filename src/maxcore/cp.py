@@ -198,6 +198,10 @@ def post_pb_upper_bound(eng, terms, strict_bound):
     return prop
 
 
+def _both_polarities(lits):
+    return lits + [-lit for lit in lits]
+
+
 class PbUpperBound(Propagator):
     """Native propagator for sum(w * lit) < bound; bound can tighten in place.
 
@@ -208,6 +212,12 @@ class PbUpperBound(Propagator):
     def __init__(self, terms, strict_bound):
         self.terms = [(w, lit) for w, lit in terms]
         self.bound = strict_bound
+        self.max_weight = max((w for w, _ in self.terms), default=0)
+
+    @property
+    def wake_on(self):
+        """The term literals: only a true term raises the sum."""
+        return [lit for _, lit in self.terms]
 
     def tighten(self, new_bound):
         if new_bound > self.bound:
@@ -215,18 +225,22 @@ class PbUpperBound(Propagator):
         self.bound = new_bound
 
     def propagate(self, view):
+        lit_value = view.lit_value
         limit = max(self.bound, 1)
         total = 0
         true_lits = []
         for w, lit in self.terms:
-            if view.lit_value(lit) > 0:
+            if lit_value(lit) > 0:
                 total += w
                 true_lits.append(lit)
                 if total >= limit:
                     view.fail(true_lits)
                     return
+        slack = limit - total
+        if self.max_weight < slack:
+            return
         for w, lit in self.terms:
-            if view.lit_value(lit) == 0 and total + w >= limit:
+            if w >= slack and lit_value(lit) == 0:
                 if not view.enqueue(-lit, true_lits):
                     return
 
@@ -239,6 +253,12 @@ class HalfReifiedLinear(Propagator):
         self.i = indicator
         self.terms = [(c, x) for c, x in terms if c != 0]
         self.rhs = rhs
+
+    @property
+    def wake_on(self):
+        """The indicator and the order literals of the variables, both ways."""
+        return _both_polarities(
+            [self.i] + [lit for _, x in self.terms for lit in x.geq.values()])
 
     def _sides(self, view):
         """Per-term (max contribution, witness) plus the running total."""
@@ -297,6 +317,12 @@ class Cumulative(Propagator):
         self.model = model
         self.tasks = tasks            # (IntVar, duration, demand)
         self.cap = capacity
+
+    @property
+    def wake_on(self):
+        """The order literals of the start variables, both ways."""
+        return _both_polarities(
+            [lit for x, _, _ in self.tasks for lit in x.geq.values()])
 
     def _bounds(self, view):
         out = []

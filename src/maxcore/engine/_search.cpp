@@ -1,11 +1,12 @@
 // Compiled CDCL search kernel: the CPython extension maxcore.engine._search.
 //
 // SearchCore runs the search of _search_py.py step for step on C++ vectors, so
-// both kernels return identical statuses, models, cores, counters, learnt
-// clauses and explanations on identical input (tests/test_kernels.py checks
-// it).  Any behavioural change there must be made here too.  Activities are
-// doubles updated in the same order as Python floats there, so this file must
-// not be built with fast-math.
+// both kernels call the same propagators at the same fixpoints and return
+// identical statuses, models, cores, counters, learnt clauses and
+// explanations on identical input (tests/test_kernels.py checks it).  Any
+// behavioural change there must be made here too.  Activities are doubles
+// updated in the same order as Python floats there, so this file must not be
+// built with fast-math.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -28,6 +29,7 @@ const int LEARNT_CAP_MIN = 4000;
 
 PyObject *integrity_error;  // maxcore.engine.errors.EngineIntegrityError
 PyObject *str_propagate;
+PyObject *str_wake_on;
 
 inline int var_of(int lit) { return lit > 0 ? lit : -lit; }
 
@@ -128,6 +130,12 @@ struct Kernel {
     bool prop_enqueued = false;
     int prop_conflict = -1;
 
+    // wake rule: wakers[windex(lit)] lists the propagators that watch lit;
+    // a propagator whose wake_on is None stays pending for good
+    std::vector<char> always;
+    std::vector<char> pending;
+    std::vector<std::vector<int>> wakers;
+
     std::vector<int> learnt, to_clear, expl;  // scratch
 
     bool init(int n, PyObject *clauses) {
@@ -158,6 +166,32 @@ struct Kernel {
         heap_pos.assign(n1, -1);
         for (int v = 1; v < n1; v++)
             heap_insert(v);
+        return read_wakes();
+    }
+
+    // reads each propagator's wake_on once
+    bool read_wakes() {
+        Py_ssize_t n = PyList_GET_SIZE(props);
+        always.assign(n, 0);
+        pending.assign(n, 1);
+        wakers.resize(watches.size());
+        std::vector<int> lits;
+        for (Py_ssize_t pi = 0; pi < n; pi++) {
+            PyObject *wake_on = PyObject_GetAttr(PyList_GET_ITEM(props, pi), str_wake_on);
+            if (!wake_on)
+                return false;
+            always[pi] = wake_on == Py_None;
+            lits.clear();
+            bool ok = always[pi] || read_lits(wake_on, nvars, lits);
+            Py_DECREF(wake_on);
+            if (!ok)
+                return false;
+            for (int lit : lits) {
+                std::vector<int> &w = wakers[windex(lit)];
+                if (w.empty() || w.back() != pi)
+                    w.push_back((int)pi);
+            }
+        }
         return true;
     }
 
@@ -187,6 +221,8 @@ struct Kernel {
     void assign(int lit, int reason) {
         int var = var_of(lit);
         values[var] = lit > 0 ? 1 : -1;
+        for (int pi : wakers[windex(lit)])
+            pending[pi] = 1;
         levels[var] = (int)trail_lim.size();
         reasons[var] = reason;
         trail.push_back(lit);
@@ -200,6 +236,8 @@ struct Kernel {
         if ((int)trail_lim.size() <= level)
             return;
         int bound = trail_lim[level];
+        if (bound < (int)trail.size())
+            std::fill(pending.begin(), pending.end(), 1);
         for (int k = (int)trail.size() - 1; k >= bound; k--) {
             int lit = trail[k];
             int var = var_of(lit);
@@ -342,6 +380,9 @@ struct Kernel {
                 return confl;
             bool progress = false;
             for (Py_ssize_t i = 0; i < PyList_GET_SIZE(props); i++) {
+                if (!pending[i])
+                    continue;
+                pending[i] = always[i];
                 prop_enqueued = false;
                 prop_conflict = -1;
                 PyObject *r = PyObject_CallMethodOneArg(
@@ -800,7 +841,8 @@ PyMODINIT_FUNC PyInit__search(void) {
     integrity_error = PyObject_GetAttrString(errors, "EngineIntegrityError");
     Py_DECREF(errors);
     str_propagate = PyUnicode_InternFromString("propagate");
-    if (!integrity_error || !str_propagate)
+    str_wake_on = PyUnicode_InternFromString("wake_on");
+    if (!integrity_error || !str_propagate || !str_wake_on)
         return nullptr;
     PyObject *module = PyModule_Create(&module_def);
     PyObject *type = module ? PyType_FromSpec(&core_spec) : nullptr;

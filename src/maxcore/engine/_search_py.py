@@ -2,9 +2,19 @@
 
 One SearchCore instance runs one solve() over a fixed clause set.  The engine
 wrapper rebuilds a core per call, so the kernel keeps no cross-solve state.
+
+Propagators run at each Boolean fixpoint, in attachment order, until one
+enqueues a literal.  A propagator whose wake_on is None runs at every
+fixpoint.  One that lists wake_on literals runs only while it is pending: it
+becomes pending when the kernel is built, after every backjump that removes
+literals, and when one of its wake_on literals becomes true; a call clears
+it as the call starts.  enqueue() checks that a reason is true once and
+trusts an equal reason until the next backjump.
+
 The hand-written C++ kernel in _search.cpp runs the same search step for
 step: any behavioural change here must be made there too, and
-tests/test_kernels.py checks that both return identical results.
+tests/test_kernels.py checks that both return identical results and make
+the same propagator calls.
 """
 
 import time
@@ -75,6 +85,25 @@ class SearchCore:
         self._prop_enqueued = False
         self._prop_conflict = -1
 
+        # wake rule: _wakers[windex(lit)] lists the propagators that watch
+        # lit; a propagator whose wake_on is None stays pending for good
+        self._always = []
+        self._pending = [True] * len(self.propagators)
+        self._wakers = [None] * (2 * n1)
+        for pi, p in enumerate(self.propagators):
+            wake_on = p.wake_on
+            self._always.append(wake_on is None)
+            for lit in wake_on or ():
+                w = self._wakers[_windex(lit)]
+                if w is None:
+                    self._wakers[_windex(lit)] = [pi]
+                elif w[-1] != pi:
+                    w.append(pi)
+
+        # the last reason enqueue() checked, and its negation
+        self._checked = None
+        self._checked_neg = None
+
     # ------------------------------------------------------------------
     # clause arena
 
@@ -99,12 +128,20 @@ class SearchCore:
     # assignment primitives
 
     def lit_value(self, lit):
-        v = self.values[lit] if lit > 0 else -self.values[-lit]
-        return v
+        return self.values[lit] if lit > 0 else -self.values[-lit]
 
     def _assign(self, lit, reason):
-        var = lit if lit > 0 else -lit
-        self.values[var] = 1 if lit > 0 else -1
+        if lit > 0:
+            var = lit
+            self.values[var] = 1
+            wakers = self._wakers[2 * lit]
+        else:
+            var = -lit
+            self.values[var] = -1
+            wakers = self._wakers[1 - 2 * lit]
+        if wakers is not None:
+            for pi in wakers:
+                self._pending[pi] = True
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
         self.trail.append(lit)
@@ -118,6 +155,9 @@ class SearchCore:
         if len(self.trail_lim) <= level:
             return
         bound = self.trail_lim[level]
+        if bound < len(self.trail):
+            self._pending = [True] * len(self.propagators)
+        self._checked = None
         for k in range(len(self.trail) - 1, bound - 1, -1):
             lit = self.trail[k]
             var = lit if lit > 0 else -lit
@@ -249,7 +289,11 @@ class SearchCore:
             if confl >= 0:
                 return confl
             progress = False
-            for p in self.propagators:
+            pending = self._pending
+            for pi, p in enumerate(self.propagators):
+                if not pending[pi]:
+                    continue
+                pending[pi] = self._always[pi]
                 self._prop_enqueued = False
                 self._prop_conflict = -1
                 p.propagate(self)
@@ -264,16 +308,20 @@ class SearchCore:
     # propagator-facing interface -------------------------------------
 
     def enqueue(self, lit, reason_lits):
-        for r in reason_lits:
-            if self.lit_value(r) != 1:
-                raise EngineIntegrityError(
-                    "explanation antecedent %d is not true" % r)
-        v = self.lit_value(lit)
+        if reason_lits != self._checked:
+            # a copy, so that a reason list changed in place is checked again
+            checked = list(reason_lits)
+            for r in checked:
+                if self.lit_value(r) != 1:
+                    raise EngineIntegrityError(
+                        "explanation antecedent %d is not true" % r)
+            self._checked = checked
+            self._checked_neg = [-r for r in checked]
+        v = self.values[lit] if lit > 0 else -self.values[-lit]
         if v == 1:
             return True
         expl = [lit]
-        for r in reason_lits:
-            expl.append(-r)
+        expl.extend(self._checked_neg)
         ci = self._add_clause(expl, KIND_EXPL)
         if v == -1:
             self._prop_conflict = ci

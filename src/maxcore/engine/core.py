@@ -7,6 +7,7 @@ that produced them.
 """
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import EngineError, EngineIntegrityError, MidSearchMutationError
@@ -50,12 +51,24 @@ def _kernel_module(name):
 
 
 class Propagator:
-    """Base class for stateless constraint propagators.
+    """Base class for constraint propagators.
 
-    propagate(view) is called at every Boolean fixpoint.  The view offers
+    propagate(view) runs at Boolean fixpoints.  The view offers
     lit_value(lit) -> -1/0/1, enqueue(lit, reason_true_lits) and
     fail(reason_true_lits); inferences must be explained by true literals.
+
+    With wake_on None, propagate runs at every fixpoint.  A propagator may
+    set wake_on to a collection of literals instead, which the kernel reads
+    once when it is built, if its output depends only on the values of
+    those literals and a call infers nothing when none of them became true
+    since its last call (list both l and -l to wake on either polarity).
+    It then runs at a fixpoint only if it has not run since the kernel was
+    built or since the last backjump that removed literals, or if one of
+    its wake_on literals became true since its last call began, by its own
+    enqueue included.
     """
+
+    wake_on = None
 
     def on_attach(self, engine):
         pass
@@ -188,9 +201,11 @@ class Engine:
             self._root_fix(unfixed[0])
 
     def _root_fix(self, lit):
-        queue = [lit]
+        queue = deque([lit])
+        queued = {lit}
         while queue:
-            l = queue.pop(0)
+            l = queue.popleft()
+            queued.discard(l)
             v = self._root_val(l)
             if v is True:
                 continue
@@ -213,8 +228,9 @@ class Engine:
                 if not unfixed:
                     self._root_conflict = True
                     return
-                if len(unfixed) == 1 and unfixed[0] not in queue:
+                if len(unfixed) == 1 and unfixed[0] not in queued:
                     queue.append(unfixed[0])
+                    queued.add(unfixed[0])
 
     def _recompute_root(self):
         self._root = {}

@@ -2,7 +2,11 @@
 
 import pytest
 
+from maxcore.engine import Engine
 from maxcore.maxsat import SoftInstance, WeightedClause
+
+SOLVE_FIELDS = ("status", "model", "core", "conflicts", "decisions",
+                "propagations", "restarts", "learnts", "explanations")
 
 
 def build_sample5():
@@ -39,3 +43,36 @@ def sample5():
 @pytest.fixture
 def sample7():
     return build_sample7()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every Engine.solve() outcome in call order: a tuple of SOLVE_FIELDS
+    followed by the propagator calls the solve made, each as (index of the
+    propagator, number of assigned variables at the call)."""
+    seen = []
+    original = Engine.solve
+
+    def recording(eng, *args, **kwargs):
+        calls = []
+        for idx, prop in enumerate(eng.propagators):
+            prop.propagate = _recorded(prop.propagate, idx, eng.nvars, calls)
+        try:
+            out = original(eng, *args, **kwargs)
+        finally:
+            for prop in eng.propagators:
+                del prop.propagate
+        seen.append(tuple(getattr(out, f) for f in SOLVE_FIELDS)
+                    + (tuple(calls),))
+        return out
+
+    monkeypatch.setattr(Engine, "solve", recording)
+    return seen
+
+
+def _recorded(propagate, idx, nvars, calls):
+    def recorded(view):
+        assigned = sum(1 for v in range(1, nvars + 1) if view.lit_value(v))
+        calls.append((idx, assigned))
+        return propagate(view)
+    return recorded

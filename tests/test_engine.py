@@ -228,6 +228,56 @@ def test_untrue_antecedent_raises_integrity_fault(kernel):
         eng.solve()
 
 
+class _ReasonEditedInPlace(Propagator):
+    """Enqueues twice citing one list, which it edits in between so that it
+    cites an unassigned literal."""
+
+    def __init__(self, x, y, z, w):
+        self.x, self.y, self.z, self.w = x, y, z, w
+
+    def propagate(self, view):
+        if view.lit_value(self.x) == 1 and view.lit_value(self.y) == 0:
+            reason = [self.x]
+            view.enqueue(self.y, reason)
+            reason[0] = self.z
+            view.enqueue(self.w, reason)
+
+
+def test_reason_edited_in_place_raises_integrity_fault(kernel):
+    eng = Engine(kernel=kernel)
+    x, y, z, w = (eng.new_bool_var() for _ in range(4))
+    eng.attach_propagator(_ReasonEditedInPlace(x, y, z, w))
+    with pytest.raises(EngineIntegrityError):
+        eng.solve(assumptions=[x])
+
+
+class _StaleReason(Propagator):
+    """-x -> y, citing a list it keeps; once y is false it cites that list
+    again, although the backjump that made y false unassigned x."""
+
+    def __init__(self, x, y, w):
+        self.y, self.w = y, w
+        self.reason = [-x]
+
+    def propagate(self, view):
+        if view.lit_value(self.reason[0]) == 1 and view.lit_value(self.y) == 0:
+            view.enqueue(self.y, self.reason)
+        elif view.lit_value(self.y) == -1:
+            view.enqueue(self.w, self.reason)
+
+
+def test_reason_is_checked_again_after_backjump(kernel):
+    eng = Engine(kernel=kernel)
+    x, y, z, w = (eng.new_bool_var() for _ in range(4))
+    # the decision -x implies y, and y conflicts: the learnt unit -y
+    # backjumps to the root, where x is unassigned
+    eng.add_clause((-y, z))
+    eng.add_clause((-y, -z))
+    eng.attach_propagator(_StaleReason(x, y, w))
+    with pytest.raises(EngineIntegrityError, match="antecedent %d " % -x):
+        eng.solve()
+
+
 class _LateNogood(Propagator):
     """Once y is set, fails citing only -x, which was true a level earlier."""
 

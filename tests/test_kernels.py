@@ -3,8 +3,8 @@
 This is the equivalence gate between the compiled kernel (_search.cpp) and
 its specification, the pure kernel (_search_py.py).  On the same input every
 Engine.solve() must return the same status, model, core, counters, learnt
-clauses and explanations on each kernel.  Skipped when only one kernel
-imports.
+clauses and explanations on each kernel, and call the same propagators at
+the same points of the search.  Skipped when only one kernel imports.
 """
 
 import random
@@ -14,14 +14,12 @@ import pytest
 from maxcore.cp import CpModel
 from maxcore.engine import Engine, Propagator, available_kernels
 from maxcore.maxsat import ALGORITHMS, solve
+from maxcore.rcpsp import generate_micro_set, soften, solve_schedule
 
 KERNELS = available_kernels()
 
 pytestmark = pytest.mark.skipif(len(KERNELS) < 2,
                                 reason="only one kernel imports")
-
-FIELDS = ("status", "model", "core", "conflicts", "decisions",
-          "propagations", "restarts", "learnts", "explanations")
 
 
 def same_on_every_kernel(run):
@@ -31,21 +29,6 @@ def same_on_every_kernel(run):
         assert run(kernel) == first, "kernels %s and %s disagree" % (
             KERNELS[0], kernel)
     return first
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Every Engine.solve() outcome, as a tuple of FIELDS, in call order."""
-    seen = []
-    original = Engine.solve
-
-    def recording(eng, *args, **kwargs):
-        out = original(eng, *args, **kwargs)
-        seen.append(tuple(getattr(out, f) for f in FIELDS))
-        return out
-
-    monkeypatch.setattr(Engine, "solve", recording)
-    return seen
 
 
 def random_cnf(rng, n, m):
@@ -108,7 +91,7 @@ def test_long_search_restarts_and_reduces(solves):
         return list(solves)
 
     (out,) = same_on_every_kernel(run)
-    status, _, _, conflicts, _, _, restarts, learnts, _ = out
+    status, _, _, conflicts, _, _, restarts, learnts, _, _ = out
     assert status == "unknown" and conflicts == 4500
     assert restarts > 0 and len(learnts) < 4000
 
@@ -136,7 +119,7 @@ def test_pb_bound_model(solves):
         return list(solves)
 
     outs = same_on_every_kernel(run)
-    assert any(o[-1] for o in outs), "no PB explanation was exercised"
+    assert any(o[-2] for o in outs), "no PB explanation was exercised"
 
 
 def test_cumulative_model(solves):
@@ -159,7 +142,7 @@ def test_cumulative_model(solves):
         return list(solves)
 
     outs = same_on_every_kernel(run)
-    assert any(o[-1] for o in outs), "no cumulative explanation was exercised"
+    assert any(o[-2] for o in outs), "no cumulative explanation was exercised"
 
 
 @pytest.mark.parametrize("sample", ["sample5", "sample7"])
@@ -172,5 +155,20 @@ def test_drivers(solves, request, sample, algo):
         res = solve(inst, algorithm=algo, kernel=kernel)
         return (res.status, res.z_opt, res.z_lower, res.cores, res.incumbents,
                 res.model, res.meta, list(solves))
+
+    same_on_every_kernel(run)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_rcpsp_micro_cell(solves, algo):
+    # half-reified precedences and cumulative resources under each driver
+    (_, inst), = generate_micro_set(1, seed=7)
+    problem = soften(inst, 0.9, mode="weighted", seed=0)
+
+    def run(kernel):
+        del solves[:]
+        res = solve_schedule(problem, algorithm=algo, kernel=kernel)
+        return (res.status, res.cost, res.starts, res.audit_cost,
+                list(solves))
 
     same_on_every_kernel(run)

@@ -1,0 +1,195 @@
+"""Literal watches skip only the propagator calls that would infer nothing.
+
+Each input is solved twice on every kernel: once with the wake_on literals
+the propagators declare, and once with wake_on = None on every propagator
+class, so that each propagator runs at every fixpoint.  Every Engine.solve()
+outcome must be identical, counters, learnt clauses and explanations
+included.
+"""
+
+import random
+
+import pytest
+
+from maxcore.cp import (
+    CpModel,
+    Cumulative,
+    HalfReifiedLinear,
+    PbUpperBound,
+    post_pb_upper_bound,
+)
+from maxcore.engine import Engine, available_kernels
+from maxcore.maxsat import ALGORITHMS, solve
+from maxcore.rcpsp import generate_micro_set, soften, solve_schedule
+
+PROPAGATOR_CLASSES = (PbUpperBound, HalfReifiedLinear, Cumulative)
+
+
+@pytest.fixture(params=available_kernels())
+def kernel(request):
+    return request.param
+
+
+@pytest.fixture
+def check_watches(monkeypatch, solves):
+    """check_watches(run): run() as declared and with every propagator
+    woken at every fixpoint; asserts that the outcomes agree and returns the
+    number of propagator calls of each run."""
+
+    def check(run):
+        del solves[:]
+        run()
+        declared = list(solves)
+        del solves[:]
+        with monkeypatch.context() as m:
+            for cls in PROPAGATOR_CLASSES:
+                m.setattr(cls, "wake_on", None)
+            run()
+        every = list(solves)
+        assert [o[:-1] for o in declared] == [o[:-1] for o in every]
+        return (sum(len(o[-1]) for o in declared),
+                sum(len(o[-1]) for o in every))
+
+    return check
+
+
+def signed(rng, v):
+    return v if rng.random() < 0.5 else -v
+
+
+def test_random_pb_models_tightened(kernel, check_watches):
+    rng = random.Random(8)
+    for _ in range(8):
+        n = rng.randint(10, 24)
+        variables = range(1, n + 1)
+        clauses = [tuple(signed(rng, v) for v in rng.sample(variables, 3))
+                   for _ in range(2 * n)]
+        # some variables appear in two terms, possibly in both polarities
+        terms = [(rng.randint(1, 6), signed(rng, v))
+                 for v in rng.choices(variables, k=n)]
+        clauses += [(l,) for _, l in rng.sample(terms, 2)]   # true at root
+        bounds = [sum(w for w, _ in terms)]
+        while bounds[-1] > 0:
+            bounds.append(rng.randint(bounds[-1] // 2, bounds[-1] - 1))
+        assumptions = [[signed(rng, v) for v in rng.sample(variables, 3)]
+                       for _ in bounds]
+
+        def run():
+            mdl = CpModel(kernel=kernel)
+            xs = [mdl.new_bool_var() for _ in range(n)]
+
+            def lit(l):
+                return xs[l - 1] if l > 0 else -xs[-l - 1]
+
+            for c in clauses:
+                mdl.eng.add_clause(tuple(lit(l) for l in c))
+            pb = mdl.post_pb_upper_bound([(w, lit(l)) for w, l in terms],
+                                         bounds[0])
+            for bound, assume in zip(bounds, assumptions):
+                pb.tighten(bound)
+                mdl.eng.solve()
+                mdl.eng.solve(assumptions=[lit(l) for l in assume])
+
+        declared, every = check_watches(run)
+        assert declared < every
+
+
+def test_root_forcing_is_redone_after_backjump_to_root(kernel,
+                                                      check_watches):
+    # a is true at the root, so a + b <= 1 forces -b, at the assumption
+    # level; the unit x learnt from deciding -x backjumps to the root and
+    # takes -b away while a stays true, so the bound must run again
+    def run():
+        eng = Engine(kernel=kernel)
+        a, b, x, y = (eng.new_bool_var() for _ in range(4))
+        for c in ((a,), (x, y), (x, -y)):
+            eng.add_clause(c)
+        post_pb_upper_bound(eng, [(1, a), (1, b)], 2)
+        out = eng.solve()
+        assert out.explanations == [(-b, -a), (-b, -a)]
+
+    declared, every = check_watches(run)
+    assert declared < every
+
+
+def test_half_reified_linear_models(kernel, check_watches):
+    rng = random.Random(3)
+    for _ in range(10):
+        ubs = [rng.randint(4, 8) for _ in range(4)]
+        # None materializes the whole ladder, else these bounds only
+        ladders = [None if rng.random() < 0.5
+                   else rng.sample(range(1, ub + 1), 3) for ub in ubs]
+        constraints = [(rng.sample(range(4), 2), rng.choice([1, 2]),
+                        rng.choice([-1, -2]), rng.randint(-3, 4))
+                       for _ in range(5)]
+        assumptions = [(rng.randrange(4), rng.random(), rng.random() < 0.5,
+                        rng.randrange(5)) for _ in range(4)]
+
+        def run():
+            mdl = CpModel(kernel=kernel)
+            xs = [mdl.new_int_var(0, ub) for ub in ubs]
+            for x, ladder in zip(xs, ladders):
+                if ladder is None:
+                    mdl.materialize(x)
+                for v in ladder or ():
+                    mdl.lit_geq(x, v)
+            inds = [mdl.new_bool_var() for _ in constraints]
+            for i, ((a, b), ca, cb, rhs) in zip(inds, constraints):
+                mdl.post_half_reified_linear(i, [(ca, xs[a]), (cb, xs[b])],
+                                             rhs)
+            mdl.eng.add_clause((inds[0],))
+            mdl.eng.add_clause(tuple(inds[1:3]))
+            mdl.eng.add_clause((inds[3], inds[4]))
+            mdl.eng.solve()
+            for k, frac, neg, j in assumptions:
+                x = xs[k]
+                lit = mdl.lit_geq(x, x.geq_vals[int(frac * len(x.geq_vals))])
+                mdl.eng.solve(assumptions=[-lit if neg else lit, inds[j]])
+
+        declared, every = check_watches(run)
+        assert declared < every
+
+
+def test_cumulative_model(kernel, check_watches):
+    tasks = [(3, 2), (2, 1), (4, 1), (2, 2), (1, 1)]
+
+    def run():
+        mdl = CpModel(kernel=kernel)
+        starts = []
+        for _ in tasks:
+            s = mdl.new_int_var(0, 7)
+            mdl.materialize(s)
+            starts.append(s)
+        mdl.post_cumulative(
+            [(s, dur, dem) for s, (dur, dem) in zip(starts, tasks)], 2)
+        i = mdl.new_bool_var()
+        mdl.post_half_reified_linear(i, [(1, starts[1]), (-1, starts[0])], 3)
+        mdl.eng.solve()
+        for v in range(1, 6):
+            mdl.eng.solve(assumptions=[i, -mdl.lit_geq(starts[0], v),
+                                       mdl.lit_geq(starts[2], 7 - v)])
+
+    declared, every = check_watches(run)
+    assert declared < every
+
+
+@pytest.mark.parametrize("sample", ["sample5", "sample7"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_drivers_on_samples(kernel, check_watches, request, sample, algo):
+    inst = request.getfixturevalue(sample)
+    declared, every = check_watches(
+        lambda: solve(inst, algorithm=algo, kernel=kernel))
+    assert declared <= every
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_rcpsp_micro_cells(kernel, check_watches, algo):
+    problems = [soften(inst, 0.9, mode="weighted", seed=k)
+                for k, (_, inst) in enumerate(generate_micro_set(2, seed=7))]
+
+    def run():
+        for p in problems:
+            solve_schedule(p, algorithm=algo, kernel=kernel)
+
+    declared, every = check_watches(run)
+    assert declared < every
