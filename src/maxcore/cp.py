@@ -7,7 +7,7 @@ literals; original-domain bounds need no justification.
 """
 
 import bisect
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .engine import (
     Engine,
@@ -26,6 +26,7 @@ class IntVar:
         self.geq = {}        # value -> BoolLit for [x >= value], lb0 < value <= ub0
         self.eq = {}         # value -> BoolLit for [x = value]
         self.geq_vals = []   # sorted keys of geq
+        self.geq_lits = []   # geq[v] for v in geq_vals, in the same order
 
     def __repr__(self):
         return "IntVar(%d, [%d,%d])" % (self.id, self.lb0, self.ub0)
@@ -64,11 +65,12 @@ class CpModel:
         # [x>=next] -> [x>=v]; inserting between two repairs both sides
         i = bisect.bisect_left(x.geq_vals, v)
         if i > 0:
-            self.eng.add_clause((-lit, x.geq[x.geq_vals[i - 1]]), ORIGIN_USER)
+            self.eng.add_clause((-lit, x.geq_lits[i - 1]), ORIGIN_USER)
         if i < len(x.geq_vals):
-            self.eng.add_clause((-x.geq[x.geq_vals[i]], lit), ORIGIN_USER)
+            self.eng.add_clause((-x.geq_lits[i], lit), ORIGIN_USER)
         x.geq[v] = lit
-        bisect.insort(x.geq_vals, v)
+        x.geq_vals.insert(i, v)
+        x.geq_lits.insert(i, lit)
         return lit
 
     def lit_eq(self, x, v):
@@ -133,19 +135,16 @@ class CpModel:
 
     def cur_lb(self, x, view):
         """(bound, witness literal or None) from the highest true geq literal."""
-        lb, wit = x.lb0, None
-        for v in reversed(x.geq_vals):
-            if v <= lb:
-                break
-            if view.lit_value(x.geq[v]) > 0:
-                return v, x.geq[v]
-        return lb, wit
+        for v, lit in zip(reversed(x.geq_vals), reversed(x.geq_lits)):
+            if view.lit_value(lit) > 0:
+                return v, lit
+        return x.lb0, None
 
     def cur_ub(self, x, view):
         """(bound, witness literal or None) from the lowest false geq literal."""
-        for v in x.geq_vals:
-            if view.lit_value(x.geq[v]) < 0:
-                return v - 1, -x.geq[v]
+        for v, lit in zip(x.geq_vals, x.geq_lits):
+            if view.lit_value(lit) < 0:
+                return v - 1, -lit
         return x.ub0, None
 
     def strongest_geq(self, x, v):
@@ -153,16 +152,14 @@ class CpModel:
         i = bisect.bisect_right(x.geq_vals, v)
         if i == 0:
             return None
-        val = x.geq_vals[i - 1]
-        return val, x.geq[val]
+        return x.geq_vals[i - 1], x.geq_lits[i - 1]
 
     def strongest_leq(self, x, v):
         """Negated geq literal asserting x <= v, weakest materialized form."""
         i = bisect.bisect_right(x.geq_vals, v)
         if i == len(x.geq_vals):
             return None
-        val = x.geq_vals[i]
-        return val - 1, -x.geq[val]
+        return x.geq_vals[i] - 1, -x.geq_lits[i]
 
     def decode(self, x, model):
         """Integer value of x under a Boolean model."""
@@ -172,8 +169,8 @@ class CpModel:
 def decode_int(x, model):
     """Integer value of an IntVar under a Boolean model: the highest
     materialized bound the model asserts, or the original lower bound."""
-    for v in reversed(x.geq_vals):
-        if model[abs(x.geq[v])] == (x.geq[v] > 0):
+    for v, lit in zip(reversed(x.geq_vals), reversed(x.geq_lits)):
+        if model[abs(lit)] == (lit > 0):
             return v
     return x.lb0
 
@@ -311,26 +308,32 @@ class HalfReifiedLinear(Propagator):
 
 
 class Cumulative(Propagator):
-    """Timetable propagation from compulsory parts, with naive explanations."""
+    """Timetable propagation from compulsory parts, with naive explanations.
+
+    A call reads each start ladder once: the lower bound and its witness
+    come from the highest true order literal, the upper bound and its
+    witness from the lowest false one.  It does not bisect the ladder,
+    because a ladder need not be monotone at a call: a level-0 unit
+    [x >= v] can be true while [x >= v-1] is still unassigned, and a
+    bisection would then cite other witnesses.  The profile of compulsory
+    parts [ub, lb + dur) is a list over the time window of the start
+    domains.  A task is skipped when neither its first window [lb, lb + dur)
+    nor its last [ub, ub + dur) holds a height above capacity - demand
+    outside its own compulsory part; both push loops would stop at once.
+    """
 
     def __init__(self, model, tasks, capacity):
         self.model = model
         self.tasks = tasks            # (IntVar, duration, demand)
         self.cap = capacity
+        self.t0 = min(x.lb0 for x, _, _ in tasks)
+        self.span = max(x.ub0 + dur for x, dur, _ in tasks) - self.t0
 
     @property
     def wake_on(self):
         """The order literals of the start variables, both ways."""
         return _both_polarities(
             [lit for x, _, _ in self.tasks for lit in x.geq.values()])
-
-    def _bounds(self, view):
-        out = []
-        for x, dur, dem in self.tasks:
-            lb, lwit = self.model.cur_lb(x, view)
-            ub, uwit = self.model.cur_ub(x, view)
-            out.append((lb, ub, lwit, uwit))
-        return out
 
     def _witnesses(self, bounds, idx):
         wits = []
@@ -342,65 +345,100 @@ class Cumulative(Propagator):
                 wits.append(uwit)
         return wits
 
+    def _explain(self, bounds, parts, i, a, b):
+        """Witnesses of the other tasks whose compulsory part meets [a, b),
+        in task order, then of task i."""
+        blockers = [j for j, s, e in parts if j != i and s < b and a < e]
+        blockers.append(i)
+        return self._witnesses(bounds, blockers)
+
     def propagate(self, view):
-        bounds = self._bounds(view)
-        profile = {}
-        owners = {}
-        for i, (x, dur, dem) in enumerate(self.tasks):
-            lb, ub, _, _ = bounds[i]
-            for t in range(ub, lb + dur):      # compulsory part [ub, lb+dur)
-                profile[t] = profile.get(t, 0) + dem
-                owners.setdefault(t, []).append(i)
-        for t in sorted(profile):
-            if profile[t] > self.cap:
-                view.fail(self._witnesses(bounds, owners[t]))
+        lit_value = view.lit_value
+        cap, t0 = self.cap, self.t0
+        steps = [0] * (self.span + 1)
+        bounds = []                   # (lb, ub, lb witness, ub witness)
+        parts = []                    # compulsory parts (task, start, end)
+        for j, (x, dur, dem) in enumerate(self.tasks):
+            lits = x.geq_lits
+            vals = list(map(lit_value, lits))
+            if 1 in vals:
+                k = len(vals) - 1 - vals[::-1].index(1)
+                lb, lwit = x.geq_vals[k], lits[k]
+            else:
+                lb, lwit = x.lb0, None
+            if -1 in vals:
+                k = vals.index(-1)
+                ub, uwit = x.geq_vals[k] - 1, -lits[k]
+            else:
+                ub, uwit = x.ub0, None
+            bounds.append((lb, ub, lwit, uwit))
+            end = lb + dur
+            if ub < end:
+                parts.append((j, ub, end))
+                steps[ub - t0] += dem
+                steps[end - t0] -= dem
+        profile = list(accumulate(steps))     # height at time t0 + k
+        top = max(profile)
+        if top > cap:
+            t = t0 + next(k for k, h in enumerate(profile) if h > cap)
+            view.fail(self._witnesses(
+                bounds, [j for j, s, e in parts if s <= t < e]))
+            return
+        for i, ((_, dur, dem), (lb, ub, _, _)) in enumerate(
+                zip(self.tasks, bounds)):
+            room = cap - dem
+            if top <= room:
+                continue              # no height can clash with this task
+            a, b = lb - t0, ub - t0
+            c = a + dur
+            # The task's own part [b, c) cannot clash: no height exceeds cap
+            # here.  Without a clash in the rest of its first window [a, c)
+            # and its last [b, b + dur), both push loops stop at once.
+            first = profile[a:b if b < c else c]
+            last = profile[c if c > b else b:b + dur]
+            if ((not first or max(first) <= room)
+                    and (not last or max(last) <= room)):
+                continue
+            own = range(b, c)         # empty without a compulsory part
+            for k in own:
+                profile[k] -= dem
+            if not self._push(view, bounds, parts, profile, i):
                 return
-        for i, (x, dur, dem) in enumerate(self.tasks):
-            lb, ub, _, _ = bounds[i]
+            for k in own:
+                profile[k] += dem
 
-            def load(t):
-                h = profile.get(t, 0)
-                if ub <= t < lb + dur:
-                    h -= dem               # ignore the task's own part
-                return h
+    def _push(self, view, bounds, parts, profile, i):
+        """Move task i's start bounds past every clash with the profile of
+        the other tasks; False once the view has failed or refused."""
+        x, dur, dem = self.tasks[i]
+        lb, ub, _, _ = bounds[i]
+        t0, room = self.t0, self.cap - dem
 
-            s = lb
-            while True:
-                clash = next((t for t in range(s, s + dur)
-                              if load(t) + dem > self.cap), None)
-                if clash is None:
-                    break
-                s = clash + 1
-                if s > ub:
-                    blockers = sorted({j for t in range(lb, ub + dur)
-                                       for j in owners.get(t, ()) if j != i})
-                    view.fail(self._witnesses(bounds, blockers + [i]))
-                    return
-            if s > lb:
-                got = self.model.strongest_geq(x, s)
-                if got is not None and got[0] > lb:
-                    blockers = sorted({j for t in range(lb, s + dur)
-                                       for j in owners.get(t, ()) if j != i})
-                    reason = self._witnesses(bounds, blockers + [i])
-                    if not view.enqueue(got[1], reason):
-                        return
-            e = ub
-            while True:
-                clash = next((t for t in range(e + dur - 1, e - 1, -1)
-                              if load(t) + dem > self.cap), None)
-                if clash is None:
-                    break
-                e = clash - dur
-                if e < lb:
-                    blockers = sorted({j for t in range(lb, ub + dur)
-                                       for j in owners.get(t, ()) if j != i})
-                    view.fail(self._witnesses(bounds, blockers + [i]))
-                    return
-            if e < ub:
-                got = self.model.strongest_leq(x, e)
-                if got is not None and got[0] < ub:
-                    blockers = sorted({j for t in range(e, ub + dur)
-                                       for j in owners.get(t, ()) if j != i})
-                    reason = self._witnesses(bounds, blockers + [i])
-                    if not view.enqueue(got[1], reason):
-                        return
+        def first_clash(times):
+            return next((t for t in times if profile[t - t0] > room), None)
+
+        s = lb
+        while (clash := first_clash(range(s, s + dur))) is not None:
+            s = clash + 1
+            if s > ub:
+                view.fail(self._explain(bounds, parts, i, lb, ub + dur))
+                return False
+        if s > lb:
+            got = self.model.strongest_geq(x, s)
+            if got is not None and got[0] > lb:
+                reason = self._explain(bounds, parts, i, lb, s + dur)
+                if not view.enqueue(got[1], reason):
+                    return False
+        e = ub
+        while (clash := first_clash(range(e + dur - 1, e - 1, -1))) is not None:
+            e = clash - dur
+            if e < lb:
+                view.fail(self._explain(bounds, parts, i, lb, ub + dur))
+                return False
+        if e < ub:
+            got = self.model.strongest_leq(x, e)
+            if got is not None and got[0] < ub:
+                reason = self._explain(bounds, parts, i, e, ub + dur)
+                if not view.enqueue(got[1], reason):
+                    return False
+        return True

@@ -1,11 +1,12 @@
 """Integer views, channeling, and the explanation-producing propagators."""
 
+import bisect
 import itertools
 import random
 
 import pytest
 
-from maxcore.cp import CpModel, post_pb_upper_bound
+from maxcore.cp import CpModel, Cumulative, decode_int, post_pb_upper_bound
 from maxcore.engine import available_kernels
 
 KERNELS = available_kernels()
@@ -479,3 +480,269 @@ def test_cumulative_random_models_respect_profile(kernel):
             for t in range(v, v + dur):
                 usage[t] += dem
         assert max(usage) <= cap
+
+
+# --- cumulative against the dict timetable ----------------------------------
+
+
+def _reference_lb(x, view):
+    for v in reversed(x.geq_vals):
+        if view.lit_value(x.geq[v]) > 0:
+            return v, x.geq[v]
+    return x.lb0, None
+
+
+def _reference_ub(x, view):
+    for v in x.geq_vals:
+        if view.lit_value(x.geq[v]) < 0:
+            return v - 1, -x.geq[v]
+    return x.ub0, None
+
+
+def _reference_geq(x, v):
+    i = bisect.bisect_right(x.geq_vals, v)
+    return None if i == 0 else (x.geq_vals[i - 1], x.geq[x.geq_vals[i - 1]])
+
+
+def _reference_leq(x, v):
+    i = bisect.bisect_right(x.geq_vals, v)
+    if i == len(x.geq_vals):
+        return None
+    return x.geq_vals[i] - 1, -x.geq[x.geq_vals[i]]
+
+
+def _reference_cumulative(tasks, cap, view):
+    """The timetable Cumulative.propagate used before its list rewrite:
+    per-value ladder scans, a dict profile with per-time owners."""
+    bounds = [_reference_lb(x, view) + _reference_ub(x, view)
+              for x, _, _ in tasks]
+
+    def witnesses(idx):
+        wits = []
+        for i in idx:
+            _, lwit, _, uwit = bounds[i]
+            if lwit is not None:
+                wits.append(lwit)
+            if uwit is not None:
+                wits.append(uwit)
+        return wits
+
+    profile = {}
+    owners = {}
+    for i, (x, dur, dem) in enumerate(tasks):
+        lb, _, ub, _ = bounds[i]
+        for t in range(ub, lb + dur):
+            profile[t] = profile.get(t, 0) + dem
+            owners.setdefault(t, []).append(i)
+    for t in sorted(profile):
+        if profile[t] > cap:
+            view.fail(witnesses(owners[t]))
+            return
+    for i, (x, dur, dem) in enumerate(tasks):
+        lb, _, ub, _ = bounds[i]
+
+        def load(t):
+            h = profile.get(t, 0)
+            if ub <= t < lb + dur:
+                h -= dem
+            return h
+
+        def blockers(lo, hi):
+            return sorted({j for t in range(lo, hi)
+                           for j in owners.get(t, ()) if j != i}) + [i]
+
+        s = lb
+        while True:
+            clash = next((t for t in range(s, s + dur)
+                          if load(t) + dem > cap), None)
+            if clash is None:
+                break
+            s = clash + 1
+            if s > ub:
+                view.fail(witnesses(blockers(lb, ub + dur)))
+                return
+        if s > lb:
+            got = _reference_geq(x, s)
+            if got is not None and got[0] > lb:
+                if not view.enqueue(got[1], witnesses(blockers(lb, s + dur))):
+                    return
+        e = ub
+        while True:
+            clash = next((t for t in range(e + dur - 1, e - 1, -1)
+                          if load(t) + dem > cap), None)
+            if clash is None:
+                break
+            e = clash - dur
+            if e < lb:
+                view.fail(witnesses(blockers(lb, ub + dur)))
+                return
+        if e < ub:
+            got = _reference_leq(x, e)
+            if got is not None and got[0] < ub:
+                if not view.enqueue(got[1], witnesses(blockers(e, ub + dur))):
+                    return
+
+
+class _RefusingView(_RecordingView):
+    """A recording view whose enqueue refuses a literal that is false, as
+    a kernel does when the inference conflicts."""
+
+    def enqueue(self, lit, reason):
+        super().enqueue(lit, reason)
+        return self.lit_value(lit) >= 0
+
+
+def _random_cumulative_case(rng):
+    """A tiny cumulative with partly materialized ladders and an arbitrary
+    partial assignment of its order literals (monotone or not)."""
+    mdl = CpModel()
+    cap = rng.randint(1, 3)
+    tasks = []
+    for _ in range(rng.randint(1, 4)):
+        lb0 = rng.randint(0, 3)
+        x = mdl.new_int_var(lb0, lb0 + rng.randint(0, 4))
+        for v in range(x.lb0 + 1, x.ub0 + 1):
+            if rng.random() < 0.8:
+                mdl.lit_geq(x, v)
+        tasks.append((x, rng.randint(1, 3), rng.randint(1, cap)))
+    values = {}
+    for x, _, _ in tasks:
+        if rng.random() < 0.5:       # a monotone ladder cut at lb and ub
+            lb = rng.randint(x.lb0, x.ub0)
+            ub = rng.randint(lb, x.ub0)
+            for v, lit in zip(x.geq_vals, x.geq_lits):
+                if v <= lb and rng.random() < 0.7:
+                    values[lit] = True
+                elif v > ub and rng.random() < 0.7:
+                    values[lit] = False
+        else:                        # any values, e.g. [x>=v] over unset [x>=v-1]
+            for lit in x.geq_lits:
+                r = rng.random()
+                if r < 0.3:
+                    values[lit] = True
+                elif r < 0.5:
+                    values[lit] = False
+    return mdl, tasks, cap, values
+
+
+def _cumulative_inferences(n_cases, seed):
+    """(tasks, cap, values, enqueued, failed) of the list timetable on random
+    cases, each checked against the dict timetable on the same view."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n_cases):
+        mdl, tasks, cap, values = _random_cumulative_case(rng)
+        view_cls = _RefusingView if rng.random() < 0.5 else _RecordingView
+        got, want = view_cls(values), view_cls(values)
+        Cumulative(mdl, tasks, cap).propagate(got)
+        _reference_cumulative(tasks, cap, want)
+        assert (got.enqueued, got.failed) == (want.enqueued, want.failed)
+        out.append((tasks, cap, values, got.enqueued, got.failed))
+    return out
+
+
+def test_cumulative_matches_dict_timetable():
+    cases = _cumulative_inferences(600, seed=5)
+    n_enq = sum(len(c[3]) for c in cases)
+    n_fail = sum(c[4] is not None for c in cases)
+    nonmono = 0
+    for tasks, _, values, _, _ in cases:
+        for x, _, _ in tasks:
+            held = [values.get(lit) for lit in x.geq_lits]
+            nonmono += any(a is not True and b is True
+                           for a, b in zip(held, held[1:]))
+    # the batch exercises pushes, failures and non-monotone ladders
+    assert n_enq > 100 and n_fail > 100 and nonmono > 100
+
+
+def _holds_capacity(tasks, cap, starts):
+    usage = {}
+    for (_, dur, dem), s in zip(tasks, starts):
+        for t in range(s, s + dur):
+            usage[t] = usage.get(t, 0) + dem
+    return max(usage.values()) <= cap
+
+
+def _placements(tasks, lits):
+    """Start assignments inside the bounds that the order literals state."""
+    bounds = {id(x): [x.lb0, x.ub0] for x, _, _ in tasks}
+    owner = {}
+    for x, _, _ in tasks:
+        for v, lit in zip(x.geq_vals, x.geq_lits):
+            owner[lit] = (x, v)
+    for lit in lits:
+        x, v = owner[abs(lit)]
+        if lit > 0:
+            bounds[id(x)][0] = max(bounds[id(x)][0], v)
+        else:
+            bounds[id(x)][1] = min(bounds[id(x)][1], v - 1)
+    return itertools.product(*[range(bounds[id(x)][0], bounds[id(x)][1] + 1)
+                               for x, _, _ in tasks])
+
+
+def test_cumulative_explanations_are_sound():
+    """No placement inside the bounds of a reason respects capacity once the
+    pushed literal is negated; none at all inside a failure's reason."""
+    checked = 0
+    for tasks, cap, _, enqueued, failed in _cumulative_inferences(600, 5):
+        for lit, reason in enqueued:
+            assert not any(_holds_capacity(tasks, cap, starts)
+                           for starts in _placements(tasks, reason + (-lit,)))
+            checked += 1
+        if failed is not None:
+            assert not any(_holds_capacity(tasks, cap, starts)
+                           for starts in _placements(tasks, failed))
+            checked += 1
+    assert checked > 200
+
+
+def test_ladder_insertions_keep_literals_parallel():
+    mdl = CpModel()
+    x = mdl.new_int_var(0, 20)
+    for v in (10, 5, 15, 1, 20, 7, 12, 2, 19):   # middle and both ends
+        mdl.lit_geq(x, v)
+        assert x.geq_vals == sorted(x.geq)
+        assert all(x.geq_lits[k] == x.geq[x.geq_vals[k]]
+                   for k in range(len(x.geq_vals)))
+
+
+def test_cumulative_sees_ladder_growth_between_solves(kernel):
+    """A grown ladder is read by the next solve exactly as by a model that
+    had the full ladder before the cumulative was posted.  The grown ladders
+    are complete, so every model respects capacity."""
+    spec = [((0, 6), 3, 1), ((1, 5), 2, 1), ((2, 2), 1, 1)]
+    early, late = [3, 2], [4, 1, 6, 5]
+
+    def build(grow_first):
+        mdl = CpModel(kernel=kernel)
+        xs = [mdl.new_int_var(lo, hi) for (lo, hi), _, _ in spec]
+        for v in early:
+            mdl.lit_geq(xs[0], v)
+            mdl.lit_geq(xs[1], v)
+        if grow_first:
+            for v in late:
+                mdl.lit_geq(xs[0], v)
+                mdl.lit_geq(xs[1], v)
+        mdl.post_cumulative([(x, dur, dem) for x, (_, dur, dem)
+                             in zip(xs, spec)], 1)
+        return mdl, xs
+
+    grown, gx = build(False)
+    grown.eng.solve()
+    for v in late:
+        grown.lit_geq(gx[0], v)
+        grown.lit_geq(gx[1], v)
+    fresh, fx = build(True)
+    assert [x.geq_vals for x in gx] == [x.geq_vals for x in fx]
+    for x in gx:
+        assert x.geq_lits == [x.geq[v] for v in x.geq_vals]
+    queries = [[], [gx[0].geq[4]], [-gx[1].geq[2]], [gx[0].geq[6]],
+               [gx[0].geq[1], -gx[0].geq[3], gx[1].geq[5]]]
+    for assume in queries:
+        a = grown.eng.solve(assumptions=assume)
+        b = fresh.eng.solve(assumptions=assume)
+        assert (a.status, a.model) == (b.status, b.model)
+        if a.status == "sat":
+            starts = [decode_int(x, a.model) for x in gx]
+            assert _holds_capacity([(x, d, m) for x, (_, d, m)
+                                    in zip(gx, spec)], 1, starts)
