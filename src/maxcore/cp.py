@@ -253,9 +253,18 @@ class HalfReifiedLinear(Propagator):
 
     @property
     def wake_on(self):
-        """The indicator and the order literals of the variables, both ways."""
-        return _both_polarities(
-            [self.i] + [lit for _, x in self.terms for lit in x.geq.values()])
+        """The indicator, and the order literals whose truth can enable an
+        inference: a falling upper bound of a positive term (a false
+        [x >= v]) and a rising lower bound of a negative one (a true
+        [x >= v]).  The failure test and each pushed bound read only those
+        sides; the other side of a term only suppresses its own push."""
+        lits = [self.i]
+        for c, x in self.terms:
+            if c > 0:
+                lits.extend(-lit for lit in x.geq.values())
+            else:
+                lits.extend(x.geq.values())
+        return lits
 
     def _sides(self, view):
         """Per-term (max contribution, witness) plus the running total."""

@@ -7,19 +7,30 @@
 // behavioural change there must be made here too.  Activities are doubles
 // updated in the same order as Python floats there, so this file must not be
 // built with fast-math.
+//
+// As there, the clause arena and the watch lists hold only problem and learnt
+// clauses, and a propagator's inference is a reason record: the implied
+// literal (0 for a fail) and the negated reason, stored once for a run of
+// equal reasons.  A reference r is clause r when r >= 0, no reason when
+// r == -1, and record -2 - r when r <= -2.  The solve result hands the
+// records over in a Records object, which builds the explanation clauses
+// when called.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace {
 
-enum : char { KIND_PROBLEM, KIND_LEARNT, KIND_EXPL };
+const int NO_REASON = -1;
+const int RAISED = INT_MIN;  // propagate_all: a propagator raised
 
 const double VAR_DECAY = 0.95;
 const double CLAUSE_DECAY = 0.999;
@@ -28,10 +39,15 @@ const double RESTART_MULT = 1.5;
 const int LEARNT_CAP_MIN = 4000;
 
 PyObject *integrity_error;  // maxcore.engine.errors.EngineIntegrityError
+PyObject *records_type;     // the Records type below
 PyObject *str_propagate;
 PyObject *str_wake_on;
 
 inline int var_of(int lit) { return lit > 0 ? lit : -lit; }
+
+// the reference of record k, and the record of a reference r <= -2
+inline int record_ref(int k) { return -2 - k; }
+inline int record_of(int ref) { return -2 - ref; }
 
 // watch-list slot of a literal
 inline int windex(int lit) { return lit > 0 ? 2 * lit : -2 * lit + 1; }
@@ -89,6 +105,55 @@ PyObject *int_list(const int *p, Py_ssize_t n) {
     return out;
 }
 
+// a tuple of head, when it is not 0, followed by p[0 .. n)
+PyObject *int_tuple(int head, const int *p, Py_ssize_t n) {
+    Py_ssize_t first = head != 0;
+    PyObject *out = PyTuple_New(first + n);
+    for (Py_ssize_t i = 0; out && i < first + n; i++) {
+        PyObject *v = PyLong_FromLong(i < first ? head : p[i - first]);
+        if (!v) {
+            Py_CLEAR(out);
+            break;
+        }
+        PyTuple_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
+// reason records: record k implies head[k] (0 for a fail) from the negated
+// reason lits[off[k] .. off[k] + len[k])
+struct RecordStore {
+    std::vector<int> head, off, len, lits;
+
+    // appends a record; a reason equal to the last record's is shared
+    int add(int implied, const int *reason, int n) {
+        int k = (int)head.size();
+        int at = (int)lits.size();
+        if (k > 0 && len[k - 1] == n &&
+            std::equal(reason, reason + n, lits.data() + off[k - 1]))
+            at = off[k - 1];
+        else
+            lits.insert(lits.end(), reason, reason + n);
+        head.push_back(implied);
+        off.push_back(at);
+        len.push_back(n);
+        return record_ref(k);
+    }
+
+    // the explanation clause of each record, in creation order
+    PyObject *clauses() const {
+        PyObject *out = PyList_New((Py_ssize_t)head.size());
+        for (size_t k = 0; out && k < head.size(); k++) {
+            PyObject *clause = int_tuple(head[k], lits.data() + off[k], len[k]);
+            if (!clause)
+                Py_CLEAR(out);
+            else
+                PyList_SET_ITEM(out, k, clause);
+        }
+        return out;
+    }
+};
+
 struct Kernel {
     int nvars = 0;
     bool validate = false;  // check every learnt clause after backjump
@@ -97,7 +162,7 @@ struct Kernel {
 
     std::vector<int> values;  // per var: 0 unset, 1 true, -1 false
     std::vector<int> levels;
-    std::vector<int> reasons;  // clause index, -1 for decisions/assumptions
+    std::vector<int> reasons;  // a reference, -1 for decisions/assumptions
     std::vector<char> phase;
     std::vector<double> activity;
     std::vector<char> seen;
@@ -108,12 +173,12 @@ struct Kernel {
     std::vector<int> db;  // flat literal arena; slots off, off+1 are watched
     std::vector<int> c_off;
     std::vector<int> c_len;
-    std::vector<char> c_kind;
     std::vector<double> c_act;
     std::vector<char> c_dead;
     std::vector<std::vector<int>> watches;
+    RecordStore records;
 
-    int n_problem = 0;
+    int n_problem = 0;  // the clauses past these are learnt
     int learnt_cap = 0;
     int n_learnt = 0;
 
@@ -158,7 +223,7 @@ struct Kernel {
                 Py_DECREF(seq);
                 return false;
             }
-            add_clause(lits, KIND_PROBLEM);
+            add_clause(lits);
         }
         Py_DECREF(seq);
         n_problem = (int)c_off.size();
@@ -198,19 +263,32 @@ struct Kernel {
     // ------------------------------------------------------------------
     // clause arena
 
-    int add_clause(const std::vector<int> &lits, char kind) {
+    int add_clause(const std::vector<int> &lits) {
         int ci = (int)c_off.size();
         c_off.push_back((int)db.size());
         c_len.push_back((int)lits.size());
-        c_kind.push_back(kind);
         c_act.push_back(0.0);
         c_dead.push_back(0);
         db.insert(db.end(), lits.begin(), lits.end());
-        if (kind != KIND_EXPL && lits.size() >= 2) {
+        if (lits.size() >= 2) {
             watches[windex(lits[0])].push_back(ci);
             watches[windex(lits[1])].push_back(ci);
         }
         return ci;
+    }
+
+    // the literals of a clause or record, an enqueue's implied literal first
+    std::vector<int> lits_of(int ref) const {
+        if (ref >= 0)
+            return std::vector<int>(db.data() + c_off[ref],
+                                    db.data() + c_off[ref] + c_len[ref]);
+        int k = record_of(ref);
+        const int *reason = records.lits.data() + records.off[k];
+        std::vector<int> out;
+        if (records.head[k] != 0)
+            out.push_back(records.head[k]);
+        out.insert(out.end(), reason, reason + records.len[k]);
+        return out;
     }
 
     // ------------------------------------------------------------------
@@ -226,7 +304,7 @@ struct Kernel {
         levels[var] = (int)trail_lim.size();
         reasons[var] = reason;
         trail.push_back(lit);
-        if (reason >= 0)
+        if (reason != NO_REASON)
             propagations++;
     }
 
@@ -372,7 +450,8 @@ struct Kernel {
         return -1;
     }
 
-    // the conflict clause, -1 at a fixpoint, -2 when a propagator raised
+    // the conflict's reference, -1 at a fixpoint, RAISED when a propagator
+    // raised
     int propagate_all() {
         for (;;) {
             int confl = bcp();
@@ -388,9 +467,9 @@ struct Kernel {
                 PyObject *r = PyObject_CallMethodOneArg(
                     PyList_GET_ITEM(props, i), str_propagate, view);
                 if (!r)
-                    return -2;
+                    return RAISED;
                 Py_DECREF(r);
-                if (prop_conflict >= 0)
+                if (prop_conflict != -1)
                     return prop_conflict;
                 if (prop_enqueued) {
                     progress = true;
@@ -428,23 +507,36 @@ struct Kernel {
         int counter = 0;
         int p = 0;
         int idx = (int)trail.size() - 1;
-        for (;;) {
-            if (c_kind[confl] == KIND_LEARNT)
-                bump_clause(confl);
-            int off = c_off[confl];
-            for (int k = p != 0 ? off + 1 : off; k < off + c_len[confl]; k++) {
-                int q = db[k];
-                int v = var_of(q);
-                if (!seen[v] && levels[v] > 0) {
-                    seen[v] = 1;
-                    to_clear.push_back(v);
-                    bump_var(v);
-                    if (levels[v] >= clevel)
-                        counter++;
-                    else
-                        learnt.push_back(q);
-                }
+        auto see = [&](int q) {
+            int v = var_of(q);
+            if (!seen[v] && levels[v] > 0) {
+                seen[v] = 1;
+                to_clear.push_back(v);
+                bump_var(v);
+                if (levels[v] >= clevel)
+                    counter++;
+                else
+                    learnt.push_back(q);
             }
+        };
+        for (;;) {
+            // the reason of p without p itself, or the whole conflict
+            const int *lits;
+            int n;
+            if (confl >= 0) {
+                if (confl >= n_problem)
+                    bump_clause(confl);
+                lits = db.data() + c_off[confl] + (p != 0);
+                n = c_len[confl] - (p != 0);
+            } else {
+                int k = record_of(confl);
+                if (p == 0 && records.head[k] != 0)
+                    see(records.head[k]);
+                lits = records.lits.data() + records.off[k];
+                n = records.len[k];
+            }
+            for (int k = 0; k < n; k++)
+                see(lits[k]);
             if (counter == 0) {
                 // only a propagator can raise such a conflict: one it missed
                 // at an earlier fixpoint
@@ -487,11 +579,15 @@ struct Kernel {
             seen[u] = 1;
             touched.push_back(u);
             int r = reasons[u];
-            if (r < 0)
+            if (r == NO_REASON) {
                 core.push_back(values[u] * u);
-            else
+            } else if (r >= 0) {
                 stack.insert(stack.end(), db.data() + c_off[r],
                              db.data() + c_off[r] + c_len[r]);
+            } else {
+                const int *reason = records.lits.data() + records.off[record_of(r)];
+                stack.insert(stack.end(), reason, reason + records.len[record_of(r)]);
+            }
         }
         for (int u : touched)
             seen[u] = 0;
@@ -510,7 +606,7 @@ struct Kernel {
         }
         std::vector<int> cands;
         for (int ci = n_problem; ci < (int)c_off.size(); ci++)
-            if (c_kind[ci] == KIND_LEARNT && !c_dead[ci] && !locked[ci])
+            if (!c_dead[ci] && !locked[ci])
                 cands.push_back(ci);
         std::sort(cands.begin(), cands.end(), [this](int a, int b) {
             return c_act[a] != c_act[b] ? c_act[a] < c_act[b] : a < b;
@@ -526,7 +622,7 @@ struct Kernel {
         for (std::vector<int> &wl : watches)
             wl.clear();
         for (int ci = 0; ci < (int)c_off.size(); ci++) {
-            if (c_dead[ci] || c_kind[ci] == KIND_EXPL || c_len[ci] < 2)
+            if (c_dead[ci] || c_len[ci] < 2)
                 continue;
             watches[windex(db[c_off[ci]])].push_back(ci);
             watches[windex(db[c_off[ci] + 1])].push_back(ci);
@@ -576,24 +672,23 @@ struct Kernel {
             if (trail_lim.empty() && establish_assumptions(assumptions, core))
                 return finish("unsat", &core);
             int confl = propagate_all();
-            if (confl == -2)
+            if (confl == RAISED)
                 return nullptr;
-            if (confl >= 0) {
+            if (confl != -1) {
                 conflicts++;
                 conflicts_since_restart++;
                 if (trail_lim.empty())
                     return finish("unsat", &core);
                 if (trail_lim.size() == 1) {
                     // every literal sits at the assumption level or below
-                    const int *lits = db.data() + c_off[confl];
-                    final_core(std::vector<int>(lits, lits + c_len[confl]), core);
+                    final_core(lits_of(confl), core);
                     return finish("unsat", &core);
                 }
                 int bj = analyze(confl);
                 if (bj < 0)
                     return nullptr;
                 backjump(bj);
-                int ci = add_clause(learnt, KIND_LEARNT);
+                int ci = add_clause(learnt);
                 n_learnt++;
                 if (learnt.size() > 1)
                     c_act[ci] = cla_inc;
@@ -658,8 +753,8 @@ struct Kernel {
             PyLong_FromLongLong(decisions),
             PyLong_FromLongLong(propagations),
             PyLong_FromLongLong(restarts),
-            clauses_of(KIND_LEARNT),
-            clauses_of(KIND_EXPL),
+            learnt_clauses(),
+            take_records(),
         };
         PyObject *result = PyDict_New();
         for (size_t i = 0; i < sizeof(vals) / sizeof(vals[0]); i++) {
@@ -670,22 +765,64 @@ struct Kernel {
         return result;
     }
 
-    // the live clauses of one kind past the problem clauses, as tuples
-    PyObject *clauses_of(char kind) const {
+    // the live learnt clauses, as tuples
+    PyObject *learnt_clauses() const {
         PyObject *out = PyList_New(0);
         for (int ci = n_problem; out && ci < (int)c_off.size(); ci++) {
-            if (c_kind[ci] != kind || c_dead[ci])
+            if (c_dead[ci])
                 continue;
-            PyObject *lits = int_list(db.data() + c_off[ci], c_len[ci]);
-            PyObject *clause = lits ? PyList_AsTuple(lits) : nullptr;
-            Py_XDECREF(lits);
+            PyObject *clause = int_tuple(0, db.data() + c_off[ci], c_len[ci]);
             if (!clause || PyList_Append(out, clause) < 0)
                 Py_CLEAR(out);
             Py_XDECREF(clause);
         }
         return out;
     }
+
+    PyObject *take_records();
 };
+
+// ----------------------------------------------------------------------
+// the records of a finished solve: calling one builds its explanations
+
+struct Records {
+    PyObject_HEAD
+    RecordStore store;
+};
+
+// a new Records object that takes over the kernel's records; a SearchCore
+// runs one solve, so nothing reads them from the kernel afterwards
+PyObject *Kernel::take_records() {
+    Records *out = PyObject_New(Records, (PyTypeObject *)records_type);
+    if (out)
+        new (&out->store) RecordStore(std::move(records));
+    return (PyObject *)out;
+}
+
+void records_dealloc(Records *self) {
+    PyTypeObject *type = Py_TYPE(self);
+    self->store.~RecordStore();
+    PyObject_Free(self);
+    Py_DECREF(type);
+}
+
+PyObject *records_call(Records *self, PyObject *args, PyObject *kwds) {
+    if (PyTuple_GET_SIZE(args) != 0 || (kwds && PyDict_GET_SIZE(kwds) != 0))
+        return PyErr_Format(PyExc_TypeError, "Records() takes no arguments");
+    return self->store.clauses();
+}
+
+PyType_Slot records_slots[] = {
+    {Py_tp_doc, (void *)"A finished solve's reason records; calling it returns "
+                        "their explanation clauses as a list of tuples."},
+    {Py_tp_dealloc, (void *)records_dealloc},
+    {Py_tp_call, (void *)records_call},
+    {0, nullptr},
+};
+
+PyType_Spec records_spec = {"maxcore.engine._search.Records", sizeof(Records), 0,
+                            Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+                            records_slots};
 
 // ----------------------------------------------------------------------
 // the Python type
@@ -757,12 +894,12 @@ PyObject *core_enqueue(SearchCore *self, PyObject *const *args, Py_ssize_t nargs
     int v = k.lit_value(lit);
     if (v == 1)
         Py_RETURN_TRUE;
-    int ci = k.add_clause(k.expl, KIND_EXPL);
+    int ref = k.records.add(lit, k.expl.data() + 1, (int)k.expl.size() - 1);
     if (v == -1) {
-        k.prop_conflict = ci;
+        k.prop_conflict = ref;
         Py_RETURN_FALSE;
     }
-    k.assign(lit, ci);
+    k.assign(lit, ref);
     k.prop_enqueued = true;
     Py_RETURN_TRUE;
 }
@@ -772,7 +909,7 @@ PyObject *core_fail(SearchCore *self, PyObject *reason_lits) {
     k.expl.clear();
     if (!read_lits(reason_lits, k.nvars, k.expl) || !k.negate_reasons(0, "nogood"))
         return nullptr;
-    k.prop_conflict = k.add_clause(k.expl, KIND_EXPL);
+    k.prop_conflict = k.records.add(0, k.expl.data(), (int)k.expl.size());
     Py_RETURN_FALSE;
 }
 
@@ -843,6 +980,9 @@ PyMODINIT_FUNC PyInit__search(void) {
     str_propagate = PyUnicode_InternFromString("propagate");
     str_wake_on = PyUnicode_InternFromString("wake_on");
     if (!integrity_error || !str_propagate || !str_wake_on)
+        return nullptr;
+    records_type = PyType_FromSpec(&records_spec);
+    if (!records_type)
         return nullptr;
     PyObject *module = PyModule_Create(&module_def);
     PyObject *type = module ? PyType_FromSpec(&core_spec) : nullptr;

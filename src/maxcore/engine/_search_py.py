@@ -3,6 +3,16 @@
 One SearchCore instance runs one solve() over a fixed clause set.  The engine
 wrapper rebuilds a core per call, so the kernel keeps no cross-solve state.
 
+The clause arena and the watch lists hold only problem and learnt clauses.
+A propagator's inference is a reason record instead: an enqueue records the
+implied literal and its negated reason list, a fail records the negated
+reason list alone.  A reason or conflict reference r is a clause index when
+r >= 0, no reason (a decision or an assumption) when r == -1, and record
+-2 - r when r <= -2.  Conflict analysis and the final core read records and
+clauses alike.  The solve result hands the records over in a callable that
+builds the explanation clauses when called, so that a solve whose
+explanations nobody reads never builds them.
+
 Propagators run at each Boolean fixpoint, in attachment order, until one
 enqueues a literal.  A propagator whose wake_on is None runs at every
 fixpoint.  One that lists wake_on literals runs only while it is pending: it
@@ -18,12 +28,9 @@ the same propagator calls.
 """
 
 import time
+from functools import partial
 
 from .errors import EngineIntegrityError
-
-KIND_PROBLEM = 0
-KIND_LEARNT = 1
-KIND_EXPL = 2
 
 VAR_DECAY = 0.95
 CLAUSE_DECAY = 0.999
@@ -48,7 +55,7 @@ class SearchCore:
         n1 = nvars + 1
         self.values = [0] * n1          # per var: 0 unset, 1 true, -1 false
         self.levels = [0] * n1
-        self.reasons = [-1] * n1        # clause index, -1 for decisions/assumptions
+        self.reasons = [-1] * n1        # a reference, -1 for decisions/assumptions
         self.phase = [False] * n1
         self.activity = [0.0] * n1
         self.seen = [0] * n1
@@ -59,14 +66,13 @@ class SearchCore:
         self.db = []                    # flat literal arena; slots off, off+1 are watched
         self.c_off = []
         self.c_len = []
-        self.c_kind = []
         self.c_act = []
         self.c_dead = []
         self.watches = [[] for _ in range(2 * n1)]
 
         for lits in clauses:
-            self._add_clause(lits, KIND_PROBLEM)
-        self.n_problem = len(self.c_off)
+            self._add_clause(lits)
+        self.n_problem = len(self.c_off)    # the clauses past these are learnt
         self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
         self.n_learnt = 0
 
@@ -81,6 +87,11 @@ class SearchCore:
         self.decisions = 0
         self.propagations = 0
         self.restarts = 0
+
+        # reason records: record k implies r_head[k] (0 for a fail) from
+        # the negated reason r_neg[k], a list that equal reasons share
+        self.r_head = []
+        self.r_neg = []
 
         self._prop_enqueued = False
         self._prop_conflict = -1
@@ -107,22 +118,26 @@ class SearchCore:
     # ------------------------------------------------------------------
     # clause arena
 
-    def _add_clause(self, lits, kind):
+    def _add_clause(self, lits):
         ci = len(self.c_off)
         self.c_off.append(len(self.db))
         self.c_len.append(len(lits))
-        self.c_kind.append(kind)
         self.c_act.append(0.0)
         self.c_dead.append(False)
         self.db.extend(lits)
-        if kind != KIND_EXPL and len(lits) >= 2:
+        if len(lits) >= 2:
             self.watches[_windex(lits[0])].append(ci)
             self.watches[_windex(lits[1])].append(ci)
         return ci
 
-    def clause_lits(self, ci):
-        off = self.c_off[ci]
-        return self.db[off:off + self.c_len[ci]]
+    def _lits(self, ref):
+        # the literals of a clause or record, an enqueue's implied literal first
+        if ref >= 0:
+            off = self.c_off[ref]
+            return self.db[off:off + self.c_len[ref]]
+        k = -2 - ref
+        head = self.r_head[k]
+        return [head] + self.r_neg[k] if head else list(self.r_neg[k])
 
     # ------------------------------------------------------------------
     # assignment primitives
@@ -145,7 +160,7 @@ class SearchCore:
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
         self.trail.append(lit)
-        if reason >= 0:
+        if reason != -1:
             self.propagations += 1
 
     def _new_level(self):
@@ -297,7 +312,7 @@ class SearchCore:
                 self._prop_enqueued = False
                 self._prop_conflict = -1
                 p.propagate(self)
-                if self._prop_conflict >= 0:
+                if self._prop_conflict != -1:
                     return self._prop_conflict
                 if self._prop_enqueued:
                     progress = True
@@ -320,24 +335,26 @@ class SearchCore:
         v = self.values[lit] if lit > 0 else -self.values[-lit]
         if v == 1:
             return True
-        expl = [lit]
-        expl.extend(self._checked_neg)
-        ci = self._add_clause(expl, KIND_EXPL)
+        ref = -2 - len(self.r_head)
+        self.r_head.append(lit)
+        self.r_neg.append(self._checked_neg)
         if v == -1:
-            self._prop_conflict = ci
+            self._prop_conflict = ref
             return False
-        self._assign(lit, ci)
+        self._assign(lit, ref)
         self._prop_enqueued = True
         return True
 
     def fail(self, reason_lits):
-        expl = []
+        neg = []
         for r in reason_lits:
             if self.lit_value(r) != 1:
                 raise EngineIntegrityError(
                     "nogood antecedent %d is not true" % r)
-            expl.append(-r)
-        self._prop_conflict = self._add_clause(expl, KIND_EXPL)
+            neg.append(-r)
+        self._prop_conflict = -2 - len(self.r_head)
+        self.r_head.append(0)
+        self.r_neg.append(neg)
         return False
 
     # ------------------------------------------------------------------
@@ -351,12 +368,18 @@ class SearchCore:
         idx = len(self.trail) - 1
         to_clear = []
         while True:
-            if self.c_kind[confl] == KIND_LEARNT:
-                self._bump_clause(confl)
-            off = self.c_off[confl]
-            start = off + 1 if p != 0 else off
-            for k in range(start, off + self.c_len[confl]):
-                q = self.db[k]
+            # the reason of p without p itself, or the whole conflict
+            if confl >= 0:
+                if confl >= self.n_problem:
+                    self._bump_clause(confl)
+                off = self.c_off[confl]
+                lits = self.db[off + 1 if p != 0 else off:
+                               off + self.c_len[confl]]
+            elif p != 0:
+                lits = self.r_neg[-2 - confl]
+            else:
+                lits = self._lits(confl)
+            for q in lits:
                 v = q if q > 0 else -q
                 if not self.seen[v] and self.levels[v] > 0:
                     self.seen[v] = 1
@@ -415,10 +438,12 @@ class SearchCore:
             seen[u] = 1
             touched.append(u)
             r = self.reasons[u]
-            if r < 0:
+            if r == -1:
                 core.append(self.values[u] * u)
+            elif r >= 0:
+                stack.extend(self._lits(r))
             else:
-                stack.extend(self.clause_lits(r))
+                stack.extend(self.r_neg[-2 - r])
         for u in touched:
             seen[u] = 0
         core.sort(key=lambda l: (l if l > 0 else -l, l))
@@ -436,7 +461,7 @@ class SearchCore:
                 locked[r] = True
         cands = []
         for ci in range(self.n_problem, len(self.c_off)):
-            if self.c_kind[ci] == KIND_LEARNT and not self.c_dead[ci] and not locked[ci]:
+            if not self.c_dead[ci] and not locked[ci]:
                 cands.append(ci)
         cands.sort(key=lambda ci: (self.c_act[ci], ci))
         for ci in cands[:len(cands) // 2]:
@@ -448,7 +473,7 @@ class SearchCore:
         for wl in self.watches:
             del wl[:]
         for ci in range(len(self.c_off)):
-            if self.c_dead[ci] or self.c_kind[ci] == KIND_EXPL:
+            if self.c_dead[ci]:
                 continue
             if self.c_len[ci] >= 2:
                 off = self.c_off[ci]
@@ -500,7 +525,7 @@ class SearchCore:
                     result["core"] = core
                     return self._finish(result)
             confl = self._propagate_all()
-            if confl >= 0:
+            if confl != -1:
                 self.conflicts += 1
                 conflicts_since_restart += 1
                 if len(self.trail_lim) == 0:
@@ -510,12 +535,11 @@ class SearchCore:
                 if len(self.trail_lim) == 1:
                     result["status"] = "unsat"
                     # every literal sits at the assumption level or below
-                    result["core"] = self._final_core(
-                        self.clause_lits(confl), [])
+                    result["core"] = self._final_core(self._lits(confl), [])
                     return self._finish(result)
                 learnt, bj = self._analyze(confl)
                 self._backjump(bj)
-                ci = self._add_clause(learnt, KIND_LEARNT)
+                ci = self._add_clause(learnt)
                 self.n_learnt += 1
                 if len(learnt) > 1:
                     self.c_act[ci] = self.cla_inc
@@ -568,13 +592,17 @@ class SearchCore:
         result["propagations"] = self.propagations
         result["restarts"] = self.restarts
         result["learnts"] = [
-            tuple(self.clause_lits(ci))
+            tuple(self._lits(ci))
             for ci in range(self.n_problem, len(self.c_off))
-            if self.c_kind[ci] == KIND_LEARNT and not self.c_dead[ci]
+            if not self.c_dead[ci]
         ]
-        result["explanations"] = [
-            tuple(self.clause_lits(ci))
-            for ci in range(self.n_problem, len(self.c_off))
-            if self.c_kind[ci] == KIND_EXPL
-        ]
+        result["explanations"] = partial(
+            _explanations, self.r_head, self.r_neg)
         return result
+
+
+def _explanations(heads, negs):
+    """The clause each record stands for, in creation order: the implied
+    literal, if any, then the negated reason."""
+    return [(head, *neg) if head else tuple(neg)
+            for head, neg in zip(heads, negs)]

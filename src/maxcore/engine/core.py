@@ -9,6 +9,7 @@ that produced them.
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EngineError, EngineIntegrityError, MidSearchMutationError
 from . import _search_py
@@ -86,6 +87,17 @@ class ClauseRec:
 
 @dataclass
 class SolveOutcome:
+    """One solve's answer and counters.
+
+    explanations lists, in creation order, the clause that each propagator
+    inference of the solve stands for: an enqueue's implied literal followed
+    by its negated reason, or a fail's negated reason.  The kernel keeps
+    inferences as reason records, not clauses, and hands them over in
+    records, a callable that holds the solve's records and nothing else of
+    the kernel.  The tuples are built the first time explanations is read,
+    so explanations is not a dataclass field, and == and repr leave it out.
+    """
+
     status: str                      # 'sat' | 'unsat' | 'unknown'
     model: dict | None = None        # var -> bool, total over current vars
     core: tuple = ()                 # subset of the assumption literals
@@ -94,7 +106,11 @@ class SolveOutcome:
     propagations: int = 0
     restarts: int = 0
     learnts: list = field(default_factory=list)
-    explanations: list = field(default_factory=list)
+    records: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def explanations(self):
+        return [] if self.records is None else self.records()
 
 
 class Engine:
@@ -297,7 +313,7 @@ class Engine:
             propagations=res["propagations"],
             restarts=res["restarts"],
             learnts=res["learnts"],
-            explanations=res["explanations"],
+            records=res["explanations"],
         )
         if res["status"] == "sat":
             values = res["model"]

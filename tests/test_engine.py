@@ -1,7 +1,9 @@
 """Engine-level behavior: clauses, assumptions, cores, retraction, determinism."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from maxcore.engine import (
     EngineIntegrityError,
     MidSearchMutationError,
     Propagator,
+    SolveOutcome,
     available_kernels,
 )
 
@@ -389,3 +392,185 @@ def test_conflict_budget_yields_unknown(kernel):
     # a real-valued budget is not truncated: 1.5 allows a second conflict
     out = eng2.solve(conflict_budget=1.5)
     assert (out.status, out.conflicts) == ("unsat", 2)
+
+
+# ----------------------------------------------------------------------
+# reason records, with learnt clauses and cores computed by hand.  With no
+# assumptions level 1 is empty, and decisions take the lowest free variable
+# with its saved phase, false at first: -1 at level 2, -2 at level 3.
+
+class _Rule(Propagator):
+    """Calls act(view) at each call that finds every literal of when true."""
+
+    def __init__(self, when, act):
+        self.when = when
+        self.act = act
+
+    def propagate(self, view):
+        if all(view.lit_value(l) == 1 for l in self.when):
+            self.act(view)
+
+
+def engine_with(kernel, nvars, clauses, *props):
+    eng = Engine(kernel=kernel)
+    for _ in range(nvars):
+        eng.new_bool_var()
+    for c in clauses:
+        eng.add_clause(c)
+    for p in props:
+        eng.attach_propagator(p)
+    return eng
+
+
+def test_record_conflict_from_enqueue_keeps_its_literal(kernel):
+    # -1 forces -3 at level 2; at level 3 the rule enqueues 3 from
+    # (-1, -2), a conflict (3 1 2) with 2 alone at level 3: learnt (2 3 1)
+    eng = engine_with(kernel, 3, [(1, -3)],
+                      _Rule([-1, -2], lambda v: v.enqueue(3, [-1, -2])))
+    out = eng.solve()
+    assert (out.status, out.conflicts) == ("sat", 1)
+    assert out.explanations == [(3, 1, 2)]
+    assert out.learnts == [(2, 3, 1)]
+
+
+def test_record_conflict_from_fail(kernel):
+    # fail(-1, -2) at level 3: the conflict (1 2), learnt (2 1)
+    eng = engine_with(kernel, 3, [],
+                      _Rule([-1, -2], lambda v: v.fail([-1, -2])))
+    out = eng.solve()
+    assert (out.status, out.conflicts) == ("sat", 1)
+    assert out.explanations == [(1, 2)]
+    assert out.learnts == [(2, 1)]
+
+
+def test_record_fail_with_empty_reason_at_assumption_level(kernel):
+    eng = engine_with(kernel, 2, [], _Rule([1], lambda v: v.fail([])))
+    out = eng.solve(assumptions=[1, 2])
+    assert (out.status, out.core) == ("unsat", ())
+    assert out.explanations == [()]
+
+
+def test_record_fail_at_assumption_level_gives_core(kernel):
+    # 1 forces 3 by a clause; fail(3, 2) rests on the assumptions 1 and 2
+    eng = engine_with(kernel, 4, [(-1, 3)],
+                      _Rule([3, 2], lambda v: v.fail([3, 2])))
+    out = eng.solve(assumptions=[4, 2, 1])
+    assert (out.status, out.core) == ("unsat", (1, 2))
+    assert out.explanations == [(-3, -2)]
+
+
+def test_record_as_reason_in_analysis(kernel):
+    # at level 3 the rule enqueues 3 from (-2, -1), and 3 with -2 forces
+    # both 4 and -4; resolving through the record brings in 1 from level
+    # 2: learnt (2 1)
+    eng = engine_with(kernel, 4, [(-3, 2, 4), (-3, 2, -4)],
+                      _Rule([-2], lambda v: v.enqueue(3, [-2, -1])))
+    out = eng.solve()
+    assert (out.status, out.conflicts) == ("sat", 1)
+    assert out.explanations == [(3, 2, 1)]
+    assert out.learnts == [(2, 1)]
+
+
+def test_record_as_reason_in_final_core(kernel):
+    # the rule enqueues 3 from 1; 3 and 2 force both 4 and -4 at the
+    # assumption level, so the core goes through the record to 1
+    eng = engine_with(kernel, 5, [(-3, -2, 4), (-3, -2, -4)],
+                      _Rule([1], lambda v: v.enqueue(3, [1])))
+    out = eng.solve(assumptions=[5, 2, 1])
+    assert (out.status, out.core) == ("unsat", (1, 2))
+    assert out.explanations == [(3, -1)]
+
+
+def test_record_conflict_from_enqueue_at_assumption_level(kernel):
+    # 2 forces -3 by a clause, then the rule enqueues 3 from 1: the
+    # conflict (3 -1) rests on 1 and, through its literal 3, on 2
+    eng = engine_with(kernel, 4, [(-3, -2)],
+                      _Rule([1], lambda v: v.enqueue(3, [1])))
+    out = eng.solve(assumptions=[4, 2, 1])
+    assert (out.status, out.core) == ("unsat", (1, 2))
+    assert out.explanations == [(3, -1)]
+
+
+# ----------------------------------------------------------------------
+# SolveOutcome.explanations, built when read
+
+class _EditsReasonAfterEnqueue(Propagator):
+    def propagate(self, view):
+        if view.lit_value(1) == 1 and view.lit_value(2) == 0:
+            reason = [1]
+            view.enqueue(2, reason)
+            reason[0] = 3
+            reason.append(4)
+
+
+def test_reason_edited_after_enqueue_keeps_the_recorded_explanation(kernel):
+    eng = engine_with(kernel, 4, [], _EditsReasonAfterEnqueue())
+    out = eng.solve(assumptions=[1])
+    assert out.status == "sat"
+    assert out.explanations == [(2, -1)]
+
+
+def test_later_solve_leaves_earlier_explanations(kernel):
+    eng = engine_with(kernel, 3, [],
+                      _Rule([1], lambda v: v.enqueue(2, [1])),
+                      _Rule([-1], lambda v: v.enqueue(3, [-1])))
+    first = eng.solve(assumptions=[1])
+    second = eng.solve(assumptions=[-1])
+    # read only after the second solve
+    assert first.explanations == [(2, -1)]
+    assert second.explanations == [(3, 1)]
+    assert first.explanations is first.explanations
+
+
+def test_outcome_repr_and_equality(kernel):
+    def run():
+        eng = engine_with(kernel, 2, [],
+                          _Rule([1], lambda v: v.enqueue(2, [1])))
+        return eng.solve(assumptions=[1])
+
+    out = run()
+    assert out == run()
+    assert out != engine_with(kernel, 2, []).solve(assumptions=[1])
+    text = repr(out)
+    assert text.startswith("SolveOutcome(status='sat'")
+    assert "records" not in text and "explanations" not in text
+    assert SolveOutcome(status="unsat").explanations == []
+
+
+def test_outcome_keeps_no_kernel_alive(monkeypatch):
+    # the pure kernel: the arena holds only problem and learnt clauses, and
+    # the outcome's records do not keep the kernel alive
+    from maxcore.engine import _search_py
+    cores, arenas = [], []
+
+    class Recorded(_search_py.SearchCore):
+        def solve(self, *args):
+            res = super().solve(*args)
+            cores.append(weakref.ref(self))
+            arenas.append((len(self.c_off), self.n_problem))
+            return res
+
+    monkeypatch.setattr(_search_py, "SearchCore", Recorded)
+    eng = engine_with("python", 3, [(1, -3)],
+                      _Rule([-1, -2], lambda v: v.enqueue(3, [-1, -2])))
+    out = eng.solve()
+    gc.collect()
+    assert [ref() for ref in cores] == [None]
+    assert arenas == [(1 + len(out.learnts), 1)]
+    assert out.explanations == [(3, 1, 2)]
+
+
+class _NeighbourReasons(Propagator):
+    """Enqueues 3, 4, 5, 6 from reasons that equal, extend or differ from
+    the one before."""
+
+    def propagate(self, view):
+        if view.lit_value(1) == 1 and view.lit_value(2) == 1:
+            for lit, reason in ((3, [1]), (4, [2]), (5, [2, 1]), (6, [2, 1])):
+                view.enqueue(lit, reason)
+
+
+def test_records_with_equal_and_different_neighbour_reasons(kernel):
+    out = engine_with(kernel, 6, [], _NeighbourReasons()).solve(
+        assumptions=[1, 2])
+    assert out.explanations == [(3, -1), (4, -2), (5, -2, -1), (6, -2, -1)]
