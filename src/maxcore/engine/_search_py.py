@@ -3,6 +3,14 @@
 One SearchCore instance runs one solve() over a fixed clause set.  The engine
 wrapper rebuilds a core per call, so the kernel keeps no cross-solve state.
 
+Literal values live in one table keyed by literal: val, a dict from 0 and
+every literal -nvars..nvars to -1 (false), 0 (unset) or 1 (true).  An
+assignment writes lit and -lit, a backjump clears both, so reading a value
+is one lookup and needs no sign test.  The propagator view's lit_value is
+the table's own __getitem__, a C method: a read costs no Python call, and a
+literal outside +-nvars raises KeyError.  The watch lists and the wake lists
+are keyed by literal in the same way.
+
 The clause arena and the watch lists hold only problem and learnt clauses.
 A propagator's inference is a reason record instead: an enqueue records the
 implied literal and its negated reason list, a fail records the negated
@@ -39,11 +47,6 @@ RESTART_MULT = 1.5
 LEARNT_CAP_MIN = 4000
 
 
-def _windex(lit):
-    # watch-list slot of a literal
-    return 2 * lit if lit > 0 else -2 * lit + 1
-
-
 class SearchCore:
     """Single-shot CDCL search over int literals (DIMACS signs)."""
 
@@ -53,7 +56,9 @@ class SearchCore:
         self.validate = validate   # check every learnt clause after backjump
 
         n1 = nvars + 1
-        self.values = [0] * n1          # per var: 0 unset, 1 true, -1 false
+        keys = range(-nvars, n1)
+        self.val = dict.fromkeys(keys, 0)   # per literal: -1 false, 0 unset, 1 true
+        self.lit_value = self.val.__getitem__
         self.levels = [0] * n1
         self.reasons = [-1] * n1        # a reference, -1 for decisions/assumptions
         self.phase = [False] * n1
@@ -63,25 +68,29 @@ class SearchCore:
         self.trail_lim = []
         self.qhead = 0
 
-        self.db = []                    # flat literal arena; slots off, off+1 are watched
-        self.c_off = []
-        self.c_len = []
-        self.c_act = []
-        self.c_dead = []
-        self.watches = [[] for _ in range(2 * n1)]
-
-        for lits in clauses:
-            self._add_clause(lits)
-        self.n_problem = len(self.c_off)    # the clauses past these are learnt
+        # flat literal arena; slots off, off+1 of a clause are watched
+        self.db = db = []
+        self.c_off = c_off = []
+        self.c_len = c_len = []
+        self.watches = watches = {lit: [] for lit in keys}
+        for ci, lits in enumerate(clauses):
+            c_off.append(len(db))
+            c_len.append(len(lits))
+            db.extend(lits)
+            if len(lits) >= 2:
+                watches[lits[0]].append(ci)
+                watches[lits[1]].append(ci)
+        self.n_problem = len(c_off)     # the clauses past these are learnt
+        self.c_act = [0.0] * self.n_problem
+        self.c_dead = [False] * self.n_problem
         self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
         self.n_learnt = 0
 
+        # every variable at activity 0, in id order: already a heap
         self.var_inc = 1.0
         self.cla_inc = 1.0
-        self.heap = []
-        self.heap_pos = [-1] * n1
-        for v in range(1, n1):
-            self._heap_insert(v)
+        self.heap = list(range(1, n1))
+        self.heap_pos = list(range(-1, nvars))     # heap_pos[v] == v - 1
 
         self.conflicts = 0
         self.decisions = 0
@@ -96,18 +105,18 @@ class SearchCore:
         self._prop_enqueued = False
         self._prop_conflict = -1
 
-        # wake rule: _wakers[windex(lit)] lists the propagators that watch
-        # lit; a propagator whose wake_on is None stays pending for good
+        # wake rule: _wakers[lit] lists the propagators that watch lit, or is
+        # None; a propagator whose wake_on is None stays pending for good
         self._always = []
         self._pending = [True] * len(self.propagators)
-        self._wakers = [None] * (2 * n1)
+        self._wakers = wakers = dict.fromkeys(keys)
         for pi, p in enumerate(self.propagators):
             wake_on = p.wake_on
             self._always.append(wake_on is None)
             for lit in wake_on or ():
-                w = self._wakers[_windex(lit)]
+                w = wakers[lit]
                 if w is None:
-                    self._wakers[_windex(lit)] = [pi]
+                    wakers[lit] = [pi]
                 elif w[-1] != pi:
                     w.append(pi)
 
@@ -126,8 +135,8 @@ class SearchCore:
         self.c_dead.append(False)
         self.db.extend(lits)
         if len(lits) >= 2:
-            self.watches[_windex(lits[0])].append(ci)
-            self.watches[_windex(lits[1])].append(ci)
+            self.watches[lits[0]].append(ci)
+            self.watches[lits[1]].append(ci)
         return ci
 
     def _lits(self, ref):
@@ -142,21 +151,16 @@ class SearchCore:
     # ------------------------------------------------------------------
     # assignment primitives
 
-    def lit_value(self, lit):
-        return self.values[lit] if lit > 0 else -self.values[-lit]
-
     def _assign(self, lit, reason):
-        if lit > 0:
-            var = lit
-            self.values[var] = 1
-            wakers = self._wakers[2 * lit]
-        else:
-            var = -lit
-            self.values[var] = -1
-            wakers = self._wakers[1 - 2 * lit]
+        # _bcp inlines this
+        val = self.val
+        val[lit] = 1
+        val[-lit] = -1
+        wakers = self._wakers[lit]
         if wakers is not None:
             for pi in wakers:
                 self._pending[pi] = True
+        var = lit if lit > 0 else -lit
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
         self.trail.append(lit)
@@ -169,45 +173,45 @@ class SearchCore:
     def _backjump(self, level):
         if len(self.trail_lim) <= level:
             return
+        trail = self.trail
         bound = self.trail_lim[level]
-        if bound < len(self.trail):
+        if bound < len(trail):
             self._pending = [True] * len(self.propagators)
         self._checked = None
-        for k in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[k]
+        val = self.val
+        phase = self.phase
+        reasons = self.reasons
+        heap = self.heap
+        heap_pos = self.heap_pos
+        for lit in reversed(trail[bound:]):
+            val[lit] = 0
+            val[-lit] = 0
             var = lit if lit > 0 else -lit
-            self.phase[var] = lit > 0
-            self.values[var] = 0
-            self.reasons[var] = -1
-            if self.heap_pos[var] < 0:
-                self._heap_insert(var)
-        del self.trail[bound:]
+            phase[var] = lit > 0
+            reasons[var] = -1
+            if heap_pos[var] < 0:
+                heap.append(var)
+                self._heap_up(len(heap) - 1)
+        del trail[bound:]
         del self.trail_lim[level:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     # ------------------------------------------------------------------
     # activity heap (max activity first, lowest var id on ties)
 
-    def _heap_before(self, u, v):
-        au = self.activity[u]
-        av = self.activity[v]
-        if au != av:
-            return au > av
-        return u < v
-
-    def _heap_insert(self, v):
-        self.heap.append(v)
-        self._heap_up(len(self.heap) - 1)
-
     def _heap_up(self, i):
         h = self.heap
         pos = self.heap_pos
+        act = self.activity
         v = h[i]
+        av = act[v]
         while i > 0:
             p = (i - 1) >> 1
-            if self._heap_before(v, h[p]):
-                h[i] = h[p]
-                pos[h[p]] = i
+            u = h[p]
+            au = act[u]
+            if av > au or (av == au and v < u):
+                h[i] = u
+                pos[u] = i
                 i = p
             else:
                 break
@@ -217,17 +221,26 @@ class SearchCore:
     def _heap_down(self, i):
         h = self.heap
         pos = self.heap_pos
+        act = self.activity
         v = h[i]
+        av = act[v]
         n = len(h)
         while True:
-            left = 2 * i + 1
-            if left >= n:
+            c = 2 * i + 1
+            if c >= n:
                 break
-            right = left + 1
-            c = right if right < n and self._heap_before(h[right], h[left]) else left
-            if self._heap_before(h[c], v):
-                h[i] = h[c]
-                pos[h[c]] = i
+            u = h[c]
+            au = act[u]
+            if c + 1 < n:
+                w = h[c + 1]
+                aw = act[w]
+                if aw > au or (aw == au and w < u):
+                    c += 1
+                    u = w
+                    au = aw
+            if au > av or (au == av and u < v):
+                h[i] = u
+                pos[u] = i
                 i = c
             else:
                 break
@@ -266,37 +279,67 @@ class SearchCore:
 
     def _bcp(self):
         db = self.db
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -lit
-            wl = self.watches[_windex(false_lit)]
+        c_off = self.c_off
+        c_len = self.c_len
+        val = self.val
+        watches = self.watches
+        wakers = self._wakers
+        pending = self._pending
+        levels = self.levels
+        reasons = self.reasons
+        trail = self.trail
+        level = len(self.trail_lim)
+        qhead = self.qhead
+        implied = 0
+        confl = -1
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            wl = watches[false_lit]
             i = len(wl) - 1
             while i >= 0:
                 ci = wl[i]
-                off = self.c_off[ci]
-                if db[off] == false_lit:
-                    db[off] = db[off + 1]
-                    db[off + 1] = false_lit
+                off = c_off[ci]
                 first = db[off]
-                fv = self.lit_value(first)
+                if first == false_lit:
+                    first = db[off + 1]
+                    db[off] = first
+                    db[off + 1] = false_lit
+                fv = val[first]
                 if fv == 1:
                     i -= 1
                     continue
-                for k in range(off + 2, off + self.c_len[ci]):
-                    if self.lit_value(db[k]) != -1:
-                        db[off + 1] = db[k]
+                for k in range(off + 2, off + c_len[ci]):
+                    q = db[k]
+                    if val[q] != -1:
+                        db[off + 1] = q
                         db[k] = false_lit
-                        self.watches[_windex(db[off + 1])].append(ci)
+                        watches[q].append(ci)
                         wl[i] = wl[-1]
                         wl.pop()
                         break
                 else:
                     if fv == -1:
-                        return ci
-                    self._assign(first, ci)
+                        confl = ci
+                        break
+                    # _assign(first, ci)
+                    val[first] = 1
+                    val[-first] = -1
+                    w = wakers[first]
+                    if w is not None:
+                        for pi in w:
+                            pending[pi] = True
+                    var = first if first > 0 else -first
+                    levels[var] = level
+                    reasons[var] = ci
+                    trail.append(first)
+                    implied += 1
                 i -= 1
-        return -1
+            if confl != -1:
+                break
+        self.qhead = qhead
+        self.propagations += implied
+        return confl
 
     def _propagate_all(self):
         while True:
@@ -326,13 +369,14 @@ class SearchCore:
         if reason_lits != self._checked:
             # a copy, so that a reason list changed in place is checked again
             checked = list(reason_lits)
+            val = self.val
             for r in checked:
-                if self.lit_value(r) != 1:
+                if val[r] != 1:
                     raise EngineIntegrityError(
                         "explanation antecedent %d is not true" % r)
             self._checked = checked
             self._checked_neg = [-r for r in checked]
-        v = self.values[lit] if lit > 0 else -self.values[-lit]
+        v = self.val[lit]
         if v == 1:
             return True
         ref = -2 - len(self.r_head)
@@ -347,8 +391,9 @@ class SearchCore:
 
     def fail(self, reason_lits):
         neg = []
+        val = self.val
         for r in reason_lits:
-            if self.lit_value(r) != 1:
+            if val[r] != 1:
                 raise EngineIntegrityError(
                     "nogood antecedent %d is not true" % r)
             neg.append(-r)
@@ -439,7 +484,7 @@ class SearchCore:
             touched.append(u)
             r = self.reasons[u]
             if r == -1:
-                core.append(self.values[u] * u)
+                core.append(self.val[u] * u)
             elif r >= 0:
                 stack.extend(self._lits(r))
             else:
@@ -470,15 +515,15 @@ class SearchCore:
         self._rebuild_watches()
 
     def _rebuild_watches(self):
-        for wl in self.watches:
+        for wl in self.watches.values():
             del wl[:]
         for ci in range(len(self.c_off)):
             if self.c_dead[ci]:
                 continue
             if self.c_len[ci] >= 2:
                 off = self.c_off[ci]
-                self.watches[_windex(self.db[off])].append(ci)
-                self.watches[_windex(self.db[off + 1])].append(ci)
+                self.watches[self.db[off]].append(ci)
+                self.watches[self.db[off + 1]].append(ci)
 
     # ------------------------------------------------------------------
     # top level
@@ -487,7 +532,7 @@ class SearchCore:
         # all assumption literals enter one decision level before propagation
         self._new_level()
         for a in assumptions:
-            v = self.lit_value(a)
+            v = self.val[a]
             if v == 1:
                 continue
             if v == -1:
@@ -509,7 +554,7 @@ class SearchCore:
         for ci in range(self.n_problem):
             if self.c_len[ci] == 1:
                 lit = self.db[self.c_off[ci]]
-                v = self.lit_value(lit)
+                v = self.val[lit]
                 if v == -1:
                     result["status"] = "unsat"
                     result["core"] = []
@@ -565,12 +610,13 @@ class SearchCore:
                     continue
                 if len(self.trail) == self.nvars:
                     result["status"] = "sat"
-                    result["model"] = list(self.values)
+                    result["model"] = list(map(self.lit_value,
+                                              range(self.nvars + 1)))
                     return self._finish(result)
                 var = 0
                 while self.heap:
                     var = self._heap_pop()
-                    if self.values[var] == 0:
+                    if self.val[var] == 0:
                         break
                     var = 0
                 self.decisions += 1
@@ -580,10 +626,10 @@ class SearchCore:
     def _check_learnt(self, ci):
         off = self.c_off[ci]
         head = self.db[off]
-        if self.lit_value(head) != 1:
+        if self.val[head] != 1:
             raise AssertionError("learnt clause head not asserted after backjump")
         for k in range(off + 1, off + self.c_len[ci]):
-            if self.lit_value(self.db[k]) != -1:
+            if self.val[self.db[k]] != -1:
                 raise AssertionError("learnt clause tail not false after backjump")
 
     def _finish(self, result):

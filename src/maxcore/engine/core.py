@@ -57,6 +57,8 @@ class Propagator:
     propagate(view) runs at Boolean fixpoints.  The view offers
     lit_value(lit) -> -1/0/1, enqueue(lit, reason_true_lits) and
     fail(reason_true_lits); inferences must be explained by true literals.
+    lit_value raises LookupError for a literal outside +-nvars (IndexError
+    on the compiled kernel, KeyError on the pure one).
 
     With wake_on None, propagate runs at every fixpoint.  A propagator may
     set wake_on to a collection of literals instead, which the kernel reads
@@ -286,6 +288,8 @@ class Engine:
     # ------------------------------------------------------------------
 
     def solve(self, assumptions=(), conflict_budget=None, time_budget_s=None):
+        if self._in_search:
+            raise MidSearchMutationError("solve called during search")
         self.stats["solves"] += 1
         for a in assumptions:
             if a == 0 or abs(a) > self.nvars:

@@ -10,4 +10,5 @@ class EngineIntegrityError(EngineError):
 
 
 class MidSearchMutationError(EngineError):
-    """Variables or clauses were created while a search was running."""
+    """Variables, clauses or a nested solve were requested while a search
+    was running."""

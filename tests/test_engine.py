@@ -315,6 +315,51 @@ def test_mutation_during_search_rejected(kernel):
     eng.solve()
 
 
+def test_nested_solve_rejected_and_guard_kept(kernel):
+    eng = Engine(kernel=kernel)
+    x = eng.new_bool_var()
+    calls = []
+
+    class Nester(Propagator):
+        def propagate(self, view):
+            # only the first call nests, so an accepted nested solve
+            # cannot recurse
+            if calls:
+                return
+            calls.append(1)
+            with pytest.raises(MidSearchMutationError):
+                eng.solve()
+            # the refused solve leaves the outer search guarded
+            with pytest.raises(MidSearchMutationError):
+                eng.add_clause((x,))
+
+    eng.attach_propagator(Nester())
+    assert eng.solve().status == "sat"
+    assert len(calls) == 1 and eng.stats["solves"] == 1
+    assert eng.add_clause((x,)) is not None
+
+
+def test_out_of_range_literal_raises_lookup_error(kernel):
+    n = 3
+    eng = Engine(kernel=kernel)
+    for _ in range(n):
+        eng.new_bool_var()
+    calls = []
+
+    class Reader(Propagator):
+        def propagate(self, view):
+            calls.append(1)
+            assert view.lit_value(n) in (-1, 0, 1)
+            assert view.lit_value(-n) == -view.lit_value(n)
+            for lit in (n + 1, -(n + 1), 2 * n, -2 * n):
+                with pytest.raises(LookupError):
+                    view.lit_value(lit)
+
+    eng.attach_propagator(Reader())
+    assert eng.solve().status == "sat"
+    assert calls
+
+
 def random_cnf(rng, max_vars=12):
     n = rng.randint(2, max_vars)
     m = rng.randint(1, 3 * n)
