@@ -8,10 +8,15 @@
 // updated in the same order as Python floats there, so this file must not be
 // built with fast-math.
 //
-// As there, the clause arena and the watch lists hold only problem and learnt
-// clauses, and a propagator's inference is a reason record: the implied
-// literal (0 for a fail) and the negated reason, stored once for a run of
-// equal reasons.  A reference r is clause r when r >= 0, no reason when
+// As there, one SearchCore solves again and again: extend() adds variables,
+// problem clauses and propagators between solves, learnt clauses, activities,
+// phases, var_inc and cla_inc carry over, and each solve starts from an empty
+// trail (reset()) and assigns every live unit clause at level 0.  A flag per
+// clause tells learnt clauses apart, since problem clauses that extend() adds
+// follow them in the arena.  The clause arena and the watch lists hold only
+// problem and learnt clauses, and a propagator's inference is a reason record:
+// the implied literal (0 for a fail) and the negated reason, stored once for a
+// run of equal reasons.  A reference r is clause r when r >= 0, no reason when
 // r == -1, and record -2 - r when r <= -2.  The solve result hands the
 // records over in a Records object, which builds the explanation clauses
 // when called.
@@ -170,17 +175,23 @@ struct Kernel {
     std::vector<int> trail_lim;
     size_t qhead = 0;
 
-    std::vector<int> db;  // flat literal arena; slots off, off+1 are watched
+    // flat literal arena; slots off, off+1 are watched.  Problem clauses
+    // that extend() adds follow the learnt clauses of earlier solves, so
+    // c_learnt flags the learnt ones.
+    std::vector<int> db;
     std::vector<int> c_off;
     std::vector<int> c_len;
     std::vector<double> c_act;
     std::vector<char> c_dead;
+    std::vector<char> c_learnt;
+    std::vector<int> units;  // the clauses of one literal, in order
     std::vector<std::vector<int>> watches;
     RecordStore records;
 
-    int n_problem = 0;  // the clauses past these are learnt
+    int n_problem = 0;  // problem clauses in the arena
     int learnt_cap = 0;
     int n_learnt = 0;
+    int first_learnt = 0;  // the first clause the current solve learnt
 
     double var_inc = 1.0;
     double cla_inc = 1.0;
@@ -203,16 +214,26 @@ struct Kernel {
 
     std::vector<int> learnt, to_clear, expl;  // scratch
 
-    bool init(int n, PyObject *clauses) {
+    // grows the kernel to n variables and adds the problem clauses and the
+    // propagators; reads every propagator's wake_on again
+    bool extend(int n, PyObject *clauses, PyObject *propagators) {
+        int old = nvars;
         nvars = n;
         int n1 = n + 1;
-        values.assign(n1, 0);
-        levels.assign(n1, 0);
-        reasons.assign(n1, -1);
-        phase.assign(n1, 0);
-        activity.assign(n1, 0.0);
-        seen.assign(n1, 0);
+        values.resize(n1, 0);
+        levels.resize(n1, 0);
+        reasons.resize(n1, -1);
+        phase.resize(n1, 0);
+        activity.resize(n1, 0.0);
+        seen.resize(n1, 0);
         watches.resize(2 * n1);
+        // a new variable has activity 0 and the highest id, so it goes last
+        // in the heap, as heap insertion would put it
+        heap_pos.resize(n1, -1);
+        for (int v = old + 1; v < n1; v++) {
+            heap_pos[v] = (int)heap.size();
+            heap.push_back(v);
+        }
         PyObject *seq = PySequence_Fast(clauses, "clauses must be a sequence");
         if (!seq)
             return false;
@@ -223,22 +244,25 @@ struct Kernel {
                 Py_DECREF(seq);
                 return false;
             }
-            add_clause(lits);
+            add_clause(lits, false);
+            n_problem++;
         }
         Py_DECREF(seq);
-        n_problem = (int)c_off.size();
         learnt_cap = std::max(LEARNT_CAP_MIN, 2 * n_problem);
-        heap_pos.assign(n1, -1);
-        for (int v = 1; v < n1; v++)
-            heap_insert(v);
+        PyObject *grown = PySequence_InPlaceConcat(props, propagators);
+        if (!grown)
+            return false;
+        Py_DECREF(grown);
         return read_wakes();
     }
 
-    // reads each propagator's wake_on once
+    // reads each propagator's wake_on
     bool read_wakes() {
         Py_ssize_t n = PyList_GET_SIZE(props);
         always.assign(n, 0);
         pending.assign(n, 1);
+        for (std::vector<int> &w : wakers)
+            w.clear();
         wakers.resize(watches.size());
         std::vector<int> lits;
         for (Py_ssize_t pi = 0; pi < n; pi++) {
@@ -263,16 +287,19 @@ struct Kernel {
     // ------------------------------------------------------------------
     // clause arena
 
-    int add_clause(const std::vector<int> &lits) {
+    int add_clause(const std::vector<int> &lits, bool learnt) {
         int ci = (int)c_off.size();
         c_off.push_back((int)db.size());
         c_len.push_back((int)lits.size());
         c_act.push_back(0.0);
         c_dead.push_back(0);
+        c_learnt.push_back(learnt);
         db.insert(db.end(), lits.begin(), lits.end());
         if (lits.size() >= 2) {
             watches[windex(lits[0])].push_back(ci);
             watches[windex(lits[1])].push_back(ci);
+        } else {
+            units.push_back(ci);
         }
         return ci;
     }
@@ -313,7 +340,12 @@ struct Kernel {
     void backjump(int level) {
         if ((int)trail_lim.size() <= level)
             return;
-        int bound = trail_lim[level];
+        unassign(trail_lim[level]);
+        trail_lim.resize(level);
+    }
+
+    // unassigns the trail from position bound on, saving phases
+    void unassign(int bound) {
         if (bound < (int)trail.size())
             std::fill(pending.begin(), pending.end(), 1);
         for (int k = (int)trail.size() - 1; k >= bound; k--) {
@@ -326,7 +358,6 @@ struct Kernel {
                 heap_insert(var);
         }
         trail.resize(bound);
-        trail_lim.resize(level);
         qhead = trail.size();
     }
 
@@ -524,7 +555,7 @@ struct Kernel {
             const int *lits;
             int n;
             if (confl >= 0) {
-                if (confl >= n_problem)
+                if (c_learnt[confl])
                     bump_clause(confl);
                 lits = db.data() + c_off[confl] + (p != 0);
                 n = c_len[confl] - (p != 0);
@@ -605,8 +636,8 @@ struct Kernel {
                 locked[r] = 1;
         }
         std::vector<int> cands;
-        for (int ci = n_problem; ci < (int)c_off.size(); ci++)
-            if (!c_dead[ci] && !locked[ci])
+        for (int ci = 0; ci < (int)c_off.size(); ci++)
+            if (c_learnt[ci] && !c_dead[ci] && !locked[ci])
                 cands.push_back(ci);
         std::sort(cands.begin(), cands.end(), [this](int a, int b) {
             return c_act[a] != c_act[b] ? c_act[a] < c_act[b] : a < b;
@@ -656,9 +687,10 @@ struct Kernel {
         double restart_limit = RESTART_BASE;
         long long conflicts_since_restart = 0;
         std::vector<int> core;
+        reset();
 
-        for (int ci = 0; ci < n_problem; ci++) {
-            if (c_len[ci] != 1)
+        for (int ci : units) {
+            if (c_dead[ci])
                 continue;
             int lit = db[c_off[ci]];
             int v = lit_value(lit);
@@ -688,7 +720,7 @@ struct Kernel {
                 if (bj < 0)
                     return nullptr;
                 backjump(bj);
-                int ci = add_clause(learnt);
+                int ci = add_clause(learnt, true);
                 n_learnt++;
                 if (learnt.size() > 1)
                     c_act[ci] = cla_inc;
@@ -725,6 +757,19 @@ struct Kernel {
                 assign(phase[var] ? var : -var, -1);
             }
         }
+    }
+
+    // what a solve starts from: nothing assigned, not even at level 0
+    // (phases are saved as a backjump saves them), no reason records, zero
+    // counters and every propagator pending.  Learnt clauses, activities,
+    // phases, var_inc and cla_inc stay.
+    void reset() {
+        unassign(0);
+        trail_lim.clear();
+        records = RecordStore();
+        conflicts = decisions = propagations = restarts = 0;
+        std::fill(pending.begin(), pending.end(), 1);
+        first_learnt = (int)c_off.size();
     }
 
     bool check_learnt(int ci) {
@@ -765,10 +810,10 @@ struct Kernel {
         return result;
     }
 
-    // the live learnt clauses, as tuples
+    // the live clauses the current solve learnt, as tuples
     PyObject *learnt_clauses() const {
         PyObject *out = PyList_New(0);
-        for (int ci = n_problem; out && ci < (int)c_off.size(); ci++) {
+        for (int ci = first_learnt; out && ci < (int)c_off.size(); ci++) {
             if (c_dead[ci])
                 continue;
             PyObject *clause = int_tuple(0, db.data() + c_off[ci], c_len[ci]);
@@ -790,8 +835,8 @@ struct Records {
     RecordStore store;
 };
 
-// a new Records object that takes over the kernel's records; a SearchCore
-// runs one solve, so nothing reads them from the kernel afterwards
+// a new Records object that takes over the kernel's records; the next solve
+// starts with none, so nothing reads them from the kernel afterwards
 PyObject *Kernel::take_records() {
     Records *out = PyObject_New(Records, (PyTypeObject *)records_type);
     if (out)
@@ -847,8 +892,8 @@ PyObject *core_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
     Kernel &k = *new (&self->k) Kernel();
     k.view = (PyObject *)self;
     k.validate = validate;
-    k.props = PySequence_List(propagators);
-    if (!k.props || !k.init(nvars, clauses)) {
+    k.props = PyList_New(0);
+    if (!k.props || !k.extend(nvars, clauses, propagators)) {
         Py_DECREF(self);
         return nullptr;
     }
@@ -913,6 +958,19 @@ PyObject *core_fail(SearchCore *self, PyObject *reason_lits) {
     Py_RETURN_FALSE;
 }
 
+PyObject *core_extend(SearchCore *self, PyObject *args) {
+    int nvars;
+    PyObject *clauses, *propagators;
+    if (!PyArg_ParseTuple(args, "iOO", &nvars, &clauses, &propagators))
+        return nullptr;
+    if (nvars < self->k.nvars)
+        return PyErr_Format(PyExc_ValueError, "variable count %d below %d", nvars,
+                            self->k.nvars);
+    if (!self->k.extend(nvars, clauses, propagators))
+        return nullptr;
+    Py_RETURN_NONE;
+}
+
 PyObject *core_solve(SearchCore *self, PyObject *args, PyObject *kwds) {
     static const char *kwlist[] = {"assumptions", "conflict_budget", "time_budget_s", nullptr};
     PyObject *assumptions, *conflict_budget = Py_None, *time_budget_s = Py_None;
@@ -947,6 +1005,9 @@ PyMethodDef core_methods[] = {
      " False when lit is already false"},
     {"fail", (PyCFunction)core_fail, METH_O,
      "fail(reason_lits): report a conflict among the true reason_lits"},
+    {"extend", (PyCFunction)core_extend, METH_VARARGS,
+     "extend(nvars, clauses, propagators): grow to nvars variables, add the"
+     " problem clauses and the propagators, and read every wake_on again"},
     {"solve", (PyCFunction)(void (*)(void))core_solve, METH_VARARGS | METH_KEYWORDS,
      "solve(assumptions, conflict_budget=None, time_budget_s=None) -> result dict"},
     {nullptr, nullptr, 0, nullptr},
@@ -954,7 +1015,8 @@ PyMethodDef core_methods[] = {
 
 PyType_Slot core_slots[] = {
     {Py_tp_doc, (void *)"SearchCore(nvars, clauses, propagators, validate=False)\n\n"
-                        "Single-shot CDCL search over int literals (DIMACS signs)."},
+                        "CDCL search over int literals (DIMACS signs), solved again "
+                        "and again as the clause set grows."},
     {Py_tp_new, (void *)core_new},
     {Py_tp_dealloc, (void *)core_dealloc},
     {Py_tp_traverse, (void *)core_traverse},

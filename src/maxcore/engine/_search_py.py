@@ -1,7 +1,16 @@
 """Pure-Python CDCL search kernel, the specification of the search.
 
-One SearchCore instance runs one solve() over a fixed clause set.  The engine
-wrapper rebuilds a core per call, so the kernel keeps no cross-solve state.
+One SearchCore runs solve() again and again, under new assumptions each
+time; extend() adds variables, problem clauses and propagators in between.
+Learnt clauses, variable activities, saved phases, var_inc and cla_inc carry
+over from one solve to the next.  Nothing else does: each solve starts by
+unassigning the whole trail, level 0 included (saving phases as a backjump
+does), clearing the reason records and the counters and marking every
+propagator pending, and then assigns every live unit clause, problem or
+learnt, at level 0.  Problem clauses that extend() adds follow the learnt
+clauses of earlier solves in the arena, so a flag per clause tells learnt
+clauses apart.  A solve's result lists only the learnt clauses it derived
+itself.
 
 Literal values live in one table keyed by literal: val, a dict from 0 and
 every literal -nvars..nvars to -1 (false), 0 (unset) or 1 (true).  An
@@ -24,10 +33,12 @@ explanations nobody reads never builds them.
 Propagators run at each Boolean fixpoint, in attachment order, until one
 enqueues a literal.  A propagator whose wake_on is None runs at every
 fixpoint.  One that lists wake_on literals runs only while it is pending: it
-becomes pending when the kernel is built, after every backjump that removes
+becomes pending when a solve starts, after every backjump that removes
 literals, and when one of its wake_on literals becomes true; a call clears
-it as the call starts.  enqueue() checks that a reason is true once and
-trusts an equal reason until the next backjump.
+it as the call starts.  The kernel reads every wake_on when it is built and
+at every extend(), since a propagator's watches may grow with the
+variables.  enqueue() checks that a reason is true once and trusts an equal
+reason until the next backjump.
 
 The hand-written C++ kernel in _search.cpp runs the same search step for
 step: any behavioural change here must be made there too, and
@@ -48,49 +59,44 @@ LEARNT_CAP_MIN = 4000
 
 
 class SearchCore:
-    """Single-shot CDCL search over int literals (DIMACS signs)."""
+    """CDCL search over int literals (DIMACS signs), solved again and again
+    as the clause set grows."""
 
     def __init__(self, nvars, clauses, propagators, validate=False):
-        self.nvars = nvars
-        self.propagators = list(propagators)
+        self.nvars = 0
+        self.propagators = []
         self.validate = validate   # check every learnt clause after backjump
 
-        n1 = nvars + 1
-        keys = range(-nvars, n1)
-        self.val = dict.fromkeys(keys, 0)   # per literal: -1 false, 0 unset, 1 true
+        self.val = {0: 0}   # per literal: -1 false, 0 unset, 1 true
         self.lit_value = self.val.__getitem__
-        self.levels = [0] * n1
-        self.reasons = [-1] * n1        # a reference, -1 for decisions/assumptions
-        self.phase = [False] * n1
-        self.activity = [0.0] * n1
-        self.seen = [0] * n1
+        self.levels = [0]
+        self.reasons = [-1]     # a reference, -1 for decisions/assumptions
+        self.phase = [False]
+        self.activity = [0.0]
+        self.seen = [0]
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
 
-        # flat literal arena; slots off, off+1 of a clause are watched
-        self.db = db = []
-        self.c_off = c_off = []
-        self.c_len = c_len = []
-        self.watches = watches = {lit: [] for lit in keys}
-        for ci, lits in enumerate(clauses):
-            c_off.append(len(db))
-            c_len.append(len(lits))
-            db.extend(lits)
-            if len(lits) >= 2:
-                watches[lits[0]].append(ci)
-                watches[lits[1]].append(ci)
-        self.n_problem = len(c_off)     # the clauses past these are learnt
-        self.c_act = [0.0] * self.n_problem
-        self.c_dead = [False] * self.n_problem
-        self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
+        # flat literal arena; slots off, off+1 of a clause are watched.
+        # Problem clauses that extend() adds follow the learnt clauses of
+        # earlier solves, so c_learnt flags the learnt ones.
+        self.db = []
+        self.c_off = []
+        self.c_len = []
+        self.c_act = []
+        self.c_dead = []
+        self.c_learnt = []
+        self.units = []         # the clauses of one literal, in order
+        self.watches = {}
+        self.n_problem = 0      # problem clauses in the arena
         self.n_learnt = 0
+        self.first_learnt = 0   # the first clause the current solve learnt
 
-        # every variable at activity 0, in id order: already a heap
         self.var_inc = 1.0
         self.cla_inc = 1.0
-        self.heap = list(range(1, n1))
-        self.heap_pos = list(range(-1, nvars))     # heap_pos[v] == v - 1
+        self.heap = []
+        self.heap_pos = [-1]
 
         self.conflicts = 0
         self.decisions = 0
@@ -105,11 +111,63 @@ class SearchCore:
         self._prop_enqueued = False
         self._prop_conflict = -1
 
+        # the last reason enqueue() checked, and its negation
+        self._checked = None
+        self._checked_neg = None
+
+        self.extend(nvars, clauses, propagators)
+
+    def extend(self, nvars, clauses, propagators):
+        """Grows the kernel to nvars variables and adds the problem clauses
+        and the propagators; reads every propagator's wake_on again."""
+        old = self.nvars
+        if nvars < old:
+            raise ValueError("variable count %d below %d" % (nvars, old))
+        self.nvars = nvars
+        n1 = nvars + 1
+        new = nvars - old
+        fresh = [*range(-nvars, -old), *range(old + 1, n1)]
+        self.val.update(dict.fromkeys(fresh, 0))
+        self.watches.update({lit: [] for lit in fresh})
+        self.levels += [0] * new
+        self.reasons += [-1] * new
+        self.phase += [False] * new
+        self.activity += [0.0] * new
+        self.seen += [0] * new
+        # a new variable has activity 0 and the highest id, so it goes last
+        # in the heap, as heap insertion would put it
+        self.heap_pos += range(len(self.heap), len(self.heap) + new)
+        self.heap += range(old + 1, n1)
+
+        db = self.db
+        c_off = self.c_off
+        c_len = self.c_len
+        watches = self.watches
+        units = self.units
+        ci = first = len(c_off)
+        for lits in clauses:
+            c_off.append(len(db))
+            c_len.append(len(lits))
+            db.extend(lits)
+            if len(lits) >= 2:
+                watches[lits[0]].append(ci)
+                watches[lits[1]].append(ci)
+            else:
+                units.append(ci)
+            ci += 1
+        added = ci - first
+        self.c_act += [0.0] * added
+        self.c_dead += [False] * added
+        self.c_learnt += [False] * added
+        self.n_problem += added
+        self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
+
+        self.propagators += propagators
         # wake rule: _wakers[lit] lists the propagators that watch lit, or is
         # None; a propagator whose wake_on is None stays pending for good
         self._always = []
         self._pending = [True] * len(self.propagators)
-        self._wakers = wakers = dict.fromkeys(keys)
+        self._wakers = wakers = dict.fromkeys(range(-nvars, n1))
         for pi, p in enumerate(self.propagators):
             wake_on = p.wake_on
             self._always.append(wake_on is None)
@@ -120,23 +178,22 @@ class SearchCore:
                 elif w[-1] != pi:
                     w.append(pi)
 
-        # the last reason enqueue() checked, and its negation
-        self._checked = None
-        self._checked_neg = None
-
     # ------------------------------------------------------------------
     # clause arena
 
-    def _add_clause(self, lits):
+    def _add_learnt(self, lits):
         ci = len(self.c_off)
         self.c_off.append(len(self.db))
         self.c_len.append(len(lits))
         self.c_act.append(0.0)
         self.c_dead.append(False)
+        self.c_learnt.append(True)
         self.db.extend(lits)
         if len(lits) >= 2:
             self.watches[lits[0]].append(ci)
             self.watches[lits[1]].append(ci)
+        else:
+            self.units.append(ci)
         return ci
 
     def _lits(self, ref):
@@ -173,8 +230,12 @@ class SearchCore:
     def _backjump(self, level):
         if len(self.trail_lim) <= level:
             return
+        self._unassign(self.trail_lim[level])
+        del self.trail_lim[level:]
+
+    def _unassign(self, bound):
+        # unassigns the trail from position bound on, saving phases
         trail = self.trail
-        bound = self.trail_lim[level]
         if bound < len(trail):
             self._pending = [True] * len(self.propagators)
         self._checked = None
@@ -193,7 +254,6 @@ class SearchCore:
                 heap.append(var)
                 self._heap_up(len(heap) - 1)
         del trail[bound:]
-        del self.trail_lim[level:]
         self.qhead = len(trail)
 
     # ------------------------------------------------------------------
@@ -415,7 +475,7 @@ class SearchCore:
         while True:
             # the reason of p without p itself, or the whole conflict
             if confl >= 0:
-                if confl >= self.n_problem:
+                if self.c_learnt[confl]:
                     self._bump_clause(confl)
                 off = self.c_off[confl]
                 lits = self.db[off + 1 if p != 0 else off:
@@ -505,8 +565,8 @@ class SearchCore:
             if r >= 0:
                 locked[r] = True
         cands = []
-        for ci in range(self.n_problem, len(self.c_off)):
-            if not self.c_dead[ci] and not locked[ci]:
+        for ci in range(len(self.c_off)):
+            if self.c_learnt[ci] and not self.c_dead[ci] and not locked[ci]:
                 cands.append(ci)
         cands.sort(key=lambda ci: (self.c_act[ci], ci))
         for ci in cands[:len(cands) // 2]:
@@ -550,17 +610,19 @@ class SearchCore:
             deadline = time.monotonic() + time_budget_s
         restart_limit = float(RESTART_BASE)
         conflicts_since_restart = 0
+        self._reset()
 
-        for ci in range(self.n_problem):
-            if self.c_len[ci] == 1:
-                lit = self.db[self.c_off[ci]]
-                v = self.val[lit]
-                if v == -1:
-                    result["status"] = "unsat"
-                    result["core"] = []
-                    return self._finish(result)
-                if v == 0:
-                    self._assign(lit, ci)
+        for ci in self.units:
+            if self.c_dead[ci]:
+                continue
+            lit = self.db[self.c_off[ci]]
+            v = self.val[lit]
+            if v == -1:
+                result["status"] = "unsat"
+                result["core"] = []
+                return self._finish(result)
+            if v == 0:
+                self._assign(lit, ci)
 
         while True:
             if len(self.trail_lim) == 0:
@@ -584,7 +646,7 @@ class SearchCore:
                     return self._finish(result)
                 learnt, bj = self._analyze(confl)
                 self._backjump(bj)
-                ci = self._add_clause(learnt)
+                ci = self._add_learnt(learnt)
                 self.n_learnt += 1
                 if len(learnt) > 1:
                     self.c_act[ci] = self.cla_inc
@@ -623,6 +685,20 @@ class SearchCore:
                 self._new_level()
                 self._assign(var if self.phase[var] else -var, -1)
 
+    def _reset(self):
+        # what a solve starts from: nothing assigned, not even at level 0
+        # (phases are saved as a backjump saves them), no reason records,
+        # zero counters and every propagator pending.  Learnt clauses,
+        # activities, phases, var_inc and cla_inc stay.
+        self._unassign(0)
+        del self.trail_lim[:]
+        self.r_head = []
+        self.r_neg = []
+        self.conflicts = self.decisions = self.propagations = 0
+        self.restarts = 0
+        self._pending = [True] * len(self.propagators)
+        self.first_learnt = len(self.c_off)
+
     def _check_learnt(self, ci):
         off = self.c_off[ci]
         head = self.db[off]
@@ -639,7 +715,7 @@ class SearchCore:
         result["restarts"] = self.restarts
         result["learnts"] = [
             tuple(self._lits(ci))
-            for ci in range(self.n_problem, len(self.c_off))
+            for ci in range(self.first_learnt, len(self.c_off))
             if not self.c_dead[ci]
         ]
         result["explanations"] = partial(

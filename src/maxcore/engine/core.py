@@ -1,9 +1,14 @@
-"""Boolean engine: persistent clause store plus per-solve CDCL search.
+"""Boolean engine: persistent clause store plus one live CDCL kernel.
 
-Literals are DIMACS-style signed ints; variable ids start at 1.  Each solve()
-call rebuilds a search kernel from the current clause list, so clause
-retraction is plain list surgery and learnt clauses never outlive the solve
-that produced them.
+Literals are DIMACS-style signed ints; variable ids start at 1.  The first
+solve() builds a search kernel from the clause list, and later solves run on
+the same kernel, given the variables, clauses and propagators the store
+gained in between: learnt clauses, variable activities and saved phases
+carry over from solve to solve.  Between solves the store only grows and
+propagators only strengthen, so every kept learnt clause stays implied.
+retract() drops the kernel, since a learnt clause may rest on a retracted
+one; the next solve rebuilds it from the store, as does the solve after one
+that raised.
 """
 
 import os
@@ -61,14 +66,20 @@ class Propagator:
     on the compiled kernel, KeyError on the pure one).
 
     With wake_on None, propagate runs at every fixpoint.  A propagator may
-    set wake_on to a collection of literals instead, which the kernel reads
-    once when it is built, if its output depends only on the values of
-    those literals and a call infers nothing when none of them became true
-    since its last call (list both l and -l to wake on either polarity).
-    It then runs at a fixpoint only if it has not run since the kernel was
-    built or since the last backjump that removed literals, or if one of
-    its wake_on literals became true since its last call began, by its own
-    enqueue included.
+    set wake_on to a collection of literals instead, if its output depends
+    only on the values of those literals and a call infers nothing when none
+    of them became true since its last call (list both l and -l to wake on
+    either polarity).  It then runs at a fixpoint only if it has not run
+    since the solve began or since the last backjump that removed literals,
+    or if one of its wake_on literals became true since its last call began,
+    by its own enqueue included.  The kernel reads wake_on when it is built
+    and again, for every propagator, before a solve that follows a change
+    of the store (a new variable, clause or propagator), so a wake_on may
+    grow with the variables it watches.
+
+    The kernel keeps the clauses it learnt from one solve to the next, so
+    between solves a propagator may only strengthen its constraint (as
+    PbUpperBound.tighten does), never relax it.
     """
 
     wake_on = None
@@ -89,15 +100,18 @@ class ClauseRec:
 
 @dataclass
 class SolveOutcome:
-    """One solve's answer and counters.
+    """One solve's answer and counters; the counters count this solve only.
 
-    explanations lists, in creation order, the clause that each propagator
-    inference of the solve stands for: an enqueue's implied literal followed
-    by its negated reason, or a fail's negated reason.  The kernel keeps
-    inferences as reason records, not clauses, and hands them over in
-    records, a callable that holds the solve's records and nothing else of
-    the kernel.  The tuples are built the first time explanations is read,
-    so explanations is not a dataclass field, and == and repr leave it out.
+    learnts lists the learnt clauses of this solve that are still live at
+    its end; clauses learnt by earlier solves on the same kernel are kept
+    but not listed.  explanations lists, in creation order, the clause that
+    each propagator inference of the solve stands for: an enqueue's implied
+    literal followed by its negated reason, or a fail's negated reason.  The
+    kernel keeps inferences as reason records, not clauses, and hands them
+    over in records, a callable that holds the solve's records and nothing
+    else of the kernel.  The tuples are built the first time explanations
+    is read, so explanations is not a dataclass field, and == and repr
+    leave it out.
     """
 
     status: str                      # 'sat' | 'unsat' | 'unknown'
@@ -127,6 +141,8 @@ class Engine:
         self._root_conflict = False
         self._empty_origins = set()  # origins of empty clauses, never stored
         self.propagators = []
+        self._kernel = None          # the live SearchCore, None until a solve
+        self._synced = (0, 0, 0)     # nvars, clauses, propagators it holds
         self._in_search = False
         self.retract_misses = 0
         self.stats = {"solves": 0, "conflicts": 0, "decisions": 0,
@@ -261,7 +277,9 @@ class Engine:
                 return
 
     def retract(self, refs=None, origins=None):
-        """Drop clauses by ref or origin tag; learnt state never survives anyway.
+        """Drop clauses by ref or origin tag.  Dropping any clause drops the
+        live kernel with its learnt clauses, which may rest on it; the next
+        solve rebuilds the kernel from the store.
 
         origins is a collection of tags; a bare string is rejected, because
         it would match substrings and lift empty clauses by character."""
@@ -280,12 +298,37 @@ class Engine:
                 keep.append(rec)
         self.retract_misses += len(refs)
         self.clauses = keep
+        if removed:
+            self._kernel = None
         if origins:
             self._empty_origins -= set(origins)
-        self._recompute_root()
+        # with nothing fixed and no conflict at the root before, dropping
+        # clauses and origins cannot fix or refute anything now
+        if self._root or self._root_conflict:
+            self._recompute_root()
         return removed
 
     # ------------------------------------------------------------------
+
+    def _sync_kernel(self):
+        """The live kernel, built from the store or given what the store
+        gained since the last solve."""
+        _, nclauses, nprops = synced = self._synced
+        self._synced = (self.nvars, len(self.clauses), len(self.propagators))
+        if self._kernel is None:
+            self._kernel = _kernel_module(self._kernel_name).SearchCore(
+                self.nvars,
+                [rec.lits for rec in self.clauses],
+                self.propagators,
+                self._validate,
+            )
+        elif synced != self._synced:
+            self._kernel.extend(
+                self.nvars,
+                [rec.lits for rec in self.clauses[nclauses:]],
+                self.propagators[nprops:],
+            )
+        return self._kernel
 
     def solve(self, assumptions=(), conflict_budget=None, time_budget_s=None):
         if self._in_search:
@@ -296,16 +339,14 @@ class Engine:
                 raise ValueError("assumption literal %d out of range" % a)
         if self._root_conflict:
             return SolveOutcome(status="unsat", core=())
-        mod = _kernel_module(self._kernel_name)
-        core = mod.SearchCore(
-            self.nvars,
-            [rec.lits for rec in self.clauses],
-            self.propagators,
-            self._validate,
-        )
         self._in_search = True
         try:
-            res = core.solve(list(assumptions), conflict_budget, time_budget_s)
+            res = self._sync_kernel().solve(
+                list(assumptions), conflict_budget, time_budget_s)
+        except BaseException:
+            # a kernel left mid-search is not reused
+            self._kernel = None
+            raise
         finally:
             self._in_search = False
         for k in ("conflicts", "decisions", "propagations", "restarts"):

@@ -7,6 +7,8 @@ import weakref
 
 import pytest
 
+from maxcore.cp import post_pb_upper_bound
+from maxcore.engine import core as engine_core
 from maxcore.engine import (
     Engine,
     EngineIntegrityError,
@@ -178,6 +180,13 @@ def test_retract_matches_fresh_build(kernel):
         for i, c in enumerate(full):
             if i not in drop:
                 fresh.add_clause(c)
+        assert eng.root_conflict == fresh.root_conflict
+        if not eng.root_conflict:
+            # (under a root conflict every literal is implied, and which
+            # ones the root has fixed depends on the order of the clauses)
+            lits = [l for v in range(1, n + 1) for l in (v, -v)]
+            assert ([eng.root_value(l) for l in lits]
+                    == [fresh.root_value(l) for l in lits])
         assume = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
         o1 = eng.solve(assumptions=assume)
         o2 = fresh.solve(assumptions=assume)
@@ -429,13 +438,18 @@ def test_conflict_budget_yields_unknown(kernel):
         eng.add_clause(tuple(v if rng.random() < 0.5 else -v for v in vs))
     out = eng.solve(conflict_budget=1)
     assert out.status in ("unknown", "sat", "unsat")
-    eng2 = Engine(kernel=kernel)
-    x, y = eng2.new_bool_var(), eng2.new_bool_var()
-    for c in ((x, y), (x, -y), (-x, y), (-x, -y)):
-        eng2.add_clause(c)
-    assert eng2.solve(conflict_budget=0).status == "unknown"
-    # a real-valued budget is not truncated: 1.5 allows a second conflict
-    out = eng2.solve(conflict_budget=1.5)
+
+    def contradiction():
+        eng2 = Engine(kernel=kernel)
+        x, y = eng2.new_bool_var(), eng2.new_bool_var()
+        for c in ((x, y), (x, -y), (-x, y), (-x, -y)):
+            eng2.add_clause(c)
+        return eng2
+
+    assert contradiction().solve(conflict_budget=0).status == "unknown"
+    # a real-valued budget is not truncated: 1.5 allows a second conflict,
+    # which a fresh engine needs (a used one keeps its learnt clauses)
+    out = contradiction().solve(conflict_budget=1.5)
     assert (out.status, out.conflicts) == ("unsat", 2)
 
 
@@ -584,7 +598,8 @@ def test_outcome_repr_and_equality(kernel):
 
 def test_outcome_keeps_no_kernel_alive(monkeypatch):
     # the pure kernel: the arena holds only problem and learnt clauses, and
-    # the outcome's records do not keep the kernel alive
+    # the outcome's records do not keep the kernel alive once the engine,
+    # which holds it for the next solve, is gone
     from maxcore.engine import _search_py
     cores, arenas = [], []
 
@@ -599,6 +614,7 @@ def test_outcome_keeps_no_kernel_alive(monkeypatch):
     eng = engine_with("python", 3, [(1, -3)],
                       _Rule([-1, -2], lambda v: v.enqueue(3, [-1, -2])))
     out = eng.solve()
+    del eng
     gc.collect()
     assert [ref() for ref in cores] == [None]
     assert arenas == [(1 + len(out.learnts), 1)]
@@ -619,3 +635,183 @@ def test_records_with_equal_and_different_neighbour_reasons(kernel):
     out = engine_with(kernel, 6, [], _NeighbourReasons()).solve(
         assumptions=[1, 2])
     assert out.explanations == [(3, -1), (4, -2), (5, -2, -1), (6, -2, -1)]
+
+
+# ----------------------------------------------------------------------
+# one live kernel per engine, solved again and again
+
+
+def random_3cnf(rng, n, ratio):
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(int(ratio * n))]
+
+
+def test_engine_builds_one_kernel_until_retract(kernel, monkeypatch):
+    mod = engine_core._kernel_module(kernel)
+    builds = []
+    build = mod.SearchCore
+
+    def counted(*args):
+        builds.append(len(args[1]))
+        return build(*args)
+
+    monkeypatch.setattr(mod, "SearchCore", counted)
+    eng = engine_with(kernel, 3, [(1, 2), (-1, 3)])
+    eng.solve()
+    eng.solve(assumptions=[-2])
+    x = eng.new_bool_var()
+    ref = eng.add_clause((-3, x), origin="temp")
+    eng.attach_propagator(_Rule([x], lambda v: v.enqueue(-2, [x])))
+    out = eng.solve(assumptions=[1])
+    assert out.model == {1: True, 2: False, 3: True, 4: True}
+    assert builds == [2]
+    assert eng.retract(refs=[999]) == 0
+    eng.solve()
+    assert builds == [2]
+    assert eng.retract(refs=[ref]) == 1
+    assert eng.solve(assumptions=[1, 2]).status == "sat"
+    assert builds == [2, 2]
+
+
+def test_second_solve_keeps_learnt_clauses(kernel):
+    n = 60
+    eng = engine_with(kernel, n, random_3cnf(random.Random(2), n, 4.1))
+    first = eng.solve()
+    again = eng.solve()
+    assert first.status == again.status == "sat"
+    assert first.conflicts > 50 and again.conflicts < first.conflicts // 10
+    # learnts lists only the clauses a solve learnt itself
+    assert len(again.learnts) <= again.conflicts
+
+
+def test_learnt_unit_holds_at_the_root_of_the_next_solve(kernel):
+    # the first solve learns a unit after one conflict and refutes it with
+    # a second; the next solve assigns that unit at level 0 and needs one
+    eng = engine_with(kernel, 2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
+    first = eng.solve()
+    again = eng.solve()
+    assert (first.status, first.conflicts) == ("unsat", 2)
+    assert len(first.learnts) == 1 and len(first.learnts[0]) == 1
+    assert (again.status, again.conflicts, again.learnts) == ("unsat", 1, [])
+
+
+def _pb_holds(model, terms, bound):
+    # PbUpperBound treats a bound of 0 as 1
+    return sum(w for w, l in terms if model[abs(l)] == (l > 0)) < max(bound, 1)
+
+
+def test_incremental_solving_is_sound(kernel):
+    """One engine gains variables, clauses and a PB bound that tightens, and
+    solves under random assumptions between the steps.  Each solve agrees on
+    its status with a fresh engine built from the same store; its model, its
+    core and its learnt clauses are checked by brute force."""
+    rng = random.Random(17)
+    statuses = []
+    for _ in range(15):
+        eng = Engine(kernel=kernel, validate=True)
+        for _ in range(4):
+            eng.new_bool_var()
+        pb = None
+        for _ in range(25):
+            n = eng.nvars
+            step = rng.random()
+            if step < 0.15 and n < 10:
+                eng.new_bool_var()
+            elif step < 0.7:
+                k = rng.choice((1, 2, 2, 3, 3, 3, 3))
+                eng.add_clause(tuple(rng.choice([v, -v])
+                                     for v in rng.sample(range(1, n + 1), k)))
+            elif pb is None:
+                terms = [(rng.randint(1, 3), rng.choice([v, -v]))
+                         for v in rng.sample(range(1, n + 1), rng.randint(2, n))]
+                pb = post_pb_upper_bound(eng, terms, sum(w for w, _ in terms))
+            elif pb.bound > 1:
+                pb.tighten(rng.randint(1, pb.bound - 1))
+            assume = [rng.choice([v, -v])
+                      for v in rng.sample(range(1, n + 1), rng.randint(0, 3))]
+            out = eng.solve(assumptions=assume)
+            statuses.append((out.status, out.conflicts > 0))
+
+            clauses = [rec.lits for rec in eng.clauses]
+            fresh = engine_with(kernel, eng.nvars, clauses)
+            models = all_models(eng.nvars, clauses)
+            if pb is not None:
+                post_pb_upper_bound(fresh, pb.terms, pb.bound)
+                models = [m for m in models if _pb_holds(m, pb.terms, pb.bound)]
+            assert out.status == fresh.solve(assumptions=assume).status
+            if out.status == "sat":
+                assert out.model in models
+                assert all(out.model[abs(a)] == (a > 0) for a in assume)
+            else:
+                assert set(out.core) <= set(assume)
+                assert not [m for m in models
+                            if all(m[abs(a)] == (a > 0) for a in out.core)]
+            for learnt in out.learnts:
+                assert all(any(m[abs(l)] == (l > 0) for l in learnt)
+                           for m in models)
+            if eng.root_conflict:
+                break
+    for seen in (("sat", True), ("unsat", True), ("unsat", False)):
+        assert seen in statuses
+
+
+def test_solve_retract_solve_matches_fresh_build(kernel):
+    rng = random.Random(29)
+    compared = 0
+    for _ in range(20):
+        n = rng.randint(20, 40)
+        clauses = random_3cnf(rng, n, 4.2)
+        eng = engine_with(kernel, n, [])
+        refs = [eng.add_clause(c) for c in clauses]
+        first = eng.solve(assumptions=[rng.choice([v, -v])
+                                       for v in rng.sample(range(1, n + 1), 2)])
+        drop = set(rng.sample(range(len(clauses)), rng.randint(1, 8)))
+        assert eng.retract(refs=[refs[i] for i in drop]) == len(drop)
+        fresh = engine_with(kernel, n, [c for i, c in enumerate(clauses)
+                                       if i not in drop])
+        assume = [rng.choice([v, -v])
+                  for v in rng.sample(range(1, n + 1), rng.randint(0, 3))]
+        out = eng.solve(assumptions=assume)
+        assert out == fresh.solve(assumptions=assume)
+        compared += first.conflicts > 0 and out.conflicts > 0
+    assert compared >= 10
+
+
+class _MisbehavesOnce(Propagator):
+    """1 -> 2, except that call number `at` misbehaves: it raises exc, or
+    with exc None enqueues 2 citing a literal that is not true."""
+
+    def __init__(self, at, exc):
+        self.at = at
+        self.exc = exc
+        self.calls = 0
+
+    def propagate(self, view):
+        self.calls += 1
+        if self.calls == self.at:
+            if self.exc is not None:
+                raise self.exc
+            view.enqueue(2, [3, -3])
+        if view.lit_value(1) == 1:
+            view.enqueue(2, [1])
+
+
+@pytest.mark.parametrize("exc", [None, KeyboardInterrupt, RuntimeError],
+                         ids=["integrity", "interrupt", "other"])
+def test_solve_after_a_raise_rebuilds_the_kernel(kernel, exc):
+    # the raise comes after some 30 conflicts, so a kernel kept from that
+    # solve would hold learnt clauses and bumped activities
+    n = 80
+    clauses = random_3cnf(random.Random(31), n, 4.2)
+    eng = engine_with(kernel, n, clauses)
+    prop = eng.attach_propagator(_MisbehavesOnce(40, exc))
+    with pytest.raises(EngineIntegrityError if exc is None else exc):
+        eng.solve(assumptions=[1])
+    assert prop.calls == 40
+    fresh = engine_with(kernel, n, clauses)
+    fresh.attach_propagator(_MisbehavesOnce(0, exc))
+    for assume in ([1], [-1, 3], []):
+        out = eng.solve(assumptions=assume)
+        ref = fresh.solve(assumptions=assume)
+        assert out == ref and out.explanations == ref.explanations

@@ -11,8 +11,10 @@ src/ of the checkout the script sits in.  Run from the repository root:
 
     python3 tools/same_search.py --kernel python
 
-It prints one line per part (solve count and digest), then the digest of
-all parts.  A full pass on the pure kernel takes a few minutes.
+It prints one line per part (solve count and digest), each followed by one
+line per driver with the digest of that driver's runs alone, so that a
+change shows which drivers' search it moved; then the digest of all parts.
+A full pass on the pure kernel takes a few minutes.
 """
 
 import argparse
@@ -47,34 +49,49 @@ def _answer(res):
     return res
 
 
-def digest(runs):
-    """(hex SHA-256, number of solves) over the outcome of every
-    Engine.solve() call that the runs make and the answer each run returns,
-    in order.  runs is an iterable of zero-argument callables."""
+def digests(runs):
+    """(hex SHA-256, number of solves, {driver: hex SHA-256}) over the
+    outcome of every Engine.solve() call that the runs make and the answer
+    each run returns, in order.  runs is an iterable of (driver name,
+    zero-argument callable) pairs; a driver's digest covers its runs only."""
     from maxcore.engine import Engine
     h = hashlib.sha256()
+    per_driver = {}
+    current = [h]
     solves = [0]
     original = Engine.solve
+
+    def update(data):
+        for sha in current:
+            sha.update(data)
 
     def recorded(eng, *args, **kwargs):
         out = original(eng, *args, **kwargs)
         solves[0] += 1
-        h.update(repr([getattr(out, f) for f in OUTCOME_FIELDS]).encode())
+        update(repr([getattr(out, f) for f in OUTCOME_FIELDS]).encode())
         return out
 
     Engine.solve = recorded
     try:
-        for run in runs:
-            h.update(repr(_answer(run())).encode())
+        for driver, run in runs:
+            current[1:] = [per_driver.setdefault(driver, hashlib.sha256())]
+            update(repr(_answer(run())).encode())
     finally:
         Engine.solve = original
-    return h.hexdigest(), solves[0]
+    return (h.hexdigest(), solves[0],
+            {d: sha.hexdigest() for d, sha in per_driver.items()})
+
+
+def digest(runs):
+    """(hex SHA-256, number of solves) of digests(runs)."""
+    return digests(runs)[:2]
 
 
 def driver_runs(instances, kernel):
-    """One run per (instance, driver), instance by instance."""
+    """One (driver, run) per (instance, driver), instance by instance."""
     from maxcore.maxsat import ALGORITHMS, solve
-    return [lambda inst=inst, algo=algo: solve(inst, algo, kernel=kernel)
+    return [(algo, lambda inst=inst, algo=algo: solve(inst, algo,
+                                                      kernel=kernel))
             for inst in instances for algo in ALGORITHMS]
 
 
@@ -86,7 +103,7 @@ def part_runs(part, kernel):
                             for i in range(ACCEPTANCE_INSTANCES)), kernel)
     _import_path("benchmarks", "perfbench")
     import workloads
-    return [lambda cell=cell: cell.run(kernel=kernel)
+    return [(cell.driver, lambda cell=cell: cell.run(kernel=kernel))
             for cell in workloads.build(part)]
 
 
@@ -98,8 +115,10 @@ def main(argv=None):
     _import_path("src")
     total = hashlib.sha256()
     for part in PARTS:
-        hexdigest, solves = digest(part_runs(part, args.kernel))
+        hexdigest, solves, per_driver = digests(part_runs(part, args.kernel))
         print("%-12s %7d solves  %s" % (part, solves, hexdigest))
+        for driver, driver_hex in per_driver.items():
+            print("  %-10s %7s         %s" % (driver, "", driver_hex))
         total.update(hexdigest.encode())
     print("%-12s %7s         %s" % ("all", "", total.hexdigest()))
     return 0
