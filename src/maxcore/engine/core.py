@@ -4,14 +4,18 @@ Literals are DIMACS-style signed ints; variable ids start at 1.  The first
 solve() builds a search kernel from the clause list, and later solves run on
 the same kernel, given the variables, clauses and propagators the store
 gained in between: learnt clauses, variable activities and saved phases
-carry over from solve to solve.  Between solves the store only grows and
-propagators only strengthen, so every kept learnt clause stays implied.
-retract() drops the kernel, since a learnt clause may rest on a retracted
-one; the next solve rebuilds it from the store, as does the solve after one
-that raised.
+carry over from solve to solve.  Between solves the store only grows or
+loses clauses it implies, and propagators only strengthen, so every kept
+learnt clause stays implied.  retract() keeps the kernel when every clause
+it removes holds a literal that a stored unit clause fixes: the store left
+then implies the removed clauses, and the kernel's own copies of them are
+satisfied at level 0 on every solve.  Any other retract that removes a
+clause drops the kernel, since a learnt clause may rest on it; the next
+solve rebuilds it from the store, as does the solve after one that raised.
 """
 
 import os
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -135,14 +139,16 @@ class Engine:
         self._kernel_name = kernel
         self._validate = validate
         self.nvars = 0
-        self.clauses = []
+        self.clauses = []            # ClauseRec in ref order
         self._next_ref = 0
+        self._occ = {}               # literal -> stored clauses holding it
+        self._units = {}             # literal -> stored unit clauses (lit,)
         self._root = {}              # var -> bool, fixed by unit chains
         self._root_conflict = False
         self._empty_origins = set()  # origins of empty clauses, never stored
         self.propagators = []
         self._kernel = None          # the live SearchCore, None until a solve
-        self._synced = (0, 0, 0)     # nvars, clauses, propagators it holds
+        self._synced = (0, 0, 0)     # nvars, next clause ref, propagators
         self._in_search = False
         self.retract_misses = 0
         self.stats = {"solves": 0, "conflicts": 0, "decisions": 0,
@@ -201,11 +207,22 @@ class Engine:
         rec = ClauseRec(self._next_ref, tuple(norm), origin)
         self._next_ref += 1
         self.clauses.append(rec)
+        occ = self._occ
+        for l in norm:
+            occ[l] = occ.get(l, 0) + 1
+        if len(norm) == 1:
+            self._units[norm[0]] = self._units.get(norm[0], 0) + 1
         self._absorb(rec)
         return rec.ref
 
     def root_value(self, lit):
-        """Root-level value of a literal: True, False, or None if unfixed."""
+        """Root-level value of a literal: True, False, or None if unfixed.
+
+        None for every literal while root_conflict is True: which literals
+        the root fixed before it found the conflict depends on the order of
+        the clauses, so no answer there would match a fresh build."""
+        if self._root_conflict:
+            return None
         return self._root_val(lit)
 
     def clause_by_ref(self, ref):
@@ -247,7 +264,14 @@ class Engine:
                 self._root_conflict = True
                 return
             self._root[abs(l)] = l > 0
+            # the root was a unit fixpoint before l, so only clauses that
+            # hold -l can turn unit or false now
+            nl = -l
+            if not self._occ.get(nl):
+                continue
             for rec in self.clauses:
+                if nl not in rec.lits:
+                    continue
                 unfixed = []
                 sat = False
                 for q in rec.lits:
@@ -277,9 +301,14 @@ class Engine:
                 return
 
     def retract(self, refs=None, origins=None):
-        """Drop clauses by ref or origin tag.  Dropping any clause drops the
-        live kernel with its learnt clauses, which may rest on it; the next
-        solve rebuilds the kernel from the store.
+        """Drop clauses by ref or origin tag; return how many were dropped.
+
+        When every dropped clause holds a literal l such that a unit clause
+        (l) is still stored, the store left implies the dropped clauses: its
+        models, its root and the live kernel with its learnt clauses stay as
+        they are.  Dropping any other clause drops the live kernel, since a
+        learnt clause may rest on it; the next solve rebuilds the kernel
+        from the store.
 
         origins is a collection of tags; a bare string is rejected, because
         it would match substrings and lift empty clauses by character."""
@@ -289,32 +318,41 @@ class Engine:
             raise TypeError("origins must be a collection of tags, not a str")
         refs = set(refs or ())
         keep = []
-        removed = 0
+        removed = []
         for rec in self.clauses:
             if rec.ref in refs or (origins and rec.origin in origins):
-                removed += 1
+                removed.append(rec)
                 refs.discard(rec.ref)
             else:
                 keep.append(rec)
         self.retract_misses += len(refs)
         self.clauses = keep
-        if removed:
-            self._kernel = None
+        occ, units = self._occ, self._units
+        for rec in removed:
+            for l in rec.lits:
+                occ[l] -= 1
+            if len(rec.lits) == 1:
+                units[rec.lits[0]] -= 1
         if origins:
             self._empty_origins -= set(origins)
+        if not self._root_conflict and all(
+                any(units.get(l) for l in rec.lits) for rec in removed):
+            return len(removed)
+        if removed:
+            self._kernel = None
         # with nothing fixed and no conflict at the root before, dropping
         # clauses and origins cannot fix or refute anything now
         if self._root or self._root_conflict:
             self._recompute_root()
-        return removed
+        return len(removed)
 
     # ------------------------------------------------------------------
 
     def _sync_kernel(self):
         """The live kernel, built from the store or given what the store
         gained since the last solve."""
-        _, nclauses, nprops = synced = self._synced
-        self._synced = (self.nvars, len(self.clauses), len(self.propagators))
+        _, next_ref, nprops = synced = self._synced
+        self._synced = (self.nvars, self._next_ref, len(self.propagators))
         if self._kernel is None:
             self._kernel = _kernel_module(self._kernel_name).SearchCore(
                 self.nvars,
@@ -323,9 +361,12 @@ class Engine:
                 self._validate,
             )
         elif synced != self._synced:
+            # a retract that kept the kernel shortened the list, so the new
+            # clauses are found by ref, not by the list's old length
+            new = bisect_left(self.clauses, next_ref, key=lambda rec: rec.ref)
             self._kernel.extend(
                 self.nvars,
-                [rec.lits for rec in self.clauses[nclauses:]],
+                [rec.lits for rec in self.clauses[new:]],
                 self.propagators[nprops:],
             )
         return self._kernel

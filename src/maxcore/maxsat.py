@@ -210,10 +210,17 @@ def _base_engine(inst, kernel):
 # WPM1
 
 def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
+    """Solve under every record's selector; relax each core at w_min.
+
+    records are the soft clauses as WeightedClause working copies, each
+    stored as lits + violators + (-assumption,) under its selector.  A core
+    record gets a unit (-assumption,) that fixes its selector false for good,
+    so its stored clause is subsumed and retracting it keeps the kernel; its
+    relaxed clause, with one more violator, goes in under a fresh selector.
+    """
     z_min = 0
     cores = []
     rounds = []
-    amap = {rec.assumption: rec for rec in records}
     while True:
         if budget.exhausted():
             return _finish("unknown", eng, t0, z_lower=z_min, cores=cores,
@@ -231,6 +238,7 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
                            z_lower=z_min, cores=cores,
                            meta={"rounds": rounds}, core_events=len(rounds),
                            audit_inst=audit_inst)
+        amap = {rec.assumption: rec for rec in records}
         core_recs = [amap[l] for l in out.core]
         if not core_recs:
             # hard clauses alone are unsatisfiable (the w_min = infinity case)
@@ -241,9 +249,12 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
         ids = tuple(sorted({rec.origin_id for rec in core_recs}))
         rounds.append({"core": ids, "w_min": w_min})
         cores.append(ids)
+        for rec in core_recs:
+            eng.add_clause((-rec.assumption,), ORIGIN_RELAXATION)
         eng.retract(refs=[rec.ref for rec in core_recs])
         fresh = []
         for rec in core_recs:
+            rec.assumption = eng.new_bool_var()
             if rec.weight > w_min:
                 a2 = eng.new_bool_var()
                 dup = WeightedClause(rec.lits, rec.weight - w_min,
@@ -252,7 +263,6 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
                 dup.ref = eng.add_clause(
                     rec.lits + tuple(rec.violators) + (-a2,), ORIGIN_RELAXATION)
                 records.append(dup)
-                amap[a2] = dup
             v = eng.new_bool_var()
             rec.violators.append(v)
             rec.weight = w_min
@@ -267,7 +277,9 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
 def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
                time_budget_s=None):
     """Algorithm: solve with all softs enforced; each unsatisfiable core pays
-    w_min into z_min and is relaxed with fresh violators under an atmost1."""
+    w_min into z_min and is relaxed with fresh violators under an atmost1.
+    A relaxed clause goes in under a fresh selector, and the old selector is
+    fixed false by a unit clause, so one kernel serves the whole run."""
     inst.check()
     t0 = time.perf_counter()
     budget = _Budget(conflict_budget, time_budget_s)

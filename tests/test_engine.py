@@ -181,16 +181,63 @@ def test_retract_matches_fresh_build(kernel):
             if i not in drop:
                 fresh.add_clause(c)
         assert eng.root_conflict == fresh.root_conflict
-        if not eng.root_conflict:
-            # (under a root conflict every literal is implied, and which
-            # ones the root has fixed depends on the order of the clauses)
-            lits = [l for v in range(1, n + 1) for l in (v, -v)]
-            assert ([eng.root_value(l) for l in lits]
-                    == [fresh.root_value(l) for l in lits])
+        # under a root conflict both answer None for every literal
+        lits = [l for v in range(1, n + 1) for l in (v, -v)]
+        assert ([eng.root_value(l) for l in lits]
+                == [fresh.root_value(l) for l in lits])
         assume = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
         o1 = eng.solve(assumptions=assume)
         o2 = fresh.solve(assumptions=assume)
         assert (o1.status, o1.model, o1.core) == (o2.status, o2.model, o2.core)
+
+
+def test_root_value_is_none_under_a_root_conflict(kernel):
+    # the root stops at its first conflict while later clauses still fix
+    # literals, so the answers a conflicting root would give depend on
+    # history; here a fresh build would have fixed 2 and this one not
+    eng = engine_with(kernel, 2, [(1,), (-1,), (-1,), (2,), (2,), (2,)])
+    eng.retract(refs=[4])
+    assert eng.root_conflict
+    assert [eng.root_value(l) for l in (1, -1, 2, -2)] == [None] * 4
+
+
+def _unit_closure(clauses):
+    """Literals unit propagation fixes, or None on a conflict."""
+    fixed = set()
+    while True:
+        grown = False
+        for c in clauses:
+            if any(l in fixed for l in c):
+                continue
+            free = [l for l in c if -l not in fixed]
+            if not free:
+                return None
+            if len(free) == 1:
+                fixed.add(free[0])
+                grown = True
+        if not grown:
+            return fixed
+
+
+def test_root_is_the_unit_propagation_closure(kernel):
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        eng = engine_with(kernel, n, [])
+        clauses = []
+        for _ in range(rng.randint(3, 14)):
+            c = tuple(rng.choice([v, -v])
+                      for v in rng.sample(range(1, n + 1), rng.randint(1, 3)))
+            ref = eng.add_clause(c)
+            clauses.append((ref, c))
+            if rng.random() < 0.2:
+                ref, c = clauses.pop(rng.randrange(len(clauses)))
+                eng.retract(refs=[ref])
+            fixed = _unit_closure([c for _, c in clauses])
+            assert eng.root_conflict == (fixed is None)
+            if fixed is not None:
+                assert {l for v in range(1, n + 1) for l in (v, -v)
+                        if eng.root_value(l)} == fixed
 
 
 def test_retract_by_origin(kernel):
@@ -648,15 +695,7 @@ def random_3cnf(rng, n, ratio):
 
 
 def test_engine_builds_one_kernel_until_retract(kernel, monkeypatch):
-    mod = engine_core._kernel_module(kernel)
-    builds = []
-    build = mod.SearchCore
-
-    def counted(*args):
-        builds.append(len(args[1]))
-        return build(*args)
-
-    monkeypatch.setattr(mod, "SearchCore", counted)
+    builds = count_builds(kernel, monkeypatch)
     eng = engine_with(kernel, 3, [(1, 2), (-1, 3)])
     eng.solve()
     eng.solve(assumptions=[-2])
@@ -702,13 +741,16 @@ def _pb_holds(model, terms, bound):
 
 
 def test_incremental_solving_is_sound(kernel):
-    """One engine gains variables, clauses and a PB bound that tightens, and
-    solves under random assumptions between the steps.  Each solve agrees on
-    its status with a fresh engine built from the same store; its model, its
-    core and its learnt clauses are checked by brute force."""
+    """One engine gains variables, clauses and a PB bound that tightens,
+    loses clauses by retracts that keep the kernel (a unit first fixes a
+    literal of each) and by retracts that drop it, and solves under random
+    assumptions between the steps.  Each solve agrees on its status with a
+    fresh engine built from the same store; its model, its core and its
+    learnt clauses are checked by brute force."""
     rng = random.Random(17)
     statuses = []
-    for _ in range(15):
+    kept = 0
+    for _ in range(30):
         eng = Engine(kernel=kernel, validate=True)
         for _ in range(4):
             eng.new_bool_var()
@@ -718,10 +760,24 @@ def test_incremental_solving_is_sound(kernel):
             step = rng.random()
             if step < 0.15 and n < 10:
                 eng.new_bool_var()
-            elif step < 0.7:
+            elif step < 0.62:
                 k = rng.choice((1, 2, 2, 3, 3, 3, 3))
                 eng.add_clause(tuple(rng.choice([v, -v])
                                      for v in rng.sample(range(1, n + 1), k)))
+            elif step < 0.67 and eng.clauses:
+                # a selector switched off for good, as wpm1 does
+                lit = rng.choice(rng.choice(eng.clauses).lits)
+                unit = eng.add_clause((lit,))
+                drop = [rec.ref for rec in eng.clauses
+                        if lit in rec.lits and rec.ref != unit
+                        and rng.random() < 0.7]
+                live = eng._kernel
+                eng.retract(refs=drop)
+                if not eng.root_conflict:
+                    assert eng._kernel is live
+                    kept += live is not None
+            elif step < 0.7 and eng.clauses:
+                eng.retract(refs=[rng.choice(eng.clauses).ref])
             elif pb is None:
                 terms = [(rng.randint(1, 3), rng.choice([v, -v]))
                          for v in rng.sample(range(1, n + 1), rng.randint(2, n))]
@@ -754,6 +810,7 @@ def test_incremental_solving_is_sound(kernel):
                 break
     for seen in (("sat", True), ("unsat", True), ("unsat", False)):
         assert seen in statuses
+    assert kept >= 5
 
 
 def test_solve_retract_solve_matches_fresh_build(kernel):
@@ -815,3 +872,123 @@ def test_solve_after_a_raise_rebuilds_the_kernel(kernel, exc):
         out = eng.solve(assumptions=assume)
         ref = fresh.solve(assumptions=assume)
         assert out == ref and out.explanations == ref.explanations
+
+
+# ----------------------------------------------------------------------
+# a retract keeps the kernel when a stored unit subsumes every dropped clause
+
+
+def count_builds(kernel, monkeypatch, extends=None):
+    """Wrap the kernel's SearchCore constructor as perfbench does; the list
+    returned grows by one per build.  With extends, every kernel is wrapped
+    too, and extends gets the clause list of each extend call."""
+    mod = engine_core._kernel_module(kernel)
+    builds = []
+    build = mod.SearchCore
+
+    def counted(*args):
+        builds.append(len(args[1]))
+        core = build(*args)
+        return core if extends is None else _Extends(core, extends)
+
+    monkeypatch.setattr(mod, "SearchCore", counted)
+    return builds
+
+
+class _Extends:
+    def __init__(self, core, log):
+        self.core = core
+        self.log = log
+
+    def extend(self, nvars, clauses, props):
+        self.log.append(list(clauses))
+        return self.core.extend(nvars, clauses, props)
+
+    def solve(self, *args):
+        return self.core.solve(*args)
+
+
+def test_unit_subsumed_retract_keeps_the_kernel(kernel, monkeypatch):
+    builds = count_builds(kernel, monkeypatch)
+    n = 60
+    cnf = random_3cnf(random.Random(2), n, 4.1)
+    eng = engine_with(kernel, n, cnf)
+    a = eng.new_bool_var()
+    refs = [eng.add_clause((1, -a)), eng.add_clause((-1, 2, -a))]
+    first = eng.solve()
+    eng.add_clause((-a,))
+    assert eng.retract(refs=refs) == 2
+    again = eng.solve()
+    assert first.status == again.status == "sat"
+    assert builds == [len(cnf) + 2]
+    # the kernel kept what the first solve learnt
+    assert first.conflicts > 50 and again.conflicts < first.conflicts // 10
+    assert eng.solve(assumptions=[a]).core == (a,)
+    assert builds == [len(cnf) + 2]
+
+
+def test_retract_drops_the_kernel_once_its_unit_is_gone(kernel, monkeypatch):
+    builds = count_builds(kernel, monkeypatch)
+    eng = engine_with(kernel, 3, [(1, 2)])
+    c1, c2 = eng.add_clause((2, -3)), eng.add_clause((1, -3))
+    u1, u2 = eng.add_clause((-3,)), eng.add_clause((-3,))
+    eng.solve()
+    # a second copy of the unit still stands behind c1
+    assert eng.retract(refs=[c1, u1]) == 2
+    eng.solve()
+    assert len(builds) == 1
+    # the unit goes in the same call
+    assert eng.retract(refs=[c2, u2]) == 2
+    assert eng.solve(assumptions=[3, -1]).status == "sat"
+    assert len(builds) == 2
+    # the unit went earlier
+    eng = engine_with(kernel, 3, [(1, 2), (2, -3)])
+    unit = eng.add_clause((-3,))
+    eng.solve()
+    assert eng.retract(refs=[unit]) == 1
+    assert eng.solve(assumptions=[-2]).status == "sat"
+    assert len(builds) == 4
+    assert eng.retract(refs=[1]) == 1
+    assert eng.solve(assumptions=[-2, 3]).status == "sat"
+    assert len(builds) == 5
+
+
+def test_retract_drops_the_kernel_for_a_root_implied_literal(kernel,
+                                                             monkeypatch):
+    # 2 is fixed at the root, but through (-1 2), not by a unit (2)
+    builds = count_builds(kernel, monkeypatch)
+    eng = engine_with(kernel, 3, [(1,), (-1, 2), (2, 3)])
+    assert eng.root_value(2) is True
+    eng.solve()
+    assert eng.retract(refs=[2]) == 1
+    eng.solve()
+    assert len(builds) == 2
+
+
+def test_retract_under_a_root_conflict_recomputes_the_root(kernel):
+    eng = engine_with(kernel, 2, [(1,), (1, 2)])
+    eng.add_clause((), origin="temp")
+    assert eng.root_conflict
+    # (1 2) holds the unit-fixed 1, but the empty clause goes too
+    assert eng.retract(refs=[1], origins={"temp"}) == 1
+    assert not eng.root_conflict
+    assert eng.solve(assumptions=[-2]).status == "sat"
+
+
+def test_kernel_gets_exactly_the_clauses_added_after_a_kept_retract(
+        kernel, monkeypatch):
+    extends = []
+    builds = count_builds(kernel, monkeypatch, extends)
+    eng = engine_with(kernel, 3, [(1, 2)])
+    ref = eng.add_clause((1, -3))
+    eng.add_clause((-3,))
+    eng.solve()
+    assert eng.retract(refs=[ref]) == 1
+    # the store is as long as at the last solve, and holds a new clause
+    eng.add_clause((-1,))
+    out = eng.solve(assumptions=[1])
+    assert (out.status, out.core) == ("unsat", (1,))
+    assert len(builds) == 1 and extends == [[(-1,)]]
+    out = eng.solve(assumptions=[2])
+    assert out.model == {1: False, 2: True, 3: False}
+    assert extends == [[(-1,)]]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from maxcore.engine import Engine
+from maxcore.engine import core as engine_core
 from maxcore.maxsat import (
     ALGORITHMS,
     HARD,
@@ -21,6 +22,7 @@ from maxcore.maxsat import (
     wrap_indicators,
 )
 from maxcore.oracle import brute_force_maxsat, verify_core
+from maxcore.rcpsp import build_model, generate_micro_set, soften
 
 SAMPLE5_WCNF = """\
 c five soft unit-weight clauses
@@ -162,6 +164,39 @@ def test_wpm1_retracts_once_per_core_round(sample7, monkeypatch):
     monkeypatch.setattr(Engine, "retract", counted)
     res = solve_wpm1(sample7)
     assert calls == [len(core) for core in res.cores] == [3, 6]
+
+
+def count_builds(monkeypatch):
+    mod = engine_core._kernel_module("auto")
+    builds = []
+    build = mod.SearchCore
+
+    def counted(*args):
+        builds.append(len(args[1]))
+        return build(*args)
+
+    monkeypatch.setattr(mod, "SearchCore", counted)
+    return builds
+
+
+def test_wpm1_builds_one_kernel(sample7, monkeypatch):
+    # each core fixes its old selectors false before it retracts their
+    # clauses, so every retract keeps the kernel
+    builds = count_builds(monkeypatch)
+    res = solve_wpm1(sample7)
+    assert res.status == "optimal" and len(res.cores) == 2
+    assert len(builds) == 1
+
+
+def test_wpm1_on_indicators_builds_one_kernel(monkeypatch):
+    (_, inst), = generate_micro_set(1, seed=6)
+    p = soften(inst, 0.9, mode="weighted", seed=1)
+    eng = Engine()
+    _, indicators = build_model(p, eng)
+    builds = count_builds(monkeypatch)
+    res = wrap_indicators(eng, indicators).solve(algorithm="wpm1")
+    assert (res.status, res.z_opt, len(res.cores)) == ("optimal", 7, 3)
+    assert len(builds) == 1
 
 
 def test_msu3_trace_sample5(sample5):
