@@ -9,11 +9,7 @@ literals; original-domain bounds need no justification.
 import bisect
 from itertools import accumulate, combinations
 
-from .engine import (
-    Engine,
-    Propagator,
-    ORIGIN_USER,
-)
+from .engine import Engine, Propagator
 
 
 class IntVar:
@@ -38,7 +34,7 @@ class CpModel:
     def __init__(self, engine=None, kernel="auto"):
         self.eng = engine if engine is not None else Engine(kernel=kernel)
         self.true_lit = self.eng.new_bool_var()
-        self.eng.add_clause((self.true_lit,), ORIGIN_USER)
+        self.eng.add_clause((self.true_lit,))
         self.ints = []
 
     def new_bool_var(self):
@@ -65,9 +61,9 @@ class CpModel:
         # [x>=next] -> [x>=v]; inserting between two repairs both sides
         i = bisect.bisect_left(x.geq_vals, v)
         if i > 0:
-            self.eng.add_clause((-lit, x.geq_lits[i - 1]), ORIGIN_USER)
+            self.eng.add_clause((-lit, x.geq_lits[i - 1]))
         if i < len(x.geq_vals):
-            self.eng.add_clause((-x.geq_lits[i], lit), ORIGIN_USER)
+            self.eng.add_clause((-x.geq_lits[i], lit))
         x.geq[v] = lit
         x.geq_vals.insert(i, v)
         x.geq_lits.insert(i, lit)
@@ -85,9 +81,9 @@ class CpModel:
         lit = self.eng.new_bool_var()
         lo = self.lit_geq(x, v)
         hi = self.lit_geq(x, v + 1)
-        self.eng.add_clause((-lit, lo), ORIGIN_USER)
-        self.eng.add_clause((-lit, -hi), ORIGIN_USER)
-        self.eng.add_clause((lit, -lo, hi), ORIGIN_USER)
+        self.eng.add_clause((-lit, lo))
+        self.eng.add_clause((-lit, -hi))
+        self.eng.add_clause((lit, -lo, hi))
         x.eq[v] = lit
         return lit
 
@@ -105,8 +101,8 @@ class CpModel:
         self.eng.attach_propagator(prop)
         return prop
 
-    def post_at_most_one(self, lits, origin=ORIGIN_USER):
-        return post_at_most_one(self.eng, lits, origin)
+    def post_at_most_one(self, lits):
+        return post_at_most_one(self.eng, lits)
 
     def post_pb_upper_bound(self, terms, strict_bound):
         return post_pb_upper_bound(self.eng, terms, strict_bound)
@@ -122,7 +118,7 @@ class CpModel:
             if dur == 0 or dem == 0:
                 continue
             if dem > capacity:
-                self.eng.add_clause((), ORIGIN_USER)   # single task overloads
+                self.eng.add_clause(())   # single task overloads
                 continue
             live.append((x, dur, dem))
         if not live:
@@ -175,11 +171,11 @@ def decode_int(x, model):
     return x.lb0
 
 
-def post_at_most_one(eng, lits, origin=ORIGIN_USER):
+def post_at_most_one(eng, lits):
     """One binary clause per pair; a list of length <= 1 posts nothing."""
     refs = []
     for a, b in combinations(lits, 2):
-        refs.append(eng.add_clause((-a, -b), origin))
+        refs.append(eng.add_clause((-a, -b)))
     return refs
 
 

@@ -14,10 +14,6 @@ from .core import (
     ClauseRec,
     available_kernels,
     default_kernel,
-    ORIGIN_USER,
-    ORIGIN_EXPLANATION,
-    ORIGIN_RELAXATION,
-    ORIGIN_OBJECTIVE,
 )
 from .errors import EngineError, EngineIntegrityError, MidSearchMutationError
 
@@ -28,10 +24,6 @@ __all__ = [
     "ClauseRec",
     "available_kernels",
     "default_kernel",
-    "ORIGIN_USER",
-    "ORIGIN_EXPLANATION",
-    "ORIGIN_RELAXATION",
-    "ORIGIN_OBJECTIVE",
     "EngineError",
     "EngineIntegrityError",
     "MidSearchMutationError",

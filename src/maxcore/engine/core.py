@@ -5,18 +5,15 @@ solve() builds a search kernel from the clause list, and later solves run on
 the same kernel, given the variables, clauses and propagators the store
 gained in between: learnt clauses, variable activities and saved phases
 carry over from solve to solve.  Between solves the store only grows or
-loses clauses it implies, and propagators only strengthen, so every kept
-learnt clause stays implied.  retract() keeps the kernel when every clause
-it removes holds a literal that a stored unit clause fixes: the store left
-then implies the removed clauses, and the kernel's own copies of them are
-satisfied at level 0 on every solve.  Any other retract that removes a
-clause drops the kernel, since a learnt clause may rest on it; the next
-solve rebuilds it from the store, as does the solve after one that raised.
+forgets clauses that its unit clauses imply (retract), and propagators only
+strengthen, so every kept learnt clause stays implied and the root-level
+assignment only grows.  Only a solve that raised drops the kernel; the next
+solve rebuilds it from the store.
 """
 
 import os
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,12 +24,6 @@ try:
     from . import _search as _search_c
 except ImportError:
     _search_c = None
-
-# conventional origin tags; any non-empty string works as a retract group
-ORIGIN_USER = "user"
-ORIGIN_EXPLANATION = "explanation"
-ORIGIN_RELAXATION = "relaxation-encoding"
-ORIGIN_OBJECTIVE = "objective-encoding"
 
 
 def available_kernels():
@@ -99,7 +90,6 @@ class Propagator:
 class ClauseRec:
     ref: int
     lits: tuple
-    origin: str
 
 
 @dataclass
@@ -141,16 +131,14 @@ class Engine:
         self.nvars = 0
         self.clauses = []            # ClauseRec in ref order
         self._next_ref = 0
-        self._occ = {}               # literal -> stored clauses holding it
+        self._occ = {}               # literal -> lits of each clause ever stored
         self._units = {}             # literal -> stored unit clauses (lit,)
         self._root = {}              # var -> bool, fixed by unit chains
         self._root_conflict = False
-        self._empty_origins = set()  # origins of empty clauses, never stored
         self.propagators = []
         self._kernel = None          # the live SearchCore, None until a solve
         self._synced = (0, 0, 0)     # nvars, next clause ref, propagators
         self._in_search = False
-        self.retract_misses = 0
         self.stats = {"solves": 0, "conflicts": 0, "decisions": 0,
                       "propagations": 0, "restarts": 0}
 
@@ -182,14 +170,12 @@ class Engine:
         """True once the clause set is known unsatisfiable at root level."""
         return self._root_conflict
 
-    def add_clause(self, lits, origin=ORIGIN_USER):
+    def add_clause(self, lits):
         """Store a clause and return its ref; None when nothing was stored
-        (tautology, or the empty clause, which flags a root conflict that
-        only a retraction of its origin can lift)."""
+        (tautology, or the empty clause, which makes root_conflict True for
+        good)."""
         if self._in_search:
             raise MidSearchMutationError("clause added during search")
-        if not origin or not isinstance(origin, str):
-            raise ValueError("clause origin must be a non-empty string")
         seen = set()
         norm = []
         for l in lits:
@@ -201,15 +187,14 @@ class Engine:
                 seen.add(l)
                 norm.append(l)
         if not norm:
-            self._empty_origins.add(origin)
             self._root_conflict = True
             return None
-        rec = ClauseRec(self._next_ref, tuple(norm), origin)
+        rec = ClauseRec(self._next_ref, tuple(norm))
         self._next_ref += 1
         self.clauses.append(rec)
         occ = self._occ
         for l in norm:
-            occ[l] = occ.get(l, 0) + 1
+            occ.setdefault(l, []).append(rec.lits)
         if len(norm) == 1:
             self._units[norm[0]] = self._units.get(norm[0], 0) + 1
         self._absorb(rec)
@@ -224,13 +209,6 @@ class Engine:
         if self._root_conflict:
             return None
         return self._root_val(lit)
-
-    def clause_by_ref(self, ref):
-        """The stored ClauseRec for ref, or None if it was never stored."""
-        for rec in self.clauses:
-            if rec.ref == ref:
-                return rec
-        return None
 
     def _root_val(self, lit):
         v = self._root.get(abs(lit))
@@ -265,16 +243,12 @@ class Engine:
                 return
             self._root[abs(l)] = l > 0
             # the root was a unit fixpoint before l, so only clauses that
-            # hold -l can turn unit or false now
-            nl = -l
-            if not self._occ.get(nl):
-                continue
-            for rec in self.clauses:
-                if nl not in rec.lits:
-                    continue
+            # hold -l can turn unit or false now; a retracted clause among
+            # them holds a literal its stored unit fixed, and is satisfied
+            for lits in self._occ.get(-l, ()):
                 unfixed = []
                 sat = False
-                for q in rec.lits:
+                for q in lits:
                     rv = self._root_val(q)
                     if rv is True:
                         sat = True
@@ -290,60 +264,34 @@ class Engine:
                     queue.append(unfixed[0])
                     queued.add(unfixed[0])
 
-    def _recompute_root(self):
-        self._root = {}
-        self._root_conflict = bool(self._empty_origins)
-        if self._root_conflict:
-            return
-        for rec in self.clauses:
-            self._absorb(rec)
-            if self._root_conflict:
-                return
+    def retract(self, refs):
+        """Forget stored clauses that stored unit clauses imply; return how
+        many were removed.
 
-    def retract(self, refs=None, origins=None):
-        """Drop clauses by ref or origin tag; return how many were dropped.
-
-        When every dropped clause holds a literal l such that a unit clause
-        (l) is still stored, the store left implies the dropped clauses: its
-        models, its root and the live kernel with its learnt clauses stay as
-        they are.  Dropping any other clause drops the live kernel, since a
-        learnt clause may rest on it; the next solve rebuilds the kernel
-        from the store.
-
-        origins is a collection of tags; a bare string is rejected, because
-        it would match substrings and lift empty clauses by character."""
+        Each clause removed must hold a literal l such that a unit clause
+        (l) is still stored after the call; units removed in the same call
+        count as gone.  The store left then implies the removed clauses, so
+        its models, its root and the live kernel with its learnt clauses
+        stay as they are: the kernel keeps its copies of the removed
+        clauses, which the units satisfy at level 0 on every solve.  If any
+        clause breaks the rule, ValueError, and nothing changes.  Refs that
+        are not stored are ignored."""
         if self._in_search:
             raise MidSearchMutationError("clause retracted during search")
-        if isinstance(origins, str):
-            raise TypeError("origins must be a collection of tags, not a str")
-        refs = set(refs or ())
+        refs = set(refs)
         keep = []
         removed = []
         for rec in self.clauses:
-            if rec.ref in refs or (origins and rec.origin in origins):
-                removed.append(rec)
-                refs.discard(rec.ref)
-            else:
-                keep.append(rec)
-        self.retract_misses += len(refs)
-        self.clauses = keep
-        occ, units = self._occ, self._units
+            (removed if rec.ref in refs else keep).append(rec)
+        units = self._units
+        gone = Counter(rec.lits[0] for rec in removed if len(rec.lits) == 1)
         for rec in removed:
-            for l in rec.lits:
-                occ[l] -= 1
-            if len(rec.lits) == 1:
-                units[rec.lits[0]] -= 1
-        if origins:
-            self._empty_origins -= set(origins)
-        if not self._root_conflict and all(
-                any(units.get(l) for l in rec.lits) for rec in removed):
-            return len(removed)
-        if removed:
-            self._kernel = None
-        # with nothing fixed and no conflict at the root before, dropping
-        # clauses and origins cannot fix or refute anything now
-        if self._root or self._root_conflict:
-            self._recompute_root()
+            if not any(units.get(l, 0) > gone[l] for l in rec.lits):
+                raise ValueError("clause %d holds no literal that a stored"
+                                 " unit clause fixes" % rec.ref)
+        self.clauses = keep
+        for l, k in gone.items():
+            units[l] -= k
         return len(removed)
 
     # ------------------------------------------------------------------
@@ -361,8 +309,8 @@ class Engine:
                 self._validate,
             )
         elif synced != self._synced:
-            # a retract that kept the kernel shortened the list, so the new
-            # clauses are found by ref, not by the list's old length
+            # a retract may have shortened the list, so the new clauses
+            # are found by ref, not by the list's old length
             new = bisect_left(self.clauses, next_ref, key=lambda rec: rec.ref)
             self._kernel.extend(
                 self.nvars,

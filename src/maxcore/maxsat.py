@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .engine import Engine, ORIGIN_USER, ORIGIN_RELAXATION, ORIGIN_OBJECTIVE
+from .engine import Engine
 from .cp import post_pb_upper_bound
 
 HARD = math.inf
@@ -250,7 +250,7 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
         rounds.append({"core": ids, "w_min": w_min})
         cores.append(ids)
         for rec in core_recs:
-            eng.add_clause((-rec.assumption,), ORIGIN_RELAXATION)
+            eng.add_clause((-rec.assumption,))
         eng.retract(refs=[rec.ref for rec in core_recs])
         fresh = []
         for rec in core_recs:
@@ -261,17 +261,16 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
                                      list(rec.violators), a2,
                                      origin_id=rec.origin_id)
                 dup.ref = eng.add_clause(
-                    rec.lits + tuple(rec.violators) + (-a2,), ORIGIN_RELAXATION)
+                    rec.lits + tuple(rec.violators) + (-a2,))
                 records.append(dup)
             v = eng.new_bool_var()
             rec.violators.append(v)
             rec.weight = w_min
             rec.ref = eng.add_clause(
-                rec.lits + tuple(rec.violators) + (-rec.assumption,),
-                ORIGIN_RELAXATION)
+                rec.lits + tuple(rec.violators) + (-rec.assumption,))
             fresh.append(v)
         for va, vb in combinations(fresh, 2):
-            eng.add_clause((-va, -vb), ORIGIN_RELAXATION)
+            eng.add_clause((-va, -vb))
 
 
 def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
@@ -287,12 +286,12 @@ def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
     records = []
     for j, wc in enumerate(inst.clauses, 1):
         if wc.is_hard():
-            eng.add_clause(wc.lits, ORIGIN_USER)
+            eng.add_clause(wc.lits)
             continue
         work = wc.copy()
         work.origin_id = j
         work.assumption = eng.new_bool_var()
-        work.ref = eng.add_clause(work.lits + (-work.assumption,), ORIGIN_USER)
+        work.ref = eng.add_clause(work.lits + (-work.assumption,))
         records.append(work)
     return _wpm1_loop(eng, records, budget, t0, inst.var_count, inst)
 
@@ -306,10 +305,10 @@ def _violator_softs(eng, inst):
     softs = []
     for j, wc in enumerate(inst.clauses, 1):
         if wc.is_hard():
-            eng.add_clause(wc.lits, ORIGIN_USER)
+            eng.add_clause(wc.lits)
             continue
         v = eng.new_bool_var()
-        eng.add_clause((v,) + tuple(wc.lits), ORIGIN_USER)
+        eng.add_clause((v,) + tuple(wc.lits))
         softs.append((j, wc.weight, v))
     return softs
 
@@ -356,7 +355,7 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
                 on_incumbent(z)
             # next model must satisfy sum(w*v) < z; z = 0 makes that the empty clause
             if z <= 0:
-                eng.add_clause((), ORIGIN_OBJECTIVE)
+                eng.add_clause(())
             elif bound is None:
                 bound = post_pb_upper_bound(eng, terms, z)
             else:
@@ -464,7 +463,7 @@ class IndicatorProblem:
             for j, (lit, w) in enumerate(self.indicators, 1):
                 a = eng.new_bool_var()
                 rec = WeightedClause((lit,), w, [], a, origin_id=j)
-                rec.ref = eng.add_clause((lit, -a), ORIGIN_USER)
+                rec.ref = eng.add_clause((lit, -a))
                 records.append(rec)
             return _wpm1_loop(eng, records, budget, t0, None, None)
         raise ValueError("unknown algorithm %r" % algorithm)

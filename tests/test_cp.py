@@ -227,6 +227,19 @@ def test_precedence_arithmetic_strength(kernel):
         assert entails(mdl, [na], -mdl.lit_geq(s1, w - 2))
 
 
+def test_retract_cannot_revive_a_skipped_half_reification(kernel):
+    # i is false at the root, so the constraint i -> (x - y >= 3) is never
+    # attached; a retract that let i become true would leave it unenforced
+    mdl = CpModel(kernel=kernel)
+    x, y = mdl.new_int_var(0, 5), mdl.new_int_var(0, 5)
+    i = mdl.new_bool_var()
+    unit = mdl.eng.add_clause((-i,))
+    assert mdl.post_half_reified_linear(i, [(1, x), (-1, y)], 3) is None
+    with pytest.raises(ValueError):
+        mdl.eng.retract(refs=[unit])
+    assert mdl.eng.solve(assumptions=[i, -mdl.lit_geq(x, 1)]).status == "unsat"
+
+
 # --- at-most-one ------------------------------------------------------------
 
 
@@ -234,7 +247,8 @@ def test_at_most_one_posts_pairwise_clauses(kernel):
     mdl = CpModel(kernel=kernel)
     v1, v3, v5 = (mdl.new_bool_var() for _ in range(3))
     refs = mdl.post_at_most_one([v1, v3, v5])
-    got = {mdl.eng.clause_by_ref(r).lits for r in refs}
+    assert len(refs) == 3
+    got = {rec.lits for rec in mdl.eng.clauses if rec.ref in refs}
     assert got == {(-v1, -v3), (-v1, -v5), (-v3, -v5)}
 
 

@@ -78,25 +78,19 @@ def test_empty_clause_is_root_conflict(kernel):
 
 
 def test_empty_clause_survives_retract_by_ref(kernel):
+    # an empty clause is never stored, and no retract lifts its conflict
     eng = Engine(kernel=kernel)
-    x = eng.new_bool_var()
-    ref = eng.add_clause((x,))
+    x, y = eng.new_bool_var(), eng.new_bool_var()
+    unit = eng.add_clause((x,))
     assert eng.add_clause(()) is None
-    assert eng.retract(refs=[ref]) == 1
+    ref = eng.add_clause((x, y))
+    last = eng.add_clause((x,))
+    assert eng.retract(refs=[unit, ref]) == 2
+    assert eng.root_conflict
+    with pytest.raises(ValueError):
+        eng.retract(refs=[last])
     assert eng.root_conflict
     assert eng.solve().status == "unsat"
-
-
-def test_empty_clause_lifted_only_by_its_origin(kernel):
-    eng = Engine(kernel=kernel)
-    x = eng.new_bool_var()
-    eng.add_clause((), origin="temp")
-    eng.add_clause((-x,), origin="keep")
-    assert eng.retract(origins={"keep"}) == 1
-    assert eng.solve().status == "unsat"
-    assert eng.retract(origins={"temp"}) == 0
-    assert not eng.root_conflict
-    assert eng.solve(assumptions=[x]).status == "sat"
 
 
 def test_tautology_is_dropped(kernel):
@@ -146,40 +140,56 @@ def test_already_false_assumption(kernel):
 
 
 def test_retract_reopens_model(kernel):
+    # as wpm1 relaxes a soft clause: (-v) under selector a blocks v; a unit
+    # (-a) fixes a false, the clause goes, and its relaxed copy (-v r) goes
+    # in under a fresh selector b
     eng = Engine(kernel=kernel)
-    v = eng.new_bool_var()
-    ref = eng.add_clause((-v,), origin="block")
-    assert eng.solve(assumptions=[v]).status == "unsat"
+    v, a = eng.new_bool_var(), eng.new_bool_var()
+    ref = eng.add_clause((-v, -a))
+    assert eng.solve(assumptions=[v, a]).status == "unsat"
+    eng.add_clause((-a,))
     assert eng.retract(refs=[ref]) == 1
-    assert eng.solve(assumptions=[v]).status == "sat"
+    r, b = eng.new_bool_var(), eng.new_bool_var()
+    eng.add_clause((-v, r, -b))
+    out = eng.solve(assumptions=[v, b])
+    assert out.status == "sat" and out.model[r]
 
 
-def test_retract_unknown_ref_counts_miss(kernel):
-    eng = Engine(kernel=kernel)
-    eng.new_bool_var()
+def test_retract_ignores_unknown_refs(kernel):
+    eng = engine_with(kernel, 1, [(1,)])
     assert eng.retract(refs=[999]) == 0
-    assert eng.retract_misses == 1
+    assert [rec.lits for rec in eng.clauses] == [(1,)]
 
 
 def test_retract_matches_fresh_build(kernel):
+    # each dropped clause holds a literal that a stored unit fixes
     rng = random.Random(4)
+    dropped = 0
     for _ in range(25):
         n = rng.randint(2, 6)
         full = [tuple(rng.choice([k, -k])
                       for k in rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
                 for _ in range(rng.randint(2, 8))]
-        drop = set(rng.sample(range(len(full)), rng.randint(0, len(full) // 2)))
+        units = {rng.choice([v, -v])
+                 for v in rng.sample(range(1, n + 1), rng.randint(1, 2))}
+        drop = {i for i, c in enumerate(full)
+                if units & set(c) and rng.random() < 0.7}
+        dropped += len(drop)
         eng = Engine(kernel=kernel)
         for _ in range(n):
             eng.new_bool_var()
         refs = [eng.add_clause(c) for c in full]
-        eng.retract(refs=[refs[i] for i in drop if refs[i] is not None])
+        for l in units:
+            eng.add_clause((l,))
+        assert eng.retract(refs=[refs[i] for i in drop]) == len(drop)
         fresh = Engine(kernel=kernel)
         for _ in range(n):
             fresh.new_bool_var()
         for i, c in enumerate(full):
             if i not in drop:
                 fresh.add_clause(c)
+        for l in units:
+            fresh.add_clause((l,))
         assert eng.root_conflict == fresh.root_conflict
         # under a root conflict both answer None for every literal
         lits = [l for v in range(1, n + 1) for l in (v, -v)]
@@ -189,15 +199,16 @@ def test_retract_matches_fresh_build(kernel):
         o1 = eng.solve(assumptions=assume)
         o2 = fresh.solve(assumptions=assume)
         assert (o1.status, o1.model, o1.core) == (o2.status, o2.model, o2.core)
+    assert dropped >= 10
 
 
 def test_root_value_is_none_under_a_root_conflict(kernel):
-    # the root stops at its first conflict while later clauses still fix
-    # literals, so the answers a conflicting root would give depend on
-    # history; here a fresh build would have fixed 2 and this one not
-    eng = engine_with(kernel, 2, [(1,), (-1,), (-1,), (2,), (2,), (2,)])
-    eng.retract(refs=[4])
+    # the root stops at its first conflict, so which literals it fixed
+    # depends on the order of the clauses: here 1 and 2, and with (-1 -2)
+    # stored before (-1 2) it would be 1 and -2
+    eng = engine_with(kernel, 2, [(-1, 2), (-1, -2), (1,)])
     assert eng.root_conflict
+    assert eng._root == {1: True, 2: True}
     assert [eng.root_value(l) for l in (1, -1, 2, -2)] == [None] * 4
 
 
@@ -231,39 +242,17 @@ def test_root_is_the_unit_propagation_closure(kernel):
             ref = eng.add_clause(c)
             clauses.append((ref, c))
             if rng.random() < 0.2:
-                ref, c = clauses.pop(rng.randrange(len(clauses)))
-                eng.retract(refs=[ref])
+                # a unit fixes a literal, and clauses holding it go
+                lit = rng.choice(rng.choice(clauses)[1])
+                unit = eng.add_clause((lit,))
+                eng.retract(refs=[r for r, d in clauses if lit in d])
+                clauses = [(r, d) for r, d in clauses if lit not in d]
+                clauses.append((unit, (lit,)))
             fixed = _unit_closure([c for _, c in clauses])
             assert eng.root_conflict == (fixed is None)
             if fixed is not None:
                 assert {l for v in range(1, n + 1) for l in (v, -v)
                         if eng.root_value(l)} == fixed
-
-
-def test_retract_by_origin(kernel):
-    eng = Engine(kernel=kernel)
-    x, y = eng.new_bool_var(), eng.new_bool_var()
-    eng.add_clause((-x,), origin="temp")
-    eng.add_clause((-y,), origin="keep")
-    assert eng.retract(origins={"temp"}) == 1
-    assert eng.solve(assumptions=[x]).status == "sat"
-    assert eng.solve(assumptions=[y]).status == "unsat"
-
-
-def test_retract_rejects_bare_string_origin(kernel):
-    eng = Engine(kernel=kernel)
-    x, y = eng.new_bool_var(), eng.new_bool_var()
-    eng.add_clause((-x,), origin="relaxation")
-    eng.add_clause((), origin="temp")
-    eng.add_clause((-y,), origin="relaxation-encoding")
-    for tag in ("relaxation-encoding", "temp"):
-        with pytest.raises(TypeError):
-            eng.retract(origins=tag)
-    assert len(eng.clauses) == 2
-    assert eng.retract(origins=["relaxation-encoding"]) == 1
-    assert eng.retract(origins=("temp",)) == 0
-    assert eng.solve(assumptions=[y]).status == "sat"
-    assert eng.solve(assumptions=[x]).status == "unsat"
 
 
 class _BadPropagator(Propagator):
@@ -695,12 +684,13 @@ def random_3cnf(rng, n, ratio):
 
 
 def test_engine_builds_one_kernel_until_retract(kernel, monkeypatch):
+    # a retract keeps the kernel too, so the engine builds one kernel
     builds = count_builds(kernel, monkeypatch)
     eng = engine_with(kernel, 3, [(1, 2), (-1, 3)])
     eng.solve()
     eng.solve(assumptions=[-2])
     x = eng.new_bool_var()
-    ref = eng.add_clause((-3, x), origin="temp")
+    ref = eng.add_clause((-3, x))
     eng.attach_propagator(_Rule([x], lambda v: v.enqueue(-2, [x])))
     out = eng.solve(assumptions=[1])
     assert out.model == {1: True, 2: False, 3: True, 4: True}
@@ -708,9 +698,13 @@ def test_engine_builds_one_kernel_until_retract(kernel, monkeypatch):
     assert eng.retract(refs=[999]) == 0
     eng.solve()
     assert builds == [2]
+    eng.add_clause((-1,))
+    assert eng.retract(refs=[1]) == 1
+    assert eng.solve(assumptions=[2]).model[1] is False
+    eng.add_clause((x,))
     assert eng.retract(refs=[ref]) == 1
-    assert eng.solve(assumptions=[1, 2]).status == "sat"
-    assert builds == [2, 2]
+    assert eng.solve(assumptions=[2]).core == (2,)
+    assert builds == [2]
 
 
 def test_second_solve_keeps_learnt_clauses(kernel):
@@ -742,11 +736,10 @@ def _pb_holds(model, terms, bound):
 
 def test_incremental_solving_is_sound(kernel):
     """One engine gains variables, clauses and a PB bound that tightens,
-    loses clauses by retracts that keep the kernel (a unit first fixes a
-    literal of each) and by retracts that drop it, and solves under random
-    assumptions between the steps.  Each solve agrees on its status with a
-    fresh engine built from the same store; its model, its core and its
-    learnt clauses are checked by brute force."""
+    loses clauses by retracts (a unit first fixes a literal of each), and
+    solves under random assumptions between the steps.  Each solve agrees
+    on its status with a fresh engine built from the same store; its model,
+    its core and its learnt clauses are checked by brute force."""
     rng = random.Random(17)
     statuses = []
     kept = 0
@@ -764,7 +757,7 @@ def test_incremental_solving_is_sound(kernel):
                 k = rng.choice((1, 2, 2, 3, 3, 3, 3))
                 eng.add_clause(tuple(rng.choice([v, -v])
                                      for v in rng.sample(range(1, n + 1), k)))
-            elif step < 0.67 and eng.clauses:
+            elif step < 0.7 and eng.clauses:
                 # a selector switched off for good, as wpm1 does
                 lit = rng.choice(rng.choice(eng.clauses).lits)
                 unit = eng.add_clause((lit,))
@@ -773,11 +766,8 @@ def test_incremental_solving_is_sound(kernel):
                         and rng.random() < 0.7]
                 live = eng._kernel
                 eng.retract(refs=drop)
-                if not eng.root_conflict:
-                    assert eng._kernel is live
-                    kept += live is not None
-            elif step < 0.7 and eng.clauses:
-                eng.retract(refs=[rng.choice(eng.clauses).ref])
+                assert eng._kernel is live
+                kept += live is not None
             elif pb is None:
                 terms = [(rng.randint(1, 3), rng.choice([v, -v]))
                          for v in rng.sample(range(1, n + 1), rng.randint(2, n))]
@@ -814,6 +804,10 @@ def test_incremental_solving_is_sound(kernel):
 
 
 def test_solve_retract_solve_matches_fresh_build(kernel):
+    """Between two solves, units fix a few literals and the clauses holding
+    them go.  The second solve, on the kept kernel, agrees on its status
+    with a fresh engine built from the store, and its model satisfies the
+    store, or the fresh engine refutes its core."""
     rng = random.Random(29)
     compared = 0
     for _ in range(20):
@@ -823,14 +817,24 @@ def test_solve_retract_solve_matches_fresh_build(kernel):
         refs = [eng.add_clause(c) for c in clauses]
         first = eng.solve(assumptions=[rng.choice([v, -v])
                                        for v in rng.sample(range(1, n + 1), 2)])
-        drop = set(rng.sample(range(len(clauses)), rng.randint(1, 8)))
+        units = {rng.choice([v, -v])
+                 for v in rng.sample(range(1, n + 1), rng.randint(1, 3))}
+        for l in units:
+            eng.add_clause((l,))
+        drop = {i for i, c in enumerate(clauses) if units & set(c)}
         assert eng.retract(refs=[refs[i] for i in drop]) == len(drop)
-        fresh = engine_with(kernel, n, [c for i, c in enumerate(clauses)
-                                       if i not in drop])
+        store = [c for i, c in enumerate(clauses) if i not in drop]
+        store += [(l,) for l in units]
+        fresh = engine_with(kernel, n, store)
         assume = [rng.choice([v, -v])
                   for v in rng.sample(range(1, n + 1), rng.randint(0, 3))]
         out = eng.solve(assumptions=assume)
-        assert out == fresh.solve(assumptions=assume)
+        assert out.status == fresh.solve(assumptions=assume).status
+        if out.status == "sat":
+            assert satisfies(out.model, store + [(a,) for a in assume])
+        else:
+            assert set(out.core) <= set(assume)
+            assert fresh.solve(assumptions=list(out.core)).status == "unsat"
         compared += first.conflicts > 0 and out.conflicts > 0
     assert compared >= 10
 
@@ -927,7 +931,7 @@ def test_unit_subsumed_retract_keeps_the_kernel(kernel, monkeypatch):
     assert builds == [len(cnf) + 2]
 
 
-def test_retract_drops_the_kernel_once_its_unit_is_gone(kernel, monkeypatch):
+def test_retract_raises_once_its_unit_is_gone(kernel, monkeypatch):
     builds = count_builds(kernel, monkeypatch)
     eng = engine_with(kernel, 3, [(1, 2)])
     c1, c2 = eng.add_clause((2, -3)), eng.add_clause((1, -3))
@@ -935,44 +939,41 @@ def test_retract_drops_the_kernel_once_its_unit_is_gone(kernel, monkeypatch):
     eng.solve()
     # a second copy of the unit still stands behind c1
     assert eng.retract(refs=[c1, u1]) == 2
-    eng.solve()
+    # no copy would be left behind c2, nor behind the last unit itself
+    for refs in ([c2, u2], [u2]):
+        with pytest.raises(ValueError):
+            eng.retract(refs=refs)
+    assert [rec.ref for rec in eng.clauses] == [0, c2, u2]
+    assert eng.solve(assumptions=[3]).core == (3,)
     assert len(builds) == 1
-    # the unit goes in the same call
-    assert eng.retract(refs=[c2, u2]) == 2
-    assert eng.solve(assumptions=[3, -1]).status == "sat"
-    assert len(builds) == 2
-    # the unit went earlier
-    eng = engine_with(kernel, 3, [(1, 2), (2, -3)])
-    unit = eng.add_clause((-3,))
-    eng.solve()
-    assert eng.retract(refs=[unit]) == 1
-    assert eng.solve(assumptions=[-2]).status == "sat"
-    assert len(builds) == 4
-    assert eng.retract(refs=[1]) == 1
-    assert eng.solve(assumptions=[-2, 3]).status == "sat"
-    assert len(builds) == 5
 
 
-def test_retract_drops_the_kernel_for_a_root_implied_literal(kernel,
-                                                             monkeypatch):
+def test_retract_raises_for_a_root_implied_literal(kernel):
     # 2 is fixed at the root, but through (-1 2), not by a unit (2)
-    builds = count_builds(kernel, monkeypatch)
     eng = engine_with(kernel, 3, [(1,), (-1, 2), (2, 3)])
     assert eng.root_value(2) is True
-    eng.solve()
-    assert eng.retract(refs=[2]) == 1
-    eng.solve()
-    assert len(builds) == 2
+    with pytest.raises(ValueError):
+        eng.retract(refs=[2])
+    assert len(eng.clauses) == 3
 
 
-def test_retract_under_a_root_conflict_recomputes_the_root(kernel):
-    eng = engine_with(kernel, 2, [(1,), (1, 2)])
-    eng.add_clause((), origin="temp")
-    assert eng.root_conflict
-    # (1 2) holds the unit-fixed 1, but the empty clause goes too
-    assert eng.retract(refs=[1], origins={"temp"}) == 1
+def test_a_retract_that_raises_changes_nothing(kernel, monkeypatch):
+    builds = count_builds(kernel, monkeypatch)
+    eng = engine_with(kernel, 4, [(1,), (1, 2), (-2, 3), (3, 4)])
+    eng.solve()
+    live = eng._kernel
+    clauses = list(eng.clauses)
+    lits = [l for v in range(1, 5) for l in (v, -v)]
+    root = [eng.root_value(l) for l in lits]
+    # (1 2) is implied by the unit (1), but (-2 3) is not
+    with pytest.raises(ValueError):
+        eng.retract(refs=[1, 2])
+    assert eng.clauses == clauses
+    assert [eng.root_value(l) for l in lits] == root
     assert not eng.root_conflict
-    assert eng.solve(assumptions=[-2]).status == "sat"
+    assert eng._kernel is live
+    assert eng.solve(assumptions=[2, -3]).core == (2, -3)
+    assert len(builds) == 1
 
 
 def test_kernel_gets_exactly_the_clauses_added_after_a_kept_retract(

@@ -157,9 +157,9 @@ def test_wpm1_retracts_once_per_core_round(sample7, monkeypatch):
     calls = []
     retract = Engine.retract
 
-    def counted(eng, refs=None, origins=None):
+    def counted(eng, refs):
         calls.append(len(refs))
-        return retract(eng, refs, origins)
+        return retract(eng, refs)
 
     monkeypatch.setattr(Engine, "retract", counted)
     res = solve_wpm1(sample7)
