@@ -40,6 +40,16 @@ at every extend(), since a propagator's watches may grow with the
 variables.  enqueue() checks that a reason is true once and trusts an equal
 reason until the next backjump.
 
+A decision takes the unassigned variable of highest activity, lowest id
+on ties.  The variables wait in a lazy heapq of (-activity, var) entries:
+queued[v] says that the heap holds a live entry for v, one that carries v's
+current activity.  A backjump pushes each variable it unassigns that is not
+queued.  A bump, always of an assigned variable, leaves its entry stale.  A
+decision pops entries until it finds a live one of an unassigned variable,
+and drops the rest.  An activity rescale, or a backjump that leaves more
+than 2 * nvars entries, rebuilds the heap from the unassigned variables.
+The C++ kernel follows the same rule with a binary heap.
+
 The hand-written C++ kernel in _search.cpp runs the same search step for
 step: any behavioural change here must be made there too, and
 tests/test_kernels.py checks that both return identical results and make
@@ -48,6 +58,7 @@ the same propagator calls.
 
 import time
 from functools import partial
+from heapq import heapify, heappop, heappush
 
 from .errors import EngineIntegrityError
 
@@ -95,8 +106,8 @@ class SearchCore:
 
         self.var_inc = 1.0
         self.cla_inc = 1.0
-        self.heap = []
-        self.heap_pos = [-1]
+        self.heap = []          # (-activity, var) entries, live or stale
+        self.queued = [False]   # per variable: the heap holds a live entry
 
         self.conflicts = 0
         self.decisions = 0
@@ -134,10 +145,10 @@ class SearchCore:
         self.phase += [False] * new
         self.activity += [0.0] * new
         self.seen += [0] * new
-        # a new variable has activity 0 and the highest id, so it goes last
-        # in the heap, as heap insertion would put it
-        self.heap_pos += range(len(self.heap), len(self.heap) + new)
-        self.heap += range(old + 1, n1)
+        # a new variable has activity 0 and the highest id: no entry sorts
+        # after its own, so appending keeps the heap a heap
+        self.queued += [True] * new
+        self.heap += [(-0.0, v) for v in range(old + 1, n1)]
 
         db = self.db
         c_off = self.c_off
@@ -209,7 +220,7 @@ class SearchCore:
     # assignment primitives
 
     def _assign(self, lit, reason):
-        # _bcp inlines this
+        # _bcp and enqueue inline this
         val = self.val
         val[lit] = 1
         val[-lit] = -1
@@ -241,91 +252,43 @@ class SearchCore:
         self._checked = None
         val = self.val
         phase = self.phase
-        reasons = self.reasons
+        activity = self.activity
+        queued = self.queued
         heap = self.heap
-        heap_pos = self.heap_pos
         for lit in reversed(trail[bound:]):
             val[lit] = 0
             val[-lit] = 0
             var = lit if lit > 0 else -lit
             phase[var] = lit > 0
-            reasons[var] = -1
-            if heap_pos[var] < 0:
-                heap.append(var)
-                self._heap_up(len(heap) - 1)
+            if not queued[var]:
+                queued[var] = True
+                heappush(heap, (-activity[var], var))
         del trail[bound:]
         self.qhead = len(trail)
+        if len(heap) > 2 * self.nvars:
+            self._rebuild_heap()
 
     # ------------------------------------------------------------------
-    # activity heap (max activity first, lowest var id on ties)
+    # activities
 
-    def _heap_up(self, i):
-        h = self.heap
-        pos = self.heap_pos
-        act = self.activity
-        v = h[i]
-        av = act[v]
-        while i > 0:
-            p = (i - 1) >> 1
-            u = h[p]
-            au = act[u]
-            if av > au or (av == au and v < u):
-                h[i] = u
-                pos[u] = i
-                i = p
-            else:
-                break
-        h[i] = v
-        pos[v] = i
+    def _rebuild_heap(self):
+        # one live entry per unassigned variable, and nothing else
+        val = self.val
+        activity = self.activity
+        unassigned = [val[v] == 0 for v in range(self.nvars + 1)]
+        unassigned[0] = False
+        self.queued[:] = unassigned
+        heap = self.heap
+        heap[:] = [(-activity[v], v)
+                   for v in range(1, self.nvars + 1) if unassigned[v]]
+        heapify(heap)
 
-    def _heap_down(self, i):
-        h = self.heap
-        pos = self.heap_pos
-        act = self.activity
-        v = h[i]
-        av = act[v]
-        n = len(h)
-        while True:
-            c = 2 * i + 1
-            if c >= n:
-                break
-            u = h[c]
-            au = act[u]
-            if c + 1 < n:
-                w = h[c + 1]
-                aw = act[w]
-                if aw > au or (aw == au and w < u):
-                    c += 1
-                    u = w
-                    au = aw
-            if au > av or (au == av and u < v):
-                h[i] = u
-                pos[u] = i
-                i = c
-            else:
-                break
-        h[i] = v
-        pos[v] = i
-
-    def _heap_pop(self):
-        h = self.heap
-        top = h[0]
-        self.heap_pos[top] = -1
-        last = h.pop()
-        if h:
-            h[0] = last
-            self.heap_pos[last] = 0
-            self._heap_down(0)
-        return top
-
-    def _bump_var(self, v):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.heap_pos[v] >= 0:
-            self._heap_up(self.heap_pos[v])
+    def _rescale_activity(self):
+        activity = self.activity
+        for u in range(1, self.nvars + 1):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        self._rebuild_heap()
 
     def _bump_clause(self, ci):
         self.c_act[ci] += self.cla_inc
@@ -445,7 +408,20 @@ class SearchCore:
         if v == -1:
             self._prop_conflict = ref
             return False
-        self._assign(lit, ref)
+        # _assign(lit, ref)
+        val = self.val
+        val[lit] = 1
+        val[-lit] = -1
+        wakers = self._wakers[lit]
+        if wakers is not None:
+            pending = self._pending
+            for pi in wakers:
+                pending[pi] = True
+        var = lit if lit > 0 else -lit
+        self.levels[var] = len(self.trail_lim)
+        self.reasons[var] = ref
+        self.trail.append(lit)
+        self.propagations += 1
         self._prop_enqueued = True
         return True
 
@@ -466,31 +442,48 @@ class SearchCore:
     # conflict analysis
 
     def _analyze(self, confl):
+        seen = self.seen
+        levels = self.levels
+        trail = self.trail
+        reasons = self.reasons
+        activity = self.activity
+        queued = self.queued
+        db = self.db
+        c_off = self.c_off
+        c_len = self.c_len
+        c_learnt = self.c_learnt
+        r_neg = self.r_neg
+        var_inc = self.var_inc
         learnt = [0]
         clevel = len(self.trail_lim)
         counter = 0
         p = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         to_clear = []
         while True:
             # the reason of p without p itself, or the whole conflict
             if confl >= 0:
-                if self.c_learnt[confl]:
+                if c_learnt[confl]:
                     self._bump_clause(confl)
-                off = self.c_off[confl]
-                lits = self.db[off + 1 if p != 0 else off:
-                               off + self.c_len[confl]]
+                off = c_off[confl]
+                lits = db[off + 1 if p != 0 else off:off + c_len[confl]]
             elif p != 0:
-                lits = self.r_neg[-2 - confl]
+                lits = r_neg[-2 - confl]
             else:
                 lits = self._lits(confl)
             for q in lits:
                 v = q if q > 0 else -q
-                if not self.seen[v] and self.levels[v] > 0:
-                    self.seen[v] = 1
+                if not seen[v] and levels[v] > 0:
+                    seen[v] = 1
                     to_clear.append(v)
-                    self._bump_var(v)
-                    if self.levels[v] >= clevel:
+                    # bump v; its heap entry, if any, goes stale
+                    a = activity[v] + var_inc
+                    activity[v] = a
+                    queued[v] = False
+                    if a > 1e100:
+                        self._rescale_activity()
+                        var_inc = self.var_inc
+                    if levels[v] >= clevel:
                         counter += 1
                     else:
                         learnt.append(q)
@@ -500,33 +493,32 @@ class SearchCore:
                 raise EngineIntegrityError(
                     "conflict has no literal at the conflict level")
             while True:
-                lit = self.trail[idx]
-                var = lit if lit > 0 else -lit
-                if self.seen[var]:
+                lit = trail[idx]
+                if seen[lit if lit > 0 else -lit]:
                     break
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             pv = p if p > 0 else -p
-            confl = self.reasons[pv]
-            self.seen[pv] = 0
+            confl = reasons[pv]
+            seen[pv] = 0
             counter -= 1
             if counter == 0:
                 break
         learnt[0] = -p
         for v in to_clear:
-            self.seen[v] = 0
+            seen[v] = 0
         bj = 0
         if len(learnt) > 1:
             best = 1
             for k in range(2, len(learnt)):
                 lv = learnt[k] if learnt[k] > 0 else -learnt[k]
                 bv = learnt[best] if learnt[best] > 0 else -learnt[best]
-                if self.levels[lv] > self.levels[bv]:
+                if levels[lv] > levels[bv]:
                     best = k
             learnt[1], learnt[best] = learnt[best], learnt[1]
             b = learnt[1] if learnt[1] > 0 else -learnt[1]
-            bj = self.levels[b]
+            bj = levels[b]
         return learnt, bj
 
     def _final_core(self, lits, core):
@@ -675,12 +667,15 @@ class SearchCore:
                     result["model"] = list(map(self.lit_value,
                                               range(self.nvars + 1)))
                     return self._finish(result)
-                var = 0
-                while self.heap:
-                    var = self._heap_pop()
-                    if self.val[var] == 0:
-                        break
-                    var = 0
+                # every unassigned variable has a live entry
+                heap = self.heap
+                activity = self.activity
+                while True:
+                    neg, var = heappop(heap)
+                    if neg == -activity[var]:
+                        self.queued[var] = False
+                        if self.val[var] == 0:
+                            break
                 self.decisions += 1
                 self._new_level()
                 self._assign(var if self.phase[var] else -var, -1)

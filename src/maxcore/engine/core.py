@@ -197,7 +197,9 @@ class Engine:
             occ.setdefault(l, []).append(rec.lits)
         if len(norm) == 1:
             self._units[norm[0]] = self._units.get(norm[0], 0) + 1
-        self._absorb(rec)
+        # a root conflict is for good, and root_value then reads no root
+        if not self._root_conflict:
+            self._absorb(rec)
         return rec.ref
 
     def root_value(self, lit):
@@ -217,19 +219,21 @@ class Engine:
         return v if lit > 0 else not v
 
     def _absorb(self, rec):
+        root = self._root
         unfixed = []
         for l in rec.lits:
-            v = self._root_val(l)
-            if v is True:
-                return
+            v = root.get(l if l > 0 else -l)
             if v is None:
                 unfixed.append(l)
+            elif v == (l > 0):
+                return
         if not unfixed:
             self._root_conflict = True
         elif len(unfixed) == 1:
             self._root_fix(unfixed[0])
 
     def _root_fix(self, lit):
+        root = self._root
         queue = deque([lit])
         queued = {lit}
         while queue:
@@ -241,7 +245,7 @@ class Engine:
             if v is False:
                 self._root_conflict = True
                 return
-            self._root[abs(l)] = l > 0
+            root[abs(l)] = l > 0
             # the root was a unit fixpoint before l, so only clauses that
             # hold -l can turn unit or false now; a retracted clause among
             # them holds a literal its stored unit fixed, and is satisfied
@@ -249,12 +253,12 @@ class Engine:
                 unfixed = []
                 sat = False
                 for q in lits:
-                    rv = self._root_val(q)
-                    if rv is True:
-                        sat = True
-                        break
+                    rv = root.get(q if q > 0 else -q)
                     if rv is None:
                         unfixed.append(q)
+                    elif rv == (q > 0):
+                        sat = True
+                        break
                 if sat:
                     continue
                 if not unfixed:

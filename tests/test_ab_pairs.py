@@ -1,0 +1,92 @@
+"""tools/ab_pairs.py, the parent/change pair summary: its aggregation over
+canned benchmark result lines."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "tools", "ab_pairs.py")
+_spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+SPEC = [("total_s", "lower", 0.25), ("speed", "higher", 0.1)]
+
+
+def result_line(total_s, speed):
+    return json.dumps({
+        "correct": True, "attempted": 450, "failed": 0,
+        "metrics": {"total_s": {"value": total_s, "unit": "s"},
+                    "speed": {"value": speed, "unit": "1/s"}}})
+
+
+def pairs_of(parent, change):
+    return [(ab_pairs.last_json("round 1\n" + result_line(*p) + "\n"),
+             ab_pairs.last_json(result_line(*c)))
+            for p, c in zip(parent, change)]
+
+
+def test_last_json_reads_the_last_line():
+    out = "kernel python\n{\"a\": 1}\n" + result_line(2.5, 1.0) + "\n\n"
+    assert ab_pairs.last_json(out)["metrics"]["total_s"]["value"] == 2.5
+    with pytest.raises(ValueError):
+        ab_pairs.last_json("\n")
+
+
+def test_quartiles():
+    assert ab_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert ab_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+def test_clear_gain_in_a_lower_is_better_metric():
+    parent = [(2.6 + 0.01 * i, 1.0) for i in range(10)]
+    change = [(2.3 + 0.01 * i, 1.0) for i in range(10)]
+    total, speed = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["name"] == "total_s" and total["pairs"] == 10
+    assert total["wins"] == 10 and total["gain"] and not total["worse"]
+    assert total["parent"][1] == pytest.approx(2.645)
+    assert total["ratio"] == pytest.approx(2.345 / 2.645)
+    # equal values are ties: no wins, no gain, not worse
+    assert speed["wins"] == 0 and not speed["gain"] and not speed["worse"]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs():
+    parent = [(2.0, 1.0)] * 10
+    change = [(1.0, 1.0)] * 8 + [(3.0, 1.0)] * 2
+    total, _ = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["wins"] == 8 and not total["gain"]
+    change = [(1.0, 1.0)] * 9 + [(3.0, 1.0)]
+    total, _ = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["wins"] == 9 and total["gain"]
+
+
+def test_gain_needs_a_gap_beyond_the_parent_spread():
+    # the change wins every pair, but by less than the parent's own spread
+    parent = [(1.0 + 0.1 * i, 1.0) for i in range(10)]
+    change = [(p - 0.01, s) for p, s in parent]
+    total, _ = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["wins"] == 10 and not total["gain"]
+
+
+def test_higher_is_better_and_the_bound():
+    parent = [(1.0, 10.0)] * 4
+    change = [(1.2, 8.5)] * 4
+    total, speed = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert not total["worse"]          # 20% slower, within 25%
+    assert speed["wins"] == 0 and speed["worse"]     # 15% lower, beyond 10%
+    text = ab_pairs.format_rows([total, speed])
+    assert "within bound" in text and "worse than bound" in text
+
+
+def test_metrics_missing_from_a_side_are_left_out():
+    pairs = pairs_of([(1.0, 1.0)], [(1.0, 1.0)])
+    del pairs[0][1]["metrics"]["speed"]
+    assert [r["name"] for r in ab_pairs.summarize(pairs, SPEC)] == ["total_s"]
+
+
+def test_spec_reads_the_benchmark_file():
+    names = [name for name, _, _ in ab_pairs.end_to_end_spec()]
+    assert "total_s" in names and "peak_rss_mb" in names

@@ -212,6 +212,29 @@ def test_root_value_is_none_under_a_root_conflict(kernel):
     assert [eng.root_value(l) for l in (1, -1, 2, -2)] == [None] * 4
 
 
+def test_clauses_after_a_root_conflict_leave_the_root(kernel):
+    # the conflict is for good, so a later clause fixes nothing; retract
+    # still keeps its unit contract over the clauses stored after it
+    eng = engine_with(kernel, 3, [(1,), (-1,)])
+    assert eng.root_conflict
+    root = dict(eng._root)
+    unit = eng.add_clause((2,))
+    implied = eng.add_clause((2, 3))
+    loose = eng.add_clause((-2, 3))
+    eng.add_clause((-3,))
+    assert eng._root == root
+    assert eng.root_value(2) is None
+    stored = list(eng.clauses)
+    with pytest.raises(ValueError):
+        eng.retract([loose])
+    with pytest.raises(ValueError):
+        eng.retract([unit, implied])
+    assert eng.clauses == stored
+    assert eng.retract([implied]) == 1
+    assert [rec.ref for rec in eng.clauses] == [0, 1, unit, loose, loose + 1]
+    assert eng.solve().status == "unsat"
+
+
 def _unit_closure(clauses):
     """Literals unit propagation fixes, or None on a conflict."""
     fixed = set()

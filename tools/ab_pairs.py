@@ -1,0 +1,157 @@
+"""Alternating parent/change pairs of perfbench runs, and the evidence a
+speed claim needs from them.
+
+Runs perfbench/run.py --workload W --seed S+i in PARENT_DIR and in
+CHANGE_DIR for pair i = 0..N-1, each run in its own process, with the
+parent first in even pairs and the change first in odd ones, and parses
+the last line of each run's standard output, the benchmark's JSON result.
+For every end-to-end metric that BENCHMARK.json (next to this script's
+tools/ directory) declares, it prints each side's median and quartiles,
+the change's median over the parent's, and how many pairs the change won
+(ties count for neither side).  A gain holds when the change wins at least
+nine tenths of the pairs and the medians differ by more than the parent's
+interquartile range; a metric is worse when the change's median is worse
+than the parent's by more than its bound.  Run from anywhere:
+
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload wcnf-small \\
+        --pairs 10 --seed 801
+
+It exits 1 if any run failed or reported a wrong answer.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def end_to_end_spec():
+    """BENCHMARK.json's end-to-end metrics: [(name, better, bound)]."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    return [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
+
+
+def last_json(stdout):
+    """The benchmark result: the last non-empty line of a run's output."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, spec):
+    """One row per metric of spec over pairs, a list of (parent result,
+    change result) dicts as perfbench prints them.  A row holds the name,
+    each side's quartiles, the ratio of the medians, the change's wins,
+    whether the gain holds and whether the change is worse than the
+    bound."""
+    rows = []
+    for name, better, bound in spec:
+        got = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+               for p, c in pairs if name in p["metrics"]
+               and name in c["metrics"]]
+        if not got:
+            continue
+        sign = 1.0 if better == "lower" else -1.0
+        parent = quartiles([p for p, _ in got])
+        change = quartiles([c for _, c in got])
+        wins = sum(sign * (p - c) > 0 for p, c in got)
+        gap = sign * (parent[1] - change[1])
+        rows.append({
+            "name": name,
+            "pairs": len(got),
+            "parent": parent,
+            "change": change,
+            "ratio": change[1] / parent[1] if parent[1] else float("nan"),
+            "wins": wins,
+            "gain": 10 * wins >= 9 * len(got) and gap > parent[2] - parent[0],
+            "worse": -gap > bound * abs(parent[1]),
+        })
+    return rows
+
+
+def format_rows(rows):
+    out = ["%-13s %5s  %-28s %-28s %6s %5s  %s" % (
+        "metric", "pairs", "parent median [q1, q3]", "change median [q1, q3]",
+        "ratio", "wins", "verdict")]
+    for r in rows:
+        verdict = ("gain" if r["gain"] else
+                   "worse than bound" if r["worse"] else "within bound")
+        out.append("%-13s %5d  %-28s %-28s %6.3f %2d/%-2d  %s" % (
+            r["name"], r["pairs"],
+            "%.4g [%.4g, %.4g]" % (r["parent"][1], r["parent"][0],
+                                   r["parent"][2]),
+            "%.4g [%.4g, %.4g]" % (r["change"][1], r["change"][0],
+                                   r["change"][2]),
+            r["ratio"], r["wins"], r["pairs"], verdict))
+    return "\n".join(out)
+
+
+def run_once(checkout, workload, seed):
+    """The JSON result of one benchmark run in checkout, or None if the
+    run failed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True)
+    try:
+        result = last_json(proc.stdout)
+    except ValueError:
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    if proc.returncode != 0 or not result.get("correct"):
+        return None
+    return result
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", metavar="PARENT_DIR")
+    ap.add_argument("change", metavar="CHANGE_DIR")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="pair i runs both sides with seed SEED + i")
+    args = ap.parse_args(argv)
+    spec = end_to_end_spec()
+    dirs = {"parent": args.parent, "change": args.change}
+    pairs = []
+    failed = 0
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        results = {}
+        for side in order:
+            results[side] = run_once(dirs[side], args.workload, seed)
+        line = ", ".join(
+            "%s %s" % (side, "failed" if results[side] is None else
+                       "total_s %.4f" % results[side]["metrics"]
+                       ["total_s"]["value"]) for side in order)
+        print("pair %d seed %d: %s" % (i, seed, line), flush=True)
+        if None in results.values():
+            failed += 1
+            continue
+        pairs.append((results["parent"], results["change"]))
+    if pairs:
+        print(format_rows(summarize(pairs, spec)))
+    if failed:
+        print("%d of %d pairs had a failed run" % (failed, args.pairs))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
