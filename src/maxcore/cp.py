@@ -7,7 +7,7 @@ literals; original-domain bounds need no justification.
 """
 
 import bisect
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .engine import Engine, Propagator
 
@@ -172,11 +172,12 @@ def decode_int(x, model):
 
 
 def post_at_most_one(eng, lits):
-    """One binary clause per pair; a list of length <= 1 posts nothing."""
-    refs = []
-    for a, b in combinations(lits, 2):
-        refs.append(eng.add_clause((-a, -b)))
-    return refs
+    """At most one of lits is true: one PbUpperBound with unit weights and
+    strict bound 2, which it returns; fewer than two literals post nothing
+    and return None."""
+    if len(lits) < 2:
+        return None
+    return post_pb_upper_bound(eng, [(1, lit) for lit in lits], 2)
 
 
 def post_pb_upper_bound(eng, terms, strict_bound):

@@ -211,6 +211,7 @@ struct Kernel {
     std::vector<char> always;
     std::vector<char> pending;
     std::vector<std::vector<int>> wakers;
+    std::vector<int> woken;  // the windex of every non-empty wakers list
 
     std::vector<int> learnt, to_clear, expl;  // scratch
 
@@ -256,13 +257,15 @@ struct Kernel {
         return read_wakes();
     }
 
-    // reads each propagator's wake_on
+    // reads each propagator's wake_on; the table grows by the new
+    // literals, and only the lists that woken names are cleared first
     bool read_wakes() {
         Py_ssize_t n = PyList_GET_SIZE(props);
         always.assign(n, 0);
         pending.assign(n, 1);
-        for (std::vector<int> &w : wakers)
-            w.clear();
+        for (int wi : woken)
+            wakers[wi].clear();
+        woken.clear();
         wakers.resize(watches.size());
         std::vector<int> lits;
         for (Py_ssize_t pi = 0; pi < n; pi++) {
@@ -277,6 +280,8 @@ struct Kernel {
                 return false;
             for (int lit : lits) {
                 std::vector<int> &w = wakers[windex(lit)];
+                if (w.empty())
+                    woken.push_back(windex(lit));
                 if (w.empty() || w.back() != pi)
                     w.push_back((int)pi);
             }

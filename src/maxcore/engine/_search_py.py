@@ -126,6 +126,9 @@ class SearchCore:
         self._checked = None
         self._checked_neg = None
 
+        self._wakers = {0: None}
+        self._woken = []        # the literals whose _wakers entry is a list
+
         self.extend(nvars, clauses, propagators)
 
     def extend(self, nvars, clauses, propagators):
@@ -175,10 +178,16 @@ class SearchCore:
 
         self.propagators += propagators
         # wake rule: _wakers[lit] lists the propagators that watch lit, or is
-        # None; a propagator whose wake_on is None stays pending for good
+        # None; a propagator whose wake_on is None stays pending for good.
+        # The table grows by the new literals, and only the lists that
+        # _woken names are reset before every wake_on is read again.
+        wakers = self._wakers
+        wakers.update(dict.fromkeys(fresh))
+        for lit in self._woken:
+            wakers[lit] = None
+        self._woken = woken = []
         self._always = []
         self._pending = [True] * len(self.propagators)
-        self._wakers = wakers = dict.fromkeys(range(-nvars, n1))
         for pi, p in enumerate(self.propagators):
             wake_on = p.wake_on
             self._always.append(wake_on is None)
@@ -186,6 +195,7 @@ class SearchCore:
                 w = wakers[lit]
                 if w is None:
                     wakers[lit] = [pi]
+                    woken.append(lit)
                 elif w[-1] != pi:
                     w.append(pi)
 

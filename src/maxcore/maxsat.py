@@ -10,10 +10,9 @@ list and are always sound against the original instance.
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .engine import Engine
-from .cp import post_pb_upper_bound
+from .cp import post_at_most_one, post_pb_upper_bound
 
 HARD = math.inf
 
@@ -217,6 +216,8 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
     record gets a unit (-assumption,) that fixes its selector false for good,
     so its stored clause is subsumed and retracting it keeps the kernel; its
     relaxed clause, with one more violator, goes in under a fresh selector.
+    The core's fresh violators go under one at-most-one constraint, a
+    PbUpperBound attached to the live kernel.
     """
     z_min = 0
     cores = []
@@ -269,14 +270,14 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
             rec.ref = eng.add_clause(
                 rec.lits + tuple(rec.violators) + (-rec.assumption,))
             fresh.append(v)
-        for va, vb in combinations(fresh, 2):
-            eng.add_clause((-va, -vb))
+        post_at_most_one(eng, fresh)
 
 
 def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
                time_budget_s=None):
     """Algorithm: solve with all softs enforced; each unsatisfiable core pays
-    w_min into z_min and is relaxed with fresh violators under an atmost1.
+    w_min into z_min and is relaxed with fresh violators, at most one of
+    which may be true (a unit-weight PbUpperBound with strict bound 2).
     A relaxed clause goes in under a fresh selector, and the old selector is
     fixed false by a unit clause, so one kernel serves the whole run."""
     inst.check()

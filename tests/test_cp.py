@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from maxcore.cp import CpModel, Cumulative, decode_int, post_pb_upper_bound
+from maxcore.cp import (
+    CpModel,
+    Cumulative,
+    PbUpperBound,
+    decode_int,
+    post_pb_upper_bound,
+)
 from maxcore.engine import available_kernels
 
 KERNELS = available_kernels()
@@ -243,13 +249,15 @@ def test_retract_cannot_revive_a_skipped_half_reification(kernel):
 # --- at-most-one ------------------------------------------------------------
 
 
-def test_at_most_one_posts_pairwise_clauses(kernel):
+def test_at_most_one_posts_one_pb_constraint(kernel):
     mdl = CpModel(kernel=kernel)
     v1, v3, v5 = (mdl.new_bool_var() for _ in range(3))
-    refs = mdl.post_at_most_one([v1, v3, v5])
-    assert len(refs) == 3
-    got = {rec.lits for rec in mdl.eng.clauses if rec.ref in refs}
-    assert got == {(-v1, -v3), (-v1, -v5), (-v3, -v5)}
+    before = list(mdl.eng.clauses)
+    pb = mdl.post_at_most_one([v1, v3, v5])
+    assert isinstance(pb, PbUpperBound)
+    assert mdl.eng.propagators == [pb]
+    assert (pb.terms, pb.bound) == ([(1, v1), (1, v3), (1, v5)], 2)
+    assert mdl.eng.clauses == before
 
 
 def test_at_most_one_two_true_conflicts(kernel):
@@ -258,13 +266,17 @@ def test_at_most_one_two_true_conflicts(kernel):
     mdl.post_at_most_one([a, b, c])
     mdl.eng.add_clause((a,))
     mdl.eng.add_clause((b,))
-    assert mdl.eng.root_conflict
+    assert mdl.eng.solve().status == "unsat"
+    assert mdl.eng.solve(assumptions=[c]).core == ()
 
 
 def test_at_most_one_singleton_is_noop(kernel):
     mdl = CpModel(kernel=kernel)
     a = mdl.new_bool_var()
-    assert mdl.post_at_most_one([a]) == []
+    before = list(mdl.eng.clauses)
+    assert mdl.post_at_most_one([a]) is None
+    assert mdl.post_at_most_one([]) is None
+    assert mdl.eng.propagators == [] and mdl.eng.clauses == before
 
 
 # --- pseudo-Boolean upper bound ---------------------------------------------
@@ -406,6 +418,53 @@ def test_pb_native_matches_arithmetic(kernel):
                             + weight_of[-lit] >= limit)
         with pytest.raises(ValueError):
             pb.tighten(bounds[-1] + 1)
+
+
+def _satisfies(model, lits):
+    return all(model[abs(l)] == (l > 0) for l in lits)
+
+
+def test_pb_explanations_are_sound():
+    """Every inference of random tiny constraints whose terms may share a
+    variable (a literal twice, or l and -l), a third of them at-most-one
+    (unit weights, strict bound 2), at every partial assignment: no full
+    assignment satisfies the constraint, the reason and the negated pushed
+    literal together, and none satisfies the constraint and a failure's
+    reason.  The constraint checked is sum < max(bound, 1), which is what
+    the propagator enforces for bound 0 too."""
+    rng = random.Random(31)
+    enqueues = fails = twice = opposite = 0
+    for case in range(300):
+        nv = rng.randint(1, 3)
+        lits = [rng.choice((1, -1)) * rng.randint(1, nv)
+                for _ in range(rng.randint(1, 5))]
+        if case % 3 == 0:
+            terms, bound = [(1, l) for l in lits], 2
+        else:
+            terms = [(rng.randint(1, 4), l) for l in lits]
+            bound = rng.randint(0, sum(w for w, _ in terms) + 1)
+        twice += len(set(lits)) < len(lits)
+        opposite += any(-l in lits for l in lits)
+        limit = max(bound, 1)
+        models = [dict(enumerate(bits, 1))
+                  for bits in itertools.product((False, True), repeat=nv)]
+        holding = [m for m in models
+                   if sum(w for w, l in terms if _satisfies(m, (l,))) < limit]
+        pb = PbUpperBound(terms, bound)
+        for vals in itertools.product((None, False, True), repeat=nv):
+            view_cls = _RefusingView if rng.random() < 0.5 else _RecordingView
+            view = view_cls({v: b for v, b in enumerate(vals, 1)
+                             if b is not None})
+            pb.propagate(view)
+            for lit, reason in view.enqueued:
+                assert not any(_satisfies(m, reason + (-lit,))
+                               for m in holding), (terms, bound, vals, lit)
+                enqueues += 1
+            if view.failed is not None:
+                assert not any(_satisfies(m, view.failed)
+                               for m in holding), (terms, bound, vals)
+                fails += 1
+    assert enqueues > 500 and fails > 500 and twice > 50 and opposite > 50
 
 
 # --- cumulative --------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from maxcore.cp import PbUpperBound
 from maxcore.engine import Engine
 from maxcore.engine import core as engine_core
 from maxcore.maxsat import (
@@ -164,6 +165,34 @@ def test_wpm1_retracts_once_per_core_round(sample7, monkeypatch):
     monkeypatch.setattr(Engine, "retract", counted)
     res = solve_wpm1(sample7)
     assert calls == [len(core) for core in res.cores] == [3, 6]
+
+
+def test_wpm1_posts_one_at_most_one_per_core(sample7, monkeypatch):
+    posted = []
+    added = []
+    attach = Engine.attach_propagator
+    add = Engine.add_clause
+
+    def attached(eng, prop):
+        posted.append(prop)
+        return attach(eng, prop)
+
+    def stored(eng, lits):
+        added.append(tuple(lits))
+        return add(eng, lits)
+
+    monkeypatch.setattr(Engine, "attach_propagator", attached)
+    monkeypatch.setattr(Engine, "add_clause", stored)
+    res = solve_wpm1(sample7)
+    assert [len(core) for core in res.cores] == [3, 6]
+    assert all(isinstance(prop, PbUpperBound) for prop in posted)
+    assert [len(prop.terms) for prop in posted] == [3, 6]
+    for prop in posted:
+        assert prop.bound == 2 and {w for w, _ in prop.terms} == {1}
+        fresh = {lit for _, lit in prop.terms}
+        assert len(fresh) == len(prop.terms)
+        assert not any(len(c) == 2 and {-l for l in c} <= fresh
+                       for c in added)
 
 
 def count_builds(monkeypatch):

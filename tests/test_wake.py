@@ -18,7 +18,8 @@ from maxcore.cp import (
     PbUpperBound,
     post_pb_upper_bound,
 )
-from maxcore.engine import Engine, available_kernels
+from maxcore.engine import Engine, Propagator, available_kernels
+from maxcore.engine.core import _kernel_module
 from maxcore.maxsat import ALGORITHMS, solve
 from maxcore.rcpsp import generate_micro_set, soften, solve_schedule
 
@@ -193,3 +194,108 @@ def test_rcpsp_micro_cells(kernel, check_watches, algo):
 
     declared, every = check_watches(run)
     assert declared < every
+
+
+class _GrowingAtMostOne(Propagator):
+    """At most one of lits is true; lits may grow between solves, which only
+    strengthens the constraint.  Logs each call as (name, assigned vars)."""
+
+    def __init__(self, name, lits, log):
+        self.name = name
+        self.lits = lits
+        self.log = log
+
+    @property
+    def wake_on(self):
+        return list(self.lits)
+
+    def propagate(self, view):
+        self.log.append((self.name, _assigned(view, self.log.nvars)))
+        true = [l for l in self.lits if view.lit_value(l) > 0]
+        if len(true) > 1:
+            view.fail(true[:2])
+            return
+        for l in self.lits:
+            if true and view.lit_value(l) == 0:
+                if not view.enqueue(-l, true):
+                    return
+
+
+class _Watcher(Propagator):
+    """Infers nothing and wakes on whatever wake_on it is given; a wake_on
+    that moves between solves shows a stale waker list as an extra call."""
+
+    def __init__(self, name, wake_on, log):
+        self.name = name
+        self.wake_on = wake_on
+        self.log = log
+
+    def propagate(self, view):
+        self.log.append((self.name, _assigned(view, self.log.nvars)))
+
+
+class _CallLog(list):
+    nvars = 0
+
+
+def _assigned(view, nvars):
+    return sum(1 for v in range(1, nvars + 1) if view.lit_value(v))
+
+
+def _grown_and_fresh_runs(kernel, seed):
+    """(grown, fresh) results and propagator calls of one random problem,
+    built in four steps: 8 variables, then 12, 17 and 23.  Each step
+    extends a growing at-most-one, moves a watcher's wake_on and attaches
+    one more at-most-one; grown applies the steps to one kernel through
+    extend(), fresh builds a kernel from the final problem."""
+    rng = random.Random(seed)
+    sizes = [8, 12, 17, 23]
+    steps = list(zip([0] + sizes, sizes))
+    clauses = [[tuple(signed(rng, v) for v in rng.sample(range(1, n + 1), 3))
+                for _ in range(3 * (n - m) // 2)] for m, n in steps]
+    amo = [[signed(rng, v) for v in rng.sample(range(m + 1, n + 1), 2)]
+           for m, n in steps]
+    watch = [rng.sample([l for v in range(1, n + 1) for l in (v, -v)], 5)
+             for n in sizes]
+    assumptions = [[]] + [[signed(rng, v) for v in rng.sample(range(1, 24), 2)]
+                          for _ in range(7)]
+    search_core = _kernel_module(kernel).SearchCore
+
+    def run(grow):
+        log = _CallLog()
+        props = [_GrowingAtMostOne("amo", list(amo[0]), log),
+                 _Watcher("watch", watch[0], log)]
+        core = search_core(sizes[0], clauses[0], props) if grow else None
+        for k in range(1, len(sizes)):
+            props[0].lits += amo[k]
+            props[1].wake_on = watch[k]
+            late = [_GrowingAtMostOne("late%d" % k, amo[k] + amo[k - 1][:1],
+                                      log)]
+            props += late
+            if grow:
+                core.extend(sizes[k], clauses[k], late)
+        if not grow:
+            core = search_core(sizes[-1], sum(clauses, []), props)
+        log.nvars = sizes[-1]
+        results = []
+        for assume in assumptions:
+            res = core.solve(assume, None, None)
+            res["explanations"] = res["explanations"]()
+            results.append(res)
+        return results, list(log)
+
+    return run(True), run(False)
+
+
+def test_extended_kernel_wakes_like_a_fresh_build(kernel):
+    """A kernel grown by several extend() calls, whose propagators' wake_on
+    grows or moves between them, makes the same propagator calls and
+    returns the same results as one built from the final problem."""
+    statuses = set()
+    for seed in range(5):
+        grown, fresh = _grown_and_fresh_runs(kernel, seed)
+        assert grown == fresh
+        statuses.update(res["status"] for res in fresh[0])
+        names = {name for name, _ in fresh[1]}
+        assert {"amo", "watch", "late1", "late2", "late3"} <= names
+    assert statuses == {"sat", "unsat"}
