@@ -345,14 +345,21 @@ struct Kernel {
     void backjump(int level) {
         if ((int)trail_lim.size() <= level)
             return;
-        unassign(trail_lim[level]);
+        int bound = trail_lim[level];
+        if (bound < (int)trail.size()) {
+            // the trail up to a level >= 1 was a fixpoint of every
+            // propagator; the root is not, its units are propagated at level 1
+            if (level)
+                pending = always;
+            else
+                std::fill(pending.begin(), pending.end(), 1);
+        }
+        unassign(bound);
         trail_lim.resize(level);
     }
 
     // unassigns the trail from position bound on, saving phases
     void unassign(int bound) {
-        if (bound < (int)trail.size())
-            std::fill(pending.begin(), pending.end(), 1);
         for (int k = (int)trail.size() - 1; k >= bound; k--) {
             int lit = trail[k];
             int var = var_of(lit);

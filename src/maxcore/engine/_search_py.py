@@ -33,9 +33,12 @@ explanations nobody reads never builds them.
 Propagators run at each Boolean fixpoint, in attachment order, until one
 enqueues a literal.  A propagator whose wake_on is None runs at every
 fixpoint.  One that lists wake_on literals runs only while it is pending: it
-becomes pending when a solve starts, after every backjump that removes
-literals, and when one of its wake_on literals becomes true; a call clears
-it as the call starts.  The kernel reads every wake_on when it is built and
+becomes pending when a solve starts, after every backjump to the root that
+removes literals, and when one of its wake_on literals becomes true; a call
+clears it as the call starts.  A backjump to a level >= 1 makes no
+propagator pending: the trail it keeps was a fixpoint of every propagator,
+reached before the next decision.  The root is not, since its unit clauses
+are propagated only once the assumptions level opens.  The kernel reads every wake_on when it is built and
 at every extend(), since a propagator's watches may grow with the
 variables.  enqueue() checks that a reason is true once and trusts an equal
 reason until the next backjump.
@@ -251,14 +254,18 @@ class SearchCore:
     def _backjump(self, level):
         if len(self.trail_lim) <= level:
             return
-        self._unassign(self.trail_lim[level])
+        bound = self.trail_lim[level]
+        if bound < len(self.trail):
+            # the trail up to a level >= 1 was a fixpoint of every
+            # propagator; the root is not, its units are propagated at level 1
+            self._pending = (list(self._always) if level
+                             else [True] * len(self.propagators))
+        self._unassign(bound)
         del self.trail_lim[level:]
 
     def _unassign(self, bound):
         # unassigns the trail from position bound on, saving phases
         trail = self.trail
-        if bound < len(trail):
-            self._pending = [True] * len(self.propagators)
         self._checked = None
         val = self.val
         phase = self.phase

@@ -65,9 +65,12 @@ class Propagator:
     only on the values of those literals and a call infers nothing when none
     of them became true since its last call (list both l and -l to wake on
     either polarity).  It then runs at a fixpoint only if it has not run
-    since the solve began or since the last backjump that removed literals,
-    or if one of its wake_on literals became true since its last call began,
-    by its own enqueue included.  The kernel reads wake_on when it is built
+    since the solve began or since the last backjump to the root that
+    removed literals, or if one of its wake_on literals became true since
+    its last call began, by its own enqueue included.  A backjump to a level
+    >= 1 wakes nothing: the trail it keeps was a fixpoint of every
+    propagator.  The root is not, since its units are propagated only once
+    the assumptions level opens.  The kernel reads wake_on when it is built
     and again, for every propagator, before a solve that follows a change
     of the store (a new variable, clause or propagator), so a wake_on may
     grow with the variables it watches.

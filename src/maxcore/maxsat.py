@@ -302,15 +302,18 @@ def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
 
 def _violator_softs(eng, inst):
     """Post hard clauses as they are and each soft clause with a fresh
-    violator v as (v or clause); returns [(clause id, weight, v)]."""
+    violator v as (v or clause); returns [(clause id, weight, v, clause)].
+    A model may set v true while its clause holds, so v is an upper bound on
+    the soft's cost in that model, not the cost itself."""
     softs = []
     for j, wc in enumerate(inst.clauses, 1):
         if wc.is_hard():
             eng.add_clause(wc.lits)
             continue
         v = eng.new_bool_var()
-        eng.add_clause((v,) + tuple(wc.lits))
-        softs.append((j, wc.weight, v))
+        lits = tuple(wc.lits)
+        eng.add_clause((v,) + lits)
+        softs.append((j, wc.weight, v, lits))
     return softs
 
 
@@ -318,11 +321,16 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
                on_incumbent=None):
     """Tighten one bound sum(w * violator) < z below each model's cost z.
 
-    softs is [(clause id, weight, violator literal)].  With temporaries,
-    every violator starts assumed false and cores spend those assumptions;
-    without, this is linear SAT-UNSAT search, that is, branch and bound.
+    softs is [(clause id, weight, violator literal, clause)], where each
+    clause holds whenever its violator is false.  A model's cost z is the
+    summed weight of the softs whose clause it falsifies, which may be below
+    its violator sum.  That bound is sound: a model of cost c < z extends to
+    violators v = not clause with sum c, so no optimum is cut off, and each
+    incumbent is below the last.  With temporaries, every violator starts
+    assumed false and cores spend those assumptions; without, this is linear
+    SAT-UNSAT search, that is, branch and bound.
     """
-    terms = [(w, v) for _, w, v in softs]
+    terms = [(w, v) for _, w, v, _ in softs]
     incumbents = []
     best = None
     bound = None
@@ -331,7 +339,7 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
     events = []
     core_events = 0
     # temporaries: (soft id, violator literal), id order
-    live = [(sid, v) for sid, _, v in softs] if temporaries else []
+    live = [(sid, v) for sid, _, v, _ in softs] if temporaries else []
     while True:
         if budget.exhausted():
             return _finish("unknown", eng, t0, z_opt=incumbents[-1] if incumbents else None,
@@ -348,9 +356,11 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
                            meta={"events": events}, core_events=core_events,
                            audit_inst=audit_inst)
         if out.status == "sat":
-            z = sum(w for w, lit in terms if _lit_true(out.model, lit))
+            model = out.model
+            z = sum(w for _, w, _, clause in softs
+                    if not any(_lit_true(model, l) for l in clause))
             incumbents.append(z)
-            best = _restrict(out.model, decode_n)
+            best = _restrict(model, decode_n)
             events.append({"kind": "incumbent", "z": z})
             if on_incumbent:
                 on_incumbent(z)
@@ -387,9 +397,10 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
 
 def solve_bnb(inst, *, kernel="auto", conflict_budget=None,
               time_budget_s=None, on_incumbent=None):
-    """Algorithm: violators on every soft clause, then tighten an objective
-    bound below each incumbent until unsatisfiable (MSU3 with no
-    temporaries)."""
+    """Algorithm: violators on every soft clause; each model's cost, the
+    weight of the soft clauses it falsifies, is the next incumbent, and the
+    bound on the violator sum is tightened below it until unsatisfiable
+    (MSU3 with no temporaries)."""
     inst.check()
     t0 = time.perf_counter()
     budget = _Budget(conflict_budget, time_budget_s)
@@ -402,7 +413,9 @@ def solve_bnb(inst, *, kernel="auto", conflict_budget=None,
 def solve_msu3(inst, *, kernel="auto", conflict_budget=None,
                time_budget_s=None, on_incumbent=None):
     """Algorithm: violators everywhere plus temporary singletons keeping them
-    false; cores spend temporaries, models tighten the objective bound."""
+    false; cores spend temporaries, and each model's cost, the weight of the
+    soft clauses it falsifies, is the next incumbent and tightens the bound
+    on the violator sum below it."""
     inst.check()
     t0 = time.perf_counter()
     budget = _Budget(conflict_budget, time_budget_s)
@@ -433,9 +446,10 @@ class IndicatorProblem:
     """Soft singleton view over an engine already holding the hard model.
 
     For bnb/msu3 each indicator is fused with its violator (v = not i), so no
-    clause is added; for wpm1 the singleton clause is materialized and then
-    relaxed round by round.  Solving consumes the engine; build a fresh model
-    per run.
+    clause is added: the soft clause of violator -lit is (lit,), and a
+    model's cost is its violator sum.  For wpm1 the singleton clause is
+    materialized and then relaxed round by round.  Solving consumes the
+    engine; build a fresh model per run.
     """
 
     def __init__(self, eng, indicators):
@@ -455,7 +469,7 @@ class IndicatorProblem:
         budget = _Budget(conflict_budget, time_budget_s)
         eng = self.eng
         if algorithm in ("bnb", "msu3"):
-            softs = [(j, w, -lit)
+            softs = [(j, w, -lit, (lit,))
                      for j, (lit, w) in enumerate(self.indicators, 1)]
             return _msu3_loop(eng, softs, algorithm == "msu3", budget, t0,
                               None, None, on_incumbent)

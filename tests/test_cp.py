@@ -9,6 +9,7 @@ import pytest
 from maxcore.cp import (
     CpModel,
     Cumulative,
+    HalfReifiedLinear,
     PbUpperBound,
     decode_int,
     post_pb_upper_bound,
@@ -244,6 +245,95 @@ def test_retract_cannot_revive_a_skipped_half_reification(kernel):
     with pytest.raises(ValueError):
         mdl.eng.retract(refs=[unit])
     assert mdl.eng.solve(assumptions=[i, -mdl.lit_geq(x, 1)]).status == "unsat"
+
+
+def _random_linear_case(rng):
+    """A tiny i -> sum(c * x) >= rhs over partly materialized ladders, a
+    term's variable possibly shared with another term, and an arbitrary
+    partial assignment of the indicator and the order literals (monotone or
+    not)."""
+    mdl = CpModel()
+    xs = []
+    for _ in range(rng.randint(1, 3)):
+        lb0 = rng.randint(-2, 2)
+        x = mdl.new_int_var(lb0, lb0 + rng.randint(0, 3))
+        for v in range(x.lb0 + 1, x.ub0 + 1):
+            if rng.random() < 0.8:
+                mdl.lit_geq(x, v)
+        xs.append(x)
+    terms = [(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice(xs))
+             for _ in range(rng.randint(1, 3))]
+    i = mdl.new_bool_var()
+    lo = sum(min(c * x.lb0, c * x.ub0) for c, x in terms)
+    hi = sum(max(c * x.lb0, c * x.ub0) for c, x in terms)
+    rhs = rng.randint(lo, hi)
+    r = rng.random()
+    values = {} if r < 0.1 else {i: r < 0.9}
+    for x in xs:
+        for lit in x.geq_lits:
+            r = rng.random()
+            if r < 0.2:
+                values[lit] = True
+            elif r < 0.35:
+                values[lit] = False
+    return mdl, xs, i, terms, rhs, values
+
+
+def _linear_worlds(mdl, xs, i, terms, rhs):
+    """(literal truth function, holds) for every value of the indicator and
+    every point of the original domains."""
+    owner = {}
+    for k, x in enumerate(xs):
+        for v, lit in zip(x.geq_vals, x.geq_lits):
+            owner[lit] = (k, v)
+    for ind in (False, True):
+        for point in itertools.product(*[range(x.lb0, x.ub0 + 1)
+                                         for x in xs]):
+            def truth(lit, ind=ind, point=point):
+                var = abs(lit)
+                if var == mdl.true_lit:
+                    val = True
+                elif var == i:
+                    val = ind
+                else:
+                    k, v = owner[var]
+                    val = point[k] >= v
+                return val == (lit > 0)
+
+            holds = not ind or sum(c * point[xs.index(x)]
+                                   for c, x in terms) >= rhs
+            yield truth, holds
+
+
+def test_linear_explanations_are_sound():
+    """Every inference of random tiny half-reified linears at random partial
+    assignments: its reason is true in the view, and no indicator value and
+    point of the domains satisfies the constraint, the reason and the
+    negated pushed literal together, nor the constraint and a failure's
+    reason."""
+    rng = random.Random(41)
+    enqueues = fails = shared = uppers = 0
+    for _ in range(1500):
+        mdl, xs, i, terms, rhs, values = _random_linear_case(rng)
+        shared += len({id(x) for _, x in terms}) < len(terms)
+        view_cls = _RefusingView if rng.random() < 0.5 else _RecordingView
+        view = view_cls({abs(l): b == (l > 0) for l, b in values.items()})
+        HalfReifiedLinear(mdl, i, terms, rhs).propagate(view)
+        worlds = list(_linear_worlds(mdl, xs, i, terms, rhs))
+        for lit, reason in view.enqueued:
+            assert all(view.lit_value(l) > 0 for l in reason)
+            assert not any(holds and all(truth(l) for l in reason + (-lit,))
+                           for truth, holds in worlds), (terms, rhs, lit)
+            enqueues += 1
+            uppers += lit < 0
+        if view.failed is not None:
+            assert all(view.lit_value(l) > 0 for l in view.failed)
+            assert not any(holds and all(truth(l) for l in view.failed)
+                           for truth, holds in worlds), (terms, rhs)
+            fails += 1
+    # pushes of lower and of upper bounds, failures and shared variables
+    assert enqueues - uppers > 150 and uppers > 150
+    assert fails > 100 and shared > 500
 
 
 # --- at-most-one ------------------------------------------------------------

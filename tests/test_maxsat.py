@@ -312,6 +312,72 @@ def test_incumbents_strictly_improve_random():
                 assert not seq or seq[-1] == res.z_opt
 
 
+# random_wcnf(0, 4, 8) of benchmarks/bench_kernels.py
+RANDOM_0_4_8_WCNF = """\
+p wcnf 4 8 25
+8 -4 1 -2 0
+3 2 -3 -1 0
+25 -1 -3 4 0
+1 -3 4 -1 0
+25 -4 -3 0
+25 -3 1 -2 0
+8 4 1 0
+4 3 4 0
+"""
+
+
+def sat_models(monkeypatch):
+    """The model of every satisfiable Engine.solve() outcome, in call order,
+    and the number of solves."""
+    models = []
+    solves = [0]
+    original = Engine.solve
+
+    def recording(eng, *args, **kwargs):
+        out = original(eng, *args, **kwargs)
+        solves[0] += 1
+        if out.status == "sat":
+            models.append(out.model)
+        return out
+
+    monkeypatch.setattr(Engine, "solve", recording)
+    return models, solves
+
+
+def test_bnb_incumbent_is_the_model_cost(monkeypatch):
+    # the second model sets a violator true over a satisfied soft clause:
+    # its violator sum is 8, its cost 0, and 0 proves optimal at once
+    inst = parse_wcnf(RANDOM_0_4_8_WCNF)
+    models, solves = sat_models(monkeypatch)
+    res = solve_bnb(inst)
+    assert (res.status, res.z_opt) == ("optimal", 0)
+    assert res.incumbents == [12, 0]
+    assert [evaluate_cost(inst, m) for m in models] == [12, 0]
+    assert solves[0] == 3
+
+
+@pytest.mark.parametrize("fn", [solve_bnb, solve_msu3])
+def test_incumbents_are_model_costs_on_acceptance_batch(fn, monkeypatch):
+    """Every incumbent is the cost of the model its solve returned, the
+    incumbents strictly descend, and the last one is the optimum."""
+    from test_acceptance import WCNF_SEED, random_wcnf
+    models, _ = sat_models(monkeypatch)
+    optimal = 0
+    for i in range(500):
+        inst = random_wcnf(WCNF_SEED + i)
+        del models[:]
+        res = fn(inst)
+        seq = res.incumbents
+        assert seq == [evaluate_cost(inst, m) for m in models]
+        assert all(a > b for a, b in zip(seq, seq[1:]))
+        if res.status == "optimal":
+            assert seq[-1] == res.z_opt == res.meta["audit"]
+            optimal += 1
+        else:
+            assert res.status == "unsatisfiable" and not seq
+    assert optimal > 400
+
+
 def test_budget_exhaustion_reports_unknown():
     rng = random.Random(9)
     inst = random_instance(rng, max_vars=9, max_clauses=18)

@@ -113,6 +113,32 @@ def test_root_forcing_is_redone_after_backjump_to_root(kernel,
     assert declared < every
 
 
+def test_backjump_above_the_root_wakes_nothing(kernel):
+    """Every clause holds -a, so under the assumption a every learnt clause
+    keeps -a and every backjump stops at level 1 or above.  A watcher on a
+    literal that never becomes true then runs once, at the first fixpoint,
+    while one woken at every fixpoint runs after each backjump."""
+    n = 4                                     # pigeons; n - 1 holes
+    def p(i, h):
+        return 2 + i * (n - 1) + h
+    w = p(n, 0)                               # in no clause, decided false
+    clauses = [tuple(p(i, h) for h in range(n - 1)) + (-1,)
+               for i in range(n)]
+    clauses += [(-p(i, h), -p(j, h), -1) for h in range(n - 1)
+                for i in range(n) for j in range(i + 1, n)]
+    log = _CallLog()
+    log.nvars = w
+    core = _kernel_module(kernel).SearchCore(
+        w, clauses, [_Watcher("w", [w], log), _Watcher("every", None, log)])
+    res = core.solve([1], None, None)
+    assert res["status"] == "unsat" and list(res["core"]) == [1]
+    assert res["conflicts"] > 1 and res["restarts"] == 0
+    assert all(len(c) > 1 and -1 in c for c in res["learnts"])
+    names = [name for name, _ in log]
+    assert names.count("w") == 1
+    assert names.count("every") > res["conflicts"]
+
+
 def test_half_reified_linear_models(kernel, check_watches):
     rng = random.Random(3)
     for _ in range(10):
