@@ -17,7 +17,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import EngineError, EngineIntegrityError, MidSearchMutationError
+from .errors import EngineError, MidSearchMutationError
 from . import _search_py
 
 try:
@@ -82,9 +82,6 @@ class Propagator:
 
     wake_on = None
 
-    def on_attach(self, engine):
-        pass
-
     def propagate(self, view):
         raise NotImplementedError
 
@@ -147,11 +144,6 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def kernel_name(self):
-        if self._kernel_name == "auto":
-            return default_kernel()
-        return self._kernel_name
-
     def new_bool_var(self):
         if self._in_search:
             raise MidSearchMutationError("variable created during search")
@@ -162,7 +154,6 @@ class Engine:
         if self._in_search:
             raise MidSearchMutationError("propagator attached during search")
         self.propagators.append(prop)
-        prop.on_attach(self)
         return prop
 
     # ------------------------------------------------------------------

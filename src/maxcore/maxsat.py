@@ -21,26 +21,13 @@ ALGORITHMS = ("bnb", "wpm1", "msu3")
 
 @dataclass
 class WeightedClause:
-    """One clause with weight; HARD marks hard clauses.
-
-    violators/assumption/ref/origin_id are driver bookkeeping filled in on
-    working copies; input instances leave them at their defaults.
-    """
+    """One input clause with its weight; HARD marks hard clauses."""
 
     lits: tuple
     weight: object
-    violators: list = field(default_factory=list)
-    assumption: int = 0
-    ref: int = -1
-    origin_id: int = 0
 
     def is_hard(self):
         return self.weight == HARD
-
-    def copy(self):
-        return WeightedClause(tuple(self.lits), self.weight,
-                              list(self.violators), self.assumption,
-                              self.ref, self.origin_id)
 
 
 @dataclass
@@ -153,7 +140,10 @@ class OptimizeResult:
 
 
 class _Budget:
+    """A run's conflict and time budget; t0 is when the run started."""
+
     def __init__(self, conflicts, seconds):
+        self.t0 = time.perf_counter()
         self.conflicts_left = conflicts
         self.deadline = None if seconds is None else time.monotonic() + seconds
 
@@ -183,12 +173,21 @@ def _restrict(model, n):
     return {v: model[v] for v in range(1, n + 1)}
 
 
-def _finish(status, eng, t0, *, z_opt=None, model=None, z_lower=0, cores=(),
-            incumbents=(), meta=None, core_events=0, audit_inst=None):
-    meta = dict(meta or {})
+def _start(inst, kernel, conflict_budget, time_budget_s):
+    """Check inst; return (engine holding its variables, run budget)."""
+    inst.check()
+    budget = _Budget(conflict_budget, time_budget_s)
+    eng = Engine(kernel=kernel)
+    for _ in range(inst.var_count):
+        eng.new_bool_var()
+    return eng, budget
+
+
+def _finish(status, eng, budget, *, z_opt, model, z_lower, cores, incumbents,
+            meta, core_events, audit_inst):
     if audit_inst is not None and model is not None:
         meta["audit"] = evaluate_cost(audit_inst, model)
-    stats = {"wall_ms": (time.perf_counter() - t0) * 1000.0}
+    stats = {"wall_ms": (time.perf_counter() - budget.t0) * 1000.0}
     stats.update(eng.stats)
     stats["cores"] = core_events
     stats["incumbents"] = len(incumbents)
@@ -198,53 +197,68 @@ def _finish(status, eng, t0, *, z_opt=None, model=None, z_lower=0, cores=(),
                           meta=meta)
 
 
-def _base_engine(inst, kernel):
-    eng = Engine(kernel=kernel)
-    for _ in range(inst.var_count):
-        eng.new_bool_var()
-    return eng
-
-
 # ---------------------------------------------------------------------------
 # WPM1
 
-def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
+class _Wpm1Soft:
+    """A soft clause under WPM1, stored as lits + violators + (-assumption,)
+    with clause ref ref, so it must hold while its selector assumption is
+    assumed.  origin_id is the 1-based position of the input clause."""
+
+    __slots__ = ("lits", "weight", "violators", "origin_id", "assumption",
+                 "ref")
+
+    def __init__(self, eng, lits, weight, violators, origin_id):
+        self.lits = lits
+        self.weight = weight
+        self.violators = violators
+        self.origin_id = origin_id
+        self.assumption = eng.new_bool_var()
+        self.ref = eng.add_clause(lits + violators + (-self.assumption,))
+
+
+def _wpm1_softs(eng, clauses):
+    """Post the hard clauses as they are and each soft clause under a fresh
+    selector; returns the soft clauses' records."""
+    records = []
+    for j, wc in enumerate(clauses, 1):
+        if wc.is_hard():
+            eng.add_clause(wc.lits)
+        else:
+            records.append(_Wpm1Soft(eng, tuple(wc.lits), wc.weight, (), j))
+    return records
+
+
+def _wpm1_loop(eng, records, budget, decode_n, audit_inst):
     """Solve under every record's selector; relax each core at w_min.
 
-    records are the soft clauses as WeightedClause working copies, each
-    stored as lits + violators + (-assumption,) under its selector.  A core
-    record gets a unit (-assumption,) that fixes its selector false for good,
-    so its stored clause is subsumed and retracting it keeps the kernel; its
-    relaxed clause, with one more violator, goes in under a fresh selector.
-    The core's fresh violators go under one at-most-one constraint, a
-    PbUpperBound attached to the live kernel.
+    A core record gets a unit (-assumption,) that fixes its selector false
+    for good, so its stored clause is subsumed and retracting it keeps the
+    kernel; its relaxed clause, with one more violator, goes in under a
+    fresh selector.  The core's fresh violators go under one at-most-one
+    constraint, a PbUpperBound attached to the live kernel.
     """
+    status = "unknown"
+    model = None
     z_min = 0
     cores = []
     rounds = []
-    while True:
-        if budget.exhausted():
-            return _finish("unknown", eng, t0, z_lower=z_min, cores=cores,
-                           meta={"rounds": rounds}, core_events=len(rounds))
+    while not budget.exhausted():
         cb, tb = budget.args()
         assumptions = [rec.assumption for rec in records]
         out = eng.solve(assumptions, conflict_budget=cb, time_budget_s=tb)
         budget.charge(out.conflicts)
         if out.status == "unknown":
-            return _finish("unknown", eng, t0, z_lower=z_min, cores=cores,
-                           meta={"rounds": rounds}, core_events=len(rounds))
+            break
         if out.status == "sat":
-            model = _restrict(out.model, decode_n)
-            return _finish("optimal", eng, t0, z_opt=z_min, model=model,
-                           z_lower=z_min, cores=cores,
-                           meta={"rounds": rounds}, core_events=len(rounds),
-                           audit_inst=audit_inst)
+            status, model = "optimal", _restrict(out.model, decode_n)
+            break
         amap = {rec.assumption: rec for rec in records}
         core_recs = [amap[l] for l in out.core]
         if not core_recs:
             # hard clauses alone are unsatisfiable (the w_min = infinity case)
-            return _finish("unsatisfiable", eng, t0, cores=cores,
-                           meta={"rounds": rounds}, core_events=len(rounds))
+            status, z_min = "unsatisfiable", 0
+            break
         w_min = min(rec.weight for rec in core_recs)
         z_min += w_min
         ids = tuple(sorted({rec.origin_id for rec in core_recs}))
@@ -257,20 +271,20 @@ def _wpm1_loop(eng, records, budget, t0, decode_n, audit_inst):
         for rec in core_recs:
             rec.assumption = eng.new_bool_var()
             if rec.weight > w_min:
-                a2 = eng.new_bool_var()
-                dup = WeightedClause(rec.lits, rec.weight - w_min,
-                                     list(rec.violators), a2,
-                                     origin_id=rec.origin_id)
-                dup.ref = eng.add_clause(
-                    rec.lits + tuple(rec.violators) + (-a2,))
-                records.append(dup)
+                records.append(_Wpm1Soft(eng, rec.lits, rec.weight - w_min,
+                                         rec.violators, rec.origin_id))
             v = eng.new_bool_var()
-            rec.violators.append(v)
+            rec.violators += (v,)
             rec.weight = w_min
             rec.ref = eng.add_clause(
-                rec.lits + tuple(rec.violators) + (-rec.assumption,))
+                rec.lits + rec.violators + (-rec.assumption,))
             fresh.append(v)
         post_at_most_one(eng, fresh)
+    return _finish(status, eng, budget,
+                   z_opt=z_min if model is not None else None, model=model,
+                   z_lower=z_min, cores=cores, incumbents=(),
+                   meta={"rounds": rounds}, core_events=len(rounds),
+                   audit_inst=audit_inst)
 
 
 def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
@@ -280,45 +294,16 @@ def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
     which may be true (a unit-weight PbUpperBound with strict bound 2).
     A relaxed clause goes in under a fresh selector, and the old selector is
     fixed false by a unit clause, so one kernel serves the whole run."""
-    inst.check()
-    t0 = time.perf_counter()
-    budget = _Budget(conflict_budget, time_budget_s)
-    eng = _base_engine(inst, kernel)
-    records = []
-    for j, wc in enumerate(inst.clauses, 1):
-        if wc.is_hard():
-            eng.add_clause(wc.lits)
-            continue
-        work = wc.copy()
-        work.origin_id = j
-        work.assumption = eng.new_bool_var()
-        work.ref = eng.add_clause(work.lits + (-work.assumption,))
-        records.append(work)
-    return _wpm1_loop(eng, records, budget, t0, inst.var_count, inst)
+    eng, budget = _start(inst, kernel, conflict_budget, time_budget_s)
+    records = _wpm1_softs(eng, inst.clauses)
+    return _wpm1_loop(eng, records, budget, inst.var_count, inst)
 
 
 # ---------------------------------------------------------------------------
 # MSU3 and branch and bound
 
-def _violator_softs(eng, inst):
-    """Post hard clauses as they are and each soft clause with a fresh
-    violator v as (v or clause); returns [(clause id, weight, v, clause)].
-    A model may set v true while its clause holds, so v is an upper bound on
-    the soft's cost in that model, not the cost itself."""
-    softs = []
-    for j, wc in enumerate(inst.clauses, 1):
-        if wc.is_hard():
-            eng.add_clause(wc.lits)
-            continue
-        v = eng.new_bool_var()
-        lits = tuple(wc.lits)
-        eng.add_clause((v,) + lits)
-        softs.append((j, wc.weight, v, lits))
-    return softs
-
-
-def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
-               on_incumbent=None):
+def _msu3_loop(eng, softs, temporaries, budget, decode_n, audit_inst,
+               on_incumbent):
     """Tighten one bound sum(w * violator) < z below each model's cost z.
 
     softs is [(clause id, weight, violator literal, clause)], where each
@@ -331,30 +316,22 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
     SAT-UNSAT search, that is, branch and bound.
     """
     terms = [(w, v) for _, w, v, _ in softs]
+    status = "unknown"
     incumbents = []
     best = None
     bound = None
-    bounded = False
     cores = []
     events = []
     core_events = 0
     # temporaries: (soft id, violator literal), id order
     live = [(sid, v) for sid, _, v, _ in softs] if temporaries else []
-    while True:
-        if budget.exhausted():
-            return _finish("unknown", eng, t0, z_opt=incumbents[-1] if incumbents else None,
-                           model=best, cores=cores, incumbents=incumbents,
-                           meta={"events": events}, core_events=core_events,
-                           audit_inst=audit_inst)
+    while not budget.exhausted():
         cb, tb = budget.args()
         assumptions = [-v for _, v in live]
         out = eng.solve(assumptions, conflict_budget=cb, time_budget_s=tb)
         budget.charge(out.conflicts)
         if out.status == "unknown":
-            return _finish("unknown", eng, t0, z_opt=incumbents[-1] if incumbents else None,
-                           model=best, cores=cores, incumbents=incumbents,
-                           meta={"events": events}, core_events=core_events,
-                           audit_inst=audit_inst)
+            break
         if out.status == "sat":
             model = out.model
             z = sum(w for _, w, _, clause in softs
@@ -371,13 +348,14 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
                 bound = post_pb_upper_bound(eng, terms, z)
             else:
                 bound.tighten(z)
-            bounded = True
             continue
         core_set = set(out.core)
         in_core = [(sid, v) for sid, v in live if -v in core_set]
         ids = tuple(sid for sid, _ in in_core)
+        bounded = bool(incumbents)
         events.append({"kind": "core", "temporaries": ids, "bounded": bounded})
         if not in_core:
+            status = "optimal" if best is not None else "unsatisfiable"
             break
         core_events += 1
         if not bounded:
@@ -385,44 +363,49 @@ def _msu3_loop(eng, softs, temporaries, budget, t0, decode_n, audit_inst,
             cores.append(ids)
         dead = {sid for sid, _ in in_core}
         live = [(sid, v) for sid, v in live if sid not in dead]
-    if best is None:
-        return _finish("unsatisfiable", eng, t0, cores=cores,
-                       meta={"events": events}, core_events=core_events,
-                       audit_inst=audit_inst)
-    return _finish("optimal", eng, t0, z_opt=incumbents[-1], model=best,
-                   z_lower=incumbents[-1], cores=cores, incumbents=incumbents,
-                   meta={"events": events}, core_events=core_events,
-                   audit_inst=audit_inst)
+    z_opt = incumbents[-1] if incumbents else None
+    return _finish(status, eng, budget, z_opt=z_opt, model=best,
+                   z_lower=z_opt if status == "optimal" else 0, cores=cores,
+                   incumbents=incumbents, meta={"events": events},
+                   core_events=core_events, audit_inst=audit_inst)
 
 
-def solve_bnb(inst, *, kernel="auto", conflict_budget=None,
-              time_budget_s=None, on_incumbent=None):
+def _solve_with_violators(inst, temporaries, *, kernel="auto",
+                          conflict_budget=None, time_budget_s=None,
+                          on_incumbent=None):
+    """bnb and msu3: post hard clauses as they are and each soft clause with
+    a fresh violator v as (v or clause), then run the MSU3 loop.  A model
+    may set v true while its clause holds, so v is an upper bound on the
+    soft's cost in that model, not the cost itself."""
+    eng, budget = _start(inst, kernel, conflict_budget, time_budget_s)
+    softs = []
+    for j, wc in enumerate(inst.clauses, 1):
+        if wc.is_hard():
+            eng.add_clause(wc.lits)
+            continue
+        v = eng.new_bool_var()
+        lits = tuple(wc.lits)
+        eng.add_clause((v,) + lits)
+        softs.append((j, wc.weight, v, lits))
+    return _msu3_loop(eng, softs, temporaries, budget, inst.var_count, inst,
+                      on_incumbent)
+
+
+def solve_bnb(inst, **kw):
     """Algorithm: violators on every soft clause; each model's cost, the
     weight of the soft clauses it falsifies, is the next incumbent, and the
     bound on the violator sum is tightened below it until unsatisfiable
-    (MSU3 with no temporaries)."""
-    inst.check()
-    t0 = time.perf_counter()
-    budget = _Budget(conflict_budget, time_budget_s)
-    eng = _base_engine(inst, kernel)
-    softs = _violator_softs(eng, inst)
-    return _msu3_loop(eng, softs, False, budget, t0, inst.var_count, inst,
-                      on_incumbent)
+    (MSU3 with no temporaries).  Keywords: kernel, conflict_budget,
+    time_budget_s, on_incumbent."""
+    return _solve_with_violators(inst, False, **kw)
 
 
-def solve_msu3(inst, *, kernel="auto", conflict_budget=None,
-               time_budget_s=None, on_incumbent=None):
+def solve_msu3(inst, **kw):
     """Algorithm: violators everywhere plus temporary singletons keeping them
     false; cores spend temporaries, and each model's cost, the weight of the
     soft clauses it falsifies, is the next incumbent and tightens the bound
-    on the violator sum below it."""
-    inst.check()
-    t0 = time.perf_counter()
-    budget = _Budget(conflict_budget, time_budget_s)
-    eng = _base_engine(inst, kernel)
-    softs = _violator_softs(eng, inst)
-    return _msu3_loop(eng, softs, True, budget, t0, inst.var_count, inst,
-                      on_incumbent)
+    on the violator sum below it.  Keywords as solve_bnb."""
+    return _solve_with_violators(inst, True, **kw)
 
 
 def solve(inst, algorithm="wpm1", **kw):
@@ -455,6 +438,8 @@ class IndicatorProblem:
     def __init__(self, eng, indicators):
         seen = set()
         for lit, w in indicators:
+            if lit == 0 or abs(lit) > eng.nvars:
+                raise ValueError("indicator literal %d out of range" % lit)
             if abs(lit) in seen:
                 raise ValueError("duplicate indicator literal %d" % lit)
             seen.add(abs(lit))
@@ -465,20 +450,15 @@ class IndicatorProblem:
 
     def solve(self, algorithm="wpm1", *, conflict_budget=None,
               time_budget_s=None, on_incumbent=None):
-        t0 = time.perf_counter()
         budget = _Budget(conflict_budget, time_budget_s)
         eng = self.eng
         if algorithm in ("bnb", "msu3"):
             softs = [(j, w, -lit, (lit,))
                      for j, (lit, w) in enumerate(self.indicators, 1)]
-            return _msu3_loop(eng, softs, algorithm == "msu3", budget, t0,
+            return _msu3_loop(eng, softs, algorithm == "msu3", budget,
                               None, None, on_incumbent)
         if algorithm == "wpm1":
-            records = []
-            for j, (lit, w) in enumerate(self.indicators, 1):
-                a = eng.new_bool_var()
-                rec = WeightedClause((lit,), w, [], a, origin_id=j)
-                rec.ref = eng.add_clause((lit, -a))
-                records.append(rec)
-            return _wpm1_loop(eng, records, budget, t0, None, None)
+            records = _wpm1_softs(eng, [WeightedClause((lit,), w)
+                                        for lit, w in self.indicators])
+            return _wpm1_loop(eng, records, budget, None, None)
         raise ValueError("unknown algorithm %r" % algorithm)

@@ -9,7 +9,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cp import CpModel, decode_int
@@ -139,12 +139,11 @@ def _longest_start_offsets(n, edges):
     return None
 
 
-def makespan_lower_bound(inst, exact=False, kernel="auto"):
+def makespan_lower_bound(inst):
     """Max of the nonnegative-lag path bound and the per-resource energy bound.
 
-    With exact=True the bound is tightened to the true minimum makespan by
-    solving the all-hard model at increasing horizons.  Rejects instances
-    whose precedence cycles carry positive total lag (no finite schedule).
+    Rejects instances whose precedence cycles carry positive total lag (no
+    finite schedule).
     """
     inst.check()
     n = len(inst.tasks)
@@ -157,31 +156,7 @@ def makespan_lower_bound(inst, exact=False, kernel="auto"):
         energy = sum(dur * demands[r] for dur, demands in inst.tasks)
         if energy and cap > 0:
             bound = max(bound, -(-energy // cap))
-    if not exact:
-        return bound
-    cap_h = bound + sum(dur for dur, _ in inst.tasks) \
-        + sum(max(lag, 0) for _, _, lag in inst.precedences) + 1
-    for h in range(bound, cap_h + 1):
-        if _hard_feasible(inst, h, kernel):
-            return h
-    raise ValueError("no feasible schedule up to horizon %d" % cap_h)
-
-
-def _hard_feasible(inst, horizon, kernel):
-    if any(dur > horizon for dur, _ in inst.tasks):
-        return False
-    mdl = CpModel(kernel=kernel)
-    starts = [mdl.new_int_var(0, horizon - dur) for dur, _ in inst.tasks]
-    for s in starts:
-        mdl.materialize(s)
-    _post_resources(mdl, inst, starts)
-    for a, b, lag in inst.precedences:
-        i = mdl.new_bool_var()
-        mdl.eng.add_clause((i,))
-        mdl.post_half_reified_linear(i, [(1, starts[b]), (-1, starts[a])], lag)
-    if mdl.eng.root_conflict:
-        return False
-    return mdl.eng.solve().status == "sat"
+    return bound
 
 
 def _post_resources(mdl, inst, starts):
@@ -311,12 +286,9 @@ def solve_schedule(p, algorithm="wpm1", kernel="auto", conflict_budget=None,
             vals = [decode_int(x, out.model) for x in starts]
             return ScheduleResult("optimal", 0, vals, audit_schedule(p, vals))
         return ScheduleResult("infeasible" if out.status == "unsat" else "unknown")
-    prob = wrap_indicators(eng, indicators)
-    kw = {}
-    if algorithm in ("bnb", "msu3"):
-        kw["on_incumbent"] = on_incumbent
-    res = prob.solve(algorithm=algorithm, conflict_budget=conflict_budget,
-                     time_budget_s=time_budget_s, **kw)
+    res = wrap_indicators(eng, indicators).solve(
+        algorithm=algorithm, conflict_budget=conflict_budget,
+        time_budget_s=time_budget_s, on_incumbent=on_incumbent)
     if res.status == "unsatisfiable":
         return ScheduleResult("infeasible", opt=res)
     if res.status != "optimal":

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from maxcore import maxsat, rcpsp
 from maxcore.cp import PbUpperBound
 from maxcore.engine import Engine
 from maxcore.engine import core as engine_core
@@ -453,6 +454,42 @@ def test_nonpositive_indicator_weight_rejected():
     eng = build_indicator_engine([], 1)
     with pytest.raises(ValueError):
         wrap_indicators(eng, [(1, 0)])
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("lit", [0, 3, -3])
+def test_out_of_range_indicator_rejected(lit, algorithm):
+    eng = build_indicator_engine([], 2)
+    with pytest.raises(ValueError, match="indicator literal"):
+        wrap_indicators(eng, [(1, 1), (lit, 2)]).solve(algorithm)
+
+
+def test_each_front_end_reaches_one_traced_driver(sample5, monkeypatch):
+    """perfbench/layers.py wraps maxsat.solve_bnb, solve_wpm1, solve_msu3
+    and IndicatorProblem.solve by attribute name; each run of maxsat.solve
+    or rcpsp.solve_schedule must call exactly one of them, once."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_bnb", "solve_wpm1", "solve_msu3"):
+        monkeypatch.setattr(maxsat, name, counted(name, getattr(maxsat, name)))
+    monkeypatch.setattr(maxsat.IndicatorProblem, "solve",
+                        counted("IndicatorProblem.solve",
+                                maxsat.IndicatorProblem.solve))
+    (_, inst), = generate_micro_set(1, seed=6)
+    p = soften(inst, 0.9, mode="weighted", seed=1)
+    for algorithm in ALGORITHMS:
+        del calls[:]
+        assert maxsat.solve(sample5, algorithm).status == "optimal"
+        assert calls == ["solve_" + algorithm]
+        del calls[:]
+        assert rcpsp.solve_schedule(p, algorithm).status == "optimal"
+        assert calls == ["IndicatorProblem.solve"]
 
 
 def test_instance_check_rejects_bad_clauses():

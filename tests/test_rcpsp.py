@@ -1,7 +1,5 @@
 """Scheduling instances: parsing, bounds, softening, solving, benchmarking."""
 
-import itertools
-
 import pytest
 
 from maxcore.oracle import OracleGuardError, brute_force_schedule
@@ -89,39 +87,6 @@ def test_positive_lag_cycle_rejected():
     # zero-total cycles are fine: the two tasks just start in lockstep
     ok = RcpspMax([(1, ()), (1, ())], [], [(0, 1, 2), (1, 0, -2)])
     assert makespan_lower_bound(ok) >= 3
-
-
-def brute_min_makespan(inst, cap_h):
-    """Smallest horizon admitting a schedule with ALL precedences hard."""
-    for h in range(0, cap_h):
-        doms = [range(0, h - dur + 1) for dur, _ in inst.tasks]
-        if any(len(d) == 0 for d in doms):
-            continue
-        for starts in itertools.product(*doms):
-            if any(starts[b] - starts[a] < lag
-                   for a, b, lag in inst.precedences):
-                continue
-            ok = True
-            for r, cap in enumerate(inst.resources):
-                usage = [0] * h
-                for (dur, demands), s in zip(inst.tasks, starts):
-                    for t in range(s, s + dur):
-                        usage[t] += demands[r]
-                if usage and max(usage) > cap:
-                    ok = False
-                    break
-            if ok:
-                return h
-    return None
-
-
-def test_exact_bound_matches_enumeration():
-    for seed in (1, 4, 9):
-        inst = generate_instance(seed, min_tasks=4, max_tasks=4)
-        exact = makespan_lower_bound(inst, exact=True, kernel="python")
-        # feasible at exact, infeasible at every smaller horizon
-        assert brute_min_makespan(inst, cap_h=exact + 1) == exact
-        assert exact >= makespan_lower_bound(inst)
 
 
 # --- softening ----------------------------------------------------------
