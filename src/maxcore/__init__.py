@@ -18,7 +18,6 @@ from .maxsat import (
     parse_wcnf,
     serialize_wcnf,
     solve,
-    wrap_indicators,
 )
 from .rcpsp import (
     RcpspMax,
@@ -47,6 +46,5 @@ __all__ = [
     "soften",
     "solve",
     "solve_schedule",
-    "wrap_indicators",
     "__version__",
 ]

@@ -31,7 +31,8 @@ def _read(path):
 
 
 class _OLines:
-    """Deduplicating printer for 'o <value>' objective lines."""
+    """Deduplicating printer for 'o <value>' objective lines, passed to the
+    drivers as on_bound so that each bound is printed as it is found."""
 
     def __init__(self):
         self.last = None
@@ -41,12 +42,20 @@ class _OLines:
             print("o %d" % z)
             self.last = z
 
-
-def _replay_wpm1_rounds(res, o):
-    running = 0
-    for r in res.meta.get("rounds", ()):
-        running += r["w_min"]
-        o.emit(running)
+    def answer(self, status, cost, values):
+        """Print the 's' line, after the optimum's last 'o' line and before
+        the 'v' line of values when status is 'optimal'; values is read
+        only then.  Return the exit code."""
+        if status == "optimal":
+            self.emit(cost)
+            print("s OPTIMUM FOUND")
+            print("v " + " ".join(str(x) for x in values))
+            return EXIT_OK
+        if status in ("unsatisfiable", "infeasible"):
+            print("s UNSATISFIABLE")
+            return EXIT_OK
+        print("s UNKNOWN")
+        return EXIT_INCOMPLETE
 
 
 # ---------------------------------------------------------------------------
@@ -66,24 +75,11 @@ def cmd_solve_wcnf(args):
           % (inst.var_count, len(inst.clauses),
              sum(1 for wc in inst.clauses if wc.is_hard())))
     o = _OLines()
-    kw = {"time_budget_s": args.timeout_s}
-    if args.algorithm in ("bnb", "msu3"):
-        kw["on_incumbent"] = o.emit
-    res = maxsat.solve(inst, args.algorithm, **kw)
-    if args.algorithm == "wpm1":
-        _replay_wpm1_rounds(res, o)
-    if res.status == "optimal":
-        o.emit(res.z_opt)
-        print("s OPTIMUM FOUND")
-        print("v " + " ".join(
-            str(v if res.model[v] else -v)
-            for v in range(1, inst.var_count + 1)))
-        return EXIT_OK
-    if res.status == "unsatisfiable":
-        print("s UNSATISFIABLE")
-        return EXIT_OK
-    print("s UNKNOWN")
-    return EXIT_INCOMPLETE
+    res = maxsat.solve(inst, args.algorithm, time_budget_s=args.timeout_s,
+                       on_bound=o.emit)
+    return o.answer(res.status, res.z_opt,
+                    (v if res.model[v] else -v
+                     for v in range(1, inst.var_count + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +109,8 @@ def cmd_solve_rcpsp(args):
           % (args.alpha, p.mode, p.lower_bound, p.horizon))
     o = _OLines()
     r = rcpsp.solve_schedule(p, algorithm=args.algorithm,
-                             time_budget_s=args.timeout_s,
-                             on_incumbent=o.emit)
-    if r.opt is not None and args.algorithm == "wpm1":
-        _replay_wpm1_rounds(r.opt, o)
-    if r.status == "optimal":
-        o.emit(r.cost)
-        print("s OPTIMUM FOUND")
-        print("v " + " ".join(str(s) for s in r.starts))
-        return EXIT_OK
-    if r.status == "infeasible":
-        print("s UNSATISFIABLE")
-        return EXIT_OK
-    print("s UNKNOWN")
-    return EXIT_INCOMPLETE
+                             time_budget_s=args.timeout_s, on_bound=o.emit)
+    return o.answer(r.status, r.cost, r.starts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ class IntVar:
         self.lb0 = lb
         self.ub0 = ub
         self.geq = {}        # value -> BoolLit for [x >= value], lb0 < value <= ub0
-        self.eq = {}         # value -> BoolLit for [x = value]
         self.geq_vals = []   # sorted keys of geq
         self.geq_lits = []   # geq[v] for v in geq_vals, in the same order
 
@@ -67,24 +66,6 @@ class CpModel:
         x.geq[v] = lit
         x.geq_vals.insert(i, v)
         x.geq_lits.insert(i, lit)
-        return lit
-
-    def lit_eq(self, x, v):
-        """Literal for x = v: true iff [x>=v] and not [x>=v+1]."""
-        if v < x.lb0 or v > x.ub0:
-            return -self.true_lit
-        if x.lb0 == x.ub0:
-            return self.true_lit
-        lit = x.eq.get(v)
-        if lit is not None:
-            return lit
-        lit = self.eng.new_bool_var()
-        lo = self.lit_geq(x, v)
-        hi = self.lit_geq(x, v + 1)
-        self.eng.add_clause((-lit, lo))
-        self.eng.add_clause((-lit, -hi))
-        self.eng.add_clause((lit, -lo, hi))
-        x.eq[v] = lit
         return lit
 
     def materialize(self, x):
@@ -156,10 +137,6 @@ class CpModel:
         if i == len(x.geq_vals):
             return None
         return x.geq_vals[i] - 1, -x.geq_lits[i]
-
-    def decode(self, x, model):
-        """Integer value of x under a Boolean model."""
-        return decode_int(x, model)
 
 
 def decode_int(x, model):

@@ -11,7 +11,6 @@ from .core import (
     Engine,
     Propagator,
     SolveOutcome,
-    ClauseRec,
     available_kernels,
     default_kernel,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Engine",
     "Propagator",
     "SolveOutcome",
-    "ClauseRec",
     "available_kernels",
     "default_kernel",
     "EngineError",

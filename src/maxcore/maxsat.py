@@ -229,8 +229,9 @@ def _wpm1_softs(eng, clauses):
     return records
 
 
-def _wpm1_loop(eng, records, budget, decode_n, audit_inst):
-    """Solve under every record's selector; relax each core at w_min.
+def _wpm1_loop(eng, records, budget, decode_n, audit_inst, on_bound):
+    """Solve under every record's selector; relax each core at w_min, and
+    pass the running lower bound z_min to on_bound after each core.
 
     A core record gets a unit (-assumption,) that fixes its selector false
     for good, so its stored clause is subsumed and retracting it keeps the
@@ -263,6 +264,8 @@ def _wpm1_loop(eng, records, budget, decode_n, audit_inst):
         z_min += w_min
         ids = tuple(sorted({rec.origin_id for rec in core_recs}))
         rounds.append({"core": ids, "w_min": w_min})
+        if on_bound:
+            on_bound(z_min)
         cores.append(ids)
         for rec in core_recs:
             eng.add_clause((-rec.assumption,))
@@ -288,23 +291,26 @@ def _wpm1_loop(eng, records, budget, decode_n, audit_inst):
 
 
 def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
-               time_budget_s=None):
+               time_budget_s=None, on_bound=None):
     """Algorithm: solve with all softs enforced; each unsatisfiable core pays
     w_min into z_min and is relaxed with fresh violators, at most one of
     which may be true (a unit-weight PbUpperBound with strict bound 2).
     A relaxed clause goes in under a fresh selector, and the old selector is
-    fixed false by a unit clause, so one kernel serves the whole run."""
+    fixed false by a unit clause, so one kernel serves the whole run.
+    on_bound(z_min) is called after each core with the ascending lower
+    bound."""
     eng, budget = _start(inst, kernel, conflict_budget, time_budget_s)
     records = _wpm1_softs(eng, inst.clauses)
-    return _wpm1_loop(eng, records, budget, inst.var_count, inst)
+    return _wpm1_loop(eng, records, budget, inst.var_count, inst, on_bound)
 
 
 # ---------------------------------------------------------------------------
 # MSU3 and branch and bound
 
 def _msu3_loop(eng, softs, temporaries, budget, decode_n, audit_inst,
-               on_incumbent):
-    """Tighten one bound sum(w * violator) < z below each model's cost z.
+               on_bound):
+    """Tighten one bound sum(w * violator) < z below each model's cost z,
+    and pass each such incumbent z to on_bound.
 
     softs is [(clause id, weight, violator literal, clause)], where each
     clause holds whenever its violator is false.  A model's cost z is the
@@ -339,8 +345,8 @@ def _msu3_loop(eng, softs, temporaries, budget, decode_n, audit_inst,
             incumbents.append(z)
             best = _restrict(model, decode_n)
             events.append({"kind": "incumbent", "z": z})
-            if on_incumbent:
-                on_incumbent(z)
+            if on_bound:
+                on_bound(z)
             # next model must satisfy sum(w*v) < z; z = 0 makes that the empty clause
             if z <= 0:
                 eng.add_clause(())
@@ -372,7 +378,7 @@ def _msu3_loop(eng, softs, temporaries, budget, decode_n, audit_inst,
 
 def _solve_with_violators(inst, temporaries, *, kernel="auto",
                           conflict_budget=None, time_budget_s=None,
-                          on_incumbent=None):
+                          on_bound=None):
     """bnb and msu3: post hard clauses as they are and each soft clause with
     a fresh violator v as (v or clause), then run the MSU3 loop.  A model
     may set v true while its clause holds, so v is an upper bound on the
@@ -388,7 +394,7 @@ def _solve_with_violators(inst, temporaries, *, kernel="auto",
         eng.add_clause((v,) + lits)
         softs.append((j, wc.weight, v, lits))
     return _msu3_loop(eng, softs, temporaries, budget, inst.var_count, inst,
-                      on_incumbent)
+                      on_bound)
 
 
 def solve_bnb(inst, **kw):
@@ -396,7 +402,8 @@ def solve_bnb(inst, **kw):
     weight of the soft clauses it falsifies, is the next incumbent, and the
     bound on the violator sum is tightened below it until unsatisfiable
     (MSU3 with no temporaries).  Keywords: kernel, conflict_budget,
-    time_budget_s, on_incumbent."""
+    time_budget_s, and on_bound, called with each incumbent's cost, which
+    descends."""
     return _solve_with_violators(inst, False, **kw)
 
 
@@ -421,18 +428,16 @@ def solve(inst, algorithm="wpm1", **kw):
 # ---------------------------------------------------------------------------
 # indicator bridge for intensional soft constraints
 
-def wrap_indicators(eng, indicators):
-    """Present (indicator literal, weight) pairs as soft singleton clauses."""
-    return IndicatorProblem(eng, indicators)
-
 class IndicatorProblem:
     """Soft singleton view over an engine already holding the hard model.
 
     For bnb/msu3 each indicator is fused with its violator (v = not i), so no
     clause is added: the soft clause of violator -lit is (lit,), and a
     model's cost is its violator sum.  For wpm1 the singleton clause is
-    materialized and then relaxed round by round.  Solving consumes the
-    engine; build a fresh model per run.
+    materialized and then relaxed round by round.  solve() takes the
+    keywords of the WCNF drivers except kernel, and on_bound gets the same
+    bounds.  Solving consumes the engine, so a second solve() raises
+    ValueError; build a fresh model per run.
     """
 
     def __init__(self, eng, indicators):
@@ -447,18 +452,21 @@ class IndicatorProblem:
                 raise ValueError("indicator weight %r invalid" % (w,))
         self.eng = eng
         self.indicators = list(indicators)
+        self.solved = False
 
     def solve(self, algorithm="wpm1", *, conflict_budget=None,
-              time_budget_s=None, on_incumbent=None):
+              time_budget_s=None, on_bound=None):
+        if algorithm not in ALGORITHMS:
+            raise ValueError("unknown algorithm %r" % algorithm)
+        if self.solved:
+            raise ValueError("solved already: solving consumes the engine")
+        self.solved = True
         budget = _Budget(conflict_budget, time_budget_s)
-        eng = self.eng
-        if algorithm in ("bnb", "msu3"):
-            softs = [(j, w, -lit, (lit,))
-                     for j, (lit, w) in enumerate(self.indicators, 1)]
-            return _msu3_loop(eng, softs, algorithm == "msu3", budget,
-                              None, None, on_incumbent)
         if algorithm == "wpm1":
-            records = _wpm1_softs(eng, [WeightedClause((lit,), w)
-                                        for lit, w in self.indicators])
-            return _wpm1_loop(eng, records, budget, None, None)
-        raise ValueError("unknown algorithm %r" % algorithm)
+            records = _wpm1_softs(self.eng, [WeightedClause((lit,), w)
+                                             for lit, w in self.indicators])
+            return _wpm1_loop(self.eng, records, budget, None, None, on_bound)
+        softs = [(j, w, -lit, (lit,))
+                 for j, (lit, w) in enumerate(self.indicators, 1)]
+        return _msu3_loop(self.eng, softs, algorithm == "msu3", budget,
+                          None, None, on_bound)

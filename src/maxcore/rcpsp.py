@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cp import CpModel, decode_int
 from .engine import Engine
-from .maxsat import wrap_indicators
+from .maxsat import IndicatorProblem
 
 MODES = ("cardinality", "weighted")
 
@@ -274,21 +274,18 @@ def audit_schedule(p, starts):
 
 
 def solve_schedule(p, algorithm="wpm1", kernel="auto", conflict_budget=None,
-                   time_budget_s=None, on_incumbent=None):
-    """Optimize the soft-precedence problem with one of the maxsat drivers."""
+                   time_budget_s=None, on_bound=None):
+    """Optimize the soft-precedence problem with one of the maxsat drivers,
+    run by IndicatorProblem.solve, also when there is no precedence.
+    on_bound gets the driver's bounds on the soft cost: wpm1's ascending
+    lower bounds, or bnb's and msu3's descending incumbents."""
     eng = Engine(kernel=kernel)
     starts, indicators = build_model(p, eng)
     if eng.root_conflict:
         return ScheduleResult("infeasible")
-    if not indicators:
-        out = eng.solve(time_budget_s=time_budget_s)
-        if out.status == "sat":
-            vals = [decode_int(x, out.model) for x in starts]
-            return ScheduleResult("optimal", 0, vals, audit_schedule(p, vals))
-        return ScheduleResult("infeasible" if out.status == "unsat" else "unknown")
-    res = wrap_indicators(eng, indicators).solve(
-        algorithm=algorithm, conflict_budget=conflict_budget,
-        time_budget_s=time_budget_s, on_incumbent=on_incumbent)
+    res = IndicatorProblem(eng, indicators).solve(
+        algorithm, conflict_budget=conflict_budget,
+        time_budget_s=time_budget_s, on_bound=on_bound)
     if res.status == "unsatisfiable":
         return ScheduleResult("infeasible", opt=res)
     if res.status != "optimal":

@@ -165,6 +165,198 @@ def test_solve_rcpsp_parse_error(capsys, tmp_path):
     assert code == 2 and "line 3" in err
 
 
+# --- golden stdout --------------------------------------------------------
+
+# Inputs of the golden runs, written into the working directory so that the
+# "c maxcore ... on <file>" line does not depend on where the test runs.
+GOLDEN_FILES = {
+    "sample7.wcnf": """\
+p wcnf 4 7 8
+1 1 0
+1 2 0
+1 3 0
+1 -1 -2 0
+1 -1 -3 0
+1 4 0
+1 -3 -4 0
+""",
+    "hard.wcnf": HARD_CONTRADICTION,
+    # rcpsp.generate_instance(6)
+    "m.rcpsp": """\
+5 1
+4 1
+4 0
+4 1
+3 2
+4 0
+2
+3 4 1
+1 5 1
+3 4 4
+4 5 4
+4 5 3
+""",
+    "free.rcpsp": "2 1\n3 1\n3 1\n1\n",
+    "two.rcpsp": TWO_TASK,
+}
+
+GOLDEN_ARGS = {
+    "sample7": ["solve-wcnf", "sample7.wcnf"],
+    "hard": ["solve-wcnf", "hard.wcnf"],
+    "micro": ["solve-rcpsp", "m.rcpsp", "--alpha", "0.9", "--mode",
+              "weighted", "--seed", "1"],
+    "micro-budget0": ["solve-rcpsp", "m.rcpsp", "--timeout-s", "0"],
+    "free": ["solve-rcpsp", "free.rcpsp", "--alpha", "1.0"],
+    "two-tight": ["solve-rcpsp", "two.rcpsp", "--alpha", "0.5"],
+}
+
+# (case, algorithm) -> (exit code, stdout), as recorded; a change to the
+# CLI or to how the drivers report their bounds must keep them byte for byte.
+GOLDEN = {
+    ("sample7", "bnb"): (0, """\
+c maxcore bnb on sample7.wcnf
+c 4 vars, 7 clauses (0 hard)
+o 4
+o 3
+o 2
+s OPTIMUM FOUND
+v -1 2 3 4
+"""),
+    ("sample7", "wpm1"): (0, """\
+c maxcore wpm1 on sample7.wcnf
+c 4 vars, 7 clauses (0 hard)
+o 1
+o 2
+s OPTIMUM FOUND
+v -1 2 -3 4
+"""),
+    ("sample7", "msu3"): (0, """\
+c maxcore msu3 on sample7.wcnf
+c 4 vars, 7 clauses (0 hard)
+o 2
+s OPTIMUM FOUND
+v -1 2 3 4
+"""),
+    ("hard", "bnb"): (0, """\
+c maxcore bnb on hard.wcnf
+c 1 vars, 3 clauses (2 hard)
+s UNSATISFIABLE
+"""),
+    ("hard", "wpm1"): (0, """\
+c maxcore wpm1 on hard.wcnf
+c 1 vars, 3 clauses (2 hard)
+s UNSATISFIABLE
+"""),
+    ("hard", "msu3"): (0, """\
+c maxcore msu3 on hard.wcnf
+c 1 vars, 3 clauses (2 hard)
+s UNSATISFIABLE
+"""),
+    ("micro", "bnb"): (0, """\
+c maxcore bnb on m.rcpsp
+c 5 tasks, 1 resources, 5 precedences
+c alpha 0.9 mode weighted lower-bound 12 horizon 10
+o 25
+o 24
+o 18
+o 17
+o 7
+s OPTIMUM FOUND
+v 4 0 4 1 5
+"""),
+    ("micro", "wpm1"): (0, """\
+c maxcore wpm1 on m.rcpsp
+c 5 tasks, 1 resources, 5 precedences
+c alpha 0.9 mode weighted lower-bound 12 horizon 10
+o 1
+o 6
+o 7
+s OPTIMUM FOUND
+v 4 0 4 1 5
+"""),
+    ("micro", "msu3"): (0, """\
+c maxcore msu3 on m.rcpsp
+c 5 tasks, 1 resources, 5 precedences
+c alpha 0.9 mode weighted lower-bound 12 horizon 10
+o 23
+o 13
+o 7
+s OPTIMUM FOUND
+v 3 0 4 0 4
+"""),
+    ("micro-budget0", "bnb"): (1, """\
+c maxcore bnb on m.rcpsp
+c 5 tasks, 1 resources, 5 precedences
+c alpha 0.8 mode cardinality lower-bound 12 horizon 9
+s UNKNOWN
+"""),
+    ("micro-budget0", "wpm1"): (1, """\
+c maxcore wpm1 on m.rcpsp
+c 5 tasks, 1 resources, 5 precedences
+c alpha 0.8 mode cardinality lower-bound 12 horizon 9
+s UNKNOWN
+"""),
+    ("micro-budget0", "msu3"): (1, """\
+c maxcore msu3 on m.rcpsp
+c 5 tasks, 1 resources, 5 precedences
+c alpha 0.8 mode cardinality lower-bound 12 horizon 9
+s UNKNOWN
+"""),
+    ("free", "bnb"): (0, """\
+c maxcore bnb on free.rcpsp
+c 2 tasks, 1 resources, 0 precedences
+c alpha 1.0 mode cardinality lower-bound 6 horizon 6
+o 0
+s OPTIMUM FOUND
+v 0 3
+"""),
+    ("free", "wpm1"): (0, """\
+c maxcore wpm1 on free.rcpsp
+c 2 tasks, 1 resources, 0 precedences
+c alpha 1.0 mode cardinality lower-bound 6 horizon 6
+o 0
+s OPTIMUM FOUND
+v 0 3
+"""),
+    ("free", "msu3"): (0, """\
+c maxcore msu3 on free.rcpsp
+c 2 tasks, 1 resources, 0 precedences
+c alpha 1.0 mode cardinality lower-bound 6 horizon 6
+o 0
+s OPTIMUM FOUND
+v 0 3
+"""),
+    ("two-tight", "bnb"): (0, """\
+c maxcore bnb on two.rcpsp
+c 2 tasks, 1 resources, 1 precedences
+c alpha 0.5 mode cardinality lower-bound 6 horizon 3
+s UNSATISFIABLE
+"""),
+    ("two-tight", "wpm1"): (0, """\
+c maxcore wpm1 on two.rcpsp
+c 2 tasks, 1 resources, 1 precedences
+c alpha 0.5 mode cardinality lower-bound 6 horizon 3
+s UNSATISFIABLE
+"""),
+    ("two-tight", "msu3"): (0, """\
+c maxcore msu3 on two.rcpsp
+c 2 tasks, 1 resources, 1 precedences
+c alpha 0.5 mode cardinality lower-bound 6 horizon 3
+s UNSATISFIABLE
+"""),
+}
+
+
+@pytest.mark.parametrize("case,algo", sorted(GOLDEN))
+def test_solve_stdout_matches_golden(capsys, tmp_path, monkeypatch, case,
+                                     algo):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    code = main(GOLDEN_ARGS[case] + ["--algorithm", algo])
+    assert (code, capsys.readouterr().out) == GOLDEN[case, algo]
+
+
 # --- bench ----------------------------------------------------------------
 
 

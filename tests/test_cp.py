@@ -75,20 +75,6 @@ def test_channeling_repair_between_existing(kernel):
     assert not entails(mdl, [l5], l7)
 
 
-def test_eq_literal_matches_decode(kernel):
-    mdl = CpModel(kernel=kernel)
-    x = mdl.new_int_var(0, 3)
-    eqs = {v: mdl.lit_eq(x, v) for v in range(4)}
-    for v in range(4):
-        out = mdl.eng.solve(assumptions=[eqs[v]])
-        assert out.status == "sat"
-        assert mdl.decode(x, out.model) == v
-    out = mdl.eng.solve()
-    val = mdl.decode(x, out.model)
-    for v in range(4):
-        assert out.model[eqs[v]] == (val == v)
-
-
 def test_decode_stays_in_domain(kernel):
     rng = random.Random(3)
     for _ in range(20):
@@ -103,7 +89,7 @@ def test_decode_stays_in_domain(kernel):
         out = mdl.eng.solve(assumptions=assume)
         if out.status != "sat":
             continue
-        val = mdl.decode(x, out.model)
+        val = decode_int(x, out.model)
         assert lb <= val <= ub
         for v in x.geq_vals:
             lit = x.geq[v]
@@ -131,8 +117,8 @@ def test_precedence_pushes_lower_bound(kernel):
     mdl, s1, s2, i = build_precedence(kernel, 4, 9, 0, 12, 3)
     out = mdl.eng.solve()
     assert out.status == "sat"
-    assert mdl.decode(s2, out.model) >= mdl.decode(s1, out.model) + 3
-    assert mdl.decode(s2, out.model) >= 7
+    assert decode_int(s2, out.model) >= decode_int(s1, out.model) + 3
+    assert decode_int(s2, out.model) >= 7
     assert entails(mdl, [], mdl.lit_geq(s2, 7))
 
 
@@ -166,7 +152,7 @@ def test_precedence_conflict_exactly_when_too_tight(kernel):
 
 
 def mdl_val(mdl, x, out):
-    return mdl.decode(x, out.model)
+    return decode_int(x, out.model)
 
 
 def test_propagator_matches_eager_decomposition(kernel):
@@ -604,7 +590,7 @@ def test_cumulative_pushes_start_bounds(kernel):
     mdl.post_cumulative([(s1, 3, 1), (s2, 2, 1)], 1)
     out = mdl.eng.solve()
     assert out.status == "sat"
-    assert mdl.decode(s2, out.model) == 3
+    assert decode_int(s2, out.model) == 3
     assert entails(mdl, [], mdl.lit_geq(s2, 3))
 
 
@@ -639,7 +625,7 @@ def test_cumulative_random_models_respect_profile(kernel):
             continue
         usage = [0] * horizon
         for s, dur, dem in tasks:
-            v = mdl.decode(s, out.model)
+            v = decode_int(s, out.model)
             for t in range(v, v + dur):
                 usage[t] += dem
         assert max(usage) <= cap

@@ -6,9 +6,12 @@ over one indicator i per soft clause, with the hard clause (-i or clause)).
 The whole OptimizeResult except stats["wall_ms"] must equal the answer
 recorded for it, so that a change to the drivers' set-up or exit code keeps
 z_opt, z_lower, model, cores, incumbents, stats and meta as they were.
+Every run also streams its bounds through on_bound: bnb's and msu3's
+incumbents, and wpm1's running lower bound after each core.
 """
 
 import dataclasses
+from itertools import accumulate
 
 import pytest
 
@@ -17,12 +20,12 @@ from maxcore.engine import Engine
 from maxcore.maxsat import (
     ALGORITHMS,
     HARD,
+    IndicatorProblem,
     OptimizeResult,
     SoftInstance,
     WeightedClause,
     parse_wcnf,
     solve,
-    wrap_indicators,
 )
 
 # Every driver makes progress before 3 conflicts run out: bnb and msu3
@@ -69,15 +72,16 @@ def indicator_problem(inst):
         i = eng.new_bool_var()
         eng.add_clause((-i,) + wc.lits)
         indicators.append((i, wc.weight))
-    return wrap_indicators(eng, indicators)
+    return IndicatorProblem(eng, indicators)
 
 
-def run(front, case, algorithm):
+def run(front, case, algorithm, on_bound=None):
     build, budget = CASES[case]
     if front == "wcnf":
-        return solve(build(), algorithm=algorithm, conflict_budget=budget)
-    return indicator_problem(build()).solve(algorithm,
-                                            conflict_budget=budget)
+        return solve(build(), algorithm=algorithm, conflict_budget=budget,
+                     on_bound=on_bound)
+    return indicator_problem(build()).solve(algorithm, conflict_budget=budget,
+                                            on_bound=on_bound)
 
 
 def answer(res):
@@ -97,6 +101,22 @@ def answer(res):
 def test_driver_exit(front, case, algorithm):
     assert answer(run(front, case, algorithm)) == \
         EXPECTED[front, case, algorithm]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("front", ["wcnf", "indicators"])
+def test_on_bound_streams_the_bounds(front, case, algorithm):
+    """on_bound gets each incumbent of bnb and msu3, and wpm1's running sum
+    of w_min after each core round, and changes nothing in the answer."""
+    bounds = []
+    res = run(front, case, algorithm, on_bound=bounds.append)
+    assert answer(res) == EXPECTED[front, case, algorithm]
+    if algorithm == "wpm1":
+        assert bounds == list(accumulate(r["w_min"]
+                                         for r in res.meta["rounds"]))
+    else:
+        assert bounds == res.incumbents
 
 
 # (front, case, algorithm) -> answer(res)

@@ -11,6 +11,7 @@ from maxcore.engine import core as engine_core
 from maxcore.maxsat import (
     ALGORITHMS,
     HARD,
+    IndicatorProblem,
     SoftInstance,
     WcnfParseError,
     WeightedClause,
@@ -21,7 +22,6 @@ from maxcore.maxsat import (
     solve_bnb,
     solve_msu3,
     solve_wpm1,
-    wrap_indicators,
 )
 from maxcore.oracle import brute_force_maxsat, verify_core
 from maxcore.rcpsp import build_model, generate_micro_set, soften
@@ -224,7 +224,7 @@ def test_wpm1_on_indicators_builds_one_kernel(monkeypatch):
     eng = Engine()
     _, indicators = build_model(p, eng)
     builds = count_builds(monkeypatch)
-    res = wrap_indicators(eng, indicators).solve(algorithm="wpm1")
+    res = IndicatorProblem(eng, indicators).solve(algorithm="wpm1")
     assert (res.status, res.z_opt, len(res.cores)) == ("optimal", 7, 3)
     assert len(builds) == 1
 
@@ -410,7 +410,7 @@ def build_indicator_engine(hard_clauses, n):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_indicators_all_satisfiable(algorithm):
     eng = build_indicator_engine([], 3)
-    prob = wrap_indicators(eng, [(1, 2), (2, 3), (3, 1)])
+    prob = IndicatorProblem(eng, [(1, 2), (2, 3), (3, 1)])
     res = prob.solve(algorithm=algorithm)
     assert res.status == "optimal" and res.z_opt == 0
     assert all(res.model[v] for v in (1, 2, 3))
@@ -420,15 +420,27 @@ def test_indicators_all_satisfiable(algorithm):
 def test_indicators_conflict_picks_cheaper(algorithm):
     # i1 and i2 cannot both hold; giving up i1 costs 2, i2 costs 3.
     eng = build_indicator_engine([(-1, -2)], 2)
-    prob = wrap_indicators(eng, [(1, 2), (2, 3)])
+    prob = IndicatorProblem(eng, [(1, 2), (2, 3)])
     res = prob.solve(algorithm=algorithm)
     assert res.status == "optimal" and res.z_opt == 2
     assert res.model[1] is False and res.model[2] is True
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_indicator_problem_solves_once(algorithm):
+    # a second solve would run on the relaxed or bounded engine of the first
+    eng = build_indicator_engine([(-1, -2)], 2)
+    prob = IndicatorProblem(eng, [(1, 2), (2, 3)])
+    res = prob.solve(algorithm)
+    assert (res.status, res.z_opt) == ("optimal", 2)
+    for again in ALGORITHMS:
+        with pytest.raises(ValueError, match="solved already"):
+            prob.solve(again)
+
+
 def test_indicator_core_ids_are_positions():
     eng = build_indicator_engine([(-1, -2)], 2)
-    prob = wrap_indicators(eng, [(1, 1), (2, 1)])
+    prob = IndicatorProblem(eng, [(1, 1), (2, 1)])
     res = prob.solve(algorithm="wpm1")
     assert res.z_opt == 1
     assert [set(c) for c in res.cores] == [{1, 2}]
@@ -436,7 +448,7 @@ def test_indicator_core_ids_are_positions():
 
 def test_indicator_bnb_trace():
     eng = build_indicator_engine([(-1, -2)], 2)
-    res = wrap_indicators(eng, [(1, 2), (2, 3)]).solve(algorithm="bnb")
+    res = IndicatorProblem(eng, [(1, 2), (2, 3)]).solve(algorithm="bnb")
     assert res.z_opt == 2 and res.incumbents[-1] == 2
     events = res.meta["events"]
     assert [e["z"] for e in events if e["kind"] == "incumbent"] == \
@@ -447,13 +459,13 @@ def test_indicator_bnb_trace():
 def test_duplicate_indicator_rejected():
     eng = build_indicator_engine([], 2)
     with pytest.raises(ValueError):
-        wrap_indicators(eng, [(1, 2), (1, 3)])
+        IndicatorProblem(eng, [(1, 2), (1, 3)])
 
 
 def test_nonpositive_indicator_weight_rejected():
     eng = build_indicator_engine([], 1)
     with pytest.raises(ValueError):
-        wrap_indicators(eng, [(1, 0)])
+        IndicatorProblem(eng, [(1, 0)])
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -461,7 +473,7 @@ def test_nonpositive_indicator_weight_rejected():
 def test_out_of_range_indicator_rejected(lit, algorithm):
     eng = build_indicator_engine([], 2)
     with pytest.raises(ValueError, match="indicator literal"):
-        wrap_indicators(eng, [(1, 1), (lit, 2)]).solve(algorithm)
+        IndicatorProblem(eng, [(1, 1), (lit, 2)]).solve(algorithm)
 
 
 def test_each_front_end_reaches_one_traced_driver(sample5, monkeypatch):

@@ -160,6 +160,19 @@ def test_tight_horizon_drops_the_precedence():
         assert r.status == "optimal" and r.cost == p.weights[0]
 
 
+@pytest.mark.parametrize("algo", ["bnb", "wpm1", "msu3"])
+def test_precedence_free_schedule_runs_the_driver(algo):
+    # no indicator at all: the driver still runs, under the run's budget
+    inst = RcpspMax([(3, (1,)), (3, (1,))], [1], [])
+    p = soften(inst, 1.0)
+    r = solve_schedule(p, algorithm=algo, kernel="python", conflict_budget=0)
+    assert (r.status, r.cost) == ("unknown", None)
+    r = solve_schedule(p, algorithm=algo, kernel="python")
+    assert (r.status, r.cost, r.audit_cost) == ("optimal", 0, 0)
+    assert r.opt is not None and r.opt.z_opt == 0
+    assert sorted(r.starts) == [0, 3]
+
+
 def test_capacity_zero_with_demand_is_infeasible():
     inst = RcpspMax([(2, (1,)), (1, (0,))], [0], [])
     p = soften(inst, 1.0, l=4)
