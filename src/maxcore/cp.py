@@ -1,8 +1,9 @@
 """Lazy clause generation layer over the Boolean engine.
 
-Integer variables expose their domains as order literals [x >= v] created on
-demand; propagators read current bounds from those literals and explain every
-inference as a clause over them.  Explanations cite only materialized bound
+An integer variable's domain is its ladder of order literals [x >= v],
+created on demand and kept sorted by value.  Every reader of current bounds
+goes through IntVar.bounds, and every propagator explains each inference as
+a clause over ladder literals.  Explanations cite only materialized bound
 literals; original-domain bounds need no justification.
 """
 
@@ -13,18 +14,54 @@ from .engine import Engine, Propagator
 
 
 class IntVar:
-    """Integer variable with original bounds and lazily created order literals."""
+    """Integer variable with original bounds and one ladder of lazily
+    created order literals."""
 
     def __init__(self, vid, lb, ub):
         self.id = vid
         self.lb0 = lb
         self.ub0 = ub
-        self.geq = {}        # value -> BoolLit for [x >= value], lb0 < value <= ub0
-        self.geq_vals = []   # sorted keys of geq
-        self.geq_lits = []   # geq[v] for v in geq_vals, in the same order
+        self.geq_vals = []   # sorted values v with a literal, lb0 < v <= ub0
+        self.geq_lits = []   # the literal [x >= v] of geq_vals[k] at index k
 
     def __repr__(self):
         return "IntVar(%d, [%d,%d])" % (self.id, self.lb0, self.ub0)
+
+    def bounds(self, lit_value):
+        """(lb, lb witness, ub, ub witness) under lit_value, which maps a
+        literal to 1, 0 or -1.  The lower bound comes from the highest true
+        [x >= v], the upper bound v - 1 from the lowest false one; a missing
+        witness is None and leaves the original bound.  The ladder is read
+        whole, not bisected, because it need not be monotone: a level-0
+        unit [x >= v] can be true while [x >= v-1] is still unassigned, and
+        a bisection would then cite other witnesses."""
+        vals = list(map(lit_value, self.geq_lits))
+        if 1 in vals:
+            k = len(vals) - 1 - vals[::-1].index(1)
+            lb, lwit = self.geq_vals[k], self.geq_lits[k]
+        else:
+            lb, lwit = self.lb0, None
+        if -1 in vals:
+            k = vals.index(-1)
+            ub, uwit = self.geq_vals[k] - 1, -self.geq_lits[k]
+        else:
+            ub, uwit = self.ub0, None
+        return lb, lwit, ub, uwit
+
+    def strongest_geq(self, v):
+        """Largest materialized bound value <= v, as (value, lit) or None."""
+        i = bisect.bisect_right(self.geq_vals, v)
+        if i == 0:
+            return None
+        return self.geq_vals[i - 1], self.geq_lits[i - 1]
+
+    def strongest_leq(self, v):
+        """Negated geq literal asserting x <= v, weakest materialized form,
+        as (value, lit) or None."""
+        i = bisect.bisect_right(self.geq_vals, v)
+        if i == len(self.geq_vals):
+            return None
+        return self.geq_vals[i] - 1, -self.geq_lits[i]
 
 
 class CpModel:
@@ -52,18 +89,16 @@ class CpModel:
             return self.true_lit
         if v > x.ub0:
             return -self.true_lit
-        lit = x.geq.get(v)
-        if lit is not None:
-            return lit
+        i = bisect.bisect_left(x.geq_vals, v)
+        if i < len(x.geq_vals) and x.geq_vals[i] == v:
+            return x.geq_lits[i]
         lit = self.eng.new_bool_var()
         # channel against adjacent materialized bounds: [x>=v] -> [x>=prev],
         # [x>=next] -> [x>=v]; inserting between two repairs both sides
-        i = bisect.bisect_left(x.geq_vals, v)
         if i > 0:
             self.eng.add_clause((-lit, x.geq_lits[i - 1]))
         if i < len(x.geq_vals):
             self.eng.add_clause((-x.geq_lits[i], lit))
-        x.geq[v] = lit
         x.geq_vals.insert(i, v)
         x.geq_lits.insert(i, lit)
         return lit
@@ -78,20 +113,17 @@ class CpModel:
             raise ValueError("half-reified linear needs at least one term")
         if self.eng.root_value(i) is False:
             return None   # indicator already false at root, constraint is inert
-        prop = HalfReifiedLinear(self, i, terms, rhs)
+        prop = HalfReifiedLinear(i, terms, rhs)
         self.eng.attach_propagator(prop)
         return prop
 
-    def post_at_most_one(self, lits):
-        return post_at_most_one(self.eng, lits)
-
-    def post_pb_upper_bound(self, terms, strict_bound):
-        return post_pb_upper_bound(self.eng, terms, strict_bound)
-
     def post_cumulative(self, tasks, capacity):
-        """tasks: list of (IntVar start, duration, demand)."""
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+        """tasks: list of (IntVar start, duration, demand).  A task of
+        positive duration whose demand exceeds capacity overloads it alone
+        and posts the empty clause; at capacity 0 every task of positive
+        duration and demand does."""
+        if capacity < 0:
+            raise ValueError("negative capacity")
         live = []
         for x, dur, dem in tasks:
             if dur < 0 or dem < 0:
@@ -104,48 +136,15 @@ class CpModel:
             live.append((x, dur, dem))
         if not live:
             return None
-        prop = Cumulative(self, live, capacity)
+        prop = Cumulative(live, capacity)
         self.eng.attach_propagator(prop)
         return prop
-
-    # bound readers shared by the propagators -------------------------------
-
-    def cur_lb(self, x, view):
-        """(bound, witness literal or None) from the highest true geq literal."""
-        for v, lit in zip(reversed(x.geq_vals), reversed(x.geq_lits)):
-            if view.lit_value(lit) > 0:
-                return v, lit
-        return x.lb0, None
-
-    def cur_ub(self, x, view):
-        """(bound, witness literal or None) from the lowest false geq literal."""
-        for v, lit in zip(x.geq_vals, x.geq_lits):
-            if view.lit_value(lit) < 0:
-                return v - 1, -lit
-        return x.ub0, None
-
-    def strongest_geq(self, x, v):
-        """Largest materialized bound value <= v, as (value, lit) or None."""
-        i = bisect.bisect_right(x.geq_vals, v)
-        if i == 0:
-            return None
-        return x.geq_vals[i - 1], x.geq_lits[i - 1]
-
-    def strongest_leq(self, x, v):
-        """Negated geq literal asserting x <= v, weakest materialized form."""
-        i = bisect.bisect_right(x.geq_vals, v)
-        if i == len(x.geq_vals):
-            return None
-        return x.geq_vals[i] - 1, -x.geq_lits[i]
 
 
 def decode_int(x, model):
     """Integer value of an IntVar under a Boolean model: the highest
     materialized bound the model asserts, or the original lower bound."""
-    for v, lit in zip(reversed(x.geq_vals), reversed(x.geq_lits)):
-        if model[abs(lit)] == (lit > 0):
-            return v
-    return x.lb0
+    return x.bounds(lambda lit: 1 if model[abs(lit)] == (lit > 0) else -1)[0]
 
 
 def post_at_most_one(eng, lits):
@@ -167,10 +166,6 @@ def post_pb_upper_bound(eng, terms, strict_bound):
     prop = PbUpperBound(terms, strict_bound)
     eng.attach_propagator(prop)
     return prop
-
-
-def _both_polarities(lits):
-    return lits + [-lit for lit in lits]
 
 
 class PbUpperBound(Propagator):
@@ -219,8 +214,7 @@ class PbUpperBound(Propagator):
 class HalfReifiedLinear(Propagator):
     """indicator -> sum(coef * x) >= rhs with bounds propagation."""
 
-    def __init__(self, model, indicator, terms, rhs):
-        self.model = model
+    def __init__(self, indicator, terms, rhs):
         self.i = indicator
         self.terms = [(c, x) for c, x in terms if c != 0]
         self.rhs = rhs
@@ -235,78 +229,61 @@ class HalfReifiedLinear(Propagator):
         lits = [self.i]
         for c, x in self.terms:
             if c > 0:
-                lits.extend(-lit for lit in x.geq.values())
+                lits.extend(-lit for lit in x.geq_lits)
             else:
-                lits.extend(x.geq.values())
+                lits.extend(x.geq_lits)
         return lits
 
-    def _sides(self, view):
-        """Per-term (max contribution, witness) plus the running total."""
-        out = []
-        total = 0
-        for c, x in self.terms:
-            if c > 0:
-                b, wit = self.model.cur_ub(x, view)
-            else:
-                b, wit = self.model.cur_lb(x, view)
-            out.append((c * b, wit))
-            total += c * b
-        return out, total
-
     def propagate(self, view):
-        if view.lit_value(self.i) <= 0:
+        lit_value = view.lit_value
+        if lit_value(self.i) <= 0:
             return
-        sides, total = self._sides(view)
+        read = [x.bounds(lit_value) for _, x in self.terms]
+        sides = [(c * ub, uwit) if c > 0 else (c * lb, lwit)   # max c * x
+                 for (c, _), (lb, lwit, ub, uwit) in zip(self.terms, read)]
+        total = sum(side for side, _ in sides)
         if total < self.rhs:
-            reason = [self.i] + [w for _, w in sides if w is not None]
-            view.fail(reason)
+            view.fail([self.i] + [w for _, w in sides if w is not None])
             return
+        pushed = False
         for j, (c, x) in enumerate(self.terms):
-            rest = total - sides[j][0]
-            need = self.rhs - rest
-            # c*x >= need
+            need = self.rhs - (total - sides[j][0])      # c * x >= need
+            # a push earlier in this call may have moved x: read it again
+            lb, _, ub, _ = x.bounds(lit_value) if pushed else read[j]
             if c > 0:
-                target = -(-need // c)            # ceil
-                lb, _ = self.model.cur_lb(x, view)
+                target = -(-need // c)                   # ceil
                 if target <= lb:
                     continue
-                got = self.model.strongest_geq(x, target)
+                got = x.strongest_geq(target)
                 if got is None or got[0] <= lb:
                     continue
-                lit = got[1]
             else:
-                target = need // c                # floor of need/c, c negative
-                ub, _ = self.model.cur_ub(x, view)
+                target = need // c                       # floor, c negative
                 if target >= ub:
                     continue
-                got = self.model.strongest_leq(x, target)
+                got = x.strongest_leq(target)
                 if got is None or got[0] >= ub:
                     continue
-                lit = got[1]
             reason = [self.i]
             reason.extend(w for jj, (_, w) in enumerate(sides)
                           if jj != j and w is not None)
-            if not view.enqueue(lit, reason):
+            pushed = True
+            if not view.enqueue(got[1], reason):
                 return
 
 
 class Cumulative(Propagator):
     """Timetable propagation from compulsory parts, with naive explanations.
 
-    A call reads each start ladder once: the lower bound and its witness
-    come from the highest true order literal, the upper bound and its
-    witness from the lowest false one.  It does not bisect the ladder,
-    because a ladder need not be monotone at a call: a level-0 unit
-    [x >= v] can be true while [x >= v-1] is still unassigned, and a
-    bisection would then cite other witnesses.  The profile of compulsory
-    parts [ub, lb + dur) is a list over the time window of the start
-    domains.  A task is skipped when neither its first window [lb, lb + dur)
-    nor its last [ub, ub + dur) holds a height above capacity - demand
-    outside its own compulsory part; both push loops would stop at once.
+    A call reads each start's bounds once, through IntVar.bounds.  The
+    profile of compulsory parts [ub, lb + dur) is a list over the time
+    window of the start domains.  A task is skipped when neither its first
+    window [lb, lb + dur) nor its last [ub, ub + dur) holds a height above
+    capacity - demand outside its own compulsory part; both push loops
+    would stop at once.
     """
 
-    def __init__(self, model, tasks, capacity):
-        self.model = model
+    def __init__(self, tasks, capacity):
         self.tasks = tasks            # (IntVar, duration, demand)
         self.cap = capacity
         self.t0 = min(x.lb0 for x, _, _ in tasks)
@@ -315,13 +292,13 @@ class Cumulative(Propagator):
     @property
     def wake_on(self):
         """The order literals of the start variables, both ways."""
-        return _both_polarities(
-            [lit for x, _, _ in self.tasks for lit in x.geq.values()])
+        lits = [lit for x, _, _ in self.tasks for lit in x.geq_lits]
+        return lits + [-lit for lit in lits]
 
     def _witnesses(self, bounds, idx):
         wits = []
         for i in idx:
-            _, _, lwit, uwit = bounds[i]
+            _, lwit, _, uwit = bounds[i]
             if lwit is not None:
                 wits.append(lwit)
             if uwit is not None:
@@ -339,22 +316,12 @@ class Cumulative(Propagator):
         lit_value = view.lit_value
         cap, t0 = self.cap, self.t0
         steps = [0] * (self.span + 1)
-        bounds = []                   # (lb, ub, lb witness, ub witness)
+        bounds = []                   # (lb, lb witness, ub, ub witness)
         parts = []                    # compulsory parts (task, start, end)
         for j, (x, dur, dem) in enumerate(self.tasks):
-            lits = x.geq_lits
-            vals = list(map(lit_value, lits))
-            if 1 in vals:
-                k = len(vals) - 1 - vals[::-1].index(1)
-                lb, lwit = x.geq_vals[k], lits[k]
-            else:
-                lb, lwit = x.lb0, None
-            if -1 in vals:
-                k = vals.index(-1)
-                ub, uwit = x.geq_vals[k] - 1, -lits[k]
-            else:
-                ub, uwit = x.ub0, None
-            bounds.append((lb, ub, lwit, uwit))
+            b = x.bounds(lit_value)
+            bounds.append(b)
+            lb, _, ub, _ = b
             end = lb + dur
             if ub < end:
                 parts.append((j, ub, end))
@@ -367,7 +334,7 @@ class Cumulative(Propagator):
             view.fail(self._witnesses(
                 bounds, [j for j, s, e in parts if s <= t < e]))
             return
-        for i, ((_, dur, dem), (lb, ub, _, _)) in enumerate(
+        for i, ((_, dur, dem), (lb, _, ub, _)) in enumerate(
                 zip(self.tasks, bounds)):
             room = cap - dem
             if top <= room:
@@ -394,7 +361,7 @@ class Cumulative(Propagator):
         """Move task i's start bounds past every clash with the profile of
         the other tasks; False once the view has failed or refused."""
         x, dur, dem = self.tasks[i]
-        lb, ub, _, _ = bounds[i]
+        lb, _, ub, _ = bounds[i]
         t0, room = self.t0, self.cap - dem
 
         def first_clash(times):
@@ -407,7 +374,7 @@ class Cumulative(Propagator):
                 view.fail(self._explain(bounds, parts, i, lb, ub + dur))
                 return False
         if s > lb:
-            got = self.model.strongest_geq(x, s)
+            got = x.strongest_geq(s)
             if got is not None and got[0] > lb:
                 reason = self._explain(bounds, parts, i, lb, s + dur)
                 if not view.enqueue(got[1], reason):
@@ -419,7 +386,7 @@ class Cumulative(Propagator):
                 view.fail(self._explain(bounds, parts, i, lb, ub + dur))
                 return False
         if e < ub:
-            got = self.model.strongest_leq(x, e)
+            got = x.strongest_leq(e)
             if got is not None and got[0] < ub:
                 reason = self._explain(bounds, parts, i, e, ub + dur)
                 if not view.enqueue(got[1], reason):

@@ -161,15 +161,9 @@ def makespan_lower_bound(inst):
 
 def _post_resources(mdl, inst, starts):
     for r, cap in enumerate(inst.resources):
-        tasks = [(starts[i], dur, demands[r])
-                 for i, (dur, demands) in enumerate(inst.tasks)
-                 if dur > 0 and demands[r] > 0]
-        if not tasks:
-            continue
-        if cap == 0:
-            mdl.eng.add_clause(())
-            continue
-        mdl.post_cumulative(tasks, cap)
+        mdl.post_cumulative([(starts[i], dur, demands[r])
+                             for i, (dur, demands) in enumerate(inst.tasks)],
+                            cap)
 
 
 # ---------------------------------------------------------------------------

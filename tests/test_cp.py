@@ -12,6 +12,7 @@ from maxcore.cp import (
     HalfReifiedLinear,
     PbUpperBound,
     decode_int,
+    post_at_most_one,
     post_pb_upper_bound,
 )
 from maxcore.engine import available_kernels
@@ -91,8 +92,7 @@ def test_decode_stays_in_domain(kernel):
             continue
         val = decode_int(x, out.model)
         assert lb <= val <= ub
-        for v in x.geq_vals:
-            lit = x.geq[v]
+        for v, lit in zip(x.geq_vals, x.geq_lits):
             assert out.model[abs(lit)] == ((lit > 0) == (val >= v))
 
 
@@ -181,7 +181,7 @@ def test_propagator_matches_eager_decomposition(kernel):
             dec.eng.add_clause((-lo, hi))
 
     def ladder(x):
-        return [x.geq[v] for v in x.geq_vals]
+        return list(x.geq_lits)
 
     assumes = [[]]
     for lit in ladder(p1) + ladder(p2):
@@ -200,9 +200,9 @@ def test_propagator_matches_eager_decomposition(kernel):
 def _mirror_lit(src_vars, dst_vars, lit):
     v = abs(lit)
     for sx, dx in zip(src_vars, dst_vars):
-        for val, l in sx.geq.items():
+        for val, l in zip(sx.geq_vals, sx.geq_lits):
             if abs(l) == v:
-                out = dx.geq[val]
+                out = dx.geq_lits[dx.geq_vals.index(val)]
                 return out if (lit > 0) == (l > 0) else -out
     raise AssertionError("literal not found in ladder")
 
@@ -304,7 +304,7 @@ def test_linear_explanations_are_sound():
         shared += len({id(x) for _, x in terms}) < len(terms)
         view_cls = _RefusingView if rng.random() < 0.5 else _RecordingView
         view = view_cls({abs(l): b == (l > 0) for l, b in values.items()})
-        HalfReifiedLinear(mdl, i, terms, rhs).propagate(view)
+        HalfReifiedLinear(i, terms, rhs).propagate(view)
         worlds = list(_linear_worlds(mdl, xs, i, terms, rhs))
         for lit, reason in view.enqueued:
             assert all(view.lit_value(l) > 0 for l in reason)
@@ -329,7 +329,7 @@ def test_at_most_one_posts_one_pb_constraint(kernel):
     mdl = CpModel(kernel=kernel)
     v1, v3, v5 = (mdl.new_bool_var() for _ in range(3))
     before = list(mdl.eng.clauses)
-    pb = mdl.post_at_most_one([v1, v3, v5])
+    pb = post_at_most_one(mdl.eng, [v1, v3, v5])
     assert isinstance(pb, PbUpperBound)
     assert mdl.eng.propagators == [pb]
     assert (pb.terms, pb.bound) == ([(1, v1), (1, v3), (1, v5)], 2)
@@ -339,7 +339,7 @@ def test_at_most_one_posts_one_pb_constraint(kernel):
 def test_at_most_one_two_true_conflicts(kernel):
     mdl = CpModel(kernel=kernel)
     a, b, c = (mdl.new_bool_var() for _ in range(3))
-    mdl.post_at_most_one([a, b, c])
+    post_at_most_one(mdl.eng, [a, b, c])
     mdl.eng.add_clause((a,))
     mdl.eng.add_clause((b,))
     assert mdl.eng.solve().status == "unsat"
@@ -350,8 +350,8 @@ def test_at_most_one_singleton_is_noop(kernel):
     mdl = CpModel(kernel=kernel)
     a = mdl.new_bool_var()
     before = list(mdl.eng.clauses)
-    assert mdl.post_at_most_one([a]) is None
-    assert mdl.post_at_most_one([]) is None
+    assert post_at_most_one(mdl.eng, [a]) is None
+    assert post_at_most_one(mdl.eng, []) is None
     assert mdl.eng.propagators == [] and mdl.eng.clauses == before
 
 
@@ -361,7 +361,7 @@ def test_at_most_one_singleton_is_noop(kernel):
 def test_pb_unit_weights_bound_one(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(5)]
-    mdl.post_pb_upper_bound([(1, v) for v in vs], 1)
+    post_pb_upper_bound(mdl.eng, [(1, v) for v in vs], 1)
     out = mdl.eng.solve()
     assert out.status == "sat"
     assert all(out.model[v] is False for v in vs)
@@ -372,7 +372,7 @@ def test_pb_unit_weights_bound_one(kernel):
 def test_pb_weighted_pair(kernel):
     mdl = CpModel(kernel=kernel)
     a, b = mdl.new_bool_var(), mdl.new_bool_var()
-    mdl.post_pb_upper_bound([(3, a), (2, b)], 4)
+    post_pb_upper_bound(mdl.eng, [(3, a), (2, b)], 4)
     out = mdl.eng.solve(assumptions=[a])
     assert out.status == "sat"
     assert out.model[b] is False
@@ -382,7 +382,7 @@ def test_pb_weighted_pair(kernel):
 def test_pb_slack_leaves_literals_free(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(3)]
-    mdl.post_pb_upper_bound([(2, v) for v in vs], 5)
+    post_pb_upper_bound(mdl.eng, [(2, v) for v in vs], 5)
     assert mdl.eng.solve(assumptions=vs[:2]).status == "sat"
     assert mdl.eng.solve(assumptions=vs).status == "unsat"
 
@@ -390,7 +390,7 @@ def test_pb_slack_leaves_literals_free(kernel):
 def test_pb_bound_zero_forces_all_false(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(3)]
-    mdl.post_pb_upper_bound([(1, v) for v in vs], 0)
+    post_pb_upper_bound(mdl.eng, [(1, v) for v in vs], 0)
     out = mdl.eng.solve()
     assert out.status == "sat"
     assert all(out.model[v] is False for v in vs)
@@ -400,7 +400,7 @@ def test_pb_bound_zero_with_root_true_literal_conflicts(kernel):
     mdl = CpModel(kernel=kernel)
     w = mdl.new_bool_var()
     mdl.eng.add_clause((w,))
-    mdl.post_pb_upper_bound([(1, w)], 0)
+    post_pb_upper_bound(mdl.eng, [(1, w)], 0)
     assert mdl.eng.solve().status == "unsat"
 
 
@@ -408,15 +408,15 @@ def test_pb_rejects_bad_arguments(kernel):
     mdl = CpModel(kernel=kernel)
     v = mdl.new_bool_var()
     with pytest.raises(ValueError):
-        mdl.post_pb_upper_bound([(1, v)], -1)
+        post_pb_upper_bound(mdl.eng, [(1, v)], -1)
     with pytest.raises(ValueError):
-        mdl.post_pb_upper_bound([(0, v)], 2)
+        post_pb_upper_bound(mdl.eng, [(0, v)], 2)
 
 
 def test_pb_tighten(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(3)]
-    pb = mdl.post_pb_upper_bound([(1, v) for v in vs], 3)
+    pb = post_pb_upper_bound(mdl.eng, [(1, v) for v in vs], 3)
     assert mdl.eng.solve(assumptions=vs[:2]).status == "sat"
     pb.tighten(1)
     assert mdl.eng.solve(assumptions=vs[:1]).status == "unsat"
@@ -569,10 +569,11 @@ def test_cumulative_two_tasks_capacity_two(kernel):
 
 
 def test_cumulative_demand_over_capacity_is_root_conflict(kernel):
-    mdl = CpModel(kernel=kernel)
-    s = mdl.new_int_var(0, 2)
-    mdl.post_cumulative([(s, 1, 3)], 2)
-    assert mdl.eng.root_conflict
+    for cap in (2, 0):
+        mdl = CpModel(kernel=kernel)
+        s = mdl.new_int_var(0, 2)
+        mdl.post_cumulative([(s, 1, 3)], cap)
+        assert mdl.eng.root_conflict
 
 
 def test_cumulative_zero_pieces_are_dropped(kernel):
@@ -635,29 +636,29 @@ def test_cumulative_random_models_respect_profile(kernel):
 
 
 def _reference_lb(x, view):
-    for v in reversed(x.geq_vals):
-        if view.lit_value(x.geq[v]) > 0:
-            return v, x.geq[v]
+    for v, lit in zip(reversed(x.geq_vals), reversed(x.geq_lits)):
+        if view.lit_value(lit) > 0:
+            return v, lit
     return x.lb0, None
 
 
 def _reference_ub(x, view):
-    for v in x.geq_vals:
-        if view.lit_value(x.geq[v]) < 0:
-            return v - 1, -x.geq[v]
+    for v, lit in zip(x.geq_vals, x.geq_lits):
+        if view.lit_value(lit) < 0:
+            return v - 1, -lit
     return x.ub0, None
 
 
 def _reference_geq(x, v):
     i = bisect.bisect_right(x.geq_vals, v)
-    return None if i == 0 else (x.geq_vals[i - 1], x.geq[x.geq_vals[i - 1]])
+    return None if i == 0 else (x.geq_vals[i - 1], x.geq_lits[i - 1])
 
 
 def _reference_leq(x, v):
     i = bisect.bisect_right(x.geq_vals, v)
     if i == len(x.geq_vals):
         return None
-    return x.geq_vals[i] - 1, -x.geq[x.geq_vals[i]]
+    return x.geq_vals[i] - 1, -x.geq_lits[i]
 
 
 def _reference_cumulative(tasks, cap, view):
@@ -783,7 +784,7 @@ def _cumulative_inferences(n_cases, seed):
         mdl, tasks, cap, values = _random_cumulative_case(rng)
         view_cls = _RefusingView if rng.random() < 0.5 else _RecordingView
         got, want = view_cls(values), view_cls(values)
-        Cumulative(mdl, tasks, cap).propagate(got)
+        Cumulative(tasks, cap).propagate(got)
         _reference_cumulative(tasks, cap, want)
         assert (got.enqueued, got.failed) == (want.enqueued, want.failed)
         out.append((tasks, cap, values, got.enqueued, got.failed))
@@ -845,14 +846,119 @@ def test_cumulative_explanations_are_sound():
     assert checked > 200
 
 
+# --- half-reified linear against the ladder readers ------------------------
+
+
+class _ApplyingView(_RecordingView):
+    """A recording view that applies each enqueue, so a later read sees the
+    bound it moved, and refuses a false literal as a kernel does."""
+
+    def enqueue(self, lit, reason):
+        super().enqueue(lit, reason)
+        if self.lit_value(lit) < 0:
+            return False
+        self.values[abs(lit)] = lit > 0
+        return True
+
+
+def _reference_linear(i, terms, rhs, view):
+    """HalfReifiedLinear.propagate over per-term ladder scans: each push
+    reads its term's bounds again, after the enqueues before it."""
+    if view.lit_value(i) <= 0:
+        return
+    sides = []
+    for c, x in terms:
+        b, wit = _reference_ub(x, view) if c > 0 else _reference_lb(x, view)
+        sides.append((c * b, wit))
+    total = sum(side for side, _ in sides)
+    if total < rhs:
+        view.fail([i] + [w for _, w in sides if w is not None])
+        return
+    for j, (c, x) in enumerate(terms):
+        need = rhs - (total - sides[j][0])
+        if c > 0:
+            target = -(-need // c)
+            lb, _ = _reference_lb(x, view)
+            if target <= lb:
+                continue
+            got = _reference_geq(x, target)
+            if got is None or got[0] <= lb:
+                continue
+        else:
+            target = need // c
+            ub, _ = _reference_ub(x, view)
+            if target >= ub:
+                continue
+            got = _reference_leq(x, target)
+            if got is None or got[0] >= ub:
+                continue
+        reason = [i] + [w for k, (_, w) in enumerate(sides)
+                        if k != j and w is not None]
+        if not view.enqueue(got[1], reason):
+            return
+
+
+def test_linear_matches_ladder_readers():
+    """On random tiny linears whose terms may share a variable, over views
+    that apply each enqueue: the same enqueues, with the same reasons and in
+    the same order, and the same failure as the reference."""
+    rng = random.Random(43)
+    enqueues = fails = moved = 0
+    for _ in range(1500):
+        _, _, i, terms, rhs, values = _random_linear_case(rng)
+        start = {abs(l): b == (l > 0) for l, b in values.items()}
+        got, want = _ApplyingView(dict(start)), _ApplyingView(dict(start))
+        HalfReifiedLinear(i, terms, rhs).propagate(got)
+        _reference_linear(i, terms, rhs, want)
+        assert (got.enqueued, got.failed) == (want.enqueued, want.failed)
+        stale = _RecordingView(dict(start))
+        HalfReifiedLinear(i, terms, rhs).propagate(stale)
+        moved += stale.enqueued != got.enqueued
+        enqueues += len(got.enqueued)
+        fails += got.failed is not None
+    # pushes, failures, and calls whose pushes a read made before an earlier
+    # enqueue of the same call would change
+    assert enqueues > 300 and fails > 100 and moved > 20
+
+
+def test_bounds_match_brute_force():
+    """IntVar.bounds on random partial ladders, monotone or not: the lower
+    bound and its witness from the highest true literal, the upper bound
+    and its witness from the lowest false one.  A repeated lit_geq returns
+    the literal it returned first."""
+    rng = random.Random(17)
+    nonmono = 0
+    for _ in range(500):
+        mdl = CpModel()
+        lb0 = rng.randint(-3, 3)
+        x = mdl.new_int_var(lb0, lb0 + rng.randint(0, 6))
+        made = {}
+        for _ in range(rng.randint(0, 10)):
+            v = rng.randint(x.lb0 - 1, x.ub0 + 1)
+            lit = mdl.lit_geq(x, v)
+            assert made.setdefault(v, lit) == lit
+        view = _RecordingView({abs(lit): rng.random() < 0.5
+                               for lit in x.geq_lits if rng.random() < 0.6})
+        held = [v for v in x.geq_vals if view.lit_value(made[v]) > 0]
+        freed = [v for v in x.geq_vals if view.lit_value(made[v]) < 0]
+        lb = max(held, default=x.lb0)
+        ub = min(freed, default=x.ub0 + 1) - 1
+        want = (lb, made[lb] if held else None,
+                ub, -made[ub + 1] if freed else None)
+        assert x.bounds(view.lit_value) == want
+        nonmono += any(v < lb for v in freed) or any(
+            view.lit_value(made[v]) == 0 for v in x.geq_vals if v < lb)
+    assert nonmono > 50
+
+
 def test_ladder_insertions_keep_literals_parallel():
     mdl = CpModel()
     x = mdl.new_int_var(0, 20)
+    made = {}
     for v in (10, 5, 15, 1, 20, 7, 12, 2, 19):   # middle and both ends
-        mdl.lit_geq(x, v)
-        assert x.geq_vals == sorted(x.geq)
-        assert all(x.geq_lits[k] == x.geq[x.geq_vals[k]]
-                   for k in range(len(x.geq_vals)))
+        made[v] = mdl.lit_geq(x, v)
+        assert x.geq_vals == sorted(made)
+        assert x.geq_lits == [made[v] for v in x.geq_vals]
 
 
 def test_cumulative_sees_ladder_growth_between_solves(kernel):
@@ -884,9 +990,11 @@ def test_cumulative_sees_ladder_growth_between_solves(kernel):
     fresh, fx = build(True)
     assert [x.geq_vals for x in gx] == [x.geq_vals for x in fx]
     for x in gx:
-        assert x.geq_lits == [x.geq[v] for v in x.geq_vals]
-    queries = [[], [gx[0].geq[4]], [-gx[1].geq[2]], [gx[0].geq[6]],
-               [gx[0].geq[1], -gx[0].geq[3], gx[1].geq[5]]]
+        assert x.geq_lits == [grown.lit_geq(x, v) for v in x.geq_vals]
+    queries = [[], [grown.lit_geq(gx[0], 4)], [-grown.lit_geq(gx[1], 2)],
+               [grown.lit_geq(gx[0], 6)],
+               [grown.lit_geq(gx[0], 1), -grown.lit_geq(gx[0], 3),
+                grown.lit_geq(gx[1], 5)]]
     for assume in queries:
         a = grown.eng.solve(assumptions=assume)
         b = fresh.eng.solve(assumptions=assume)

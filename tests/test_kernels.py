@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from maxcore.cp import CpModel
+from maxcore.cp import CpModel, post_pb_upper_bound
 from maxcore.engine import Engine, Propagator, available_kernels
 from maxcore.maxsat import ALGORITHMS, solve
 from maxcore.rcpsp import generate_micro_set, soften, solve_schedule
@@ -110,7 +110,8 @@ def test_pb_bound_model(solves):
         for c in clauses:
             mdl.eng.add_clause(tuple(xs[abs(l) - 1] * (1 if l > 0 else -1)
                                      for l in c))
-        pb = mdl.post_pb_upper_bound(
+        pb = post_pb_upper_bound(
+            mdl.eng,
             [(w, xs[abs(l) - 1] * (1 if l > 0 else -1)) for w, l in terms], 30)
         for bound in (30, 20, 12, 8, 4):
             pb.tighten(bound)

@@ -84,8 +84,8 @@ def test_random_pb_models_tightened(kernel, check_watches):
 
             for c in clauses:
                 mdl.eng.add_clause(tuple(lit(l) for l in c))
-            pb = mdl.post_pb_upper_bound([(w, lit(l)) for w, l in terms],
-                                         bounds[0])
+            pb = post_pb_upper_bound(
+                mdl.eng, [(w, lit(l)) for w, l in terms], bounds[0])
             for bound, assume in zip(bounds, assumptions):
                 pb.tighten(bound)
                 mdl.eng.solve()
