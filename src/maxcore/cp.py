@@ -1,10 +1,14 @@
 """Lazy clause generation layer over the Boolean engine.
 
 An integer variable's domain is its ladder of order literals [x >= v],
-created on demand and kept sorted by value.  Every reader of current bounds
-goes through IntVar.bounds, and every propagator explains each inference as
-a clause over ladder literals.  Explanations cite only materialized bound
-literals; original-domain bounds need no justification.
+created on demand and kept sorted by value.  CpModel.lit_geq registers each
+new order literal with the engine, and the search kernel keeps each
+registered variable's current bounds in IntVar.cur, on the trail: the
+propagators read x.cur, never the ladder.  IntVar.bounds reads the same
+bounds from the ladder; it is their specification, and decode_int reads a
+model through it.  Every propagator explains each inference as a clause over
+ladder literals.  Explanations cite only materialized bound literals;
+original-domain bounds need no justification.
 """
 
 import bisect
@@ -15,7 +19,16 @@ from .engine import Engine, Propagator
 
 class IntVar:
     """Integer variable with original bounds and one ladder of lazily
-    created order literals."""
+    created order literals.
+
+    cur is (lb, lb witness, ub, ub witness), what bounds() returns under the
+    current assignment.  Only the search kernel of the variable's engine
+    writes it: it sets cur to (lb0, None, ub0, None) when it registers the
+    variable, replaces it when an assigned order literal moves a bound, and
+    restores it from the trail when that literal is unassigned.  cur is
+    valid during a propagate call made by that kernel; outside one it holds
+    whatever the last search left.
+    """
 
     def __init__(self, vid, lb, ub):
         self.id = vid
@@ -23,6 +36,7 @@ class IntVar:
         self.ub0 = ub
         self.geq_vals = []   # sorted values v with a literal, lb0 < v <= ub0
         self.geq_lits = []   # the literal [x >= v] of geq_vals[k] at index k
+        self.cur = (lb, None, ub, None)
 
     def __repr__(self):
         return "IntVar(%d, [%d,%d])" % (self.id, self.lb0, self.ub0)
@@ -34,7 +48,8 @@ class IntVar:
         witness is None and leaves the original bound.  The ladder is read
         whole, not bisected, because it need not be monotone: a level-0
         unit [x >= v] can be true while [x >= v-1] is still unassigned, and
-        a bisection would then cite other witnesses."""
+        a bisection would then cite other witnesses.  The kernel's cur
+        equals bounds(lit_value) at every propagate call."""
         vals = list(map(lit_value, self.geq_lits))
         if 1 in vals:
             k = len(vals) - 1 - vals[::-1].index(1)
@@ -84,7 +99,8 @@ class CpModel:
         return x
 
     def lit_geq(self, x, v):
-        """Literal for x >= v, clamped to the original domain."""
+        """Literal for x >= v, clamped to the original domain; a new one is
+        registered with the engine as the order literal of (x, v)."""
         if v <= x.lb0:
             return self.true_lit
         if v > x.ub0:
@@ -101,6 +117,7 @@ class CpModel:
             self.eng.add_clause((-x.geq_lits[i], lit))
         x.geq_vals.insert(i, v)
         x.geq_lits.insert(i, lit)
+        self.eng.register_order_literal(lit, x, v)
         return lit
 
     def materialize(self, x):
@@ -235,21 +252,20 @@ class HalfReifiedLinear(Propagator):
         return lits
 
     def propagate(self, view):
-        lit_value = view.lit_value
-        if lit_value(self.i) <= 0:
+        if view.lit_value(self.i) <= 0:
             return
-        read = [x.bounds(lit_value) for _, x in self.terms]
-        sides = [(c * ub, uwit) if c > 0 else (c * lb, lwit)   # max c * x
-                 for (c, _), (lb, lwit, ub, uwit) in zip(self.terms, read)]
+        sides = []                                       # max c * x, witness
+        for c, x in self.terms:
+            lb, lwit, ub, uwit = x.cur
+            sides.append((c * ub, uwit) if c > 0 else (c * lb, lwit))
         total = sum(side for side, _ in sides)
         if total < self.rhs:
             view.fail([self.i] + [w for _, w in sides if w is not None])
             return
-        pushed = False
         for j, (c, x) in enumerate(self.terms):
             need = self.rhs - (total - sides[j][0])      # c * x >= need
-            # a push earlier in this call may have moved x: read it again
-            lb, _, ub, _ = x.bounds(lit_value) if pushed else read[j]
+            # cur, not sides: a push earlier in this call may have moved x
+            lb, _, ub, _ = x.cur
             if c > 0:
                 target = -(-need // c)                   # ceil
                 if target <= lb:
@@ -267,7 +283,6 @@ class HalfReifiedLinear(Propagator):
             reason = [self.i]
             reason.extend(w for jj, (_, w) in enumerate(sides)
                           if jj != j and w is not None)
-            pushed = True
             if not view.enqueue(got[1], reason):
                 return
 
@@ -275,7 +290,7 @@ class HalfReifiedLinear(Propagator):
 class Cumulative(Propagator):
     """Timetable propagation from compulsory parts, with naive explanations.
 
-    A call reads each start's bounds once, through IntVar.bounds.  The
+    A call reads each start's bounds once, from the kernel's IntVar.cur.  The
     profile of compulsory parts [ub, lb + dur) is a list over the time
     window of the start domains.  A task is skipped when neither its first
     window [lb, lb + dur) nor its last [ub, ub + dur) holds a height above
@@ -313,13 +328,12 @@ class Cumulative(Propagator):
         return self._witnesses(bounds, blockers)
 
     def propagate(self, view):
-        lit_value = view.lit_value
         cap, t0 = self.cap, self.t0
         steps = [0] * (self.span + 1)
         bounds = []                   # (lb, lb witness, ub, ub witness)
         parts = []                    # compulsory parts (task, start, end)
         for j, (x, dur, dem) in enumerate(self.tasks):
-            b = x.bounds(lit_value)
+            b = x.cur
             bounds.append(b)
             lb, _, ub, _ = b
             end = lb + dur

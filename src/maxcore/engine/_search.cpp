@@ -20,6 +20,17 @@
 // r == -1, and record -2 - r when r <= -2.  The solve result hands the
 // records over in a Records object, which builds the explanation clauses
 // when called.
+//
+// Integer bounds are kernel state, kept as there: every registered order
+// literal [x >= v] maps its variable to (x, v), an assignment of one that
+// moves a bound replaces x.cur with PyObject_SetAttr and pushes an undo
+// entry (trail position, x, old tuple), and unassign() puts the old tuples
+// back.  A failed read or write of x.cur sets bound_failed, and the solve
+// then raises at its next check.
+//
+// setup.py passes the SHA-256 of this file in as SOURCE_SHA256, and the
+// module exports it, so that maxcore.engine can refuse a build of another
+// version of this file.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -31,6 +42,10 @@
 #include <new>
 #include <utility>
 #include <vector>
+
+#ifndef SOURCE_SHA256
+#define SOURCE_SHA256 ""  // built without setup.py: matches no source
+#endif
 
 namespace {
 
@@ -47,6 +62,9 @@ PyObject *integrity_error;  // maxcore.engine.errors.EngineIntegrityError
 PyObject *records_type;     // the Records type below
 PyObject *str_propagate;
 PyObject *str_wake_on;
+PyObject *str_cur;
+PyObject *str_lb0;
+PyObject *str_ub0;
 
 inline int var_of(int lit) { return lit > 0 ? lit : -lit; }
 
@@ -215,9 +233,24 @@ struct Kernel {
 
     std::vector<int> learnt, to_clear, expl;  // scratch
 
-    // grows the kernel to n variables and adds the problem clauses and the
-    // propagators; reads every propagator's wake_on again
-    bool extend(int n, PyObject *clauses, PyObject *propagators) {
+    // integer bounds: order_var[var] is the IntVar x of the order literal
+    // [x >= order_value[var]] that var is, or null; order_ints owns them
+    PyObject *order_ints = nullptr;
+    std::vector<PyObject *> order_var;
+    std::vector<int> order_value;
+    struct BoundUndo {
+        size_t pos;     // the trail position of the literal that moved it
+        PyObject *x;    // borrowed from order_ints
+        PyObject *old;  // x.cur before the move, owned
+    };
+    std::vector<BoundUndo> bound_undo;
+    bool bound_failed = false;  // x.cur could not be read or written
+
+    // grows the kernel to n variables and adds the problem clauses, the
+    // propagators and the order literals; reads every propagator's wake_on
+    // again
+    bool extend(int n, PyObject *clauses, PyObject *propagators,
+                PyObject *order_literals) {
         int old = nvars;
         nvars = n;
         int n1 = n + 1;
@@ -235,6 +268,10 @@ struct Kernel {
             heap_pos[v] = (int)heap.size();
             heap.push_back(v);
         }
+        order_var.resize(n1, nullptr);
+        order_value.resize(n1, 0);
+        if (order_literals && !register_orders(order_literals))
+            return false;
         PyObject *seq = PySequence_Fast(clauses, "clauses must be a sequence");
         if (!seq)
             return false;
@@ -255,6 +292,44 @@ struct Kernel {
             return false;
         Py_DECREF(grown);
         return read_wakes();
+    }
+
+    // takes (literal, IntVar, value) triples; sets each IntVar's cur to
+    // (lb0, None, ub0, None)
+    bool register_orders(PyObject *order_literals) {
+        PyObject *seq = PySequence_Fast(order_literals,
+                                        "order literals must be a sequence");
+        if (!seq)
+            return false;
+        bool ok = true;
+        for (Py_ssize_t i = 0; ok && i < PySequence_Fast_GET_SIZE(seq); i++) {
+            int lit, value;
+            PyObject *x;
+            ok = PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, i), "iOi", &lit, &x,
+                                  &value);
+            if (ok && (lit <= 0 || lit > nvars)) {
+                PyErr_Format(PyExc_ValueError, "order literal %d out of range", lit);
+                ok = false;
+            }
+            ok = ok && PyList_Append(order_ints, x) == 0 && reset_bounds(x);
+            if (ok) {
+                order_var[lit] = x;
+                order_value[lit] = value;
+            }
+        }
+        Py_DECREF(seq);
+        return ok;
+    }
+
+    static bool reset_bounds(PyObject *x) {
+        PyObject *lb = PyObject_GetAttr(x, str_lb0);
+        PyObject *ub = lb ? PyObject_GetAttr(x, str_ub0) : nullptr;
+        PyObject *cur = ub ? PyTuple_Pack(4, lb, Py_None, ub, Py_None) : nullptr;
+        bool ok = cur && PyObject_SetAttr(x, str_cur, cur) == 0;
+        Py_XDECREF(lb);
+        Py_XDECREF(ub);
+        Py_XDECREF(cur);
+        return ok;
     }
 
     // reads each propagator's wake_on; the table grows by the new
@@ -330,6 +405,8 @@ struct Kernel {
 
     void assign(int lit, int reason) {
         int var = var_of(lit);
+        if (order_var[var])
+            move_bound(lit, var);
         values[var] = lit > 0 ? 1 : -1;
         for (int pi : wakers[windex(lit)])
             pending[pi] = 1;
@@ -338,6 +415,49 @@ struct Kernel {
         trail.push_back(lit);
         if (reason != NO_REASON)
             propagations++;
+    }
+
+    // lit, about to enter the trail, sets the order literal [x >= v] of
+    // var; x.cur changes if that moves a bound of x
+    void move_bound(int lit, int var) {
+        if (bound_failed)
+            return;
+        PyObject *x = order_var[var];
+        int v = order_value[var];
+        int side = lit > 0 ? 0 : 2;  // cur[side], cur[side + 1]: bound, witness
+        PyObject *cur = PyObject_GetAttr(x, str_cur);
+        if (cur && !(PyTuple_Check(cur) && PyTuple_GET_SIZE(cur) == 4)) {
+            PyErr_SetString(PyExc_TypeError, "IntVar.cur must be a 4-tuple");
+            Py_CLEAR(cur);
+        }
+        long b = cur ? PyLong_AsLong(PyTuple_GET_ITEM(cur, side)) : 0;
+        if (!cur || (b == -1 && PyErr_Occurred())) {
+            Py_XDECREF(cur);
+            bound_failed = true;
+            return;
+        }
+        if (lit > 0 ? v <= b : v > b) {
+            Py_DECREF(cur);
+            return;
+        }
+        PyObject *next = PyTuple_New(4);
+        for (int k = 0; next && k < 4; k++) {
+            PyObject *item = k == side       ? PyLong_FromLong(lit > 0 ? v : v - 1)
+                             : k == side + 1 ? PyLong_FromLong(lit)
+                                             : Py_NewRef(PyTuple_GET_ITEM(cur, k));
+            if (!item)
+                Py_CLEAR(next);
+            else
+                PyTuple_SET_ITEM(next, k, item);
+        }
+        if (!next || PyObject_SetAttr(x, str_cur, next) < 0) {
+            Py_XDECREF(next);
+            Py_DECREF(cur);
+            bound_failed = true;
+            return;
+        }
+        Py_DECREF(next);
+        bound_undo.push_back({trail.size(), x, cur});
     }
 
     void new_level() { trail_lim.push_back((int)trail.size()); }
@@ -358,8 +478,16 @@ struct Kernel {
         trail_lim.resize(level);
     }
 
-    // unassigns the trail from position bound on, saving phases
+    // unassigns the trail from position bound on, saving phases, and puts
+    // back the integer bounds from before it
     void unassign(int bound) {
+        while (!bound_undo.empty() && bound_undo.back().pos >= (size_t)bound) {
+            BoundUndo &u = bound_undo.back();
+            if (!bound_failed && PyObject_SetAttr(u.x, str_cur, u.old) < 0)
+                bound_failed = true;
+            Py_DECREF(u.old);
+            bound_undo.pop_back();
+        }
         for (int k = (int)trail.size() - 1; k >= bound; k--) {
             int lit = trail[k];
             int var = var_of(lit);
@@ -498,6 +626,8 @@ struct Kernel {
     int propagate_all() {
         for (;;) {
             int confl = bcp();
+            if (bound_failed)
+                return RAISED;
             if (confl >= 0)
                 return confl;
             bool progress = false;
@@ -799,6 +929,8 @@ struct Kernel {
 
     // the result dict; a sat status carries the model, an unsat one the core
     PyObject *finish(const char *status, const std::vector<int> *core) {
+        if (bound_failed)
+            return nullptr;
         bool sat = std::strcmp(status, "sat") == 0;
         const char *keys[] = {"status", "model", "core", "conflicts", "decisions",
                               "propagations", "restarts", "learnts", "explanations"};
@@ -890,11 +1022,13 @@ struct SearchCore {
 };
 
 PyObject *core_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
-    static const char *kwlist[] = {"nvars", "clauses", "propagators", "validate", nullptr};
+    static const char *kwlist[] = {"nvars",          "clauses",  "propagators",
+                                   "order_literals", "validate", nullptr};
     int nvars, validate = 0;
-    PyObject *clauses, *propagators;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO|p", (char **)kwlist, &nvars,
-                                     &clauses, &propagators, &validate))
+    PyObject *clauses, *propagators, *order_literals = nullptr;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO|Op", (char **)kwlist, &nvars,
+                                     &clauses, &propagators, &order_literals,
+                                     &validate))
         return nullptr;
     if (nvars < 0)
         return PyErr_Format(PyExc_ValueError, "negative variable count %d", nvars);
@@ -905,7 +1039,9 @@ PyObject *core_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
     k.view = (PyObject *)self;
     k.validate = validate;
     k.props = PyList_New(0);
-    if (!k.props || !k.extend(nvars, clauses, propagators)) {
+    k.order_ints = PyList_New(0);
+    if (!k.props || !k.order_ints ||
+        !k.extend(nvars, clauses, propagators, order_literals)) {
         Py_DECREF(self);
         return nullptr;
     }
@@ -915,11 +1051,19 @@ PyObject *core_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
 int core_traverse(SearchCore *self, visitproc visit, void *arg) {
     Py_VISIT(Py_TYPE(self));
     Py_VISIT(self->k.props);
+    Py_VISIT(self->k.order_ints);
+    for (const Kernel::BoundUndo &u : self->k.bound_undo)
+        Py_VISIT(u.old);
     return 0;
 }
 
 int core_clear(SearchCore *self) {
     Py_CLEAR(self->k.props);
+    for (const Kernel::BoundUndo &u : self->k.bound_undo)
+        Py_DECREF(u.old);
+    self->k.bound_undo.clear();
+    std::fill(self->k.order_var.begin(), self->k.order_var.end(), nullptr);
+    Py_CLEAR(self->k.order_ints);
     return 0;
 }
 
@@ -957,6 +1101,8 @@ PyObject *core_enqueue(SearchCore *self, PyObject *const *args, Py_ssize_t nargs
         Py_RETURN_FALSE;
     }
     k.assign(lit, ref);
+    if (k.bound_failed)
+        return nullptr;
     k.prop_enqueued = true;
     Py_RETURN_TRUE;
 }
@@ -972,13 +1118,14 @@ PyObject *core_fail(SearchCore *self, PyObject *reason_lits) {
 
 PyObject *core_extend(SearchCore *self, PyObject *args) {
     int nvars;
-    PyObject *clauses, *propagators;
-    if (!PyArg_ParseTuple(args, "iOO", &nvars, &clauses, &propagators))
+    PyObject *clauses, *propagators, *order_literals = nullptr;
+    if (!PyArg_ParseTuple(args, "iOO|O", &nvars, &clauses, &propagators,
+                          &order_literals))
         return nullptr;
     if (nvars < self->k.nvars)
         return PyErr_Format(PyExc_ValueError, "variable count %d below %d", nvars,
                             self->k.nvars);
-    if (!self->k.extend(nvars, clauses, propagators))
+    if (!self->k.extend(nvars, clauses, propagators, order_literals))
         return nullptr;
     Py_RETURN_NONE;
 }
@@ -1018,15 +1165,17 @@ PyMethodDef core_methods[] = {
     {"fail", (PyCFunction)core_fail, METH_O,
      "fail(reason_lits): report a conflict among the true reason_lits"},
     {"extend", (PyCFunction)core_extend, METH_VARARGS,
-     "extend(nvars, clauses, propagators): grow to nvars variables, add the"
-     " problem clauses and the propagators, and read every wake_on again"},
+     "extend(nvars, clauses, propagators, order_literals=()): grow to nvars"
+     " variables, add the problem clauses, the propagators and the"
+     " (literal, IntVar, value) order literals, and read every wake_on again"},
     {"solve", (PyCFunction)(void (*)(void))core_solve, METH_VARARGS | METH_KEYWORDS,
      "solve(assumptions, conflict_budget=None, time_budget_s=None) -> result dict"},
     {nullptr, nullptr, 0, nullptr},
 };
 
 PyType_Slot core_slots[] = {
-    {Py_tp_doc, (void *)"SearchCore(nvars, clauses, propagators, validate=False)\n\n"
+    {Py_tp_doc, (void *)"SearchCore(nvars, clauses, propagators, order_literals=(), "
+                        "validate=False)\n\n"
                         "CDCL search over int literals (DIMACS signs), solved again "
                         "and again as the clause set grows."},
     {Py_tp_new, (void *)core_new},
@@ -1053,7 +1202,11 @@ PyMODINIT_FUNC PyInit__search(void) {
     Py_DECREF(errors);
     str_propagate = PyUnicode_InternFromString("propagate");
     str_wake_on = PyUnicode_InternFromString("wake_on");
-    if (!integrity_error || !str_propagate || !str_wake_on)
+    str_cur = PyUnicode_InternFromString("cur");
+    str_lb0 = PyUnicode_InternFromString("lb0");
+    str_ub0 = PyUnicode_InternFromString("ub0");
+    if (!integrity_error || !str_propagate || !str_wake_on || !str_cur || !str_lb0 ||
+        !str_ub0)
         return nullptr;
     records_type = PyType_FromSpec(&records_spec);
     if (!records_type)
@@ -1063,6 +1216,10 @@ PyMODINIT_FUNC PyInit__search(void) {
     if (!type || PyModule_AddObject(module, "SearchCore", type) < 0) {
         Py_XDECREF(type);
         Py_XDECREF(module);
+        return nullptr;
+    }
+    if (PyModule_AddStringConstant(module, "SOURCE_SHA256", SOURCE_SHA256) < 0) {
+        Py_DECREF(module);
         return nullptr;
     }
     return module;

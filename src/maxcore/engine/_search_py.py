@@ -43,6 +43,20 @@ at every extend(), since a propagator's watches may grow with the
 variables.  enqueue() checks that a reason is true once and trusts an equal
 reason until the next backjump.
 
+Integer bounds are kernel state.  extend() takes order literals as
+(literal, IntVar, value) triples: the positive literal stands for
+[x >= value].  The kernel sets every IntVar it registers to x.cur =
+(lb0, None, ub0, None) and keeps, for every variable, order[var] = (x,
+value) or None.  Each assignment looks its variable up there, and one of a
+registered literal replaces x.cur when it moves a bound: a true [x >= v]
+with v above the lower bound makes (v, lit) the lower bound and its
+witness, a false one with v - 1 below the upper bound makes (v - 1, -lit)
+the upper bound and its witness.  So x.cur is always the highest true and
+the lowest false order literal, as IntVar.bounds reads them from the
+ladder.  A move pushes an undo entry (trail position, x, old tuple), and
+unassigning the trail from a position on pops the entries at or above it
+and puts the old tuples back, newest first.
+
 A decision takes the unassigned variable of highest activity, lowest id
 on ties.  The variables wait in a lazy heapq of (-activity, var) entries:
 queued[v] says that the heap holds a live entry for v, one that carries v's
@@ -76,7 +90,8 @@ class SearchCore:
     """CDCL search over int literals (DIMACS signs), solved again and again
     as the clause set grows."""
 
-    def __init__(self, nvars, clauses, propagators, validate=False):
+    def __init__(self, nvars, clauses, propagators, order_literals=(),
+                 validate=False):
         self.nvars = 0
         self.propagators = []
         self.validate = validate   # check every learnt clause after backjump
@@ -91,6 +106,8 @@ class SearchCore:
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
+        self.order = [None]     # per variable: (IntVar, v) of [x >= v], or None
+        self.bound_undo = []    # (trail position, IntVar, cur before the move)
 
         # flat literal arena; slots off, off+1 of a clause are watched.
         # Problem clauses that extend() adds follow the learnt clauses of
@@ -132,11 +149,12 @@ class SearchCore:
         self._wakers = {0: None}
         self._woken = []        # the literals whose _wakers entry is a list
 
-        self.extend(nvars, clauses, propagators)
+        self.extend(nvars, clauses, propagators, order_literals)
 
-    def extend(self, nvars, clauses, propagators):
-        """Grows the kernel to nvars variables and adds the problem clauses
-        and the propagators; reads every propagator's wake_on again."""
+    def extend(self, nvars, clauses, propagators, order_literals=()):
+        """Grows the kernel to nvars variables and adds the problem clauses,
+        the propagators and the order literals; reads every propagator's
+        wake_on again."""
         old = self.nvars
         if nvars < old:
             raise ValueError("variable count %d below %d" % (nvars, old))
@@ -151,6 +169,12 @@ class SearchCore:
         self.phase += [False] * new
         self.activity += [0.0] * new
         self.seen += [0] * new
+        self.order += [None] * new
+        for lit, x, v in order_literals:
+            if not 0 < lit <= nvars:
+                raise ValueError("order literal %d out of range" % lit)
+            self.order[lit] = (x, v)
+            x.cur = (x.lb0, None, x.ub0, None)
         # a new variable has activity 0 and the highest id: no entry sorts
         # after its own, so appending keeps the heap a heap
         self.queued += [True] * new
@@ -242,11 +266,30 @@ class SearchCore:
             for pi in wakers:
                 self._pending[pi] = True
         var = lit if lit > 0 else -lit
+        entry = self.order[var]
+        if entry is not None:
+            self._move_bound(lit, entry)
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
         self.trail.append(lit)
         if reason != -1:
             self.propagations += 1
+
+    def _move_bound(self, lit, entry):
+        # lit, about to enter the trail, sets the order literal [x >= v] of
+        # entry = (x, v); x.cur changes if that moves a bound of x
+        x, v = entry
+        cur = x.cur
+        if lit > 0:
+            if v <= cur[0]:
+                return
+            new = (v, lit, cur[2], cur[3])
+        else:
+            if v > cur[2]:
+                return
+            new = (cur[0], cur[1], v - 1, lit)
+        self.bound_undo.append((len(self.trail), x, cur))
+        x.cur = new
 
     def _new_level(self):
         self.trail_lim.append(len(self.trail))
@@ -264,8 +307,13 @@ class SearchCore:
         del self.trail_lim[level:]
 
     def _unassign(self, bound):
-        # unassigns the trail from position bound on, saving phases
+        # unassigns the trail from position bound on, saving phases, and
+        # puts back the integer bounds from before it
         trail = self.trail
+        undo = self.bound_undo
+        while undo and undo[-1][0] >= bound:
+            _, x, old = undo.pop()
+            x.cur = old
         self._checked = None
         val = self.val
         phase = self.phase
@@ -327,6 +375,7 @@ class SearchCore:
         pending = self._pending
         levels = self.levels
         reasons = self.reasons
+        order = self.order
         trail = self.trail
         level = len(self.trail_lim)
         qhead = self.qhead
@@ -370,6 +419,9 @@ class SearchCore:
                         for pi in w:
                             pending[pi] = True
                     var = first if first > 0 else -first
+                    entry = order[var]
+                    if entry is not None:
+                        self._move_bound(first, entry)
                     levels[var] = level
                     reasons[var] = ci
                     trail.append(first)
@@ -435,6 +487,9 @@ class SearchCore:
             for pi in wakers:
                 pending[pi] = True
         var = lit if lit > 0 else -lit
+        entry = self.order[var]
+        if entry is not None:
+            self._move_bound(lit, entry)
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = ref
         self.trail.append(lit)

@@ -9,9 +9,20 @@ forgets clauses that its unit clauses imply (retract), and propagators only
 strengthen, so every kept learnt clause stays implied and the root-level
 assignment only grows.  Only a solve that raised drops the kernel; the next
 solve rebuilds it from the store.
+
+The engine also keeps the order literals registered with it, each [x >= v]
+with its integer variable x and value v, and hands them to the kernel with
+the clauses, so that the kernel can keep every registered variable's bounds
+(see Propagator).
+
+A compiled kernel records the SHA-256 of the _search.cpp it was built from.
+One built from another version of the file than the one beside this module
+is refused with a warning, and the pure kernel stands in for it.
 """
 
+import importlib
 import os
+import warnings
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -20,10 +31,45 @@ from functools import cached_property
 from .errors import EngineError, MidSearchMutationError
 from . import _search_py
 
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_search.cpp")
+
+
+def _sha256(data):
+    """Hex SHA-256 of data.  As random.py does for SHA-512, CPython's own
+    module comes first (_sha256 up to 3.11, _sha2 from 3.12): hashlib loads
+    OpenSSL, about 3.6 MB of resident memory."""
+    for name in ("_sha256", "_sha2", "hashlib"):
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            continue
+
+
+def _built_from(module, source):
+    """module, or None with a warning when its SOURCE_SHA256 is not the
+    SHA-256 of source.  Without a readable source, as in an install that
+    ships only the extension, there is nothing to compare and module is
+    kept."""
+    try:
+        with open(source, "rb") as f:
+            data = f.read()
+    except OSError:
+        return module
+    if getattr(module, "SOURCE_SHA256", None) == _sha256(data):
+        return module
+    warnings.warn(
+        "%s was not built from %s; using the pure kernel (rebuild with "
+        "python3 setup.py build_ext --inplace)"
+        % (getattr(module, "__file__", module), source), RuntimeWarning)
+    return None
+
+
 try:
     from . import _search as _search_c
 except ImportError:
     _search_c = None
+else:
+    _search_c = _built_from(_search_c, _SOURCE)
 
 
 def available_kernels():
@@ -58,7 +104,12 @@ class Propagator:
     lit_value(lit) -> -1/0/1, enqueue(lit, reason_true_lits) and
     fail(reason_true_lits); inferences must be explained by true literals.
     lit_value raises LookupError for a literal outside +-nvars (IndexError
-    on the compiled kernel, KeyError on the pure one).
+    on the compiled kernel, KeyError on the pure one).  The view offers
+    nothing else: the bounds of an integer variable x are kernel state in
+    x.cur, which the kernel keeps on its trail for every order literal
+    registered with the engine (cp.IntVar), so a propagator reads x.cur
+    instead of scanning x's ladder, and sees a bound that its own enqueue
+    just moved.
 
     With wake_on None, propagate runs at every fixpoint.  A propagator may
     set wake_on to a collection of literals instead, if its output depends
@@ -136,8 +187,10 @@ class Engine:
         self._root = {}              # var -> bool, fixed by unit chains
         self._root_conflict = False
         self.propagators = []
+        self.order_literals = []     # (literal, IntVar, value) of [x >= v]
         self._kernel = None          # the live SearchCore, None until a solve
-        self._synced = (0, 0, 0)     # nvars, next clause ref, propagators
+        # nvars, next clause ref, propagators, order literals
+        self._synced = (0, 0, 0, 0)
         self._in_search = False
         self.stats = {"solves": 0, "conflicts": 0, "decisions": 0,
                       "propagations": 0, "restarts": 0}
@@ -155,6 +208,16 @@ class Engine:
             raise MidSearchMutationError("propagator attached during search")
         self.propagators.append(prop)
         return prop
+
+    def register_order_literal(self, lit, x, v):
+        """Register the positive literal lit as [x >= v] of the IntVar x
+        (anything with lb0, ub0 and a writable cur), so that the kernel
+        keeps x.cur."""
+        if self._in_search:
+            raise MidSearchMutationError("order literal registered during search")
+        if not 0 < lit <= self.nvars:
+            raise ValueError("order literal %d is not a positive variable" % lit)
+        self.order_literals.append((lit, x, v))
 
     # ------------------------------------------------------------------
     # clause store
@@ -297,13 +360,15 @@ class Engine:
     def _sync_kernel(self):
         """The live kernel, built from the store or given what the store
         gained since the last solve."""
-        _, next_ref, nprops = synced = self._synced
-        self._synced = (self.nvars, self._next_ref, len(self.propagators))
+        _, next_ref, nprops, norder = synced = self._synced
+        self._synced = (self.nvars, self._next_ref, len(self.propagators),
+                        len(self.order_literals))
         if self._kernel is None:
             self._kernel = _kernel_module(self._kernel_name).SearchCore(
                 self.nvars,
                 [rec.lits for rec in self.clauses],
                 self.propagators,
+                self.order_literals,
                 self._validate,
             )
         elif synced != self._synced:
@@ -314,6 +379,7 @@ class Engine:
                 self.nvars,
                 [rec.lits for rec in self.clauses[new:]],
                 self.propagators[nprops:],
+                self.order_literals[norder:],
             )
         return self._kernel
 

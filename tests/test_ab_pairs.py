@@ -63,6 +63,20 @@ def test_gain_needs_nine_tenths_of_the_pairs():
     assert total["wins"] == 9 and total["gain"]
 
 
+def test_gain_needs_ten_pairs():
+    # every pair won by far more than the parent's spread
+    parent = [(2.6 + 0.01 * i, 1.0) for i in range(10)]
+    change = [(1.3 + 0.01 * i, 1.0) for i in range(10)]
+    total, _ = ab_pairs.summarize(pairs_of(parent[:3], change[:3]), SPEC)
+    assert total["wins"] == 3 and not total["gain"]
+    total, _ = ab_pairs.summarize(pairs_of(parent[:9], change[:9]), SPEC)
+    assert total["wins"] == 9 and not total["gain"]
+    total, _ = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["wins"] == 10 and total["gain"]
+    assert "gain" not in ab_pairs.format_rows(ab_pairs.summarize(
+        pairs_of(parent[:3], change[:3]), SPEC))
+
+
 def test_gain_needs_a_gap_beyond_the_parent_spread():
     # the change wins every pair, but by less than the parent's own spread
     parent = [(1.0 + 0.1 * i, 1.0) for i in range(10)]

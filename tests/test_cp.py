@@ -15,7 +15,14 @@ from maxcore.cp import (
     post_at_most_one,
     post_pb_upper_bound,
 )
-from maxcore.engine import available_kernels
+from maxcore.engine import (
+    Engine,
+    EngineIntegrityError,
+    Propagator,
+    available_kernels,
+)
+from maxcore.maxsat import IndicatorProblem
+from maxcore.rcpsp import build_model, generate_micro_set, soften
 
 KERNELS = available_kernels()
 
@@ -303,7 +310,8 @@ def test_linear_explanations_are_sound():
         mdl, xs, i, terms, rhs, values = _random_linear_case(rng)
         shared += len({id(x) for _, x in terms}) < len(terms)
         view_cls = _RefusingView if rng.random() < 0.5 else _RecordingView
-        view = view_cls({abs(l): b == (l > 0) for l, b in values.items()})
+        view = view_cls({abs(l): b == (l > 0) for l, b in values.items()},
+                        xs)
         HalfReifiedLinear(i, terms, rhs).propagate(view)
         worlds = list(_linear_worlds(mdl, xs, i, terms, rhs))
         for lit, reason in view.enqueued:
@@ -425,12 +433,19 @@ def test_pb_tighten(kernel):
 
 class _RecordingView:
     """Propagator view over a fixed partial assignment (var -> bool) that
-    records the inferences instead of applying them."""
+    records the inferences instead of applying them.  It stands in for a
+    kernel, so it sets cur of each IntVar in ints from the ladder."""
 
-    def __init__(self, values):
+    def __init__(self, values, ints=()):
         self.values = values
+        self.ints = list(ints)
         self.enqueued = []
         self.failed = None
+        self._show()
+
+    def _show(self):
+        for x in self.ints:
+            x.cur = x.bounds(self.lit_value)
 
     def lit_value(self, lit):
         v = self.values.get(abs(lit))
@@ -783,7 +798,8 @@ def _cumulative_inferences(n_cases, seed):
     for _ in range(n_cases):
         mdl, tasks, cap, values = _random_cumulative_case(rng)
         view_cls = _RefusingView if rng.random() < 0.5 else _RecordingView
-        got, want = view_cls(values), view_cls(values)
+        xs = [x for x, _, _ in tasks]
+        got, want = view_cls(values, xs), view_cls(values, xs)
         Cumulative(tasks, cap).propagate(got)
         _reference_cumulative(tasks, cap, want)
         assert (got.enqueued, got.failed) == (want.enqueued, want.failed)
@@ -858,6 +874,7 @@ class _ApplyingView(_RecordingView):
         if self.lit_value(lit) < 0:
             return False
         self.values[abs(lit)] = lit > 0
+        self._show()
         return True
 
 
@@ -905,13 +922,14 @@ def test_linear_matches_ladder_readers():
     rng = random.Random(43)
     enqueues = fails = moved = 0
     for _ in range(1500):
-        _, _, i, terms, rhs, values = _random_linear_case(rng)
+        _, xs, i, terms, rhs, values = _random_linear_case(rng)
         start = {abs(l): b == (l > 0) for l, b in values.items()}
-        got, want = _ApplyingView(dict(start)), _ApplyingView(dict(start))
+        got = _ApplyingView(dict(start), xs)
+        want = _ApplyingView(dict(start), xs)
         HalfReifiedLinear(i, terms, rhs).propagate(got)
         _reference_linear(i, terms, rhs, want)
         assert (got.enqueued, got.failed) == (want.enqueued, want.failed)
-        stale = _RecordingView(dict(start))
+        stale = _RecordingView(dict(start), xs)
         HalfReifiedLinear(i, terms, rhs).propagate(stale)
         moved += stale.enqueued != got.enqueued
         enqueues += len(got.enqueued)
@@ -1003,3 +1021,129 @@ def test_cumulative_sees_ladder_growth_between_solves(kernel):
             starts = [decode_int(x, a.model) for x in gx]
             assert _holds_capacity([(x, d, m) for x, (_, d, m)
                                     in zip(gx, spec)], 1, starts)
+
+
+# --- kernel bounds against the ladder ----------------------------------------
+
+
+class _BoundsProbe(Propagator):
+    """Runs at every fixpoint, infers nothing, and asserts that the kernel's
+    cur of every IntVar in ints is what the ladder gives.  Counts its calls,
+    and the calls that met a non-monotone ladder (an unassigned literal
+    below a true one)."""
+
+    wake_on = None
+
+    def __init__(self, ints=()):
+        self.ints = list(ints)
+        self.calls = self.nonmono = 0
+
+    def propagate(self, view):
+        self.calls += 1
+        for x in self.ints:
+            assert x.cur == x.bounds(view.lit_value), x
+            vals = list(map(view.lit_value, x.geq_lits))
+            if 1 in vals and 0 in vals[:len(vals) - vals[::-1].index(1)]:
+                self.nonmono += 1
+
+
+def _pigeonhole(eng, pigeons):
+    """pigeons into pigeons - 1 holes: unsat, and only after many
+    conflicts."""
+    holes = pigeons - 1
+    p = [[eng.new_bool_var() for _ in range(holes)] for _ in range(pigeons)]
+    for row in p:
+        eng.add_clause(row)
+    for h in range(holes):
+        for i in range(pigeons):
+            for j in range(i + 1, pigeons):
+                eng.add_clause((-p[i][h], -p[j][h]))
+
+
+@pytest.mark.parametrize("algo", ["bnb", "wpm1", "msu3"])
+def test_kernel_bounds_follow_the_ladder_on_rcpsp(kernel, algo):
+    calls = conflicts = 0
+    for _, inst in generate_micro_set(6, seed=5):
+        for alpha in (0.7, 0.9):
+            p = soften(inst, alpha, mode="weighted", seed=1)
+            eng = Engine(kernel=kernel)
+            # attached first, it runs before every other propagator call
+            probe = eng.attach_propagator(_BoundsProbe())
+            probe.ints, indicators = build_model(p, eng)
+            if eng.root_conflict:
+                continue
+            res = IndicatorProblem(eng, indicators).solve(algo)
+            assert res.status in ("optimal", "unsatisfiable")
+            calls += probe.calls
+            conflicts += eng.stats["conflicts"]
+    assert calls > 150 and conflicts > 20
+
+
+def test_kernel_bounds_hold_on_a_non_monotone_ladder(kernel):
+    """A level-0 unit [x >= 3] reaches [x >= 2] and [x >= 1] only once the
+    assumptions level opens, so each backjump to the root (after a learnt
+    unit or a restart) leaves them unassigned under a true [x >= 3].  A
+    pigeonhole beside x makes the backjumps."""
+    mdl = CpModel(kernel=kernel)
+    probe = mdl.eng.attach_propagator(_BoundsProbe())
+    x = mdl.new_int_var(0, 5)
+    mdl.materialize(x)
+    probe.ints = [x]
+    mdl.eng.add_clause((mdl.lit_geq(x, 3),))
+    _pigeonhole(mdl.eng, 5)
+    assert mdl.eng.solve().status == "unsat"
+    assert probe.nonmono > 0
+
+
+def test_kernel_bounds_follow_ladder_growth(kernel):
+    mdl = CpModel(kernel=kernel)
+    probe = mdl.eng.attach_propagator(_BoundsProbe())
+    x, y = mdl.new_int_var(0, 6), mdl.new_int_var(-2, 4)
+    probe.ints = [x, y]
+    for v in (2, 5):
+        mdl.lit_geq(x, v)
+    mdl.post_half_reified_linear(mdl.true_lit, [(1, x), (-1, y)], 2)
+    assert mdl.eng.solve(assumptions=[mdl.lit_geq(x, 5)]).status == "sat"
+    mdl.materialize(x)
+    mdl.materialize(y)
+    for assume in ([mdl.lit_geq(y, 3)], [-mdl.lit_geq(x, 4)],
+                   [mdl.lit_geq(y, 1), -mdl.lit_geq(x, 4)]):
+        out = mdl.eng.solve(assumptions=assume)
+        assert decode_int(x, out.model) >= decode_int(y, out.model) + 2
+    assert probe.calls > 10
+
+
+class _RaisesAtCall(Propagator):
+    """At call number at, enqueues citing a literal that is not true, which
+    the kernel refuses with EngineIntegrityError."""
+
+    wake_on = None
+
+    def __init__(self, at):
+        self.at = at
+        self.calls = 0
+
+    def propagate(self, view):
+        self.calls += 1
+        if self.calls == self.at:
+            view.enqueue(1, [1, -1])
+
+
+def test_kernel_bounds_are_reset_after_a_raise(kernel):
+    """A solve raises mid-search with bounds of x moved; the kernel that the
+    next solve rebuilds starts from x's original bounds, not from the dead
+    kernel's."""
+    mdl = CpModel(kernel=kernel)
+    probe = mdl.eng.attach_propagator(_BoundsProbe())
+    x = mdl.new_int_var(0, 5)
+    mdl.materialize(x)
+    probe.ints = [x]
+    _pigeonhole(mdl.eng, 6)
+    bad = mdl.eng.attach_propagator(_RaisesAtCall(40))
+    with pytest.raises(EngineIntegrityError):
+        mdl.eng.solve(assumptions=[mdl.lit_geq(x, 2), -mdl.lit_geq(x, 5)])
+    assert bad.calls == 40
+    assert x.cur[0] >= 2 and x.cur[2] <= 4      # the dead kernel's state
+    calls = probe.calls
+    out = mdl.eng.solve(assumptions=[-mdl.lit_geq(x, 3)])
+    assert out.status == "unsat" and probe.calls > calls

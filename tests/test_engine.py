@@ -1,8 +1,11 @@
 """Engine-level behavior: clauses, assumptions, cores, retraction, determinism."""
 
 import gc
+import hashlib
 import itertools
 import random
+import types
+import warnings
 import weakref
 
 import pytest
@@ -927,9 +930,9 @@ class _Extends:
         self.core = core
         self.log = log
 
-    def extend(self, nvars, clauses, props):
+    def extend(self, nvars, clauses, props, order_literals):
         self.log.append(list(clauses))
-        return self.core.extend(nvars, clauses, props)
+        return self.core.extend(nvars, clauses, props, order_literals)
 
     def solve(self, *args):
         return self.core.solve(*args)
@@ -1016,3 +1019,37 @@ def test_kernel_gets_exactly_the_clauses_added_after_a_kept_retract(
     out = eng.solve(assumptions=[2])
     assert out.model == {1: False, 2: True, 3: False}
     assert extends == [[(-1,)]]
+
+
+# ----------------------------------------------------------------------
+# a compiled kernel built from another _search.cpp is refused
+
+
+def test_a_compiled_kernel_of_another_source_is_refused(tmp_path):
+    source = tmp_path / "_search.cpp"
+    source.write_bytes(b"// the kernel\n")
+    digest = hashlib.sha256(b"// the kernel\n").hexdigest()
+    stale = types.SimpleNamespace(SOURCE_SHA256="0" * 64, __file__="old.so")
+    with pytest.warns(RuntimeWarning, match="old.so") as seen:
+        assert engine_core._built_from(stale, str(source)) is None
+    assert len(seen) == 1
+    # a build from before the hash was recorded carries none
+    with pytest.warns(RuntimeWarning):
+        assert engine_core._built_from(types.SimpleNamespace(),
+                                       str(source)) is None
+    fresh = types.SimpleNamespace(SOURCE_SHA256=digest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert engine_core._built_from(fresh, str(source)) is fresh
+        # no source to compare with: the module is kept
+        assert engine_core._built_from(
+            stale, str(tmp_path / "missing.cpp")) is stale
+
+
+def test_the_compiled_kernel_in_use_was_built_from_its_source():
+    module = engine_core._search_c
+    assert ("compiled" in available_kernels()) == (module is not None)
+    if module is not None:
+        with open(engine_core._SOURCE, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        assert module.SOURCE_SHA256 == digest

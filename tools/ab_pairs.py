@@ -8,10 +8,11 @@ the last line of each run's standard output, the benchmark's JSON result.
 For every end-to-end metric that BENCHMARK.json (next to this script's
 tools/ directory) declares, it prints each side's median and quartiles,
 the change's median over the parent's, and how many pairs the change won
-(ties count for neither side).  A gain holds when the change wins at least
-nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range; a metric is worse when the change's median is worse
-than the parent's by more than its bound.  Run from anywhere:
+(ties count for neither side).  A gain holds when there are at least
+MIN_GAIN_PAIRS pairs, the change wins at least nine tenths of them and the
+medians differ by more than the parent's interquartile range; a metric is
+worse when the change's median is worse than the parent's by more than its
+bound.  Run from anywhere:
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload wcnf-small \\
         --pairs 10 --seed 801
@@ -28,6 +29,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# fewer pairs cannot tell a gain from noise: an A/A run of one tree against
+# a copy of itself won 3 of 3 pairs by more than the parent's spread
+MIN_GAIN_PAIRS = 10
 
 
 def end_to_end_spec():
@@ -78,7 +82,8 @@ def summarize(pairs, spec):
             "change": change,
             "ratio": change[1] / parent[1] if parent[1] else float("nan"),
             "wins": wins,
-            "gain": 10 * wins >= 9 * len(got) and gap > parent[2] - parent[0],
+            "gain": (len(got) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(got)
+                     and gap > parent[2] - parent[0]),
             "worse": -gap > bound * abs(parent[1]),
         })
     return rows
