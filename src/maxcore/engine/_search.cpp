@@ -11,15 +11,19 @@
 // As there, one SearchCore solves again and again: extend() adds variables,
 // problem clauses and propagators between solves, learnt clauses, activities,
 // phases, var_inc and cla_inc carry over, and each solve starts from an empty
-// trail (reset()) and assigns every live unit clause at level 0.  A flag per
+// trail (reset()) and assigns every unit clause at level 0.  A flag per
 // clause tells learnt clauses apart, since problem clauses that extend() adds
 // follow them in the arena.  The clause arena and the watch lists hold only
-// problem and learnt clauses, and a propagator's inference is a reason record:
-// the implied literal (0 for a fail) and the negated reason, stored once for a
+// problem clauses and live learnt clauses, since a reduction compacts the
+// arena as there, and a propagator's inference is a reason record: the
+// implied literal (0 for a fail) and the negated reason, stored once for a
 // run of equal reasons.  A reference r is clause r when r >= 0, no reason when
 // r == -1, and record -2 - r when r <= -2.  The solve result hands the
 // records over in a Records object, which builds the explanation clauses
 // when called.
+//
+// Decisions pop the same lazy heap of (-activity, var) entries as there, kept
+// with std::push_heap and std::pop_heap beside a queued flag per variable.
 //
 // Integer bounds are kernel state, kept as there: every registered order
 // literal [x >= v] maps its variable to (x, v), an assignment of one that
@@ -39,6 +43,7 @@
 #include <chrono>
 #include <climits>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <utility>
 #include <vector>
@@ -200,21 +205,19 @@ struct Kernel {
     std::vector<int> c_off;
     std::vector<int> c_len;
     std::vector<double> c_act;
-    std::vector<char> c_dead;
     std::vector<char> c_learnt;
     std::vector<int> units;  // the clauses of one literal, in order
     std::vector<std::vector<int>> watches;
     RecordStore records;
 
-    int n_problem = 0;  // problem clauses in the arena
+    int n_problem = 0;  // problem clauses; the rest are learnt
     int learnt_cap = 0;
-    int n_learnt = 0;
     int first_learnt = 0;  // the first clause the current solve learnt
 
     double var_inc = 1.0;
     double cla_inc = 1.0;
-    std::vector<int> heap;
-    std::vector<int> heap_pos;
+    std::vector<std::pair<double, int>> heap;  // (-activity, var) entries
+    std::vector<char> queued;  // per var: the heap holds a live entry
 
     long long conflicts = 0;
     long long decisions = 0;
@@ -261,13 +264,12 @@ struct Kernel {
         activity.resize(n1, 0.0);
         seen.resize(n1, 0);
         watches.resize(2 * n1);
-        // a new variable has activity 0 and the highest id, so it goes last
-        // in the heap, as heap insertion would put it
-        heap_pos.resize(n1, -1);
-        for (int v = old + 1; v < n1; v++) {
-            heap_pos[v] = (int)heap.size();
-            heap.push_back(v);
-        }
+        // a new variable has activity 0 and the highest id: no entry sorts
+        // after its own, so appending keeps the heap a heap
+        queued.resize(n1, 1);
+        queued[0] = 0;
+        for (int v = old + 1; v < n1; v++)
+            heap.push_back({-0.0, v});
         order_var.resize(n1, nullptr);
         order_value.resize(n1, 0);
         if (order_literals && !register_orders(order_literals))
@@ -372,7 +374,6 @@ struct Kernel {
         c_off.push_back((int)db.size());
         c_len.push_back((int)lits.size());
         c_act.push_back(0.0);
-        c_dead.push_back(0);
         c_learnt.push_back(learnt);
         db.insert(db.end(), lits.begin(), lits.end());
         if (lits.size() >= 2) {
@@ -493,83 +494,42 @@ struct Kernel {
             int var = var_of(lit);
             phase[var] = lit > 0;
             values[var] = 0;
-            reasons[var] = -1;
-            if (heap_pos[var] < 0)
-                heap_insert(var);
+            if (!queued[var]) {
+                queued[var] = 1;
+                heap.push_back({-activity[var], var});
+                std::push_heap(heap.begin(), heap.end(), std::greater<>());
+            }
         }
         trail.resize(bound);
         qhead = trail.size();
+        if ((int)heap.size() > 2 * nvars)
+            rebuild_heap();
     }
 
     // ------------------------------------------------------------------
-    // activity heap (max activity first, lowest var id on ties)
+    // activities
 
-    bool heap_before(int u, int v) const {
-        if (activity[u] != activity[v])
-            return activity[u] > activity[v];
-        return u < v;
-    }
-
-    void heap_insert(int v) {
-        heap.push_back(v);
-        heap_up((int)heap.size() - 1);
-    }
-
-    void heap_up(int i) {
-        int v = heap[i];
-        while (i > 0) {
-            int p = (i - 1) >> 1;
-            if (!heap_before(v, heap[p]))
-                break;
-            heap[i] = heap[p];
-            heap_pos[heap[p]] = i;
-            i = p;
+    // one live entry per unassigned variable, and nothing else
+    void rebuild_heap() {
+        heap.clear();
+        for (int v = 1; v <= nvars; v++) {
+            queued[v] = values[v] == 0;
+            if (queued[v])
+                heap.push_back({-activity[v], v});
         }
-        heap[i] = v;
-        heap_pos[v] = i;
+        std::make_heap(heap.begin(), heap.end(), std::greater<>());
     }
 
-    void heap_down(int i) {
-        int v = heap[i];
-        int n = (int)heap.size();
-        for (;;) {
-            int left = 2 * i + 1;
-            if (left >= n)
-                break;
-            int right = left + 1;
-            int c = right < n && heap_before(heap[right], heap[left]) ? right : left;
-            if (!heap_before(heap[c], v))
-                break;
-            heap[i] = heap[c];
-            heap_pos[heap[c]] = i;
-            i = c;
-        }
-        heap[i] = v;
-        heap_pos[v] = i;
-    }
-
-    int heap_pop() {
-        int top = heap[0];
-        heap_pos[top] = -1;
-        int last = heap.back();
-        heap.pop_back();
-        if (!heap.empty()) {
-            heap[0] = last;
-            heap_pos[last] = 0;
-            heap_down(0);
-        }
-        return top;
-    }
-
+    // v is assigned, and its heap entry, if any, goes stale
     void bump_var(int v) {
         activity[v] += var_inc;
+        queued[v] = 0;
         if (activity[v] > 1e100) {
             for (int u = 1; u <= nvars; u++)
                 activity[u] *= 1e-100;
             var_inc *= 1e-100;
+            rebuild_heap();
         }
-        if (heap_pos[v] >= 0)
-            heap_up(heap_pos[v]);
     }
 
     void bump_clause(int ci) {
@@ -770,24 +730,60 @@ struct Kernel {
     // ------------------------------------------------------------------
     // learnt database reduction
 
+    // drops the less active half of the learnt clauses that are no reason on
+    // the trail, and compacts the arena
     void reduce_learnts() {
-        std::vector<char> locked(c_off.size(), 0);
+        int n = (int)c_off.size();
+        std::vector<char> locked(n, 0);
         for (int lit : trail) {
             int r = reasons[var_of(lit)];
             if (r >= 0)
                 locked[r] = 1;
         }
         std::vector<int> cands;
-        for (int ci = 0; ci < (int)c_off.size(); ci++)
-            if (c_learnt[ci] && !c_dead[ci] && !locked[ci])
+        for (int ci = 0; ci < n; ci++)
+            if (c_learnt[ci] && !locked[ci])
                 cands.push_back(ci);
         std::sort(cands.begin(), cands.end(), [this](int a, int b) {
             return c_act[a] != c_act[b] ? c_act[a] < c_act[b] : a < b;
         });
-        for (size_t k = 0; k < cands.size() / 2; k++) {
-            c_dead[cands[k]] = 1;
-            n_learnt--;
+        std::vector<char> keep(n, 1);
+        for (size_t k = 0; k < cands.size() / 2; k++)
+            keep[cands[k]] = 0;
+        // moved[ci] counts the clauses kept before ci: a kept ci moves there
+        std::vector<int> moved(n + 1);
+        int kept = 0, at = 0;
+        for (int ci = 0; ci < n; ci++) {
+            moved[ci] = kept;
+            if (!keep[ci])
+                continue;
+            int off = c_off[ci], len = c_len[ci];
+            for (int k = 0; k < len; k++)  // at <= off: a forward move
+                db[at + k] = db[off + k];
+            c_off[kept] = at;
+            c_len[kept] = len;
+            c_act[kept] = c_act[ci];
+            c_learnt[kept] = c_learnt[ci];
+            at += len;
+            kept++;
         }
+        moved[n] = kept;
+        db.resize(at);
+        c_off.resize(kept);
+        c_len.resize(kept);
+        c_act.resize(kept);
+        c_learnt.resize(kept);
+        for (int lit : trail) {
+            int &r = reasons[var_of(lit)];
+            if (r >= 0)
+                r = moved[r];
+        }
+        size_t u = 0;
+        for (int ci : units)
+            if (keep[ci])
+                units[u++] = moved[ci];
+        units.resize(u);
+        first_learnt = moved[first_learnt];
         rebuild_watches();
     }
 
@@ -795,7 +791,7 @@ struct Kernel {
         for (std::vector<int> &wl : watches)
             wl.clear();
         for (int ci = 0; ci < (int)c_off.size(); ci++) {
-            if (c_dead[ci] || c_len[ci] < 2)
+            if (c_len[ci] < 2)
                 continue;
             watches[windex(db[c_off[ci]])].push_back(ci);
             watches[windex(db[c_off[ci] + 1])].push_back(ci);
@@ -832,8 +828,6 @@ struct Kernel {
         reset();
 
         for (int ci : units) {
-            if (c_dead[ci])
-                continue;
             int lit = db[c_off[ci]];
             int v = lit_value(lit);
             if (v == -1)
@@ -863,7 +857,6 @@ struct Kernel {
                     return nullptr;
                 backjump(bj);
                 int ci = add_clause(learnt, true);
-                n_learnt++;
                 if (learnt.size() > 1)
                     c_act[ci] = cla_inc;
                 assign(learnt[0], ci);
@@ -871,7 +864,7 @@ struct Kernel {
                     return nullptr;
                 var_inc /= VAR_DECAY;
                 cla_inc /= CLAUSE_DECAY;
-                if (n_learnt >= learnt_cap)
+                if ((int)c_off.size() - n_problem >= learnt_cap)
                     reduce_learnts();
                 if (has_budget && conflicts >= budget)
                     return finish("unknown", nullptr);
@@ -887,12 +880,17 @@ struct Kernel {
                 }
                 if ((int)trail.size() == nvars)
                     return finish("sat", nullptr);
+                // every unassigned variable has a live entry
                 int var = 0;
-                while (!heap.empty()) {
-                    var = heap_pop();
-                    if (values[var] == 0)
-                        break;
-                    var = 0;
+                while (!var) {
+                    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+                    auto [neg, v] = heap.back();
+                    heap.pop_back();
+                    if (neg == -activity[v]) {
+                        queued[v] = 0;
+                        if (values[v] == 0)
+                            var = v;
+                    }
                 }
                 decisions++;
                 new_level();
@@ -958,8 +956,6 @@ struct Kernel {
     PyObject *learnt_clauses() const {
         PyObject *out = PyList_New(0);
         for (int ci = first_learnt; out && ci < (int)c_off.size(); ci++) {
-            if (c_dead[ci])
-                continue;
             PyObject *clause = int_tuple(0, db.data() + c_off[ci], c_len[ci]);
             if (!clause || PyList_Append(out, clause) < 0)
                 Py_CLEAR(out);

@@ -6,11 +6,14 @@ Learnt clauses, variable activities, saved phases, var_inc and cla_inc carry
 over from one solve to the next.  Nothing else does: each solve starts by
 unassigning the whole trail, level 0 included (saving phases as a backjump
 does), clearing the reason records and the counters and marking every
-propagator pending, and then assigns every live unit clause, problem or
+propagator pending, and then assigns every unit clause, problem or
 learnt, at level 0.  Problem clauses that extend() adds follow the learnt
 clauses of earlier solves in the arena, so a flag per clause tells learnt
 clauses apart.  A solve's result lists only the learnt clauses it derived
-itself.
+itself.  Once the learnt clauses reach learnt_cap, a reduction drops the
+less active half of those that are no reason on the trail and compacts the
+arena, as MiniSat's garbage collection does: the clauses left keep their
+order, and the trail's reasons, the unit list and first_learnt follow them.
 
 Literal values live in one table keyed by literal: val, a dict from 0 and
 every literal -nvars..nvars to -1 (false), 0 (unset) or 1 (true).  An
@@ -20,15 +23,15 @@ the table's own __getitem__, a C method: a read costs no Python call, and a
 literal outside +-nvars raises KeyError.  The watch lists and the wake lists
 are keyed by literal in the same way.
 
-The clause arena and the watch lists hold only problem and learnt clauses.
-A propagator's inference is a reason record instead: an enqueue records the
-implied literal and its negated reason list, a fail records the negated
-reason list alone.  A reason or conflict reference r is a clause index when
-r >= 0, no reason (a decision or an assumption) when r == -1, and record
--2 - r when r <= -2.  Conflict analysis and the final core read records and
-clauses alike.  The solve result hands the records over in a callable that
-builds the explanation clauses when called, so that a solve whose
-explanations nobody reads never builds them.
+The clause arena and the watch lists hold only problem clauses and live
+learnt clauses.  A propagator's inference is a reason record instead: an
+enqueue records the implied literal and its negated reason list, a fail
+records the negated reason list alone.  A reason or conflict reference r is
+a clause index when r >= 0, no reason (a decision or an assumption) when
+r == -1, and record -2 - r when r <= -2.  Conflict analysis and the final
+core read records and clauses alike.  The solve result hands the records
+over in a callable that builds the explanation clauses when called, so that
+a solve whose explanations nobody reads never builds them.
 
 Propagators run at each Boolean fixpoint, in attachment order, until one
 enqueues a literal.  A propagator whose wake_on is None runs at every
@@ -65,7 +68,7 @@ queued.  A bump, always of an assigned variable, leaves its entry stale.  A
 decision pops entries until it finds a live one of an unassigned variable,
 and drops the rest.  An activity rescale, or a backjump that leaves more
 than 2 * nvars entries, rebuilds the heap from the unassigned variables.
-The C++ kernel follows the same rule with a binary heap.
+The C++ kernel keeps the same heap.
 
 The hand-written C++ kernel in _search.cpp runs the same search step for
 step: any behavioural change here must be made there too, and
@@ -76,6 +79,7 @@ the same propagator calls.
 import time
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, compress
 
 from .errors import EngineIntegrityError
 
@@ -116,12 +120,10 @@ class SearchCore:
         self.c_off = []
         self.c_len = []
         self.c_act = []
-        self.c_dead = []
         self.c_learnt = []
         self.units = []         # the clauses of one literal, in order
         self.watches = {}
-        self.n_problem = 0      # problem clauses in the arena
-        self.n_learnt = 0
+        self.n_problem = 0      # problem clauses; the rest are learnt
         self.first_learnt = 0   # the first clause the current solve learnt
 
         self.var_inc = 1.0
@@ -198,7 +200,6 @@ class SearchCore:
             ci += 1
         added = ci - first
         self.c_act += [0.0] * added
-        self.c_dead += [False] * added
         self.c_learnt += [False] * added
         self.n_problem += added
         self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
@@ -234,7 +235,6 @@ class SearchCore:
         self.c_off.append(len(self.db))
         self.c_len.append(len(lits))
         self.c_act.append(0.0)
-        self.c_dead.append(False)
         self.c_learnt.append(True)
         self.db.extend(lits)
         if len(lits) >= 2:
@@ -622,28 +622,41 @@ class SearchCore:
     # learnt database reduction
 
     def _reduce_learnts(self):
-        locked = [False] * len(self.c_off)
-        for lit in self.trail:
-            v = lit if lit > 0 else -lit
-            r = self.reasons[v]
-            if r >= 0:
-                locked[r] = True
-        cands = []
-        for ci in range(len(self.c_off)):
-            if self.c_learnt[ci] and not self.c_dead[ci] and not locked[ci]:
-                cands.append(ci)
-        cands.sort(key=lambda ci: (self.c_act[ci], ci))
+        # drops the less active half of the learnt clauses that are no
+        # reason on the trail, and compacts the arena
+        reasons = self.reasons
+        c_off = self.c_off
+        c_len = self.c_len
+        c_act = self.c_act
+        trail = self.trail
+        locked = {reasons[lit if lit > 0 else -lit] for lit in trail}
+        cands = [ci for ci, learnt in enumerate(self.c_learnt)
+                 if learnt and ci not in locked]
+        cands.sort(key=lambda ci: (c_act[ci], ci))
+        keep = [True] * len(c_off)
         for ci in cands[:len(cands) // 2]:
-            self.c_dead[ci] = True
-            self.n_learnt -= 1
+            keep[ci] = False
+        # moved[ci] counts the clauses kept before ci: a kept ci moves there
+        moved = [0, *accumulate(keep)]
+        db = self.db
+        self.db = [lit for ci in compress(range(len(keep)), keep)
+                   for lit in db[c_off[ci]:c_off[ci] + c_len[ci]]]
+        self.c_len = list(compress(c_len, keep))
+        self.c_off = [0, *accumulate(self.c_len)][:-1]
+        self.c_act = list(compress(c_act, keep))
+        self.c_learnt = list(compress(self.c_learnt, keep))
+        for lit in trail:
+            v = lit if lit > 0 else -lit
+            if reasons[v] >= 0:
+                reasons[v] = moved[reasons[v]]
+        self.units = [moved[ci] for ci in self.units if keep[ci]]
+        self.first_learnt = moved[self.first_learnt]
         self._rebuild_watches()
 
     def _rebuild_watches(self):
         for wl in self.watches.values():
             del wl[:]
         for ci in range(len(self.c_off)):
-            if self.c_dead[ci]:
-                continue
             if self.c_len[ci] >= 2:
                 off = self.c_off[ci]
                 self.watches[self.db[off]].append(ci)
@@ -677,8 +690,6 @@ class SearchCore:
         self._reset()
 
         for ci in self.units:
-            if self.c_dead[ci]:
-                continue
             lit = self.db[self.c_off[ci]]
             v = self.val[lit]
             if v == -1:
@@ -711,7 +722,6 @@ class SearchCore:
                 learnt, bj = self._analyze(confl)
                 self._backjump(bj)
                 ci = self._add_learnt(learnt)
-                self.n_learnt += 1
                 if len(learnt) > 1:
                     self.c_act[ci] = self.cla_inc
                 self._assign(learnt[0], ci)
@@ -719,7 +729,7 @@ class SearchCore:
                     self._check_learnt(ci)
                 self.var_inc /= VAR_DECAY
                 self.cla_inc /= CLAUSE_DECAY
-                if self.n_learnt >= self.learnt_cap:
+                if len(self.c_off) - self.n_problem >= self.learnt_cap:
                     self._reduce_learnts()
                 if conflict_budget is not None and self.conflicts >= conflict_budget:
                     return self._finish(result)
@@ -783,7 +793,6 @@ class SearchCore:
         result["learnts"] = [
             tuple(self._lits(ci))
             for ci in range(self.first_learnt, len(self.c_off))
-            if not self.c_dead[ci]
         ]
         result["explanations"] = partial(
             _explanations, self.r_head, self.r_neg)

@@ -24,7 +24,7 @@ import importlib
 import os
 import warnings
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -256,7 +256,7 @@ class Engine:
             self._units[norm[0]] = self._units.get(norm[0], 0) + 1
         # a root conflict is for good, and root_value then reads no root
         if not self._root_conflict:
-            self._absorb(rec)
+            self._absorb(rec.lits)
         return rec.ref
 
     def root_value(self, lit):
@@ -267,63 +267,36 @@ class Engine:
         the clauses, so no answer there would match a fresh build."""
         if self._root_conflict:
             return None
-        return self._root_val(lit)
-
-    def _root_val(self, lit):
         v = self._root.get(abs(lit))
         if v is None:
             return None
         return v if lit > 0 else not v
 
-    def _absorb(self, rec):
+    def _absorb(self, lits):
+        """Unit-propagates the root from a new clause.  The root was a unit
+        fixpoint before it, so only the new clause, and then the clauses
+        that hold -l for each literal l fixed on the way, can turn unit or
+        false; they are walked first in, first out.  A retracted clause
+        among them holds a literal its stored unit fixed, and is
+        satisfied."""
         root = self._root
-        unfixed = []
-        for l in rec.lits:
-            v = root.get(l if l > 0 else -l)
-            if v is None:
-                unfixed.append(l)
-            elif v == (l > 0):
-                return
-        if not unfixed:
-            self._root_conflict = True
-        elif len(unfixed) == 1:
-            self._root_fix(unfixed[0])
-
-    def _root_fix(self, lit):
-        root = self._root
-        queue = deque([lit])
-        queued = {lit}
-        while queue:
-            l = queue.popleft()
-            queued.discard(l)
-            v = self._root_val(l)
-            if v is True:
-                continue
-            if v is False:
-                self._root_conflict = True
-                return
-            root[abs(l)] = l > 0
-            # the root was a unit fixpoint before l, so only clauses that
-            # hold -l can turn unit or false now; a retracted clause among
-            # them holds a literal its stored unit fixed, and is satisfied
-            for lits in self._occ.get(-l, ()):
-                unfixed = []
-                sat = False
-                for q in lits:
-                    rv = root.get(q if q > 0 else -q)
-                    if rv is None:
-                        unfixed.append(q)
-                    elif rv == (q > 0):
-                        sat = True
-                        break
-                if sat:
-                    continue
+        queue = [lits]
+        for clause in queue:
+            unfixed = []
+            for q in clause:
+                v = root.get(q if q > 0 else -q)
+                if v is None:
+                    unfixed.append(q)
+                elif v == (q > 0):
+                    break
+            else:
                 if not unfixed:
                     self._root_conflict = True
                     return
-                if len(unfixed) == 1 and unfixed[0] not in queued:
-                    queue.append(unfixed[0])
-                    queued.add(unfixed[0])
+                if len(unfixed) == 1:
+                    l = unfixed[0]
+                    root[l if l > 0 else -l] = l > 0
+                    queue += self._occ.get(-l, ())
 
     def retract(self, refs):
         """Forget stored clauses that stored unit clauses imply; return how

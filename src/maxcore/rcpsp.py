@@ -341,7 +341,7 @@ CSV_COLUMNS = ("set", "alpha", "mode", "algorithm", "instance", "status",
 
 def _bench_cell(args):
     (set_name, inst, name, alpha, mode, algorithm, budget_s, seed,
-     stable_timing, kernel) = args
+     stable_timing) = args
     t0 = time.perf_counter()
     try:
         p = soften(inst, alpha, mode=mode, seed=seed)
@@ -350,8 +350,7 @@ def _bench_cell(args):
     if p is None:
         result = ScheduleResult("infeasible")
     else:
-        result = solve_schedule(p, algorithm=algorithm, kernel=kernel,
-                                time_budget_s=budget_s)
+        result = solve_schedule(p, algorithm=algorithm, time_budget_s=budget_s)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     stats = result.opt.stats if result.opt is not None else {}
     return {
@@ -371,7 +370,7 @@ def _bench_cell(args):
 
 
 def run_benchmark(instances, alphas, modes, algorithms, budget_s, *,
-                  seed=0, jobs=1, stable_timing=False, kernel="auto"):
+                  seed=0, jobs=1, stable_timing=False):
     """Run the full grid; returns (rows, csv_text, table_text).
 
     instances: [(set_name, instance_name, RcpspMax)].  Unknown outcomes count
@@ -383,7 +382,7 @@ def run_benchmark(instances, alphas, modes, algorithms, budget_s, *,
             for mode in modes:
                 for algorithm in algorithms:
                     work.append((set_name, inst, name, alpha, mode, algorithm,
-                                 budget_s, seed, stable_timing, kernel))
+                                 budget_s, seed, stable_timing))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_bench_cell, work))

@@ -755,6 +755,38 @@ def test_learnt_unit_holds_at_the_root_of_the_next_solve(kernel):
     assert (again.status, again.conflicts, again.learnts) == ("unsat", 1, [])
 
 
+def test_reductions_across_solves_keep_the_search(kernel):
+    # the CNF of tests/test_kernels.py, with an implication whose records
+    # can be trail reasons at a reduction, and after each solve a unit
+    # clause on a new variable, which extend() puts after the learnt
+    # clauses.  Each 4500-conflict solve passes the learnt cap of 4000, so
+    # a reduction compacts the arena and moves the kept learnt clauses of
+    # earlier solves and the units after them; a clause, reason, unit or
+    # first_learnt moved wrongly would change the pinned outcomes
+    n = 180
+    eng = engine_with(kernel, n, random_3cnf(random.Random(1), n, 4.26),
+                      _Rule([1], lambda v: v.enqueue(-2, [1])))
+    got = []
+    for _ in range(3):
+        out = eng.solve(conflict_budget=4500)
+        got.append((out.status, out.conflicts, out.decisions,
+                    out.propagations, out.restarts, len(out.learnts),
+                    hashlib.sha256(repr(out.learnts).encode()).hexdigest(),
+                    out.explanations))
+        eng.add_clause((eng.new_bool_var(),))
+    assert got == [
+        ("unknown", 4500, 5367, 199343, 7, 2505,
+         "e201fe4aa0d2bb1ddf0f5e0b2db5cd5dc8c38160103ab9aed0d38e0620db2649",
+         [(-2, -1), (-2, -1)]),
+        ("unknown", 4500, 5283, 206203, 7, 2803,
+         "4403aa2dfe4dc397f865ccc0f897d6ea1b5d486fd8beaea2e78bf43df8240ccc",
+         [(-2, -1), (-2, -1), (-2, -1)]),
+        ("unknown", 4500, 5246, 205924, 7, 3193,
+         "a210c708ccd3119f8f5db78d54c75a3f58616043d1d1447cfa8ac9e89a45b70e",
+         [(-2, -1), (-2, -1)]),
+    ]
+
+
 def _pb_holds(model, terms, bound):
     # PbUpperBound treats a bound of 0 as 1
     return sum(w for w, l in terms if model[abs(l)] == (l > 0)) < max(bound, 1)

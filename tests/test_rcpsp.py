@@ -269,7 +269,7 @@ def micro_instances(k=2, seed=8):
 def test_benchmark_grid_shape_and_order():
     rows, csv_text, table = run_benchmark(
         micro_instances(2), [0.8], ["cardinality"], ["bnb", "msu3"],
-        budget_s=60, stable_timing=True, kernel="python")
+        budget_s=60, stable_timing=True)
     assert len(rows) == 4
     lines = csv_text.strip().split("\n")
     assert lines[0] == ("set,alpha,mode,algorithm,instance,status,"
@@ -284,10 +284,8 @@ def test_benchmark_grid_shape_and_order():
 def test_benchmark_stable_timing_is_byte_identical():
     args = (micro_instances(2), [0.7, 0.9], ["cardinality", "weighted"],
             ["wpm1"])
-    a = run_benchmark(*args, budget_s=60, seed=4, stable_timing=True,
-                      kernel="python")[1]
-    b = run_benchmark(*args, budget_s=60, seed=4, stable_timing=True,
-                      kernel="python")[1]
+    a = run_benchmark(*args, budget_s=60, seed=4, stable_timing=True)[1]
+    b = run_benchmark(*args, budget_s=60, seed=4, stable_timing=True)[1]
     assert a == b
     for line in a.strip().split("\n")[1:]:
         assert line.split(",")[7] == "0.000"
@@ -296,7 +294,7 @@ def test_benchmark_stable_timing_is_byte_identical():
 def test_benchmark_counts_timeouts_at_budget():
     rows, _, table = run_benchmark(
         micro_instances(1), [0.9], ["cardinality"], ["bnb"],
-        budget_s=0, stable_timing=True, kernel="python")
+        budget_s=0, stable_timing=True)
     row = rows[0]
     if row["status"] == "infeasible":
         pytest.skip("seeded instance infeasible at this alpha")
@@ -308,7 +306,7 @@ def test_benchmark_flags_infeasible_rows():
     inst = RcpspMax([(2, (1,)), (2, (1,))], [0], [])
     rows, csv_text, table = run_benchmark(
         [("bad", "b1", inst)], [1.0], ["cardinality"], ["bnb", "wpm1"],
-        budget_s=60, stable_timing=True, kernel="python")
+        budget_s=60, stable_timing=True)
     assert all(r["status"] == "infeasible" for r in rows)
     assert "infeasible" in csv_text
     # every row excluded from the aggregate table: header only remains

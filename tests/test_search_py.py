@@ -25,7 +25,9 @@ class _InvariantProbe(Propagator):
     - the true literals are exactly the trail;
     - the heap of (-activity, var) entries is a heapq heap no longer than
       2 * nvars, no variable has two live entries, queued[v] says whether v
-      has one, and every unassigned variable has one.
+      has one, and every unassigned variable has one;
+    - the arena holds no more than the problem clauses and learnt_cap
+      learnt clauses: a reduction removes the clauses it drops.
     """
 
     def __init__(self, nvars):
@@ -51,6 +53,8 @@ class _InvariantProbe(Propagator):
         assert len(live) == len(set(live))
         assert set(live) == {v for v in variables if view.queued[v]}
         assert {v for v in variables if lit_value(v) == 0} <= set(live)
+
+        assert len(view.c_off) <= view.n_problem + view.learnt_cap
 
         if view.var_inc < self.var_inc:
             self.rescales += 1
