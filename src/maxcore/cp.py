@@ -128,8 +128,6 @@ class CpModel:
     def post_half_reified_linear(self, i, terms, rhs):
         if not terms:
             raise ValueError("half-reified linear needs at least one term")
-        if self.eng.root_value(i) is False:
-            return None   # indicator already false at root, constraint is inert
         prop = HalfReifiedLinear(i, terms, rhs)
         self.eng.attach_propagator(prop)
         return prop

@@ -19,8 +19,11 @@
 // implied literal (0 for a fail) and the negated reason, stored once for a
 // run of equal reasons.  A reference r is clause r when r >= 0, no reason when
 // r == -1, and record -2 - r when r <= -2.  The solve result hands the
-// records over in a Records object, which builds the explanation clauses
-// when called.
+// records over as data, the pair (heads, negs) under the key "records", as
+// there: heads is a memoryview copy of the implied literals, so its length
+// is the record count, and negs is a FlatNegs (_search_py.py) over memoryview
+// copies of the offsets, lengths and literals of the negated reasons.
+// _search_py.explanations builds the explanation clauses from the pair.
 //
 // Decisions pop the same lazy heap of (-activity, var) entries as there, kept
 // with std::push_heap and std::pop_heap beside a queued flag per variable.
@@ -64,7 +67,7 @@ const double RESTART_MULT = 1.5;
 const int LEARNT_CAP_MIN = 4000;
 
 PyObject *integrity_error;  // maxcore.engine.errors.EngineIntegrityError
-PyObject *records_type;     // the Records type below
+PyObject *flat_negs;        // maxcore.engine._search_py.FlatNegs
 PyObject *str_propagate;
 PyObject *str_wake_on;
 PyObject *str_cur;
@@ -133,18 +136,27 @@ PyObject *int_list(const int *p, Py_ssize_t n) {
     return out;
 }
 
-// a tuple of head, when it is not 0, followed by p[0 .. n)
-PyObject *int_tuple(int head, const int *p, Py_ssize_t n) {
-    Py_ssize_t first = head != 0;
-    PyObject *out = PyTuple_New(first + n);
-    for (Py_ssize_t i = 0; out && i < first + n; i++) {
-        PyObject *v = PyLong_FromLong(i < first ? head : p[i - first]);
+PyObject *int_tuple(const int *p, Py_ssize_t n) {
+    PyObject *out = PyTuple_New(n);
+    for (Py_ssize_t i = 0; out && i < n; i++) {
+        PyObject *v = PyLong_FromLong(p[i]);
         if (!v) {
             Py_CLEAR(out);
             break;
         }
         PyTuple_SET_ITEM(out, i, v);
     }
+    return out;
+}
+
+// a memoryview of C ints over a copy of v
+PyObject *int_view(const std::vector<int> &v) {
+    PyObject *bytes = PyBytes_FromStringAndSize((const char *)v.data(),
+                                                (Py_ssize_t)(v.size() * sizeof(int)));
+    PyObject *raw = bytes ? PyMemoryView_FromObject(bytes) : nullptr;
+    PyObject *out = raw ? PyObject_CallMethod(raw, "cast", "s", "i") : nullptr;
+    Py_XDECREF(bytes);
+    Py_XDECREF(raw);
     return out;
 }
 
@@ -168,16 +180,18 @@ struct RecordStore {
         return record_ref(k);
     }
 
-    // the explanation clause of each record, in creation order
-    PyObject *clauses() const {
-        PyObject *out = PyList_New((Py_ssize_t)head.size());
-        for (size_t k = 0; out && k < head.size(); k++) {
-            PyObject *clause = int_tuple(head[k], lits.data() + off[k], len[k]);
-            if (!clause)
-                Py_CLEAR(out);
-            else
-                PyList_SET_ITEM(out, k, clause);
-        }
+    // the records as the pair (heads, negs)
+    PyObject *pair() const {
+        PyObject *views[] = {int_view(head), int_view(off), int_view(len),
+                             int_view(lits)};
+        PyObject *negs = views[0] && views[1] && views[2] && views[3]
+                             ? PyObject_CallFunctionObjArgs(flat_negs, views[1],
+                                                            views[2], views[3], nullptr)
+                             : nullptr;
+        PyObject *out = negs ? PyTuple_Pack(2, views[0], negs) : nullptr;
+        for (PyObject *v : views)
+            Py_XDECREF(v);
+        Py_XDECREF(negs);
         return out;
     }
 };
@@ -868,7 +882,7 @@ struct Kernel {
                     reduce_learnts();
                 if (has_budget && conflicts >= budget)
                     return finish("unknown", nullptr);
-                if (has_deadline && conflicts % 128 == 0 && monotonic() > deadline)
+                if (has_deadline && monotonic() > deadline)
                     return finish("unknown", nullptr);
             } else {
                 if (conflicts_since_restart >= restart_limit && trail_lim.size() > 1) {
@@ -931,7 +945,7 @@ struct Kernel {
             return nullptr;
         bool sat = std::strcmp(status, "sat") == 0;
         const char *keys[] = {"status", "model", "core", "conflicts", "decisions",
-                              "propagations", "restarts", "learnts", "explanations"};
+                              "propagations", "restarts", "learnts", "records"};
         PyObject *vals[] = {
             PyUnicode_FromString(status),
             sat ? int_list(values.data(), values.size()) : Py_NewRef(Py_None),
@@ -941,7 +955,7 @@ struct Kernel {
             PyLong_FromLongLong(propagations),
             PyLong_FromLongLong(restarts),
             learnt_clauses(),
-            take_records(),
+            records.pair(),
         };
         PyObject *result = PyDict_New();
         for (size_t i = 0; i < sizeof(vals) / sizeof(vals[0]); i++) {
@@ -956,58 +970,14 @@ struct Kernel {
     PyObject *learnt_clauses() const {
         PyObject *out = PyList_New(0);
         for (int ci = first_learnt; out && ci < (int)c_off.size(); ci++) {
-            PyObject *clause = int_tuple(0, db.data() + c_off[ci], c_len[ci]);
+            PyObject *clause = int_tuple(db.data() + c_off[ci], c_len[ci]);
             if (!clause || PyList_Append(out, clause) < 0)
                 Py_CLEAR(out);
             Py_XDECREF(clause);
         }
         return out;
     }
-
-    PyObject *take_records();
 };
-
-// ----------------------------------------------------------------------
-// the records of a finished solve: calling one builds its explanations
-
-struct Records {
-    PyObject_HEAD
-    RecordStore store;
-};
-
-// a new Records object that takes over the kernel's records; the next solve
-// starts with none, so nothing reads them from the kernel afterwards
-PyObject *Kernel::take_records() {
-    Records *out = PyObject_New(Records, (PyTypeObject *)records_type);
-    if (out)
-        new (&out->store) RecordStore(std::move(records));
-    return (PyObject *)out;
-}
-
-void records_dealloc(Records *self) {
-    PyTypeObject *type = Py_TYPE(self);
-    self->store.~RecordStore();
-    PyObject_Free(self);
-    Py_DECREF(type);
-}
-
-PyObject *records_call(Records *self, PyObject *args, PyObject *kwds) {
-    if (PyTuple_GET_SIZE(args) != 0 || (kwds && PyDict_GET_SIZE(kwds) != 0))
-        return PyErr_Format(PyExc_TypeError, "Records() takes no arguments");
-    return self->store.clauses();
-}
-
-PyType_Slot records_slots[] = {
-    {Py_tp_doc, (void *)"A finished solve's reason records; calling it returns "
-                        "their explanation clauses as a list of tuples."},
-    {Py_tp_dealloc, (void *)records_dealloc},
-    {Py_tp_call, (void *)records_call},
-    {0, nullptr},
-};
-
-PyType_Spec records_spec = {"maxcore.engine._search.Records", sizeof(Records), 0,
-                            Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION,
-                            records_slots};
 
 // ----------------------------------------------------------------------
 // the Python type
@@ -1196,16 +1166,18 @@ PyMODINIT_FUNC PyInit__search(void) {
         return nullptr;
     integrity_error = PyObject_GetAttrString(errors, "EngineIntegrityError");
     Py_DECREF(errors);
+    PyObject *search_py = PyImport_ImportModule("maxcore.engine._search_py");
+    if (!search_py)
+        return nullptr;
+    flat_negs = PyObject_GetAttrString(search_py, "FlatNegs");
+    Py_DECREF(search_py);
     str_propagate = PyUnicode_InternFromString("propagate");
     str_wake_on = PyUnicode_InternFromString("wake_on");
     str_cur = PyUnicode_InternFromString("cur");
     str_lb0 = PyUnicode_InternFromString("lb0");
     str_ub0 = PyUnicode_InternFromString("ub0");
-    if (!integrity_error || !str_propagate || !str_wake_on || !str_cur || !str_lb0 ||
-        !str_ub0)
-        return nullptr;
-    records_type = PyType_FromSpec(&records_spec);
-    if (!records_type)
+    if (!integrity_error || !flat_negs || !str_propagate || !str_wake_on || !str_cur ||
+        !str_lb0 || !str_ub0)
         return nullptr;
     PyObject *module = PyModule_Create(&module_def);
     PyObject *type = module ? PyType_FromSpec(&core_spec) : nullptr;

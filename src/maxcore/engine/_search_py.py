@@ -30,8 +30,11 @@ records the negated reason list alone.  A reason or conflict reference r is
 a clause index when r >= 0, no reason (a decision or an assumption) when
 r == -1, and record -2 - r when r <= -2.  Conflict analysis and the final
 core read records and clauses alike.  The solve result hands the records
-over in a callable that builds the explanation clauses when called, so that
-a solve whose explanations nobody reads never builds them.
+over as data, the pair (r_head, r_neg) under the key "records": the next
+solve starts new lists, so the pair holds nothing of the kernel.  The
+record count is len(r_head), and explanations(*records) builds the
+explanation clauses only when a caller asks for them.  The C++ kernel hands
+over the same pair, with its negated reasons kept flat in a FlatNegs.
 
 Propagators run at each Boolean fixpoint, in attachment order, until one
 enqueues a literal.  A propagator whose wake_on is None runs at every
@@ -77,7 +80,6 @@ the same propagator calls.
 """
 
 import time
-from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress
 
@@ -182,26 +184,10 @@ class SearchCore:
         self.queued += [True] * new
         self.heap += [(-0.0, v) for v in range(old + 1, n1)]
 
-        db = self.db
-        c_off = self.c_off
-        c_len = self.c_len
-        watches = self.watches
-        units = self.units
-        ci = first = len(c_off)
+        first = len(self.c_off)
         for lits in clauses:
-            c_off.append(len(db))
-            c_len.append(len(lits))
-            db.extend(lits)
-            if len(lits) >= 2:
-                watches[lits[0]].append(ci)
-                watches[lits[1]].append(ci)
-            else:
-                units.append(ci)
-            ci += 1
-        added = ci - first
-        self.c_act += [0.0] * added
-        self.c_learnt += [False] * added
-        self.n_problem += added
+            self._add_clause(lits, False)
+        self.n_problem += len(self.c_off) - first
         self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
 
         self.propagators += propagators
@@ -230,12 +216,12 @@ class SearchCore:
     # ------------------------------------------------------------------
     # clause arena
 
-    def _add_learnt(self, lits):
+    def _add_clause(self, lits, learnt):
         ci = len(self.c_off)
         self.c_off.append(len(self.db))
         self.c_len.append(len(lits))
         self.c_act.append(0.0)
-        self.c_learnt.append(True)
+        self.c_learnt.append(learnt)
         self.db.extend(lits)
         if len(lits) >= 2:
             self.watches[lits[0]].append(ci)
@@ -721,7 +707,7 @@ class SearchCore:
                     return self._finish(result)
                 learnt, bj = self._analyze(confl)
                 self._backjump(bj)
-                ci = self._add_learnt(learnt)
+                ci = self._add_clause(learnt, True)
                 if len(learnt) > 1:
                     self.c_act[ci] = self.cla_inc
                 self._assign(learnt[0], ci)
@@ -733,9 +719,8 @@ class SearchCore:
                     self._reduce_learnts()
                 if conflict_budget is not None and self.conflicts >= conflict_budget:
                     return self._finish(result)
-                if deadline is not None and self.conflicts % 128 == 0:
-                    if time.monotonic() > deadline:
-                        return self._finish(result)
+                if deadline is not None and time.monotonic() > deadline:
+                    return self._finish(result)
             else:
                 if (conflicts_since_restart >= restart_limit
                         and len(self.trail_lim) > 1):
@@ -794,13 +779,31 @@ class SearchCore:
             tuple(self._lits(ci))
             for ci in range(self.first_learnt, len(self.c_off))
         ]
-        result["explanations"] = partial(
-            _explanations, self.r_head, self.r_neg)
+        result["records"] = (self.r_head, self.r_neg)
         return result
 
 
-def _explanations(heads, negs):
+def explanations(heads, negs):
     """The clause each record stands for, in creation order: the implied
     literal, if any, then the negated reason."""
     return [(head, *neg) if head else tuple(neg)
             for head, neg in zip(heads, negs)]
+
+
+class FlatNegs:
+    """The negated reasons of the C++ kernel's records, kept flat: item k is
+    lits[offs[k]:offs[k] + lens[k]]."""
+
+    __slots__ = ("offs", "lens", "lits")
+
+    def __init__(self, offs, lens, lits):
+        self.offs = offs
+        self.lens = lens
+        self.lits = lits
+
+    def __len__(self):
+        return len(self.offs)
+
+    def __getitem__(self, k):
+        off = self.offs[k]
+        return self.lits[off:off + self.lens[k]]

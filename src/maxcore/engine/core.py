@@ -153,10 +153,11 @@ class SolveOutcome:
     each propagator inference of the solve stands for: an enqueue's implied
     literal followed by its negated reason, or a fail's negated reason.  The
     kernel keeps inferences as reason records, not clauses, and hands them
-    over in records, a callable that holds the solve's records and nothing
-    else of the kernel.  The tuples are built the first time explanations
-    is read, so explanations is not a dataclass field, and == and repr
-    leave it out.
+    over as records, the pair (heads, negs): heads[k] is record k's implied
+    literal (0 for a fail) and negs[k] its negated reason.  The pair holds
+    nothing else of the kernel, and len(records[0]) is the solve's record
+    count.  The tuples are built the first time explanations is read, so
+    explanations is not a dataclass field, and == and repr leave it out.
     """
 
     status: str                      # 'sat' | 'unsat' | 'unknown'
@@ -167,11 +168,11 @@ class SolveOutcome:
     propagations: int = 0
     restarts: int = 0
     learnts: list = field(default_factory=list)
-    records: object = field(default=None, repr=False, compare=False)
+    records: tuple = field(default=((), ()), repr=False, compare=False)
 
     @cached_property
     def explanations(self):
-        return [] if self.records is None else self.records()
+        return _search_py.explanations(*self.records)
 
 
 class Engine:
@@ -384,7 +385,7 @@ class Engine:
             propagations=res["propagations"],
             restarts=res["restarts"],
             learnts=res["learnts"],
-            records=res["explanations"],
+            records=res["records"],
         )
         if res["status"] == "sat":
             values = res["model"]

@@ -8,7 +8,6 @@ the horizon (start + duration <= horizon) plus per-resource cumulatives.
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -384,6 +383,8 @@ def run_benchmark(instances, alphas, modes, algorithms, budget_s, *,
                     work.append((set_name, inst, name, alpha, mode, algorithm,
                                  budget_s, seed, stable_timing))
     if jobs > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_bench_cell, work))
     else:

@@ -227,14 +227,16 @@ def test_precedence_arithmetic_strength(kernel):
         assert entails(mdl, [na], -mdl.lit_geq(s1, w - 2))
 
 
-def test_retract_cannot_revive_a_skipped_half_reification(kernel):
-    # i is false at the root, so the constraint i -> (x - y >= 3) is never
-    # attached; a retract that let i become true would leave it unenforced
+def test_retract_cannot_revive_a_half_reification_false_at_the_root(kernel):
+    # i is false at the root when i -> (x - y >= 3) is posted; the
+    # constraint is attached all the same, and the unit that fixes i cannot
+    # be retracted, since it is the only clause that fixes i
     mdl = CpModel(kernel=kernel)
     x, y = mdl.new_int_var(0, 5), mdl.new_int_var(0, 5)
     i = mdl.new_bool_var()
     unit = mdl.eng.add_clause((-i,))
-    assert mdl.post_half_reified_linear(i, [(1, x), (-1, y)], 3) is None
+    prop = mdl.post_half_reified_linear(i, [(1, x), (-1, y)], 3)
+    assert mdl.eng.propagators == [prop]
     with pytest.raises(ValueError):
         mdl.eng.retract(refs=[unit])
     assert mdl.eng.solve(assumptions=[i, -mdl.lit_geq(x, 1)]).status == "unsat"

@@ -699,6 +699,28 @@ def test_records_with_equal_and_different_neighbour_reasons(kernel):
     assert out.explanations == [(3, -1), (4, -2), (5, -2, -1), (6, -2, -1)]
 
 
+def test_records_count_without_building_and_keep_no_kernel_alive(kernel):
+    # records is (heads, negs), one implied literal per record, so the
+    # record count needs no explanation tuple; the pair holds nothing of
+    # the kernel, whose propagators die with the engine
+    prop = _NeighbourReasons()
+    alive = weakref.ref(prop)
+    eng = engine_with(kernel, 6, [], prop,
+                      _Rule([5, 6], lambda v: v.fail([5, 6])))
+    out = eng.solve(assumptions=[1, 2])
+    del eng, prop
+    gc.collect()
+    assert alive() is None
+    heads, negs = out.records
+    assert len(heads) == len(negs) == len(out.explanations) == 5
+    assert list(heads) == [3, 4, 5, 6, 0]
+    assert [tuple(neg) for neg in negs] == [
+        (-1,), (-2,), (-2, -1), (-2, -1), (-5, -6)]
+    assert out.explanations == [
+        (3, -1), (4, -2), (5, -2, -1), (6, -2, -1), (-5, -6)]
+    assert SolveOutcome(status="unsat").records == ((), ())
+
+
 # ----------------------------------------------------------------------
 # one live kernel per engine, solved again and again
 
@@ -785,6 +807,15 @@ def test_reductions_across_solves_keep_the_search(kernel):
          "a210c708ccd3119f8f5db78d54c75a3f58616043d1d1447cfa8ac9e89a45b70e",
          [(-2, -1), (-2, -1)]),
     ]
+
+
+def test_time_budget_is_checked_at_every_conflict(kernel):
+    # a budget of 0 s has run out by the first conflict, the first point
+    # where a solve reads the clock
+    n = 180
+    eng = engine_with(kernel, n, random_3cnf(random.Random(1), n, 4.26))
+    out = eng.solve(time_budget_s=0)
+    assert (out.status, out.conflicts) == ("unknown", 1)
 
 
 def _pb_holds(model, terms, bound):

@@ -25,6 +25,7 @@ from maxcore.maxsat import (
 )
 from maxcore.oracle import brute_force_maxsat, verify_core
 from maxcore.rcpsp import build_model, generate_micro_set, soften
+from test_acceptance import WCNF_SEED, random_wcnf
 
 SAMPLE5_WCNF = """\
 c five soft unit-weight clauses
@@ -227,6 +228,18 @@ def test_wpm1_on_indicators_builds_one_kernel(monkeypatch):
     res = IndicatorProblem(eng, indicators).solve(algorithm="wpm1")
     assert (res.status, res.z_opt, len(res.cores)) == ("optimal", 7, 3)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_root_refutation_ends_every_driver_at_once(algorithm):
+    # unit propagation refutes these hard clauses (x3 false, and x3 or x1
+    # with x1 -> x3).  The engine's root (Engine._absorb over _occ into
+    # _root) sees it as they are added, so the one solve returns unsat with
+    # no core; the kernel alone would find it only after the assumptions
+    # level opens, and report cores of soft selectors
+    res = solve(random_wcnf(WCNF_SEED + 6), algorithm)
+    assert (res.status, res.cores) == ("unsatisfiable", [])
+    assert (res.stats["solves"], res.stats["conflicts"]) == (1, 0)
 
 
 def test_msu3_trace_sample5(sample5):

@@ -1,5 +1,9 @@
 """Scheduling instances: parsing, bounds, softening, solving, benchmarking."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from maxcore.oracle import OracleGuardError, brute_force_schedule
@@ -289,6 +293,24 @@ def test_benchmark_stable_timing_is_byte_identical():
     assert a == b
     for line in a.strip().split("\n")[1:]:
         assert line.split(",")[7] == "0.000"
+
+
+def test_benchmark_in_two_processes_matches_one():
+    args = (micro_instances(3), [0.9], ["cardinality"], ["bnb", "wpm1"])
+    serial = run_benchmark(*args, budget_s=60, stable_timing=True)[1]
+    pooled = run_benchmark(*args, budget_s=60, jobs=2, stable_timing=True)[1]
+    assert pooled == serial
+
+
+def test_import_loads_no_process_pool():
+    # run_benchmark imports ProcessPoolExecutor only for jobs > 1
+    code = ("import sys, maxcore, maxcore.cli; print(sorted(m for m in"
+            " sys.modules if m.startswith(('multiprocessing',"
+            " 'concurrent'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_benchmark_counts_timeouts_at_budget():

@@ -19,6 +19,7 @@ from maxcore.cp import (
     post_pb_upper_bound,
 )
 from maxcore.engine import Engine, Propagator, available_kernels
+from maxcore.engine._search_py import explanations
 from maxcore.engine.core import _kernel_module
 from maxcore.maxsat import ALGORITHMS, solve
 from maxcore.rcpsp import generate_micro_set, soften, solve_schedule
@@ -306,7 +307,7 @@ def _grown_and_fresh_runs(kernel, seed):
         results = []
         for assume in assumptions:
             res = core.solve(assume, None, None)
-            res["explanations"] = res["explanations"]()
+            res["explanations"] = explanations(*res.pop("records"))
             results.append(res)
         return results, list(log)
 
