@@ -136,7 +136,12 @@ class CpModel:
         """tasks: list of (IntVar start, duration, demand).  A task of
         positive duration whose demand exceeds capacity overloads it alone
         and posts the empty clause; at capacity 0 every task of positive
-        duration and demand does."""
+        duration and demand does.  The other tasks overload it together
+        when their energy, the sum of duration * demand, exceeds capacity
+        times their window, from the earliest original start to the latest
+        original end (Cumulative.span); that also posts the empty clause,
+        and no propagator is attached.  Both checks hold for every model,
+        so search changes only where one fires."""
         if capacity < 0:
             raise ValueError("negative capacity")
         live = []
@@ -152,6 +157,9 @@ class CpModel:
         if not live:
             return None
         prop = Cumulative(live, capacity)
+        if sum(dur * dem for _, dur, dem in live) > capacity * prop.span:
+            self.eng.add_clause(())   # the tasks overload their window
+            return None
         self.eng.attach_propagator(prop)
         return prop
 
@@ -287,6 +295,11 @@ class HalfReifiedLinear(Propagator):
 
 class Cumulative(Propagator):
     """Timetable propagation from compulsory parts, with naive explanations.
+
+    span is the tasks' window, from the earliest original start t0 to the
+    latest original end.  CpModel.post_cumulative attaches no Cumulative
+    whose tasks' energy exceeds capacity * span: timetabling cannot see
+    energy, so that overload is refuted there, at the root.
 
     A call reads each start's bounds once, from the kernel's IntVar.cur.  The
     profile of compulsory parts [ub, lb + dur) is a list over the time

@@ -649,6 +649,103 @@ def test_cumulative_random_models_respect_profile(kernel):
         assert max(usage) <= cap
 
 
+def test_cumulative_energy_equal_to_its_window_is_not_refuted(kernel):
+    # energy 2 + 2 fills the window [0, 4) exactly: back to back fits
+    mdl = CpModel(kernel=kernel)
+    s1, s2 = mdl.new_int_var(0, 2), mdl.new_int_var(0, 2)
+    mdl.materialize(s1)
+    mdl.materialize(s2)
+    prop = mdl.post_cumulative([(s1, 2, 1), (s2, 2, 1)], 1)
+    assert prop is not None and prop.span == 4
+    assert not mdl.eng.root_conflict
+    out = mdl.eng.solve()
+    assert out.status == "sat"
+    assert {decode_int(s1, out.model), decode_int(s2, out.model)} == {0, 2}
+
+
+def test_cumulative_energy_above_its_window_is_root_conflict(kernel):
+    # energy 4 in the window [0, 3) of capacity 1: one unit too much
+    mdl = CpModel(kernel=kernel)
+    s1, s2 = mdl.new_int_var(0, 1), mdl.new_int_var(0, 1)
+    assert mdl.post_cumulative([(s1, 2, 1), (s2, 2, 1)], 1) is None
+    assert mdl.eng.root_conflict
+    assert mdl.eng.propagators == []
+    assert mdl.eng.solve().status == "unsat"
+
+
+def test_cumulative_energy_check_is_sound(kernel):
+    """Random small cumulatives over fully materialized starts: whenever
+    posting one refutes it at the root, no start assignment inside the
+    domains respects capacity; otherwise the solve finds a schedule exactly
+    when one exists."""
+    rng = random.Random(23)
+    fired = feasible = infeasible = 0
+    for _ in range(300):
+        cap = rng.randint(1, 3)
+        mdl = CpModel(kernel=kernel)
+        tasks = []
+        for _ in range(rng.randint(1, 4)):
+            lb0 = rng.randint(0, 2)
+            x = mdl.new_int_var(lb0, lb0 + rng.randint(0, 3))
+            mdl.materialize(x)
+            tasks.append((x, rng.randint(1, 3), rng.randint(1, cap)))
+        fits = any(_holds_capacity(tasks, cap, starts)
+                   for starts in _placements(tasks, ()))
+        mdl.post_cumulative(tasks, cap)
+        if mdl.eng.root_conflict:
+            assert not fits, [(x, dur, dem) for x, dur, dem in tasks]
+            fired += 1
+            continue
+        assert (mdl.eng.solve().status == "sat") == fits
+        feasible += fits
+        infeasible += not fits
+    # the check fires, and timetabling still proves some overloads alone
+    assert fired > 30 and feasible > 30 and infeasible > 10
+
+
+def _count_pushes(monkeypatch):
+    """Every result of Cumulative._push from now on, in call order."""
+    results = []
+    push = Cumulative._push
+
+    def counted(self, *args):
+        results.append(push(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(Cumulative, "_push", counted)
+    return results
+
+
+def test_cumulative_compulsory_parts_overload_in_search(kernel, monkeypatch):
+    # energy 3 + 3 + 1 fits the window [0, 11), but the two long tasks
+    # both hold [1, 3): the profile fails before any push
+    pushes = _count_pushes(monkeypatch)
+    mdl = CpModel(kernel=kernel)
+    s1, s2, s3 = (mdl.new_int_var(0, 1), mdl.new_int_var(0, 1),
+                  mdl.new_int_var(0, 10))
+    for x in (s1, s2, s3):
+        mdl.materialize(x)
+    assert mdl.post_cumulative([(s1, 3, 1), (s2, 3, 1), (s3, 1, 1)], 1)
+    assert not mdl.eng.root_conflict
+    assert mdl.eng.solve().status == "unsat"
+    assert pushes == []
+
+
+def test_cumulative_push_fails_in_search(kernel, monkeypatch):
+    # energy 3 + 2 + 1 fits the window [0, 11); no two compulsory parts
+    # meet, but the task after the fixed one would have to start at 3 > 2
+    pushes = _count_pushes(monkeypatch)
+    mdl = CpModel(kernel=kernel)
+    s1, s2, s3 = (mdl.new_int_var(0, 0), mdl.new_int_var(0, 2),
+                  mdl.new_int_var(0, 10))
+    for x in (s1, s2, s3):
+        mdl.materialize(x)
+    assert mdl.post_cumulative([(s1, 3, 1), (s2, 2, 1), (s3, 1, 1)], 1)
+    assert not mdl.eng.root_conflict
+    assert mdl.eng.solve().status == "unsat"
+    assert False in pushes
+
+
 # --- cumulative against the dict timetable ----------------------------------
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from maxcore.engine import available_kernels
 from maxcore.oracle import OracleGuardError, brute_force_schedule
 from maxcore.rcpsp import (
     RcpspMax,
@@ -181,6 +182,18 @@ def test_capacity_zero_with_demand_is_infeasible():
     inst = RcpspMax([(2, (1,)), (1, (0,))], [0], [])
     p = soften(inst, 1.0, l=4)
     assert solve_schedule(p, kernel="python").status == "infeasible"
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("algo", ["bnb", "wpm1", "msu3"])
+def test_energy_overloads_end_before_any_driver_runs(kernel, algo):
+    # at alpha 0.9 these seeds' horizons are below their energy bound
+    # ceil(sum(dur * demand) / capacity): a cumulative refutes them at the
+    # root, so no driver runs and no result carries one
+    for k in (0, 3, 4, 6, 8, 9):
+        p = soften(generate_instance(k, 10, 12), 0.9, mode="weighted", seed=k)
+        r = solve_schedule(p, algorithm=algo, kernel=kernel)
+        assert (r.status, r.opt) == ("infeasible", None), k
 
 
 def test_three_way_clash_matches_oracle():
