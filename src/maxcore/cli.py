@@ -1,6 +1,7 @@
 """Command line interface: solve, benchmark, and verify instances."""
 
 import argparse
+import math
 import os
 import sys
 
@@ -23,6 +24,25 @@ EXIT_GUARD = 3       # oracle refused: instance too large to enumerate
 def _fail(msg):
     print("error: %s" % msg, file=sys.stderr)
     return EXIT_USAGE
+
+
+def _number(what, ok):
+    """An argparse type: the float of the text, if ok holds for it; it
+    never holds for NaN, which stands in for a text that is no number."""
+    def parse(text):
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not ok(x):
+            raise argparse.ArgumentTypeError("%r is not a number %s"
+                                             % (text, what))
+        return x
+    return parse
+
+
+_alpha = _number("in (0, 1]", lambda a: 0 < a <= 1)
+_seconds = _number(">= 0", lambda s: s >= 0)    # 0 answers unknown at once
 
 
 def _read(path):
@@ -118,9 +138,9 @@ def cmd_solve_rcpsp(args):
 
 def cmd_bench(args):
     try:
-        alphas = [float(a) for a in args.alpha.split(",") if a]
-    except ValueError:
-        return _fail("bad --alpha list %r" % args.alpha)
+        alphas = [_alpha(a) for a in args.alpha.split(",") if a]
+    except argparse.ArgumentTypeError as e:
+        return _fail("bad --alpha list %r: %s" % (args.alpha, e))
     if not alphas:
         return _fail("empty --alpha list")
     algorithms = [a for a in args.algorithms.split(",") if a]
@@ -275,12 +295,12 @@ def cmd_verify(args):
 def _add_common_solver_args(sp):
     sp.add_argument("--algorithm", choices=ALGORITHMS, default="wpm1",
                     help="optimization driver (default: wpm1)")
-    sp.add_argument("--timeout-s", type=float, default=600.0,
+    sp.add_argument("--timeout-s", type=_seconds, default=600.0,
                     help="wall-clock budget in seconds (default: 600)")
 
 
 def _add_soften_args(sp):
-    sp.add_argument("--alpha", type=float, default=0.8,
+    sp.add_argument("--alpha", type=_alpha, default=0.8,
                     help="horizon factor in (0, 1] (default: 0.8)")
     sp.add_argument("--mode", choices=MODES, default="cardinality",
                     help="precedence weights (default: cardinality)")
@@ -316,7 +336,7 @@ def build_parser():
                     help="weight mode, or 'both' (default: cardinality)")
     sp.add_argument("--algorithms", default=",".join(ALGORITHMS),
                     help="comma-separated drivers (default: all three)")
-    sp.add_argument("--timeout-s", type=float, default=600.0,
+    sp.add_argument("--timeout-s", type=_seconds, default=600.0,
                     help="per-cell budget in seconds (default: 600)")
     sp.add_argument("--seed", type=int, default=0,
                     help="weight stream seed (default: 0)")

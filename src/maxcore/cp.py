@@ -46,10 +46,10 @@ class IntVar:
         literal to 1, 0 or -1.  The lower bound comes from the highest true
         [x >= v], the upper bound v - 1 from the lowest false one; a missing
         witness is None and leaves the original bound.  The ladder is read
-        whole, not bisected, because it need not be monotone: a level-0
-        unit [x >= v] can be true while [x >= v-1] is still unassigned, and
-        a bisection would then cite other witnesses.  The kernel's cur
-        equals bounds(lit_value) at every propagate call."""
+        whole, not bisected, because it need not be monotone: a
+        propagator's own enqueue of [x >= v] holds before the channelling
+        clauses make [x >= v-1] true, and tests pass any assignment.  The
+        kernel's cur equals bounds(lit_value) throughout a propagate call."""
         vals = list(map(lit_value, self.geq_lits))
         if 1 in vals:
             k = len(vals) - 1 - vals[::-1].index(1)
@@ -301,7 +301,9 @@ class Cumulative(Propagator):
     whose tasks' energy exceeds capacity * span: timetabling cannot see
     energy, so that overload is refuted there, at the root.
 
-    A call reads each start's bounds once, from the kernel's IntVar.cur.  The
+    A call reads each start's bounds once, from the kernel's IntVar.cur,
+    which IntVar.bounds reads from the whole ladder: the ladders are monotone
+    when a kernel calls, but not always in the brute-force tests.  The
     profile of compulsory parts [ub, lb + dur) is a list over the time
     window of the start domains.  A task is skipped when neither its first
     window [lb, lb + dur) nor its last [ub, ub + dur) holds a height above

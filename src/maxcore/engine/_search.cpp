@@ -11,9 +11,11 @@
 // As there, one SearchCore solves again and again: extend() adds variables,
 // problem clauses and propagators between solves, learnt clauses, activities,
 // phases, var_inc and cla_inc carry over, and each solve starts from an empty
-// trail (reset()) and assigns every unit clause at level 0.  A flag per
-// clause tells learnt clauses apart, since problem clauses that extend() adds
-// follow them in the arena.  The clause arena and the watch lists hold only
+// trail (reset()) and assigns every unit clause at level 0, which it
+// propagates to a fixpoint whenever the assumptions level is about to open;
+// a backjump, to the root too, leaves only the wake_on None propagators
+// pending.  A flag per clause tells learnt clauses apart, since problem
+// clauses that extend() adds follow them in the arena.  The clause arena and the watch lists hold only
 // problem clauses and live learnt clauses, since a reduction compacts the
 // arena as there, and a propagator's inference is a reason record: the
 // implied literal (0 for a fail) and the negated reason, stored once for a
@@ -481,14 +483,9 @@ struct Kernel {
         if ((int)trail_lim.size() <= level)
             return;
         int bound = trail_lim[level];
-        if (bound < (int)trail.size()) {
-            // the trail up to a level >= 1 was a fixpoint of every
-            // propagator; the root is not, its units are propagated at level 1
-            if (level)
-                pending = always;
-            else
-                std::fill(pending.begin(), pending.end(), 1);
-        }
+        // the trail it keeps was a fixpoint of every propagator
+        if (bound < (int)trail.size())
+            pending = always;
         unassign(bound);
         trail_lim.resize(level);
     }
@@ -851,16 +848,20 @@ struct Kernel {
         }
 
         for (;;) {
-            if (trail_lim.empty() && establish_assumptions(assumptions, core))
-                return finish("unsat", &core);
+            if (trail_lim.empty()) {
+                // level 0 is closed before the assumptions level opens
+                int root = propagate_all();
+                if (root == RAISED)
+                    return nullptr;
+                if (root != -1 || establish_assumptions(assumptions, core))
+                    return finish("unsat", &core);
+            }
             int confl = propagate_all();
             if (confl == RAISED)
                 return nullptr;
             if (confl != -1) {
                 conflicts++;
                 conflicts_since_restart++;
-                if (trail_lim.empty())
-                    return finish("unsat", &core);
                 if (trail_lim.size() == 1) {
                     // every literal sits at the assumption level or below
                     final_core(lits_of(confl), core);

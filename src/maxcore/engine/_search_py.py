@@ -7,7 +7,10 @@ over from one solve to the next.  Nothing else does: each solve starts by
 unassigning the whole trail, level 0 included (saving phases as a backjump
 does), clearing the reason records and the counters and marking every
 propagator pending, and then assigns every unit clause, problem or
-learnt, at level 0.  Problem clauses that extend() adds follow the learnt
+learnt, at level 0.  As in MiniSat, level 0 is propagated to a fixpoint
+each time the assumptions level is about to open (at the start, after a
+restart and after a learnt unit); a conflict there is unsat with an empty
+core, and not counted.  Problem clauses that extend() adds follow the learnt
 clauses of earlier solves in the arena, so a flag per clause tells learnt
 clauses apart.  A solve's result lists only the learnt clauses it derived
 itself.  Once the learnt clauses reach learnt_cap, a reduction drops the
@@ -39,15 +42,13 @@ over the same pair, with its negated reasons kept flat in a FlatNegs.
 Propagators run at each Boolean fixpoint, in attachment order, until one
 enqueues a literal.  A propagator whose wake_on is None runs at every
 fixpoint.  One that lists wake_on literals runs only while it is pending: it
-becomes pending when a solve starts, after every backjump to the root that
-removes literals, and when one of its wake_on literals becomes true; a call
-clears it as the call starts.  A backjump to a level >= 1 makes no
-propagator pending: the trail it keeps was a fixpoint of every propagator,
-reached before the next decision.  The root is not, since its unit clauses
-are propagated only once the assumptions level opens.  The kernel reads every wake_on when it is built and
-at every extend(), since a propagator's watches may grow with the
-variables.  enqueue() checks that a reason is true once and trusts an equal
-reason until the next backjump.
+becomes pending when a solve starts and when one of its wake_on literals
+becomes true; a call clears it as the call starts.  A backjump, to the root
+too, makes no propagator pending: the trail it keeps was a fixpoint of every
+propagator.  The kernel reads every wake_on when it is built and at every
+extend(), since a propagator's watches may grow with the variables.
+enqueue() checks that a reason is true once and trusts an equal reason
+until the next backjump.
 
 Integer bounds are kernel state.  extend() takes order literals as
 (literal, IntVar, value) triples: the positive literal stands for
@@ -285,10 +286,8 @@ class SearchCore:
             return
         bound = self.trail_lim[level]
         if bound < len(self.trail):
-            # the trail up to a level >= 1 was a fixpoint of every
-            # propagator; the root is not, its units are propagated at level 1
-            self._pending = (list(self._always) if level
-                             else [True] * len(self.propagators))
+            # the trail it keeps was a fixpoint of every propagator
+            self._pending = list(self._always)
         self._unassign(bound)
         del self.trail_lim[level:]
 
@@ -687,7 +686,9 @@ class SearchCore:
 
         while True:
             if len(self.trail_lim) == 0:
-                core = self._establish_assumptions(assumptions)
+                # level 0 is closed before the assumptions level opens
+                core = ([] if self._propagate_all() != -1
+                        else self._establish_assumptions(assumptions))
                 if core is not None:
                     result["status"] = "unsat"
                     result["core"] = core
@@ -696,10 +697,6 @@ class SearchCore:
             if confl != -1:
                 self.conflicts += 1
                 conflicts_since_restart += 1
-                if len(self.trail_lim) == 0:
-                    result["status"] = "unsat"
-                    result["core"] = []
-                    return self._finish(result)
                 if len(self.trail_lim) == 1:
                     result["status"] = "unsat"
                     # every literal sits at the assumption level or below

@@ -6,9 +6,13 @@ the same kernel, given the variables, clauses and propagators the store
 gained in between: learnt clauses, variable activities and saved phases
 carry over from solve to solve.  Between solves the store only grows or
 forgets clauses that its unit clauses imply (retract), and propagators only
-strengthen, so every kept learnt clause stays implied and the root-level
-assignment only grows.  Only a solve that raised drops the kernel; the next
+strengthen, so every kept learnt clause stays implied and the kernel's
+level 0 only grows.  Only a solve that raised drops the kernel; the next
 solve rebuilds it from the store.
+
+The engine keeps no root assignment: each kernel closes level 0 before it
+opens the assumptions level, and answers a refutation there.  Only the
+empty clause, which no kernel can hold, is the engine's (root_conflict).
 
 The engine also keeps the order literals registered with it, each [x >= v]
 with its integer variable x and value v, and hands them to the kernel with
@@ -116,15 +120,14 @@ class Propagator:
     only on the values of those literals and a call infers nothing when none
     of them became true since its last call (list both l and -l to wake on
     either polarity).  It then runs at a fixpoint only if it has not run
-    since the solve began or since the last backjump to the root that
-    removed literals, or if one of its wake_on literals became true since
-    its last call began, by its own enqueue included.  A backjump to a level
-    >= 1 wakes nothing: the trail it keeps was a fixpoint of every
-    propagator.  The root is not, since its units are propagated only once
-    the assumptions level opens.  The kernel reads wake_on when it is built
-    and again, for every propagator, before a solve that follows a change
-    of the store (a new variable, clause or propagator), so a wake_on may
-    grow with the variables it watches.
+    since the solve began, or if one of its wake_on literals became true
+    since its last call began, by its own enqueue included.  A backjump
+    wakes nothing, to the root as to any other level: the trail it keeps
+    was a fixpoint of every propagator, since the kernel closes level 0
+    before it opens the assumptions level.  The kernel reads wake_on when
+    it is built and again, for every propagator, before a solve that
+    follows a change of the store (a new variable, clause or propagator),
+    so a wake_on may grow with the variables it watches.
 
     The kernel keeps the clauses it learnt from one solve to the next, so
     between solves a propagator may only strengthen its constraint (as
@@ -146,6 +149,9 @@ class ClauseRec:
 @dataclass
 class SolveOutcome:
     """One solve's answer and counters; the counters count this solve only.
+
+    conflicts leaves out a conflict at level 0, which answers unsat with an
+    empty core before the assumptions level opens.
 
     learnts lists the learnt clauses of this solve that are still live at
     its end; clauses learnt by earlier solves on the same kernel are kept
@@ -183,9 +189,7 @@ class Engine:
         self.nvars = 0
         self.clauses = []            # ClauseRec in ref order
         self._next_ref = 0
-        self._occ = {}               # literal -> lits of each clause ever stored
         self._units = {}             # literal -> stored unit clauses (lit,)
-        self._root = {}              # var -> bool, fixed by unit chains
         self._root_conflict = False
         self.propagators = []
         self.order_literals = []     # (literal, IntVar, value) of [x >= v]
@@ -225,7 +229,9 @@ class Engine:
 
     @property
     def root_conflict(self):
-        """True once the clause set is known unsatisfiable at root level."""
+        """True once the empty clause was added: every solve then answers
+        unsat with an empty core without the kernel, which cannot hold it.
+        A refutation by propagation is the kernel's, at its level 0."""
         return self._root_conflict
 
     def add_clause(self, lits):
@@ -250,54 +256,9 @@ class Engine:
         rec = ClauseRec(self._next_ref, tuple(norm))
         self._next_ref += 1
         self.clauses.append(rec)
-        occ = self._occ
-        for l in norm:
-            occ.setdefault(l, []).append(rec.lits)
         if len(norm) == 1:
             self._units[norm[0]] = self._units.get(norm[0], 0) + 1
-        # a root conflict is for good, and root_value then reads no root
-        if not self._root_conflict:
-            self._absorb(rec.lits)
         return rec.ref
-
-    def root_value(self, lit):
-        """Root-level value of a literal: True, False, or None if unfixed.
-
-        None for every literal while root_conflict is True: which literals
-        the root fixed before it found the conflict depends on the order of
-        the clauses, so no answer there would match a fresh build."""
-        if self._root_conflict:
-            return None
-        v = self._root.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def _absorb(self, lits):
-        """Unit-propagates the root from a new clause.  The root was a unit
-        fixpoint before it, so only the new clause, and then the clauses
-        that hold -l for each literal l fixed on the way, can turn unit or
-        false; they are walked first in, first out.  A retracted clause
-        among them holds a literal its stored unit fixed, and is
-        satisfied."""
-        root = self._root
-        queue = [lits]
-        for clause in queue:
-            unfixed = []
-            for q in clause:
-                v = root.get(q if q > 0 else -q)
-                if v is None:
-                    unfixed.append(q)
-                elif v == (q > 0):
-                    break
-            else:
-                if not unfixed:
-                    self._root_conflict = True
-                    return
-                if len(unfixed) == 1:
-                    l = unfixed[0]
-                    root[l if l > 0 else -l] = l > 0
-                    queue += self._occ.get(-l, ())
 
     def retract(self, refs):
         """Forget stored clauses that stored unit clauses imply; return how
@@ -306,11 +267,11 @@ class Engine:
         Each clause removed must hold a literal l such that a unit clause
         (l) is still stored after the call; units removed in the same call
         count as gone.  The store left then implies the removed clauses, so
-        its models, its root and the live kernel with its learnt clauses
-        stay as they are: the kernel keeps its copies of the removed
-        clauses, which the units satisfy at level 0 on every solve.  If any
-        clause breaks the rule, ValueError, and nothing changes.  Refs that
-        are not stored are ignored."""
+        its models and the live kernel with its learnt clauses stay as they
+        are: the kernel keeps its copies of the removed clauses, which the
+        units satisfy at level 0 on every solve.  If any clause breaks the
+        rule, ValueError, and nothing changes.  Refs that are not stored are
+        ignored."""
         if self._in_search:
             raise MidSearchMutationError("clause retracted during search")
         refs = set(refs)

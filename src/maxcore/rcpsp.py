@@ -200,8 +200,8 @@ def soften(inst, alpha, l=None, mode="cardinality", seed=0):
         raise ValueError("mode must be one of %s" % (MODES,))
     if l is None:
         l = makespan_lower_bound(inst)
-    if l < 1:
-        raise ValueError("lower bound must be at least 1")
+    if l < 0:
+        raise ValueError("lower bound must be at least 0")
     horizon = math.floor(Fraction(str(alpha)) * l)
     max_dur = max((dur for dur, _ in inst.tasks), default=0)
     if horizon < max_dur:

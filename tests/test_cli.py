@@ -109,6 +109,38 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-rcpsp", "{two}", "--alpha", "1.5"],
+    ["solve-rcpsp", "{two}", "--alpha", "0"],
+    ["solve-rcpsp", "{two}", "--alpha", "nan"],
+    ["solve-rcpsp", "{two}", "--timeout-s", "-1"],
+    ["solve-rcpsp", "{two}", "--timeout-s", "nan"],
+    ["solve-wcnf", "{ex1}", "--timeout-s", "-0.5"],
+    ["verify", "{two}", "{claims}", "--alpha", "1.5"],
+    ["bench", "{dir}", "--alpha", "1.5,-1"],
+    ["bench", "{dir}", "--alpha", "0.8,nan"],
+    ["bench", "{dir}", "--timeout-s", "-1"],
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, tmp_path, ex1, argv):
+    """An alpha outside (0, 1], or a budget below 0 or NaN, is refused
+    before any work, with exit 2 and a message naming it."""
+    two = tmp_path / "two.rcpsp"
+    two.write_text(TWO_TASK)
+    claims = tmp_path / "claims.txt"
+    claims.write_text("infeasible\n")
+    (tmp_path / "micro").mkdir()
+    paths = {"two": two, "ex1": ex1, "claims": claims,
+             "dir": tmp_path / "micro"}
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert not out.out
+    assert ("--alpha" if "--alpha" in argv else "--timeout-s") in out.err
+
+
 # --- solve-rcpsp ----------------------------------------------------------
 
 
@@ -156,6 +188,15 @@ def test_solve_rcpsp_tight_chain_drops_precedence(capsys, tmp_path):
         assert code == 0
         assert status(lines) == "s OPTIMUM FOUND"
         assert olines(lines)[-1] == 1
+
+
+def test_solve_rcpsp_zero_durations_is_optimal(capsys, tmp_path):
+    path = tmp_path / "zero.rcpsp"
+    path.write_text("2 0\n0\n0\n1 2 0\n")  # lower bound 0, horizon 0
+    code, lines, _ = run(capsys, ["solve-rcpsp", str(path)])
+    assert code == 0
+    assert status(lines) == "s OPTIMUM FOUND"
+    assert olines(lines)[-1] == 0
 
 
 def test_solve_rcpsp_parse_error(capsys, tmp_path):

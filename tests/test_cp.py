@@ -37,6 +37,13 @@ def entails(mdl, assumptions, lit):
     return mdl.eng.solve(assumptions=list(assumptions) + [-lit]).status == "unsat"
 
 
+def root_true(mdl, lit):
+    """True iff the kernel's level 0 makes lit true: assuming -lit fails
+    before any search, with -lit alone as the core."""
+    out = mdl.eng.solve(assumptions=[-lit])
+    return (out.status, out.core, out.conflicts) == ("unsat", (-lit,), 0)
+
+
 # --- integer variables and domain literals ---------------------------------
 
 
@@ -52,15 +59,15 @@ def test_fixed_var_geq_is_root_true(kernel):
     mdl = CpModel(kernel=kernel)
     x = mdl.new_int_var(5, 5)
     lit = mdl.lit_geq(x, 5)
-    assert mdl.eng.root_value(lit) is True
+    assert root_true(mdl, lit)
 
 
 def test_geq_clamps_to_constants(kernel):
     mdl = CpModel(kernel=kernel)
     x = mdl.new_int_var(0, 10)
-    assert mdl.eng.root_value(mdl.lit_geq(x, 0)) is True
-    assert mdl.eng.root_value(mdl.lit_geq(x, -3)) is True
-    assert mdl.eng.root_value(mdl.lit_geq(x, 11)) is False
+    assert root_true(mdl, mdl.lit_geq(x, 0))
+    assert root_true(mdl, mdl.lit_geq(x, -3))
+    assert root_true(mdl, -mdl.lit_geq(x, 11))
 
 
 def test_channeling_propagates_downward(kernel):
@@ -68,8 +75,9 @@ def test_channeling_propagates_downward(kernel):
     x = mdl.new_int_var(0, 10)
     l4 = mdl.lit_geq(x, 4)
     l7 = mdl.lit_geq(x, 7)
+    assert not root_true(mdl, l4)
     mdl.eng.add_clause((l7,))
-    assert mdl.eng.root_value(l4) is True
+    assert root_true(mdl, l4)
 
 
 def test_channeling_repair_between_existing(kernel):
@@ -180,12 +188,8 @@ def test_propagator_matches_eager_decomposition(kernel):
     dec.materialize(d1)
     dec.materialize(d2)
     for v in range(lb, ub + 1):
-        lo = dec.lit_geq(d1, v)
-        hi = dec.lit_geq(d2, v + gap)
-        if dec.eng.root_value(hi) is False:
-            dec.eng.add_clause((-lo,))
-        elif dec.eng.root_value(lo) is None or dec.eng.root_value(hi) is None:
-            dec.eng.add_clause((-lo, hi))
+        # a constant lo or hi is the unit true literal or its negation
+        dec.eng.add_clause((-dec.lit_geq(d1, v), dec.lit_geq(d2, v + gap)))
 
     def ladder(x):
         return list(x.geq_lits)
@@ -1178,10 +1182,11 @@ def test_kernel_bounds_follow_the_ladder_on_rcpsp(kernel, algo):
     assert calls > 150 and conflicts > 20
 
 
-def test_kernel_bounds_hold_on_a_non_monotone_ladder(kernel):
-    """A level-0 unit [x >= 3] reaches [x >= 2] and [x >= 1] only once the
-    assumptions level opens, so each backjump to the root (after a learnt
-    unit or a restart) leaves them unassigned under a true [x >= 3].  A
+def test_ladders_stay_monotone_after_backjumps_to_the_root(kernel):
+    """The kernel closes level 0 before it opens the assumptions level, so
+    the channelling clauses have made [x >= 2] and [x >= 1] true under a
+    level-0 unit [x >= 3] before any propagator runs, after each backjump
+    to the root (after a learnt unit or a restart) as at the start.  A
     pigeonhole beside x makes the backjumps."""
     mdl = CpModel(kernel=kernel)
     probe = mdl.eng.attach_propagator(_BoundsProbe())
@@ -1189,9 +1194,12 @@ def test_kernel_bounds_hold_on_a_non_monotone_ladder(kernel):
     mdl.materialize(x)
     probe.ints = [x]
     mdl.eng.add_clause((mdl.lit_geq(x, 3),))
-    _pigeonhole(mdl.eng, 5)
-    assert mdl.eng.solve().status == "unsat"
-    assert probe.nonmono > 0
+    _pigeonhole(mdl.eng, 6)
+    out = mdl.eng.solve()
+    assert out.status == "unsat"
+    assert out.restarts > 0
+    assert sum(len(c) == 1 for c in out.learnts) > 0
+    assert probe.calls > 100 and probe.nonmono == 0
 
 
 def test_kernel_bounds_follow_ladder_growth(kernel):

@@ -28,20 +28,23 @@ from maxcore.maxsat import (
     solve,
 )
 
-# Every driver makes progress before 3 conflicts run out: bnb and msu3
-# hold an incumbent and wpm1 has paid for two cores, on either front end.
+# Every driver makes progress before 3 conflicts run out, on either front
+# end: bnb and msu3 hold an incumbent and wpm1 has paid for four cores
+# (test_unknown_later_runs_out_after_progress checks it).
 BUDGET3_WCNF = """\
-p wcnf 4 10 24
-2 1 3 2 0
-3 4 3 0
-1 -1 3 0
-2 1 -3 0
-1 3 -4 0
-3 3 -2 1 0
-1 3 0
-3 3 2 0
-4 2 -3 0
-3 -2 0
+p wcnf 4 12 39
+2 2 -4 -3 0
+39 3 1 -2 0
+3 4 0
+4 -3 0
+4 3 2 0
+3 -2 4 3 0
+2 -4 0
+1 1 0
+4 1 -4 0
+4 -4 0
+39 -1 0
+3 1 2 3 0
 """
 
 # case -> (instance builder, conflict budget)
@@ -104,6 +107,16 @@ def test_driver_exit(front, case, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("front", ["wcnf", "indicators"])
+def test_unknown_later_runs_out_after_progress(front, algorithm):
+    """The premise of the unknown-later case: the budget runs out after the
+    driver made progress, an incumbent for bnb and msu3, a core for wpm1."""
+    res = run(front, "unknown-later", algorithm)
+    assert res.status == "unknown"
+    assert res.cores if algorithm == "wpm1" else res.incumbents
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("front", ["wcnf", "indicators"])
 def test_on_bound_streams_the_bounds(front, case, algorithm):
@@ -123,7 +136,7 @@ def test_on_bound_streams_the_bounds(front, case, algorithm):
 EXPECTED = {
     ('wcnf', 'optimal', 'bnb'):
         ('optimal', 1, {1: False, 2: True, 3: True}, 1, [], [3, 2, 1],
-         {'solves': 4, 'conflicts': 1, 'decisions': 8, 'propagations': 24,
+         {'solves': 4, 'conflicts': 0, 'decisions': 8, 'propagations': 24,
          'restarts': 0, 'cores': 0, 'incumbents': 3}, {'events': [{'kind':
          'incumbent', 'z': 3}, {'kind': 'incumbent', 'z': 2}, {'kind':
          'incumbent', 'z': 1}, {'kind': 'core', 'temporaries': (), 'bounded':
@@ -135,24 +148,23 @@ EXPECTED = {
          3, 5), 'w_min': 1}], 'audit': 1}),
     ('wcnf', 'optimal', 'msu3'):
         ('optimal', 1, {1: False, 2: True, 3: True}, 1, [(1, 2, 4)], [1],
-         {'solves': 4, 'conflicts': 3, 'decisions': 3, 'propagations': 17,
-         'restarts': 0, 'cores': 2, 'incumbents': 1}, {'events': [{'kind':
+         {'solves': 3, 'conflicts': 1, 'decisions': 3, 'propagations': 14,
+         'restarts': 0, 'cores': 1, 'incumbents': 1}, {'events': [{'kind':
          'core', 'temporaries': (1, 2, 4), 'bounded': False}, {'kind':
-         'incumbent', 'z': 1}, {'kind': 'core', 'temporaries': (3, 5),
-         'bounded': True}, {'kind': 'core', 'temporaries': (), 'bounded':
+         'incumbent', 'z': 1}, {'kind': 'core', 'temporaries': (), 'bounded':
          True}], 'audit': 1}),
     ('wcnf', 'unsatisfiable', 'bnb'):
-        ('unsatisfiable', None, None, 0, [], [], {'solves': 1, 'conflicts': 2,
+        ('unsatisfiable', None, None, 0, [], [], {'solves': 1, 'conflicts': 1,
          'decisions': 1, 'propagations': 4, 'restarts': 0, 'cores': 0,
          'incumbents': 0}, {'events': [{'kind': 'core', 'temporaries': (),
          'bounded': False}]}),
     ('wcnf', 'unsatisfiable', 'wpm1'):
         ('unsatisfiable', None, None, 0, [(5,)], [], {'solves': 2, 'conflicts':
-         3, 'decisions': 1, 'propagations': 7, 'restarts': 0, 'cores': 1,
+         2, 'decisions': 1, 'propagations': 6, 'restarts': 0, 'cores': 1,
          'incumbents': 0}, {'rounds': [{'core': (5,), 'w_min': 1}]}),
     ('wcnf', 'unsatisfiable', 'msu3'):
         ('unsatisfiable', None, None, 0, [(5,)], [], {'solves': 2, 'conflicts':
-         3, 'decisions': 1, 'propagations': 6, 'restarts': 0, 'cores': 1,
+         2, 'decisions': 1, 'propagations': 6, 'restarts': 0, 'cores': 1,
          'incumbents': 0}, {'events': [{'kind': 'core', 'temporaries': (5,),
          'bounded': False}, {'kind': 'core', 'temporaries': (), 'bounded':
          False}]}),
@@ -169,23 +181,25 @@ EXPECTED = {
          'decisions': 0, 'propagations': 0, 'restarts': 0, 'cores': 0,
          'incumbents': 0}, {'events': []}),
     ('wcnf', 'unknown-later', 'bnb'):
-        ('unknown', 5, {1: False, 2: True, 3: True, 4: True}, 0, [], [9, 7, 6,
-         5], {'solves': 5, 'conflicts': 3, 'decisions': 22, 'propagations': 61,
-         'restarts': 0, 'cores': 0, 'incumbents': 4}, {'events': [{'kind':
-         'incumbent', 'z': 9}, {'kind': 'incumbent', 'z': 7}, {'kind':
-         'incumbent', 'z': 6}, {'kind': 'incumbent', 'z': 5}], 'audit': 5}),
+        ('unknown', 8, {1: False, 2: False, 3: True, 4: False}, 0, [], [11, 8],
+         {'solves': 3, 'conflicts': 3, 'decisions': 14, 'propagations': 36,
+         'restarts': 0, 'cores': 0, 'incumbents': 2}, {'events': [{'kind':
+         'incumbent', 'z': 11}, {'kind': 'incumbent', 'z': 8}], 'audit': 8}),
     ('wcnf', 'unknown-later', 'wpm1'):
-        ('unknown', None, None, 3, [(7, 9, 10), (8, 9, 10)], [], {'solves': 3,
-         'conflicts': 3, 'decisions': 1, 'propagations': 17, 'restarts': 0,
-         'cores': 2, 'incumbents': 0}, {'rounds': [{'core': (7, 9, 10),
-         'w_min': 1}, {'core': (8, 9, 10), 'w_min': 2}]}),
+        ('unknown', None, None, 7, [(8,), (3, 7), (3, 9), (4, 12)], [],
+         {'solves': 4, 'conflicts': 3, 'decisions': 0, 'propagations': 23,
+         'restarts': 0, 'cores': 4, 'incumbents': 0}, {'rounds': [{'core':
+         (8,), 'w_min': 1}, {'core': (3, 7), 'w_min': 2}, {'core': (3, 9),
+         'w_min': 1}, {'core': (4, 12), 'w_min': 3}]}),
     ('wcnf', 'unknown-later', 'msu3'):
-        ('unknown', 3, {1: True, 2: True, 3: True, 4: True}, 0, [(7, 9, 10)],
-         [3], {'solves': 3, 'conflicts': 3, 'decisions': 5, 'propagations': 14,
-         'restarts': 0, 'cores': 2, 'incumbents': 1}, {'events': [{'kind':
-         'core', 'temporaries': (7, 9, 10), 'bounded': False}, {'kind':
-         'incumbent', 'z': 3}, {'kind': 'core', 'temporaries': (1, 3, 4, 6),
-         'bounded': True}], 'audit': 3}),
+        ('unknown', 8, {1: False, 2: True, 3: True, 4: False}, 0, [(8,), (3,
+         7), (4, 12)], [8], {'solves': 5, 'conflicts': 3, 'decisions': 3,
+         'propagations': 24, 'restarts': 0, 'cores': 4, 'incumbents': 1},
+         {'events': [{'kind': 'core', 'temporaries': (8,), 'bounded': False},
+         {'kind': 'core', 'temporaries': (3, 7), 'bounded': False}, {'kind':
+         'core', 'temporaries': (4, 12), 'bounded': False}, {'kind':
+         'incumbent', 'z': 8}, {'kind': 'core', 'temporaries': (5, 6, 9),
+         'bounded': True}], 'audit': 8}),
     ('wcnf', 'no-vars', 'bnb'):
         ('optimal', 0, {}, 0, [], [0], {'solves': 2, 'conflicts': 0,
          'decisions': 0, 'propagations': 0, 'restarts': 0, 'cores': 0,
@@ -201,7 +215,7 @@ EXPECTED = {
          'incumbents': 1}, {'events': [{'kind': 'incumbent', 'z': 0}, {'kind':
          'core', 'temporaries': (), 'bounded': True}], 'audit': 0}),
     ('wcnf', 'empty-soft', 'bnb'):
-        ('optimal', 2, {}, 2, [], [2], {'solves': 2, 'conflicts': 1,
+        ('optimal', 2, {}, 2, [], [2], {'solves': 2, 'conflicts': 0,
          'decisions': 0, 'propagations': 2, 'restarts': 0, 'cores': 0,
          'incumbents': 1}, {'events': [{'kind': 'incumbent', 'z': 2}, {'kind':
          'core', 'temporaries': (), 'bounded': True}], 'audit': 2}),
@@ -211,7 +225,7 @@ EXPECTED = {
          'incumbents': 0}, {'rounds': [{'core': (1,), 'w_min': 2}], 'audit':
          2}),
     ('wcnf', 'empty-soft', 'msu3'):
-        ('optimal', 2, {}, 2, [(1,)], [2], {'solves': 3, 'conflicts': 1,
+        ('optimal', 2, {}, 2, [(1,)], [2], {'solves': 3, 'conflicts': 0,
          'decisions': 0, 'propagations': 3, 'restarts': 0, 'cores': 1,
          'incumbents': 1}, {'events': [{'kind': 'core', 'temporaries': (1,),
          'bounded': False}, {'kind': 'incumbent', 'z': 2}, {'kind': 'core',
@@ -219,7 +233,7 @@ EXPECTED = {
     ('indicators', 'optimal', 'bnb'):
         ('optimal', 1, {1: False, 2: True, 3: True, 4: False, 5: True, 6: True,
          7: True, 8: True}, 1, [], [5, 4, 3, 2, 1], {'solves': 6, 'conflicts':
-         1, 'decisions': 15, 'propagations': 33, 'restarts': 0, 'cores': 0,
+         0, 'decisions': 15, 'propagations': 33, 'restarts': 0, 'cores': 0,
          'incumbents': 5}, {'events': [{'kind': 'incumbent', 'z': 5}, {'kind':
          'incumbent', 'z': 4}, {'kind': 'incumbent', 'z': 3}, {'kind':
          'incumbent', 'z': 2}, {'kind': 'incumbent', 'z': 1}, {'kind': 'core',
@@ -233,24 +247,23 @@ EXPECTED = {
          {'rounds': [{'core': (1, 2, 4), 'w_min': 1}]}),
     ('indicators', 'optimal', 'msu3'):
         ('optimal', 1, {1: False, 2: True, 3: True, 4: False, 5: True, 6: True,
-         7: True, 8: True}, 1, [(1, 2, 4)], [1], {'solves': 4, 'conflicts': 3,
-         'decisions': 3, 'propagations': 17, 'restarts': 0, 'cores': 2,
+         7: True, 8: True}, 1, [(1, 2, 4)], [1], {'solves': 3, 'conflicts': 1,
+         'decisions': 3, 'propagations': 14, 'restarts': 0, 'cores': 1,
          'incumbents': 1}, {'events': [{'kind': 'core', 'temporaries': (1, 2,
          4), 'bounded': False}, {'kind': 'incumbent', 'z': 1}, {'kind': 'core',
-         'temporaries': (3, 5), 'bounded': True}, {'kind': 'core',
          'temporaries': (), 'bounded': True}]}),
     ('indicators', 'unsatisfiable', 'bnb'):
-        ('unsatisfiable', None, None, 0, [], [], {'solves': 1, 'conflicts': 2,
+        ('unsatisfiable', None, None, 0, [], [], {'solves': 1, 'conflicts': 1,
          'decisions': 1, 'propagations': 4, 'restarts': 0, 'cores': 0,
          'incumbents': 0}, {'events': [{'kind': 'core', 'temporaries': (),
          'bounded': False}]}),
     ('indicators', 'unsatisfiable', 'wpm1'):
         ('unsatisfiable', None, None, 0, [(1,)], [], {'solves': 2, 'conflicts':
-         3, 'decisions': 1, 'propagations': 8, 'restarts': 0, 'cores': 1,
+         2, 'decisions': 1, 'propagations': 8, 'restarts': 0, 'cores': 1,
          'incumbents': 0}, {'rounds': [{'core': (1,), 'w_min': 1}]}),
     ('indicators', 'unsatisfiable', 'msu3'):
         ('unsatisfiable', None, None, 0, [(1,)], [], {'solves': 2, 'conflicts':
-         3, 'decisions': 1, 'propagations': 6, 'restarts': 0, 'cores': 1,
+         2, 'decisions': 1, 'propagations': 6, 'restarts': 0, 'cores': 1,
          'incumbents': 0}, {'events': [{'kind': 'core', 'temporaries': (1,),
          'bounded': False}, {'kind': 'core', 'temporaries': (), 'bounded':
          False}]}),
@@ -267,30 +280,32 @@ EXPECTED = {
          'decisions': 0, 'propagations': 0, 'restarts': 0, 'cores': 0,
          'incumbents': 0}, {'events': []}),
     ('indicators', 'unknown-later', 'bnb'):
-        ('unknown', 5, {1: False, 2: True, 3: True, 4: True, 5: True, 6: True,
-         7: True, 8: False, 9: True, 10: True, 11: True, 12: True, 13: True,
-         14: False}, 0, [], [23, 20, 16, 13, 12, 10, 9, 7, 6, 5], {'solves':
-         11, 'conflicts': 3, 'decisions': 63, 'propagations': 104, 'restarts':
-         0, 'cores': 0, 'incumbents': 10}, {'events': [{'kind': 'incumbent',
-         'z': 23}, {'kind': 'incumbent', 'z': 20}, {'kind': 'incumbent', 'z':
-         16}, {'kind': 'incumbent', 'z': 13}, {'kind': 'incumbent', 'z': 12},
-         {'kind': 'incumbent', 'z': 10}, {'kind': 'incumbent', 'z': 9},
-         {'kind': 'incumbent', 'z': 7}, {'kind': 'incumbent', 'z': 6}, {'kind':
-         'incumbent', 'z': 5}]}),
+        ('unknown', 8, {1: False, 2: False, 3: True, 4: False, 5: True, 6:
+         False, 7: False, 8: True, 9: True, 10: True, 11: False, 12: True, 13:
+         True, 14: True}, 0, [], [30, 26, 22, 20, 17, 13, 11, 10, 8],
+         {'solves': 10, 'conflicts': 3, 'decisions': 51, 'propagations': 97,
+         'restarts': 0, 'cores': 0, 'incumbents': 9}, {'events': [{'kind':
+         'incumbent', 'z': 30}, {'kind': 'incumbent', 'z': 26}, {'kind':
+         'incumbent', 'z': 22}, {'kind': 'incumbent', 'z': 20}, {'kind':
+         'incumbent', 'z': 17}, {'kind': 'incumbent', 'z': 13}, {'kind':
+         'incumbent', 'z': 11}, {'kind': 'incumbent', 'z': 10}, {'kind':
+         'incumbent', 'z': 8}]}),
     ('indicators', 'unknown-later', 'wpm1'):
-        ('unknown', None, None, 3, [(7, 9, 10), (8, 9, 10)], [], {'solves': 3,
-         'conflicts': 3, 'decisions': 1, 'propagations': 45, 'restarts': 0,
-         'cores': 2, 'incumbents': 0}, {'rounds': [{'core': (7, 9, 10),
-         'w_min': 1}, {'core': (8, 9, 10), 'w_min': 2}]}),
+        ('unknown', None, None, 7, [(7,), (2, 6), (2, 8), (3, 10)], [],
+         {'solves': 4, 'conflicts': 3, 'decisions': 0, 'propagations': 53,
+         'restarts': 0, 'cores': 4, 'incumbents': 0}, {'rounds': [{'core':
+         (7,), 'w_min': 1}, {'core': (2, 6), 'w_min': 2}, {'core': (2, 8),
+         'w_min': 1}, {'core': (3, 10), 'w_min': 3}]}),
     ('indicators', 'unknown-later', 'msu3'):
-        ('unknown', 3, {1: True, 2: True, 3: True, 4: True, 5: True, 6: True,
-         7: True, 8: True, 9: True, 10: True, 11: True, 12: True, 13: True, 14:
-         False}, 0, [(7, 9, 10)], [4, 3], {'solves': 4, 'conflicts': 3,
-         'decisions': 6, 'propagations': 20, 'restarts': 0, 'cores': 2,
-         'incumbents': 2}, {'events': [{'kind': 'core', 'temporaries': (7, 9,
-         10), 'bounded': False}, {'kind': 'incumbent', 'z': 4}, {'kind':
-         'incumbent', 'z': 3}, {'kind': 'core', 'temporaries': (1, 3, 4, 6),
-         'bounded': True}]}),
+        ('unknown', 8, {1: False, 2: True, 3: True, 4: False, 5: True, 6:
+         False, 7: False, 8: True, 9: True, 10: True, 11: False, 12: True, 13:
+         True, 14: True}, 0, [(7,), (2, 6), (3, 10)], [8], {'solves': 5,
+         'conflicts': 3, 'decisions': 3, 'propagations': 24, 'restarts': 0,
+         'cores': 4, 'incumbents': 1}, {'events': [{'kind': 'core',
+         'temporaries': (7,), 'bounded': False}, {'kind': 'core',
+         'temporaries': (2, 6), 'bounded': False}, {'kind': 'core',
+         'temporaries': (3, 10), 'bounded': False}, {'kind': 'incumbent', 'z':
+         8}, {'kind': 'core', 'temporaries': (4, 5, 8), 'bounded': True}]}),
     ('indicators', 'no-vars', 'bnb'):
         ('optimal', 0, {}, 0, [], [0], {'solves': 2, 'conflicts': 0,
          'decisions': 0, 'propagations': 0, 'restarts': 0, 'cores': 0,
@@ -306,18 +321,18 @@ EXPECTED = {
          'incumbents': 1}, {'events': [{'kind': 'incumbent', 'z': 0}, {'kind':
          'core', 'temporaries': (), 'bounded': True}]}),
     ('indicators', 'empty-soft', 'bnb'):
-        ('optimal', 2, {1: False}, 2, [], [2], {'solves': 2, 'conflicts': 1,
+        ('optimal', 2, {1: False}, 2, [], [2], {'solves': 2, 'conflicts': 0,
          'decisions': 0, 'propagations': 2, 'restarts': 0, 'cores': 0,
          'incumbents': 1}, {'events': [{'kind': 'incumbent', 'z': 2}, {'kind':
          'core', 'temporaries': (), 'bounded': True}]}),
     ('indicators', 'empty-soft', 'wpm1'):
         ('optimal', 2, {1: False, 2: False, 3: True, 4: True}, 2, [(1,)], [],
-         {'solves': 2, 'conflicts': 1, 'decisions': 0, 'propagations': 4,
+         {'solves': 2, 'conflicts': 0, 'decisions': 0, 'propagations': 5,
          'restarts': 0, 'cores': 1, 'incumbents': 0}, {'rounds': [{'core':
          (1,), 'w_min': 2}]}),
     ('indicators', 'empty-soft', 'msu3'):
         ('optimal', 2, {1: False}, 2, [(1,)], [2], {'solves': 3, 'conflicts':
-         1, 'decisions': 0, 'propagations': 3, 'restarts': 0, 'cores': 1,
+         0, 'decisions': 0, 'propagations': 3, 'restarts': 0, 'cores': 1,
          'incumbents': 1}, {'events': [{'kind': 'core', 'temporaries': (1,),
          'bounded': False}, {'kind': 'incumbent', 'z': 2}, {'kind': 'core',
          'temporaries': (), 'bounded': True}]}),

@@ -54,23 +54,28 @@ def test_new_vars_are_fresh(kernel):
 
 
 def test_unit_contradiction_is_root_conflict(kernel):
+    # a conflict of the kernel's root, level 0: unsat with an empty core
+    # under any assumptions, and no search conflict.  The engine's
+    # root_conflict flags only an empty clause.
     eng = Engine(kernel=kernel)
-    x = eng.new_bool_var()
+    x, y = eng.new_bool_var(), eng.new_bool_var()
     eng.add_clause((x,))
-    assert not eng.root_conflict
     eng.add_clause((-x,))
-    assert eng.root_conflict
-    assert eng.solve().status == "unsat"
-    assert eng.solve().core == ()
+    assert not eng.root_conflict
+    for assume in ([], [y], [-x], [x, -y]):
+        out = eng.solve(assumptions=assume)
+        assert (out.status, out.core, out.conflicts) == ("unsat", (), 0)
 
 
 def test_binary_clause_stores_without_fixing(kernel):
     eng = Engine(kernel=kernel)
     x, y = eng.new_bool_var(), eng.new_bool_var()
     eng.add_clause((x, y))
-    assert eng.root_value(x) is None
-    assert eng.root_value(y) is None
     assert not eng.root_conflict
+    for a in (x, y, -x, -y):
+        out = eng.solve(assumptions=[a])
+        assert out.status == "sat" and out.model[abs(a)] == (a > 0)
+    assert eng.solve(assumptions=[-x, -y]).core == (-x, -y)
 
 
 def test_empty_clause_is_root_conflict(kernel):
@@ -194,10 +199,6 @@ def test_retract_matches_fresh_build(kernel):
         for l in units:
             fresh.add_clause((l,))
         assert eng.root_conflict == fresh.root_conflict
-        # under a root conflict both answer None for every literal
-        lits = [l for v in range(1, n + 1) for l in (v, -v)]
-        assert ([eng.root_value(l) for l in lits]
-                == [fresh.root_value(l) for l in lits])
         assume = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
         o1 = eng.solve(assumptions=assume)
         o2 = fresh.solve(assumptions=assume)
@@ -205,28 +206,30 @@ def test_retract_matches_fresh_build(kernel):
     assert dropped >= 10
 
 
-def test_root_value_is_none_under_a_root_conflict(kernel):
-    # the root stops at its first conflict, so which literals it fixed
-    # depends on the order of the clauses: here 1 and 2, and with (-1 -2)
-    # stored before (-1 2) it would be 1 and -2
-    eng = engine_with(kernel, 2, [(-1, 2), (-1, -2), (1,)])
-    assert eng.root_conflict
-    assert eng._root == {1: True, 2: True}
-    assert [eng.root_value(l) for l in (1, -1, 2, -2)] == [None] * 4
+def test_a_level_0_conflict_answers_alike_in_either_clause_order(kernel):
+    # level 0 stops at its first conflict, so which literals it fixed on
+    # the way depends on the order of the clauses: here 1 and 2, and with
+    # (-1 -2) stored before (-1 2) it would be 1 and -2.  The answer does
+    # not: unsat with an empty core and no conflict, under any assumptions.
+    for clauses in ([(-1, 2), (-1, -2), (1,)], [(-1, -2), (-1, 2), (1,)]):
+        eng = engine_with(kernel, 3, clauses)
+        assert not eng.root_conflict
+        for assume in ([], [2], [-2, 3], [-1]):
+            out = eng.solve(assumptions=assume)
+            assert (out.status, out.core, out.conflicts,
+                    out.decisions) == ("unsat", (), 0, 0)
 
 
 def test_clauses_after_a_root_conflict_leave_the_root(kernel):
-    # the conflict is for good, so a later clause fixes nothing; retract
-    # still keeps its unit contract over the clauses stored after it
+    # the conflict is for good, so a later clause changes no answer;
+    # retract still keeps its unit contract over the clauses stored after it
     eng = engine_with(kernel, 3, [(1,), (-1,)])
-    assert eng.root_conflict
-    root = dict(eng._root)
     unit = eng.add_clause((2,))
     implied = eng.add_clause((2, 3))
     loose = eng.add_clause((-2, 3))
     eng.add_clause((-3,))
-    assert eng._root == root
-    assert eng.root_value(2) is None
+    assert (eng.solve(assumptions=[3]).core,
+            eng.solve(assumptions=[-2]).core) == ((), ())
     stored = list(eng.clauses)
     with pytest.raises(ValueError):
         eng.retract([loose])
@@ -256,8 +259,19 @@ def _unit_closure(clauses):
             return fixed
 
 
+def _refuted_at_level_0(out):
+    """True when a solve answered from a conflict at level 0."""
+    return (out.status, out.core, out.conflicts) == ("unsat", (), 0)
+
+
 def test_root_is_the_unit_propagation_closure(kernel):
+    """The kernel closes level 0 before the assumptions: a solve answers
+    unsat with an empty core and no conflict exactly when unit propagation
+    refutes the stored clauses, and otherwise an assumption -l fails at once
+    exactly when unit propagation fixes l.  Learnt units of earlier solves
+    can only add to level 0, so the exact checks run on fresh engines."""
     rng = random.Random(12)
+    refuted = 0
     for _ in range(60):
         n = rng.randint(3, 8)
         eng = engine_with(kernel, n, [])
@@ -275,10 +289,20 @@ def test_root_is_the_unit_propagation_closure(kernel):
                 clauses = [(r, d) for r, d in clauses if lit not in d]
                 clauses.append((unit, (lit,)))
             fixed = _unit_closure([c for _, c in clauses])
-            assert eng.root_conflict == (fixed is None)
-            if fixed is not None:
-                assert {l for v in range(1, n + 1) for l in (v, -v)
-                        if eng.root_value(l)} == fixed
+            assume = [rng.choice([v, -v]) for v in range(1, n + 1)
+                      if rng.random() < 0.5]
+            if fixed is None:
+                assert _refuted_at_level_0(eng.solve(assumptions=assume))
+            stored = [rec.lits for rec in eng.clauses]
+            fresh = engine_with(kernel, n, stored).solve(assumptions=assume)
+            assert _refuted_at_level_0(fresh) == (fixed is None)
+        refuted += fixed is None
+        if fixed is not None:
+            for l in (l for v in range(1, n + 1) for l in (v, -v)):
+                out = engine_with(kernel, n, stored).solve(assumptions=[-l])
+                at_once = (out.status, out.conflicts) == ("unsat", 0)
+                assert at_once == (l in fixed), l
+    assert refuted >= 10
 
 
 class _BadPropagator(Propagator):
@@ -509,10 +533,11 @@ def test_conflict_budget_yields_unknown(kernel):
         return eng2
 
     assert contradiction().solve(conflict_budget=0).status == "unknown"
-    # a real-valued budget is not truncated: 1.5 allows a second conflict,
-    # which a fresh engine needs (a used one keeps its learnt clauses)
+    assert contradiction().solve(conflict_budget=1).status == "unknown"
+    # a real-valued budget is not truncated: 1.5 lets the search go on
+    # after its first conflict, whose learnt unit then refutes level 0
     out = contradiction().solve(conflict_budget=1.5)
-    assert (out.status, out.conflicts) == ("unsat", 2)
+    assert (out.status, out.conflicts) == ("unsat", 1)
 
 
 # ----------------------------------------------------------------------
@@ -751,7 +776,8 @@ def test_engine_builds_one_kernel_until_retract(kernel, monkeypatch):
     assert eng.solve(assumptions=[2]).model[1] is False
     eng.add_clause((x,))
     assert eng.retract(refs=[ref]) == 1
-    assert eng.solve(assumptions=[2]).core == (2,)
+    # at level 0, x wakes the propagator, whose -2 with -1 refutes (1 2)
+    assert eng.solve(assumptions=[2]).core == ()
     assert builds == [2]
 
 
@@ -767,14 +793,40 @@ def test_second_solve_keeps_learnt_clauses(kernel):
 
 
 def test_learnt_unit_holds_at_the_root_of_the_next_solve(kernel):
-    # the first solve learns a unit after one conflict and refutes it with
-    # a second; the next solve assigns that unit at level 0 and needs one
+    # the first solve learns a unit after one conflict, and level 0 then
+    # refutes it with no second one; the next solve assigns that unit at
+    # level 0 and refutes it there, with no conflict at all
     eng = engine_with(kernel, 2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
     first = eng.solve()
     again = eng.solve()
-    assert (first.status, first.conflicts) == ("unsat", 2)
+    assert (first.status, first.conflicts) == ("unsat", 1)
     assert len(first.learnts) == 1 and len(first.learnts[0]) == 1
-    assert (again.status, again.conflicts, again.learnts) == ("unsat", 1, [])
+    assert (again.status, again.conflicts, again.learnts) == ("unsat", 0, [])
+
+
+def test_level_0_keeps_its_consequences_after_a_learnt_unit(kernel):
+    # (u) implies x at level 0.  Deciding -a meets (a b) and (a -b), and
+    # the learnt unit a backjumps to the root, which keeps x: the solve
+    # decides -a and then b, never x
+    u, x, a, b = 1, 2, 3, 4
+    eng = engine_with(kernel, 4, [(u,), (-u, x), (a, b), (a, -b)])
+    out = eng.solve()
+    assert out.status == "sat" and out.learnts == [(a,)]
+    assert (out.conflicts, out.decisions) == (1, 2)
+    assert out.model == {u: True, x: True, a: True, b: False}
+
+
+def test_a_propagator_that_refutes_the_root_gives_an_empty_core(kernel):
+    # the propagator fails whenever the unit u is true, so level 0 is
+    # refuted before any assumption is made, whatever the assumptions
+    u, y = 1, 2
+    rule = _Rule([u], lambda v: v.fail([u]))
+    eng = engine_with(kernel, 2, [(u,)], rule)
+    for assume in ([], [y], [-y], [-u], [y, -u]):
+        out = eng.solve(assumptions=assume)
+        assert (out.status, out.core, out.conflicts) == ("unsat", (), 0)
+        assert out.explanations == [(-u,)]
+    assert not eng.root_conflict
 
 
 def test_reductions_across_solves_keep_the_search(kernel):
@@ -1040,7 +1092,6 @@ def test_retract_raises_once_its_unit_is_gone(kernel, monkeypatch):
 def test_retract_raises_for_a_root_implied_literal(kernel):
     # 2 is fixed at the root, but through (-1 2), not by a unit (2)
     eng = engine_with(kernel, 3, [(1,), (-1, 2), (2, 3)])
-    assert eng.root_value(2) is True
     with pytest.raises(ValueError):
         eng.retract(refs=[2])
     assert len(eng.clauses) == 3
@@ -1052,13 +1103,10 @@ def test_a_retract_that_raises_changes_nothing(kernel, monkeypatch):
     eng.solve()
     live = eng._kernel
     clauses = list(eng.clauses)
-    lits = [l for v in range(1, 5) for l in (v, -v)]
-    root = [eng.root_value(l) for l in lits]
     # (1 2) is implied by the unit (1), but (-2 3) is not
     with pytest.raises(ValueError):
         eng.retract(refs=[1, 2])
     assert eng.clauses == clauses
-    assert [eng.root_value(l) for l in lits] == root
     assert not eng.root_conflict
     assert eng._kernel is live
     assert eng.solve(assumptions=[2, -3]).core == (2, -3)

@@ -233,10 +233,9 @@ def test_wpm1_on_indicators_builds_one_kernel(monkeypatch):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_root_refutation_ends_every_driver_at_once(algorithm):
     # unit propagation refutes these hard clauses (x3 false, and x3 or x1
-    # with x1 -> x3).  The engine's root (Engine._absorb over _occ into
-    # _root) sees it as they are added, so the one solve returns unsat with
-    # no core; the kernel alone would find it only after the assumptions
-    # level opens, and report cores of soft selectors
+    # with x1 -> x3).  The kernel closes level 0 before it opens the
+    # assumptions level, so the one solve finds the refutation there and
+    # returns unsat with no core, before any soft selector is assumed
     res = solve(random_wcnf(WCNF_SEED + 6), algorithm)
     assert (res.status, res.cores) == ("unsatisfiable", [])
     assert (res.stats["solves"], res.stats["conflicts"]) == (1, 0)

@@ -141,6 +141,22 @@ def test_soften_rejections():
         soften(inst, 1.5, l=5)
     with pytest.raises(ValueError):
         soften(inst, 0.9, l=10, mode="nonsense")
+    with pytest.raises(ValueError):
+        soften(inst, 1.0, l=-1)
+
+
+def test_zero_lower_bound_has_a_schedule():
+    """Tasks of duration 0 give lower bound 0 and horizon 0, and every task
+    starts at 0: every driver answers optimal with cost 0, as the oracle
+    does."""
+    inst = parse_instance("2 0\n0\n0\n1 2 0\n")
+    assert makespan_lower_bound(inst) == 0
+    p = soften(inst, 0.8)
+    assert (p.lower_bound, p.horizon) == (0, 0)
+    assert brute_force_schedule(p).optimum == 0
+    for algo in ("bnb", "wpm1", "msu3"):
+        r = solve_schedule(p, algorithm=algo)
+        assert (r.status, r.cost, r.starts) == ("optimal", 0, [0, 0])
 
 
 # --- model building and solving ------------------------------------------

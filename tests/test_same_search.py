@@ -1,6 +1,7 @@
 """tools/same_search.py, the search identity check: its digest repeats,
-tells different searches apart and agrees between kernels, and its
-per-driver digests cover each driver's runs alone."""
+tells different searches apart and agrees between kernels, its per-driver
+digests cover each driver's runs alone, and its answers digest covers each
+run's status and optimum alone."""
 
 import importlib.util
 import os
@@ -33,10 +34,33 @@ def test_digest_separates_instances_and_matches_across_kernels(sample5, sample7)
 
 def test_driver_digest_covers_that_driver_alone(sample5, sample7):
     runs = same_search.driver_runs([sample5, sample7], "python")
-    hexdigest, solves, per_driver = same_search.digests(runs)
+    hexdigest, solves, per_driver, _ = same_search.digests(runs)
     assert (hexdigest, solves) == same_search.digest(runs)
     assert list(per_driver) == list(ALGORITHMS)
     for driver in ALGORITHMS:
         alone = [(d, run) for d, run in runs if d == driver]
         assert same_search.digest(alone)[0] == per_driver[driver]
     assert len(set(per_driver.values())) == len(ALGORITHMS)
+
+
+def test_answers_digest_covers_status_and_optimum_alone(sample5, sample7):
+    # the three drivers search differently and answer alike on sample5
+    runs = same_search.driver_runs([sample5], "python")
+    _, _, per_driver, answers = same_search.digests(runs)
+    assert len(set(per_driver.values())) == len(ALGORITHMS)
+    alone = {same_search.digests([run])[3] for run in runs}
+    assert len(alone) == 1
+    seven = same_search.digests(same_search.driver_runs([sample7], "python"))
+    assert seven[3] != answers
+
+
+def test_each_part_prints_an_answers_line_before_the_all_line(
+        capsys, monkeypatch):
+    monkeypatch.setattr(same_search, "PARTS", ("acceptance",))
+    monkeypatch.setattr(same_search, "ACCEPTANCE_INSTANCES", 2)
+    assert same_search.main(["--kernel", "python"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        ["acceptance", *ALGORITHMS, "answers", "all"]
+    runs = same_search.part_runs("acceptance", "python")
+    assert lines[-2].split()[-1] == same_search.digests(runs)[3]

@@ -96,11 +96,10 @@ def test_random_pb_models_tightened(kernel, check_watches):
         assert declared < every
 
 
-def test_root_forcing_is_redone_after_backjump_to_root(kernel,
-                                                      check_watches):
-    # a is true at the root, so a + b <= 1 forces -b, at the assumption
-    # level; the unit x learnt from deciding -x backjumps to the root and
-    # takes -b away while a stays true, so the bound must run again
+def test_root_forcing_outlives_a_backjump_to_the_root(kernel, check_watches):
+    # a is true at the root, so a + b <= 1 forces -b there, before the
+    # assumptions level opens; the unit x learnt from deciding -x backjumps
+    # to the root, which keeps -b, so the bound infers nothing again
     def run():
         eng = Engine(kernel=kernel)
         a, b, x, y = (eng.new_bool_var() for _ in range(4))
@@ -108,10 +107,29 @@ def test_root_forcing_is_redone_after_backjump_to_root(kernel,
             eng.add_clause(c)
         post_pb_upper_bound(eng, [(1, a), (1, b)], 2)
         out = eng.solve()
-        assert out.explanations == [(-b, -a), (-b, -a)]
+        assert (out.conflicts, out.learnts) == (1, [(x,)])
+        assert out.explanations == [(-b, -a)]
 
     declared, every = check_watches(run)
     assert declared < every
+
+
+def test_backjump_to_the_root_wakes_nothing(kernel):
+    """Deciding -1 makes a conflict whose learnt unit 1 backjumps to the
+    root.  The root kept was a fixpoint of every propagator, so a watcher on
+    a literal that never becomes true runs once, at the first fixpoint,
+    while one woken at every fixpoint runs again."""
+    log = _CallLog()
+    log.nvars = 3
+    core = _kernel_module(kernel).SearchCore(
+        3, [(1, 2), (1, -2)],
+        [_Watcher("w", [3], log), _Watcher("every", None, log)])
+    res = core.solve([], None, None)
+    assert res["status"] == "sat" and res["model"][3] == -1
+    assert [list(c) for c in res["learnts"]] == [[1]]
+    names = [name for name, _ in log]
+    assert names.count("w") == 1
+    assert names.count("every") > 2
 
 
 def test_backjump_above_the_root_wakes_nothing(kernel):

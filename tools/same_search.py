@@ -13,7 +13,10 @@ src/ of the checkout the script sits in.  Run from the repository root:
 
 It prints one line per part (solve count and digest), each followed by one
 line per driver with the digest of that driver's runs alone, so that a
-change shows which drivers' search it moved; then the digest of all parts.
+change shows which drivers' search it moved, and by an answers line: the
+digest of each run's status and optimum alone, which a change that moves
+the search but no answer leaves as it was.  The last line is the digest of
+all parts.
 A full pass on the pure kernel takes about 11 s on a 2-core x86-64 VM
 with Python 3.11.
 """
@@ -50,13 +53,24 @@ def _answer(res):
     return res
 
 
+def _status_and_optimum(res):
+    """A run's status and optimum: an OptimizeResult's z_opt, or a perfbench
+    Answer's optimum."""
+    from maxcore.maxsat import OptimizeResult
+    if isinstance(res, OptimizeResult):
+        return (res.status, res.z_opt)
+    return (res.status, res.optimum)
+
+
 def digests(runs):
-    """(hex SHA-256, number of solves, {driver: hex SHA-256}) over the
-    outcome of every Engine.solve() call that the runs make and the answer
-    each run returns, in order.  runs is an iterable of (driver name,
-    zero-argument callable) pairs; a driver's digest covers its runs only."""
+    """(hex SHA-256, number of solves, {driver: hex SHA-256}, answers hex
+    SHA-256) over the outcome of every Engine.solve() call that the runs make
+    and the answer each run returns, in order.  runs is an iterable of
+    (driver name, zero-argument callable) pairs; a driver's digest covers its
+    runs only, and the answers digest each run's status and optimum only."""
     from maxcore.engine import Engine
     h = hashlib.sha256()
+    answers = hashlib.sha256()
     per_driver = {}
     current = [h]
     solves = [0]
@@ -76,11 +90,14 @@ def digests(runs):
     try:
         for driver, run in runs:
             current[1:] = [per_driver.setdefault(driver, hashlib.sha256())]
-            update(repr(_answer(run())).encode())
+            res = run()
+            update(repr(_answer(res)).encode())
+            answers.update(repr(_status_and_optimum(res)).encode())
     finally:
         Engine.solve = original
     return (h.hexdigest(), solves[0],
-            {d: sha.hexdigest() for d, sha in per_driver.items()})
+            {d: sha.hexdigest() for d, sha in per_driver.items()},
+            answers.hexdigest())
 
 
 def digest(runs):
@@ -116,10 +133,12 @@ def main(argv=None):
     _import_path("src")
     total = hashlib.sha256()
     for part in PARTS:
-        hexdigest, solves, per_driver = digests(part_runs(part, args.kernel))
+        hexdigest, solves, per_driver, answers = digests(
+            part_runs(part, args.kernel))
         print("%-12s %7d solves  %s" % (part, solves, hexdigest))
         for driver, driver_hex in per_driver.items():
             print("  %-10s %7s         %s" % (driver, "", driver_hex))
+        print("  %-10s %7s         %s" % ("answers", "", answers))
         total.update(hexdigest.encode())
     print("%-12s %7s         %s" % ("all", "", total.hexdigest()))
     return 0
