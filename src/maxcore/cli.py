@@ -26,23 +26,25 @@ def _fail(msg):
     return EXIT_USAGE
 
 
-def _number(what, ok):
-    """An argparse type: the float of the text, if ok holds for it; it
-    never holds for NaN, which stands in for a text that is no number."""
+def _number(what, ok, kind=float):
+    """An argparse type: the kind (float or int) of the text, if ok holds
+    for it; it never holds for NaN, which stands in for a text that is not
+    of that kind."""
     def parse(text):
         try:
-            x = float(text)
+            x = kind(text)
         except ValueError:
             x = math.nan
         if not ok(x):
-            raise argparse.ArgumentTypeError("%r is not a number %s"
-                                             % (text, what))
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, what))
         return x
     return parse
 
 
-_alpha = _number("in (0, 1]", lambda a: 0 < a <= 1)
-_seconds = _number(">= 0", lambda s: s >= 0)    # 0 answers unknown at once
+_alpha = _number("a number in (0, 1]", lambda a: 0 < a <= 1)
+_seconds = _number("a number >= 0", lambda s: s >= 0)  # 0: unknown at once
+_jobs = _number("an integer >= 1", lambda n: n >= 1, int)
+_count = _number("an integer >= 0", lambda n: n >= 0, int)
 
 
 def _read(path):
@@ -328,7 +330,7 @@ def build_parser():
 
     sp = sub.add_parser("bench", help="run the benchmark grid over a directory")
     sp.add_argument("directory", help="directory of .rcpsp instance files")
-    sp.add_argument("--generate", type=int, metavar="N", default=0,
+    sp.add_argument("--generate", type=_count, metavar="N", default=0,
                     help="first write N seeded micro-instances into the directory")
     sp.add_argument("--alpha", default="0.7,0.8,0.9",
                     help="comma-separated horizon factors (default: 0.7,0.8,0.9)")
@@ -341,7 +343,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0,
                     help="weight stream seed (default: 0)")
     sp.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_jobs, default=1,
                     help="parallel worker processes (default: 1)")
     sp.add_argument("--stable-timing", action="store_true",
                     help="write wall_ms as 0.000 so reruns are byte-identical")

@@ -303,8 +303,11 @@ class Cumulative(Propagator):
 
     A call reads each start's bounds once, from the kernel's IntVar.cur,
     which IntVar.bounds reads from the whole ladder: the ladders are monotone
-    when a kernel calls, but not always in the brute-force tests.  The
-    profile of compulsory parts [ub, lb + dur) is a list over the time
+    when a kernel calls, but not always in the brute-force tests.  A call
+    in which no task has a compulsory part [ub, lb + dur) returns at once:
+    every height is then 0, and no demand exceeds the capacity (the tests
+    and post_cumulative both hold to that), so nothing can fail or move.
+    Otherwise the profile of compulsory parts is a list over the time
     window of the start domains.  A task is skipped when neither its first
     window [lb, lb + dur) nor its last [ub, ub + dur) holds a height above
     capacity - demand outside its own compulsory part; both push loops
@@ -312,7 +315,8 @@ class Cumulative(Propagator):
     """
 
     def __init__(self, tasks, capacity):
-        self.tasks = tasks            # (IntVar, duration, demand)
+        # (IntVar, duration, demand, capacity - demand)
+        self.tasks = [(x, dur, dem, capacity - dem) for x, dur, dem in tasks]
         self.cap = capacity
         self.t0 = min(x.lb0 for x, _, _ in tasks)
         self.span = max(x.ub0 + dur for x, dur, _ in tasks) - self.t0
@@ -320,7 +324,7 @@ class Cumulative(Propagator):
     @property
     def wake_on(self):
         """The order literals of the start variables, both ways."""
-        lits = [lit for x, _, _ in self.tasks for lit in x.geq_lits]
+        lits = [lit for x, _, _, _ in self.tasks for lit in x.geq_lits]
         return lits + [-lit for lit in lits]
 
     def _witnesses(self, bounds, idx):
@@ -341,19 +345,19 @@ class Cumulative(Propagator):
         return self._witnesses(bounds, blockers)
 
     def propagate(self, view):
+        tasks = self.tasks
+        bounds = [x.cur for x, _, _, _ in tasks]   # (lb, lwit, ub, uwit)
+        parts = [(j, b[2], b[0] + task[1])         # (task, start, end)
+                 for j, (b, task) in enumerate(zip(bounds, tasks))
+                 if b[2] < b[0] + task[1]]
+        if not parts:
+            return
         cap, t0 = self.cap, self.t0
         steps = [0] * (self.span + 1)
-        bounds = []                   # (lb, lb witness, ub, ub witness)
-        parts = []                    # compulsory parts (task, start, end)
-        for j, (x, dur, dem) in enumerate(self.tasks):
-            b = x.cur
-            bounds.append(b)
-            lb, _, ub, _ = b
-            end = lb + dur
-            if ub < end:
-                parts.append((j, ub, end))
-                steps[ub - t0] += dem
-                steps[end - t0] -= dem
+        for j, s, e in parts:
+            dem = tasks[j][2]
+            steps[s - t0] += dem
+            steps[e - t0] -= dem
         profile = list(accumulate(steps))     # height at time t0 + k
         top = max(profile)
         if top > cap:
@@ -361,9 +365,8 @@ class Cumulative(Propagator):
             view.fail(self._witnesses(
                 bounds, [j for j, s, e in parts if s <= t < e]))
             return
-        for i, ((_, dur, dem), (lb, _, ub, _)) in enumerate(
-                zip(self.tasks, bounds)):
-            room = cap - dem
+        for i, ((_, dur, dem, room), (lb, _, ub, _)) in enumerate(
+                zip(tasks, bounds)):
             if top <= room:
                 continue              # no height can clash with this task
             a, b = lb - t0, ub - t0
@@ -386,36 +389,38 @@ class Cumulative(Propagator):
 
     def _push(self, view, bounds, parts, profile, i):
         """Move task i's start bounds past every clash with the profile of
-        the other tasks; False once the view has failed or refused."""
-        x, dur, dem = self.tasks[i]
+        the other tasks; False once the view has failed or refused.  The
+        scans run over window-relative times, profile indices."""
+        x, dur, _, room = self.tasks[i]
         lb, _, ub, _ = bounds[i]
-        t0, room = self.t0, self.cap - dem
-
-        def first_clash(times):
-            return next((t for t in times if profile[t - t0] > room), None)
-
-        s = lb
-        while (clash := first_clash(range(s, s + dur))) is not None:
-            s = clash + 1
-            if s > ub:
-                view.fail(self._explain(bounds, parts, i, lb, ub + dur))
-                return False
-        if s > lb:
-            got = x.strongest_geq(s)
+        t0 = self.t0
+        a, b = lb - t0, ub - t0
+        s, k = a, a                   # earliest start; scan [s, s + dur)
+        while k < s + dur:
+            if profile[k] > room:
+                s = k + 1
+                if s > b:
+                    view.fail(self._explain(bounds, parts, i, lb, ub + dur))
+                    return False
+            k += 1
+        if s > a:
+            got = x.strongest_geq(s + t0)
             if got is not None and got[0] > lb:
-                reason = self._explain(bounds, parts, i, lb, s + dur)
+                reason = self._explain(bounds, parts, i, lb, s + t0 + dur)
                 if not view.enqueue(got[1], reason):
                     return False
-        e = ub
-        while (clash := first_clash(range(e + dur - 1, e - 1, -1))) is not None:
-            e = clash - dur
-            if e < lb:
-                view.fail(self._explain(bounds, parts, i, lb, ub + dur))
-                return False
-        if e < ub:
-            got = x.strongest_leq(e)
+        e, k = b, b + dur - 1         # latest start; scan [e, e + dur) down
+        while k >= e:
+            if profile[k] > room:
+                e = k - dur
+                if e < a:
+                    view.fail(self._explain(bounds, parts, i, lb, ub + dur))
+                    return False
+            k -= 1
+        if e < b:
+            got = x.strongest_leq(e + t0)
             if got is not None and got[0] < ub:
-                reason = self._explain(bounds, parts, i, e, ub + dur)
+                reason = self._explain(bounds, parts, i, e + t0, ub + dur)
                 if not view.enqueue(got[1], reason):
                     return False
         return True

@@ -159,6 +159,11 @@ def makespan_lower_bound(inst):
 
 
 def _post_resources(mdl, inst, starts):
+    """One Cumulative per resource over every task.  build_model posts
+    these last, after every precedence: the kernels call propagators in
+    attachment order and start again from the first after each enqueue, so
+    the costly timetables then run only once the cheap linears have
+    nothing left to push."""
     for r, cap in enumerate(inst.resources):
         mdl.post_cumulative([(starts[i], dur, demands[r])
                              for i, (dur, demands) in enumerate(inst.tasks)],
@@ -221,6 +226,14 @@ def build_model(p, eng):
 
     Returns (start IntVars, [(indicator literal, weight)]); a root conflict on
     eng afterwards means the hard part alone is infeasible.
+
+    Posting order is propagation priority.  Every precedence's
+    HalfReifiedLinear is attached before any resource's Cumulative, since
+    the kernels run propagators in attachment order and go back to the
+    first one after every enqueue: the cheap linears reach their fixpoint
+    before each timetable call, instead of a timetable running between
+    every two precedence pushes.  The variables are numbered as if the
+    cumulatives came first: posting them creates none.
     """
     mdl = CpModel(engine=eng)
     starts = []
@@ -231,12 +244,12 @@ def build_model(p, eng):
         starts.append(mdl.new_int_var(0, p.horizon - dur))
     for s in starts:
         mdl.materialize(s)
-    _post_resources(mdl, p.base, starts)
     indicators = []
     for j, (a, b, lag) in enumerate(p.base.precedences):
         i = mdl.new_bool_var()
         mdl.post_half_reified_linear(i, [(1, starts[b]), (-1, starts[a])], lag)
         indicators.append((i, p.weights[j]))
+    _post_resources(mdl, p.base, starts)
     return starts, indicators
 
 

@@ -104,3 +104,48 @@ def test_metrics_missing_from_a_side_are_left_out():
 def test_spec_reads_the_benchmark_file():
     names = [name for name, _, _ in ab_pairs.end_to_end_spec()]
     assert "total_s" in names and "peak_rss_mb" in names
+
+
+def test_slower_mirrors_gain():
+    # 10% slower in every pair: within the 25% bound, but beyond noise
+    parent = [(2.0 + 0.01 * i, 1.0) for i in range(10)]
+    change = [(2.2 + 0.01 * i, 1.0) for i in range(10)]
+    total, speed = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["losses"] == 10 and total["wins"] == 0
+    assert total["slower"] and not total["worse"] and not total["gain"]
+    assert speed["losses"] == 0 and not speed["slower"]
+    text = ab_pairs.format_rows([total])
+    assert "slower" in text and "within bound" not in text
+    # fewer than MIN_GAIN_PAIRS pairs cannot show it
+    total, _ = ab_pairs.summarize(pairs_of(parent[:9], change[:9]), SPEC)
+    assert total["losses"] == 9 and not total["slower"]
+
+
+def test_slower_needs_nine_tenths_of_the_pairs():
+    parent = [(2.0, 1.0)] * 10
+    change = [(2.2, 1.0)] * 8 + [(1.0, 1.0)] * 2
+    total, _ = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["losses"] == 8 and not total["slower"]
+    change = [(2.2, 1.0)] * 9 + [(1.0, 1.0)]
+    total, _ = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["losses"] == 9 and total["slower"]
+
+
+def test_slower_needs_a_gap_beyond_the_parent_spread():
+    parent = [(1.0 + 0.1 * i, 1.0) for i in range(10)]
+    change = [(p + 0.01, s) for p, s in parent]
+    total, _ = ab_pairs.summarize(pairs_of(parent, change), SPEC)
+    assert total["losses"] == 10 and not total["slower"]
+
+
+def test_slower_beside_worse_keeps_the_exit_code(monkeypatch, capsys):
+    """A change 30% slower in every pair reads both verdicts, and the run
+    still exits 0: only a failed run sets the exit code."""
+    def run_once(checkout, workload, seed):
+        return json.loads(result_line(2.6 if checkout == "C" else 2.0, 1.0))
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main(["P", "C", "--workload", "w", "--pairs", "10"]) == 0
+    out = capsys.readouterr().out
+    row = [line for line in out.splitlines() if line.startswith("total_s")]
+    assert row and row[0].endswith("worse than bound, slower")

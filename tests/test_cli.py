@@ -4,6 +4,8 @@ import pytest
 
 from maxcore.cli import main
 from maxcore.maxsat import evaluate_cost, parse_wcnf
+from maxcore.oracle import brute_force_schedule
+from maxcore.rcpsp import audit_schedule, parse_instance, soften
 
 EX1 = """\
 c five soft unit-weight clauses
@@ -120,10 +122,14 @@ def test_missing_subcommand_is_usage_error(capsys):
     ["bench", "{dir}", "--alpha", "1.5,-1"],
     ["bench", "{dir}", "--alpha", "0.8,nan"],
     ["bench", "{dir}", "--timeout-s", "-1"],
+    ["bench", "{dir}", "--jobs", "0"],
+    ["bench", "{dir}", "--jobs", "-1"],
+    ["bench", "{dir}", "--generate", "-3"],
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, tmp_path, ex1, argv):
-    """An alpha outside (0, 1], or a budget below 0 or NaN, is refused
-    before any work, with exit 2 and a message naming it."""
+    """An alpha outside (0, 1], a budget below 0 or NaN, a job count below
+    1 or a negative instance count is refused before any work, with exit 2
+    and a message naming the option."""
     two = tmp_path / "two.rcpsp"
     two.write_text(TWO_TASK)
     claims = tmp_path / "claims.txt"
@@ -138,7 +144,7 @@ def test_out_of_range_numbers_are_usage_errors(capsys, tmp_path, ex1, argv):
     out = capsys.readouterr()
     assert code == 2
     assert not out.out
-    assert ("--alpha" if "--alpha" in argv else "--timeout-s") in out.err
+    assert argv[-2] in out.err
 
 
 # --- solve-rcpsp ----------------------------------------------------------
@@ -301,9 +307,10 @@ o 25
 o 24
 o 18
 o 17
+o 8
 o 7
 s OPTIMUM FOUND
-v 4 0 4 1 5
+v 5 0 5 2 6
 """),
     ("micro", "wpm1"): (0, """\
 c maxcore wpm1 on m.rcpsp
@@ -313,17 +320,16 @@ o 1
 o 6
 o 7
 s OPTIMUM FOUND
-v 4 0 4 1 5
+v 3 0 3 0 5
 """),
     ("micro", "msu3"): (0, """\
 c maxcore msu3 on m.rcpsp
 c 5 tasks, 1 resources, 5 precedences
 c alpha 0.9 mode weighted lower-bound 12 horizon 10
-o 23
-o 13
+o 8
 o 7
 s OPTIMUM FOUND
-v 3 0 4 0 4
+v 4 0 4 1 5
 """),
     ("micro-budget0", "bnb"): (1, """\
 c maxcore bnb on m.rcpsp
@@ -396,6 +402,31 @@ def test_solve_stdout_matches_golden(capsys, tmp_path, monkeypatch, case,
         (tmp_path / name).write_text(text)
     code = main(GOLDEN_ARGS[case] + ["--algorithm", algo])
     assert (code, capsys.readouterr().out) == GOLDEN[case, algo]
+
+
+# The drivers' bounds move in these directions: bnb's and msu3's incumbents
+# fall, wpm1's lower bounds rise.
+DESCENDING = {"bnb": True, "msu3": True, "wpm1": False}
+
+
+@pytest.mark.parametrize("algo", sorted(DESCENDING))
+def test_micro_schedule_is_an_audited_optimum(capsys, tmp_path, algo):
+    """The golden micro case checked without its recorded search: the 'v'
+    schedule audits to the last 'o' value, which is the oracle's optimum,
+    and the 'o' lines move in the driver's direction."""
+    path = tmp_path / "m.rcpsp"
+    path.write_text(GOLDEN_FILES["m.rcpsp"])
+    code, lines, _ = run(capsys, ["solve-rcpsp", str(path)]
+                         + GOLDEN_ARGS["micro"][2:] + ["--algorithm", algo])
+    assert code == 0 and status(lines) == "s OPTIMUM FOUND"
+    p = soften(parse_instance(GOLDEN_FILES["m.rcpsp"]), 0.9,
+               mode="weighted", seed=1)
+    starts = [int(t) for t in
+              [l for l in lines if l.startswith("v ")][-1].split()[1:]]
+    bounds = olines(lines)
+    assert audit_schedule(p, starts) == bounds[-1]
+    assert bounds[-1] == brute_force_schedule(p).optimum
+    assert bounds == sorted(bounds, reverse=DESCENDING[algo])
 
 
 # --- bench ----------------------------------------------------------------

@@ -292,6 +292,21 @@ def test_build_model_returns_weighted_indicators():
     assert not eng.root_conflict
 
 
+def test_build_model_posts_every_precedence_before_any_cumulative():
+    """The kernels call propagators in attachment order, so the cheap
+    precedence linears must come first to reach their fixpoint before a
+    timetable runs."""
+    from maxcore.cp import Cumulative, HalfReifiedLinear
+    from maxcore.engine import Engine
+    inst = RcpspMax([(2, (1, 1)), (3, (1, 0)), (2, (0, 1))], [1, 1],
+                    [(0, 1, 2), (1, 2, 1), (2, 0, -5)])
+    eng = Engine(kernel="python")
+    _, indicators = build_model(soften(inst, 1.0, l=8), eng)
+    kinds = [type(prop) for prop in eng.propagators]
+    assert kinds == [HalfReifiedLinear] * 3 + [Cumulative] * 2
+    assert len(indicators) == 3 and not eng.root_conflict
+
+
 # --- benchmark harness ----------------------------------------------------
 
 

@@ -10,14 +10,17 @@ tools/ directory) declares, it prints each side's median and quartiles,
 the change's median over the parent's, and how many pairs the change won
 (ties count for neither side).  A gain holds when there are at least
 MIN_GAIN_PAIRS pairs, the change wins at least nine tenths of them and the
-medians differ by more than the parent's interquartile range; a metric is
-worse when the change's median is worse than the parent's by more than its
-bound.  Run from anywhere:
+medians differ by more than the parent's interquartile range.  A metric is
+slower under the mirror rule, when the change loses at least nine tenths of
+at least MIN_GAIN_PAIRS pairs and its median is worse by more than that
+range, and worse than bound when the change's median is worse than the
+parent's by more than its bound; a change can be both.  Run from anywhere:
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload wcnf-small \\
         --pairs 10 --seed 801
 
-It exits 1 if any run failed or reported a wrong answer.
+It exits 1 if any run failed or reported a wrong answer, whatever the
+verdicts.
 """
 
 import argparse
@@ -60,9 +63,9 @@ def quartiles(values):
 def summarize(pairs, spec):
     """One row per metric of spec over pairs, a list of (parent result,
     change result) dicts as perfbench prints them.  A row holds the name,
-    each side's quartiles, the ratio of the medians, the change's wins,
-    whether the gain holds and whether the change is worse than the
-    bound."""
+    each side's quartiles, the ratio of the medians, the change's wins and
+    losses, whether the gain holds, whether the change is slower beyond
+    noise and whether it is worse than the bound."""
     rows = []
     for name, better, bound in spec:
         got = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -74,7 +77,10 @@ def summarize(pairs, spec):
         parent = quartiles([p for p, _ in got])
         change = quartiles([c for _, c in got])
         wins = sum(sign * (p - c) > 0 for p, c in got)
+        losses = sum(sign * (p - c) < 0 for p, c in got)
         gap = sign * (parent[1] - change[1])
+        spread = parent[2] - parent[0]
+        enough = len(got) >= MIN_GAIN_PAIRS
         rows.append({
             "name": name,
             "pairs": len(got),
@@ -82,8 +88,10 @@ def summarize(pairs, spec):
             "change": change,
             "ratio": change[1] / parent[1] if parent[1] else float("nan"),
             "wins": wins,
-            "gain": (len(got) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(got)
-                     and gap > parent[2] - parent[0]),
+            "losses": losses,
+            "gain": enough and 10 * wins >= 9 * len(got) and gap > spread,
+            "slower": (enough and 10 * losses >= 9 * len(got)
+                       and -gap > spread),
             "worse": -gap > bound * abs(parent[1]),
         })
     return rows
@@ -94,8 +102,10 @@ def format_rows(rows):
         "metric", "pairs", "parent median [q1, q3]", "change median [q1, q3]",
         "ratio", "wins", "verdict")]
     for r in rows:
+        losing = [word for word, holds in (("worse than bound", r["worse"]),
+                                           ("slower", r["slower"])) if holds]
         verdict = ("gain" if r["gain"] else
-                   "worse than bound" if r["worse"] else "within bound")
+                   ", ".join(losing) or "within bound")
         out.append("%-13s %5d  %-28s %-28s %6.3f %2d/%-2d  %s" % (
             r["name"], r["pairs"],
             "%.4g [%.4g, %.4g]" % (r["parent"][1], r["parent"][0],
