@@ -12,19 +12,23 @@
 // problem clauses and propagators between solves, learnt clauses, activities,
 // phases, var_inc and cla_inc carry over, and each solve starts from an empty
 // trail (reset()) and assigns every unit clause at level 0, which it
-// propagates to a fixpoint whenever the assumptions level is about to open;
-// a backjump, to the root too, leaves only the wake_on None propagators
-// pending.  A flag per clause tells learnt clauses apart, since problem
-// clauses that extend() adds follow them in the arena.  The clause arena and the watch lists hold only
-// problem clauses and live learnt clauses, since a reduction compacts the
-// arena as there, and a propagator's inference is a reason record: the
-// implied literal (0 for a fail) and the negated reason, stored once for a
-// run of equal reasons.  A reference r is clause r when r >= 0, no reason when
-// r == -1, and record -2 - r when r <= -2.  The solve result hands the
-// records over as data, the pair (heads, negs) under the key "records", as
-// there: heads is a memoryview copy of the implied literals, so its length
-// is the record count, and negs is a FlatNegs (_search_py.py) over memoryview
-// copies of the offsets, lengths and literals of the negated reasons.
+// propagates to a fixpoint whenever the assumptions level is about to open; a
+// backjump, to the root too, leaves only the wake_on None propagators pending.
+// A flag per clause tells learnt clauses apart, since problem clauses that
+// extend() adds follow them in the arena.  The arena's layout differs: here
+// one flat literal vector with an offset and a length per clause, there one
+// list per clause.  What both kernels share is the order of the clauses, of
+// the literals within each clause (bcp swaps them as _bcp does) and of each
+// watch list.  The clause arena and the watch lists hold only problem clauses
+// and live learnt clauses, since a reduction compacts the arena as there, and
+// a propagator's inference is a reason record: the implied literal (0 for a
+// fail) and the negated reason, stored once for a run of equal reasons.  A
+// reference r is clause r when r >= 0, no reason when r == -1, and record
+// -2 - r when r <= -2.  The solve result hands the records over as data, the
+// pair (heads, negs) under the key "records", as there: heads is a
+// memoryview copy of the implied literals, so its length is the record
+// count, and negs is a FlatNegs (_search_py.py) over memoryview copies of the
+// offsets, lengths and literals of the negated reasons.
 // _search_py.explanations builds the explanation clauses from the pair.
 //
 // Decisions pop the same lazy heap of (-activity, var) entries as there, kept

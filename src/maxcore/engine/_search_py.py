@@ -26,6 +26,10 @@ the table's own __getitem__, a C method: a read costs no Python call, and a
 literal outside +-nvars raises KeyError.  The watch lists and the wake lists
 are keyed by literal in the same way.
 
+The clause arena holds one literal list per clause, its slots 0 and 1
+watched, as MiniSat's clauses are.  _bcp reorders the literals of a list
+as its watches move, so extend() stores a copy of each problem clause, and
+_lits hands out the arena's own list, which its callers must not change.
 The clause arena and the watch lists hold only problem clauses and live
 learnt clauses.  A propagator's inference is a reason record instead: an
 enqueue records the implied literal and its negated reason list, a fail
@@ -77,7 +81,9 @@ The C++ kernel keeps the same heap.
 The hand-written C++ kernel in _search.cpp runs the same search step for
 step: any behavioural change here must be made there too, and
 tests/test_kernels.py checks that both return identical results and make
-the same propagator calls.
+the same propagator calls.  Its arena is one flat literal vector instead;
+what the kernels share is the order of the clauses, of the literals within
+each clause and of each watch list.
 """
 
 import time
@@ -116,12 +122,10 @@ class SearchCore:
         self.order = [None]     # per variable: (IntVar, v) of [x >= v], or None
         self.bound_undo = []    # (trail position, IntVar, cur before the move)
 
-        # flat literal arena; slots off, off+1 of a clause are watched.
+        # the arena: one literal list per clause, slots 0 and 1 watched.
         # Problem clauses that extend() adds follow the learnt clauses of
         # earlier solves, so c_learnt flags the learnt ones.
-        self.db = []
-        self.c_off = []
-        self.c_len = []
+        self.clauses = []
         self.c_act = []
         self.c_learnt = []
         self.units = []         # the clauses of one literal, in order
@@ -185,10 +189,11 @@ class SearchCore:
         self.queued += [True] * new
         self.heap += [(-0.0, v) for v in range(old + 1, n1)]
 
-        first = len(self.c_off)
+        first = len(self.clauses)
         for lits in clauses:
-            self._add_clause(lits, False)
-        self.n_problem += len(self.c_off) - first
+            # a copy, since _bcp reorders the arena's lists
+            self._add_clause(list(lits), False)
+        self.n_problem += len(self.clauses) - first
         self.learnt_cap = max(LEARNT_CAP_MIN, 2 * self.n_problem)
 
         self.propagators += propagators
@@ -218,12 +223,11 @@ class SearchCore:
     # clause arena
 
     def _add_clause(self, lits, learnt):
-        ci = len(self.c_off)
-        self.c_off.append(len(self.db))
-        self.c_len.append(len(lits))
+        # stores the list lits itself
+        ci = len(self.clauses)
+        self.clauses.append(lits)
         self.c_act.append(0.0)
         self.c_learnt.append(learnt)
-        self.db.extend(lits)
         if len(lits) >= 2:
             self.watches[lits[0]].append(ci)
             self.watches[lits[1]].append(ci)
@@ -232,10 +236,10 @@ class SearchCore:
         return ci
 
     def _lits(self, ref):
-        # the literals of a clause or record, an enqueue's implied literal first
+        # the literals of a clause or record, an enqueue's implied literal
+        # first; a clause's are the arena's own list, not to be changed
         if ref >= 0:
-            off = self.c_off[ref]
-            return self.db[off:off + self.c_len[ref]]
+            return self.clauses[ref]
         k = -2 - ref
         head = self.r_head[k]
         return [head] + self.r_neg[k] if head else list(self.r_neg[k])
@@ -351,9 +355,7 @@ class SearchCore:
     # propagation
 
     def _bcp(self):
-        db = self.db
-        c_off = self.c_off
-        c_len = self.c_len
+        clauses = self.clauses
         val = self.val
         watches = self.watches
         wakers = self._wakers
@@ -373,21 +375,21 @@ class SearchCore:
             i = len(wl) - 1
             while i >= 0:
                 ci = wl[i]
-                off = c_off[ci]
-                first = db[off]
+                c = clauses[ci]
+                first = c[0]
                 if first == false_lit:
-                    first = db[off + 1]
-                    db[off] = first
-                    db[off + 1] = false_lit
+                    first = c[1]
+                    c[0] = first
+                    c[1] = false_lit
                 fv = val[first]
                 if fv == 1:
                     i -= 1
                     continue
-                for k in range(off + 2, off + c_len[ci]):
-                    q = db[k]
+                for k in range(2, len(c)):
+                    q = c[k]
                     if val[q] != -1:
-                        db[off + 1] = q
-                        db[k] = false_lit
+                        c[1] = q
+                        c[k] = false_lit
                         watches[q].append(ci)
                         wl[i] = wl[-1]
                         wl.pop()
@@ -505,9 +507,7 @@ class SearchCore:
         reasons = self.reasons
         activity = self.activity
         queued = self.queued
-        db = self.db
-        c_off = self.c_off
-        c_len = self.c_len
+        clauses = self.clauses
         c_learnt = self.c_learnt
         r_neg = self.r_neg
         var_inc = self.var_inc
@@ -522,8 +522,7 @@ class SearchCore:
             if confl >= 0:
                 if c_learnt[confl]:
                     self._bump_clause(confl)
-                off = c_off[confl]
-                lits = db[off + 1 if p != 0 else off:off + c_len[confl]]
+                lits = clauses[confl][1:] if p != 0 else clauses[confl]
             elif p != 0:
                 lits = r_neg[-2 - confl]
             else:
@@ -610,24 +609,18 @@ class SearchCore:
         # drops the less active half of the learnt clauses that are no
         # reason on the trail, and compacts the arena
         reasons = self.reasons
-        c_off = self.c_off
-        c_len = self.c_len
         c_act = self.c_act
         trail = self.trail
         locked = {reasons[lit if lit > 0 else -lit] for lit in trail}
         cands = [ci for ci, learnt in enumerate(self.c_learnt)
                  if learnt and ci not in locked]
         cands.sort(key=lambda ci: (c_act[ci], ci))
-        keep = [True] * len(c_off)
+        keep = [True] * len(c_act)
         for ci in cands[:len(cands) // 2]:
             keep[ci] = False
         # moved[ci] counts the clauses kept before ci: a kept ci moves there
         moved = [0, *accumulate(keep)]
-        db = self.db
-        self.db = [lit for ci in compress(range(len(keep)), keep)
-                   for lit in db[c_off[ci]:c_off[ci] + c_len[ci]]]
-        self.c_len = list(compress(c_len, keep))
-        self.c_off = [0, *accumulate(self.c_len)][:-1]
+        self.clauses = list(compress(self.clauses, keep))
         self.c_act = list(compress(c_act, keep))
         self.c_learnt = list(compress(self.c_learnt, keep))
         for lit in trail:
@@ -639,13 +632,13 @@ class SearchCore:
         self._rebuild_watches()
 
     def _rebuild_watches(self):
-        for wl in self.watches.values():
+        watches = self.watches
+        for wl in watches.values():
             del wl[:]
-        for ci in range(len(self.c_off)):
-            if self.c_len[ci] >= 2:
-                off = self.c_off[ci]
-                self.watches[self.db[off]].append(ci)
-                self.watches[self.db[off + 1]].append(ci)
+        for ci, c in enumerate(self.clauses):
+            if len(c) >= 2:
+                watches[c[0]].append(ci)
+                watches[c[1]].append(ci)
 
     # ------------------------------------------------------------------
     # top level
@@ -675,7 +668,7 @@ class SearchCore:
         self._reset()
 
         for ci in self.units:
-            lit = self.db[self.c_off[ci]]
+            lit = self.clauses[ci][0]
             v = self.val[lit]
             if v == -1:
                 result["status"] = "unsat"
@@ -712,7 +705,7 @@ class SearchCore:
                     self._check_learnt(ci)
                 self.var_inc /= VAR_DECAY
                 self.cla_inc /= CLAUSE_DECAY
-                if len(self.c_off) - self.n_problem >= self.learnt_cap:
+                if len(self.clauses) - self.n_problem >= self.learnt_cap:
                     self._reduce_learnts()
                 if conflict_budget is not None and self.conflicts >= conflict_budget:
                     return self._finish(result)
@@ -756,15 +749,14 @@ class SearchCore:
         self.conflicts = self.decisions = self.propagations = 0
         self.restarts = 0
         self._pending = [True] * len(self.propagators)
-        self.first_learnt = len(self.c_off)
+        self.first_learnt = len(self.clauses)
 
     def _check_learnt(self, ci):
-        off = self.c_off[ci]
-        head = self.db[off]
-        if self.val[head] != 1:
+        c = self.clauses[ci]
+        if self.val[c[0]] != 1:
             raise AssertionError("learnt clause head not asserted after backjump")
-        for k in range(off + 1, off + self.c_len[ci]):
-            if self.val[self.db[k]] != -1:
+        for q in c[1:]:
+            if self.val[q] != -1:
                 raise AssertionError("learnt clause tail not false after backjump")
 
     def _finish(self, result):
@@ -773,9 +765,7 @@ class SearchCore:
         result["propagations"] = self.propagations
         result["restarts"] = self.restarts
         result["learnts"] = [
-            tuple(self._lits(ci))
-            for ci in range(self.first_learnt, len(self.c_off))
-        ]
+            tuple(c) for c in self.clauses[self.first_learnt:]]
         result["records"] = (self.r_head, self.r_neg)
         return result
 

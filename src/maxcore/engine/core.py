@@ -5,7 +5,8 @@ solve() builds a search kernel from the clause list, and later solves run on
 the same kernel, given the variables, clauses and propagators the store
 gained in between: learnt clauses, variable activities and saved phases
 carry over from solve to solve.  Between solves the store only grows or
-forgets clauses that its unit clauses imply (retract), and propagators only
+forgets clauses that the unit clauses it keeps imply (retract reads them
+from the kept store, and counts none of its own), and propagators only
 strengthen, so every kept learnt clause stays implied and the kernel's
 level 0 only grows.  Only a solve that raised drops the kernel; the next
 solve rebuilds it from the store.
@@ -28,7 +29,6 @@ import importlib
 import os
 import warnings
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -189,7 +189,6 @@ class Engine:
         self.nvars = 0
         self.clauses = []            # ClauseRec in ref order
         self._next_ref = 0
-        self._units = {}             # literal -> stored unit clauses (lit,)
         self._root_conflict = False
         self.propagators = []
         self.order_literals = []     # (literal, IntVar, value) of [x >= v]
@@ -256,8 +255,6 @@ class Engine:
         rec = ClauseRec(self._next_ref, tuple(norm))
         self._next_ref += 1
         self.clauses.append(rec)
-        if len(norm) == 1:
-            self._units[norm[0]] = self._units.get(norm[0], 0) + 1
         return rec.ref
 
     def retract(self, refs):
@@ -265,11 +262,12 @@ class Engine:
         many were removed.
 
         Each clause removed must hold a literal l such that a unit clause
-        (l) is still stored after the call; units removed in the same call
-        count as gone.  The store left then implies the removed clauses, so
-        its models and the live kernel with its learnt clauses stay as they
-        are: the kernel keeps its copies of the removed clauses, which the
-        units satisfy at level 0 on every solve.  If any clause breaks the
+        (l) is still stored after the call: the call reads the units from
+        the clauses it keeps, so a second copy of a unit counts and a unit
+        removed in the same call does not.  The store left then implies the
+        removed clauses, so its models and the live kernel with its learnt
+        clauses stay as they are: the kernel keeps its copies of the removed
+        clauses, which the units satisfy at level 0 on every solve.  If any clause breaks the
         rule, ValueError, and nothing changes.  Refs that are not stored are
         ignored."""
         if self._in_search:
@@ -277,17 +275,19 @@ class Engine:
         refs = set(refs)
         keep = []
         removed = []
+        units = set()                # the literals of the kept unit clauses
         for rec in self.clauses:
-            (removed if rec.ref in refs else keep).append(rec)
-        units = self._units
-        gone = Counter(rec.lits[0] for rec in removed if len(rec.lits) == 1)
+            if rec.ref in refs:
+                removed.append(rec)
+            else:
+                keep.append(rec)
+                if len(rec.lits) == 1:
+                    units.add(rec.lits[0])
         for rec in removed:
-            if not any(units.get(l, 0) > gone[l] for l in rec.lits):
+            if units.isdisjoint(rec.lits):
                 raise ValueError("clause %d holds no literal that a stored"
                                  " unit clause fixes" % rec.ref)
         self.clauses = keep
-        for l, k in gone.items():
-            units[l] -= k
         return len(removed)
 
     # ------------------------------------------------------------------

@@ -149,3 +149,36 @@ def test_slower_beside_worse_keeps_the_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     row = [line for line in out.splitlines() if line.startswith("total_s")]
     assert row and row[0].endswith("worse than bound, slower")
+
+
+def stand_in(root, body):
+    """A checkout whose perfbench/run.py runs body."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        "import json, sys\n" + body + "\n")
+    return str(root)
+
+
+def test_a_failed_run_shows_why(tmp_path, capsys):
+    wrong = stand_in(tmp_path / "wrong", (
+        "sys.stderr.write('marker: optimum 7 is not 8')\n"
+        "print(json.dumps({'correct': False, 'metrics': {}}))"))
+    crash = stand_in(tmp_path / "crash", (
+        "print(json.dumps({'correct': True, 'metrics': {}}))\n"
+        "sys.stderr.write('x' * 3000 + 'marker: crashed')\n"
+        "sys.exit(3)"))
+    assert ab_pairs.run_once(wrong, "w", 5) is None
+    err = capsys.readouterr().err
+    assert "seed 5 failed: exit code 0, correct False" in err
+    assert "marker: optimum 7 is not 8" in err
+    assert ab_pairs.run_once(crash, "w", 6) is None
+    err = capsys.readouterr().err
+    assert "seed 6 failed: exit code 3, correct True" in err
+    # only the end of a long standard error
+    assert "marker: crashed" in err and "x" * 2001 not in err
+    # a failed run still sets the exit code, and leaves no verdict
+    assert ab_pairs.main([wrong, crash, "--workload", "w",
+                          "--pairs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "parent failed, change failed" in out
+    assert "1 of 1 pairs had a failed run" in out and "metric" not in out

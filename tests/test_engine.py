@@ -694,7 +694,7 @@ def test_outcome_keeps_no_kernel_alive(monkeypatch):
         def solve(self, *args):
             res = super().solve(*args)
             cores.append(weakref.ref(self))
-            arenas.append((len(self.c_off), self.n_problem))
+            arenas.append((len(self.clauses), self.n_problem))
             return res
 
     monkeypatch.setattr(_search_py, "SearchCore", Recorded)
@@ -1164,3 +1164,58 @@ def test_the_compiled_kernel_in_use_was_built_from_its_source():
         with open(engine_core._SOURCE, "rb") as f:
             digest = hashlib.sha256(f.read()).hexdigest()
         assert module.SOURCE_SHA256 == digest
+
+
+def test_retract_follows_its_rule_on_random_stores(kernel):
+    """retract against a brute-force statement of its rule: it removes the
+    given clauses exactly when each of them holds a literal l such that a
+    copy of the unit (l) is stored outside them, and otherwise raises and
+    changes nothing.  The stores hold duplicated units."""
+    rng = random.Random(24)
+    n = 5
+    lits = [l for v in range(1, n + 1) for l in (v, -v)]
+    # kept / raised: either outcome; second copy: kept although a removed
+    # unit's literal is among the removed literals it backs; own unit:
+    # raised although the store held every unit the rule needs, some of
+    # them only among the removed clauses
+    tally = dict.fromkeys(("kept", "raised", "second copy", "own unit"), 0)
+    for _ in range(150):
+        eng = Engine(kernel=kernel)
+        for _ in range(n):
+            eng.new_bool_var()
+        for l in rng.sample(lits, 3):
+            for _ in range(rng.randint(1, 3)):
+                eng.add_clause((l,))
+        for _ in range(6):
+            eng.add_clause(rng.sample(lits, rng.randint(1, 3)))
+        eng.solve()
+        for _ in range(4):
+            store = list(eng.clauses)
+            refs = {rec.ref for rec in rng.sample(
+                store, min(len(store), rng.randint(1, 3)))}
+            refs.add(100)            # not stored: ignored
+            removed = [rec for rec in store if rec.ref in refs]
+            kept = [rec for rec in store if rec.ref not in refs]
+
+            def backed(among):
+                return all(any(other.lits == (l,) for other in among
+                               for l in rec.lits) for rec in removed)
+
+            live, conflict = eng._kernel, eng.root_conflict
+            if backed(kept):
+                assert eng.retract(refs) == len(removed)
+                assert eng.clauses == kept
+                tally["kept"] += 1
+                tally["second copy"] += any(
+                    len(rec.lits) == 1 and rec.lits[0] in other.lits
+                    for rec in removed for other in removed if other != rec)
+            else:
+                with pytest.raises(ValueError):
+                    eng.retract(refs)
+                assert eng.clauses == store
+                tally["raised"] += 1
+                tally["own unit"] += backed(store)
+            assert eng.root_conflict == conflict and eng._kernel is live
+            models = all_models(n, [rec.lits for rec in eng.clauses])
+            assert eng.solve().status == ("sat" if models else "unsat")
+    assert min(tally.values()) >= 20, tally

@@ -7,8 +7,9 @@ lazy activity heap without changing the search.
 """
 
 import random
+from collections import Counter
 
-from maxcore.engine import Engine, Propagator
+from maxcore.engine import Engine, Propagator, _search_py
 
 
 def _live(view):
@@ -28,6 +29,13 @@ class _InvariantProbe(Propagator):
       has one, and every unassigned variable has one;
     - the arena holds no more than the problem clauses and learnt_cap
       learnt clauses: a reduction removes the clauses it drops.
+
+    On every 100th call, and on the first call after each reduction, it
+    also checks the arena's watches and units:
+
+    - every clause of two or more literals appears once in the watch list
+      of its slot 0 and once in that of its slot 1, and in no other list;
+    - units holds exactly the indices of the one-literal clauses, in order.
     """
 
     def __init__(self, nvars):
@@ -35,6 +43,9 @@ class _InvariantProbe(Propagator):
         self.calls = 0
         self.rescales = 0
         self.var_inc = 0.0
+        self.reductions = 0
+        self.arena_checks = 0
+        self.nclauses = 0
 
     def propagate(self, view):
         self.calls += 1
@@ -54,11 +65,27 @@ class _InvariantProbe(Propagator):
         assert set(live) == {v for v in variables if view.queued[v]}
         assert {v for v in variables if lit_value(v) == 0} <= set(live)
 
-        assert len(view.c_off) <= view.n_problem + view.learnt_cap
+        assert len(view.clauses) <= view.n_problem + view.learnt_cap
+        reduced = len(view.clauses) < self.nclauses
+        self.reductions += reduced
+        self.nclauses = len(view.clauses)
+        if reduced or self.calls % 100 == 0:
+            self.arena_checks += 1
+            _check_arena(view)
 
         if view.var_inc < self.var_inc:
             self.rescales += 1
         self.var_inc = view.var_inc
+
+
+def _check_arena(view):
+    clauses = view.clauses
+    watched = Counter((lit, ci) for lit, wl in view.watches.items()
+                      for ci in wl)
+    wanted = Counter((lit, ci) for ci, c in enumerate(clauses)
+                     if len(c) >= 2 for lit in c[:2])
+    assert watched == wanted
+    assert view.units == [ci for ci, c in enumerate(clauses) if len(c) == 1]
 
 
 class _DecisionProbe(Propagator):
@@ -103,7 +130,27 @@ def _long_search(probe_type):
 
 
 def test_invariants_through_restarts_and_reductions():
-    assert _long_search(_InvariantProbe).rescales == 1
+    probe = _long_search(_InvariantProbe)
+    assert probe.rescales == 1
+    assert probe.reductions >= 1
+    assert probe.arena_checks > probe.calls // 100
+
+
+def test_arena_through_frequent_reductions():
+    # a learnt cap of 100 forces a reduction every few dozen conflicts, and
+    # the learnt unit clauses sit among learnt clauses that reductions drop
+    n = 120
+    rng = random.Random(5)
+    clauses = [[v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), 3)]
+               for _ in range(int(4.3 * n))]
+    probe = _InvariantProbe(n)
+    core = _search_py.SearchCore(n, clauses, [probe])
+    core.learnt_cap = 100
+    out = core.solve([], conflict_budget=3000)
+    assert out["status"] == "unsat" and probe.reductions >= 10
+    assert probe.arena_checks > probe.reductions
+    assert core.units and core.units[0] > core.n_problem
 
 
 def test_decision_rule_through_restarts_and_reductions():

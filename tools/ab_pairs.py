@@ -118,7 +118,10 @@ def format_rows(rows):
 
 def run_once(checkout, workload, seed):
     """The JSON result of one benchmark run in checkout, or None if the
-    run failed."""
+    run failed: it exited non-zero, its last line was no JSON, or it
+    reported a wrong answer.  For a failed run, the exit code, the correct
+    flag and the last 2,000 characters of its standard error go to
+    standard error."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed)],
@@ -126,11 +129,13 @@ def run_once(checkout, workload, seed):
     try:
         result = last_json(proc.stdout)
     except ValueError:
-        sys.stderr.write(proc.stderr[-2000:])
-        return None
-    if proc.returncode != 0 or not result.get("correct"):
-        return None
-    return result
+        result = None
+    correct = None if result is None else result.get("correct")
+    if proc.returncode == 0 and correct:
+        return result
+    sys.stderr.write("%s seed %d failed: exit code %d, correct %s\n%s\n" % (
+        checkout, seed, proc.returncode, correct, proc.stderr[-2000:]))
+    return None
 
 
 def main(argv=None):
