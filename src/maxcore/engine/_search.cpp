@@ -204,7 +204,6 @@ struct RecordStore {
 
 struct Kernel {
     int nvars = 0;
-    bool validate = false;  // check every learnt clause after backjump
     PyObject *view = nullptr;   // the SearchCore owning this kernel, borrowed
     PyObject *props = nullptr;  // list of propagators
 
@@ -879,8 +878,6 @@ struct Kernel {
                 if (learnt.size() > 1)
                     c_act[ci] = cla_inc;
                 assign(learnt[0], ci);
-                if (validate && !check_learnt(ci))
-                    return nullptr;
                 var_inc /= VAR_DECAY;
                 cla_inc /= CLAUSE_DECAY;
                 if ((int)c_off.size() - n_problem >= learnt_cap)
@@ -929,19 +926,6 @@ struct Kernel {
         conflicts = decisions = propagations = restarts = 0;
         std::fill(pending.begin(), pending.end(), 1);
         first_learnt = (int)c_off.size();
-    }
-
-    bool check_learnt(int ci) {
-        int off = c_off[ci];
-        const char *msg = nullptr;
-        if (lit_value(db[off]) != 1)
-            msg = "learnt clause head not asserted after backjump";
-        for (int k = off + 1; !msg && k < off + c_len[ci]; k++)
-            if (lit_value(db[k]) != -1)
-                msg = "learnt clause tail not false after backjump";
-        if (msg)
-            PyErr_SetString(PyExc_AssertionError, msg);
-        return !msg;
     }
 
     // the result dict; a sat status carries the model, an unsat one the core
@@ -993,13 +977,12 @@ struct SearchCore {
 };
 
 PyObject *core_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
-    static const char *kwlist[] = {"nvars",          "clauses",  "propagators",
-                                   "order_literals", "validate", nullptr};
-    int nvars, validate = 0;
+    static const char *kwlist[] = {"nvars", "clauses", "propagators", "order_literals",
+                                   nullptr};
+    int nvars;
     PyObject *clauses, *propagators, *order_literals = nullptr;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO|Op", (char **)kwlist, &nvars,
-                                     &clauses, &propagators, &order_literals,
-                                     &validate))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO|O", (char **)kwlist, &nvars,
+                                     &clauses, &propagators, &order_literals))
         return nullptr;
     if (nvars < 0)
         return PyErr_Format(PyExc_ValueError, "negative variable count %d", nvars);
@@ -1008,7 +991,6 @@ PyObject *core_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
         return nullptr;
     Kernel &k = *new (&self->k) Kernel();
     k.view = (PyObject *)self;
-    k.validate = validate;
     k.props = PyList_New(0);
     k.order_ints = PyList_New(0);
     if (!k.props || !k.order_ints ||
@@ -1145,8 +1127,7 @@ PyMethodDef core_methods[] = {
 };
 
 PyType_Slot core_slots[] = {
-    {Py_tp_doc, (void *)"SearchCore(nvars, clauses, propagators, order_literals=(), "
-                        "validate=False)\n\n"
+    {Py_tp_doc, (void *)"SearchCore(nvars, clauses, propagators, order_literals=())\n\n"
                         "CDCL search over int literals (DIMACS signs), solved again "
                         "and again as the clause set grows."},
     {Py_tp_new, (void *)core_new},

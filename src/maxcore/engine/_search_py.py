@@ -103,11 +103,9 @@ class SearchCore:
     """CDCL search over int literals (DIMACS signs), solved again and again
     as the clause set grows."""
 
-    def __init__(self, nvars, clauses, propagators, order_literals=(),
-                 validate=False):
+    def __init__(self, nvars, clauses, propagators, order_literals=()):
         self.nvars = 0
         self.propagators = []
-        self.validate = validate   # check every learnt clause after backjump
 
         self.val = {0: 0}   # per literal: -1 false, 0 unset, 1 true
         self.lit_value = self.val.__getitem__
@@ -701,8 +699,6 @@ class SearchCore:
                 if len(learnt) > 1:
                     self.c_act[ci] = self.cla_inc
                 self._assign(learnt[0], ci)
-                if self.validate:
-                    self._check_learnt(ci)
                 self.var_inc /= VAR_DECAY
                 self.cla_inc /= CLAUSE_DECAY
                 if len(self.clauses) - self.n_problem >= self.learnt_cap:
@@ -750,14 +746,6 @@ class SearchCore:
         self.restarts = 0
         self._pending = [True] * len(self.propagators)
         self.first_learnt = len(self.clauses)
-
-    def _check_learnt(self, ci):
-        c = self.clauses[ci]
-        if self.val[c[0]] != 1:
-            raise AssertionError("learnt clause head not asserted after backjump")
-        for q in c[1:]:
-            if self.val[q] != -1:
-                raise AssertionError("learnt clause tail not false after backjump")
 
     def _finish(self, result):
         result["conflicts"] = self.conflicts

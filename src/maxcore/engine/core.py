@@ -31,6 +31,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 
 from .errors import EngineError, MidSearchMutationError
 from . import _search_py
@@ -182,10 +183,9 @@ class SolveOutcome:
 
 
 class Engine:
-    def __init__(self, kernel="auto", validate=False):
-        """validate=True makes the kernel check every learnt clause it adds."""
+    def __init__(self, kernel="auto"):
+        """kernel is "python", "compiled" or "auto" (see default_kernel)."""
         self._kernel_name = kernel
-        self._validate = validate
         self.nvars = 0
         self.clauses = []            # ClauseRec in ref order
         self._next_ref = 0
@@ -219,6 +219,7 @@ class Engine:
         keeps x.cur."""
         if self._in_search:
             raise MidSearchMutationError("order literal registered during search")
+        lit = index(lit)
         if not 0 < lit <= self.nvars:
             raise ValueError("order literal %d is not a positive variable" % lit)
         self.order_literals.append((lit, x, v))
@@ -236,12 +237,15 @@ class Engine:
     def add_clause(self, lits):
         """Store a clause and return its ref; None when nothing was stored
         (tautology, or the empty clause, which makes root_conflict True for
-        good)."""
+        good).  Each literal is read with operator.index, so one that is no
+        integer raises TypeError, as one out of range raises ValueError, and
+        nothing is stored."""
         if self._in_search:
             raise MidSearchMutationError("clause added during search")
         seen = set()
         norm = []
         for l in lits:
+            l = index(l)
             if l == 0 or abs(l) > self.nvars:
                 raise ValueError("literal %d out of range" % l)
             if -l in seen:
@@ -304,7 +308,6 @@ class Engine:
                 [rec.lits for rec in self.clauses],
                 self.propagators,
                 self.order_literals,
-                self._validate,
             )
         elif synced != self._synced:
             # a retract may have shortened the list, so the new clauses
@@ -322,6 +325,7 @@ class Engine:
         if self._in_search:
             raise MidSearchMutationError("solve called during search")
         self.stats["solves"] += 1
+        assumptions = list(map(index, assumptions))
         for a in assumptions:
             if a == 0 or abs(a) > self.nvars:
                 raise ValueError("assumption literal %d out of range" % a)
@@ -330,7 +334,7 @@ class Engine:
         self._in_search = True
         try:
             res = self._sync_kernel().solve(
-                list(assumptions), conflict_budget, time_budget_s)
+                assumptions, conflict_budget, time_budget_s)
         except BaseException:
             # a kernel left mid-search is not reused
             self._kernel = None

@@ -34,6 +34,9 @@ def test_last_json_reads_the_last_line():
     assert ab_pairs.last_json(out)["metrics"]["total_s"]["value"] == 2.5
     with pytest.raises(ValueError):
         ab_pairs.last_json("\n")
+    for line in ("5", "null", "[1, 2]", "\"total_s\""):
+        with pytest.raises(ValueError):
+            ab_pairs.last_json(result_line(2.5, 1.0) + "\n" + line + "\n")
 
 
 def test_quartiles():
@@ -182,3 +185,32 @@ def test_a_failed_run_shows_why(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "parent failed, change failed" in out
     assert "1 of 1 pairs had a failed run" in out and "metric" not in out
+
+
+def test_a_last_line_that_is_no_json_object_is_one_failed_run(tmp_path,
+                                                              capsys):
+    # before, the number raised AttributeError and ended the series
+    number = stand_in(tmp_path / "number", "print(5)")
+    good = stand_in(tmp_path / "good", (
+        "print(json.dumps({'correct': True, 'metrics': "
+        "{'total_s': {'value': 1.0}}}))"))
+    assert ab_pairs.run_once(number, "w", 7) is None
+    assert "seed 7 failed: exit code 0, correct None" in capsys.readouterr().err
+    assert ab_pairs.main([good, number, "--workload", "w",
+                          "--pairs", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "change failed, parent total_s 1.0000" in out
+    assert "2 of 2 pairs had a failed run" in out
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1", "x", "1.5"])
+def test_pairs_below_one_is_a_usage_error(pairs, monkeypatch, capsys):
+    def run_once(checkout, workload, seed):
+        raise AssertionError("no run starts")
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as exit:
+        ab_pairs.main(["P", "C", "--workload", "w", "--pairs", pairs])
+    assert exit.value.code == 2
+    assert "--pairs: %r is not an integer >= 1" % pairs in (
+        capsys.readouterr().err)

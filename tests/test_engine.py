@@ -108,6 +108,45 @@ def test_tautology_is_dropped(kernel):
     assert eng.solve().status == "sat"
 
 
+class _IntLike:
+    """An integer-like value that is no int, as a numpy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_a_literal_that_is_not_an_integer_is_refused(kernel):
+    # before, add_clause stored (1.5, 2) and every later solve raised
+    eng = Engine(kernel=kernel)
+    x, y = eng.new_bool_var(), eng.new_bool_var()
+    eng.add_clause((x, y))
+    stored = list(eng.clauses)
+    for bad in [(1.5, y), (y, 2.0), (x, "2"), (x, None)]:
+        with pytest.raises(TypeError):
+            eng.add_clause(bad)
+        assert eng.clauses == stored
+    for bad in ([1.0], [x, 2.5]):
+        with pytest.raises(TypeError):
+            eng.solve(assumptions=bad)
+    order = types.SimpleNamespace(lb0=0, ub0=1, cur=None)
+    with pytest.raises(TypeError):
+        eng.register_order_literal(1.0, order, 1)
+    assert eng.order_literals == []
+    assert eng.solve(assumptions=[-x]).status == "sat"
+    # integer-like literals pass, stored as ints
+    eng.add_clause((_IntLike(-x), _IntLike(-y)))
+    assert [type(l) for l in eng.clauses[-1].lits] == [int, int]
+    eng.register_order_literal(_IntLike(x), order, 1)
+    assert type(eng.order_literals[0][0]) is int
+    out = eng.solve(assumptions=[_IntLike(x)])
+    assert out.status == "sat" and out.model == {x: True, y: False}
+    assert order.cur == (1, x, 1, None)
+    assert set(eng.solve(assumptions=[x, y]).core) == {x, y}
+
+
 def test_assumption_core_two_chains(kernel):
     # {-a, x} and {-b, -x}: assuming both a and b is contradictory.
     eng = Engine(kernel=kernel)
@@ -467,13 +506,13 @@ def random_cnf(rng, max_vars=12):
 
 
 def test_random_soundness(kernel):
-    """Models satisfy clauses; cores are unsatisfiable subsets; learnts are
-    implied, and validate checks each one right after its backjump."""
+    """Models satisfy clauses; cores are unsatisfiable subsets; the learnt
+    clauses of a sat answer are implied by the clauses."""
     rng = random.Random(11)
     for _ in range(60):
         n, clauses = random_cnf(rng, max_vars=9)
         assume = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))]
-        eng = Engine(kernel=kernel, validate=True)
+        eng = Engine(kernel=kernel)
         for _ in range(n):
             eng.new_bool_var()
         for c in clauses:
@@ -885,7 +924,7 @@ def test_incremental_solving_is_sound(kernel):
     statuses = []
     kept = 0
     for _ in range(30):
-        eng = Engine(kernel=kernel, validate=True)
+        eng = Engine(kernel=kernel)
         for _ in range(4):
             eng.new_bool_var()
         pb = None

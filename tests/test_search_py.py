@@ -31,11 +31,14 @@ class _InvariantProbe(Propagator):
       learnt clauses: a reduction removes the clauses it drops.
 
     On every 100th call, and on the first call after each reduction, it
-    also checks the arena's watches and units:
+    also checks the arena's watches and units, and the reason of every
+    implied literal on the trail, clause or record:
 
     - every clause of two or more literals appears once in the watch list
       of its slot 0 and once in that of its slot 1, and in no other list;
-    - units holds exactly the indices of the one-literal clauses, in order.
+    - units holds exactly the indices of the one-literal clauses, in order;
+    - the implied literal is its reason's first literal, and every other
+      literal of the reason is false, at a level no higher than its own.
     """
 
     def __init__(self, nvars):
@@ -72,6 +75,7 @@ class _InvariantProbe(Propagator):
         if reduced or self.calls % 100 == 0:
             self.arena_checks += 1
             _check_arena(view)
+            _check_reasons(view)
 
         if view.var_inc < self.var_inc:
             self.rescales += 1
@@ -86,6 +90,19 @@ def _check_arena(view):
                      if len(c) >= 2 for lit in c[:2])
     assert watched == wanted
     assert view.units == [ci for ci, c in enumerate(clauses) if len(c) == 1]
+
+
+def _check_reasons(view):
+    levels = view.levels
+    for lit in view.trail:
+        ref = view.reasons[abs(lit)]
+        if ref == -1:
+            continue
+        first, *rest = view._lits(ref)
+        assert first == lit, (lit, ref)
+        level = levels[abs(lit)]
+        for q in rest:
+            assert view.lit_value(q) == -1 and levels[abs(q)] <= level, (lit, q)
 
 
 class _DecisionProbe(Propagator):

@@ -45,11 +45,26 @@ def end_to_end_spec():
 
 
 def last_json(stdout):
-    """The benchmark result: the last non-empty line of a run's output."""
+    """The benchmark result: the last non-empty line of a run's output, a
+    JSON object; ValueError if it is none."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("the run printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not isinstance(result, dict):
+        raise ValueError("the last line is no JSON object")
+    return result
+
+
+def pair_count(text):
+    """An argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("%r is not an integer >= 1" % text)
+    return n
 
 
 def quartiles(values):
@@ -118,7 +133,7 @@ def format_rows(rows):
 
 def run_once(checkout, workload, seed):
     """The JSON result of one benchmark run in checkout, or None if the
-    run failed: it exited non-zero, its last line was no JSON, or it
+    run failed: it exited non-zero, its last line was no JSON object, or it
     reported a wrong answer.  For a failed run, the exit code, the correct
     flag and the last 2,000 characters of its standard error go to
     standard error."""
@@ -143,7 +158,7 @@ def main(argv=None):
     ap.add_argument("parent", metavar="PARENT_DIR")
     ap.add_argument("change", metavar="CHANGE_DIR")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seed", type=int, default=0,
                     help="pair i runs both sides with seed SEED + i")
     args = ap.parse_args(argv)
