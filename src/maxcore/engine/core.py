@@ -324,11 +324,11 @@ class Engine:
     def solve(self, assumptions=(), conflict_budget=None, time_budget_s=None):
         if self._in_search:
             raise MidSearchMutationError("solve called during search")
-        self.stats["solves"] += 1
         assumptions = list(map(index, assumptions))
         for a in assumptions:
             if a == 0 or abs(a) > self.nvars:
                 raise ValueError("assumption literal %d out of range" % a)
+        self.stats["solves"] += 1
         if self._root_conflict:
             return SolveOutcome(status="unsat", core=())
         self._in_search = True

@@ -1,15 +1,20 @@
 """Weighted partial MaxSAT: data model, WCNF text format, three drivers.
 
-The drivers share one engine contract: soft clauses are enforced through
-assumption literals (WPM1) or temporary assumptions standing for singleton
-clauses (MSU3), and unsatisfiable cores come back as subsets of those
-assumptions.  Reported cores use 1-based positions into the input clause
-list and are always sound against the original instance.
+Both front ends, the WCNF one (solve_bnb, solve_wpm1, solve_msu3) and
+IndicatorProblem, hand the drivers one list of soft records
+(origin_id, weight, lit, clause, ref), where the stored clauses make
+lit -> clause hold and ref is the stored clause's ref.  _post_soft stores
+one under a fresh variable x: for wpm1 as clause + (-x,) with lit = x, the
+selector it assumes; for bnb and msu3 as (x,) + clause with lit = -x, so x
+is the violator.  Unsatisfiable cores come back as subsets of the assumed
+lits.  Reported cores use origin_id, the 1-based position of the input
+clause or indicator, and are always sound against the original instance.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
+from operator import index
 
 from .engine import Engine
 from .cp import post_at_most_one, post_pb_upper_bound
@@ -167,26 +172,8 @@ def _lit_true(model, lit):
     return model[abs(lit)] == (lit > 0)
 
 
-def _restrict(model, n):
-    if n is None:
-        return model
-    return {v: model[v] for v in range(1, n + 1)}
-
-
-def _start(inst, kernel, conflict_budget, time_budget_s):
-    """Check inst; return (engine holding its variables, run budget)."""
-    inst.check()
-    budget = _Budget(conflict_budget, time_budget_s)
-    eng = Engine(kernel=kernel)
-    for _ in range(inst.var_count):
-        eng.new_bool_var()
-    return eng, budget
-
-
 def _finish(status, eng, budget, *, z_opt, model, z_lower, cores, incumbents,
-            meta, core_events, audit_inst):
-    if audit_inst is not None and model is not None:
-        meta["audit"] = evaluate_cost(audit_inst, model)
+            meta, core_events):
     stats = {"wall_ms": (time.perf_counter() - budget.t0) * 1000.0}
     stats.update(eng.stats)
     stats["cores"] = core_events
@@ -197,47 +184,36 @@ def _finish(status, eng, budget, *, z_opt, model, z_lower, cores, incumbents,
                           meta=meta)
 
 
+def _post_soft(eng, algorithm, origin_id, weight, clause):
+    """Store clause under a fresh variable x and return its soft record.
+    wpm1 stores clause + (-x,) and assumes lit = x; bnb and msu3 store
+    (x,) + clause, so x is the violator and lit = -x."""
+    x = eng.new_bool_var()
+    if algorithm == "wpm1":
+        return (origin_id, weight, x, clause, eng.add_clause(clause + (-x,)))
+    return (origin_id, weight, -x, clause, eng.add_clause((x,) + clause))
+
+
+def _drive(eng, softs, algorithm, budget, on_bound):
+    if algorithm == "wpm1":
+        return _wpm1_loop(eng, softs, budget, on_bound)
+    return _msu3_loop(eng, softs, algorithm == "msu3", budget, on_bound)
+
+
 # ---------------------------------------------------------------------------
 # WPM1
 
-class _Wpm1Soft:
-    """A soft clause under WPM1, stored as lits + violators + (-assumption,)
-    with clause ref ref, so it must hold while its selector assumption is
-    assumed.  origin_id is the 1-based position of the input clause."""
+def _wpm1_loop(eng, softs, budget, on_bound):
+    """Solve under every soft's lit; relax each core at w_min, and pass the
+    running lower bound z_min to on_bound after each core.
 
-    __slots__ = ("lits", "weight", "violators", "origin_id", "assumption",
-                 "ref")
-
-    def __init__(self, eng, lits, weight, violators, origin_id):
-        self.lits = lits
-        self.weight = weight
-        self.violators = violators
-        self.origin_id = origin_id
-        self.assumption = eng.new_bool_var()
-        self.ref = eng.add_clause(lits + violators + (-self.assumption,))
-
-
-def _wpm1_softs(eng, clauses):
-    """Post the hard clauses as they are and each soft clause under a fresh
-    selector; returns the soft clauses' records."""
-    records = []
-    for j, wc in enumerate(clauses, 1):
-        if wc.is_hard():
-            eng.add_clause(wc.lits)
-        else:
-            records.append(_Wpm1Soft(eng, tuple(wc.lits), wc.weight, (), j))
-    return records
-
-
-def _wpm1_loop(eng, records, budget, decode_n, audit_inst, on_bound):
-    """Solve under every record's selector; relax each core at w_min, and
-    pass the running lower bound z_min to on_bound after each core.
-
-    A core record gets a unit (-assumption,) that fixes its selector false
-    for good, so its stored clause is subsumed and retracting it keeps the
-    kernel; its relaxed clause, with one more violator, goes in under a
-    fresh selector.  The core's fresh violators go under one at-most-one
-    constraint, a PbUpperBound attached to the live kernel.
+    Each soft is stored as clause + (-lit,) under ref.  A core soft gets a
+    unit (-lit,) that fixes its selector false for good, so its stored
+    clause is subsumed and retracting it keeps the kernel.  Its weight above
+    w_min goes on as a soft of its own, and its clause, with one more
+    violator, goes in at w_min under a fresh selector.  The core's fresh
+    violators go under one at-most-one constraint, a PbUpperBound attached
+    to the live kernel.
     """
     status = "unknown"
     model = None
@@ -246,82 +222,65 @@ def _wpm1_loop(eng, records, budget, decode_n, audit_inst, on_bound):
     rounds = []
     while not budget.exhausted():
         cb, tb = budget.args()
-        assumptions = [rec.assumption for rec in records]
-        out = eng.solve(assumptions, conflict_budget=cb, time_budget_s=tb)
+        out = eng.solve([lit for _, _, lit, _, _ in softs],
+                        conflict_budget=cb, time_budget_s=tb)
         budget.charge(out.conflicts)
         if out.status == "unknown":
             break
         if out.status == "sat":
-            status, model = "optimal", _restrict(out.model, decode_n)
+            status, model = "optimal", out.model
             break
-        amap = {rec.assumption: rec for rec in records}
-        core_recs = [amap[l] for l in out.core]
-        if not core_recs:
+        at = {lit: i for i, (_, _, lit, _, _) in enumerate(softs)}
+        hit = [at[l] for l in out.core]
+        if not hit:
             # hard clauses alone are unsatisfiable (the w_min = infinity case)
             status, z_min = "unsatisfiable", 0
             break
-        w_min = min(rec.weight for rec in core_recs)
+        core = [softs[i] for i in hit]
+        w_min = min(w for _, w, _, _, _ in core)
         z_min += w_min
-        ids = tuple(sorted({rec.origin_id for rec in core_recs}))
+        ids = tuple(sorted({j for j, _, _, _, _ in core}))
         rounds.append({"core": ids, "w_min": w_min})
         if on_bound:
             on_bound(z_min)
         cores.append(ids)
-        for rec in core_recs:
-            eng.add_clause((-rec.assumption,))
-        eng.retract(refs=[rec.ref for rec in core_recs])
+        for _, _, lit, _, _ in core:
+            eng.add_clause((-lit,))
+        eng.retract(refs=[ref for _, _, _, _, ref in core])
         fresh = []
-        for rec in core_recs:
-            rec.assumption = eng.new_bool_var()
-            if rec.weight > w_min:
-                records.append(_Wpm1Soft(eng, rec.lits, rec.weight - w_min,
-                                         rec.violators, rec.origin_id))
+        for i, (j, w, _, clause, _) in zip(hit, core):
+            x = eng.new_bool_var()
+            if w > w_min:
+                softs.append(_post_soft(eng, "wpm1", j, w - w_min, clause))
             v = eng.new_bool_var()
-            rec.violators += (v,)
-            rec.weight = w_min
-            rec.ref = eng.add_clause(
-                rec.lits + rec.violators + (-rec.assumption,))
+            clause += (v,)
+            softs[i] = (j, w_min, x, clause, eng.add_clause(clause + (-x,)))
             fresh.append(v)
         post_at_most_one(eng, fresh)
     return _finish(status, eng, budget,
                    z_opt=z_min if model is not None else None, model=model,
                    z_lower=z_min, cores=cores, incumbents=(),
-                   meta={"rounds": rounds}, core_events=len(rounds),
-                   audit_inst=audit_inst)
-
-
-def solve_wpm1(inst, *, kernel="auto", conflict_budget=None,
-               time_budget_s=None, on_bound=None):
-    """Algorithm: solve with all softs enforced; each unsatisfiable core pays
-    w_min into z_min and is relaxed with fresh violators, at most one of
-    which may be true (a unit-weight PbUpperBound with strict bound 2).
-    A relaxed clause goes in under a fresh selector, and the old selector is
-    fixed false by a unit clause, so one kernel serves the whole run.
-    on_bound(z_min) is called after each core with the ascending lower
-    bound."""
-    eng, budget = _start(inst, kernel, conflict_budget, time_budget_s)
-    records = _wpm1_softs(eng, inst.clauses)
-    return _wpm1_loop(eng, records, budget, inst.var_count, inst, on_bound)
+                   meta={"rounds": rounds}, core_events=len(rounds))
 
 
 # ---------------------------------------------------------------------------
 # MSU3 and branch and bound
 
-def _msu3_loop(eng, softs, temporaries, budget, decode_n, audit_inst,
-               on_bound):
+def _msu3_loop(eng, softs, temporaries, budget, on_bound):
     """Tighten one bound sum(w * violator) < z below each model's cost z,
     and pass each such incumbent z to on_bound.
 
-    softs is [(clause id, weight, violator literal, clause)], where each
-    clause holds whenever its violator is false.  A model's cost z is the
-    summed weight of the softs whose clause it falsifies, which may be below
-    its violator sum.  That bound is sound: a model of cost c < z extends to
-    violators v = not clause with sum c, so no optimum is cut off, and each
-    incumbent is below the last.  With temporaries, every violator starts
-    assumed false and cores spend those assumptions; without, this is linear
-    SAT-UNSAT search, that is, branch and bound.
+    Each soft's violator is -lit, and its clause holds whenever the
+    violator is false.  A model's cost z is the summed weight of the softs
+    whose clause it falsifies, so only softs with a true violator are
+    checked; z may be below the violator sum.  That bound is sound: a model
+    of cost c < z extends to violators v = not clause with sum c, so no
+    optimum is cut off, and each incumbent is below the last.  With
+    temporaries, every soft's lit starts assumed and cores spend those
+    assumptions; without, this is linear SAT-UNSAT search, that is, branch
+    and bound.
     """
-    terms = [(w, v) for _, w, v, _ in softs]
+    terms = [(w, -lit) for _, w, lit, _, _ in softs]
     status = "unknown"
     incumbents = []
     best = None
@@ -329,21 +288,21 @@ def _msu3_loop(eng, softs, temporaries, budget, decode_n, audit_inst,
     cores = []
     events = []
     core_events = 0
-    # temporaries: (soft id, violator literal), id order
-    live = [(sid, v) for sid, _, v, _ in softs] if temporaries else []
+    # temporaries: (soft id, assumed lit), id order
+    live = [(j, lit) for j, _, lit, _, _ in softs] if temporaries else []
     while not budget.exhausted():
         cb, tb = budget.args()
-        assumptions = [-v for _, v in live]
-        out = eng.solve(assumptions, conflict_budget=cb, time_budget_s=tb)
+        out = eng.solve([lit for _, lit in live],
+                        conflict_budget=cb, time_budget_s=tb)
         budget.charge(out.conflicts)
         if out.status == "unknown":
             break
         if out.status == "sat":
-            model = out.model
-            z = sum(w for _, w, _, clause in softs
-                    if not any(_lit_true(model, l) for l in clause))
+            best = model = out.model
+            z = sum(w for _, w, lit, clause, _ in softs
+                    if not _lit_true(model, lit)
+                    and not any(_lit_true(model, l) for l in clause))
             incumbents.append(z)
-            best = _restrict(model, decode_n)
             events.append({"kind": "incumbent", "z": z})
             if on_bound:
                 on_bound(z)
@@ -356,45 +315,50 @@ def _msu3_loop(eng, softs, temporaries, budget, decode_n, audit_inst,
                 bound.tighten(z)
             continue
         core_set = set(out.core)
-        in_core = [(sid, v) for sid, v in live if -v in core_set]
-        ids = tuple(sid for sid, _ in in_core)
+        ids = tuple(j for j, lit in live if lit in core_set)
         bounded = bool(incumbents)
         events.append({"kind": "core", "temporaries": ids, "bounded": bounded})
-        if not in_core:
+        if not ids:
             status = "optimal" if best is not None else "unsatisfiable"
             break
         core_events += 1
         if not bounded:
             # pre-incumbent cores are cores of the original instance
             cores.append(ids)
-        dead = {sid for sid, _ in in_core}
-        live = [(sid, v) for sid, v in live if sid not in dead]
+        live = [(j, lit) for j, lit in live if lit not in core_set]
     z_opt = incumbents[-1] if incumbents else None
     return _finish(status, eng, budget, z_opt=z_opt, model=best,
                    z_lower=z_opt if status == "optimal" else 0, cores=cores,
                    incumbents=incumbents, meta={"events": events},
-                   core_events=core_events, audit_inst=audit_inst)
+                   core_events=core_events)
 
 
-def _solve_with_violators(inst, temporaries, *, kernel="auto",
-                          conflict_budget=None, time_budget_s=None,
-                          on_bound=None):
-    """bnb and msu3: post hard clauses as they are and each soft clause with
-    a fresh violator v as (v or clause), then run the MSU3 loop.  A model
-    may set v true while its clause holds, so v is an upper bound on the
-    soft's cost in that model, not the cost itself."""
-    eng, budget = _start(inst, kernel, conflict_budget, time_budget_s)
+# ---------------------------------------------------------------------------
+# WCNF front end
+
+def _solve_wcnf(inst, algorithm, *, kernel="auto", conflict_budget=None,
+                time_budget_s=None, on_bound=None):
+    """Post inst's clauses in input order, hard ones as they are and soft
+    ones through _post_soft, and drive the soft list.  The model is cut
+    down to inst's variables, and meta["audit"] is its cost under
+    evaluate_cost."""
+    inst.check()
+    budget = _Budget(conflict_budget, time_budget_s)
+    eng = Engine(kernel=kernel)
+    for _ in range(inst.var_count):
+        eng.new_bool_var()
     softs = []
     for j, wc in enumerate(inst.clauses, 1):
         if wc.is_hard():
             eng.add_clause(wc.lits)
-            continue
-        v = eng.new_bool_var()
-        lits = tuple(wc.lits)
-        eng.add_clause((v,) + lits)
-        softs.append((j, wc.weight, v, lits))
-    return _msu3_loop(eng, softs, temporaries, budget, inst.var_count, inst,
-                      on_bound)
+        else:
+            softs.append(_post_soft(eng, algorithm, j, wc.weight,
+                                    tuple(wc.lits)))
+    res = _drive(eng, softs, algorithm, budget, on_bound)
+    if res.model is not None:
+        res.model = {v: res.model[v] for v in range(1, inst.var_count + 1)}
+        res.meta["audit"] = evaluate_cost(inst, res.model)
+    return res
 
 
 def solve_bnb(inst, **kw):
@@ -404,7 +368,18 @@ def solve_bnb(inst, **kw):
     (MSU3 with no temporaries).  Keywords: kernel, conflict_budget,
     time_budget_s, and on_bound, called with each incumbent's cost, which
     descends."""
-    return _solve_with_violators(inst, False, **kw)
+    return _solve_wcnf(inst, "bnb", **kw)
+
+
+def solve_wpm1(inst, **kw):
+    """Algorithm: solve with all softs enforced; each unsatisfiable core pays
+    w_min into z_min and is relaxed with fresh violators, at most one of
+    which may be true (a unit-weight PbUpperBound with strict bound 2).
+    A relaxed clause goes in under a fresh selector, and the old selector is
+    fixed false by a unit clause, so one kernel serves the whole run.
+    on_bound(z_min) is called after each core with the ascending lower
+    bound.  Keywords as solve_bnb."""
+    return _solve_wcnf(inst, "wpm1", **kw)
 
 
 def solve_msu3(inst, **kw):
@@ -412,7 +387,7 @@ def solve_msu3(inst, **kw):
     false; cores spend temporaries, and each model's cost, the weight of the
     soft clauses it falsifies, is the next incumbent and tightens the bound
     on the violator sum below it.  Keywords as solve_bnb."""
-    return _solve_with_violators(inst, True, **kw)
+    return _solve_wcnf(inst, "msu3", **kw)
 
 
 def solve(inst, algorithm="wpm1", **kw):
@@ -431,18 +406,21 @@ def solve(inst, algorithm="wpm1", **kw):
 class IndicatorProblem:
     """Soft singleton view over an engine already holding the hard model.
 
-    For bnb/msu3 each indicator is fused with its violator (v = not i), so no
-    clause is added: the soft clause of violator -lit is (lit,), and a
-    model's cost is its violator sum.  For wpm1 the singleton clause is
-    materialized and then relaxed round by round.  solve() takes the
-    keywords of the WCNF drivers except kernel, and on_bound gets the same
-    bounds.  Solving consumes the engine, so a second solve() raises
-    ValueError; build a fresh model per run.
+    Indicator j, a literal i of weight w, becomes the soft record
+    (j, w, lit, (i,), ref).  Under bnb and msu3 it is its own lit, with
+    violator -i, and nothing is stored (ref None), so a model's cost is its
+    violator sum.  Under wpm1 the singleton clause (i,) is posted like a
+    WCNF soft and relaxed round by round.  solve() takes the keywords of
+    the WCNF drivers except kernel, and on_bound gets the same bounds.
+    Solving consumes the engine, so a second solve() raises ValueError;
+    build a fresh model per run.
     """
 
     def __init__(self, eng, indicators):
         seen = set()
+        checked = []
         for lit, w in indicators:
+            lit = index(lit)
             if lit == 0 or abs(lit) > eng.nvars:
                 raise ValueError("indicator literal %d out of range" % lit)
             if abs(lit) in seen:
@@ -450,8 +428,9 @@ class IndicatorProblem:
             seen.add(abs(lit))
             if not isinstance(w, int) or w < 1:
                 raise ValueError("indicator weight %r invalid" % (w,))
+            checked.append((lit, w))
         self.eng = eng
-        self.indicators = list(indicators)
+        self.indicators = checked
         self.solved = False
 
     def solve(self, algorithm="wpm1", *, conflict_budget=None,
@@ -463,10 +442,9 @@ class IndicatorProblem:
         self.solved = True
         budget = _Budget(conflict_budget, time_budget_s)
         if algorithm == "wpm1":
-            records = _wpm1_softs(self.eng, [WeightedClause((lit,), w)
-                                             for lit, w in self.indicators])
-            return _wpm1_loop(self.eng, records, budget, None, None, on_bound)
-        softs = [(j, w, -lit, (lit,))
-                 for j, (lit, w) in enumerate(self.indicators, 1)]
-        return _msu3_loop(self.eng, softs, algorithm == "msu3", budget,
-                          None, None, on_bound)
+            softs = [_post_soft(self.eng, "wpm1", j, w, (lit,))
+                     for j, (lit, w) in enumerate(self.indicators, 1)]
+        else:
+            softs = [(j, w, lit, (lit,), None)
+                     for j, (lit, w) in enumerate(self.indicators, 1)]
+        return _drive(self.eng, softs, algorithm, budget, on_bound)

@@ -7,16 +7,17 @@ The whole OptimizeResult except stats["wall_ms"] must equal the answer
 recorded for it, so that a change to the drivers' set-up or exit code keeps
 z_opt, z_lower, model, cores, incumbents, stats and meta as they were.
 Every run also streams its bounds through on_bound: bnb's and msu3's
-incumbents, and wpm1's running lower bound after each core.
+incumbents, and wpm1's running lower bound after each core.  Every case runs
+on each kernel that available_kernels() names, against the same answers.
 """
 
 import dataclasses
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
 from conftest import build_sample5
-from maxcore.engine import Engine
+from maxcore.engine import Engine, available_kernels
 from maxcore.maxsat import (
     ALGORITHMS,
     HARD,
@@ -63,8 +64,8 @@ CASES = {
 }
 
 
-def indicator_problem(inst):
-    eng = Engine()
+def indicator_problem(inst, kernel):
+    eng = Engine(kernel=kernel)
     for _ in range(inst.var_count):
         eng.new_bool_var()
     indicators = []
@@ -78,13 +79,24 @@ def indicator_problem(inst):
     return IndicatorProblem(eng, indicators)
 
 
-def run(front, case, algorithm, on_bound=None):
+def run(front, case, algorithm, kernel, on_bound=None):
     build, budget = CASES[case]
     if front == "wcnf":
-        return solve(build(), algorithm=algorithm, conflict_budget=budget,
-                     on_bound=on_bound)
-    return indicator_problem(build()).solve(algorithm, conflict_budget=budget,
-                                            on_bound=on_bound)
+        return solve(build(), algorithm=algorithm, kernel=kernel,
+                     conflict_budget=budget, on_bound=on_bound)
+    return indicator_problem(build(), kernel).solve(
+        algorithm, conflict_budget=budget, on_bound=on_bound)
+
+
+def on_each_kernel(argnames, grid):
+    """Parametrize argnames and kernel over grid on every available kernel.
+    A pure-kernel run keeps the id it had before the kernel was a parameter,
+    such as wcnf-optimal-bnb; a compiled one is compiled-wcnf-optimal-bnb."""
+    grid = list(grid)
+    return pytest.mark.parametrize(argnames + ",kernel", [
+        pytest.param(*values, kernel, id="-".join(
+            values if kernel == "python" else (kernel,) + values))
+        for kernel in available_kernels() for values in grid])
 
 
 def answer(res):
@@ -98,32 +110,29 @@ def answer(res):
     return tuple(out)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("case", list(CASES))
-@pytest.mark.parametrize("front", ["wcnf", "indicators"])
-def test_driver_exit(front, case, algorithm):
-    assert answer(run(front, case, algorithm)) == \
+@on_each_kernel("front,case,algorithm",
+                product(["wcnf", "indicators"], CASES, ALGORITHMS))
+def test_driver_exit(front, case, algorithm, kernel):
+    assert answer(run(front, case, algorithm, kernel)) == \
         EXPECTED[front, case, algorithm]
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("front", ["wcnf", "indicators"])
-def test_unknown_later_runs_out_after_progress(front, algorithm):
+@on_each_kernel("front,algorithm", product(["wcnf", "indicators"], ALGORITHMS))
+def test_unknown_later_runs_out_after_progress(front, algorithm, kernel):
     """The premise of the unknown-later case: the budget runs out after the
     driver made progress, an incumbent for bnb and msu3, a core for wpm1."""
-    res = run(front, "unknown-later", algorithm)
+    res = run(front, "unknown-later", algorithm, kernel)
     assert res.status == "unknown"
     assert res.cores if algorithm == "wpm1" else res.incumbents
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("case", list(CASES))
-@pytest.mark.parametrize("front", ["wcnf", "indicators"])
-def test_on_bound_streams_the_bounds(front, case, algorithm):
+@on_each_kernel("front,case,algorithm",
+                product(["wcnf", "indicators"], CASES, ALGORITHMS))
+def test_on_bound_streams_the_bounds(front, case, algorithm, kernel):
     """on_bound gets each incumbent of bnb and msu3, and wpm1's running sum
     of w_min after each core round, and changes nothing in the answer."""
     bounds = []
-    res = run(front, case, algorithm, on_bound=bounds.append)
+    res = run(front, case, algorithm, kernel, on_bound=bounds.append)
     assert answer(res) == EXPECTED[front, case, algorithm]
     if algorithm == "wpm1":
         assert bounds == list(accumulate(r["w_min"]

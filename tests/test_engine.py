@@ -147,6 +147,19 @@ def test_a_literal_that_is_not_an_integer_is_refused(kernel):
     assert set(eng.solve(assumptions=[x, y]).core) == {x, y}
 
 
+def test_a_refused_solve_is_not_counted(kernel):
+    # before, stats["solves"] counted a solve before checking its assumptions
+    eng = Engine(kernel=kernel)
+    x = eng.new_bool_var()
+    with pytest.raises(ValueError):
+        eng.solve([5])
+    with pytest.raises(TypeError):
+        eng.solve([1.5])
+    assert eng.stats["solves"] == 0
+    assert eng.solve([x]).status == "sat"
+    assert eng.stats["solves"] == 1
+
+
 def test_assumption_core_two_chains(kernel):
     # {-a, x} and {-b, -x}: assuming both a and b is contradictory.
     eng = Engine(kernel=kernel)

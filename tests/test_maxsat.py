@@ -185,7 +185,10 @@ def test_wpm1_posts_one_at_most_one_per_core(sample7, monkeypatch):
 
     monkeypatch.setattr(Engine, "attach_propagator", attached)
     monkeypatch.setattr(Engine, "add_clause", stored)
-    res = solve_wpm1(sample7)
+    # a relaxation that relaxes nothing finds the same core for ever, at no
+    # conflict; the time budget ends it as unknown
+    res = solve_wpm1(sample7, time_budget_s=10)
+    assert res.status == "optimal"
     assert [len(core) for core in res.cores] == [3, 6]
     assert all(isinstance(prop, PbUpperBound) for prop in posted)
     assert [len(prop.terms) for prop in posted] == [3, 6]
@@ -195,6 +198,33 @@ def test_wpm1_posts_one_at_most_one_per_core(sample7, monkeypatch):
         assert len(fresh) == len(prop.terms)
         assert not any(len(c) == 2 and {-l for l in c} <= fresh
                        for c in added)
+        # each fresh violator relaxes a stored clause
+        assert all(any(v in c for c in added) for v in fresh)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_wcnf_clauses_are_posted_in_input_order(algorithm, monkeypatch):
+    # both kernels watch clauses in store order, so posting order is search:
+    # hard and soft clauses go in interleaved, as the input lists them, and
+    # each soft clause carries one fresh literal beside its own
+    added = []
+    add = Engine.add_clause
+
+    def stored(eng, lits):
+        added.append(tuple(lits))
+        return add(eng, lits)
+
+    monkeypatch.setattr(Engine, "add_clause", stored)
+    inst = SoftInstance(3, [
+        WeightedClause((1, 2), 2), WeightedClause((-1,), HARD),
+        WeightedClause((2, 3), 1), WeightedClause((-2, -3), HARD),
+        WeightedClause((3,), 4),
+    ])
+    solve(inst, algorithm)
+    assert len(added) >= len(inst.clauses)
+    for wc, lits in zip(inst.clauses, added):
+        assert [l for l in lits if abs(l) <= 3] == list(wc.lits)
+        assert sum(abs(l) > 3 for l in lits) == (0 if wc.is_hard() else 1)
 
 
 def count_builds(monkeypatch):
@@ -481,11 +511,19 @@ def test_nonpositive_indicator_weight_rejected():
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("lit", [0, 3, -3])
+@pytest.mark.parametrize("lit", [0, 3, -3, 1.5, "2", None])
 def test_out_of_range_indicator_rejected(lit, algorithm):
+    # a literal that is no integer raises TypeError before anything is
+    # posted; before, 1.5 was kept, and solve() raised only after it had
+    # used the engine, which consumed the problem
     eng = build_indicator_engine([], 2)
-    with pytest.raises(ValueError, match="indicator literal"):
+    if isinstance(lit, int):
+        refused = pytest.raises(ValueError, match="indicator literal")
+    else:
+        refused = pytest.raises(TypeError)
+    with refused:
         IndicatorProblem(eng, [(1, 1), (lit, 2)]).solve(algorithm)
+    assert (eng.nvars, eng.clauses, eng.stats["solves"]) == (2, [], 0)
 
 
 def test_each_front_end_reaches_one_traced_driver(sample5, monkeypatch):

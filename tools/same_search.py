@@ -17,8 +17,8 @@ change shows which drivers' search it moved, and by an answers line: the
 digest of each run's status and optimum alone, which a change that moves
 the search but no answer leaves as it was.  The last line is the digest of
 all parts.
-A full pass on the pure kernel takes about 11 s on a 2-core x86-64 VM
-with Python 3.11.
+A full pass on the pure kernel takes about 3 s (2.7-3.0 s measured) on a
+2-core x86-64 VM with Python 3.11.7.
 """
 
 import argparse
