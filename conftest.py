@@ -18,6 +18,9 @@ same build.
 The work runs when pytest imports this file, not in a hook: pytest imports
 the conftest.py of every directory named on its command line before any
 hook runs, and tests/conftest.py imports maxcore.engine.
+
+Every test has a time limit of TEST_TIME_LIMIT_S, so a loop that stops
+making progress fails its test, named, instead of hanging the run.
 """
 
 import hashlib
@@ -25,16 +28,20 @@ import importlib.abc
 import importlib.util
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
 import tempfile
+
+import pytest
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(ROOT, "src", "maxcore", "engine", "_search.cpp")
 CACHE = os.path.join(ROOT, "build", "test-kernel")
 MODULE = "maxcore.engine._search"
 BUILDING = "building-"
+TEST_TIME_LIMIT_S = 60   # the slowest test takes a few seconds
 
 os.environ.setdefault("MAXCORE_PURE", "1")
 
@@ -110,3 +117,31 @@ STATUS = install()
 
 def pytest_report_header(config):
     return STATUS
+
+
+@pytest.fixture(autouse=True)
+def _time_limit(request):
+    """Fails the test once it has run TEST_TIME_LIMIT_S, by SIGALRM from a
+    real-time interval timer.  Where the platform has neither, tests run
+    without a limit.  The handler runs between Python bytecodes, so it
+    stops a compiled kernel at its next call into a Python propagator.
+    The failure names the test and the function it was in, and carries no
+    traceback: the interrupted frame may have no line number (Python 3.11),
+    and pytest then fails the whole session formatting one."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        code = frame.f_code
+        pytest.fail("%s ran past its time limit of %d s, in %s (%s:%s)"
+                    % (request.node.nodeid, TEST_TIME_LIMIT_S, code.co_name,
+                       code.co_filename, frame.f_lineno), pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -137,11 +137,21 @@ class CpModel:
         positive duration whose demand exceeds capacity overloads it alone
         and posts the empty clause; at capacity 0 every task of positive
         duration and demand does.  The other tasks overload it together
-        when their energy, the sum of duration * demand, exceeds capacity
-        times their window, from the earliest original start to the latest
-        original end (Cumulative.span); that also posts the empty clause,
-        and no propagator is attached.  Both checks hold for every model,
-        so search changes only where one fires."""
+        when their energy exceeds its bound over their window, from the
+        earliest original start to the latest original end
+        (Cumulative.span), under either of two weightings of a demand:
+        - the demand itself, bounded by capacity: at any instant the
+          running demands sum to at most capacity;
+        - 2 for a demand above half the capacity, 1 for one at exactly
+          half and 0 below, bounded by 2: at any instant at most one
+          running task is above half, and then none is at half, or at most
+          two are at half.  This is the threshold-1/2 dual feasible
+          function (Fekete & Schepers, Math. Program. 2001; Carlier &
+          Neron, EJOR 2003, for RCPSP energy), which refutes tasks that
+          cannot overlap and whose durations together exceed the window.
+        An overload posts the empty clause, and no propagator is attached.
+        Every check holds for every model, so search changes only where one
+        fires."""
         if capacity < 0:
             raise ValueError("negative capacity")
         live = []
@@ -157,9 +167,15 @@ class CpModel:
         if not live:
             return None
         prop = Cumulative(live, capacity)
-        if sum(dur * dem for _, dur, dem in live) > capacity * prop.span:
-            self.eng.add_clause(())   # the tasks overload their window
-            return None
+
+        def half(dem):
+            return (2 * dem > capacity) + (2 * dem >= capacity)
+
+        for weight, bound in ((lambda dem: dem, capacity), (half, 2)):
+            if (sum(dur * weight(dem) for _, dur, dem in live)
+                    > bound * prop.span):
+                self.eng.add_clause(())   # the tasks overload their window
+                return None
         self.eng.attach_propagator(prop)
         return prop
 
@@ -298,8 +314,11 @@ class Cumulative(Propagator):
 
     span is the tasks' window, from the earliest original start t0 to the
     latest original end.  CpModel.post_cumulative attaches no Cumulative
-    whose tasks' energy exceeds capacity * span: timetabling cannot see
-    energy, so that overload is refuted there, at the root.
+    whose tasks overload span by energy, either sum(dur * demand) above
+    capacity * span, or sum(dur * h(demand)) above 2 * span, where h is 2
+    above half the capacity, 1 at half and 0 below (see there why both
+    hold).  Timetabling cannot see energy, so those overloads are refuted
+    there, at the root.
 
     A call reads each start's bounds once, from the kernel's IntVar.cur,
     which IntVar.bounds reads from the whole ladder: the ladders are monotone

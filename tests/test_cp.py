@@ -677,34 +677,67 @@ def test_cumulative_energy_above_its_window_is_root_conflict(kernel):
     assert mdl.eng.solve().status == "unsat"
 
 
+def test_cumulative_half_capacity_overload_is_root_conflict(kernel):
+    # three tasks of demand 2 at capacity 3 in the window [0, 5): energy
+    # 3 * 2 * 2 = 12 fits 3 * 5, but no two of them can overlap, and their
+    # durations 3 * 2 = 6 exceed 5
+    mdl = CpModel(kernel=kernel)
+    starts = [mdl.new_int_var(0, 3) for _ in range(3)]
+    for x in starts:
+        mdl.materialize(x)
+    assert mdl.post_cumulative([(x, 2, 2) for x in starts], 3) is None
+    assert mdl.eng.root_conflict
+    assert mdl.eng.propagators == []
+    assert mdl.eng.solve().status == "unsat"
+
+
+def test_cumulative_two_tasks_at_half_capacity_fill_their_window(kernel):
+    # demand 2 at capacity 4 is exactly half: two such tasks may overlap,
+    # so durations 3 + 3 fill the window [0, 3) twice over and still fit
+    mdl = CpModel(kernel=kernel)
+    s1, s2 = mdl.new_int_var(0, 0), mdl.new_int_var(0, 0)
+    prop = mdl.post_cumulative([(s1, 3, 2), (s2, 3, 2)], 4)
+    assert prop is not None and prop.span == 3
+    assert not mdl.eng.root_conflict
+    assert mdl.eng.solve().status == "sat"
+
+
 def test_cumulative_energy_check_is_sound(kernel):
     """Random small cumulatives over fully materialized starts: whenever
     posting one refutes it at the root, no start assignment inside the
     domains respects capacity; otherwise the solve finds a schedule exactly
-    when one exists."""
-    rng = random.Random(23)
-    fired = feasible = infeasible = 0
-    for _ in range(300):
-        cap = rng.randint(1, 3)
-        mdl = CpModel(kernel=kernel)
-        tasks = []
-        for _ in range(rng.randint(1, 4)):
-            lb0 = rng.randint(0, 2)
-            x = mdl.new_int_var(lb0, lb0 + rng.randint(0, 3))
-            mdl.materialize(x)
-            tasks.append((x, rng.randint(1, 3), rng.randint(1, cap)))
-        fits = any(_holds_capacity(tasks, cap, starts)
-                   for starts in _placements(tasks, ()))
-        mdl.post_cumulative(tasks, cap)
-        if mdl.eng.root_conflict:
-            assert not fits, [(x, dur, dem) for x, dur, dem in tasks]
-            fired += 1
-            continue
-        assert (mdl.eng.solve().status == "sat") == fits
-        feasible += fits
-        infeasible += not fits
-    # the check fires, and timetabling still proves some overloads alone
-    assert fired > 30 and feasible > 30 and infeasible > 10
+    when one exists.  The second batch's larger capacities leave room for
+    demands at and above half the capacity, where the half-capacity bound
+    refutes what the plain energy bound lets through."""
+    fired = half_only = feasible = infeasible = 0
+    for seed, cases, caps in ((23, 300, (1, 3)), (24, 1000, (3, 5))):
+        rng = random.Random(seed)
+        for _ in range(cases):
+            cap = rng.randint(*caps)
+            mdl = CpModel(kernel=kernel)
+            tasks = []
+            for _ in range(rng.randint(1, 4)):
+                lb0 = rng.randint(0, 2)
+                x = mdl.new_int_var(lb0, lb0 + rng.randint(0, 3))
+                mdl.materialize(x)
+                tasks.append((x, rng.randint(1, 3), rng.randint(1, cap)))
+            fits = any(_holds_capacity(tasks, cap, starts)
+                       for starts in _placements(tasks, ()))
+            mdl.post_cumulative(tasks, cap)
+            if mdl.eng.root_conflict:
+                assert not fits, [(x, dur, dem) for x, dur, dem in tasks]
+                span = (max(x.ub0 + dur for x, dur, _ in tasks)
+                        - min(x.lb0 for x, _, _ in tasks))
+                fired += 1
+                half_only += (sum(dur * dem for _, dur, dem in tasks)
+                              <= cap * span)
+                continue
+            assert (mdl.eng.solve().status == "sat") == fits
+            feasible += fits
+            infeasible += not fits
+    # both bounds fire, and timetabling still proves some overloads alone
+    assert fired - half_only > 30 and half_only >= 20
+    assert feasible > 30 and infeasible > 10
 
 
 def _count_pushes(monkeypatch):

@@ -204,12 +204,18 @@ def test_capacity_zero_with_demand_is_infeasible():
 @pytest.mark.parametrize("algo", ["bnb", "wpm1", "msu3"])
 def test_energy_overloads_end_before_any_driver_runs(kernel, algo):
     # at alpha 0.9 these seeds' horizons are below their energy bound
-    # ceil(sum(dur * demand) / capacity): a cumulative refutes them at the
-    # root, so no driver runs and no result carries one
-    for k in (0, 3, 4, 6, 8, 9):
-        p = soften(generate_instance(k, 10, 12), 0.9, mode="weighted", seed=k)
+    # ceil(sum(dur * demand) / capacity); at alpha 1.0, seeds 3, 6 and 9
+    # fit that bound, but their horizons are below the summed durations of
+    # the tasks above half the capacity, no two of which can overlap.
+    # Either bound refutes a cumulative at the root, so no driver runs and
+    # no result carries one
+    groups = ([(k, 0.9) for k in (0, 3, 4, 6, 8, 9)]
+              + [(k, 1.0) for k in (3, 6, 9)])
+    for k, alpha in groups:
+        p = soften(generate_instance(k, 10, 12), alpha, mode="weighted",
+                   seed=k)
         r = solve_schedule(p, algorithm=algo, kernel=kernel)
-        assert (r.status, r.opt) == ("infeasible", None), k
+        assert (r.status, r.opt) == ("infeasible", None), (k, alpha)
 
 
 def test_three_way_clash_matches_oracle():
