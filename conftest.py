@@ -4,16 +4,16 @@ Before any test module imports maxcore.engine, this builds
 src/maxcore/engine/_search.cpp with setup.py's build_ext into
 build/test-kernel/<SHA-256 of the source>/, unless that build already
 exists, and installs an import finder that loads maxcore.engine._search
-from it.  Every kernel-parametrized test then runs on both kernels and
-tests/test_kernels.py compares them.  The session's default kernel stays
-the pure one, the specification and the kernel perfbench runs: MAXCORE_PURE
-is set to 1 unless the environment already sets it (set it empty to make
-the compiled kernel the default of tests that name no kernel).  Without a
-C++17 compiler or the Python headers the build fails, nothing is
-installed, the report header says why, and the tests run on the pure
-kernel alone.  Nothing is built in src/, so outside pytest every kernel
-import is as it was.  tools/both_kernels.py loads this file to reuse the
-same build.
+from it.  Every kernel-parametrized test then runs on both kernels, and
+tests/test_kernels.py and tests/test_same_search.py compare them.  The
+session's default kernel stays the pure one, the specification and the
+kernel perfbench runs: MAXCORE_PURE is set to 1 unless the environment
+already sets it (set it empty to make the compiled kernel the default of
+tests that name no kernel).  Without a C++17 compiler or the Python
+headers the build fails, nothing is installed, the report header says
+why, the tests that take the compiled_kernel fixture skip with the same
+line, and the other tests run on the pure kernel alone.  Nothing is built
+in src/, so outside pytest every kernel import is as it was.
 
 The work runs when pytest imports this file, not in a hook: pytest imports
 the conftest.py of every directory named on its command line before any
@@ -117,6 +117,15 @@ STATUS = install()
 
 def pytest_report_header(config):
     return STATUS
+
+
+@pytest.fixture
+def compiled_kernel():
+    """Skips the test, with STATUS as its reason, unless the compiled
+    kernel imports."""
+    from maxcore.engine import available_kernels
+    if "compiled" not in available_kernels():
+        pytest.skip(STATUS)
 
 
 @pytest.fixture(autouse=True)

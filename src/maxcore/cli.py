@@ -138,17 +138,36 @@ def cmd_solve_rcpsp(args):
 # ---------------------------------------------------------------------------
 # bench
 
+def _algorithm(name):
+    if name not in ALGORITHMS:
+        raise argparse.ArgumentTypeError("unknown algorithm %r" % name)
+    return name
+
+
+def _entries(text, parse):
+    """The comma-separated entries of text, each read by parse; an empty or
+    repeated entry raises argparse.ArgumentTypeError, as parse does for an
+    entry it refuses."""
+    out = []
+    for entry in text.split(","):
+        if not entry:
+            raise argparse.ArgumentTypeError("empty entry")
+        value = parse(entry)
+        if value in out:
+            raise argparse.ArgumentTypeError("%r is repeated" % entry)
+        out.append(value)
+    return out
+
+
 def cmd_bench(args):
     try:
-        alphas = [_alpha(a) for a in args.alpha.split(",") if a]
+        alphas = _entries(args.alpha, _alpha)
     except argparse.ArgumentTypeError as e:
         return _fail("bad --alpha list %r: %s" % (args.alpha, e))
-    if not alphas:
-        return _fail("empty --alpha list")
-    algorithms = [a for a in args.algorithms.split(",") if a]
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            return _fail("unknown algorithm %r" % a)
+    try:
+        algorithms = _entries(args.algorithms, _algorithm)
+    except argparse.ArgumentTypeError as e:
+        return _fail("bad --algorithms list %r: %s" % (args.algorithms, e))
     modes = list(MODES) if args.mode == "both" else [args.mode]
     if args.generate:
         os.makedirs(args.directory, exist_ok=True)
@@ -198,7 +217,11 @@ def _sniff_format(text):
     return "wcnf"
 
 
-def _parse_claims(text):
+def _parse_claims(text, n_clauses):
+    """The claims of a claim file, each checked against the instance:
+    n_clauses is the clause count of a WCNF instance, None for a scheduling
+    instance, which takes no core claim.  ValueError names the first bad
+    line."""
     claims = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -213,6 +236,13 @@ def _parse_claims(text):
                 raise ValueError("line %d: non-integer clause id" % line_no)
             if not ids:
                 raise ValueError("line %d: empty core claim" % line_no)
+            if n_clauses is None:
+                raise ValueError("line %d: core claims need a wcnf instance"
+                                 % line_no)
+            for cid in ids:
+                if not 1 <= cid <= n_clauses:
+                    raise ValueError("line %d: clause id %d is not in 1..%d"
+                                     % (line_no, cid, n_clauses))
             claims.append(("core", ids))
         elif kind == "optimum":
             if len(rest) != 1:
@@ -233,33 +263,37 @@ def _parse_claims(text):
 
 
 def cmd_verify(args):
+    texts = []
+    for path in (args.instance, args.claims):
+        try:
+            texts.append(_read(path))
+        except OSError as e:
+            return _fail("cannot read %s: %s" % (path, e.strerror))
+    inst_text, claim_text = texts
     try:
-        inst_text = _read(args.instance)
-        claim_text = _read(args.claims)
-    except OSError as e:
-        return _fail("cannot read input: %s" % e.strerror)
+        if _sniff_format(inst_text) == "wcnf":
+            inst = parse_wcnf(inst_text)
+            n_clauses = len(inst.clauses)
+        else:
+            inst = parse_instance(inst_text)
+            n_clauses = None
+    except (WcnfParseError, RcpspParseError) as e:
+        return _fail("%s: %s" % (args.instance, e))
     try:
-        claims = _parse_claims(claim_text)
+        claims = _parse_claims(claim_text, n_clauses)
     except ValueError as e:
         return _fail("%s: %s" % (args.claims, e))
-    fmt = _sniff_format(inst_text)
+    optimum = None
     try:
-        if fmt == "wcnf":
-            inst = parse_wcnf(inst_text)
-            optimum = None
-            need_oracle = any(k != "core" for k, _ in claims)
-            if need_oracle:
-                optimum = brute_force_maxsat(inst).optimum
-        else:
-            base = parse_instance(inst_text)
+        if n_clauses is None:
             try:
-                p = rcpsp.soften(base, args.alpha, mode=args.mode,
+                p = rcpsp.soften(inst, args.alpha, mode=args.mode,
                                  seed=args.seed)
                 optimum = brute_force_schedule(p).optimum
             except ValueError:
-                optimum = None    # no finite schedule at this alpha
-    except (WcnfParseError, RcpspParseError) as e:
-        return _fail("%s: %s" % (args.instance, e))
+                pass              # no finite schedule at this alpha
+        elif any(k != "core" for k, _ in claims):
+            optimum = brute_force_maxsat(inst).optimum
     except OracleGuardError as e:
         print("error: oracle refused: %s" % e, file=sys.stderr)
         return EXIT_GUARD
@@ -267,15 +301,11 @@ def cmd_verify(args):
     failures = 0
     for kind, value in claims:
         if kind == "core":
-            if fmt != "wcnf":
-                return _fail("core claims need a wcnf instance")
             try:
                 ok = verify_core(inst, value)
             except OracleGuardError as e:
                 print("error: oracle refused: %s" % e, file=sys.stderr)
                 return EXIT_GUARD
-            except ValueError as e:
-                return _fail("bad core claim: %s" % e)
             label = "core %s" % " ".join(str(i) for i in value)
             extra = "" if ok else ": clauses are jointly satisfiable"
         elif kind == "optimum":

@@ -1,8 +1,9 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and kernel helpers for the test suite."""
 
 import pytest
 
-from maxcore.engine import Engine
+from maxcore.engine import Engine, available_kernels
+from maxcore.engine import core as engine_core
 from maxcore.maxsat import SoftInstance, WeightedClause
 
 SOLVE_FIELDS = ("status", "model", "core", "conflicts", "decisions",
@@ -33,6 +34,63 @@ def build_sample7():
         WeightedClause((-3, -4), 1),
     ]
     return SoftInstance(4, clauses)
+
+
+@pytest.fixture(params=available_kernels())
+def kernel(request):
+    """Each kernel that imports, one test run per kernel."""
+    return request.param
+
+
+def engine_with(kernel, nvars, clauses, *props):
+    """An Engine on kernel with nvars fresh variables, clauses added and
+    props attached, in that order."""
+    eng = Engine(kernel=kernel)
+    for _ in range(nvars):
+        eng.new_bool_var()
+    for c in clauses:
+        eng.add_clause(c)
+    for p in props:
+        eng.attach_propagator(p)
+    return eng
+
+
+def random_3cnf(rng, n, m):
+    """m clauses over 1..n, each of three distinct variables with random
+    signs."""
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), 3)) for _ in range(m)]
+
+
+def count_builds(kernel, monkeypatch, extends=None):
+    """Wrap the SearchCore constructor of kernel (a name Engine takes) as
+    perfbench does; the list returned grows by the clause count of each
+    build.  With extends, every kernel is wrapped too, and extends gets the
+    clause list of each extend call."""
+    mod = engine_core._kernel_module(kernel)
+    builds = []
+    build = mod.SearchCore
+
+    def counted(*args):
+        builds.append(len(args[1]))
+        core = build(*args)
+        return core if extends is None else _Extends(core, extends)
+
+    monkeypatch.setattr(mod, "SearchCore", counted)
+    return builds
+
+
+class _Extends:
+    def __init__(self, core, log):
+        self.core = core
+        self.log = log
+
+    def extend(self, nvars, clauses, props, order_literals):
+        self.log.append(list(clauses))
+        return self.core.extend(nvars, clauses, props, order_literals)
+
+    def solve(self, *args):
+        return self.core.solve(*args)
 
 
 @pytest.fixture

@@ -463,6 +463,25 @@ def test_bench_rejects_unknown_algorithm(capsys, tmp_path):
     assert code == 2 and "unknown algorithm" in err
 
 
+@pytest.mark.parametrize("option, value, why", [
+    ("--algorithms", ",", "empty entry"),
+    ("--algorithms", "wpm1,", "empty entry"),
+    ("--algorithms", "wpm1,wpm1", "'wpm1' is repeated"),
+    ("--alpha", "", "empty entry"),
+    ("--alpha", "0.8,,0.9", "empty entry"),
+    ("--alpha", "0.8,0.80", "'0.80' is repeated"),
+])
+def test_bench_rejects_empty_and_repeated_entries(capsys, tmp_path, option,
+                                                  value, why):
+    # refused before any instance is generated or solved
+    d = tmp_path / "micro"
+    code, lines, err = run(capsys, ["bench", str(d), "--generate", "1",
+                                    option, value])
+    assert code == 2 and not lines
+    assert option in err and why in err
+    assert not d.exists()
+
+
 # --- verify ---------------------------------------------------------------
 
 
@@ -486,6 +505,37 @@ def test_verify_failing_claims(capsys, tmp_path, ex1):
     fails = [l for l in lines if l.startswith("FAIL ")]
     assert len(fails) == 2
     assert any("oracle optimum is 1" in l for l in fails)
+
+
+@pytest.mark.parametrize("instance, claims", [
+    ("{two}", "optimum 0\ncore 1 2\n"),
+    ("{ex1}", "optimum 1\ncore 1 6\n"),
+    ("{ex1}", "infeasible\ncore 0\n"),
+    ("{big}", "optimum 0\ncore 24\n"),
+], ids=["core-on-schedule", "id-above-range", "id-zero", "oversize"])
+def test_verify_checks_every_claim_before_any_verdict(capsys, tmp_path, ex1,
+                                                      instance, claims):
+    # a core claim on a scheduling instance, or with a clause id outside
+    # 1..clauses, is a usage error even after a good claim, and even where
+    # the oracle would refuse the instance
+    big = ["p wcnf 23 23 100"] + ["1 %d 0" % v for v in range(1, 24)]
+    paths = {"two": write(tmp_path, "two.rcpsp", TWO_TASK), "ex1": ex1,
+             "big": write(tmp_path, "big.wcnf", "\n".join(big) + "\n")}
+    code, lines, err = run(capsys, [
+        "verify", instance.format(**paths),
+        write(tmp_path, "c.txt", claims), "--alpha", "1.0"])
+    assert code == 2
+    assert not [l for l in lines if l.startswith(("PASS", "FAIL"))]
+    assert "c.txt: line 2" in err
+
+
+def test_verify_names_the_file_it_cannot_read(capsys, tmp_path, ex1):
+    claims = write(tmp_path, "c.txt", "optimum 1\n")
+    missing = str(tmp_path / "nope.wcnf")
+    for argv in ([missing, claims], [ex1, missing]):
+        code, lines, err = run(capsys, ["verify", *argv])
+        assert code == 2 and not lines
+        assert "cannot read %s" % missing in err
 
 
 def test_verify_oversize_instance_is_refused(capsys, tmp_path):

@@ -15,21 +15,9 @@ from maxcore.cp import (
     post_at_most_one,
     post_pb_upper_bound,
 )
-from maxcore.engine import (
-    Engine,
-    EngineIntegrityError,
-    Propagator,
-    available_kernels,
-)
+from maxcore.engine import Engine, EngineIntegrityError, Propagator
 from maxcore.maxsat import IndicatorProblem
 from maxcore.rcpsp import build_model, generate_micro_set, soften
-
-KERNELS = available_kernels()
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request):
-    return request.param
 
 
 def entails(mdl, assumptions, lit):

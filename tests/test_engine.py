@@ -20,13 +20,7 @@ from maxcore.engine import (
     SolveOutcome,
     available_kernels,
 )
-
-KERNELS = available_kernels()
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request):
-    return request.param
+from conftest import count_builds, engine_with, random_3cnf
 
 
 def all_models(nvars, clauses):
@@ -180,11 +174,8 @@ def test_assumption_alone_is_satisfiable(kernel):
 
 
 def test_hard_sample5_unsat_with_empty_core(sample5, kernel):
-    eng = Engine(kernel=kernel)
-    for _ in range(sample5.var_count):
-        eng.new_bool_var()
-    for rec in sample5.clauses:
-        eng.add_clause(rec.lits)
+    eng = engine_with(kernel, sample5.var_count,
+                      [rec.lits for rec in sample5.clauses])
     out = eng.solve()
     assert out.status == "unsat"
     assert out.core == ()
@@ -235,21 +226,12 @@ def test_retract_matches_fresh_build(kernel):
         drop = {i for i, c in enumerate(full)
                 if units & set(c) and rng.random() < 0.7}
         dropped += len(drop)
-        eng = Engine(kernel=kernel)
-        for _ in range(n):
-            eng.new_bool_var()
-        refs = [eng.add_clause(c) for c in full]
-        for l in units:
-            eng.add_clause((l,))
+        eng = engine_with(kernel, n, full + [(l,) for l in units])
+        refs = [rec.ref for rec in eng.clauses]
         assert eng.retract(refs=[refs[i] for i in drop]) == len(drop)
-        fresh = Engine(kernel=kernel)
-        for _ in range(n):
-            fresh.new_bool_var()
-        for i, c in enumerate(full):
-            if i not in drop:
-                fresh.add_clause(c)
-        for l in units:
-            fresh.add_clause((l,))
+        fresh = engine_with(kernel, n, [c for i, c in enumerate(full)
+                                        if i not in drop]
+                            + [(l,) for l in units])
         assert eng.root_conflict == fresh.root_conflict
         assume = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
         o1 = eng.solve(assumptions=assume)
@@ -488,9 +470,7 @@ def test_nested_solve_rejected_and_guard_kept(kernel):
 
 def test_out_of_range_literal_raises_lookup_error(kernel):
     n = 3
-    eng = Engine(kernel=kernel)
-    for _ in range(n):
-        eng.new_bool_var()
+    eng = engine_with(kernel, n, [])
     calls = []
 
     class Reader(Propagator):
@@ -525,11 +505,7 @@ def test_random_soundness(kernel):
     for _ in range(60):
         n, clauses = random_cnf(rng, max_vars=9)
         assume = [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))]
-        eng = Engine(kernel=kernel)
-        for _ in range(n):
-            eng.new_bool_var()
-        for c in clauses:
-            eng.add_clause(c)
+        eng = engine_with(kernel, n, clauses)
         if eng.root_conflict:
             continue
         out = eng.solve(assumptions=assume)
@@ -553,12 +529,7 @@ def test_deterministic_reruns(kernel):
     n, clauses = random_cnf(rng)
     runs = []
     for _ in range(2):
-        eng = Engine(kernel=kernel)
-        for _ in range(n):
-            eng.new_bool_var()
-        for c in clauses:
-            eng.add_clause(c)
-        out = eng.solve()
+        out = engine_with(kernel, n, clauses).solve()
         runs.append((out.status, out.model, out.core, out.conflicts,
                      out.decisions, out.propagations, out.restarts))
     assert runs[0] == runs[1]
@@ -567,13 +538,8 @@ def test_deterministic_reruns(kernel):
 def test_conflict_budget_yields_unknown(kernel):
     rng = random.Random(7)
     # A contradiction needing more than zero conflicts to refute.
-    eng = Engine(kernel=kernel)
     n = 12
-    for _ in range(n):
-        eng.new_bool_var()
-    for _ in range(60):
-        vs = rng.sample(range(1, n + 1), 3)
-        eng.add_clause(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    eng = engine_with(kernel, n, random_3cnf(rng, n, 60))
     out = eng.solve(conflict_budget=1)
     assert out.status in ("unknown", "sat", "unsat")
 
@@ -607,17 +573,6 @@ class _Rule(Propagator):
     def propagate(self, view):
         if all(view.lit_value(l) == 1 for l in self.when):
             self.act(view)
-
-
-def engine_with(kernel, nvars, clauses, *props):
-    eng = Engine(kernel=kernel)
-    for _ in range(nvars):
-        eng.new_bool_var()
-    for c in clauses:
-        eng.add_clause(c)
-    for p in props:
-        eng.attach_propagator(p)
-    return eng
 
 
 def test_record_conflict_from_enqueue_keeps_its_literal(kernel):
@@ -802,12 +757,6 @@ def test_records_count_without_building_and_keep_no_kernel_alive(kernel):
 # one live kernel per engine, solved again and again
 
 
-def random_3cnf(rng, n, ratio):
-    return [tuple(v if rng.random() < 0.5 else -v
-                  for v in rng.sample(range(1, n + 1), 3))
-            for _ in range(int(ratio * n))]
-
-
 def test_engine_builds_one_kernel_until_retract(kernel, monkeypatch):
     # a retract keeps the kernel too, so the engine builds one kernel
     builds = count_builds(kernel, monkeypatch)
@@ -835,7 +784,8 @@ def test_engine_builds_one_kernel_until_retract(kernel, monkeypatch):
 
 def test_second_solve_keeps_learnt_clauses(kernel):
     n = 60
-    eng = engine_with(kernel, n, random_3cnf(random.Random(2), n, 4.1))
+    eng = engine_with(kernel, n,
+                      random_3cnf(random.Random(2), n, int(4.1 * n)))
     first = eng.solve()
     again = eng.solve()
     assert first.status == again.status == "sat"
@@ -890,7 +840,8 @@ def test_reductions_across_solves_keep_the_search(kernel):
     # earlier solves and the units after them; a clause, reason, unit or
     # first_learnt moved wrongly would change the pinned outcomes
     n = 180
-    eng = engine_with(kernel, n, random_3cnf(random.Random(1), n, 4.26),
+    eng = engine_with(kernel, n,
+                      random_3cnf(random.Random(1), n, int(4.26 * n)),
                       _Rule([1], lambda v: v.enqueue(-2, [1])))
     got = []
     for _ in range(3):
@@ -917,7 +868,8 @@ def test_time_budget_is_checked_at_every_conflict(kernel):
     # a budget of 0 s has run out by the first conflict, the first point
     # where a solve reads the clock
     n = 180
-    eng = engine_with(kernel, n, random_3cnf(random.Random(1), n, 4.26))
+    eng = engine_with(kernel, n,
+                      random_3cnf(random.Random(1), n, int(4.26 * n)))
     out = eng.solve(time_budget_s=0)
     assert (out.status, out.conflicts) == ("unknown", 1)
 
@@ -937,9 +889,7 @@ def test_incremental_solving_is_sound(kernel):
     statuses = []
     kept = 0
     for _ in range(30):
-        eng = Engine(kernel=kernel)
-        for _ in range(4):
-            eng.new_bool_var()
+        eng = engine_with(kernel, 4, [])
         pb = None
         for _ in range(25):
             n = eng.nvars
@@ -1005,7 +955,7 @@ def test_solve_retract_solve_matches_fresh_build(kernel):
     compared = 0
     for _ in range(20):
         n = rng.randint(20, 40)
-        clauses = random_3cnf(rng, n, 4.2)
+        clauses = random_3cnf(rng, n, int(4.2 * n))
         eng = engine_with(kernel, n, [])
         refs = [eng.add_clause(c) for c in clauses]
         first = eng.solve(assumptions=[rng.choice([v, -v])
@@ -1057,7 +1007,7 @@ def test_solve_after_a_raise_rebuilds_the_kernel(kernel, exc):
     # the raise comes after some 30 conflicts, so a kernel kept from that
     # solve would hold learnt clauses and bumped activities
     n = 80
-    clauses = random_3cnf(random.Random(31), n, 4.2)
+    clauses = random_3cnf(random.Random(31), n, int(4.2 * n))
     eng = engine_with(kernel, n, clauses)
     prop = eng.attach_propagator(_MisbehavesOnce(40, exc))
     with pytest.raises(EngineIntegrityError if exc is None else exc):
@@ -1075,40 +1025,10 @@ def test_solve_after_a_raise_rebuilds_the_kernel(kernel, exc):
 # a retract keeps the kernel when a stored unit subsumes every dropped clause
 
 
-def count_builds(kernel, monkeypatch, extends=None):
-    """Wrap the kernel's SearchCore constructor as perfbench does; the list
-    returned grows by one per build.  With extends, every kernel is wrapped
-    too, and extends gets the clause list of each extend call."""
-    mod = engine_core._kernel_module(kernel)
-    builds = []
-    build = mod.SearchCore
-
-    def counted(*args):
-        builds.append(len(args[1]))
-        core = build(*args)
-        return core if extends is None else _Extends(core, extends)
-
-    monkeypatch.setattr(mod, "SearchCore", counted)
-    return builds
-
-
-class _Extends:
-    def __init__(self, core, log):
-        self.core = core
-        self.log = log
-
-    def extend(self, nvars, clauses, props, order_literals):
-        self.log.append(list(clauses))
-        return self.core.extend(nvars, clauses, props, order_literals)
-
-    def solve(self, *args):
-        return self.core.solve(*args)
-
-
 def test_unit_subsumed_retract_keeps_the_kernel(kernel, monkeypatch):
     builds = count_builds(kernel, monkeypatch)
     n = 60
-    cnf = random_3cnf(random.Random(2), n, 4.1)
+    cnf = random_3cnf(random.Random(2), n, int(4.1 * n))
     eng = engine_with(kernel, n, cnf)
     a = eng.new_bool_var()
     refs = [eng.add_clause((1, -a)), eng.add_clause((-1, 2, -a))]
@@ -1232,14 +1152,10 @@ def test_retract_follows_its_rule_on_random_stores(kernel):
     # them only among the removed clauses
     tally = dict.fromkeys(("kept", "raised", "second copy", "own unit"), 0)
     for _ in range(150):
-        eng = Engine(kernel=kernel)
-        for _ in range(n):
-            eng.new_bool_var()
-        for l in rng.sample(lits, 3):
-            for _ in range(rng.randint(1, 3)):
-                eng.add_clause((l,))
-        for _ in range(6):
-            eng.add_clause(rng.sample(lits, rng.randint(1, 3)))
+        units = [(l,) for l in rng.sample(lits, 3)
+                 for _ in range(rng.randint(1, 3))]
+        eng = engine_with(kernel, n, units + [
+            rng.sample(lits, rng.randint(1, 3)) for _ in range(6)])
         eng.solve()
         for _ in range(4):
             store = list(eng.clauses)

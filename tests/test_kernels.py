@@ -4,7 +4,8 @@ This is the equivalence gate between the compiled kernel (_search.cpp) and
 its specification, the pure kernel (_search_py.py).  On the same input every
 Engine.solve() must return the same status, model, core, counters, learnt
 clauses and explanations on each kernel, and call the same propagators at
-the same points of the search.  Skipped when only one kernel imports.
+the same points of the search.  Skipped, with the reason the root
+conftest.py gives, when the compiled kernel does not import.
 """
 
 import random
@@ -12,14 +13,14 @@ import random
 import pytest
 
 from maxcore.cp import CpModel, post_pb_upper_bound
-from maxcore.engine import Engine, Propagator, available_kernels
+from maxcore.engine import Propagator, available_kernels
 from maxcore.maxsat import ALGORITHMS, solve
 from maxcore.rcpsp import generate_micro_set, soften, solve_schedule
+from conftest import engine_with, random_3cnf
 
 KERNELS = available_kernels()
 
-pytestmark = pytest.mark.skipif(len(KERNELS) < 2,
-                                reason="only one kernel imports")
+pytestmark = pytest.mark.usefixtures("compiled_kernel")
 
 
 def same_on_every_kernel(run):
@@ -29,20 +30,6 @@ def same_on_every_kernel(run):
         assert run(kernel) == first, "kernels %s and %s disagree" % (
             KERNELS[0], kernel)
     return first
-
-
-def random_cnf(rng, n, m):
-    return [tuple(v if rng.random() < 0.5 else -v
-                  for v in rng.sample(range(1, n + 1), 3)) for _ in range(m)]
-
-
-def cnf_engine(kernel, n, clauses):
-    eng = Engine(kernel=kernel)
-    for _ in range(n):
-        eng.new_bool_var()
-    for c in clauses:
-        eng.add_clause(c)
-    return eng
 
 
 class _Implication(Propagator):
@@ -63,7 +50,7 @@ def test_random_cnf_with_assumptions(solves):
     rng = random.Random(21)
     for _ in range(60):
         n = rng.randint(8, 40)
-        clauses = random_cnf(rng, n, int(rng.uniform(3.0, 5.0) * n))
+        clauses = random_3cnf(rng, n, int(rng.uniform(3.0, 5.0) * n))
         clauses += [(rng.choice([v, -v]),)
                     for v in rng.sample(range(1, n + 1), rng.randint(0, 2))]
         assume = [rng.choice([v, -v])
@@ -71,9 +58,8 @@ def test_random_cnf_with_assumptions(solves):
 
         def run(kernel):
             del solves[:]
-            eng = cnf_engine(kernel, n, clauses)
-            eng.attach_propagator(_Implication(1, -2))
-            eng.solve(assumptions=assume)
+            engine_with(kernel, n, clauses, _Implication(1, -2)).solve(
+                assumptions=assume)
             return list(solves)
 
         same_on_every_kernel(run)
@@ -83,11 +69,11 @@ def test_long_search_restarts_and_reduces(solves):
     # 4500 conflicts pass the learnt cap of 4000, one variable-activity
     # rescale and several restarts
     n = 180
-    clauses = random_cnf(random.Random(1), n, int(4.26 * n))
+    clauses = random_3cnf(random.Random(1), n, int(4.26 * n))
 
     def run(kernel):
         del solves[:]
-        cnf_engine(kernel, n, clauses).solve(conflict_budget=4500)
+        engine_with(kernel, n, clauses).solve(conflict_budget=4500)
         return list(solves)
 
     (out,) = same_on_every_kernel(run)
@@ -99,7 +85,7 @@ def test_long_search_restarts_and_reduces(solves):
 def test_pb_bound_model(solves):
     rng = random.Random(5)
     n = 24
-    clauses = random_cnf(rng, n, 40)
+    clauses = random_3cnf(rng, n, 40)
     terms = [(rng.randint(1, 5), rng.choice([v, -v]))
              for v in rng.sample(range(1, n + 1), 16)]
 

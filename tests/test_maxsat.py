@@ -7,7 +7,6 @@ import pytest
 from maxcore import maxsat, rcpsp
 from maxcore.cp import PbUpperBound
 from maxcore.engine import Engine
-from maxcore.engine import core as engine_core
 from maxcore.maxsat import (
     ALGORITHMS,
     HARD,
@@ -25,6 +24,7 @@ from maxcore.maxsat import (
 )
 from maxcore.oracle import brute_force_maxsat, verify_core
 from maxcore.rcpsp import build_model, generate_micro_set, soften
+from conftest import count_builds, engine_with
 from test_acceptance import WCNF_SEED, random_wcnf
 
 SAMPLE5_WCNF = """\
@@ -227,23 +227,10 @@ def test_wcnf_clauses_are_posted_in_input_order(algorithm, monkeypatch):
         assert sum(abs(l) > 3 for l in lits) == (0 if wc.is_hard() else 1)
 
 
-def count_builds(monkeypatch):
-    mod = engine_core._kernel_module("auto")
-    builds = []
-    build = mod.SearchCore
-
-    def counted(*args):
-        builds.append(len(args[1]))
-        return build(*args)
-
-    monkeypatch.setattr(mod, "SearchCore", counted)
-    return builds
-
-
 def test_wpm1_builds_one_kernel(sample7, monkeypatch):
     # each core fixes its old selectors false before it retracts their
     # clauses, so every retract keeps the kernel
-    builds = count_builds(monkeypatch)
+    builds = count_builds("auto", monkeypatch)
     res = solve_wpm1(sample7)
     assert res.status == "optimal" and len(res.cores) == 2
     assert len(builds) == 1
@@ -254,7 +241,7 @@ def test_wpm1_on_indicators_builds_one_kernel(monkeypatch):
     p = soften(inst, 0.9, mode="weighted", seed=1)
     eng = Engine()
     _, indicators = build_model(p, eng)
-    builds = count_builds(monkeypatch)
+    builds = count_builds("auto", monkeypatch)
     res = IndicatorProblem(eng, indicators).solve(algorithm="wpm1")
     assert (res.status, res.z_opt, len(res.cores)) == ("optimal", 7, 3)
     assert len(builds) == 1
@@ -369,49 +356,34 @@ p wcnf 4 8 25
 """
 
 
-def sat_models(monkeypatch):
-    """The model of every satisfiable Engine.solve() outcome, in call order,
-    and the number of solves."""
-    models = []
-    solves = [0]
-    original = Engine.solve
-
-    def recording(eng, *args, **kwargs):
-        out = original(eng, *args, **kwargs)
-        solves[0] += 1
-        if out.status == "sat":
-            models.append(out.model)
-        return out
-
-    monkeypatch.setattr(Engine, "solve", recording)
-    return models, solves
+def sat_costs(inst, solves):
+    """The cost on inst of the model of every satisfiable solve recorded."""
+    return [evaluate_cost(inst, model)
+            for status, model, *_ in solves if status == "sat"]
 
 
-def test_bnb_incumbent_is_the_model_cost(monkeypatch):
+def test_bnb_incumbent_is_the_model_cost(solves):
     # the second model sets a violator true over a satisfied soft clause:
     # its violator sum is 8, its cost 0, and 0 proves optimal at once
     inst = parse_wcnf(RANDOM_0_4_8_WCNF)
-    models, solves = sat_models(monkeypatch)
     res = solve_bnb(inst)
     assert (res.status, res.z_opt) == ("optimal", 0)
     assert res.incumbents == [12, 0]
-    assert [evaluate_cost(inst, m) for m in models] == [12, 0]
-    assert solves[0] == 3
+    assert sat_costs(inst, solves) == [12, 0]
+    assert len(solves) == 3
 
 
 @pytest.mark.parametrize("fn", [solve_bnb, solve_msu3])
-def test_incumbents_are_model_costs_on_acceptance_batch(fn, monkeypatch):
+def test_incumbents_are_model_costs_on_acceptance_batch(fn, solves):
     """Every incumbent is the cost of the model its solve returned, the
     incumbents strictly descend, and the last one is the optimum."""
-    from test_acceptance import WCNF_SEED, random_wcnf
-    models, _ = sat_models(monkeypatch)
     optimal = 0
     for i in range(500):
         inst = random_wcnf(WCNF_SEED + i)
-        del models[:]
+        del solves[:]
         res = fn(inst)
         seq = res.incumbents
-        assert seq == [evaluate_cost(inst, m) for m in models]
+        assert seq == sat_costs(inst, solves)
         assert all(a > b for a, b in zip(seq, seq[1:]))
         if res.status == "optimal":
             assert seq[-1] == res.z_opt == res.meta["audit"]
@@ -440,18 +412,9 @@ def test_budget_exhaustion_reports_unknown():
 # --- indicator-variable front end ----------------------------------------
 
 
-def build_indicator_engine(hard_clauses, n):
-    eng = Engine(kernel="auto")
-    for _ in range(n):
-        eng.new_bool_var()
-    for c in hard_clauses:
-        eng.add_clause(c)
-    return eng
-
-
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_indicators_all_satisfiable(algorithm):
-    eng = build_indicator_engine([], 3)
+    eng = engine_with("auto", 3, [])
     prob = IndicatorProblem(eng, [(1, 2), (2, 3), (3, 1)])
     res = prob.solve(algorithm=algorithm)
     assert res.status == "optimal" and res.z_opt == 0
@@ -461,7 +424,7 @@ def test_indicators_all_satisfiable(algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_indicators_conflict_picks_cheaper(algorithm):
     # i1 and i2 cannot both hold; giving up i1 costs 2, i2 costs 3.
-    eng = build_indicator_engine([(-1, -2)], 2)
+    eng = engine_with("auto", 2, [(-1, -2)])
     prob = IndicatorProblem(eng, [(1, 2), (2, 3)])
     res = prob.solve(algorithm=algorithm)
     assert res.status == "optimal" and res.z_opt == 2
@@ -471,7 +434,7 @@ def test_indicators_conflict_picks_cheaper(algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_indicator_problem_solves_once(algorithm):
     # a second solve would run on the relaxed or bounded engine of the first
-    eng = build_indicator_engine([(-1, -2)], 2)
+    eng = engine_with("auto", 2, [(-1, -2)])
     prob = IndicatorProblem(eng, [(1, 2), (2, 3)])
     res = prob.solve(algorithm)
     assert (res.status, res.z_opt) == ("optimal", 2)
@@ -481,7 +444,7 @@ def test_indicator_problem_solves_once(algorithm):
 
 
 def test_indicator_core_ids_are_positions():
-    eng = build_indicator_engine([(-1, -2)], 2)
+    eng = engine_with("auto", 2, [(-1, -2)])
     prob = IndicatorProblem(eng, [(1, 1), (2, 1)])
     res = prob.solve(algorithm="wpm1")
     assert res.z_opt == 1
@@ -489,7 +452,7 @@ def test_indicator_core_ids_are_positions():
 
 
 def test_indicator_bnb_trace():
-    eng = build_indicator_engine([(-1, -2)], 2)
+    eng = engine_with("auto", 2, [(-1, -2)])
     res = IndicatorProblem(eng, [(1, 2), (2, 3)]).solve(algorithm="bnb")
     assert res.z_opt == 2 and res.incumbents[-1] == 2
     events = res.meta["events"]
@@ -499,13 +462,13 @@ def test_indicator_bnb_trace():
 
 
 def test_duplicate_indicator_rejected():
-    eng = build_indicator_engine([], 2)
+    eng = engine_with("auto", 2, [])
     with pytest.raises(ValueError):
         IndicatorProblem(eng, [(1, 2), (1, 3)])
 
 
 def test_nonpositive_indicator_weight_rejected():
-    eng = build_indicator_engine([], 1)
+    eng = engine_with("auto", 1, [])
     with pytest.raises(ValueError):
         IndicatorProblem(eng, [(1, 0)])
 
@@ -516,7 +479,7 @@ def test_out_of_range_indicator_rejected(lit, algorithm):
     # a literal that is no integer raises TypeError before anything is
     # posted; before, 1.5 was kept, and solve() raised only after it had
     # used the engine, which consumed the problem
-    eng = build_indicator_engine([], 2)
+    eng = engine_with("auto", 2, [])
     if isinstance(lit, int):
         refused = pytest.raises(ValueError, match="indicator literal")
     else:

@@ -35,7 +35,7 @@ from collections import defaultdict
 
 import pytest
 
-from maxcore.engine import Engine, available_kernels
+from maxcore.engine import Engine
 from maxcore.engine._search_py import LEARNT_CAP_MIN
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -204,7 +204,6 @@ def _run_checked(cells, kernel, monkeypatch, mutate=None):
     return recorder
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
 def test_learnt_clauses_and_cores_are_rup(cells, kernel, monkeypatch):
     recorder = _run_checked(cells, kernel, monkeypatch)
     kinds = [kind for kind, _, _ in recorder.checks]

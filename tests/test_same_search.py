@@ -1,10 +1,13 @@
 """tools/same_search.py, the search identity check: its digest repeats,
 tells different searches apart and agrees between kernels, its per-driver
 digests cover each driver's runs alone, and its answers digest covers each
-run's status and optimum alone."""
+run's status and optimum alone.  Both kernels run the same search over
+every part of it."""
 
 import importlib.util
 import os
+
+import pytest
 
 from maxcore.engine import available_kernels
 from maxcore.maxsat import ALGORITHMS
@@ -64,3 +67,11 @@ def test_each_part_prints_an_answers_line_before_the_all_line(
         ["acceptance", *ALGORITHMS, "answers", "all"]
     runs = same_search.part_runs("acceptance", "python")
     assert lines[-2].split()[-1] == same_search.digests(runs)[3]
+
+
+@pytest.mark.parametrize("part", same_search.PARTS)
+def test_both_kernels_run_the_same_search(compiled_kernel, part):
+    # digest, solve count, per-driver digests and answers digest
+    python, compiled = (same_search.digests(same_search.part_runs(
+        part, kernel)) for kernel in ("python", "compiled"))
+    assert compiled == python, "kernels differ on part %s" % part

@@ -18,18 +18,13 @@ from maxcore.cp import (
     PbUpperBound,
     post_pb_upper_bound,
 )
-from maxcore.engine import Engine, Propagator, available_kernels
+from maxcore.engine import Engine, Propagator
 from maxcore.engine._search_py import explanations
 from maxcore.engine.core import _kernel_module
 from maxcore.maxsat import ALGORITHMS, solve
 from maxcore.rcpsp import generate_micro_set, soften, solve_schedule
 
 PROPAGATOR_CLASSES = (PbUpperBound, HalfReifiedLinear, Cumulative)
-
-
-@pytest.fixture(params=available_kernels())
-def kernel(request):
-    return request.param
 
 
 @pytest.fixture
