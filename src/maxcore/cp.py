@@ -126,6 +126,10 @@ class CpModel:
             self.lit_geq(x, v)
 
     def post_half_reified_linear(self, i, terms, rhs):
+        """i -> sum(c * x for c, x in terms) >= rhs; the indicator literal
+        i is checked as Engine.add_clause checks a literal, and a bad
+        argument attaches nothing."""
+        i = self.eng.check_literal(i)
         if not terms:
             raise ValueError("half-reified linear needs at least one term")
         prop = HalfReifiedLinear(i, terms, rhs)
@@ -196,9 +200,12 @@ def post_at_most_one(eng, lits):
 
 
 def post_pb_upper_bound(eng, terms, strict_bound):
-    """Enforce sum(w * [lit true]) < strict_bound over arbitrary literals."""
+    """Enforce sum(w * [lit true]) < strict_bound over literals of eng.
+    Each literal is checked as Engine.add_clause checks one, and a bad
+    argument attaches nothing."""
     if strict_bound < 0:
         raise ValueError("strict bound must be nonnegative")
+    terms = [(w, eng.check_literal(lit)) for w, lit in terms]
     for w, _ in terms:
         if w <= 0:
             raise ValueError("weights must be positive")

@@ -20,23 +20,42 @@ with its integer variable x and value v, and hands them to the kernel with
 the clauses, so that the kernel can keep every registered variable's bounds
 (see Propagator).
 
-A compiled kernel records the SHA-256 of the _search.cpp it was built from.
-One built from another version of the file than the one beside this module
-is refused with a warning, and the pure kernel stands in for it.
+The compiled kernel, the extension maxcore.engine._search, records the
+SHA-256 of the _search.cpp it was built from, and the engine finds it on
+first need, in this order:
+1. an importable build beside this module, as an install or an in-place
+   build (python3 setup.py build_ext --inplace) leaves it, if it was built
+   from the _search.cpp beside this module; a build of another version of
+   the file is refused with a warning;
+2. otherwise, in a source checkout (setup.py in the directory that holds
+   src/), the cached build build/kernel/<SHA-256 of _search.cpp>/, which
+   setup.py build_ext makes in a child process the first time it is needed
+   (a few seconds) and which later processes load as it is;
+3. otherwise none, and the pure kernel stands in for it.
+compiled_status then says which build was loaded, or why none was.  With
+MAXCORE_PURE set, default_kernel() answers "python" without looking.
 """
 
-import importlib
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import index
 
 from .errors import EngineError, MidSearchMutationError
 from . import _search_py
 
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_search.cpp")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_HERE, "_search.cpp")
+_MODULE = __package__ + "._search"
+_BUILDING = "building-"
+
+# which compiled kernel _compiled() loaded, or why it loaded none
+compiled_status = "compiled kernel not looked for yet"
 
 
 def _sha256(data):
@@ -50,36 +69,127 @@ def _sha256(data):
             continue
 
 
+def _digest(source):
+    """Hex SHA-256 of the file source; None if it cannot be read."""
+    try:
+        with open(source, "rb") as f:
+            return _sha256(f.read())
+    except OSError:
+        return None
+
+
 def _built_from(module, source):
     """module, or None with a warning when its SOURCE_SHA256 is not the
     SHA-256 of source.  Without a readable source, as in an install that
     ships only the extension, there is nothing to compare and module is
     kept."""
-    try:
-        with open(source, "rb") as f:
-            data = f.read()
-    except OSError:
-        return module
-    if getattr(module, "SOURCE_SHA256", None) == _sha256(data):
+    digest = _digest(source)
+    if digest is None or getattr(module, "SOURCE_SHA256", None) == digest:
         return module
     warnings.warn(
-        "%s was not built from %s; using the pure kernel (rebuild with "
-        "python3 setup.py build_ext --inplace)"
+        "%s was not built from %s; not using it (rebuild with python3 "
+        "setup.py build_ext --inplace, or delete it)"
         % (getattr(module, "__file__", module), source), RuntimeWarning)
     return None
 
 
-try:
-    from . import _search as _search_c
-except ImportError:
-    _search_c = None
-else:
-    _search_c = _built_from(_search_c, _SOURCE)
+def _load(spec):
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cached_build(root, digest):
+    """Path of the kernel that setup.py in the checkout root built from the
+    source of this digest, building it first if needed; None with the
+    reason when the build fails.  A build runs in a fresh building-*
+    directory and is renamed into place whole, so a process that finds the
+    directory of a digest finds a finished build; builds of other digests
+    are then deleted as stale, but not one still in progress."""
+    cache_dir = os.path.join(root, "build", "kernel")
+    done = os.path.join(cache_dir, digest)
+    rel = os.path.join("maxcore", "engine",
+                       "_search" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    path = os.path.join(done, rel)
+    if os.path.isfile(path):
+        return path, None
+    import shutil
+    import subprocess
+    import tempfile
+    tmp = None
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        tmp = tempfile.mkdtemp(prefix=_BUILDING, dir=cache_dir)
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--build-lib", tmp,
+             "--build-temp", os.path.join(tmp, "obj")],
+            cwd=root, capture_output=True, text=True)
+        if proc.returncode or not os.path.isfile(os.path.join(tmp, rel)):
+            lines = (proc.stderr or proc.stdout).strip().splitlines()
+            return None, lines[-1] if lines else "build failed"
+        shutil.rmtree(os.path.join(tmp, "obj"), ignore_errors=True)
+        for name in os.listdir(cache_dir):
+            if name != digest and not name.startswith(_BUILDING):
+                shutil.rmtree(os.path.join(cache_dir, name),
+                              ignore_errors=True)
+        os.replace(tmp, done)
+        tmp = None
+        return path, None
+    except OSError as e:
+        # another process may have finished the same build first
+        if os.path.isfile(path):
+            return path, None
+        return None, str(e)
+    finally:
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _find_compiled(engine_dir):
+    """(module, status): the compiled kernel for the _search.cpp in
+    engine_dir, found as the module docstring says, or None; and a line
+    that says which build was loaded or why none was."""
+    source = os.path.join(engine_dir, "_search.cpp")
+    why = "no %s in %s" % (_MODULE, engine_dir)
+    spec = importlib.machinery.PathFinder.find_spec(_MODULE, [engine_dir])
+    if spec is not None:
+        try:
+            module = _built_from(_load(spec), source)
+        except ImportError as e:
+            module, why = None, str(e)
+        else:
+            why = "%s was not built from %s" % (spec.origin, source)
+        if module is not None:
+            return module, "compiled kernel: %s" % spec.origin
+    src = os.path.dirname(os.path.dirname(engine_dir))
+    root = os.path.dirname(src)
+    if (os.path.basename(src) != "src"
+            or not os.path.isfile(os.path.join(root, "setup.py"))):
+        return None, "no compiled kernel (%s); pure kernel only" % why
+    digest = _digest(source)
+    if digest is None:
+        return None, "cannot read %s; pure kernel only" % source
+    path, why = _cached_build(root, digest)
+    if path is None:
+        return None, "compiled kernel not built (%s); pure kernel only" % why
+    try:
+        module = _load(importlib.util.spec_from_file_location(_MODULE, path))
+    except ImportError as e:
+        return None, "compiled kernel not loaded (%s); pure kernel only" % e
+    return module, "compiled kernel: %s" % os.path.relpath(path, root)
+
+
+@cache
+def _compiled():
+    """The compiled kernel module or None, found on the first call."""
+    global compiled_status
+    module, compiled_status = _find_compiled(_HERE)
+    return module
 
 
 def available_kernels():
     names = ["python"]
-    if _search_c is not None:
+    if _compiled() is not None:
         names.append("compiled")
     return names
 
@@ -87,16 +197,17 @@ def available_kernels():
 def default_kernel():
     if os.environ.get("MAXCORE_PURE"):
         return "python"
-    return "compiled" if _search_c is not None else "python"
+    return "compiled" if _compiled() is not None else "python"
 
 
 def _kernel_module(name):
     if name == "python":
         return _search_py
     if name == "compiled":
-        if _search_c is None:
+        module = _compiled()
+        if module is None:
             raise EngineError("compiled kernel is not available")
-        return _search_c
+        return module
     if name == "auto":
         return _kernel_module(default_kernel())
     raise ValueError("unknown kernel %r" % name)
@@ -223,6 +334,16 @@ class Engine:
         if not 0 < lit <= self.nvars:
             raise ValueError("order literal %d is not a positive variable" % lit)
         self.order_literals.append((lit, x, v))
+
+    def check_literal(self, lit):
+        """lit read with operator.index: TypeError if it is no integer,
+        ValueError unless 0 < abs(lit) <= nvars.  add_clause and solve run
+        the same check inline, since they read every literal of the hot
+        path."""
+        lit = index(lit)
+        if lit == 0 or abs(lit) > self.nvars:
+            raise ValueError("literal %d out of range" % lit)
+        return lit
 
     # ------------------------------------------------------------------
     # clause store

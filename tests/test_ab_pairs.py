@@ -203,6 +203,29 @@ def test_a_last_line_that_is_no_json_object_is_one_failed_run(tmp_path,
     assert "2 of 2 pairs had a failed run" in out
 
 
+def test_each_run_names_its_kernel(tmp_path, capsys):
+    result = ("print(json.dumps({'correct': True, 'metrics': "
+              "{'total_s': {'value': %s}}}))")
+    parent = stand_in(tmp_path / "parent", (
+        "print('kernel python (available: python); nproc 2; python 3')\n"
+        + result % "2.0"))
+    change = stand_in(tmp_path / "change", (
+        "print('kernel compiled (available: python, compiled); nproc 2')\n"
+        + result % "1.0"))
+    assert ab_pairs.main([parent, change, "--workload", "w",
+                          "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert ("pair 0 seed 0: parent total_s 2.0000 (python), "
+            "change total_s 1.0000 (compiled)") in out
+    assert "note: the sides ran different kernels: parent python, " \
+        "change compiled" in out
+    assert ab_pairs.main([change, change, "--workload", "w",
+                          "--pairs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "total_s 1.0000 (compiled)" in out and "note:" not in out
+    assert ab_pairs.kernel_of("no kernel line\n") == "?"
+
+
 @pytest.mark.parametrize("pairs", ["0", "-1", "x", "1.5"])
 def test_pairs_below_one_is_a_usage_error(pairs, monkeypatch, capsys):
     def run_once(checkout, workload, seed):

@@ -415,6 +415,32 @@ def test_pb_rejects_bad_arguments(kernel):
         post_pb_upper_bound(mdl.eng, [(0, v)], 2)
 
 
+def test_pb_and_indicator_literals_are_checked_when_posted(kernel):
+    """A literal outside +-nvars, or no integer, is refused where the
+    constraint enters the engine, as Engine.add_clause refuses it, and
+    nothing is attached: before, literal 0 in a PB raised KeyError at
+    solve() on the pure kernel and answered unsat on the compiled one, and
+    indicator 0 never fired."""
+    eng = Engine(kernel=kernel)
+    a, b = eng.new_bool_var(), eng.new_bool_var()
+    for lit, error in ((0, ValueError), (5, ValueError), (-3, ValueError),
+                       (1.5, TypeError), ("1", TypeError)):
+        with pytest.raises(error):
+            post_pb_upper_bound(eng, [(1, a), (1, lit)], 2)
+        with pytest.raises(error):
+            post_at_most_one(eng, [lit, b])
+    assert eng.propagators == []
+    mdl = CpModel(kernel=kernel)
+    x = mdl.new_int_var(0, 3)
+    for i, error in ((0, ValueError), (mdl.eng.nvars + 1, ValueError),
+                     (-mdl.eng.nvars - 1, ValueError), (1.0, TypeError)):
+        with pytest.raises(error):
+            mdl.post_half_reified_linear(i, [(1, x)], 5)
+    assert mdl.eng.propagators == []
+    assert mdl.eng.solve().status == "sat"
+    assert eng.solve().status == "sat"
+
+
 def test_pb_tighten(kernel):
     mdl = CpModel(kernel=kernel)
     vs = [mdl.new_bool_var() for _ in range(3)]

@@ -3,7 +3,10 @@
 import gc
 import hashlib
 import itertools
+import os
 import random
+import shutil
+import subprocess
 import types
 import warnings
 import weakref
@@ -1130,12 +1133,90 @@ def test_a_compiled_kernel_of_another_source_is_refused(tmp_path):
 
 
 def test_the_compiled_kernel_in_use_was_built_from_its_source():
-    module = engine_core._search_c
+    module = engine_core._compiled()
     assert ("compiled" in available_kernels()) == (module is not None)
     if module is not None:
         with open(engine_core._SOURCE, "rb") as f:
             digest = hashlib.sha256(f.read()).hexdigest()
         assert module.SOURCE_SHA256 == digest
+
+
+# ----------------------------------------------------------------------
+# finding the compiled kernel: in place, else a checkout's cached build
+
+
+def checkout(tmp_path, setup):
+    """A temporary source checkout holding setup.py (the text setup) and a
+    copy of this engine's _search.cpp; returns its engine directory."""
+    engine = tmp_path / "src" / "maxcore" / "engine"
+    engine.mkdir(parents=True)
+    shutil.copy(engine_core._SOURCE, engine)
+    (tmp_path / "setup.py").write_text(setup)
+    return engine
+
+
+def warm_cache(tmp_path):
+    """Copy the session's compiled kernel into the cache of the checkout at
+    tmp_path, where the engine looks for a build of this _search.cpp;
+    returns its path."""
+    with open(engine_core._SOURCE, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    built = engine_core._compiled().__file__
+    path = (tmp_path / "build" / "kernel" / digest / "maxcore" / "engine"
+            / os.path.basename(built))
+    path.parent.mkdir(parents=True)
+    shutil.copy(built, path)
+    return path
+
+
+def test_a_failed_build_leaves_the_pure_kernel_and_says_why(tmp_path):
+    engine = checkout(tmp_path, "raise SystemExit('no compiler here')\n")
+    module, status = engine_core._find_compiled(str(engine))
+    assert module is None
+    assert status == ("compiled kernel not built (no compiler here); "
+                      "pure kernel only")
+    assert os.listdir(tmp_path / "build" / "kernel") == []
+    # outside a checkout nothing is built
+    os.remove(tmp_path / "setup.py")
+    module, status = engine_core._find_compiled(str(engine))
+    assert module is None and status.startswith("no compiled kernel (")
+
+
+def test_a_warm_cache_is_loaded_without_a_build(tmp_path, monkeypatch,
+                                                compiled_kernel):
+    engine = checkout(tmp_path, "raise SystemExit('built again')\n")
+    path = warm_cache(tmp_path)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a warm cache ran a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", no_build)
+    module, status = engine_core._find_compiled(str(engine))
+    assert module.__file__ == str(path)
+    assert status == "compiled kernel: %s" % os.path.relpath(path, tmp_path)
+    assert module.SearchCore(1, [(1,)], [], []).solve(
+        [], None, None)["status"] == "sat"
+
+
+def test_a_stale_in_place_module_gives_way_to_the_cached_build(
+        tmp_path, compiled_kernel):
+    engine = checkout(tmp_path, "raise SystemExit('built again')\n")
+    path = warm_cache(tmp_path)
+    # a stand-in for an in-place build of another _search.cpp
+    (engine / "_search.py").write_text("SOURCE_SHA256 = '%s'\n" % ("0" * 64))
+    with pytest.warns(RuntimeWarning, match="_search.py was not built from"):
+        module, status = engine_core._find_compiled(str(engine))
+    assert module.__file__ == str(path)
+    assert status == "compiled kernel: %s" % os.path.relpath(path, tmp_path)
+    # one built from this source is used first, without a warning
+    # (a size of its own, so that no cached bytecode of the first stands in)
+    (engine / "_search.py").write_text(
+        "SOURCE_SHA256 = %r  # fresh\n" % module.SOURCE_SHA256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        module, status = engine_core._find_compiled(str(engine))
+    assert module.__file__ == str(engine / "_search.py")
+    assert status == "compiled kernel: %s" % (engine / "_search.py")
 
 
 def test_retract_follows_its_rule_on_random_stores(kernel):

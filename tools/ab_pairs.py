@@ -14,7 +14,10 @@ medians differ by more than the parent's interquartile range.  A metric is
 slower under the mirror rule, when the change loses at least nine tenths of
 at least MIN_GAIN_PAIRS pairs and its median is worse by more than that
 range, and worse than bound when the change's median is worse than the
-parent's by more than its bound; a change can be both.  Run from anywhere:
+parent's by more than its bound; a change can be both.  Each pair line
+names the kernel each run used, as perfbench's "kernel X (available: ...)"
+line reports it, and a note above the table says when the two sides ran
+different kernels.  Run from anywhere:
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload wcnf-small \\
         --pairs 10 --seed 801
@@ -54,6 +57,15 @@ def last_json(stdout):
     if not isinstance(result, dict):
         raise ValueError("the last line is no JSON object")
     return result
+
+
+def kernel_of(stdout):
+    """The kernel a run used, from perfbench's "kernel X (available: ...)"
+    line; "?" if it printed none."""
+    for line in stdout.splitlines():
+        if line.startswith("kernel ") and "(available:" in line:
+            return line.split()[1]
+    return "?"
 
 
 def pair_count(text):
@@ -132,9 +144,10 @@ def format_rows(rows):
 
 
 def run_once(checkout, workload, seed):
-    """The JSON result of one benchmark run in checkout, or None if the
-    run failed: it exited non-zero, its last line was no JSON object, or it
-    reported a wrong answer.  For a failed run, the exit code, the correct
+    """The JSON result of one benchmark run in checkout, with the kernel it
+    used under "kernel", or None if the run failed: it exited non-zero, its
+    last line was no JSON object, or it reported a wrong answer.  For a
+    failed run, the exit code, the correct
     flag and the last 2,000 characters of its standard error go to
     standard error."""
     proc = subprocess.run(
@@ -147,6 +160,7 @@ def run_once(checkout, workload, seed):
         result = None
     correct = None if result is None else result.get("correct")
     if proc.returncode == 0 and correct:
+        result["kernel"] = kernel_of(proc.stdout)
         return result
     sys.stderr.write("%s seed %d failed: exit code %d, correct %s\n%s\n" % (
         checkout, seed, proc.returncode, correct, proc.stderr[-2000:]))
@@ -174,14 +188,21 @@ def main(argv=None):
             results[side] = run_once(dirs[side], args.workload, seed)
         line = ", ".join(
             "%s %s" % (side, "failed" if results[side] is None else
-                       "total_s %.4f" % results[side]["metrics"]
-                       ["total_s"]["value"]) for side in order)
+                       "total_s %.4f (%s)" % (
+                           results[side]["metrics"]["total_s"]["value"],
+                           results[side].get("kernel", "?")))
+            for side in order)
         print("pair %d seed %d: %s" % (i, seed, line), flush=True)
         if None in results.values():
             failed += 1
             continue
         pairs.append((results["parent"], results["change"]))
     if pairs:
+        kernels = [sorted({pair[k].get("kernel", "?") for pair in pairs})
+                   for k in (0, 1)]
+        if kernels[0] != kernels[1]:
+            print("note: the sides ran different kernels: parent %s, "
+                  "change %s" % tuple(", ".join(k) for k in kernels))
         print(format_rows(summarize(pairs, spec)))
     if failed:
         print("%d of %d pairs had a failed run" % (failed, args.pairs))
