@@ -50,8 +50,9 @@ def compiled_kernel():
 def _time_limit(request):
     """Fails the test once it has run TEST_TIME_LIMIT_S, by SIGALRM from a
     real-time interval timer.  Where the platform has neither, tests run
-    without a limit.  The handler runs between Python bytecodes, so it
-    stops a compiled kernel at its next call into a Python propagator.
+    without a limit.  The handler runs between Python bytecodes, and a
+    compiled search checks for signals at every conflict, so it stops a
+    compiled kernel at its next conflict or call into a Python propagator.
     The failure names the test and the function it was in, and carries no
     traceback: the interrupted frame may have no line number (Python 3.11),
     and pytest then fails the whole session formatting one."""

@@ -219,6 +219,15 @@ class PbUpperBound(Propagator):
 
     A bound of 0 cannot hold once any term exists, so it propagates like
     bound 1: every literal is forced false and a true literal is a conflict.
+
+    The compiled kernel runs propagate in C++ (pb_propagate in
+    _search.cpp), with the same inferences, reasons and effects, and no
+    Python call; this method is the specification, and the pure kernel's
+    implementation.  That kernel reads terms when it reads wake_on and
+    bound at every call, so tighten needs nothing more.  It calls this
+    method instead in a solve that begins with propagate wrapped, on the
+    instance or on the class, and for terms whose weights are not positive
+    ints that sum to less than 2**63.
     """
 
     def __init__(self, terms, strict_bound):

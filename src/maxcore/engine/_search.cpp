@@ -41,6 +41,26 @@
 // back.  A failed read or write of x.cur sets bound_failed, and the solve
 // then raises at its next check.
 //
+// PbUpperBound (maxcore.cp) runs here, in the slot of propagate_all where
+// any other propagator's propagate is called: pb_propagate does what
+// PbUpperBound.propagate does through the view, term by term in term order,
+// with the same records, assignments, x.cur moves and enqueue/fail flags,
+// so the search is the one the Python method makes.  read_wakes reads each
+// PB's terms as int64 weights and int literals, and pb_propagate reads its
+// bound at every call, so tighten() needs nothing here.  The Python method
+// is called instead when its terms cannot be read so (a weight that is not
+// a positive int, or weights whose sum does not fit in int64), when the
+// bound is not an int, and for every solve in which propagate is wrapped,
+// on the instance (tests/conftest.py's solves fixture) or on the class
+// (perfbench's Tracer): reset() looks at each solve whether
+// p.propagate is still PbUpperBound.propagate bound to p, matched by the
+// function's module and code name, since the class is created anew each
+// time maxcore.cp is imported again while this module stays loaded.
+//
+// A solve checks for signals at every conflict, beside its deadline, so a
+// handler that raises (Ctrl-C, an alarm) ends a search that calls no Python
+// propagator.
+//
 // setup.py passes the SHA-256 of this file in as SOURCE_SHA256, and the
 // module exports it, so that maxcore.engine can refuse a build of another
 // version of this file.
@@ -79,6 +99,8 @@ PyObject *str_wake_on;
 PyObject *str_cur;
 PyObject *str_lb0;
 PyObject *str_ub0;
+PyObject *str_terms;
+PyObject *str_bound;
 
 inline int var_of(int lit) { return lit > 0 ? lit : -lit; }
 
@@ -255,6 +277,19 @@ struct Kernel {
 
     std::vector<int> learnt, to_clear, expl;  // scratch
 
+    // PbUpperBound (maxcore.cp) run in C++: pb_of[pi] is the index in pbs
+    // of propagator pi's terms when read_wakes could read them as int64
+    // weights with an int64 sum, else -1; native[pi] says whether this
+    // solve runs pi here, decided by reset() from pi's propagate
+    struct Pb {
+        std::vector<long long> w;
+        std::vector<int> lit;
+        long long max_weight = 0;
+    };
+    std::vector<Pb> pbs;
+    std::vector<int> pb_of;
+    std::vector<char> native;
+
     // integer bounds: order_var[var] is the IntVar x of the order literal
     // [x >= order_value[var]] that var is, or null; order_ints owns them
     PyObject *order_ints = nullptr;
@@ -364,8 +399,14 @@ struct Kernel {
         woken.clear();
         wakers.resize(watches.size());
         std::vector<int> lits;
+        pbs.clear();
+        pb_of.assign(n, -1);
+        native.assign(n, 0);
         for (Py_ssize_t pi = 0; pi < n; pi++) {
-            PyObject *wake_on = PyObject_GetAttr(PyList_GET_ITEM(props, pi), str_wake_on);
+            PyObject *p = PyList_GET_ITEM(props, pi);
+            if (read_pb(p))
+                pb_of[pi] = (int)pbs.size() - 1;
+            PyObject *wake_on = PyObject_GetAttr(p, str_wake_on);
             if (!wake_on)
                 return false;
             always[pi] = wake_on == Py_None;
@@ -383,6 +424,78 @@ struct Kernel {
             }
         }
         return true;
+    }
+
+    // appends p's terms to pbs; false, with no error set, when p has no
+    // terms of (weight, literal) pairs, a weight is not a positive int, the
+    // weights' sum does not fit in int64 or a literal is not one of
+    // +-1..nvars.  Any propagator's terms are read: reset() runs only a
+    // PbUpperBound natively.
+    bool read_pb(PyObject *p) {
+        PyObject *terms = PyObject_GetAttr(p, str_terms);
+        PyObject *seq = terms ? PySequence_Fast(terms, "") : nullptr;
+        Py_XDECREF(terms);
+        if (!seq) {
+            PyErr_Clear();
+            return false;
+        }
+        Pb pb;
+        long long sum = 0;
+        bool ok = true;
+        for (Py_ssize_t i = 0; ok && i < PySequence_Fast_GET_SIZE(seq); i++) {
+            PyObject *term = PySequence_Fast_GET_ITEM(seq, i);
+            ok = PyTuple_Check(term) && PyTuple_GET_SIZE(term) == 2 &&
+                 PyLong_Check(PyTuple_GET_ITEM(term, 0)) &&
+                 PyLong_Check(PyTuple_GET_ITEM(term, 1));
+            if (!ok)
+                break;
+            int w_over, lit_over;
+            long long w = PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(term, 0), &w_over);
+            long lit = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(term, 1), &lit_over);
+            ok = !PyErr_Occurred() && !w_over && !lit_over && w > 0 &&
+                 !__builtin_add_overflow(sum, w, &sum) && lit != 0 && lit >= -nvars &&
+                 lit <= nvars;
+            if (ok) {
+                pb.w.push_back(w);
+                pb.lit.push_back((int)lit);
+                pb.max_weight = std::max(pb.max_weight, w);
+            }
+        }
+        Py_DECREF(seq);
+        PyErr_Clear();
+        if (ok)
+            pbs.push_back(std::move(pb));
+        return ok;
+    }
+
+    // p's propagate is PbUpperBound.propagate itself, bound to p: wrapped
+    // neither on the instance nor on the class
+    bool unwrapped(PyObject *p) {
+        PyObject *m = PyObject_GetAttr(p, str_propagate);
+        if (!m) {
+            PyErr_Clear();
+            return false;
+        }
+        bool ok = PyMethod_Check(m) && PyMethod_GET_SELF(m) == p;
+        PyObject *f = ok ? PyMethod_GET_FUNCTION(m) : nullptr;
+        ok = ok && PyFunction_Check(f);
+        if (ok) {
+            // functools.wraps copies __module__ and __qualname__ onto a
+            // wrapper, but not its code object's names
+            PyObject *module = PyFunction_GET_MODULE(f);
+            PyCodeObject *code = (PyCodeObject *)PyFunction_GET_CODE(f);
+#if PY_VERSION_HEX >= 0x030B0000
+            PyObject *name = code->co_qualname;
+#else
+            PyObject *name = ((PyFunctionObject *)f)->func_qualname;
+            ok = PyUnicode_CompareWithASCIIString(code->co_name, "propagate") == 0;
+#endif
+            ok = ok && module && PyUnicode_Check(module) &&
+                 PyUnicode_CompareWithASCIIString(module, "maxcore.cp") == 0 &&
+                 PyUnicode_CompareWithASCIIString(name, "PbUpperBound.propagate") == 0;
+        }
+        Py_DECREF(m);
+        return ok;
     }
 
     // ------------------------------------------------------------------
@@ -611,11 +724,9 @@ struct Kernel {
                 pending[i] = always[i];
                 prop_enqueued = false;
                 prop_conflict = -1;
-                PyObject *r = PyObject_CallMethodOneArg(
-                    PyList_GET_ITEM(props, i), str_propagate, view);
-                if (!r)
+                if (!(native[i] ? pb_propagate(pbs[pb_of[i]], PyList_GET_ITEM(props, i))
+                                : call_propagate(PyList_GET_ITEM(props, i))))
                     return RAISED;
-                Py_DECREF(r);
                 if (prop_conflict != -1)
                     return prop_conflict;
                 if (prop_enqueued) {
@@ -626,6 +737,66 @@ struct Kernel {
             if (!progress)
                 return -1;
         }
+    }
+
+    bool call_propagate(PyObject *p) {
+        PyObject *r = PyObject_CallMethodOneArg(p, str_propagate, view);
+        Py_XDECREF(r);
+        return r != nullptr;
+    }
+
+    // PbUpperBound.propagate (cp.py) on the terms that read_wakes read and
+    // the bound p holds now, with the effects of its fail and enqueue calls;
+    // false with an error set where it would raise
+    bool pb_propagate(const Pb &pb, PyObject *p) {
+        PyObject *bound = PyObject_GetAttr(p, str_bound);
+        if (!bound)
+            return false;
+        if (!PyLong_Check(bound)) {
+            Py_DECREF(bound);
+            return call_propagate(p);
+        }
+        int overflow;
+        long long b = PyLong_AsLongLongAndOverflow(bound, &overflow);
+        Py_DECREF(bound);
+        if (PyErr_Occurred())
+            return false;
+        if (overflow > 0)
+            return true;  // above the weights' sum: nothing to infer
+        long long limit = overflow < 0 || b < 1 ? 1 : b;
+        long long total = 0;
+        expl.clear();  // the true terms, negated
+        size_t n = pb.lit.size();
+        for (size_t k = 0; k < n; k++) {
+            int lit = pb.lit[k];
+            if (lit_value(lit) > 0) {
+                total += pb.w[k];
+                expl.push_back(lit);
+                if (total >= limit) {
+                    if (!negate_reasons(0, "nogood"))
+                        return false;
+                    prop_conflict = records.add(0, expl.data(), (int)expl.size());
+                    return true;
+                }
+            }
+        }
+        long long slack = limit - total;
+        if (pb.max_weight < slack)
+            return true;
+        bool negated = false;
+        for (size_t k = 0; k < n; k++) {
+            int lit = pb.lit[k];
+            if (pb.w[k] < slack || lit_value(lit) != 0)
+                continue;
+            if (!negated && !negate_reasons(0, "explanation"))
+                return false;
+            negated = true;
+            assign(-lit, records.add(-lit, expl.data(), (int)expl.size()));
+            if (bound_failed)
+                return false;
+            prop_enqueued = true;
+        }
+        return true;
     }
 
     // propagator-facing interface: expl holds the reason literals from
@@ -886,6 +1057,9 @@ struct Kernel {
                     return finish("unknown", nullptr);
                 if (has_deadline && monotonic() > deadline)
                     return finish("unknown", nullptr);
+                // a signal handler that raises ends the search
+                if (PyErr_CheckSignals() < 0)
+                    return nullptr;
             } else {
                 if (conflicts_since_restart >= restart_limit && trail_lim.size() > 1) {
                     conflicts_since_restart = 0;
@@ -918,7 +1092,8 @@ struct Kernel {
     // what a solve starts from: nothing assigned, not even at level 0
     // (phases are saved as a backjump saves them), no reason records, zero
     // counters and every propagator pending.  Learnt clauses, activities,
-    // phases, var_inc and cla_inc stay.
+    // phases, var_inc and cla_inc stay.  A PbUpperBound runs here unless
+    // its propagate is wrapped now.
     void reset() {
         unassign(0);
         trail_lim.clear();
@@ -926,6 +1101,8 @@ struct Kernel {
         conflicts = decisions = propagations = restarts = 0;
         std::fill(pending.begin(), pending.end(), 1);
         first_learnt = (int)c_off.size();
+        for (size_t pi = 0; pi < native.size(); pi++)
+            native[pi] = pb_of[pi] >= 0 && unwrapped(PyList_GET_ITEM(props, pi));
     }
 
     // the result dict; a sat status carries the model, an unsat one the core
@@ -1162,8 +1339,10 @@ PyMODINIT_FUNC PyInit__search(void) {
     str_cur = PyUnicode_InternFromString("cur");
     str_lb0 = PyUnicode_InternFromString("lb0");
     str_ub0 = PyUnicode_InternFromString("ub0");
+    str_terms = PyUnicode_InternFromString("terms");
+    str_bound = PyUnicode_InternFromString("bound");
     if (!integrity_error || !flat_negs || !str_propagate || !str_wake_on || !str_cur ||
-        !str_lb0 || !str_ub0)
+        !str_lb0 || !str_ub0 || !str_terms || !str_bound)
         return nullptr;
     PyObject *module = PyModule_Create(&module_def);
     PyObject *type = module ? PyType_FromSpec(&core_spec) : nullptr;

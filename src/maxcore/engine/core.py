@@ -30,7 +30,10 @@ first need, in this order:
 2. otherwise, in a source checkout (setup.py in the directory that holds
    src/), the cached build build/kernel/<SHA-256 of _search.cpp>/, which
    setup.py build_ext makes in a child process the first time it is needed
-   (a few seconds) and which later processes load as it is;
+   (a few seconds) and which later processes load as it is; a build that
+   fails leaves build/kernel/<SHA-256>.failed with its reason, and later
+   processes give that reason without building again until the file is
+   deleted or the source changes;
 3. otherwise none, and the pure kernel stands in for it.
 compiled_status then says which build was loaded, or why none was.  With
 MAXCORE_PURE set, default_kernel() answers "python" without looking.
@@ -53,6 +56,7 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_search.cpp")
 _MODULE = __package__ + "._search"
 _BUILDING = "building-"
+_FAILED = ".failed"
 
 # which compiled kernel _compiled() loaded, or why it loaded none
 compiled_status = "compiled kernel not looked for yet"
@@ -104,8 +108,12 @@ def _cached_build(root, digest):
     source of this digest, building it first if needed; None with the
     reason when the build fails.  A build runs in a fresh building-*
     directory and is renamed into place whole, so a process that finds the
-    directory of a digest finds a finished build; builds of other digests
-    are then deleted as stale, but not one still in progress."""
+    directory of a digest finds a finished build; builds of other digests,
+    and their failure markers, are then deleted as stale, but not a build
+    still in progress.  When setup.py fails, the marker <digest>.failed
+    keeps the reason line, and later processes answer it without building
+    again until the marker is deleted or the source, and so the digest,
+    changes; an OSError leaves no marker, since it may not recur."""
     cache_dir = os.path.join(root, "build", "kernel")
     done = os.path.join(cache_dir, digest)
     rel = os.path.join("maxcore", "engine",
@@ -113,6 +121,13 @@ def _cached_build(root, digest):
     path = os.path.join(done, rel)
     if os.path.isfile(path):
         return path, None
+    marker = done + _FAILED
+    retry = "; delete %s to build again" % os.path.relpath(marker, root)
+    try:
+        with open(marker) as f:
+            return None, (f.read().strip() or "build failed") + retry
+    except OSError:
+        pass
     import shutil
     import subprocess
     import tempfile
@@ -126,12 +141,23 @@ def _cached_build(root, digest):
             cwd=root, capture_output=True, text=True)
         if proc.returncode or not os.path.isfile(os.path.join(tmp, rel)):
             lines = (proc.stderr or proc.stdout).strip().splitlines()
-            return None, lines[-1] if lines else "build failed"
+            why = lines[-1] if lines else "build failed"
+            try:
+                with open(marker, "w") as f:
+                    f.write(why + "\n")
+            except OSError:
+                return None, why
+            return None, why + retry
         shutil.rmtree(os.path.join(tmp, "obj"), ignore_errors=True)
         for name in os.listdir(cache_dir):
-            if name != digest and not name.startswith(_BUILDING):
-                shutil.rmtree(os.path.join(cache_dir, name),
-                              ignore_errors=True)
+            stale = os.path.join(cache_dir, name)
+            if name.endswith(_FAILED):
+                try:
+                    os.remove(stale)
+                except OSError:
+                    pass         # another process pruned it first
+            elif name != digest and not name.startswith(_BUILDING):
+                shutil.rmtree(stale, ignore_errors=True)
         os.replace(tmp, done)
         tmp = None
         return path, None

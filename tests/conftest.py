@@ -107,7 +107,9 @@ def sample7():
 def solves(monkeypatch):
     """Every Engine.solve() outcome in call order: a tuple of SOLVE_FIELDS
     followed by the propagator calls the solve made, each as (index of the
-    propagator, number of assigned variables at the call)."""
+    propagator, number of assigned variables at the call).  It wraps every
+    propagator's propagate for the solve, so the compiled kernel calls
+    PbUpperBound.propagate in Python too."""
     seen = []
     original = Engine.solve
 
@@ -120,12 +122,33 @@ def solves(monkeypatch):
         finally:
             for prop in eng.propagators:
                 del prop.propagate
-        seen.append(tuple(getattr(out, f) for f in SOLVE_FIELDS)
-                    + (tuple(calls),))
+        seen.append(outcome(out) + (tuple(calls),))
         return out
 
     monkeypatch.setattr(Engine, "solve", recording)
     return seen
+
+
+@pytest.fixture
+def outcomes(monkeypatch):
+    """Every Engine.solve() outcome in call order, as a tuple of
+    SOLVE_FIELDS.  It wraps no propagator, so the compiled kernel runs
+    PbUpperBound natively."""
+    seen = []
+    original = Engine.solve
+
+    def recording(eng, *args, **kwargs):
+        out = original(eng, *args, **kwargs)
+        seen.append(outcome(out))
+        return out
+
+    monkeypatch.setattr(Engine, "solve", recording)
+    return seen
+
+
+def outcome(out):
+    """A SolveOutcome as the tuple of its SOLVE_FIELDS."""
+    return tuple(getattr(out, f) for f in SOLVE_FIELDS)
 
 
 def _recorded(propagate, idx, nvars, calls):
@@ -134,3 +157,16 @@ def _recorded(propagate, idx, nvars, calls):
         calls.append((idx, assigned))
         return propagate(view)
     return recorded
+
+
+def pigeonhole(eng, pigeons):
+    """pigeons into pigeons - 1 holes on eng: unsat, and only after many
+    conflicts."""
+    holes = pigeons - 1
+    p = [[eng.new_bool_var() for _ in range(holes)] for _ in range(pigeons)]
+    for row in p:
+        eng.add_clause(row)
+    for h in range(holes):
+        for i in range(pigeons):
+            for j in range(i + 1, pigeons):
+                eng.add_clause((-p[i][h], -p[j][h]))

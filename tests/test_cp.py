@@ -18,6 +18,7 @@ from maxcore.cp import (
 from maxcore.engine import Engine, EngineIntegrityError, Propagator
 from maxcore.maxsat import IndicatorProblem
 from maxcore.rcpsp import build_model, generate_micro_set, soften
+from conftest import pigeonhole
 
 
 def entails(mdl, assumptions, lit):
@@ -1197,19 +1198,6 @@ class _BoundsProbe(Propagator):
                 self.nonmono += 1
 
 
-def _pigeonhole(eng, pigeons):
-    """pigeons into pigeons - 1 holes: unsat, and only after many
-    conflicts."""
-    holes = pigeons - 1
-    p = [[eng.new_bool_var() for _ in range(holes)] for _ in range(pigeons)]
-    for row in p:
-        eng.add_clause(row)
-    for h in range(holes):
-        for i in range(pigeons):
-            for j in range(i + 1, pigeons):
-                eng.add_clause((-p[i][h], -p[j][h]))
-
-
 @pytest.mark.parametrize("algo", ["bnb", "wpm1", "msu3"])
 def test_kernel_bounds_follow_the_ladder_on_rcpsp(kernel, algo):
     calls = conflicts = 0
@@ -1241,7 +1229,7 @@ def test_ladders_stay_monotone_after_backjumps_to_the_root(kernel):
     mdl.materialize(x)
     probe.ints = [x]
     mdl.eng.add_clause((mdl.lit_geq(x, 3),))
-    _pigeonhole(mdl.eng, 6)
+    pigeonhole(mdl.eng, 6)
     out = mdl.eng.solve()
     assert out.status == "unsat"
     assert out.restarts > 0
@@ -1292,7 +1280,7 @@ def test_kernel_bounds_are_reset_after_a_raise(kernel):
     x = mdl.new_int_var(0, 5)
     mdl.materialize(x)
     probe.ints = [x]
-    _pigeonhole(mdl.eng, 6)
+    pigeonhole(mdl.eng, 6)
     bad = mdl.eng.attach_propagator(_RaisesAtCall(40))
     with pytest.raises(EngineIntegrityError):
         mdl.eng.solve(assumptions=[mdl.lit_geq(x, 2), -mdl.lit_geq(x, 5)])

@@ -6,7 +6,9 @@ import itertools
 import os
 import random
 import shutil
+import signal
 import subprocess
+import time
 import types
 import warnings
 import weakref
@@ -23,7 +25,7 @@ from maxcore.engine import (
     SolveOutcome,
     available_kernels,
 )
-from conftest import count_builds, engine_with, random_3cnf
+from conftest import count_builds, engine_with, outcome, pigeonhole, random_3cnf
 
 
 def all_models(nvars, clauses):
@@ -1024,6 +1026,47 @@ def test_solve_after_a_raise_rebuilds_the_kernel(kernel, exc):
         assert out == ref and out.explanations == ref.explanations
 
 
+class _Alarm(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                    reason="no interval timers on this platform")
+def test_a_raising_signal_handler_ends_a_compiled_search(compiled_kernel):
+    """A search that calls no Python code can run a signal handler only
+    where the kernel checks for signals, at each conflict.  The handler
+    fires after 0.01 s of CPU time (SIGVTALRM; the time limit of the tests
+    uses SIGALRM) and raises: the solve raises well before the CPU time the
+    same search takes to its conflict budget, and the next solve rebuilds
+    the kernel and runs that search."""
+    budget = 20000
+    reference = Engine(kernel="compiled")
+    pigeonhole(reference, 9)
+    start = time.process_time()
+    full = reference.solve(conflict_budget=budget)
+    full_s = time.process_time() - start
+    assert (full.status, full.conflicts) == ("unknown", budget)
+
+    def expire(signum, frame):
+        raise _Alarm
+
+    eng = Engine(kernel="compiled")
+    pigeonhole(eng, 9)
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    try:
+        start = time.process_time()
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0.01)
+        with pytest.raises(_Alarm):
+            eng.solve(conflict_budget=budget)
+        stopped_s = time.process_time() - start
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+    assert stopped_s < full_s / 4, (stopped_s, full_s)
+    again = eng.solve(conflict_budget=budget)
+    assert outcome(again) == outcome(full)
+
+
 # ----------------------------------------------------------------------
 # a retract keeps the kernel when a stored unit subsumes every dropped clause
 
@@ -1169,17 +1212,88 @@ def warm_cache(tmp_path):
     return path
 
 
+def source_digest(engine):
+    return hashlib.sha256((engine / "_search.cpp").read_bytes()).hexdigest()
+
+
 def test_a_failed_build_leaves_the_pure_kernel_and_says_why(tmp_path):
     engine = checkout(tmp_path, "raise SystemExit('no compiler here')\n")
     module, status = engine_core._find_compiled(str(engine))
+    marker = "%s.failed" % source_digest(engine)
     assert module is None
-    assert status == ("compiled kernel not built (no compiler here); "
-                      "pure kernel only")
-    assert os.listdir(tmp_path / "build" / "kernel") == []
+    assert status == ("compiled kernel not built (no compiler here; delete "
+                      "build/kernel/%s to build again); pure kernel only"
+                      % marker)
+    # no building-* directory is left, only the marker
+    assert os.listdir(tmp_path / "build" / "kernel") == [marker]
     # outside a checkout nothing is built
     os.remove(tmp_path / "setup.py")
     module, status = engine_core._find_compiled(str(engine))
     assert module is None and status.startswith("no compiled kernel (")
+
+
+def test_a_failed_build_is_not_run_again_until_its_marker_goes(
+        tmp_path, monkeypatch):
+    engine = checkout(tmp_path, "raise SystemExit('no compiler here')\n")
+    cache = tmp_path / "build" / "kernel"
+    _, status = engine_core._find_compiled(str(engine))
+    marker = cache / ("%s.failed" % source_digest(engine))
+    assert marker.read_text() == "no compiler here\n"
+    real_run = subprocess.run
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a recorded failure ran a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", no_build)
+    assert engine_core._find_compiled(str(engine)) == (None, status)
+    # an OSError may not recur, so it leaves no marker
+    marker.unlink()
+
+    def full_disk(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(subprocess, "run", full_disk)
+    assert engine_core._find_compiled(str(engine)) == (
+        None, "compiled kernel not built (No space left on device); pure "
+        "kernel only")
+    assert os.listdir(cache) == []
+    # a deleted marker, or another source, builds again
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    assert engine_core._find_compiled(str(engine)) == (None, status)
+    assert len(runs) == 1 and marker.exists()
+    with open(engine / "_search.cpp", "a") as f:
+        f.write("// edited\n")
+    _, edited = engine_core._find_compiled(str(engine))
+    assert len(runs) == 2 and edited != status
+    assert sorted(os.listdir(cache)) == sorted(
+        [marker.name, "%s.failed" % source_digest(engine)])
+
+
+def test_a_build_prunes_the_other_builds_and_markers(tmp_path,
+                                                     compiled_kernel):
+    # a setup.py stand-in that "builds" by copying the session's kernel
+    built = engine_core._compiled().__file__
+    engine = checkout(tmp_path, (
+        "import os, shutil, sys\n"
+        "lib = os.path.join(sys.argv[sys.argv.index('--build-lib') + 1],\n"
+        "                   'maxcore', 'engine')\n"
+        "os.makedirs(lib)\n"
+        "shutil.copy(%r, lib)\n") % built)
+    cache = tmp_path / "build" / "kernel"
+    (cache / ("1" * 64)).mkdir(parents=True)
+    (cache / ("1" * 64 + ".failed")).write_text("old\n")
+    (cache / "building-x").mkdir()
+    module, status = engine_core._find_compiled(str(engine))
+    digest = source_digest(engine)
+    assert module.__file__ == str(cache / digest / "maxcore" / "engine"
+                                  / os.path.basename(built))
+    assert sorted(os.listdir(cache)) == sorted(["building-x", digest])
 
 
 def test_a_warm_cache_is_loaded_without_a_build(tmp_path, monkeypatch,
